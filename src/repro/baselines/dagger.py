@@ -147,6 +147,8 @@ class DaggerMethod(ReachabilityMethod):
                     queue.append((parent, node))
 
     def _handle_merge(self, merged: Set[int], new_cid: int) -> None:
+        # ``new_cid`` is the largest merged component's own id, so it is
+        # also in ``merged``: read and drop every part before assigning.
         for label in self.labels:
             lo = min(label[c][0] for c in merged if c in label)
             hi = max(label[c][1] for c in merged if c in label)
@@ -157,6 +159,7 @@ class DaggerMethod(ReachabilityMethod):
             self._widen(parent, new_cid)
 
     def _handle_split(self, old_cid: int, new_cids: List[int]) -> None:
+        # The largest part still goes by ``old_cid`` (it is in ``new_cids``).
         for label in self.labels:
             interval = label.pop(old_cid, None)
             if interval is None:

@@ -16,15 +16,46 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.graph.digraph import DynamicDiGraph
 from repro.graph.scc import strongly_connected_components
+from repro.graph.traversal import topological_order
+
+
+def _grow(
+    frontier: List[int],
+    adj: Dict[int, List[int]],
+    seen: Set[int],
+    other: Set[int],
+    member_set: Set[int],
+) -> Optional[List[int]]:
+    """One BFS level inside ``member_set``; ``None`` once it touches a
+    vertex the opposite search has seen."""
+    grown: List[int] = []
+    for x in frontier:
+        for w in adj[x]:
+            if w in other:
+                return None
+            if w not in seen and w in member_set:
+                seen.add(w)
+                grown.append(w)
+    return grown
 
 
 class DynamicDAG:
     """A directed graph together with its incrementally maintained condensation.
 
-    Component ids are allocated from a private counter and never reused, so
-    downstream indexes can detect staleness by id. Callbacks ``on_merge`` /
-    ``on_split`` let an index (e.g. DAGGER's interval labels) react to
-    condensation changes.
+    Maintenance costs what the update changes, not the size of the
+    component it lands in: an intra-SCC delete is a bidirectional
+    reconnect probe (``O(probe)``; Tarjan runs only when the probe proves
+    a split, ``O(|C|)`` in place plus ``O(peeled)`` bookkeeping), and a
+    merge rewires only the absorbed components (``O(absorbed)``).
+
+    A component id names a *lineage*, allocated from a private counter:
+    on a merge the largest component keeps its id, its ``members`` set
+    (grown in place) and its DAG vertex; on a split the largest part keeps
+    them (shrunk in place) and only the peeled parts get fresh ids. Retired
+    ids are never handed out again. Callbacks ``on_merge(old_cids, cid)`` /
+    ``on_split(old_cid, new_cids)`` let an index (e.g. DAGGER's interval
+    labels) react to condensation changes; the surviving id appears on
+    both sides, and ``new_cids`` is in Tarjan's sinks-first order.
     """
 
     def __init__(self, graph: Optional[DynamicDiGraph] = None) -> None:
@@ -36,6 +67,10 @@ class DynamicDAG:
         self._next_cid = 0
         self.merge_count = 0
         self.split_count = 0
+        #: Intra-SCC deletes the reconnect probe settled without Tarjan,
+        #: and the vertices all probes touched (their total cost).
+        self.reconnect_count = 0
+        self.probe_visited = 0
         self.on_merge: Optional[Callable[[Set[int], int], None]] = None
         self.on_split: Optional[Callable[[int, List[int]], None]] = None
         if graph is not None:
@@ -65,10 +100,10 @@ class DynamicDAG:
             if cu != cv:
                 self._add_dag_edge(cu, cv)
 
-    def _add_dag_edge(self, cu: int, cv: int) -> None:
+    def _add_dag_edge(self, cu: int, cv: int, mult: int = 1) -> None:
         key = (cu, cv)
         count = self._edge_multiplicity.get(key, 0)
-        self._edge_multiplicity[key] = count + 1
+        self._edge_multiplicity[key] = count + mult
         if count == 0:
             self.dag.add_edge(cu, cv)
 
@@ -143,8 +178,11 @@ class DynamicDAG:
         cu, cv = self.scc_of[u], self.scc_of[v]
         if cu != cv:
             self._remove_dag_edge(cu, cv)
-        else:
-            self._maybe_split(cu)
+        elif u != v:
+            if self._still_connected(u, v, self.members[cu]):
+                self.reconnect_count += 1
+            else:
+                self._split(cu)
         return True
 
     # ------------------------------------------------------------------
@@ -152,42 +190,40 @@ class DynamicDAG:
     # ------------------------------------------------------------------
     def _merge_cycle(self, cu: int, cv: int) -> None:
         """Merge every component on a ``cv -> ... -> cu`` DAG path (plus the
-        new back edge ``cu -> cv``) into one component."""
+        new back edge ``cu -> cv``) into the largest of them."""
         forward = self._dag_closure(cv, forward=True, stop_at=cu)
         backward = self._dag_closure(cu, forward=False, restrict=forward)
         to_merge = forward & backward  # contains both cu and cv
-        new_cid = self._fresh_cid()
-        self.dag.add_vertex(new_cid)
-        # Pass 1: collect the surviving edge multiplicities before touching
-        # the DAG. Edges internal to the merged set are popped (via their
-        # source side) and vanish; boundary edges are redirected to new_cid.
-        incident: Dict[Tuple[int, int], int] = {}
-        for cid in to_merge:
+        members = self.members
+        keep = max(to_merge, key=lambda c: len(members[c]))
+        absorbed_ids = to_merge - {keep}
+        # Edges internal to the merged set vanish; boundary edges of the
+        # absorbed components move to ``keep``. (Adding those touches only
+        # adjacency lists of ``keep`` and of outside components, never the
+        # absorbed lists being walked.)
+        pop_mult = self._edge_multiplicity.pop
+        for cid in absorbed_ids:
             for w in self.dag.out_neighbors(cid):
-                mult = self._edge_multiplicity.pop((cid, w))
+                mult = pop_mult((cid, w))
                 if w not in to_merge:
-                    key = (new_cid, w)
-                    incident[key] = incident.get(key, 0) + mult
+                    self._add_dag_edge(keep, w, mult)
             for w in self.dag.in_neighbors(cid):
-                if w in to_merge:
-                    continue  # internal edge; popped from its source side
-                mult = self._edge_multiplicity.pop((w, cid))
-                key = (w, new_cid)
-                incident[key] = incident.get(key, 0) + mult
-        # Pass 2: rebuild membership and the DAG.
-        merged_members: Set[int] = set()
-        for cid in to_merge:
-            merged_members |= self.members.pop(cid)
+                if w in absorbed_ids:
+                    continue  # popped from its tail's out-edges
+                mult = pop_mult((w, cid))
+                if w != keep:
+                    self._add_dag_edge(w, keep, mult)
+        kept_members = members[keep]
+        scc_of = self.scc_of
+        for cid in absorbed_ids:
+            absorbed = members.pop(cid)
+            for v in absorbed:
+                scc_of[v] = keep
+            kept_members |= absorbed
             self.dag.remove_vertex(cid)
-        for v in merged_members:
-            self.scc_of[v] = new_cid
-        self.members[new_cid] = merged_members
-        for (a, b), mult in incident.items():
-            self._edge_multiplicity[(a, b)] = mult
-            self.dag.add_edge(a, b)
         self.merge_count += 1
         if self.on_merge is not None:
-            self.on_merge(to_merge, new_cid)
+            self.on_merge(to_merge, keep)
 
     def _dag_closure(
         self,
@@ -211,51 +247,118 @@ class DynamicDAG:
                     queue.append(w)
         return visited
 
-    def _maybe_split(self, cid: int) -> None:
-        """Recompute the SCCs inside component ``cid`` after an internal
-        edge deletion, splitting it if it is no longer strongly connected."""
-        member_set = self.members[cid]
-        if len(member_set) == 1:
-            return
-        sub = self.graph.subgraph(member_set)
-        parts = strongly_connected_components(sub)
-        if len(parts) == 1:
-            return
-        # Drop the old component and its incident DAG edges.
-        for w in list(self.dag.out_neighbors(cid)):
-            del self._edge_multiplicity[(cid, w)]
-        for w in list(self.dag.in_neighbors(cid)):
-            del self._edge_multiplicity[(w, cid)]
-        self.dag.remove_vertex(cid)
-        del self.members[cid]
+    def _still_connected(self, u: int, v: int, member_set: Set[int]) -> bool:
+        """Whether ``u`` still reaches ``v`` after ``(u, v)`` left their SCC.
+
+        Bidirectional BFS inside ``member_set``, smaller frontier first.
+        The restriction is exact: a vertex on any ``u ~> v`` detour lies on
+        a cycle with the old ``v ~> u`` path, i.e. in the component. And
+        ``u ~> v`` decides the whole component: every member still reaches
+        ``u`` and is still reached from ``v``, because a simple path ending
+        at ``u`` (or starting at ``v``) cannot have used ``(u, v)``. A side
+        that runs dry without meeting the other proves a split.
+        """
+        out_adj = self.graph.adjacency(True)
+        in_adj = self.graph.adjacency(False)
+        seen_fwd, seen_bwd = {u}, {v}
+        frontier_fwd: Optional[List[int]] = [u]
+        frontier_bwd: Optional[List[int]] = [v]
+        while frontier_fwd and frontier_bwd:
+            if len(frontier_fwd) <= len(frontier_bwd):
+                frontier_fwd = _grow(
+                    frontier_fwd, out_adj, seen_fwd, seen_bwd, member_set
+                )
+            else:
+                frontier_bwd = _grow(
+                    frontier_bwd, in_adj, seen_bwd, seen_fwd, member_set
+                )
+        self.probe_visited += len(seen_fwd) + len(seen_bwd)
+        return frontier_fwd is None or frontier_bwd is None
+
+    def _split(self, cid: int) -> None:
+        """Split component ``cid``, which an edge deletion disconnected.
+
+        Tarjan runs in place over the member set. The largest part keeps
+        ``cid`` and its ``members`` set; the peeled parts get fresh ids and
+        only their members' adjacency is walked to re-derive DAG edges.
+        """
+        kept_members = self.members[cid]
+        parts = strongly_connected_components(self.graph, within=kept_members)
+        largest = max(range(len(parts)), key=lambda i: len(parts[i]))
+        scc_of = self.scc_of
         new_cids: List[int] = []
-        for comp in parts:
+        peeled: List[int] = []
+        for i, comp in enumerate(parts):
+            if i == largest:
+                new_cids.append(cid)
+                continue
             new_cid = self._fresh_cid()
             new_cids.append(new_cid)
             self.dag.add_vertex(new_cid)
             self.members[new_cid] = set(comp)
             for v in comp:
-                self.scc_of[v] = new_cid
-        # Re-derive every DAG edge incident to the split members from the
-        # original graph (both among the parts and to/from the outside).
-        for v in member_set:
-            for w in self.graph.out_neighbors(v):
-                a, b = self.scc_of[v], self.scc_of[w]
-                if a != b:
-                    self._add_dag_edge(a, b)
-            for w in self.graph.in_neighbors(v):
-                if w in member_set:
-                    continue  # counted above from the member side
-                a, b = self.scc_of[w], self.scc_of[v]
-                if a != b:
-                    self._add_dag_edge(a, b)
+                scc_of[v] = new_cid
+            peeled.extend(comp)
+        kept_members.difference_update(peeled)
+        fresh = set(new_cids) - {cid}
+        # Every edge that changed class touches a peeled vertex: edges to
+        # the outside move from ``cid`` to the peeled part, edges to the
+        # rest of the old component become DAG edges. Peeled-to-peeled
+        # edges are counted once, from their tail.
+        for p in peeled:
+            a = scc_of[p]
+            for w in self.graph.out_neighbors(p):
+                b = scc_of[w]
+                if b == a:
+                    continue
+                if b != cid and b not in fresh:
+                    self._remove_dag_edge(cid, b)
+                self._add_dag_edge(a, b)
+            for w in self.graph.in_neighbors(p):
+                b = scc_of[w]
+                if b == a or b in fresh:
+                    continue
+                if b != cid:
+                    self._remove_dag_edge(b, cid)
+                self._add_dag_edge(b, a)
         self.split_count += 1
         if self.on_split is not None:
             self.on_split(cid, new_cids)
 
     # ------------------------------------------------------------------
-    # Consistency checking (used by the test suite)
+    # Consistency checking
     # ------------------------------------------------------------------
+    def check_invariants(self) -> None:
+        """Raise ``AssertionError`` unless the maintained structures agree
+        with each other. ``O(n + m)`` and Tarjan-free, so cheap enough to
+        run after every step of a harness; it does not prove each
+        component strongly connected — :meth:`check_consistency` is the
+        from-scratch oracle for that."""
+        graph, dag, scc_of = self.graph, self.dag, self.scc_of
+        assert len(scc_of) == graph.num_vertices, "scc_of misses vertices"
+        assert sum(len(mem) for mem in self.members.values()) == len(scc_of), (
+            "members do not partition the vertices"
+        )
+        for cid, mem in self.members.items():
+            assert mem, f"component {cid} is empty"
+            for v in mem:
+                assert v in graph and scc_of[v] == cid, (
+                    f"vertex {v} listed under {cid}, labelled {scc_of.get(v)}"
+                )
+        assert set(self.members) == set(dag.vertices()), "DAG vertices diverged"
+        assert set(self._edge_multiplicity) == set(dag.edges()), (
+            "multiplicity keys diverged from DAG edges"
+        )
+        assert all(n > 0 for n in self._edge_multiplicity.values())
+        crossing = sum(1 for u, v in graph.edges() if scc_of[u] != scc_of[v])
+        assert sum(self._edge_multiplicity.values()) == crossing, (
+            "multiplicities do not sum to the inter-component edge count"
+        )
+        try:
+            topological_order(dag)
+        except ValueError:
+            raise AssertionError("condensation has a cycle") from None
+
     def check_consistency(self) -> None:
         """Raise ``AssertionError`` if the maintained condensation disagrees
         with one recomputed from scratch."""

@@ -1,4 +1,4 @@
-"""A dynamic directed graph with O(1) amortized edge updates.
+"""A dynamic directed graph with O(1) amortized inserts and O(deg) deletes.
 
 This is the substrate every algorithm in the package runs on. The design
 follows the paper's index-free philosophy: graph updates touch nothing but
@@ -7,11 +7,12 @@ adjacency lists are modified accordingly").
 
 Representation
 --------------
-Out- and in-adjacency are ``dict[int, list[int]]``. Edge deletion marks a
-tombstone by swap-removing from the list (order of neighbors is not
-guaranteed, which no algorithm here relies on). Parallel edges are rejected
-so that ``m`` always counts distinct edges, matching the paper's simple
-graph model.
+Out- and in-adjacency are ``dict[int, list[int]]``. ``add_edge`` appends
+(O(1) amortized); ``remove_edge`` finds the neighbor with ``list.index``
+and swap-removes it, so it costs O(deg) of the two endpoints (order of
+neighbors is not guaranteed, which no algorithm here relies on). Parallel
+edges are rejected so that ``m`` always counts distinct edges, matching
+the paper's simple graph model.
 """
 
 from __future__ import annotations
@@ -133,8 +134,9 @@ class DynamicDiGraph:
     def remove_edge(self, u: int, v: int) -> bool:
         """Delete the directed edge ``(u, v)``.
 
-        Returns ``True`` if it existed. Uses swap-removal, so adjacency
-        order is not stable across deletions.
+        Returns ``True`` if it existed. O(deg): a ``list.index`` scan of
+        each endpoint's list, then swap-removal, so adjacency order is not
+        stable across deletions.
         """
         if (u, v) not in self._edge_set:
             return False

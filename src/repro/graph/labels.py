@@ -662,9 +662,8 @@ class LabelIndex:
         graph = self._graph
         row = state.row
         ids = state.ids
-        dirty_ids = [int(x) for x in ids[dirty_rows]]
-        dirty_set = set(dirty_ids)
-        comps = strongly_connected_components(graph.subgraph(dirty_ids))
+        dirty_set = {int(x) for x in ids[dirty_rows]}
+        comps = strongly_connected_components(graph, within=dirty_set)
         if not out_side:
             comps = list(reversed(comps))
         done = set()

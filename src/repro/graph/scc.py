@@ -8,64 +8,73 @@ limit.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Collection, Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.graph.digraph import DynamicDiGraph
 
 
-def strongly_connected_components(graph: DynamicDiGraph) -> List[List[int]]:
+def strongly_connected_components(
+    graph: DynamicDiGraph, within: Optional[Collection[int]] = None
+) -> List[List[int]]:
     """Tarjan's SCC algorithm, iterative formulation.
 
     Returns the components in reverse topological order of the condensation
     (a property of Tarjan's algorithm that :func:`condensation` relies on).
+
+    ``within`` restricts the run to the subgraph induced by that vertex
+    set (a ``set`` for O(1) membership; every member must be in the
+    graph): only its vertices are roots and edges leaving it are ignored,
+    so the cost is the induced subgraph's size and nothing is copied.
     """
+    adj = graph.adjacency(True)
     index_of: Dict[int, int] = {}
     lowlink: Dict[int, int] = {}
-    on_stack: Dict[int, bool] = {}
+    on_stack: Set[int] = set()
     stack: List[int] = []
     components: List[List[int]] = []
     counter = 0
 
-    for root in list(graph.vertices()):
+    for root in list(adj if within is None else within):
         if root in index_of:
             continue
-        # Each work item is (vertex, iterator position into its adjacency).
-        work: List[Tuple[int, int]] = [(root, 0)]
+        index_of[root] = lowlink[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack.add(root)
+        # Each work item is (vertex, iterator over its unscanned out-edges).
+        work: List[Tuple[int, Iterator[int]]] = [(root, iter(adj[root]))]
         while work:
-            v, pos = work[-1]
-            if pos == 0:
-                index_of[v] = counter
-                lowlink[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            recursed = False
-            nbrs = graph.out_neighbors(v)
-            while pos < len(nbrs):
-                w = nbrs[pos]
-                pos += 1
+            v, nbrs = work[-1]
+            low = lowlink[v]
+            for w in nbrs:
                 if w not in index_of:
-                    work[-1] = (v, pos)
-                    work.append((w, 0))
-                    recursed = True
+                    if within is not None and w not in within:
+                        continue
+                    lowlink[v] = low
+                    index_of[w] = lowlink[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    on_stack.add(w)
+                    work.append((w, iter(adj[w])))
                     break
-                if on_stack.get(w, False):
-                    lowlink[v] = min(lowlink[v], index_of[w])
-            if recursed:
-                continue
-            work.pop()
-            if lowlink[v] == index_of[v]:
-                component: List[int] = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    component.append(w)
-                    if w == v:
-                        break
-                components.append(component)
-            if work:
-                parent, _ = work[-1]
-                lowlink[parent] = min(lowlink[parent], lowlink[v])
+                if w in on_stack and index_of[w] < low:
+                    low = index_of[w]
+            else:
+                work.pop()
+                lowlink[v] = low
+                if low == index_of[v]:
+                    component: List[int] = []
+                    while True:
+                        w = stack.pop()
+                        on_stack.discard(w)
+                        component.append(w)
+                        if w == v:
+                            break
+                    components.append(component)
+                if work:
+                    parent = work[-1][0]
+                    if low < lowlink[parent]:
+                        lowlink[parent] = low
     return components
 
 

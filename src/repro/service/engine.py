@@ -1766,6 +1766,11 @@ class ReachabilityService:
         counters["kernel_sample_rebuilds"] = (  # type: ignore[index]
             self._pruner.kernel_rebuilds
         )
+        dag = self._pruner.dag
+        counters["dag_merges"] = dag.merge_count  # type: ignore[index]
+        counters["dag_splits"] = dag.split_count  # type: ignore[index]
+        counters["dag_reconnects"] = dag.reconnect_count  # type: ignore[index]
+        counters["dag_probe_visited"] = dag.probe_visited  # type: ignore[index]
         counters["breaker_trips"] = self._breaker.trips  # type: ignore[index]
         counters["breaker_probes"] = self._breaker.probes  # type: ignore[index]
         snapshot["breaker_state"] = self._breaker.state

@@ -10,7 +10,8 @@ every observation in structure the repo can maintain incrementally:
    ``d_in(t) == 0``. Stateless, always available.
 2. **SCC membership** — a :class:`~repro.graph.dag.DynamicDAG` keeps the
    condensation consistent under both insertions (merges) and deletions
-   (splits); two vertices in the same SCC are mutually reachable.
+   (splits) at a cost proportional to the change; two vertices in the
+   same SCC are mutually reachable.
 3. **Topological levels** — each condensation component carries a level
    such that every DAG edge strictly increases it. Any path therefore
    strictly increases levels, so ``level(scc(s)) >= level(scc(t))`` (with
@@ -199,9 +200,11 @@ class FastPathPruner:
 
         level = self._level
         if merges:
-            old_cids, new_cid = merges[0]
-            level[new_cid] = max(level.pop(c, 0) for c in old_cids)
-            self._raise_levels(new_cid)
+            # The largest merged component keeps its id, so ``cid`` is
+            # also one of ``old_cids``: pop every level before assigning.
+            old_cids, cid = merges[0]
+            level[cid] = max(level.pop(c, 0) for c in old_cids)
+            self._raise_levels(cid)
         elif not dag_edge_existed:
             if level[cv] <= level[cu]:
                 level[cv] = level[cu] + 1
@@ -232,9 +235,10 @@ class FastPathPruner:
         elif splits:
             old_cid, new_cids = splits[0]
             old_level = level.pop(old_cid, 0)
-            # Tarjan emits sub-components sinks-first, so reversing gives
-            # a topological order; strictly increasing levels along it
-            # satisfy every intra-split DAG edge.
+            # Tarjan emits sub-components sinks-first (the largest still
+            # under ``old_cid``), so reversing gives a topological order;
+            # strictly increasing levels along it satisfy every
+            # intra-split DAG edge.
             for offset, cid in enumerate(reversed(new_cids)):
                 level[cid] = old_level + offset
             for cid in new_cids:

@@ -58,6 +58,38 @@ class TestTarjan:
         assert ours == reference
 
 
+class TestTarjanWithin:
+    def test_restriction_ignores_edges_leaving_the_set(self, cycle_graph):
+        # 0 -> 1 -> 2 -> 3 -> 4 -> 0: without 4 the rest is a path
+        comps = strongly_connected_components(cycle_graph, within={0, 1, 2, 3})
+        assert comps == [[3], [2], [1], [0]]  # sinks first
+
+    def test_whole_component_stays_whole(self, two_scc_graph):
+        comps = strongly_connected_components(two_scc_graph, within={3, 4, 5})
+        assert [set(c) for c in comps] == [{3, 4, 5}]
+
+    def test_empty_set(self, cycle_graph):
+        assert strongly_connected_components(cycle_graph, within=set()) == []
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        n=st.integers(1, 30),
+        keep=st.sets(st.integers(0, 29)),
+    )
+    def test_property_matches_induced_subgraph(self, seed, n, keep):
+        g = random_graph(n, 3 * n, seed)
+        keep = {v for v in keep if v in g}
+        ours = strongly_connected_components(g, within=keep)
+        sub = g.subgraph(keep)
+        assert {frozenset(c) for c in ours} == {
+            frozenset(c) for c in strongly_connected_components(sub)
+        }
+        position = {v: i for i, comp in enumerate(ours) for v in comp}
+        for u, v in sub.edges():
+            assert position[v] <= position[u]  # reverse topological
+
+
 class TestCondensation:
     def test_two_scc_condensation(self, two_scc_graph):
         dag, scc_of, comps = condensation(two_scc_graph)

@@ -405,6 +405,23 @@ class TestReachabilityService:
             table = format_stats_table(snapshot)
             assert "counters" in table and "latency (us)" in table
 
+    def test_stats_surface_condensation_counters(self):
+        g = DynamicDiGraph(edges=[(0, 1), (1, 2), (2, 3), (3, 0), (1, 3)])
+        with ReachabilityService(g, num_supportive=0) as svc:
+            before = svc.stats()["counters"]
+            assert [before[k] for k in (
+                "dag_merges", "dag_splits", "dag_reconnects", "dag_probe_visited"
+            )] == [0, 0, 0, 0]
+            effect = svc.remove_edge(1, 3)  # chord: the SCC survives
+            assert effect.changed and not effect.removes_reachability
+            svc.remove_edge(3, 0)  # the cycle falls apart
+            svc.add_edge(3, 0)  # and closes again
+            after = svc.stats()["counters"]
+            assert after["dag_reconnects"] == 1
+            assert after["dag_splits"] == 1 and after["dag_merges"] == 1
+            assert after["dag_probe_visited"] >= 4
+            assert svc.query(2, 1).answer
+
     def test_closed_service_rejects_submissions(self, diamond_graph):
         svc = ReachabilityService(diamond_graph)
         svc.close()

@@ -1,8 +1,9 @@
 """Stateful property tests (hypothesis RuleBasedStateMachine).
 
-Model-based fuzzing of the two long-lived mutable structures: the
-incremental condensation and the IFCA engine. Hypothesis drives arbitrary
-interleavings of operations and shrinks failures to minimal traces.
+Model-based fuzzing of the long-lived mutable structures: the incremental
+condensation, the fast-path pruner built on it, and the IFCA engine.
+Hypothesis drives arbitrary interleavings of operations and shrinks
+failures to minimal traces.
 """
 
 import random
@@ -17,8 +18,17 @@ from repro.core.params import IFCAParams
 from repro.graph.dag import DynamicDAG
 from repro.graph.digraph import DynamicDiGraph
 from repro.graph.traversal import is_reachable_bfs
+from repro.service.fastpath import FastPathPruner
 
 VERTICES = st.integers(0, 9)
+DAG_VERTICES = st.integers(0, 29)
+#: Closed walks: one rule application builds (or tears down) a whole
+#: cycle, so 30 vertices still see multi-member SCCs merge and split.
+DAG_WALKS = st.lists(DAG_VERTICES, min_size=2, max_size=6, unique=True)
+
+
+def _closed_walk(walk):
+    return zip(walk, walk[1:] + walk[:1])
 
 
 class DagMachine(RuleBasedStateMachine):
@@ -29,21 +39,82 @@ class DagMachine(RuleBasedStateMachine):
         super().__init__()
         self.dag = DynamicDAG()
 
-    @rule(u=VERTICES, v=VERTICES)
+    @rule(u=DAG_VERTICES, v=DAG_VERTICES)
     def insert(self, u, v):
         self.dag.insert_edge(u, v)
 
-    @rule(u=VERTICES, v=VERTICES)
+    @rule(u=DAG_VERTICES, v=DAG_VERTICES)
     def delete(self, u, v):
         self.dag.delete_edge(u, v)
 
-    @rule(v=VERTICES)
+    @rule(walk=DAG_WALKS)
+    def insert_cycle(self, walk):
+        for u, v in _closed_walk(walk):
+            self.dag.insert_edge(u, v)
+
+    @rule(data=st.data())
+    def delete_existing(self, data):
+        edges = sorted(self.dag.graph.edges())
+        if edges:
+            self.dag.delete_edge(*data.draw(st.sampled_from(edges)))
+
+    @rule(v=DAG_VERTICES)
     def add_vertex(self, v):
         self.dag.add_vertex(v)
 
     @invariant()
     def consistent_with_scratch(self):
+        self.dag.check_invariants()
         self.dag.check_consistency()
+
+
+class PrunerMachine(RuleBasedStateMachine):
+    """FastPathPruner over the maintained condensation: levels stay a
+    strict topological labelling and every observation matches BFS."""
+
+    def __init__(self):
+        super().__init__()
+        self.graph = DynamicDiGraph()
+        self.pruner = FastPathPruner(
+            self.graph, num_supportive=2, seed=0, rebuild_cooldown=1
+        )
+
+    @rule(u=VERTICES, v=VERTICES)
+    def insert(self, u, v):
+        self.pruner.apply_insert(u, v)
+
+    @rule(walk=st.lists(VERTICES, min_size=2, max_size=5, unique=True))
+    def insert_cycle(self, walk):
+        for u, v in _closed_walk(walk):
+            self.pruner.apply_insert(u, v)
+
+    @rule(data=st.data())
+    def delete_existing(self, data):
+        edges = sorted(self.graph.edges())
+        if edges:
+            self.pruner.apply_delete(*data.draw(st.sampled_from(edges)))
+
+    @rule(u=VERTICES, v=VERTICES)
+    def delete(self, u, v):
+        self.pruner.apply_delete(u, v)
+
+    @invariant()
+    def levels_rise_and_observations_match_bfs(self):
+        dag = self.pruner.dag
+        dag.check_invariants()
+        level = self.pruner._level
+        assert set(level) == set(dag.dag.vertices())
+        for a, b in dag.dag.edges():
+            assert level[a] < level[b], f"DAG edge {(a, b)} does not raise level"
+        self.pruner.observe_query()
+        vertices = sorted(self.graph.vertices())
+        for s in vertices:
+            for t in vertices:
+                observed = self.pruner.check(s, t)
+                if observed is not None:
+                    assert observed[0] == is_reachable_bfs(self.graph, s, t), (
+                        s, t, observed,
+                    )
 
 
 class IfcaMachine(RuleBasedStateMachine):
@@ -98,7 +169,11 @@ class DblMachine(RuleBasedStateMachine):
 
 TestDagMachine = DagMachine.TestCase
 TestDagMachine.settings = settings(
-    max_examples=25, stateful_step_count=30, deadline=None
+    max_examples=40, stateful_step_count=40, deadline=None
+)
+TestPrunerMachine = PrunerMachine.TestCase
+TestPrunerMachine.settings = settings(
+    max_examples=40, stateful_step_count=30, deadline=None
 )
 TestIfcaMachine = IfcaMachine.TestCase
 TestIfcaMachine.settings = settings(
