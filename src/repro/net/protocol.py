@@ -54,7 +54,7 @@ from __future__ import annotations
 import asyncio
 import json
 import struct
-from typing import Optional
+from typing import List, Optional, Sequence, Tuple
 
 from repro.service.engine import QueryOutcome
 
@@ -91,10 +91,18 @@ ERROR = "error"
 class ProtocolError(RuntimeError):
     """The byte stream is not a valid frame sequence (connection-fatal)."""
 
+    #: Frames :func:`split_frames` decoded ahead of the bad one.
+    messages: Sequence[dict] = ()
+
+
+#: One encoder for every frame: ``json.dumps`` with non-default
+#: separators builds a fresh ``JSONEncoder`` per call.
+_dumps = json.JSONEncoder(separators=(",", ":")).encode
+
 
 def encode(message: dict) -> bytes:
     """One message as a length-prefixed frame."""
-    body = json.dumps(message, separators=(",", ":")).encode("utf-8")
+    body = _dumps(message).encode("utf-8")
     if len(body) > MAX_FRAME:
         raise ProtocolError(f"frame of {len(body)} bytes exceeds MAX_FRAME")
     return _HEADER.pack(len(body)) + body
@@ -121,6 +129,10 @@ async def read_frame(reader: asyncio.StreamReader) -> Optional[dict]:
         body = await reader.readexactly(length)
     except asyncio.IncompleteReadError as exc:
         raise ProtocolError("truncated frame body") from exc
+    return _decode(body)
+
+
+def _decode(body: bytes) -> dict:
     try:
         message = json.loads(body)
     except ValueError as exc:
@@ -128,6 +140,73 @@ async def read_frame(reader: asyncio.StreamReader) -> Optional[dict]:
     if not isinstance(message, dict):
         raise ProtocolError("frame body is not an object")
     return message
+
+
+def split_frames(buffer: bytes) -> Tuple[List[dict], bytes]:
+    """Every complete frame at the head of ``buffer``, and the rest.
+
+    The synchronous counterpart of :func:`read_frame` for callers that
+    are handed bytes (an ``asyncio.Protocol``) instead of awaiting them:
+    the same checks, raising :class:`ProtocolError` — an oversized
+    length is rejected from the header alone, before its body arrives.
+    The error's ``messages`` are the frames decoded before the bad one
+    (``read_frame`` would have served them). ``rest`` is the incomplete
+    frame at the tail, possibly part of a header.
+    """
+    messages: List[dict] = []
+    at, size = 0, len(buffer)
+    try:
+        while size - at >= _HEADER.size:
+            (length,) = _HEADER.unpack_from(buffer, at)
+            if length > MAX_FRAME:
+                raise ProtocolError(
+                    f"frame of {length} bytes exceeds MAX_FRAME"
+                )
+            stop = at + _HEADER.size + length
+            if stop > size:
+                break
+            messages.append(_decode(buffer[at + _HEADER.size : stop]))
+            at = stop
+    except ProtocolError as exc:
+        exc.messages = messages
+        raise
+    return messages, buffer[at:]
+
+
+class FrameSplitter:
+    """:func:`split_frames` over a stream of reads of any size.
+
+    A frame still arriving is kept as a list of chunks and joined once
+    its declared length is in hand, so no byte of it is copied or
+    scanned again per read: buffering a ``MAX_FRAME`` frame that arrives
+    64 KiB at a time is linear, not quadratic.
+    """
+
+    def __init__(self) -> None:
+        self._chunks: List[bytes] = []  # the frame still arriving
+        self._have = 0  # bytes in them
+        self._need = 0  # below this many bytes no frame can complete
+
+    @property
+    def pending(self) -> bool:
+        """Part of a frame is held: EOF now would truncate the stream."""
+        return bool(self._chunks)
+
+    def feed(self, data: bytes) -> List[dict]:
+        """The frames ``data`` completes; raises like ``split_frames``."""
+        if self._chunks:
+            self._chunks.append(data)
+            self._have += len(data)
+            if self._have < self._need:
+                return []
+            data = b"".join(self._chunks)
+        messages, rest = split_frames(data)
+        self._chunks = [rest] if rest else []
+        self._have = len(rest)
+        self._need = _HEADER.size
+        if self._have >= _HEADER.size:
+            self._need += _HEADER.unpack_from(rest)[0]
+        return messages
 
 
 async def send(writer: asyncio.StreamWriter, message: dict) -> None:

@@ -3,33 +3,55 @@
 Architecture
 ------------
 One event loop owns all sockets; the (thread-based, GIL-releasing-on-IO)
-service runs in executor threads. Three mechanisms make the wire cheap:
+service runs in executor threads. Each socket is one ``asyncio.Protocol``
+object (:class:`_Connection`). A point query costs no task, future or
+``send()`` of its own — the socket work is per *wave*, like the engine
+call:
 
-* **Socket-layer coalescing.** ``query`` frames do not call
-  ``service.query`` one by one: they enqueue onto a server-wide batch
-  queue, and a single drain task gathers everything queued — across all
-  connections — into one ``service.query_batch(strategy="auto")`` call
-  per wave (the PR 5 batcher is the sink, so dedup, fast-path/cache
-  pre-filtering, and bit-parallel kernel waves all engage). Under load
-  the queue refills while a wave executes, so waves pack toward
-  ``max_wave`` lanes exactly when batching pays most; an idle server
-  degenerates to per-query dispatch with one queue hop of overhead.
-* **Backpressure.** With ``service.max_pending`` set, the coalescer
-  sheds at enqueue time once that many wire queries are queued or
-  executing — before any executor thread is burned. Shed responses are
-  built by :meth:`ReachabilityService.shed_outcome`, so every rejection
-  carries the live ``retry_after_ms`` hint derived from observed
-  engine-stage latency.
-* **Journal shipping.** A ``subscribe`` frame turns the connection into
-  a replication feed. One server-wide :class:`JournalFanout` owns the
-  single live :class:`~repro.graph.journal.JournalTailer` — however many
-  replicas subscribe, the journal file has one reader — and fans every
-  new record out to per-subscriber queues. A fresh subscriber catches up
-  with a one-off bounded read from its own resume point (version-stamp
-  dedup reconciles the two streams), and one whose resume point was
-  compacted away gets a full ``snapshot`` in the ``subscribed`` response
-  first (one coherent read-locked graph capture), then the stream
-  continues from the snapshot's version.
+* **Read, split.** ``data_received`` feeds the bytes of one ``recv`` to
+  a :class:`~repro.net.protocol.FrameSplitter`, which returns every
+  frame they complete (a frame spanning many reads is buffered in linear
+  time). A framing error (oversized, undecodable, EOF inside a frame)
+  ends the connection once the frames ahead of it are answered.
+* **Enqueue.** ``query`` frames go onto one server-wide queue as
+  ``(s, t, deadline_s, connection, id)`` tuples. With
+  ``service.max_pending`` set, a query arriving while that many are
+  queued or executing is shed here — before any executor thread is
+  burned — with :meth:`ReachabilityService.shed_outcome`'s live
+  ``retry_after_ms`` hint. A malformed query gets its own ``error``
+  reply; its neighbours in the read are served.
+* **Wave.** One drain task gathers what is queued, across connections,
+  into one ``service.query_batch(strategy="auto")`` call per wave (the
+  batcher is the sink, so dedup, fast-path/cache pre-filtering and
+  bit-parallel kernel waves all engage). Under load the queue refills
+  while a wave executes, so waves pack toward ``max_wave`` lanes exactly
+  when batching pays most. The queries of a wave that carry
+  ``deadline_ms`` run first, apart, under the tightest of them; the
+  others run without one.
+* **Write.** The outcomes are encoded, grouped by connection and written
+  with one ``transport.write`` per connection per wave.
+* **Backpressure.** When a connection's write buffer passes its
+  high-water mark the server stops *reading* that socket until it
+  drains: a client that stops reading stops being read, and nobody else
+  waits for it.
+
+Every other frame type runs as a task of its own and awaits its reply
+through that backpressure: each is one executor call that dwarfs a
+task's cost, or (``subscribe``) a stream that must not outrun a slow
+replica. ``net_reads`` / ``net_writes`` count ``recv`` bursts and
+``transport.write`` calls; ``net_coalesced_queries / net_writes`` is
+replies per syscall (1 for a lone query, the burst under pipelining).
+
+**Journal shipping.** A ``subscribe`` frame turns the connection into
+a replication feed. One server-wide :class:`JournalFanout` owns the
+single live :class:`~repro.graph.journal.JournalTailer` — however many
+replicas subscribe, the journal file has one reader — and fans every
+new record out to per-subscriber queues. A fresh subscriber catches up
+with a one-off bounded read from its own resume point (version-stamp
+dedup reconciles the two streams), and one whose resume point was
+compacted away gets a full ``snapshot`` in the ``subscribed`` response
+first (one coherent read-locked graph capture), then the stream
+continues from the snapshot's version.
 
 **Leases.** A supervisor (see :mod:`repro.net.supervisor`) renews a
 write lease on the primary with every heartbeat. A primary that stops
@@ -50,13 +72,14 @@ from __future__ import annotations
 import asyncio
 import contextlib
 from collections import deque
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Set, Tuple
 
 from repro.graph.journal import JournalGap, JournalTailer
 from repro.net import protocol
 from repro.service.engine import QueryOutcome, ReachabilityService
 
-Pair = Tuple[int, int]
+#: One queued wire query: ``(s, t, deadline_s, connection, id)``.
+Item = Tuple[int, int, Optional[float], "_Connection", object]
 
 
 class JournalFanout:
@@ -138,6 +161,114 @@ class JournalFanout:
         self._queues.clear()
 
 
+class _Connection(asyncio.Protocol):
+    """One client socket: reads split into frames, replies written in bulk.
+
+    ``query`` frames are queued for the coalescer and answered by the
+    wave that served them (:meth:`write`); every other frame runs as a
+    task that awaits :meth:`respond`. Once the peer has sent EOF (or a
+    framing error ended reading) the connection closes as soon as every
+    request it had in flight is answered.
+    """
+
+    def __init__(self, server: "ReachabilityServer") -> None:
+        self.server = server
+        self.transport: Optional[asyncio.Transport] = None
+        self._splitter = protocol.FrameSplitter()
+        self._reading = True
+        self.open_requests = 0  # queued queries + running tasks
+        self.tasks: Set[asyncio.Task] = set()
+        self._writable = asyncio.Event()
+        self.closed = server._loop.create_future()
+
+    def connection_made(self, transport) -> None:
+        self.transport = transport
+        self._writable.set()
+        self.server._connections.add(self)
+        self.server._incr("net_connections")
+
+    def connection_lost(self, exc) -> None:
+        self.server._connections.discard(self)
+        for task in self.tasks:
+            task.cancel()
+        self.closed.set_result(None)
+
+    def data_received(self, data: bytes) -> None:
+        self.server._incr("net_reads")
+        try:
+            messages, error = self._splitter.feed(data), False
+        except protocol.ProtocolError as exc:
+            # The stream position is poisoned: serve the frames ahead of
+            # the bad one, read no further, hang up once all is answered.
+            messages, error = exc.messages, True
+            self.transport.pause_reading()
+        if messages:
+            self.server._on_frames(self, messages)
+        if error:
+            self._end_of_requests(error)
+
+    def eof_received(self) -> bool:
+        self._end_of_requests(error=self._splitter.pending)  # inside a frame
+        return True  # half-closed: replies in flight are still written
+
+    def _end_of_requests(self, error: bool) -> None:
+        if error:
+            self.server._incr("net_protocol_errors")
+        self._reading = False
+        self.answered(0)
+
+    def answered(self, count: int) -> None:
+        """``count`` requests are done with; close if they were the last
+        of a connection that will send no more."""
+        self.open_requests -= count
+        if not self._reading and not self.open_requests:
+            self.transport.close()
+
+    def pause_writing(self) -> None:
+        # A peer that stops reading its replies stops being read, and
+        # awaited respond() calls block.
+        self._writable.clear()
+        self.transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        self._writable.set()
+        if self._reading:
+            self.transport.resume_reading()
+
+    def spawn(self, coro) -> None:
+        """Run one task-path request (it replies through :meth:`respond`)."""
+        task = self.server._loop.create_task(coro)
+        self.tasks.add(task)
+        self.open_requests += 1
+        task.add_done_callback(self._task_done)
+
+    def _task_done(self, task: asyncio.Task) -> None:
+        self.tasks.discard(task)
+        self.answered(1)
+
+    def write(self, frames: List[bytes]) -> None:
+        """``frames`` in one ``transport.write`` (none if the peer is gone)."""
+        if not self.transport.is_closing():
+            self.server._incr("net_writes")
+            self.transport.write(b"".join(frames))
+
+    async def respond(self, message: dict) -> None:
+        """Write one frame, then wait out write backpressure."""
+        if self.transport.is_closing():
+            raise ConnectionResetError("connection lost")
+        self.write([protocol.encode(message)])
+        await self._writable.wait()
+
+    def shutdown(self) -> None:
+        """Server stop: flush the replies, unless the peer stopped reading."""
+        for task in self.tasks:
+            task.cancel()
+        if self._writable.is_set():
+            self.transport.close()
+        else:
+            self.transport.abort()
+
+
 class ReachabilityServer:
     """Serve one :class:`ReachabilityService` over asyncio sockets.
 
@@ -198,14 +329,12 @@ class ReachabilityServer:
         self._tail_poll_s = tail_poll_s
         self._server: Optional[asyncio.base_events.Server] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._queue: Deque[
-            Tuple[Pair, Optional[float], "asyncio.Future[QueryOutcome]"]
-        ] = deque()
+        self._queue: Deque[Item] = deque()
         self._wakeup: Optional[asyncio.Event] = None
         self._drain_task: Optional[asyncio.Task] = None
         self._inflight = 0  # wire queries queued or executing
         self._closed = False
-        self._conn_tasks: set = set()
+        self._connections: Set[_Connection] = set()
         self._fanout: Optional[JournalFanout] = None
         # Write-lease state (supervised clusters only; see module doc).
         # A server that never receives a LEASE frame keeps
@@ -221,8 +350,8 @@ class ReachabilityServer:
     async def start(self) -> "ReachabilityServer":
         self._loop = asyncio.get_running_loop()
         self._wakeup = asyncio.Event()
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
+        self._server = await self._loop.create_server(
+            lambda: _Connection(self), self.host, self.port
         )
         self.port = self._server.sockets[0].getsockname()[1]
         if self._coalesce:
@@ -238,7 +367,6 @@ class ReachabilityServer:
         self._closed = True
         if self._server is not None:
             self._server.close()
-            await self._server.wait_closed()
         if self._fanout is not None:
             await self._fanout.close()
             self._fanout = None
@@ -246,16 +374,16 @@ class ReachabilityServer:
             self._drain_task.cancel()
             with contextlib.suppress(asyncio.CancelledError):
                 await self._drain_task
-        while self._queue:
-            pair, _, future = self._queue.popleft()
-            if not future.done():
-                future.set_result(
-                    self._error_outcome(pair[0], pair[1], "server-stopped")
-                )
-        for task in list(self._conn_tasks):
-            task.cancel()
-        if self._conn_tasks:
-            await asyncio.gather(*self._conn_tasks, return_exceptions=True)
+        self._fail(list(self._queue), "server-stopped")
+        self._queue.clear()
+        connections = list(self._connections)
+        waits = [conn.closed for conn in connections]
+        for conn in connections:
+            waits.extend(conn.tasks)
+            conn.shutdown()
+        await asyncio.gather(*waits, return_exceptions=True)
+        if self._server is not None:
+            await self._server.wait_closed()
 
     def promote(self, epoch: Optional[int] = None) -> None:
         """Flip a replica server writable (role and read-only gate).
@@ -294,66 +422,58 @@ class ReachabilityServer:
     # ------------------------------------------------------------------
     # Connection handling
     # ------------------------------------------------------------------
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        self._incr("net_connections")
-        send_lock = asyncio.Lock()
-        pending: set = set()
-
-        async def respond(message: dict) -> None:
-            async with send_lock:
-                await protocol.send(writer, message)
-
-        task = asyncio.current_task()
-        if task is not None:
-            self._conn_tasks.add(task)
-        try:
-            while not self._closed:
-                try:
-                    message = await protocol.read_frame(reader)
-                except protocol.ProtocolError:
-                    self._incr("net_protocol_errors")
-                    break
-                if message is None:
-                    break
-                # Dispatch without blocking the read loop: responses are
-                # written out of order (matched by id), which is what
-                # lets one connection keep many queries in flight.
-                handler = asyncio.create_task(
-                    self._handle_message(message, respond)
-                )
-                pending.add(handler)
-                handler.add_done_callback(pending.discard)
-            if pending:
-                await asyncio.gather(*pending, return_exceptions=True)
-        except (ConnectionError, asyncio.CancelledError):
-            pass
-        finally:
-            for handler in pending:
-                handler.cancel()
-            if task is not None:
-                self._conn_tasks.discard(task)
-            writer.close()
-            with contextlib.suppress(Exception):
-                await writer.wait_closed()
+    def _on_frames(self, conn: _Connection, messages: List[dict]) -> None:
+        """Route the frames of one read: queries onto the coalescer
+        queue, everything else to a task of its own."""
+        replies: List[bytes] = []  # shed and malformed queries, answered now
+        queries = queued = 0
+        max_pending = self.service.max_pending
+        for message in messages:
+            is_query = message.get("type") == protocol.QUERY
+            queries += is_query
+            if not (is_query and self._coalesce):
+                conn.spawn(self._handle_message(message, conn.respond))
+                continue
+            mid = message.get("id")
+            try:
+                s, t = int(message["s"]), int(message["t"])
+                deadline_s = self._deadline_s(message)
+                if max_pending and self._inflight >= max_pending:
+                    # Socket-layer backpressure: shed before burning an
+                    # executor thread, with the same live retry-after
+                    # hint the in-process admission control attaches.
+                    self._incr("net_shed")
+                    shed = self.service.shed_outcome(
+                        s, t, backlog=self._inflight
+                    )
+                    replies.append(protocol.encode(self._result(mid, shed)))
+                    continue
+            except Exception as exc:  # per-request containment
+                replies.append(protocol.encode(self._error_reply(mid, exc)))
+                continue
+            self._inflight += 1
+            self._queue.append((s, t, deadline_s, conn, mid))
+            queued += 1
+        self._incr("net_requests", len(messages))
+        if queries:
+            self._incr("net_queries", queries)
+        if queued:
+            conn.open_requests += queued
+            self._wakeup.set()
+        if replies:
+            conn.write(replies)
 
     async def _handle_message(self, message: dict, respond) -> None:
         mid = message.get("id")
         mtype = message.get("type")
-        self._incr("net_requests")
         try:
-            if mtype == protocol.QUERY:
-                outcome = await self._serve_query(
-                    int(message["s"]),
-                    int(message["t"]),
-                    self._deadline_s(message),
+            if mtype == protocol.QUERY:  # coalesce=False only
+                s, t = int(message["s"]), int(message["t"])
+                deadline_s = self._deadline_s(message)
+                outcome = await self._loop.run_in_executor(
+                    None, lambda: self.service.query(s, t, deadline_s)
                 )
-                reply = {
-                    "type": protocol.RESULT,
-                    "id": mid,
-                    **protocol.outcome_to_wire(outcome),
-                }
+                reply = self._result(mid, outcome)
             elif mtype == protocol.BATCH:
                 reply = await self._serve_batch(message, mid)
             elif mtype == protocol.UPDATE:
@@ -375,22 +495,30 @@ class ReachabilityServer:
                 await self._serve_subscription(message, respond)
                 return
             else:
-                reply = {
-                    "type": protocol.ERROR,
-                    "id": mid,
-                    "error": f"unknown-type:{mtype}",
-                }
+                reply = self._error(mid, f"unknown-type:{mtype}")
         except asyncio.CancelledError:
             raise
         except Exception as exc:  # per-request containment, never fatal
-            self._incr("net_request_errors")
-            reply = {
-                "type": protocol.ERROR,
-                "id": mid,
-                "error": str(exc) or type(exc).__name__,
-            }
+            reply = self._error_reply(mid, exc)
         with contextlib.suppress(ConnectionError, RuntimeError):
             await respond(reply)
+
+    @staticmethod
+    def _error(mid, error: str, **extra) -> dict:
+        return {"type": protocol.ERROR, "id": mid, "error": error, **extra}
+
+    def _error_reply(self, mid, exc: Exception) -> dict:
+        """The reply to a request that raised (contained, counted)."""
+        self._incr("net_request_errors")
+        return self._error(mid, str(exc) or type(exc).__name__)
+
+    @staticmethod
+    def _result(mid, outcome: QueryOutcome) -> dict:
+        return {
+            "type": protocol.RESULT,
+            "id": mid,
+            **protocol.outcome_to_wire(outcome),
+        }
 
     @staticmethod
     def _deadline_s(message: dict) -> Optional[float]:
@@ -400,27 +528,6 @@ class ReachabilityServer:
     # ------------------------------------------------------------------
     # Queries: the socket-layer coalescer
     # ------------------------------------------------------------------
-    async def _serve_query(
-        self, s: int, t: int, deadline_s: Optional[float]
-    ) -> QueryOutcome:
-        self._incr("net_queries")
-        if not self._coalesce:
-            return await self._loop.run_in_executor(
-                None, lambda: self.service.query(s, t, deadline_s)
-            )
-        max_pending = self.service.max_pending
-        if max_pending and self._inflight >= max_pending:
-            # Socket-layer backpressure: shed before burning an executor
-            # thread, with the same live retry-after hint the in-process
-            # admission control attaches.
-            self._incr("net_shed")
-            return self.service.shed_outcome(s, t, backlog=self._inflight)
-        future: "asyncio.Future[QueryOutcome]" = self._loop.create_future()
-        self._inflight += 1
-        self._queue.append(((s, t), deadline_s, future))
-        self._wakeup.set()
-        return await future
-
     async def _drain_loop(self) -> None:
         while not self._closed:
             await self._wakeup.wait()
@@ -433,15 +540,30 @@ class ReachabilityServer:
                     self._queue.popleft()
                     for _ in range(min(len(self._queue), self._max_wave))
                 ]
-                await self._run_wave(items)
+                # One client's deadline must not degrade another's query:
+                # the pairs that asked for one run as a wave of their own
+                # (first — it is bounded), the rest without a deadline.
+                waves = [
+                    [item for item in items if item[2] is not None],
+                    [item for item in items if item[2] is None],
+                ]
+                while waves:
+                    try:
+                        if waves[0]:
+                            await self._run_wave(waves[0])
+                    except asyncio.CancelledError:  # stop() mid-wave
+                        for wave in waves:
+                            self._fail(wave, "server-stopped")
+                        raise
+                    del waves[0]
 
-    async def _run_wave(
-        self,
-        items: List[Tuple[Pair, Optional[float], "asyncio.Future[QueryOutcome]"]],
-    ) -> None:
-        pairs = [item[0] for item in items]
-        deadlines = [d for _, d, _ in items if d is not None]
-        deadline_s = min(deadlines) if deadlines else None
+    async def _run_wave(self, items: List[Item]) -> None:
+        """One ``query_batch`` call for one deadline class: pairs without
+        a deadline, or pairs sharing the tightest of theirs."""
+        pairs = [(item[0], item[1]) for item in items]
+        deadline_s = None
+        if items[0][2] is not None:
+            deadline_s = min(item[2] for item in items)
         self._incr("net_coalesced_waves")
         self._incr("net_coalesced_queries", len(items))
         try:
@@ -453,13 +575,27 @@ class ReachabilityServer:
             )
         except Exception as exc:
             self._incr("net_wave_errors")
-            detail = f"wave-failed:{type(exc).__name__}"
-            outcomes = [self._error_outcome(s, t, detail) for s, t in pairs]
-        finally:
-            self._inflight -= len(items)
-        for (_, _, future), outcome in zip(items, outcomes):
-            if not future.done():
-                future.set_result(outcome)
+            self._fail(items, f"wave-failed:{type(exc).__name__}")
+        else:
+            self._answer(items, outcomes)
+
+    def _answer(self, items: List[Item], outcomes: List[QueryOutcome]) -> None:
+        """Reply to coalesced queries: one write per connection."""
+        self._inflight -= len(items)
+        by_conn: Dict[_Connection, List[bytes]] = {}
+        for (_, _, _, conn, mid), outcome in zip(items, outcomes):
+            frames = by_conn.get(conn)
+            if frames is None:
+                frames = by_conn[conn] = []
+            frames.append(protocol.encode(self._result(mid, outcome)))
+        for conn, frames in by_conn.items():
+            conn.write(frames)
+            conn.answered(len(frames))
+
+    def _fail(self, items: List[Item], detail: str) -> None:
+        self._answer(
+            items, [self._error_outcome(i[0], i[1], detail) for i in items]
+        )
 
     def _error_outcome(self, s: int, t: int, detail: str) -> QueryOutcome:
         return QueryOutcome(
@@ -491,16 +627,8 @@ class ReachabilityServer:
         self._maybe_demote()
         if self.read_only:
             self._incr("net_updates_rejected")
-            return {
-                "type": protocol.ERROR,
-                "id": mid,
-                "error": (
-                    "read-only-demoted"
-                    if self.role == "demoted"
-                    else "read-only-replica"
-                ),
-                "role": self.role,
-            }
+            kind = "demoted" if self.role == "demoted" else "replica"
+            return self._error(mid, f"read-only-{kind}", role=self.role)
         op = message.get("op")
         u, v = int(message["u"]), int(message["v"])
         if op == "+":
@@ -508,11 +636,7 @@ class ReachabilityServer:
         elif op == "-":
             apply = lambda: self.service.remove_edge(u, v)  # noqa: E731
         else:
-            return {
-                "type": protocol.ERROR,
-                "id": mid,
-                "error": f"unknown-op:{op}",
-            }
+            return self._error(mid, f"unknown-op:{op}")
         self._incr("net_updates")
         effect = await self._loop.run_in_executor(None, apply)
         return {
@@ -602,9 +726,7 @@ class ReachabilityServer:
         after = int(message.get("after", 0))
         journal = self.service.journal
         if journal is None:
-            await respond(
-                {"type": protocol.ERROR, "id": mid, "error": "no-journal"}
-            )
+            await respond(self._error(mid, "no-journal"))
             return
         self._incr("net_subscribers")
         if self._fanout is None:
@@ -669,13 +791,7 @@ class ReachabilityServer:
         except Exception as exc:
             self._incr("net_feed_errors")
             with contextlib.suppress(Exception):
-                await respond(
-                    {
-                        "type": protocol.ERROR,
-                        "id": mid,
-                        "error": f"feed-failed:{exc}",
-                    }
-                )
+                await respond(self._error(mid, f"feed-failed:{exc}"))
         finally:
             if queue is not None:
                 fanout.detach(queue)

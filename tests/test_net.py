@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import socket
+import threading
 
 import pytest
 
@@ -21,6 +23,7 @@ from repro.net import (
     ReachabilityServer,
     ReplicaNode,
     ServerError,
+    protocol,
 )
 from repro.service.engine import ReachabilityService
 
@@ -521,5 +524,419 @@ def test_promoted_replica_server_flips_writable(tmp_path):
                 assert (await client.query(0, 999)).answer
         finally:
             await node.close()
+
+    run(scenario())
+
+
+# ----------------------------------------------------------------------
+# The frame pump: one read, one wave, one write
+# ----------------------------------------------------------------------
+class RawClient(asyncio.Protocol):
+    """A bare socket: sends what it is told, splits what comes back, and
+    counts the bursts (``data_received`` calls) it arrived in."""
+
+    def __init__(self, read: bool = True) -> None:
+        self.read = read
+        self.transport = None
+        self.replies = []
+        self.bursts = 0
+        self._rest = b""
+        self.lost = asyncio.get_running_loop().create_future()
+
+    @classmethod
+    async def open(cls, server, sock=None, **kwargs) -> "RawClient":
+        loop = asyncio.get_running_loop()
+        where = {"sock": sock} if sock else {"host": server.host, "port": server.port}
+        _, client = await loop.create_connection(lambda: cls(**kwargs), **where)
+        return client
+
+    def connection_made(self, transport) -> None:
+        self.transport = transport
+        if not self.read:
+            transport.pause_reading()
+
+    def data_received(self, data: bytes) -> None:
+        self.bursts += 1
+        frames, self._rest = protocol.split_frames(self._rest + data)
+        self.replies.extend(frames)
+
+    def connection_lost(self, exc) -> None:
+        self.lost.set_result(exc)
+
+    def by_id(self) -> dict:
+        assert len({r["id"] for r in self.replies}) == len(self.replies)
+        return {r["id"]: r for r in self.replies}
+
+
+def query_frames(pairs, **extra) -> bytes:
+    return b"".join(
+        protocol.encode({"type": "query", "id": i, "s": s, "t": t, **extra})
+        for i, (s, t) in enumerate(pairs)
+    )
+
+
+@pytest.mark.parametrize("max_wave", [256, 16])
+def test_one_burst_of_queries_costs_one_write_per_wave(max_wave):
+    async def scenario():
+        graph = chain_graph()
+        pairs = [(i % 40, 40) for i in range(32)] + [(0, 1000 + i) for i in range(32)]
+        with ReachabilityService(graph, num_workers=2) as service:
+            async with serving(service, max_wave=max_wave) as server:
+                raw = await RawClient.open(server)
+                raw.transport.write(query_frames(pairs))  # one write
+                await wait_until(lambda: len(raw.replies) == len(pairs))
+                replies = raw.by_id()
+                for i, (s, t) in enumerate(pairs):
+                    assert replies[i]["type"] == "result"
+                    assert (replies[i]["s"], replies[i]["t"]) == (s, t)
+                    assert replies[i]["answer"] == is_reachable_bfs(graph, s, t)
+                async with await ReachabilityClient.open(
+                    *server.address
+                ) as client:
+                    counters = (await client.stats())["server"]
+                raw.transport.abort()
+        waves = -(-len(pairs) // max_wave)
+        # The burst's read, plus the stats request's.
+        assert counters["net_reads"] <= 3
+        assert counters["net_writes"] <= waves + 1
+        assert raw.bursts <= waves + 1
+        assert counters["net_coalesced_queries"] == len(pairs)
+        assert counters["net_queries"] == counters["net_requests"] - 1 == 64
+        ratio = counters["net_coalesced_queries"] / counters["net_writes"]
+        assert ratio >= min(max_wave, len(pairs)) / 2
+
+    run(scenario())
+
+
+def test_a_lone_query_is_one_read_one_wave_one_write():
+    async def scenario():
+        with ReachabilityService(chain_graph(), num_workers=2) as service:
+            async with serving(service) as server:
+                async with await ReachabilityClient.open(
+                    *server.address
+                ) as client:
+                    assert (await client.query(0, 40)).answer
+                    counters = (await client.stats())["server"]
+        assert counters["net_coalesced_queries"] == counters["net_writes"] == 1
+        assert counters["net_reads"] == 2  # the query, the stats request
+
+    run(scenario())
+
+
+def test_malformed_query_in_a_burst_fails_alone():
+    async def scenario():
+        graph = chain_graph()
+        frames = [
+            {"type": "query", "id": "a", "s": 0, "t": 40},
+            {"type": "query", "id": "b", "s": 0},  # no target
+            {"type": "query", "id": "c", "s": "zero", "t": 40},
+            {"type": "query", "id": "d", "s": 0, "t": 1040, "deadline_ms": "soon"},
+            {"type": "nonsense", "id": "e"},
+            {"type": "query", "id": "f", "s": 40, "t": 0},
+        ]
+        with ReachabilityService(graph, num_workers=2) as service:
+            async with serving(service) as server:
+                raw = await RawClient.open(server)
+                raw.transport.write(b"".join(map(protocol.encode, frames)))
+                await wait_until(lambda: len(raw.replies) == len(frames))
+                replies = raw.by_id()
+                raw.transport.abort()
+                assert replies["a"]["type"] == "result" and replies["a"]["answer"]
+                assert replies["f"]["type"] == "result"
+                assert not replies["f"]["answer"]
+                for mid in "bcd":
+                    assert replies[mid]["type"] == "error"
+                    assert replies[mid]["error"]
+                assert replies["e"]["error"] == "unknown-type:nonsense"
+                assert server.counters["net_request_errors"] == 3
+                assert server.counters["net_queries"] == 5
+                assert server.counters["net_coalesced_queries"] == 2
+                assert "net_protocol_errors" not in server.counters
+
+    run(scenario())
+
+
+def test_half_close_delivers_every_reply_then_closes():
+    async def scenario():
+        graph = chain_graph()
+        pairs = [(i, 40) for i in range(32)]
+        with ReachabilityService(graph, num_workers=2) as service:
+            # The gathering window keeps the queries in flight past EOF.
+            async with serving(service, coalesce_delay_s=0.05) as server:
+                raw = await RawClient.open(server)
+                raw.transport.write(query_frames(pairs))
+                raw.transport.write(protocol.encode({"type": "ping", "id": "p"}))
+                raw.transport.write_eof()
+                assert await raw.lost is None  # server closed, cleanly
+                replies = raw.by_id()
+                assert replies.pop("p")["type"] == "pong"
+                assert sorted(replies) == list(range(32))
+                assert all(r["answer"] for r in replies.values())
+                assert "net_protocol_errors" not in server.counters
+                await wait_until(lambda: not server._connections)
+
+                # EOF inside a frame is a truncated stream.
+                raw = await RawClient.open(server)
+                raw.transport.write(query_frames(pairs[:2])[:-5])
+                raw.transport.write_eof()
+                await raw.lost
+                assert [r["id"] for r in raw.replies] == [0]
+                assert server.counters["net_protocol_errors"] == 1
+
+    run(scenario())
+
+
+def test_client_that_stops_reading_stops_being_read():
+    async def scenario():
+        graph = chain_graph()
+        half = 4000
+        with ReachabilityService(graph, num_workers=2) as service:
+            async with serving(service) as server:
+                # Small kernel buffers both ways on the reply direction,
+                # so "not reading" shows after kilobytes, not megabytes.
+                sock = socket.socket()
+                sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 16384)
+                sock.setblocking(False)
+                await asyncio.get_running_loop().sock_connect(
+                    sock, server.address
+                )
+                raw = await RawClient.open(server, sock=sock, read=False)
+                await wait_until(lambda: server._connections)
+                (conn,) = server._connections
+                conn.transport.get_extra_info("socket").setsockopt(
+                    socket.SOL_SOCKET, socket.SO_SNDBUF, 32768
+                )
+
+                def observed():
+                    return (
+                        server.counters["net_queries"],
+                        conn.transport.get_write_buffer_size(),
+                    )
+
+                # More replies than the buffers hold: writing pauses.
+                raw.transport.write(query_frames([(0, 40)] * half))
+                await wait_until(
+                    lambda: not conn._writable.is_set()
+                    and not server._inflight
+                )
+                before = observed()
+                assert before[0] == half and before[1] > 64 * 1024
+                # From here on the socket is not read: these requests
+                # stay in the kernel, the write buffer stays where it is...
+                raw.transport.write(query_frames([(0, 40)] * half))
+                # ...and other connections are served as ever.
+                async with await ReachabilityClient.open(
+                    *server.address
+                ) as other:
+                    assert (await other.query(0, 40)).answer
+                    await asyncio.sleep(0.2)
+                    assert (await other.query(40, 0)).answer is False
+                assert observed() == (before[0] + 2, before[1])
+                # The client drains; the server picks the socket up again.
+                raw.transport.resume_reading()
+                await wait_until(lambda: len(raw.replies) == 2 * half)
+                assert all(r["answer"] for r in raw.replies)
+                assert conn._writable.is_set()
+                raw.transport.abort()
+
+    run(scenario())
+
+
+def test_stop_answers_queued_and_executing_queries_server_stopped():
+    async def scenario():
+        graph = chain_graph()
+        release = threading.Event()
+        with ReachabilityService(graph, num_workers=2) as service:
+            real_batch = service.query_batch
+
+            def stuck_batch(pairs, *args, **kwargs):
+                release.wait(10.0)
+                return real_batch(pairs, *args, **kwargs)
+
+            service.query_batch = stuck_batch
+            server = await ReachabilityServer(service, port=0, max_wave=4).start()
+            try:
+                raw = await RawClient.open(server)
+                raw.transport.write(
+                    b"".join(
+                        protocol.encode(
+                            {"type": "query", "id": i, "s": i, "t": 40}
+                            | ({"deadline_ms": 5000} if i % 2 else {})
+                        )
+                        for i in range(12)
+                    )
+                )
+                # Of the 4 drained, the 2 with a deadline are executing and
+                # the 2 without wait their turn; 8 queries are queued.
+                await wait_until(lambda: len(server._queue) == 8)
+                await server.stop()
+                await raw.lost
+            finally:
+                release.set()
+            replies = raw.by_id()
+            assert sorted(replies) == list(range(12))
+            for reply in replies.values():
+                assert reply["type"] == "result" and reply["via"] == "error"
+                assert reply["detail"] == "server-stopped"
+                assert not reply["confident"]
+
+    run(scenario())
+
+
+def test_shed_at_enqueue_carries_retry_after_in_the_same_burst():
+    async def scenario():
+        with ReachabilityService(
+            chain_graph(), num_workers=2, max_pending=3
+        ) as service:
+            async with serving(service) as server:
+                raw = await RawClient.open(server)
+                raw.transport.write(query_frames([(0, 40)] * 8))
+                await wait_until(lambda: len(raw.replies) == 8)
+                raw.transport.abort()
+                served = [r for r in raw.replies if r["via"] != "shed"]
+                shed = [r for r in raw.replies if r["via"] == "shed"]
+                assert len(served) == 3 and all(r["answer"] for r in served)
+                assert len(shed) == server.counters["net_shed"] == 5
+                for reply in shed:
+                    assert isinstance(reply["retry_after_ms"], int)
+                    assert reply["retry_after_ms"] >= 1
+                    assert not reply["confident"]
+
+    run(scenario())
+
+
+def test_large_frame_is_buffered_in_linear_time(monkeypatch):
+    split_bytes = 0
+    real_split = protocol.split_frames
+
+    def counting_split(buffer):
+        nonlocal split_bytes
+        split_bytes += len(buffer)
+        return real_split(buffer)
+
+    monkeypatch.setattr(protocol, "split_frames", counting_split)
+    frame = protocol.encode(
+        {
+            "type": "batch",
+            "id": 1,
+            "pairs": [[0, 40], [40, 0]],
+            "padding": "x" * (8 << 20),
+        }
+    )
+
+    async def scenario():
+        with ReachabilityService(chain_graph(), num_workers=2) as service:
+            async with serving(service) as server:
+                reader, writer = await asyncio.open_connection(*server.address)
+                for at in range(0, len(frame), 16384):
+                    writer.write(frame[at : at + 16384])
+                    await writer.drain()
+                reply = await protocol.read_frame(reader)
+                writer.close()
+                assert reply["type"] == "batch-result" and reply["id"] == 1
+                assert [o["answer"] for o in reply["outcomes"]] == [True, False]
+                # It did arrive in pieces, and no byte of it was joined or
+                # scanned more than a constant number of times.
+                assert server.counters["net_reads"] >= 32
+                assert split_bytes <= 3 * len(frame)
+
+    run(scenario())
+
+
+def test_one_clients_deadline_does_not_degrade_anothers_query():
+    async def scenario():
+        # A long path, no labels, a tiny degraded budget: a search that
+        # runs under an expired deadline answers confident=False.
+        graph = DynamicDiGraph(edges=[(i, i + 1) for i in range(199)])
+        with ReachabilityService(
+            graph,
+            num_workers=2,
+            num_supportive=0,
+            use_labels=False,
+            use_kernels=False,
+            degrade_budget=10,
+        ) as service:
+            # The gathering window puts both connections in one drain.
+            async with serving(service, coalesce_delay_s=0.05) as server:
+                async with await ReachabilityClient.open(
+                    *server.address
+                ) as hurried, await ReachabilityClient.open(
+                    *server.address
+                ) as patient:
+                    rushed, waited = await asyncio.gather(
+                        asyncio.gather(
+                            *[
+                                hurried.query(i, 199, deadline_ms=0.0001)
+                                for i in range(8)
+                            ]
+                        ),
+                        asyncio.gather(
+                            *[patient.query(i, 198) for i in range(8)]
+                        ),
+                    )
+                assert all(o.answer and o.confident for o in waited)
+                assert all(o.via != "degraded" for o in waited)
+                assert any(not o.confident for o in rushed)
+                # One drain, two deadline classes.
+                assert server.counters["net_coalesced_queries"] == 16
+                assert server.counters["net_coalesced_waves"] == 2
+
+    run(scenario())
+
+
+def test_deadline_free_query_is_not_starved_by_a_timed_backlog():
+    async def scenario():
+        waves = []
+        with ReachabilityService(chain_graph(), num_workers=2) as service:
+            real_batch = service.query_batch
+
+            def recording_batch(pairs, *args, **kwargs):
+                waves.append(list(pairs))
+                return real_batch(pairs, *args, **kwargs)
+
+            service.query_batch = recording_batch
+            # The gathering window queues everything before the first drain.
+            async with serving(
+                service, max_wave=8, coalesce_delay_s=0.1
+            ) as server:
+                patient = await RawClient.open(server)
+                hurried = await RawClient.open(server)
+                patient.transport.write(query_frames([(0, 40)]))
+                await wait_until(lambda: len(server._queue) == 1)
+                hurried.transport.write(
+                    query_frames([(1, 40)] * 200, deadline_ms=5000)
+                )
+                await wait_until(lambda: len(hurried.replies) == 200)
+                assert [r["answer"] for r in patient.replies] == [True]
+                assert all(r["answer"] for r in hurried.replies)
+                patient.transport.abort()
+                hurried.transport.abort()
+        # Sent first, drained first: it runs right after the timed pairs
+        # it was drained with, not after the whole backlog.
+        assert waves.index([(0, 40)]) == 1
+        # 201 queries are 26 drains of at most 8; only the first is split.
+        assert len(waves[0]) == 7 and len(waves) == 27
+
+    run(scenario())
+
+
+def test_frames_ahead_of_a_malformed_frame_are_served():
+    async def scenario():
+        with ReachabilityService(chain_graph(), num_workers=2) as service:
+            async with serving(service) as server:
+                raw = await RawClient.open(server)
+                raw.transport.write(  # one write, so one read
+                    query_frames([(0, 40), (40, 0)])
+                    + protocol.encode({"type": "ping", "id": "p"})
+                    + (9).to_bytes(4, "big") + b"{not json"
+                    + protocol.encode({"type": "ping", "id": "never"})
+                )
+                assert await raw.lost is None  # answered, then hung up on
+                replies = raw.by_id()
+                assert sorted(replies, key=str) == [0, 1, "p"]
+                assert replies[0]["answer"] and not replies[1]["answer"]
+                assert replies["p"]["type"] == "pong"
+                assert server.counters["net_protocol_errors"] == 1
+                assert server.counters["net_requests"] == 3
 
     run(scenario())

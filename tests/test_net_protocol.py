@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import asyncio
+import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.net import protocol
 from repro.service.engine import QueryOutcome
@@ -103,3 +106,117 @@ def test_outcome_wire_roundtrip_shed_with_retry_hint():
     back = protocol.outcome_from_wire(wire)
     assert back.retry_after_ms == 12
     assert back == outcome
+
+
+# ----------------------------------------------------------------------
+# split_frames: the synchronous splitter behind the server's frame pump
+# ----------------------------------------------------------------------
+_json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-(2**40), 2**40)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=12),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=6), children, max_size=4),
+    max_leaves=12,
+)
+_messages = st.dictionaries(st.text(max_size=8), _json_values, max_size=6)
+
+
+def _read_all(data: bytes):
+    async def go():
+        reader = _reader_with(data)
+        out = []
+        while (frame := await protocol.read_frame(reader)) is not None:
+            out.append(frame)
+        return out
+
+    return asyncio.run(go())
+
+
+@settings(max_examples=60, deadline=None)
+@given(message=_messages)
+def test_encode_is_byte_identical_to_json_dumps(message):
+    body = json.dumps(message, separators=(",", ":")).encode("utf-8")
+    assert protocol.encode(message) == len(body).to_bytes(4, "big") + body
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    messages=st.lists(_messages, max_size=6),
+    cuts=st.lists(st.integers(0, 400), max_size=12),
+)
+def test_split_frames_over_any_chunking_matches_read_frame(messages, cuts):
+    stream = b"".join(protocol.encode(m) for m in messages)
+    # Cut points anywhere, including inside a 4-byte header.
+    edges = sorted({0, len(stream), *(c % (len(stream) + 1) for c in cuts)})
+    got, rest = [], b""
+    splitter, fed = protocol.FrameSplitter(), []
+    for lo, hi in zip(edges, edges[1:]):
+        frames, rest = protocol.split_frames(rest + stream[lo:hi])
+        got.extend(frames)
+        fed.extend(splitter.feed(stream[lo:hi]))
+        assert splitter.pending == bool(rest)
+    assert rest == b""
+    assert got == fed == _read_all(stream) == messages
+
+
+def test_split_frames_returns_the_incomplete_tail():
+    one = protocol.encode({"type": "ping", "id": 1})
+    two = protocol.encode({"type": "ping", "id": 2})
+    messages, rest = protocol.split_frames(one + two[:-3])
+    assert messages == [{"type": "ping", "id": 1}]
+    assert rest == two[:-3]
+    # Inside a header nothing is known yet.
+    assert protocol.split_frames(two[:2]) == ([], two[:2])
+
+
+def test_frame_splitter_joins_a_frame_once_its_length_is_in_hand(monkeypatch):
+    joined = []
+    real_split = protocol.split_frames
+
+    def recording_split(buffer):
+        joined.append(len(buffer))
+        return real_split(buffer)
+
+    monkeypatch.setattr(protocol, "split_frames", recording_split)
+    small = protocol.encode({"type": "ping", "id": 1})
+    big = protocol.encode({"type": "ping", "id": 2, "pad": "x" * 1000})
+    stream = small + big + small
+    splitter = protocol.FrameSplitter()
+    # The first read ends inside big's header, the rest arrive in tens.
+    cut = len(small) + 2
+    got = splitter.feed(stream[:cut])
+    for at in range(cut, len(stream), 10):
+        got += splitter.feed(stream[at : at + 10])
+    assert [m["id"] for m in got] == [1, 2, 1]
+    assert not splitter.pending
+    # One look at the first read, one at the completed header, one at the
+    # completed frame — not one per read — then the trailing small frame.
+    assert len(joined) <= 5
+    assert sum(joined) <= 3 * len(stream)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        # Oversized: rejected from the header alone, no body in sight.
+        (protocol.MAX_FRAME + 1).to_bytes(4, "big"),
+        (10).to_bytes(4, "big") + b"{not json}",
+        (7).to_bytes(4, "big") + b"[1,2,3]",
+        (2).to_bytes(4, "big") + b"\xff\xfe",
+    ],
+)
+def test_split_frames_applies_read_frames_checks(bad):
+    good = protocol.encode({"type": "ping", "id": 1})
+    for data, ahead in ((bad, []), (good + bad, [{"type": "ping", "id": 1}])):
+        with pytest.raises(protocol.ProtocolError) as caught:
+            protocol.split_frames(data)
+        # The frames ahead of the bad one are not lost with it.
+        assert list(caught.value.messages) == ahead
+        with pytest.raises(protocol.ProtocolError) as caught:
+            protocol.FrameSplitter().feed(data)
+        assert list(caught.value.messages) == ahead
+        with pytest.raises(protocol.ProtocolError):
+            _read_all(data)
