@@ -12,17 +12,6 @@ workload (pairs the fast-path pruner abstains on, exactly as ext_batch):
   shard-local waves over CSRs a fraction of the full graph's size.
   Every answer is checked against the dict BiBFS oracle; the acceptance
   bar requires >= 2.5x throughput at K=4, batch 1024, zero mismatches.
-* **Pipelined vs round-synchronous scheduling** — the same router fleet
-  serves the same batch twice, once with the PR 10 out-of-order reactor
-  (``pipeline=True``) and once with the legacy post-then-gather rounds,
-  on *searchable* pairs (pairs :func:`repro.shard.classify_pair` sends
-  to workers — the rule ladder is identical in both modes, so rule-hit
-  pairs would only dilute the scheduling contrast) and on a mixed
-  hard-pair batch. ``speedup_pipelined_vs_sync`` rides the pipelined
-  rows; it scales with the host's core count (the committed baseline is
-  the single-core floor ~1.0, where the reactor merely ties the rounds),
-  and the >= 1.8x acceptance bar at K=4 applies on hosts with >= 4
-  cores.
 * **Scalar routing throughput** — point ``query()`` calls against a
   deployed fleet (rule-ladder probe, then a 1-lane scheduler ride on
   miss) vs the same service without shards. Labels are disabled so the
@@ -41,7 +30,6 @@ from repro.baselines.bibfs import bibfs_is_reachable
 from repro.datasets.scale_free import preferential_attachment_graph
 from repro.graph import HAVE_NUMPY
 from repro.service import ReachabilityService
-from repro.shard import ShardRouter, classify_pair
 
 from benchmarks.bench_batch import (
     NUM_VERTICES,
@@ -63,13 +51,10 @@ BATCH_SIZES = (1024, 4096)
 SHARD_MATRIX = {1024: (0, 2, 4, 8), 4096: (0, 4)}
 REPETITIONS = 3  # best-of, fresh service per rep (caches must stay cold)
 
-#: Shard counts for the pipelined-vs-sync scheduling contrast.
-PIPE_SHARDS = (2, 4)
-#: Searchable pairs per scheduling-contrast batch. Only ~1 hard pair in
-#: 8 survives the rule ladder on this graph, so the candidate slice is
-#: 8x this.
-PIPE_BATCH = 512
-PIPE_CANDIDATES = 4096
+#: The scalar leg's pool is the tail of a (SCALAR_SKIP + SCALAR_OPS)-pair
+#: draw: ``_hard_pairs`` output depends on the requested count, and the
+#: committed scalar rows were measured on exactly these pairs.
+SCALAR_SKIP = 4096
 #: Point queries per scalar-routing repetition.
 SCALAR_OPS = 256
 
@@ -116,84 +101,6 @@ def _serve_sharded(graph, warmup, pairs, shards):
     return wall_s, outcomes, counters, route
 
 
-def _searchable_pairs(plan, candidates, limit):
-    """First ``limit`` candidates the rule ladder sends to workers."""
-    picked = []
-    for pair in candidates:
-        status, _ = classify_pair(plan, *pair)
-        if status in ("intra", "cross"):
-            picked.append(pair)
-            if len(picked) == limit:
-                break
-    return picked
-
-
-def run_pipeline_legs(graph, candidates, oracle):
-    """Same fleet, same batch, both schedulers — rows per (K, mode).
-
-    The router is driven directly (no service prefilter, no labels) so
-    the timed call is exactly the worker-side execution the two
-    schedulers order differently. One fleet serves both modes within a
-    repetition — toggling ``router.pipeline`` between timed calls keeps
-    partition, segments, and workers identical across the A/B.
-    """
-    rows = []
-    for shards in PIPE_SHARDS:
-        legs = {
-            f"pipeline x{PIPE_BATCH} searchable pairs": None,  # filled per fleet
-            "pipeline x1024 mixed hard pairs": candidates[:1024],
-        }
-        walls = {name: {"sync": float("inf"), "pipelined": float("inf")} for name in legs}
-        deltas = {name: {} for name in legs}
-        mismatches = {name: 0 for name in legs}
-        unresolved_n = {name: 0 for name in legs}
-        for _ in range(REPETITIONS):
-            with ShardRouter(graph, shards, num_workers=shards) as router:
-                assert router.healthy
-                legs[f"pipeline x{PIPE_BATCH} searchable pairs"] = (
-                    _searchable_pairs(router._plan, candidates, PIPE_BATCH)
-                )
-                router.warm_fleet()  # untimed: cold-worker first-wave costs
-                router.execute_batch(candidates[:WARMUP])  # untimed warm-up
-                for name, pairs in legs.items():
-                    for mode in ("sync", "pipelined"):
-                        router.pipeline = mode == "pipelined"
-                        before = dict(router.counters)
-                        start = time.perf_counter()
-                        resolved, unresolved = router.execute_batch(pairs)
-                        wall_s = time.perf_counter() - start
-                        mismatches[name] += sum(
-                            answer != oracle[pair]
-                            for pair, (answer, _how) in resolved.items()
-                        )
-                        unresolved_n[name] += len(unresolved)
-                        if wall_s < walls[name][mode]:
-                            walls[name][mode] = wall_s
-                            deltas[name][mode] = {
-                                c: router.counters.get(c, 0) - before.get(c, 0)
-                                for c in ("route_wave_pairs", "route_cross_pairs")
-                            }
-        for name, pairs in legs.items():
-            for mode in ("sync", "pipelined"):
-                row = {
-                    "measurement": name,
-                    "shards": shards,
-                    "mode": mode,
-                    "wall_s": walls[name][mode],
-                    "queries_per_s": len(pairs) / walls[name][mode],
-                    "route_wave_pairs": deltas[name][mode]["route_wave_pairs"],
-                    "route_cross_pairs": deltas[name][mode]["route_cross_pairs"],
-                    "shard_unresolved": unresolved_n[name],
-                    "mismatches": mismatches[name],
-                }
-                if mode == "pipelined":
-                    row["speedup_pipelined_vs_sync"] = (
-                        walls[name]["sync"] / walls[name]["pipelined"]
-                    )
-                rows.append(row)
-    return rows
-
-
 def run_scalar_leg(graph, warmup, pairs, oracle):
     """Point-query throughput: fleet-routed (K=4) vs local-only (K=0).
 
@@ -233,7 +140,6 @@ def run_scalar_leg(graph, warmup, pairs, oracle):
             {
                 "measurement": f"scalar routing x{SCALAR_OPS}",
                 "shards": shards,
-                "mode": "pipelined" if shards else "local",
                 "wall_s": best,
                 "queries_per_s": len(pairs) / best,
                 "shard_scalar_rules": counters.get("shard_scalar_rules", 0),
@@ -251,16 +157,18 @@ def run_shard_comparison():
     )
     assert graph.csr() is not None
 
-    # The legacy comparison rows slice the exact pool the committed
-    # baseline was measured on (``_hard_pairs`` output depends on the
-    # requested count), so the trajectory gate compares like pairs with
-    # like; the scheduling and scalar legs draw from a separate seed.
+    # The comparison rows slice the exact pool the committed baseline
+    # was measured on (``_hard_pairs`` output depends on the requested
+    # count), so the trajectory gate compares like pairs with like; the
+    # scalar leg draws from a separate seed.
     pool = _hard_pairs(graph, WARMUP + sum(BATCH_SIZES))
-    extra = _hard_pairs(graph, PIPE_CANDIDATES + SCALAR_OPS, seed=11)
+    scalar_pairs = _hard_pairs(graph, SCALAR_SKIP + SCALAR_OPS, seed=11)[
+        SCALAR_SKIP:
+    ]
     warmup, offset = pool[:WARMUP], WARMUP
     oracle = {
         (s, t): bibfs_is_reachable(graph, s, t, use_kernels=False)
-        for (s, t) in [*pool, *extra]
+        for (s, t) in [*pool, *scalar_pairs]
     }
 
     rows = []
@@ -298,11 +206,7 @@ def run_shard_comparison():
                     "mismatches": mismatches,
                 }
             )
-    candidates = extra[:PIPE_CANDIDATES]
-    rows.extend(run_pipeline_legs(graph, candidates, oracle))
-    rows.extend(
-        run_scalar_leg(graph, warmup, extra[PIPE_CANDIDATES:], oracle)
-    )
+    rows.extend(run_scalar_leg(graph, warmup, scalar_pairs, oracle))
     rows.append(run_kill_leg(graph, warmup, pool[WARMUP:WARMUP + 1024], oracle))
     return rows
 
@@ -360,18 +264,6 @@ def test_ext_shard(benchmark, emit):
         # is owned by check_trajectory's like-for-like 20% gate.
         if row.get("shards") == 4 and row["measurement"].startswith("batch x1024"):
             assert row["speedup_vs_single"] >= 1.2, row
-        if "searchable" in row["measurement"]:
-            assert row["shard_unresolved"] == 0, row
-        # The reactor's win is worker-level parallelism; on fewer than 4
-        # cores the acceptance bar is meaningless (both modes serialize
-        # onto the same CPUs), so only the zero-mismatch contract gates.
-        if (
-            row.get("mode") == "pipelined"
-            and row.get("shards") == 4
-            and "searchable" in row["measurement"]
-            and (os.cpu_count() or 1) >= 4
-        ):
-            assert row["speedup_pipelined_vs_sync"] >= 1.8, row
     routed = next(
         r for r in rows
         if r["measurement"].startswith("scalar routing") and r["shards"] == 4
@@ -390,24 +282,19 @@ def test_ext_shard(benchmark, emit):
             "batch_sizes": list(BATCH_SIZES),
             "shard_matrix": {str(k): list(v) for k, v in SHARD_MATRIX.items()},
             "repetitions": REPETITIONS,
-            "pipe_shards": list(PIPE_SHARDS),
-            "pipe_batch": PIPE_BATCH,
             "scalar_ops": SCALAR_OPS,
             "cpu_count": os.cpu_count(),
             "pair_protocol": (
                 "uniform random pairs the default-config fast-path "
-                "pruner abstains on (as ext_batch); scheduling legs "
-                "keep only pairs classify_pair routes to workers"
+                "pruner abstains on (as ext_batch)"
             ),
         },
         columns=[
             "measurement",
             "shards",
-            "mode",
             "wall_s",
             "queries_per_s",
             "speedup_vs_single",
-            "speedup_pipelined_vs_sync",
             "route_rules",
             "route_wave_pairs",
             "route_cross_pairs",

@@ -7,12 +7,9 @@ when a performance claim regressed by more than the tolerance.
 Two classes of metric:
 
 * **Ratio metrics** (``speedup_vs_scalar``, ``speedup_vs_single``,
-  ``speedup_vs_nolabels``, ``speedup_pipelined_vs_sync``) are
-  machine-portable — a 6x speedup should be ~6x on any host — so they
-  gate the build: a fresh ratio below ``(1 - tolerance)`` of the
-  committed one fails. (``speedup_pipelined_vs_sync`` scales with the
-  host's core count, so its committed baseline is the single-core floor
-  ~1.0 — multi-core runners only ever beat it.)
+  ``speedup_vs_nolabels``) are machine-portable — a 6x speedup should
+  be ~6x on any host — so they gate the build: a fresh ratio below
+  ``(1 - tolerance)`` of the committed one fails.
 * **Absolute metrics** (``queries_per_s``) depend on the host and are
   reported for trend-watching, never gated, unless ``--strict`` is given
   (same-machine comparisons only).
@@ -40,10 +37,9 @@ GATED_METRICS = (
     "speedup_vs_scalar",
     "speedup_vs_single",
     "speedup_vs_nolabels",
-    "speedup_pipelined_vs_sync",
 )
 REPORTED_METRICS = ("queries_per_s",)
-KEY_COLUMNS = ("measurement", "strategy", "shards", "mode")
+KEY_COLUMNS = ("measurement", "strategy", "shards")
 
 
 def _load_rows(path: Path) -> List[dict]:

@@ -286,28 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
         "the same shard (shard-skew knob; needs --shards >= 2 and a "
         "generated workload)",
     )
-    sb.add_argument(
-        "--shard-pipeline",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="schedule shard-worker calls through the out-of-order "
-        "pipelined reactor (--no-shard-pipeline reverts to "
-        "round-synchronous scatter–gather)",
-    )
-    sb.add_argument(
-        "--shard-inflight-window",
-        type=int,
-        default=4,
-        help="max tagged requests in flight per shard worker before the "
-        "scheduler applies backpressure (pipelined mode)",
-    )
-    sb.add_argument(
-        "--shard-route-scalar",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="let point queries consult a deployed shard fleet (rule "
-        "ladder, then a 1-lane scheduler ride) before the local engine",
-    )
     sb.set_defaults(func=cmd_serve_bench)
 
     sv = sub.add_parser(
@@ -476,14 +454,6 @@ def build_parser() -> argparse.ArgumentParser:
     cn.add_argument("--heartbeat-misses", type=int, default=3)
     cn.add_argument("--ops", type=int, default=160)
     cn.add_argument("--checks", type=int, default=120)
-    cn.add_argument(
-        "--shard-pipeline",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="run the sharded scenarios (worker-respawn, stop-worker) "
-        "with the pipelined scheduler (--no-shard-pipeline exercises "
-        "the round-synchronous path)",
-    )
     cn.add_argument("--seed", type=int, default=0)
     cn.set_defaults(func=cmd_chaos_net)
 
@@ -711,9 +681,6 @@ def cmd_serve_bench(args: argparse.Namespace) -> int:
         journal=args.journal,
         max_pending=args.max_pending,
         shards=args.shards,
-        shard_pipeline=args.shard_pipeline,
-        shard_inflight_window=args.shard_inflight_window,
-        shard_route_scalar=args.shard_route_scalar,
     ) as service:
         result = replay_workload(
             service,
@@ -961,7 +928,6 @@ def cmd_chaos_net(args: argparse.Namespace) -> int:
         heartbeat_misses=args.heartbeat_misses,
         ops=args.ops,
         checks=args.checks,
-        shard_pipeline=args.shard_pipeline,
         seed=args.seed,
     )
     ran = sum(1 for r in rows if "skipped" not in r)

@@ -120,6 +120,19 @@ def _oracle_sweep(
     )
 
 
+def _clear_journals(workdir: Path, *stems: str) -> None:
+    """Remove the journal/checkpoint files a scenario is about to create.
+
+    A reused artifacts directory still holds the previous run's WALs,
+    and a node that finds one recovers from it — serving the old run's
+    edges against the new run's oracle. Only the named stems go;
+    nothing else in the directory is touched.
+    """
+    for stem in stems:
+        for suffix in (".wal", ".wal.tmp", ".ckpt"):
+            (workdir / (stem + suffix)).unlink(missing_ok=True)
+
+
 # ----------------------------------------------------------------------
 # kill-primary
 # ----------------------------------------------------------------------
@@ -187,6 +200,7 @@ async def scenario_kill_primary(
     verts = sorted(graph.vertices())
     next_vertex = max(verts) + 1
 
+    _clear_journals(workdir, "primary", "replica0", "replica1")
     proc, host, port, _wal = await _spawn_primary_subprocess(graph, workdir)
     supervisor = ClusterSupervisor(
         host,
@@ -359,7 +373,6 @@ def _sharded_workload(
     checks: int,
     seed: int,
     call_timeout_s: float = 30.0,
-    shard_pipeline: bool = True,
 ) -> Dict[str, object]:
     """Shared driver: workload against a sharded service with one
     mid-stream ``sabotage(router)``, oracle equality throughout.
@@ -392,7 +405,6 @@ def _sharded_workload(
         num_supportive=0,
         cache_capacity=16,
         shard_call_timeout_s=call_timeout_s,
-        shard_pipeline=shard_pipeline,
         # The label tier can answer whole batches without a worker round
         # trip; disable it so every batch actually exercises the fleet —
         # a SIGSTOPped worker is only convicted by a timed-out call.
@@ -436,7 +448,6 @@ def _sharded_workload(
         row = {
             "scenario": scenario,
             "ops": ops,
-            "pipeline": shard_pipeline,
             "healthy": router.healthy,
             "healed_in_batches": healed_in,
             "worker_respawns": counters.get("worker_respawns", 0),
@@ -457,8 +468,7 @@ def _sharded_workload(
 
 
 def scenario_worker_respawn(
-    *, ops: int = 40, checks: int = 120, seed: int = 0,
-    shard_pipeline: bool = True,
+    *, ops: int = 40, checks: int = 120, seed: int = 0
 ) -> Dict[str, object]:
     def sabotage(router) -> Dict[str, object]:
         victim = router._workers[0]
@@ -472,13 +482,11 @@ def scenario_worker_respawn(
         ops=ops,
         checks=checks,
         seed=seed,
-        shard_pipeline=shard_pipeline,
     )
 
 
 def scenario_stop_worker(
-    *, ops: int = 40, checks: int = 120, seed: int = 0,
-    shard_pipeline: bool = True,
+    *, ops: int = 40, checks: int = 120, seed: int = 0
 ) -> Dict[str, object]:
     def sabotage(router) -> Dict[str, object]:
         # SIGSTOP: the process stays alive, so only the call timeout can
@@ -497,7 +505,6 @@ def scenario_stop_worker(
         # The stopped worker is only detected by timeout; keep it short
         # so the scenario converges quickly.
         call_timeout_s=1.5,
-        shard_pipeline=shard_pipeline,
     )
 
 
@@ -512,6 +519,7 @@ async def scenario_partition_replica(
     graph = _chaos_graph(seed)
     oracle = graph.copy()
     verts = sorted(graph.vertices())
+    _clear_journals(workdir, "partition_primary", "partition_replica")
     service = ReachabilityService(
         graph.copy(),
         num_workers=2,
@@ -696,7 +704,6 @@ def run_chaos_net(
     heartbeat_misses: int = 3,
     ops: int = 160,
     checks: int = 120,
-    shard_pipeline: bool = True,
     seed: int = 0,
     echo: Optional[Callable[[str], None]] = print,
 ) -> Tuple[List[Dict[str, object]], bool]:
@@ -730,13 +737,9 @@ def run_chaos_net(
                     )
                 )
             elif name == "worker-respawn":
-                row = scenario_worker_respawn(
-                    checks=checks, seed=seed, shard_pipeline=shard_pipeline
-                )
+                row = scenario_worker_respawn(checks=checks, seed=seed)
             elif name == "stop-worker":
-                row = scenario_stop_worker(
-                    checks=checks, seed=seed, shard_pipeline=shard_pipeline
-                )
+                row = scenario_stop_worker(checks=checks, seed=seed)
             elif name == "partition-replica":
                 row = asyncio.run(
                     scenario_partition_replica(
@@ -780,7 +783,6 @@ def run_chaos_net(
                     "heartbeat_misses": heartbeat_misses,
                     "ops": ops,
                     "checks": checks,
-                    "shard_pipeline": shard_pipeline,
                     "seed": seed,
                     "numpy": HAVE_NUMPY,
                 },

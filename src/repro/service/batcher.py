@@ -32,8 +32,8 @@ engine-stage latency.
 With sharding on, the engine inserts a **route rung** around this
 planner: batches consult the shard fleet (O(1) partition rules, then
 pipelined worker waves) *before* the per-pair prefilter here, and scalar
-queries consult it between the cache and the engine stage
-(``shard_route_scalar``). The rung ordering is deliberate: routing is
+queries consult it between the cache and the engine stage. The rung
+ordering is deliberate: routing is
 dict-probe cheap per pair and exact, so it runs where it can shadow the
 most downstream work, while the planner stays the single place that
 guarantees trivial-verdict safety (``s == t``, missing endpoints) for

@@ -33,8 +33,9 @@ Sharded serving (``shards=K``)
 ------------------------------
 With ``shards >= 2`` (and kernels available) the service lazily deploys
 a :class:`~repro.shard.router.ShardRouter`: the graph is partitioned
-along its SCC condensation into K shared-memory CSR shards, each owned
-by a spawned worker process, and batch queries route through O(1)
+along its SCC condensation into K shared-memory CSR shards served by a
+pool of spawned worker processes (every worker attaches every shard),
+and batch queries route through O(1)
 partition verdicts, intra-shard worker waves, and cross-shard
 scatter–gather joins before anything falls back to the local pipeline.
 Routing is strictly an accelerator: pairs the router cannot answer
@@ -244,7 +245,12 @@ class ReachabilityService:
         kernels unavailable) keeps single-process serving; the router is
         built lazily on the first routed batch and torn down by
         :meth:`close`. Worker failures are contained: unrouted pairs
-        fall back to the local pipeline.
+        fall back to the local pipeline. Scalar :meth:`query` consults
+        an already-deployed fleet too: the router's O(1) rule ladder
+        answers between the cache and the local engine, and a
+        searchable miss rides the scheduler as a 1-lane wave when the
+        fleet is idle. Scalar queries never deploy the fleet and never
+        wait for a batch holding it.
     shard_refresh_threshold:
         Batches that must arrive at a *newer* graph version before the
         shard fleet repartitions and re-anchors there (repartitioning is
@@ -258,23 +264,6 @@ class ReachabilityService:
         re-attaches the still-published segments of the same plan (no
         repartition) on the next routed batch. Off, a degraded fleet
         stays degraded until the next epoch refresh.
-    shard_pipeline:
-        Run the fleet through the event-driven pipelined scheduler
-        (:mod:`repro.shard.pipeline`): tagged out-of-order requests,
-        many cross-shard groups in flight at once, intra waves spread
-        over idle workers. Off, the legacy round-synchronous
-        scatter–gather runs (kept for comparison benches and as a
-        conservative fallback).
-    shard_inflight_window:
-        Requests the pipelined scheduler keeps in flight per worker
-        before backpressure holds the queue (1 degenerates to one
-        outstanding call per worker).
-    shard_route_scalar:
-        Let scalar :meth:`query` consult an already-deployed fleet:
-        the router's O(1) rule ladder answers between the cache and the
-        local engine, and a searchable miss rides the scheduler as a
-        1-lane wave when the fleet is idle. Scalar queries never deploy
-        the fleet and never wait for a batch holding it.
     use_labels:
         Stand up the incremental DL/BL label tier
         (:class:`~repro.graph.labels.LabelIndex`) as the third pruner:
@@ -323,9 +312,6 @@ class ReachabilityService:
         shard_refresh_threshold: int = 8,
         shard_call_timeout_s: float = 30.0,
         shard_respawn: bool = True,
-        shard_pipeline: bool = True,
-        shard_inflight_window: int = 4,
-        shard_route_scalar: bool = True,
         use_labels: bool = True,
         label_bits: int = 256,
         label_staleness_threshold: float = 0.25,
@@ -388,9 +374,6 @@ class ReachabilityService:
         self._shard_refresh_threshold = max(1, shard_refresh_threshold)
         self._shard_call_timeout_s = shard_call_timeout_s
         self._shard_respawn = bool(shard_respawn)
-        self._shard_pipeline = bool(shard_pipeline)
-        self._shard_inflight_window = max(1, int(shard_inflight_window))
-        self._shard_route_scalar = bool(shard_route_scalar)
         self._router: Optional["ShardRouter"] = None
         self._router_lock = threading.Lock()
         self._router_demand = 0
@@ -1253,7 +1236,7 @@ class ReachabilityService:
 
         Strictly an accelerator on the scalar ladder (after the cache,
         before the local engine): the router's O(1) rule ladder answers
-        lock-free, and a searchable pair rides the pipelined scheduler
+        lock-free, and a searchable pair rides the fleet's scheduler
         as a 1-lane wave *only* when the fleet is idle — a scalar query
         never deploys the fleet, never waits behind a batch holding the
         route lock, and never blocks on another epoch's router. Any
@@ -1335,8 +1318,6 @@ class ReachabilityService:
                     self._router = ShardRouter(
                         self.graph,
                         self._shards,
-                        pipeline=self._shard_pipeline,
-                        inflight_window=self._shard_inflight_window,
                         call_timeout_s=self._shard_call_timeout_s,
                         auto_respawn=self._shard_respawn,
                     )
@@ -1457,7 +1438,7 @@ class ReachabilityService:
                 source, target, version, PLAN_DEGRADED, why="pre-engine"
             )
 
-        if self._shards >= 2 and self._shard_route_scalar:
+        if self._shards >= 2:
             outcome = self._route_scalar_shard(source, target, version, deadline)
             if outcome is not None:
                 return QueryPlan(

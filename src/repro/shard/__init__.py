@@ -12,9 +12,10 @@ the condensation DAG.
 Layering: :mod:`repro.shard.partition` is pure graph analysis (no
 processes), :mod:`repro.shard.memory` owns the shared-memory segment
 protocol, :mod:`repro.shard.worker` is the spawned child's entry point,
-:mod:`repro.shard.pipeline` is the event-driven scheduler that keeps the
-worker pool saturated, and :mod:`repro.shard.router` drives the fleet on
-the primary. The serving engine reaches all of it through
+:mod:`repro.shard.pipeline` is the fleet's one scheduler (an
+event-driven reactor that keeps the worker pool saturated), and
+:mod:`repro.shard.router` — whose ``classify_pair`` is the one O(1) rule
+ladder — drives the fleet on the primary. The serving engine reaches all of it through
 :class:`~repro.shard.router.ShardRouter` only.
 """
 

@@ -6,12 +6,12 @@ name and rebuild numpy views with
 :meth:`~repro.graph.snapshot.CSRSnapshot.from_buffers` — zero copies, so
 K workers share one physical copy of each shard regardless of K.
 
-Segment names are version-stamped (``ifca{pid}s{shard}v{version}``):
-republishing after a graph epoch creates *new* segments, workers swap to
-them on a ``("swap", ...)`` message, and the primary unlinks the old
-names afterwards. A worker still holding old views keeps a valid mapping
-until it drops them (POSIX unlink semantics), so the swap never races
-the reader.
+Segment names are version-stamped (``ifca{pid}s{shard}v{version}`` plus
+the publishing router's token): republishing after a graph epoch creates
+*new* segments, workers swap to them on a ``("swap", ...)`` message, and
+the primary unlinks the old names afterwards. A worker still holding old
+views keeps a valid mapping until it drops them (POSIX unlink
+semantics), so the swap never races the reader.
 
 The attach path has to fight ``resource_tracker``: spawned workers share
 the primary's tracker daemon, whose per-type cache is a plain set — an
@@ -32,9 +32,13 @@ from typing import Dict, Tuple
 from repro.graph.snapshot import CSRSnapshot
 
 
-def segment_name(shard: int, version: int, *, pid: int = 0) -> str:
-    """Canonical version-stamped segment name for one shard."""
-    return f"ifca{pid or os.getpid()}s{shard}v{version}"
+def segment_name(shard: int, version: int, *, token: str = "") -> str:
+    """Canonical version-stamped segment name for one shard.
+
+    ``token`` is the publishing router's process-unique suffix: two
+    routers in one process may publish the same (shard, version).
+    """
+    return f"ifca{os.getpid()}s{shard}v{version}{token}"
 
 
 @dataclass

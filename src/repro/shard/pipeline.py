@@ -1,9 +1,9 @@
-"""Event-driven pipelined scheduler over the shard worker pool.
+"""Event-driven scheduler over the shard worker pool.
 
-The legacy router runs one cross-shard group at a time and barriers on
-every BFS round: post to the frontier shards, block until the slowest
-reply, repeat. K workers mostly idle while one round's straggler
-finishes. This module replaces that with a reactor:
+A round-synchronous scatter–gather (post to the frontier shards, block
+until the slowest reply, repeat, one cross-shard group at a time) leaves
+K workers mostly idle while one round's straggler finishes. The fleet's
+one scheduler is a reactor instead:
 
 - **Jobs, not rounds.** The unit of work is one tagged request — an
   intra-shard ≤64-lane wave or one shard's closure step of one
@@ -12,26 +12,25 @@ finishes. This module replaces that with a reactor:
   (per-shard ``sent`` masks and the ``result`` word only grow), so it is
   confluent: a group may advance the moment *its own* reply lands,
   regardless of what other shards or other groups are doing. No round
-  barrier is needed for correctness — only for the old code's control
-  flow.
+  barrier is needed for correctness (``tests/test_shard.py`` checks the
+  order independence against a BFS oracle, reply order randomized).
 - **Worker pool.** Every worker has every shard's segment attached
   (shared physical pages), so any job can run on any worker. The
-  scheduler posts to the least-loaded live worker, bounded by a
-  per-worker in-flight ``window``; when every live worker's window is
-  full the queue backs up (``route_inflight_stalls``) instead of
-  overrunning the pipes.
+  scheduler posts to the least-loaded live worker, bounded by
+  :data:`INFLIGHT_WINDOW` requests per worker; when every live worker's
+  window is full the queue backs up (``route_inflight_stalls``) instead
+  of overrunning the pipes.
 - **Reply matching.** Requests are tagged with run-local ids
   (``(req_id, msg)`` on the wire, see :mod:`repro.shard.worker`), so the
   reactor can hold many requests in flight per worker and match each
   reply to its job no matter the completion order across the fleet.
 
-**Containment.** The PR 9 contract holds under pipelining: a worker
-death (pipe error, EOF, or oldest-request age past ``call_timeout_s`` —
-the SIGSTOP conviction) kills only that worker and fails only *its*
-in-flight jobs. A failed intra job surrenders its pairs as unresolved; a
-failed cross job cancels its whole group (all-or-nothing: a partial
-fixpoint could answer a lane ``False`` while the dead shard held its
-only path). A cancelled group's requests still in flight on *surviving*
+**Containment.** A worker death (pipe error, EOF, or oldest-request age
+past ``call_timeout_s`` — the SIGSTOP conviction) kills only that worker
+and fails only *its* in-flight jobs. A failed intra job surrenders its
+pairs as unresolved; a failed cross job cancels its whole group
+(all-or-nothing: a partial fixpoint could answer a lane ``False`` while
+the dead shard held its only path). A cancelled group's requests still in flight on *surviving*
 workers are drained and discarded as their replies arrive — the tagged
 protocol keeps every pipe coherent for the next batch.
 """
@@ -45,6 +44,11 @@ from typing import Deque, Dict, List, Optional, Tuple
 
 Pair = Tuple[int, int]
 Verdict = Tuple[bool, str]
+
+#: Tagged requests in flight per worker before the queue backs up. Wide
+#: enough to hide the pipe round trip behind the worker's current wave,
+#: narrow enough that a convicted worker strands few jobs.
+INFLIGHT_WINDOW = 4
 
 
 class GroupState:
@@ -163,7 +167,7 @@ class PipelineRun:
         self._plan = router._plan
         self._deadline = deadline
         self._edge_ceiling = edge_ceiling
-        self._window = max(1, int(router.inflight_window))
+        self._window = INFLIGHT_WINDOW
         self._pending: Deque = deque()
         # req_id -> (job, worker index, posted-at monotonic stamp)
         self._inflight: Dict[int, Tuple[object, int, float]] = {}
@@ -348,7 +352,6 @@ class PipelineRun:
         elif group.outstanding == 0 and not group.done:
             group.done = True
             self.resolved.update(group.verdicts())
-            self._router._incr("route_cross_groups")
             self._router._incr("route_cross_pairs", len(group.pairs))
 
     def _note_reply_failure(self, kind: str, payload) -> None:

@@ -1,8 +1,10 @@
 """Scatter–gather query routing over a shard fleet.
 
 The router owns one :class:`~repro.shard.partition.ShardPlan`, one
-published shared-memory segment per shard, and one spawned worker per
-shard. For a batch of (source, target) pairs it resolves, in order:
+published shared-memory segment per shard, and a pool of spawned workers
+(one per shard by default). Each (source, target) pair of a batch walks
+:func:`classify_pair` — the one O(1) rule ladder — and then, if no rule
+answered, a worker search:
 
 1. **same SCC** → ``True`` (Tarjan ids from the partition);
 2. **class summaries** → exact ``True``/``False`` for every pair that
@@ -10,11 +12,13 @@ shard. For a batch of (source, target) pairs it resolves, in order:
    :mod:`repro.shard.partition`);
 3. **quotient closure** → ``False`` when ``shard(t)`` is unreachable
    from ``shard(s)`` in the shard DAG;
-4. **intra-shard** (both endpoints in one closed segment) → one
-   ≤64-lane bit-parallel wave on that shard's worker, verdicts final;
-5. **cross-shard** → scatter–gather: lanes are packed 64 to a group,
-   each shard's worker computes the bit-label closure of the lanes'
-   entry vertices (:func:`~repro.graph.bitsearch.csr_bit_reach`), and
+4. **degree liveness** → ``False`` when the source has no routed
+   out-edge or the target no routed in-edge;
+5. **intra-shard** (both endpoints in one closed segment) → one
+   ≤64-lane bit-parallel wave over that shard's CSR, verdicts final;
+6. **cross-shard** → scatter–gather: lanes are packed 64 to a group,
+   a worker computes the bit-label closure of the lanes' entry vertices
+   in one shard (:func:`~repro.graph.bitsearch.csr_bit_reach`), and
    the router joins returned boundary masks across shards along the
    condensation DAG's cross edges, pruning lanes per shard through the
    quotient closure. Monotone per-shard ``sent`` masks make the fixpoint
@@ -42,43 +46,46 @@ segments, and either swaps workers in place (same worker count, all
 alive) or respawns the fleet; old segments are unlinked after the swap
 acknowledges.
 
-**Pipelined execution (default).** Workers are a *pool*, not
-shard-bound processes: every worker attaches every shard's segment
-(shared physical pages — the cost is page-table entries), so any wave
-or closure step can run on any worker. With ``pipeline=True`` a batch's
-intra waves and cross-group closure steps all become tagged jobs on one
-:class:`~repro.shard.pipeline.PipelineRun` reactor, which multiplexes
-all worker pipes with :func:`multiprocessing.connection.wait`, keeps up
-to ``inflight_window`` requests in flight per worker, and advances each
-cross-shard fixpoint the moment its own replies land (the monotone sent
-masks make the fixpoint confluent, so no round barrier is needed). With
-``pipeline=False`` the legacy round-synchronous path runs — still
-improved: :meth:`_scatter` gathers with ``connection.wait`` instead of
-reading replies in posted order, so a slow shard no longer delays
-reading faster shards' replies. Scalar point queries ride the same
-machinery via :meth:`route_scalar`: the O(1) ladder answers lock-free;
-a searchable miss becomes a 1-lane run if the fleet is idle, and backs
-off to the caller when a batch holds the route lock.
+**One scheduler.** Workers are a *pool*, not shard-bound processes:
+every worker attaches every shard's segment (shared physical pages — the
+cost is page-table entries), so any wave or closure step can run on any
+worker. A batch's intra waves and cross-group closure steps all become
+tagged jobs on one :class:`~repro.shard.pipeline.PipelineRun` reactor,
+which multiplexes all worker pipes with
+:func:`multiprocessing.connection.wait`, keeps up to
+:data:`~repro.shard.pipeline.INFLIGHT_WINDOW` requests in flight per
+worker, and advances each cross-shard fixpoint the moment its own
+replies land (the monotone sent masks make the fixpoint confluent, so no
+round barrier is needed). The reactor is the only way a serving wave or
+closure step reaches a worker. Scalar point queries ride the same
+machinery via :meth:`route_scalar`: the O(1) ladder answers lock-free; a
+searchable miss becomes a 1-lane run if the fleet is idle, and backs off
+to the caller when a batch holds the route lock. The control plane
+(ping, probe, swap, warm-up wave) speaks the same ``(req_id, msg)`` wire
+shape through :meth:`ShardWorkerHandle.call`, one request at a time.
 """
 
 from __future__ import annotations
 
+import itertools
 import multiprocessing
 import threading
 import time
-from collections import deque
-from multiprocessing import connection as mp_connection
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.graph.digraph import DynamicDiGraph
 from repro.graph.snapshot import CSRSnapshot
+from repro.shard import pipeline
 from repro.shard.memory import SegmentHandle, publish_snapshot, segment_name
 from repro.shard.partition import ShardPlan, partition_graph
-from repro.shard.pipeline import PipelineRun
 from repro.shard.worker import shard_worker_main
 
 #: Lanes per cross-shard scatter–gather group (one uint64 word).
 GROUP_LANES = 64
+
+#: Process-unique router tokens: two routers in one process may publish
+#: the same (shard, version), so each suffixes its segment names.
+_ROUTER_TOKENS = itertools.count(1)
 
 Pair = Tuple[int, int]
 #: A resolved routed verdict: (answer, how).
@@ -95,14 +102,14 @@ _VERDICT_LABEL_NEG: Verdict = (False, "label-neg")
 
 
 def classify_pair(plan: ShardPlan, s: int, t: int):
-    """Run one pair through the O(1) rule ladder.
+    """Run one pair through the O(1) rule ladder — the only copy of it.
 
     Returns ``("resolved", (answer, how))`` when a rule answers,
     ``("intra", shard)`` / ``("cross", (ks, kt))`` when a search is
     needed, or ``("unknown", None)`` when an endpoint is not in the
-    plan. The batch ladder in :meth:`ShardRouter.execute_batch` is the
-    same logic unrolled for interpreter speed over thousands of pairs;
-    this per-pair form serves the scalar path and workload probes.
+    plan. Batches (:meth:`ShardRouter.execute_batch`), the scalar path
+    and workload probes all walk this one function; the per-rule
+    ``route_<how>`` counters are tallied from the returned ``how``.
     """
     ks = plan.shard_of.get(s)
     kt = plan.shard_of.get(t)
@@ -113,6 +120,9 @@ def classify_pair(plan: ShardPlan, s: int, t: int):
     for cid, reaches in plan.reaches_class.items():
         if s in reaches and t in plan.reached_from_class[cid]:
             return ("resolved", _VERDICT_CLASS)
+    # An endpoint inside a split class with no through-class verdict
+    # above is an exact negative: every path from (to) a class member
+    # passes the class itself.
     if (
         plan.shards[ks].scc_class is not None
         or plan.shards[kt].scc_class is not None
@@ -120,6 +130,10 @@ def classify_pair(plan: ShardPlan, s: int, t: int):
         return ("resolved", _VERDICT_CLASS_NEG)
     if kt not in plan.quotient_reach[ks]:
         return ("resolved", _VERDICT_QUOTIENT)
+    # Degree liveness: a source with no routed out-edge (or a target
+    # with no routed in-edge) in its shard cannot be on any path the
+    # fleet could find — an exact negative for two set probes. On
+    # sparse peripheries this keeps most of a batch off the wire.
     if s not in plan.live_out[ks] or t not in plan.live_in[kt]:
         return ("resolved", _VERDICT_DEG)
     if ks == kt:
@@ -146,23 +160,28 @@ class ShardWorkerHandle:
         self.process = process
         self.conn = conn
         self.alive = True
+        self._calls = 0
 
-    def post(self, msg: Tuple) -> None:
-        """Send one message without waiting — pair with :meth:`wait`."""
+    def call(self, msg: Tuple, timeout_s: float) -> Tuple:
+        """One control-plane round trip: ping / probe / swap / warm wave.
+
+        Sends ``(req_id, msg)`` and returns the reply payload once the
+        worker echoes the same id. Control ids count down from -1, the
+        reactor's run-local ids up from 0, so a reply left over from
+        anything else can never be mistaken for this call's. Only valid
+        while no reactor run has requests in flight on this pipe.
+        """
         if not self.alive:
             raise WorkerDied("worker already marked dead")
+        self._calls += 1
+        req_id = -self._calls
         try:
-            self.conn.send(msg)
-        except (OSError, BrokenPipeError) as exc:
-            self.kill()
-            raise WorkerDied(f"worker pipe failed: {exc!r}") from exc
-
-    def wait(self, timeout_s: float) -> Tuple:
-        """Collect the reply to the last :meth:`post`."""
-        try:
+            self.conn.send((req_id, msg))
             if not self.conn.poll(timeout_s):
                 raise WorkerDied(f"worker call timed out after {timeout_s}s")
-            reply = self.conn.recv()
+            echoed, reply = self.conn.recv()
+            if echoed != req_id:
+                raise WorkerDied(f"reply id {echoed!r} != request {req_id}")
         except WorkerDied:
             self.kill()
             raise
@@ -177,10 +196,6 @@ class ShardWorkerHandle:
         if kind == "error":
             raise WorkerDied(f"worker error: {reply[1]}")
         return reply
-
-    def call(self, msg: Tuple, timeout_s: float) -> Tuple:
-        self.post(msg)
-        return self.wait(timeout_s)
 
     def kill(self) -> None:
         """Hard-stop the worker and reap it — safe to call mid-wave.
@@ -205,15 +220,11 @@ class ShardWorkerHandle:
     def stop(self, timeout_s: float = 2.0) -> None:
         if self.alive:
             try:
-                self.conn.send(("stop",))
+                self.conn.send((0, ("stop",)))
                 self.conn.poll(timeout_s)
             except (OSError, BrokenPipeError):
                 pass
         self.kill()
-
-
-#: Back-compat alias (pre-respawn name).
-_Worker = ShardWorkerHandle
 
 
 class ShardRouter:
@@ -225,8 +236,6 @@ class ShardRouter:
         num_shards: int,
         *,
         num_workers: Optional[int] = None,
-        pipeline: bool = True,
-        inflight_window: int = 4,
         call_timeout_s: float = 30.0,
         auto_respawn: bool = True,
         max_worker_respawns: int = 3,
@@ -238,8 +247,6 @@ class ShardRouter:
             raise ValueError("ShardRouter needs num_workers >= 1")
         self.requested_shards = num_shards
         self.requested_workers = num_workers
-        self.pipeline = pipeline
-        self.inflight_window = max(1, inflight_window)
         self.call_timeout_s = call_timeout_s
         self.auto_respawn = auto_respawn
         self.max_worker_respawns = max_worker_respawns
@@ -252,6 +259,7 @@ class ShardRouter:
         self._respawn_attempts: List[int] = []
         self._last_respawn_at = 0.0
         self._closed = False
+        self._token = f"r{next(_ROUTER_TOKENS)}"
         # Serializes every path that touches worker pipes. Batches take
         # it blocking; scalar riders take it non-blocking and fall back
         # to the caller instead of convoying behind a batch.
@@ -281,9 +289,8 @@ class ShardRouter:
         handles = []
         for info, sub in zip(plan.shards, plan.subgraphs):
             csr = CSRSnapshot.freeze(sub)
-            handles.append(
-                publish_snapshot(csr, segment_name(info.index, plan.version))
-            )
+            name = segment_name(info.index, plan.version, token=self._token)
+            handles.append(publish_snapshot(csr, name))
         return handles
 
     def _fleet_spec(
@@ -579,163 +586,60 @@ class ShardRouter:
         plan = self._plan
         resolved: Dict[Pair, Verdict] = {}
         unresolved: List[Pair] = []
-        searchable: List[Tuple[Pair, int, int]] = []
-        intra: Dict[int, List[Pair]] = {}
-        cross: List[Pair] = []
-
-        # The ladder runs per pair over batches of thousands, so it is
-        # written for the interpreter: plan lookups bound to locals,
-        # verdict tuples shared, rule hits tallied with plain ints.
-        shard_of_get = plan.shard_of.get
-        scc_of = plan.scc_of
-        classes = [
-            (reaches, plan.reached_from_class[cid])
-            for cid, reaches in plan.reaches_class.items()
-        ]
-        is_class_shard = [
-            info.scc_class is not None for info in plan.shards
-        ]
-        quotient_reach = plan.quotient_reach
-        live_out, live_in = plan.live_out, plan.live_in
-        n_scc = n_class = n_class_neg = n_quotient = n_deg = 0
-
+        searchable: List[Tuple[Pair, Optional[int]]] = []
+        rule_hits: Dict[str, int] = {}
         for pair in pairs:
-            s, t = pair
-            ks = shard_of_get(s)
-            kt = shard_of_get(t)
-            if ks is None or kt is None:
+            kind, info = classify_pair(plan, pair[0], pair[1])
+            if kind == "resolved":
+                resolved[pair] = info
+                rule_hits[info[1]] = rule_hits.get(info[1], 0) + 1
+            elif kind == "unknown":
                 unresolved.append(pair)
-                continue
-            if scc_of[s] == scc_of[t]:
-                resolved[pair] = _VERDICT_SCC
-                n_scc += 1
-                continue
-            for reaches, reached_from in classes:
-                if s in reaches and t in reached_from:
-                    resolved[pair] = _VERDICT_CLASS
-                    n_class += 1
-                    break
             else:
-                # An endpoint inside a split class with no through-class
-                # verdict above is an exact negative: every path from
-                # (to) a class member passes the class itself.
-                if is_class_shard[ks] or is_class_shard[kt]:
-                    resolved[pair] = _VERDICT_CLASS_NEG
-                    n_class_neg += 1
-                    continue
-                if kt not in quotient_reach[ks]:
-                    resolved[pair] = _VERDICT_QUOTIENT
-                    n_quotient += 1
-                    continue
-                # Degree liveness: a source with no routed out-edge (or
-                # a target with no routed in-edge) in its shard cannot
-                # be on any path the fleet could find — an exact
-                # negative for two set probes. On sparse peripheries
-                # this keeps most of the batch off the wire entirely.
-                if s not in live_out[ks] or t not in live_in[kt]:
-                    resolved[pair] = _VERDICT_DEG
-                    n_deg += 1
-                    continue
-                searchable.append((pair, ks, kt))
+                searchable.append((pair, info if kind == "intra" else None))
 
         if searchable and label_filter is not None:
             verdicts = label_filter([entry[0] for entry in searchable])
             if verdicts is not None:
-                survivors: List[Tuple[Pair, int, int]] = []
-                n_label_pos = n_label_neg = 0
+                survivors: List[Tuple[Pair, Optional[int]]] = []
                 for entry, verdict in zip(searchable, verdicts):
-                    if verdict > 0:
-                        resolved[entry[0]] = _VERDICT_LABEL_POS
-                        n_label_pos += 1
-                    elif verdict < 0:
-                        resolved[entry[0]] = _VERDICT_LABEL_NEG
-                        n_label_neg += 1
-                    else:
+                    if verdict == 0:
                         survivors.append(entry)
+                        continue
+                    hit = _VERDICT_LABEL_POS if verdict > 0 else _VERDICT_LABEL_NEG
+                    resolved[entry[0]] = hit
+                    rule_hits[hit[1]] = rule_hits.get(hit[1], 0) + 1
                 searchable = survivors
-                if n_label_pos:
-                    self._incr("route_label_pos", n_label_pos)
-                if n_label_neg:
-                    self._incr("route_label_neg", n_label_neg)
-        for pair, ks, kt in searchable:
-            if ks == kt:
-                intra.setdefault(ks, []).append(pair)
-            else:
-                cross.append(pair)
 
         self._incr("route_pairs", len(pairs))
-        for how, n in (
-            ("scc", n_scc),
-            ("class", n_class),
-            ("class-neg", n_class_neg),
-            ("quotient", n_quotient),
-            ("deg", n_deg),
-        ):
-            if n:
-                self._incr(f"route_{how}", n)
+        for how, n in rule_hits.items():
+            self._incr(f"route_{how}", n)
 
-        if self.pipeline:
-            if intra or cross:
-                # Every intra 64-lane chunk and every cross-group closure
-                # step becomes a tagged job on one reactor; any job can
-                # run on any worker (all segments attached), so a busy
-                # shard's waves spill into idle workers and many group
-                # fixpoints advance concurrently.
-                run = PipelineRun(
-                    self, deadline=deadline, edge_ceiling=edge_ceiling
-                )
-                for shard, plist in intra.items():
-                    for start in range(0, len(plist), GROUP_LANES):
-                        run.add_intra(shard, plist[start : start + GROUP_LANES])
-                for start in range(0, len(cross), GROUP_LANES):
-                    run.add_group(cross[start : start + GROUP_LANES])
-                run_resolved, run_unresolved = run.run()
-                resolved.update(run_resolved)
-                unresolved.extend(run_unresolved)
-                self._incr("route_pipeline_batches")
-        else:
-            if intra:
-                # One batched call per shard — the worker chunks into
-                # 64-lane waves itself, so a shard's whole intra load
-                # costs one IPC round trip — posted to every shard
-                # before the first reply is collected.
-                plan_version = plan.version
-                replies, failures = self._scatter(
-                    {
-                        shard: (
-                            "wave",
-                            plan_version,
-                            shard,
-                            plist,
-                            "forward",
-                            self._time_left(deadline),
-                            edge_ceiling,
-                        )
-                        for shard, plist in intra.items()
-                    }
-                )
-                for shard, exc in failures.items():
-                    self._note_failure(exc)
-                    unresolved.extend(intra[shard])
-                for shard, reply in replies.items():
-                    _ok, answers, stats = reply
-                    self._incr("worker_edge_accesses", int(stats[2]))
-                    for pair, answer in zip(intra[shard], answers):
-                        resolved[pair] = (answer, "wave")
-                    self._incr("route_waves", int(stats[4]))
-                    self._incr("route_wave_pairs", len(intra[shard]))
-
+        if searchable:
+            # Every intra 64-lane chunk and every cross-group closure
+            # step becomes a tagged job on one reactor; any job can run
+            # on any worker (all segments attached), so a busy shard's
+            # waves spill into idle workers and many group fixpoints
+            # advance concurrently.
+            intra: Dict[int, List[Pair]] = {}
+            cross: List[Pair] = []
+            for pair, shard in searchable:
+                if shard is None:
+                    cross.append(pair)
+                else:
+                    intra.setdefault(shard, []).append(pair)
+            run = pipeline.PipelineRun(
+                self, deadline=deadline, edge_ceiling=edge_ceiling
+            )
+            for shard, plist in intra.items():
+                for start in range(0, len(plist), GROUP_LANES):
+                    run.add_intra(shard, plist[start : start + GROUP_LANES])
             for start in range(0, len(cross), GROUP_LANES):
-                group = cross[start : start + GROUP_LANES]
-                try:
-                    verdicts = self._cross_group(group, deadline, edge_ceiling)
-                except (WorkerDied, _Stale, _OverBudget) as exc:
-                    self._note_failure(exc)
-                    unresolved.extend(group)
-                    continue
-                resolved.update(verdicts)
-                self._incr("route_cross_groups")
-                self._incr("route_cross_pairs", len(group))
+                run.add_group(cross[start : start + GROUP_LANES])
+            run_resolved, run_unresolved = run.run()
+            resolved.update(run_resolved)
+            unresolved.extend(run_unresolved)
+            self._incr("route_pipeline_batches")
 
         if unresolved:
             self._incr("route_unresolved", len(unresolved))
@@ -775,7 +679,7 @@ class ShardRouter:
             if not any(w.alive for w in self._workers):
                 self._incr("route_scalar_misses")
                 return None, "miss"
-            run = PipelineRun(
+            run = pipeline.PipelineRun(
                 self, deadline=deadline, edge_ceiling=edge_ceiling
             )
             pair = (s, t)
@@ -793,191 +697,10 @@ class ShardRouter:
         finally:
             self._route_lock.release()
 
-    def _note_failure(self, exc: Exception) -> None:
-        if isinstance(exc, WorkerDied):
-            self._incr("worker_failures")
-        elif isinstance(exc, _OverBudget):
-            self._incr("route_budget_exceeded")
-        else:
-            self._incr("route_stale")
-
     def _time_left(self, deadline: Optional[float]) -> Optional[float]:
         if deadline is None:
             return None
         return max(1e-3, deadline - time.perf_counter())
-
-    def _scatter(
-        self, msgs: Dict[int, Tuple]
-    ) -> Tuple[Dict[int, Tuple], Dict[int, Exception]]:
-        """Post one message per shard, then gather replies as they land.
-
-        All messages are in flight before the first reply is read, and
-        the gather multiplexes every posted pipe with
-        ``connection.wait`` — replies are consumed in *arrival* order,
-        so one slow shard no longer blocks reading the fast shards'
-        finished replies (the old gather waited in posted order). Each
-        worker serves its pipe FIFO, so per-worker replies still match
-        posts positionally. Workers that answer nothing within
-        ``call_timeout_s`` of the gather's start are convicted and
-        killed (the SIGSTOP catch). Returns ``(replies, failures)`` per
-        shard.
-        """
-        replies: Dict[int, Tuple] = {}
-        failures: Dict[int, Exception] = {}
-        fifo: Dict[int, Deque[int]] = {}
-        for shard, msg in msgs.items():
-            widx = shard % len(self._workers) if self._workers else 0
-            try:
-                self._workers[widx].post(msg)
-            except WorkerDied as exc:
-                failures[shard] = exc
-                continue
-            fifo.setdefault(widx, deque()).append(shard)
-        deadline = time.monotonic() + self.call_timeout_s
-        while fifo:
-            conns = {self._workers[w].conn: w for w in fifo}
-            timeout = max(0.0, deadline - time.monotonic())
-            ready = mp_connection.wait(list(conns), timeout=timeout)
-            if not ready:
-                timed_out = WorkerDied(
-                    f"worker call timed out after {self.call_timeout_s}s"
-                )
-                for widx in list(fifo):
-                    self._workers[widx].kill()
-                    for shard in fifo.pop(widx):
-                        failures[shard] = timed_out
-                break
-            for conn in ready:
-                widx = conns[conn]
-                queue = fifo.get(widx)
-                if not queue:
-                    continue
-                try:
-                    while queue:
-                        reply = conn.recv()
-                        shard = queue.popleft()
-                        kind = reply[0]
-                        if kind == "stale":
-                            failures[shard] = _Stale(str(reply[1]))
-                        elif kind == "budget":
-                            failures[shard] = _OverBudget(str(reply[1]))
-                        elif kind == "error":
-                            failures[shard] = WorkerDied(
-                                f"worker error: {reply[1]}"
-                            )
-                        else:
-                            replies[shard] = reply
-                        if not conn.poll(0):
-                            break
-                except (EOFError, OSError, BrokenPipeError) as exc:
-                    self._workers[widx].kill()
-                    died = WorkerDied(f"worker pipe failed: {exc!r}")
-                    for shard in queue:
-                        failures[shard] = died
-                    queue.clear()
-                if not queue:
-                    del fifo[widx]
-        return replies, failures
-
-    def _cross_group(
-        self,
-        group: List[Pair],
-        deadline: Optional[float],
-        edge_ceiling: Optional[int],
-    ) -> Dict[Pair, Verdict]:
-        """Scatter–gather fixpoint for ≤64 cross-shard lanes."""
-        plan = self._plan
-        assert plan is not None
-        target_shard = [plan.shard_of[t] for _, t in group]
-
-        # Lane prune mask per shard: a lane enters shard k only if k can
-        # still reach the lane's target shard in the quotient closure.
-        prune_cache: Dict[int, int] = {}
-
-        def prune_mask(shard: int) -> int:
-            mask = prune_cache.get(shard)
-            if mask is None:
-                mask = 0
-                reach = plan.quotient_reach[shard]
-                for lane, kt in enumerate(target_shard):
-                    if kt in reach:
-                        mask |= 1 << lane
-                prune_cache[shard] = mask
-            return mask
-
-        # Targets to probe inside each shard, by lane mask.
-        targets_in: Dict[int, Dict[int, int]] = {}
-        for lane, (_s, t) in enumerate(group):
-            shard_targets = targets_in.setdefault(target_shard[lane], {})
-            shard_targets[t] = shard_targets.get(t, 0) | (1 << lane)
-
-        sent: Dict[int, Dict[int, int]] = {}
-        frontier: Dict[int, Dict[int, int]] = {}
-        for lane, (s, _t) in enumerate(group):
-            shard_seeds = frontier.setdefault(plan.shard_of[s], {})
-            shard_seeds[s] = shard_seeds.get(s, 0) | (1 << lane)
-
-        result = 0
-        rounds = 0
-        while frontier:
-            # One scatter round: every frontier shard gets its seeds in
-            # one posted message, replies are gathered together — the
-            # round trips of a whole BFS level overlap instead of
-            # queueing one behind another.
-            msgs: Dict[int, Tuple] = {}
-            for shard, seeds in frontier.items():
-                live = prune_mask(shard) & ~result
-                shard_sent = sent.setdefault(shard, {})
-                fresh: List[Tuple[int, int]] = []
-                for v, mask in seeds.items():
-                    mask &= live & ~shard_sent.get(v, 0)
-                    if mask:
-                        fresh.append((v, mask))
-                        shard_sent[v] = shard_sent.get(v, 0) | mask
-                if fresh:
-                    msgs[shard] = (
-                        "reach",
-                        plan.version,
-                        shard,
-                        fresh,
-                        list(targets_in.get(shard, {})),
-                        True,
-                        self._time_left(deadline),
-                        edge_ceiling,
-                    )
-            if not msgs:
-                break
-            rounds += 1
-            replies, failures = self._scatter(msgs)
-            if failures:
-                # Containment is all-or-nothing per group: a partial
-                # fixpoint could answer a lane False while the dead
-                # shard held its only path. _scatter already drained
-                # the surviving replies, so the pipes stay coherent.
-                raise next(iter(failures.values()))
-            frontier = {}
-            for shard, reply in replies.items():
-                _ok, labels, stats = reply
-                self._incr("worker_edge_accesses", int(stats[2]))
-                for t, lane_mask in targets_in.get(shard, {}).items():
-                    result |= labels.get(t, 0) & lane_mask
-                cross_edges = plan.cross_out.get(shard, {})
-                for u, mask in labels.items():
-                    heads = cross_edges.get(u)
-                    if not heads:
-                        continue
-                    carry = mask & ~result
-                    if not carry:
-                        continue
-                    for v, kv in heads:
-                        next_seeds = frontier.setdefault(kv, {})
-                        next_seeds[v] = next_seeds.get(v, 0) | carry
-        self._incr("route_cross_rounds", rounds)
-
-        verdicts: Dict[Pair, Verdict] = {}
-        for lane, pair in enumerate(group):
-            verdicts[pair] = (bool((result >> lane) & 1), "cross")
-        return verdicts
 
     # ------------------------------------------------------------------
     # Introspection
@@ -986,8 +709,7 @@ class ShardRouter:
         plan_summary = self._plan.summary() if self._plan is not None else {}
         return {
             "requested_shards": self.requested_shards,
-            "mode": "pipelined" if self.pipeline else "sync",
-            "inflight_window": self.inflight_window,
+            "inflight_window": pipeline.INFLIGHT_WINDOW,
             "healthy": self.healthy,
             "num_workers": len(self._workers),
             "workers_alive": sum(1 for w in self._workers if w.alive),

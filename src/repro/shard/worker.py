@@ -10,13 +10,12 @@ shard, so the scheduler can hand a busy shard's waves to idle workers.
 
 Wire protocol
 -------------
-Every request may be **tagged**: ``(req_id, msg)`` with an ``int``
-request id answers ``(req_id, reply)``. Tagging is what lets the
-pipelined router keep several requests in flight per worker and match
-replies out of posted order across the fleet; the worker itself still
-serves its own pipe strictly FIFO. Untagged messages (the legacy
-round-synchronous path and the control plane) answer bare ``reply``
-tuples exactly as before.
+Every request is ``(req_id, msg)`` and every reply ``(req_id, reply)``
+— data plane and control plane alike. The id is opaque to the worker
+and echoed verbatim; it is what lets the router's reactor keep several
+requests in flight per worker and match replies out of posted order
+across the fleet. The worker itself serves its own pipe strictly FIFO.
+The ``msg`` / ``reply`` tuples:
 
 ``("ping",)``
     → ``("ok", version)`` — liveness + version handshake.
@@ -104,18 +103,12 @@ def shard_worker_main(conn, spec: Dict[str, object]) -> None:
     try:
         while True:
             try:
-                msg = conn.recv()
+                req_id, msg = conn.recv()
             except (EOFError, OSError):
                 break
-            # Tagged request: (req_id, msg). The id is opaque to the
-            # worker — it is echoed on the reply so the router can match
-            # replies out of posted order across many in-flight requests.
-            req_id = None
-            if isinstance(msg[0], int):
-                req_id, msg = msg[0], msg[1]
 
             def respond(reply: Tuple) -> None:
-                conn.send(reply if req_id is None else (req_id, reply))
+                conn.send((req_id, reply))
 
             kind = msg[0]
             if kind == "stop":

@@ -1,8 +1,11 @@
 """Tests for the command-line interface."""
 
+import argparse
+import inspect
+
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
 from repro.graph.digraph import DynamicDiGraph
 from repro.graph.io import read_edge_list, write_edge_list
 
@@ -177,3 +180,27 @@ class TestServeBench:
         )
         assert code == 0
         assert "answered without full search" in capsys.readouterr().out
+
+
+class TestKnobCensus:
+    """The two numbers ROADMAP's north star tracks, as a ratchet."""
+
+    RATCHET = "lower the pin when you delete one, justify in the PR when you raise it"
+
+    def test_service_constructor_parameters(self):
+        from repro.service import ReachabilityService
+
+        params = inspect.signature(ReachabilityService.__init__).parameters
+        assert len(params) - 1 <= 30, self.RATCHET  # minus self
+
+    def test_cli_flags(self):
+        def flags(parser):
+            count = 0
+            for action in parser._actions:
+                if isinstance(action, argparse._SubParsersAction):
+                    count += sum(flags(sub) for sub in action.choices.values())
+                elif not isinstance(action, argparse._HelpAction):
+                    count += 1
+            return count
+
+        assert flags(build_parser()) <= 103, self.RATCHET

@@ -12,11 +12,14 @@ import random
 import signal
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.graph import HAVE_NUMPY
 from repro.graph.digraph import DynamicDiGraph
 from repro.graph.traversal import is_reachable_bfs
-from repro.shard import ShardRouter, partition_graph
+from repro.shard import ShardRouter, partition_graph, pipeline
+from repro.shard.pipeline import GroupState, PipelineRun
 
 from tests.conftest import random_graph
 
@@ -235,6 +238,91 @@ class TestPartition:
 
 
 # ----------------------------------------------------------------------
+# Cross-shard fixpoint (tier 1: GroupState is pure python, no processes)
+# ----------------------------------------------------------------------
+def local_closure(plan, shard, seeds, probes):
+    """What a worker's ``reach`` answers, computed in process: the
+    forward closure of each seed inside the shard's own subgraph,
+    reported as ``{probe: lane_mask}`` for probes with a non-zero mask."""
+    sub = plan.subgraphs[shard]
+    label = {}
+    for v, mask in seeds:
+        stack, seen = [v], {v}
+        while stack:
+            u = stack.pop()
+            label[u] = label.get(u, 0) | mask
+            for w in sub.out_neighbors(u):
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+    return {p: label[p] for p in probes if label.get(p)}
+
+
+def fixpoint_decides(plan, s, t):
+    """Pairs the cross-shard fixpoint alone must get right: endpoints in
+    different shards with no split class on or between them (the class
+    summaries answer those; the search never enters a class shard)."""
+    ks, kt = plan.shard_of[s], plan.shard_of[t]
+    if ks == kt or any(plan.shards[k].scc_class is not None for k in (ks, kt)):
+        return False
+    return not any(
+        s in reaches and t in plan.reached_from_class[cid]
+        for cid, reaches in plan.reaches_class.items()
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(6, 18),
+    density=st.floats(0.8, 2.5),
+    num_shards=st.integers(2, 4),
+    graph_seed=st.integers(0, 10**6),
+    order=st.randoms(use_true_random=False),
+)
+def test_cross_fixpoint_is_order_independent(
+    n, density, num_shards, graph_seed, order
+):
+    """Chaotic iteration is confluent: whatever order the closure
+    replies of one group land in, the drained fixpoint equals the BFS
+    oracle, and the per-shard ``sent`` masks only ever grow (which is
+    what bounds it)."""
+    graph = random_graph(n, int(n * density), seed=graph_seed)
+    plan = partition_graph(graph, num_shards)
+    verts = sorted(graph.vertices())
+    pairs = [
+        (s, t) for s in verts for t in verts if fixpoint_decides(plan, s, t)
+    ]
+    order.shuffle(pairs)
+    pairs = pairs[:64]
+    if not pairs:
+        return
+    group = GroupState(plan, pairs)
+    sent_before = {}
+
+    def flush():
+        posts = group.flush(plan)
+        for shard, masks in group.sent.items():
+            for v, mask in masks.items():
+                before = sent_before.get((shard, v), 0)
+                assert mask & before == before, (shard, v)
+                sent_before[(shard, v)] = mask
+        return posts
+
+    posted = flush()
+    while posted:
+        shard, seeds = posted.pop(order.randrange(len(posted)))
+        probes = [
+            *plan.boundary_out.get(shard, []),
+            *group.targets_in.get(shard, {}),
+        ]
+        group.absorb(plan, shard, local_closure(plan, shard, seeds, probes))
+        posted.extend(flush())
+    for (s, t), (answer, how) in group.verdicts().items():
+        assert how == "cross"
+        assert answer == is_reachable_bfs(graph, s, t), (s, t)
+
+
+# ----------------------------------------------------------------------
 # Worker fleet (tier 2: spawns processes; needs numpy kernels)
 # ----------------------------------------------------------------------
 needs_fleet = pytest.mark.skipif(
@@ -287,7 +375,6 @@ class TestRouter:
         assert stats["plan"]["num_shards"] == router.num_shards
         assert stats["healthy"] is True
         assert stats["workers_alive"] == router.num_shards
-        assert stats["mode"] == "pipelined"
         assert stats["num_workers"] == router.num_shards
         assert stats["inflight_window"] >= 1
         assert stats["counters"].get("deploys", 0) >= 1
@@ -454,7 +541,9 @@ def test_kill_midwave_releases_cleanly():
         # Post a wave and kill before collecting the reply — the seam a
         # crash-mid-batch lands on.
         victim = router._workers[0]
-        victim.post(("wave", router.version, 0, pairs, "forward", None, None))
+        victim.conn.send(
+            (0, ("wave", router.version, 0, pairs, "forward", None, None))
+        )
         victim.kill()
         assert not victim.process.is_alive()  # reaped, not a zombie
         # SIGKILL skipped all worker cleanup; the router's segments must
@@ -478,59 +567,75 @@ def test_kill_midwave_releases_cleanly():
 @needs_fleet
 @pytest.mark.shard
 def test_worker_death_mid_cross_fixpoint(monkeypatch):
-    """SIGKILL a worker *between* scatter rounds of the cross-shard
-    fixpoint: the affected groups fall back unresolved (all-or-nothing —
-    a partial fixpoint could answer a lane falsely), nothing wedges, and
-    the service's local fallback keeps every answer oracle-exact."""
+    """SIGKILL a worker *mid-fixpoint*: the reactor is about to absorb
+    the second ``reach`` reply of a cross group when the replying worker
+    dies and the reply is lost with it. The group falls back unresolved
+    as a whole (all-or-nothing — a partial fixpoint could answer a lane
+    falsely), nothing wedges, and the service's local fallback keeps
+    every answer oracle-exact."""
     from repro.service import ReachabilityService
+    from repro.shard.pipeline import _CrossJob
 
     graph = chain_graph(num_cycles=24)
     pairs = sample_pairs(graph, 150, seed=13)
     with ReachabilityService(
         # No label tier: its batch prefilter would answer the cross-shard
         # pairs before any worker round trip, and this test needs the
-        # fixpoint to actually run. Sync mode: the round-based fixpoint
-        # (and its ``_scatter`` seam) only exists with pipelining off —
-        # the pipelined equivalent is covered by the mid-pipeline kill
-        # tests below.
+        # fixpoint to actually run.
         graph.copy(), shards=3, num_supportive=0, cache_capacity=4,
-        use_labels=False, shard_pipeline=False,
+        use_labels=False,
     ) as svc:
         svc.query_batch(pairs[:10], strategy="bitparallel")
         router = svc.router
         assert router is not None
-        original = router._scatter
-        state = {"reach_rounds": 0}
+        original = PipelineRun._on_reply
+        state = {"reach_replies": {}, "killed": False, "doomed": ()}
 
-        def sabotaged(msgs):
-            if any(m[0] == "reach" for m in msgs.values()):
-                state["reach_rounds"] += 1
-                if state["reach_rounds"] == 2:
-                    victim = router._workers[next(iter(msgs))]
-                    if victim.process.is_alive():
-                        os.kill(victim.process.pid, signal.SIGKILL)
-                        victim.process.join(5)
-            return original(msgs)
+        def sabotaged(self, widx, reply):
+            entry = self._inflight.get(reply[0])
+            if (
+                not state["killed"]
+                and entry is not None
+                and isinstance(entry[0], _CrossJob)
+            ):
+                group = entry[0].group
+                seen = state["reach_replies"][id(group)] = (
+                    state["reach_replies"].get(id(group), 0) + 1
+                )
+                if seen == 2:
+                    state["killed"] = True
+                    state["doomed"] = set(group.pairs)
+                    victim = router._workers[widx]
+                    os.kill(victim.process.pid, signal.SIGKILL)
+                    victim.process.join(5)
+                    # The death beats the read: the reply is lost with
+                    # the worker, as if the recv had hit EOF instead.
+                    raise EOFError("worker died before its reply was read")
+            return original(self, widx, reply)
 
-        monkeypatch.setattr(router, "_scatter", sabotaged)
+        monkeypatch.setattr(PipelineRun, "_on_reply", sabotaged)
         outcomes = svc.query_batch(pairs, strategy="bitparallel")
         for (s, t), outcome in zip(pairs, outcomes):
             assert outcome.answer == is_reachable_bfs(graph, s, t), (s, t)
-        assert state["reach_rounds"] >= 2  # the sabotage actually fired
+            if (s, t) in state["doomed"]:
+                assert outcome.via != "shard", (s, t)  # no lane survived
+        assert state["killed"]  # the sabotage actually fired
         counters = svc.stats()["counters"]
         assert counters.get("shard_unresolved", 0) > 0
+        assert router.counters.get("worker_failures", 0) >= 1
 
 
 # ----------------------------------------------------------------------
-# Pipelined execution (PR 10): tagged protocol, scheduler, scalar routing
+# The scheduler: wire protocol, backpressure, containment, scalar routing
 # ----------------------------------------------------------------------
 @needs_fleet
 @pytest.mark.shard
 def test_tagged_protocol_reply_matching(fleet):
-    """The wire protocol: multiple tagged requests in flight on one pipe
-    echo their ids back, any worker serves any shard's wave (the pool
-    has every segment attached), and untagged control messages keep the
-    legacy bare-reply shape."""
+    """The wire protocol has one shape: every request is ``(req_id,
+    msg)`` and every reply ``(req_id, reply)`` — control messages
+    included. Multiple requests in flight on one pipe echo their ids
+    back, and any worker serves any shard's wave (the pool has every
+    segment attached)."""
     graph, router = fleet
     worker = router._workers[0]
     worker.conn.send((11, ("ping",)))
@@ -557,46 +662,60 @@ def test_tagged_protocol_reply_matching(fleet):
     for (s, t), answer in zip(wave_pairs, reply[1]):
         assert answer == is_reachable_bfs(sub, s, t), (s, t)
 
-    worker.conn.send(("ping",))
-    assert worker.conn.recv() == ("ok", router.version)
+    # The control plane's one entry speaks the same shape and checks
+    # the echoed id.
+    assert worker.call(("ping",), 20.0) == ("ok", router.version)
+    assert worker.call(("probe", router.version), 20.0)[0] == "ok"
 
 
 @needs_fleet
 @pytest.mark.shard
-def test_sync_mode_batch_matches_oracle():
-    """pipeline=False keeps the round-synchronous path alive (the bench
-    baseline): oracle-exact, counts rounds not pipeline batches, and its
-    rewritten ``connection.wait`` gather drains every posted reply."""
-    # num_cycles != the module fixture's default: segment names embed
-    # (pid, shard, version), so a same-version second fleet would clash.
-    graph = chain_graph(num_cycles=32)
-    pairs = sample_pairs(graph, 200, seed=19)
-    router = ShardRouter(graph, 3, pipeline=False, call_timeout_s=20.0)
+def test_two_routers_share_a_process():
+    """Two routers over equal-version graphs publish the same (shard,
+    version) pairs; each router's token keeps the segment names apart,
+    both serve exactly, and both unlink everything they published."""
+    graph = chain_graph(num_cycles=16)
+    twin = graph.copy()
+    assert twin.version == graph.version
+    pairs = sample_pairs(graph, 80, seed=19)
+    preexisting = set(shm_segments())
+    first = ShardRouter(graph, 2, call_timeout_s=20.0)
     try:
-        assert router.stats()["mode"] == "sync"
-        resolved, unresolved = router.execute_batch(pairs)
-        assert not unresolved
-        for (s, t), (answer, how) in resolved.items():
-            assert answer == is_reachable_bfs(graph, s, t), (s, t, how)
-        assert router.counters.get("route_pipeline_batches", 0) == 0
-        assert router.counters.get("route_cross_rounds", 0) >= 1
-        # A second batch proves the pipes stayed request/reply coherent.
-        resolved, unresolved = router.execute_batch(pairs[:50])
-        assert not unresolved
+        second = ShardRouter(twin, 2, call_timeout_s=20.0)
+        try:
+            names = [h.name for h in first._segments + second._segments]
+            assert len(set(names)) == len(names)
+            prefix = f"ifca{os.getpid()}s"  # what teardown audits match on
+            assert all(name.startswith(prefix) for name in names)
+            for router in (first, second):
+                resolved, unresolved = router.execute_batch(pairs)
+                assert not unresolved
+                for (s, t), (answer, how) in resolved.items():
+                    assert answer == is_reachable_bfs(graph, s, t), (s, t, how)
+        finally:
+            second.close()
     finally:
-        router.close()
+        first.close()
+    assert set(shm_segments()) <= preexisting
+
+
+@pytest.fixture
+def window_of_one(monkeypatch):
+    """Serialize each worker: one tagged request in flight at a time."""
+    monkeypatch.setattr(pipeline, "INFLIGHT_WINDOW", 1)
 
 
 @needs_fleet
 @pytest.mark.shard
-def test_inflight_window_backpressure():
+def test_inflight_window_backpressure(window_of_one):
     """window=1 floods: more jobs than window slots must stall the queue
     (counted) rather than overrun the pipes, and every verdict stays
     oracle-exact with replies matched out of posted order."""
     graph = chain_graph(num_cycles=36)
     pairs = sample_pairs(graph, 400, seed=23)
-    router = ShardRouter(graph, 3, inflight_window=1, call_timeout_s=20.0)
+    router = ShardRouter(graph, 3, call_timeout_s=20.0)
     try:
+        assert router.stats()["inflight_window"] == 1
         resolved, unresolved = router.execute_batch(pairs)
         assert not unresolved
         for (s, t), (answer, how) in resolved.items():
@@ -609,19 +728,14 @@ def test_inflight_window_backpressure():
 
 @needs_fleet
 @pytest.mark.shard
-def test_sigkill_mid_pipeline_contains_to_one_worker(monkeypatch):
+def test_sigkill_mid_pipeline_contains_to_one_worker(monkeypatch, window_of_one):
     """SIGKILL one worker while the reactor has many jobs in flight:
     only that worker's jobs (and their groups, all-or-nothing) fail,
     surviving workers' replies keep landing, nothing wedges, and a
     respawn re-attaches the same plan for a clean follow-up batch."""
-    from repro.shard.pipeline import PipelineRun
-
     graph = chain_graph(num_cycles=24)
     pairs = sample_pairs(graph, 400, seed=25)
-    router = ShardRouter(
-        graph, 3, inflight_window=1, call_timeout_s=20.0,
-        auto_respawn=False,
-    )
+    router = ShardRouter(graph, 3, call_timeout_s=20.0, auto_respawn=False)
     try:
         original = PipelineRun._pump
         state = {"pumps": 0, "killed": False}
@@ -659,18 +773,13 @@ def test_sigkill_mid_pipeline_contains_to_one_worker(monkeypatch):
 
 @needs_fleet
 @pytest.mark.shard
-def test_sigstop_mid_pipeline_convicted_by_timeout(monkeypatch):
+def test_sigstop_mid_pipeline_convicted_by_timeout(monkeypatch, window_of_one):
     """SIGSTOP freezes a worker without closing its pipe — only the
     in-flight age watchdog can convict it. The batch must complete with
     the stopped worker's jobs contained, never wedge on the dead pipe."""
-    from repro.shard.pipeline import PipelineRun
-
     graph = chain_graph(num_cycles=24)
     pairs = sample_pairs(graph, 400, seed=27)
-    router = ShardRouter(
-        graph, 3, inflight_window=1, call_timeout_s=1.5,
-        auto_respawn=False,
-    )
+    router = ShardRouter(graph, 3, call_timeout_s=1.5, auto_respawn=False)
     try:
         original = PipelineRun._wait_once
         state = {"waits": 0}

@@ -410,3 +410,20 @@ def test_replica_backoff_grows_while_down_and_resets_on_subscribe(tmp_path):
                     await node.close()
 
     run(scenario())
+
+
+# ----------------------------------------------------------------------
+# chaos-net artifacts hygiene
+# ----------------------------------------------------------------------
+def test_chaos_net_clears_only_the_journals_it_will_write(tmp_path):
+    """A reused ``--artifacts`` directory holds the previous run's WALs;
+    a scenario must start from journals it wrote, and touch nothing
+    else in the directory."""
+    from repro.net.chaos import _clear_journals
+
+    stale = ["replica0.wal", "replica0.ckpt", "replica0.wal.tmp", "primary.wal"]
+    foreign = ["partition_replica.wal", "supervisor.log", "notes.wal.txt"]
+    for name in stale + foreign:
+        (tmp_path / name).write_text("left over from another run\n")
+    _clear_journals(tmp_path, "primary", "replica0", "replica1")  # replica1: absent
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(foreign)
