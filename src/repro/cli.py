@@ -275,8 +275,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=0,
         help="deploy this many shared-memory shard-worker processes and "
-        "route batched queries through the scatter–gather router "
-        "(0/1 = single-process serving)",
+        "route queries no index rung answers through the scatter–gather "
+        "router (0/1 = single-process serving)",
     )
     sb.add_argument(
         "--shard-locality",

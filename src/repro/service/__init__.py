@@ -20,7 +20,7 @@ from repro.service.batcher import (
 from repro.service.cache import VersionedQueryCache
 from repro.service.concurrency import RWLock, ServiceTimeout
 from repro.service.driver import ReplayResult, replay_workload
-from repro.service.engine import QueryOutcome, QueryPlan, ReachabilityService
+from repro.service.engine import QueryOutcome, ReachabilityService
 from repro.service.fastpath import FastPathPruner, UpdateEffect
 from repro.service.faults import (
     NAMED_PLANS,
@@ -47,7 +47,6 @@ __all__ = [
     "InjectedFault",
     "NAMED_PLANS",
     "QueryOutcome",
-    "QueryPlan",
     "RWLock",
     "ReachabilityService",
     "ReplayResult",

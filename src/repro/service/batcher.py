@@ -29,18 +29,16 @@ a raw list of ``(s, t)`` pairs and produces *waves* ready for
 scaled by word count, against the batch's expected scalar cost from live
 engine-stage latency.
 
-With sharding on, the engine inserts a **route rung** around this
-planner: batches consult the shard fleet (O(1) partition rules, then
-pipelined worker waves) *before* the per-pair prefilter here, and scalar
-queries consult it between the cache and the engine stage. The rung
-ordering is deliberate: routing is
-dict-probe cheap per pair and exact, so it runs where it can shadow the
-most downstream work, while the planner stays the single place that
+The engine calls :func:`plan_batch` once per ladder walk, at every width
+(a point query is a batch of one): it *is* the index rungs. The rung
+order is stated once, in :mod:`repro.service.engine`'s module docstring
+— dedup, trivial verdicts, fast path, cache, labels here; then the
+deadline pre-check; then the search rungs (shard fleet, these waves,
+engine, degraded). The cache probe sits here, ahead of the shard rung,
+because a pair the fleet had to *search* would otherwise be searched
+again on every recurrence; and the planner stays the single place that
 guarantees trivial-verdict safety (``s == t``, missing endpoints) for
-whatever survives. Both rungs speak the same verdict surface — a
-``RouteFn``-shaped callable returning exact ``(answer, how)`` verdicts
-for the subset it could answer — so a degraded fleet simply shrinks the
-resolved map and the ladder below notices nothing.
+whatever any later rung receives.
 """
 
 from __future__ import annotations
@@ -64,11 +62,6 @@ CacheFn = Callable[[int, int], Optional[bool]]
 #: costs one call for the entire batch (see
 #: :meth:`repro.graph.labels.LabelIndex.query_many`).
 LabelFilterFn = Callable[[Sequence[Pair]], Optional[Sequence[int]]]
-#: ``route(pairs)`` -> exact ``pair -> (answer, how)`` verdicts for the
-#: subset the shard fleet answered (rule hits, label hits, worker waves,
-#: cross-shard joins). Pairs absent from the map stay on the local
-#: ladder — the route rung accelerates, it never gates.
-RouteFn = Callable[[Sequence[Pair]], Dict[Pair, Tuple[bool, str]]]
 
 
 @dataclass(frozen=True)
@@ -131,12 +124,19 @@ def plan_batch(
     cache_get: Optional[CacheFn] = None,
     label_filter: Optional[LabelFilterFn] = None,
     max_wave_lanes: int = 64,
+    pack: bool = True,
 ) -> BatchPlan:
     """Dedup, pre-filter, and pack one batch into kernel waves.
 
     ``label_filter`` runs *after* the per-pair ladder over everything it
     left pending — one vectorized gather over the label matrices kills
     exact positives and negatives before any wave is packed.
+
+    ``pack=False`` stops after the filters: ``pending`` stays in arrival
+    order and ``waves`` empty. The engine's walk plans this way — only
+    its wave rung packs (:func:`pack_waves`), over what the rungs in
+    between left, so pairs an earlier search rung answers are never
+    sorted or degree-probed.
     """
     if max_wave_lanes < 1:
         raise ValueError("max_wave_lanes must be positive")
@@ -187,9 +187,10 @@ def plan_batch(
                     survivors.append(pair)
             plan.pending = survivors
 
-    plan.pending, plan.waves = pack_waves(
-        plan.pending, graph=graph, max_wave_lanes=max_wave_lanes
-    )
+    if pack:
+        plan.pending, plan.waves = pack_waves(
+            plan.pending, graph=graph, max_wave_lanes=max_wave_lanes
+        )
     return plan
 
 
@@ -204,9 +205,8 @@ def pack_waves(
     Endpoint-sorted packing: pairs sharing a source (then target) sit in
     adjacent lanes, so their bits share words and frontier rows. Returns
     the sorted pending list and the waves covering exactly that list —
-    the tail of :func:`plan_batch`, exposed separately so callers that
-    thin a planned batch (the shard router resolving most of it) can
-    repack the survivors under the same discipline.
+    the tail of :func:`plan_batch`, and what the engine's wave rung calls
+    on its survivors.
     """
     pending = sorted(pairs)
     waves = []

@@ -1,56 +1,68 @@
 """The concurrent reachability query-serving engine.
 
 :class:`ReachabilityService` wraps one :class:`DynamicDiGraph` plus an
-exact reachability method (IFCA by default) behind a staged serving
-pipeline:
+exact reachability method (IFCA by default) behind one ordered ladder
+of rungs: cheap exact observations first, searches after.
 
-1. **fast path** — O(1) observations (:mod:`repro.service.fastpath`);
-2. **cache** — version-stamped LRU lookups (:mod:`repro.service.cache`);
-3. **engine** — the full exact search, whose answer is cached;
-4. **degraded** — when the query's budget (deadline, edge ceiling, or a
-   cancel token) expires — before the search starts *or cooperatively in
-   the middle of it* — a budget-bounded bidirectional search answers
-   instead, seeded with the interrupted search's partial state when the
-   engine could export it soundly. If it completes inside its own budget
-   (a meet, or a frontier exhausted) the answer is still exact; only a
-   budget overrun returns the approximate best guess ``confident=False``.
+The ladder: a point query is a batch of one
+-------------------------------------------
+:meth:`~ReachabilityService.query` / :meth:`~ReachabilityService.submit`
+(width 1) and :meth:`~ReachabilityService.query_batch` (width N) run the
+same walk, :meth:`ReachabilityService._walk`: ``pairs -> outcomes``
+under one read-lock hold at one graph version. Every pair tries the
+rungs in this order and stops at the first that answers:
 
-Plan / execute split
---------------------
-Each query runs in two steps under one read-lock hold. *Planning*
-(:meth:`ReachabilityService._plan_query`) performs everything that needs
-the coherent snapshot but no search: the fast-path verdict, the cache
-probe, the deadline pre-check, the on-demand CSR freeze, and the budget
-construction. It returns an immutable :class:`QueryPlan` naming one of
-three actions. *Execution* dispatches the plan through a flat executor
-table — resolved plans just unwrap their outcome; engine plans run the
-search (breaker + fallback ladder included); degraded plans go straight
-to the bounded search. Batch serving reuses the same split: the batch
-planner resolves what it can, and the surviving pairs execute as shard
-routes, bit-parallel waves, or scalar pipeline runs.
+1. **index rungs** — one :func:`~repro.service.batcher.plan_batch`
+   call: dedup, trivial verdicts, fast path, cache, then one vectorised
+   DL/BL label filter over whatever is left;
+2. **deadline pre-check** — an expired deadline sends the survivors
+   straight to the last rung (``detail="pre-engine:..."``);
+3. **search rungs** (:attr:`ReachabilityService._SEARCH_RUNGS`), each
+   ``survivors -> survivors``: *shard* (the fleet's O(1) partition rules
+   and worker waves), *waves* (64-lane bit-parallel BiBFS, when
+   ``strategy`` / the cost model picks it), *engine* (the exact method
+   behind the breaker, with the dict-substrate fallback twin),
+   *degraded* (the bounded search — it answers everything left).
+
+The degraded rung runs when a query's budget (deadline, edge ceiling, or
+a cancel token) expires — before the search starts *or cooperatively in
+the middle of it* — seeded with the interrupted search's partial state
+when the engine could export it soundly. If it completes inside its own
+budget (a meet, or a frontier exhausted) the answer is still exact; only
+a budget overrun returns the best guess flagged ``confident=False``.
+
+The cache sits before the shard rung because a routed ``wave`` /
+``cross`` pair would otherwise re-run its worker search on every
+recurrence under skewed traffic; the fleet's rule verdicts re-derive in
+O(1), so only searched verdicts earn a cache slot. A rung that raises is
+counted (``stage_errors_<rung>``) and skipped. Pairs a rung leaves
+behind — auto chose scalar, a wave failed, the budget ran out
+mid-batch, the fleet is stale or degraded — reach the next rung inline
+and already filtered: nothing re-enters the ladder, and nothing waits on
+the worker pool while the read lock is held (the lock is not reentrant
+and writers queue behind it, so that wait could deadlock).
 
 Sharded serving (``shards=K``)
 ------------------------------
-With ``shards >= 2`` (and kernels available) the service lazily deploys
-a :class:`~repro.shard.router.ShardRouter`: the graph is partitioned
-along its SCC condensation into K shared-memory CSR shards served by a
-pool of spawned worker processes (every worker attaches every shard),
-and batch queries route through O(1)
-partition verdicts, intra-shard worker waves, and cross-shard
-scatter–gather joins before anything falls back to the local pipeline.
-Routing is strictly an accelerator: pairs the router cannot answer
-(worker death, budget, stale epoch) re-enter the single-process ladder,
+With ``shards >= 2`` (and kernels available) the shard rung lazily
+deploys a :class:`~repro.shard.router.ShardRouter`: the graph is
+partitioned along its SCC condensation into K shared-memory CSR shards
+served by a pool of spawned worker processes (every worker attaches
+every shard). Routing is strictly an accelerator: pairs the router
+cannot answer (worker death, budget, stale epoch) stay on the ladder,
 so a degraded fleet degrades throughput, never availability. The fleet
-re-anchors to a new graph epoch after ``shard_refresh_threshold``
-batches arrive at the newer version (repartitioning is seconds-scale, so
-it is amortized exactly like the CSR freeze threshold).
+re-anchors to a new graph epoch after ``shard_refresh_threshold`` walks
+arrive at the newer version (repartitioning is seconds-scale, so it is
+amortized exactly like the CSR freeze threshold). An in-process
+``query()`` routes like any other width-1 walk: it may deploy the fleet
+and it waits for the route lock, as every wire client's query does.
 
 Fault tolerance (the containment ladder)
 ----------------------------------------
 Every stage is allowed to fail without failing the query:
 
-* fast-path / cache / freeze errors fall through to the next stage
-  (counted as ``stage_errors_*``);
+* index-rung (fast path, labels, cache), shard-rung and freeze errors
+  fall through to the next rung (counted as ``stage_errors_*``);
 * engine errors feed the substrate :class:`~repro.service.faults.CircuitBreaker`
   and the query retries on the lazily built dict-substrate fallback twin
   (``via="engine-fallback"``); an open breaker routes queries straight to
@@ -101,7 +113,12 @@ from repro.graph.bitsearch import csr_bit_bibfs
 from repro.graph.digraph import DynamicDiGraph
 from repro.graph.journal import JournalReplayError, UpdateJournal
 from repro.graph.labels import LabelIndex, labels_available
-from repro.service.batcher import BatchCostModel, CacheFn, plan_batch
+from repro.service.batcher import (
+    BatchCostModel,
+    Pair,
+    pack_waves,
+    plan_batch,
+)
 from repro.service.cache import VersionedQueryCache
 from repro.service.concurrency import RWLock
 from repro.service.fastpath import FastPathPruner, UpdateEffect
@@ -140,37 +157,21 @@ class QueryOutcome:
     retry_after_ms: Optional[int] = None
 
 
-#: :class:`QueryPlan` actions — the complete executor dispatch domain.
-PLAN_RESOLVED = "resolved"
-PLAN_DEGRADED = "degraded"
-PLAN_ENGINE = "engine"
+class _Walk:
+    """One ladder walk's state, fixed under one read-lock hold."""
 
+    __slots__ = ("version", "deadline", "strategy", "outcomes", "why")
 
-@dataclass(frozen=True)
-class QueryPlan:
-    """One query's decided course of action, fixed under the read lock.
-
-    Planning is the half of the pipeline that needs the coherent
-    snapshot but runs no search: fast-path observation, cache probe,
-    deadline pre-check, CSR freeze-on-demand, and budget construction.
-    The plan is immutable; executors
-    (:attr:`ReachabilityService._EXECUTORS`) consume it statelessly, so
-    the same plan object could be replayed or shipped to another
-    executor without re-deriving any verdict.
-    """
-
-    source: int
-    target: int
-    #: Graph version the plan (and any resolved outcome) is exact for.
-    version: int
-    #: ``"resolved"`` | ``"degraded"`` | ``"engine"``.
-    action: str
-    #: The finished outcome, for ``action="resolved"`` plans only.
-    outcome: Optional[QueryOutcome] = None
-    #: The engine stage's cooperative budget (``action="engine"``).
-    budget: Optional[Budget] = None
-    #: Why a ``"degraded"`` plan skipped the engine (detail prefix).
-    why: str = ""
+    def __init__(
+        self, version: int, deadline: Optional[float], strategy: str
+    ) -> None:
+        self.version = version
+        self.deadline = deadline
+        #: ``"scalar"`` (no wave rung) | ``"bitparallel"`` | ``"auto"``.
+        self.strategy = strategy
+        self.outcomes: Dict[Pair, QueryOutcome] = {}
+        #: Why the degraded rung is answering (its detail prefix).
+        self.why = ""
 
 
 _DEFAULT_POLICY = StagePolicy()
@@ -209,8 +210,9 @@ class ReachabilityService:
         Let the default IFCA engine run its *guided phase* on the
         array-state push kernels too (``IFCAParams.use_push_kernels``).
     csr_freeze_threshold:
-        How many engine-stage queries one graph version must attract
-        before its snapshot is frozen.
+        How many pairs one graph version must send to the engine rung
+        before its snapshot is frozen (a wave rung freezes at once: the
+        batch amortizes its own freeze).
     journal:
         An :class:`~repro.graph.journal.UpdateJournal`, or a path to open
         one at (the service then owns and closes it). Every effective
@@ -231,31 +233,20 @@ class ReachabilityService:
         ``update``: ``timeout_s`` bounds write-lock acquisition.
     breaker_failures, breaker_probe_s:
         Circuit-breaker trip threshold and half-open probe interval.
-    batch_wave_lanes:
-        Maximum queries packed into one bit-parallel kernel wave by
-        :meth:`query_batch`. The default of 64 keeps every wave on the
-        kernel's single-word fast path (one uint64 label word).
-    batch_cost_model:
-        The :class:`~repro.service.batcher.BatchCostModel` behind the
-        ``strategy="auto"`` scalar/bit-parallel cutover.
     shards:
         Deploy a :class:`~repro.shard.router.ShardRouter` of this many
-        shared-memory shard-worker processes and route batch queries
-        through it before the local bit/scalar ladder. ``0``/``1`` (or
-        kernels unavailable) keeps single-process serving; the router is
-        built lazily on the first routed batch and torn down by
-        :meth:`close`. Worker failures are contained: unrouted pairs
-        fall back to the local pipeline. Scalar :meth:`query` consults
-        an already-deployed fleet too: the router's O(1) rule ladder
-        answers between the cache and the local engine, and a
-        searchable miss rides the scheduler as a 1-lane wave when the
-        fleet is idle. Scalar queries never deploy the fleet and never
-        wait for a batch holding it.
+        shared-memory shard-worker processes as the ladder's first
+        search rung. ``0``/``1`` (or kernels unavailable) keeps
+        single-process serving; the router is built lazily by the first
+        walk that reaches the rung and torn down by :meth:`close`.
+        Worker failures are contained: unrouted pairs stay on the
+        ladder.
     shard_refresh_threshold:
-        Batches that must arrive at a *newer* graph version before the
-        shard fleet repartitions and re-anchors there (repartitioning is
-        expensive, so epochs are amortized like CSR freezes). Until the
-        refresh, batches on the new version simply skip the router.
+        Walks that must reach the shard rung at a *newer* graph version
+        before the fleet repartitions and re-anchors there
+        (repartitioning is expensive, so epochs are amortized like CSR
+        freezes). Until the refresh, walks on the new version skip the
+        rung.
     shard_call_timeout_s:
         Per-message worker round-trip timeout; a worker that exceeds it
         is declared dead and its pairs fall back locally.
@@ -266,15 +257,12 @@ class ReachabilityService:
         stays degraded until the next epoch refresh.
     use_labels:
         Stand up the incremental DL/BL label tier
-        (:class:`~repro.graph.labels.LabelIndex`) as the third pruner:
-        fast path -> labels -> cache -> engine on the scalar ladder, and
-        one vectorized prefilter per batch/route. Skipped without numpy.
+        (:class:`~repro.graph.labels.LabelIndex`) as the last index
+        rung: one vectorized filter per walk over the pairs the fast
+        path and the cache left. Skipped without numpy.
     label_bits:
         Bits per label side per vertex (multiple of 64; word 0 is the
         exact landmark word, the rest bloom words).
-    label_staleness_threshold:
-        Dirty-row fraction past which the lazy repair abandons partial
-        rebuilds for a full one.
     fallback_factory:
         Builds the engine-stage fallback method (default: a dict-substrate
         ``IFCAMethod`` with all kernels off — deliberately not sharing the
@@ -300,21 +288,17 @@ class ReachabilityService:
         push_kernels: bool = True,
         csr_freeze_threshold: int = 2,
         journal: Union[UpdateJournal, str, Path, None] = None,
-        journal_fsync_every: int = 64,
         fault_plan: Union[FaultPlan, FaultInjector, None] = None,
         max_pending: int = 0,
         stage_policies: Optional[Dict[str, StagePolicy]] = None,
         breaker_failures: int = 3,
         breaker_probe_s: float = 0.25,
-        batch_wave_lanes: int = 64,
-        batch_cost_model: Optional[BatchCostModel] = None,
         shards: int = 0,
         shard_refresh_threshold: int = 8,
         shard_call_timeout_s: float = 30.0,
         shard_respawn: bool = True,
         use_labels: bool = True,
         label_bits: int = 256,
-        label_staleness_threshold: float = 0.25,
         fallback_factory: Optional[
             Callable[[DynamicDiGraph], ReachabilityMethod]
         ] = None,
@@ -380,8 +364,8 @@ class ReachabilityService:
         self._router_demand_version = -1
         self._router_failures = 0
 
-        # The DL/BL label tier: the ladder's third pruner, between the
-        # O'Reach fast path and the cache/engine. Numpy-only; a failed
+        # The DL/BL label tier: the last index rung, after the O'Reach
+        # fast path and the cache. Numpy-only; a failed
         # build just leaves the tier off (counted) — labels are an
         # acceleration, never a dependency.
         self._labels: Optional[LabelIndex] = None
@@ -389,20 +373,13 @@ class ReachabilityService:
         self._label_failures = 0
         if use_labels and labels_available():
             try:
-                self._labels = LabelIndex(
-                    self.graph,
-                    label_bits=label_bits,
-                    staleness_threshold=label_staleness_threshold,
-                )
+                self._labels = LabelIndex(self.graph, label_bits=label_bits)
             except Exception:
                 self._stats.incr("stage_errors_labels")
 
         self._policies = dict(stage_policies) if stage_policies else {}
         self._breaker = CircuitBreaker(breaker_failures, breaker_probe_s)
-        self._batch_wave_lanes = max(1, batch_wave_lanes)
-        self._batch_cost = (
-            batch_cost_model if batch_cost_model is not None else BatchCostModel()
-        )
+        self._batch_cost = BatchCostModel()
         self._cancel = CancelToken()
         self.max_pending = max(0, max_pending)
         self._pending = 0
@@ -410,11 +387,7 @@ class ReachabilityService:
 
         self._owns_journal = isinstance(journal, (str, Path))
         self._journal: Optional[UpdateJournal] = (
-            UpdateJournal(
-                journal,
-                fsync_every=journal_fsync_every,
-                graph_version=self.graph.version,
-            )
+            UpdateJournal(journal, graph_version=self.graph.version)
             if self._owns_journal
             else journal
         )
@@ -524,11 +497,22 @@ class ReachabilityService:
         """Route an edge deletion through the service."""
         return self._update(u, v, insert=False)
 
-    def _update(self, u: int, v: int, insert: bool) -> UpdateEffect:
+    def _update(
+        self, u: int, v: int, insert: bool, stamped: Optional[int] = None
+    ) -> Optional[UpdateEffect]:
+        """Apply one mutation under the write lock.
+
+        ``stamped`` is a shipped journal record's version (the
+        replication write path): records at or below the watermark are
+        skipped (``None``) and the landed version must equal the stamp.
+        """
         self._check_open()
         start = time.perf_counter()
-        timeout = self._policy("update").timeout_s
-        with self._lock.write_timeout(timeout):
+        with self._lock.write_timeout(self._policy("update").timeout_s):
+            locked = time.perf_counter()
+            if stamped is not None and stamped <= self.graph.version:
+                self._stats.incr("replica_stale_records")
+                return None
             # Fire *before* any mutation: an injected (or real) update
             # fault propagates to the caller with the graph, pruner, and
             # journal all untouched — failed updates are atomic.
@@ -537,10 +521,22 @@ class ReachabilityService:
                 effect = self._pruner.apply_insert(u, v)
             else:
                 effect = self._pruner.apply_delete(u, v)
+            if stamped is not None:
+                if not effect.changed or effect.version != stamped:
+                    raise JournalReplayError(
+                        f"replicated record {'+' if insert else '-'}{(u, v)} "
+                        f"stamped {stamped} landed at version {effect.version} "
+                        f"(changed={effect.changed}) — replica has diverged "
+                        "from the primary's base state"
+                    )
+                self._stats.incr("replica_applied_records")
             if effect.changed:
                 self._journal_record(insert, u, v, effect.version)
             self._note_update(effect, "inserts" if insert else "deletes")
             self._labels_note(effect, u, v, insert)
+        # ``update_wait`` is the share of ``update`` spent queueing for the
+        # write lock behind reader walks (and other writers).
+        self._stats.observe_latency("update_wait", locked - start)
         self._stats.observe_latency("update", time.perf_counter() - start)
         return effect
 
@@ -605,32 +601,10 @@ class ReachabilityService:
         op = record.get("op")
         if op not in ("+", "-"):
             raise ValueError(f"not a mutation record: op={op!r}")
-        u, v, ver = int(record["u"]), int(record["v"]), int(record["ver"])
-        insert = op == "+"
-        self._check_open()
-        start = time.perf_counter()
-        timeout = self._policy("update").timeout_s
-        with self._lock.write_timeout(timeout):
-            if ver <= self.graph.version:
-                self._stats.incr("replica_stale_records")
-                return None
-            self._fire("update")
-            if insert:
-                effect = self._pruner.apply_insert(u, v)
-            else:
-                effect = self._pruner.apply_delete(u, v)
-            if not effect.changed or effect.version != ver:
-                raise JournalReplayError(
-                    f"replicated record {op}{(u, v)} stamped {ver} landed at "
-                    f"version {effect.version} (changed={effect.changed}) — "
-                    "replica has diverged from the primary's base state"
-                )
-            self._journal_record(insert, u, v, effect.version)
-            self._note_update(effect, "inserts" if insert else "deletes")
-            self._labels_note(effect, u, v, insert)
-            self._stats.incr("replica_applied_records")
-        self._stats.observe_latency("update", time.perf_counter() - start)
-        return effect
+        return self._update(
+            int(record["u"]), int(record["v"]), op == "+",
+            stamped=int(record["ver"]),
+        )
 
     @property
     def watermark(self) -> int:
@@ -694,16 +668,17 @@ class ReachabilityService:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
+    def _deadline(self, deadline_s: Optional[float]) -> Optional[float]:
+        """A relative deadline as an absolute ``perf_counter`` stamp."""
+        deadline_s = self.deadline_s if deadline_s is None else deadline_s
+        return time.perf_counter() + deadline_s if deadline_s is not None else None
+
     def query(
         self, source: int, target: int, deadline_s: Optional[float] = None
     ) -> QueryOutcome:
         """Serve one query synchronously on the calling thread."""
         self._check_open()
-        deadline_s = self.deadline_s if deadline_s is None else deadline_s
-        deadline = (
-            time.perf_counter() + deadline_s if deadline_s is not None else None
-        )
-        return self._serve(source, target, deadline)
+        return self._serve(source, target, self._deadline(deadline_s))
 
     def submit(
         self, source: int, target: int, deadline_s: Optional[float] = None
@@ -715,10 +690,7 @@ class ReachabilityService:
         ``via="shed"`` outcome whose detail carries a ``retry-after-ms``
         hint derived from the live engine-stage mean latency.
         """
-        deadline_s = self.deadline_s if deadline_s is None else deadline_s
-        deadline = (
-            time.perf_counter() + deadline_s if deadline_s is not None else None
-        )
+        deadline = self._deadline(deadline_s)
         if self.max_pending:
             with self._pending_lock:
                 if self._pending >= self.max_pending:
@@ -733,6 +705,12 @@ class ReachabilityService:
                 self._serve_tracked, source, target, deadline
             )
         return self._executor().submit(self._serve, source, target, deadline)
+
+    def _serve(
+        self, source: int, target: int, deadline: Optional[float]
+    ) -> QueryOutcome:
+        """A point query is a batch of one (width 1 has no wave rung)."""
+        return self._walk([(source, target)], deadline, "scalar")[0]
 
     def _serve_tracked(
         self, source: int, target: int, deadline: Optional[float]
@@ -794,21 +772,21 @@ class ReachabilityService:
     ) -> List[QueryOutcome]:
         """Serve a batch of pairs, deduplicating repeated pairs.
 
-        ``strategy`` picks the execution path for the deduplicated batch:
+        ``strategy`` picks how pairs no index rung answered are searched:
 
-        * ``"scalar"`` — each distinct pair runs through the per-query
-          pipeline on the worker pool (the pre-existing behavior);
-        * ``"bitparallel"`` — the batch is pre-filtered (fast path +
-          cache) under one read lock, and survivors run as bit-parallel
-          BiBFS waves — 64 queries per uint64 word — over the version's
-          CSR snapshot (:mod:`repro.graph.bitsearch`). Kernel failures
-          feed the circuit breaker and reroute to the scalar path; with
-          kernels unavailable the whole batch runs scalar (counted as
-          ``batch_scalar_fallback``);
+        * ``"scalar"`` — each distinct pair is submitted to the worker
+          pool (admission control applies) and walks the ladder alone;
+        * ``"bitparallel"`` — the batch walks the ladder once and the
+          wave rung sweeps survivors as bit-parallel BiBFS waves — 64
+          queries per uint64 word — over the version's CSR snapshot
+          (:mod:`repro.graph.bitsearch`). Kernel failures feed the
+          circuit breaker and the wave's pairs drop to the engine rung;
+          with kernels unavailable the whole batch runs scalar (counted
+          as ``batch_scalar_fallback``);
         * ``"auto"`` — :class:`~repro.service.batcher.BatchCostModel`
-          compares one sweep's predicted cost against the batch's
-          expected scalar cost (from live engine-stage latency) and picks
-          per batch.
+          compares one sweep's predicted cost against the survivors'
+          expected engine-rung cost (from live engine-stage latency) and
+          keeps or skips the wave rung per batch.
         """
         self._check_open()
         if strategy not in ("auto", "scalar", "bitparallel"):
@@ -820,7 +798,7 @@ class ReachabilityService:
                 and kernels.kernels_enabled()
                 and self._breaker.state == "closed"
             ):
-                return self._query_batch_bitparallel(pairs, deadline_s, strategy)
+                return self._walk(pairs, self._deadline(deadline_s), strategy)
             self._stats.incr("batch_scalar_fallback")
         return self._query_batch_scalar(pairs, deadline_s)
 
@@ -857,291 +835,113 @@ class ReachabilityService:
             outcomes[pair] = outcome
         return [outcomes[pair] for pair in queries]
 
-    def _query_batch_bitparallel(
-        self,
-        queries: List[Tuple[int, int]],
-        deadline_s: Optional[float],
-        strategy: str,
+    # ------------------------------------------------------------------
+    # The ladder (see the module docstring): one walk at every width
+    # ------------------------------------------------------------------
+    def _walk(
+        self, pairs: List[Pair], deadline: Optional[float], strategy: str
     ) -> List[QueryOutcome]:
-        """Pre-filter the batch, then sweep survivors in kernel waves.
+        """Walk ``pairs`` down the ladder; outcomes align with ``pairs``.
 
-        Runs under one read lock. With sharding on, the batch routes
-        through the shard fleet *before* the per-pair prefilter (dedup +
-        cache probe, then one scatter–gather round trip); whatever the
-        fleet leaves behind takes the classic plan (dedup + fast path +
-        cache), then one :func:`~repro.graph.bitsearch.csr_bit_bibfs`
-        call per wave on the version's CSR snapshot. Pairs the kernel cannot answer — the
-        auto cutover chose scalar, the snapshot would not freeze, a wave
-        failed (breaker-counted), or the budget expired mid-batch — are
-        rerouted through the per-query pipeline *after* the lock is
-        released (the read lock is not reentrant and writers queue behind
-        it, so blocking on pool futures while holding it could deadlock).
+        The one place queries take the read lock: index rungs, deadline
+        pre-check and search rungs all see one graph version. A search
+        rung that raises is counted and its survivors fall through.
         """
-        deadline_s = self.deadline_s if deadline_s is None else deadline_s
-        deadline = (
-            time.perf_counter() + deadline_s if deadline_s is not None else None
-        )
-        outcomes: Dict[Tuple[int, int], QueryOutcome] = {}
-        scalar_pairs: List[Tuple[int, int]] = []
-        # Stage observability and fault points are batched: per-pair
-        # timers and injector fires would cost as much as the pre-filter
-        # itself at batch widths, so each stage fires once per batch and
-        # the whole planning pass records one aggregate latency sample
-        # (under "fastpath", which dominates it; both stages are
-        # observability-only — no policy consumes their means).
+        with self._lock.read:
+            walk = _Walk(self.graph.version, deadline, strategy)
+            survivors = self._index_rungs(walk, pairs)
+            rungs = self._SEARCH_RUNGS
+            if (
+                survivors
+                and deadline is not None
+                and time.perf_counter() > deadline
+            ):
+                walk.why = "pre-engine"
+                rungs = rungs[-1:]
+            for stage, rung in rungs:
+                if not survivors:
+                    break
+                try:
+                    survivors = rung(self, walk, survivors)
+                except Exception:
+                    self._stats.incr(f"stage_errors_{stage}")
+        outcomes = walk.outcomes
+        self._stats.incr("queries", len(outcomes))
+        return [outcomes[pair] for pair in pairs]
 
-        def prefilter_check(source: int, target: int):
+    def _fires(self, stage: str) -> bool:
+        """Fire ``stage``'s fault point; ``False`` (counted) if it raised."""
+        try:
+            self._fire(stage)
+        except Exception:
+            self._stats.incr(f"stage_errors_{stage}")
+            return False
+        return True
+
+    def _index_rungs(self, walk: _Walk, pairs: List[Pair]) -> List[Pair]:
+        """The rungs that answer without a search: one ``plan_batch`` call
+        (dedup, trivial verdicts, fast path, cache, one label filter).
+
+        Fault points and the latency sample are per walk, not per pair:
+        per-pair timers would cost as much as the probes themselves, so
+        the whole pass records one sample under ``fastpath`` (which
+        dominates it). A rung whose fault point raises sits this walk
+        out; a probe that raises abstains on that pair.
+        """
+        stats = self._stats
+
+        def check(source: int, target: int):
             try:
                 self._pruner.observe_query()
                 return self._pruner.check(source, target)
             except Exception:
-                self._stats.incr("stage_errors_fastpath")
+                stats.incr("stage_errors_fastpath")
                 return None
 
-        def prefilter_cache_get(source: int, target: int):
+        def cache_get(source: int, target: int):
             try:
                 return self._cache.get(source, target)
             except Exception:
-                self._stats.incr("stage_errors_cache")
+                stats.incr("stage_errors_cache")
                 return None
 
-        with self._lock.read:
-            version = self.graph.version
-            for stage in ("fastpath", "cache"):
-                try:
-                    self._fire(stage)
-                except Exception:
-                    self._stats.incr(f"stage_errors_{stage}")
-            label_filter = self._label_filter_fn()
-            if label_filter is not None:
-                try:
-                    self._labels.observe_query()
-                except Exception:
-                    self._stats.incr("stage_errors_labels")
-            survivors: Sequence[Tuple[int, int]] = queries
-            probe_cache: Optional[CacheFn] = prefilter_cache_get
-            if self._shards >= 2:
-                # Route-before-prefilter: the fleet's rule ladder answers
-                # most of a batch straight from the shard plan's summaries
-                # (dict lookups) and contains the rest in shard-local
-                # waves, so the per-pair Python prefilter would cost more
-                # than everything it skips. Only the cache screens pairs
-                # first — one dict probe each — because a routed "wave"
-                # pair would otherwise re-run its search on every
-                # recurrence under skewed traffic.
-                distinct = list(dict.fromkeys(queries))
-                self._stats.incr(
-                    "batched_dedup", len(queries) - len(distinct)
-                )
-                unseen = distinct
-                if len(self._cache):
-                    unseen = []
-                    hits = 0
-                    cache_get = self._cache.get
-                    try:
-                        for pair in distinct:
-                            cached = cache_get(pair[0], pair[1])
-                            if cached is None:
-                                unseen.append(pair)
-                                continue
-                            hits += 1
-                            outcomes[pair] = QueryOutcome(
-                                pair[0], pair[1], cached, True, "cache",
-                                version, "",
-                            )
-                    except Exception:
-                        # A broken cache degrades to "no hits" for the
-                        # rest of the batch, same as the scalar ladder.
-                        self._stats.incr("stage_errors_cache")
-                        unseen = [
-                            p for p in distinct if p not in outcomes
-                        ]
-                    if hits:
-                        self._stats.incr("cache_hits", hits)
-                        self._stats.incr("batch_prefilter_hits", hits)
-                        self._stats.incr("queries", hits)
-                routed = (
-                    self._route_shards(unseen, version, deadline, label_filter)
-                    if unseen
-                    else {}
-                )
-                if routed:
-                    self._stats.incr("cache_misses", len(routed))
-                    self._stats.incr("queries", len(routed))
-                    searched = []
-                    routed_label_pos = routed_label_neg = 0
-                    for pair, (answer, how) in routed.items():
-                        outcomes[pair] = QueryOutcome(
-                            pair[0], pair[1], answer, True, "shard",
-                            version, how,
-                        )
-                        if how == "wave" or how == "cross":
-                            searched.append((pair, answer))
-                        elif how == "label-pos":
-                            routed_label_pos += 1
-                        elif how == "label-neg":
-                            routed_label_neg += 1
-                    if routed_label_pos:
-                        self._stats.incr("label_hits_pos", routed_label_pos)
-                    if routed_label_neg:
-                        self._stats.incr("label_hits_neg", routed_label_neg)
-                    # Only search verdicts earn a cache slot: a rule
-                    # verdict re-derives in O(1) on the next route, so
-                    # caching it would just evict entries that saved
-                    # real work.
-                    if searched:
-                        self._cache.put_many(
-                            searched, version, confident=True
-                        )
-                    survivors = [p for p in unseen if p not in routed]
-                else:
-                    survivors = unseen
-                probe_cache = None  # probed above; don't re-probe misses
-            plan_start = time.perf_counter()
-            plan = plan_batch(
-                survivors,
-                graph=self.graph,
-                check=prefilter_check,
-                cache_get=probe_cache,
-                label_filter=label_filter,
-                max_wave_lanes=self._batch_wave_lanes,
+        label_filter = self._label_filter_fn()
+        if label_filter is not None:
+            try:
+                self._labels.observe_query()
+            except Exception:
+                stats.incr("stage_errors_labels")
+        start = time.perf_counter()
+        plan = plan_batch(
+            pairs,
+            graph=self.graph,
+            check=check if self._fires("fastpath") else None,
+            cache_get=cache_get if self._fires("cache") else None,
+            label_filter=label_filter,
+            pack=False,  # the wave rung packs what reaches it
+        )
+        stats.observe_latency("fastpath", time.perf_counter() - start)
+        if plan.dedup_saved:
+            stats.incr("batched_dedup", plan.dedup_saved)
+        if plan.prefilter_hits:
+            stats.incr("batch_prefilter_hits", plan.prefilter_hits)
+        if plan.label_pos:
+            stats.incr("label_hits_pos", plan.label_pos)
+        if plan.label_neg:
+            stats.incr("label_hits_neg", plan.label_neg)
+        version, outcomes = walk.version, walk.outcomes
+        for pair, (answer, via, detail) in plan.resolved.items():
+            if via == "fastpath":
+                stats.fastpath_hit(detail)
+            elif via == "cache":
+                stats.incr("cache_hits")
+            outcomes[pair] = QueryOutcome(
+                pair[0], pair[1], answer, True, via, version, detail
             )
-            self._stats.observe_latency(
-                "fastpath", time.perf_counter() - plan_start
-            )
-            self._stats.incr("batched_dedup", plan.dedup_saved)
-            if plan.prefilter_hits:
-                self._stats.incr("batch_prefilter_hits", plan.prefilter_hits)
-            if plan.label_pos:
-                self._stats.incr("label_hits_pos", plan.label_pos)
-            if plan.label_neg:
-                self._stats.incr("label_hits_neg", plan.label_neg)
-            for pair, (answer, via, detail) in plan.resolved.items():
-                if via == "fastpath":
-                    self._stats.fastpath_hit(detail)
-                elif via == "labels":
-                    pass  # tallied above from the plan's label counters
-                else:
-                    self._stats.incr("cache_hits")
-                outcomes[pair] = QueryOutcome(
-                    pair[0], pair[1], answer, True, via, version, detail
-                )
-            self._stats.incr("queries", len(plan.resolved))
-            pending, waves = plan.pending, plan.waves
-            if pending:
-                self._stats.incr("cache_misses", len(pending))
-                use_bits = True
-                if strategy == "auto":
-                    use_bits = self._batch_cost.prefer_bitparallel(
-                        len(pending),
-                        self.graph.num_vertices,
-                        self.graph.num_edges,
-                        self._stats.stage_mean_seconds("engine"),
-                    )
-                    self._stats.incr(
-                        "batch_auto_bitparallel"
-                        if use_bits
-                        else "batch_auto_scalar"
-                    )
-                csr = self._batch_csr() if use_bits else None
-                if use_bits and csr is None:
-                    use_bits = False
-                    self._stats.incr("batch_scalar_fallback")
-                if not use_bits:
-                    scalar_pairs.extend(pending)
-                else:
-                    budget = self._make_budget(deadline, self._policy("engine"))
-                    exhausted = False
-                    for wave in waves:
-                        if exhausted or self._breaker.state != "closed":
-                            scalar_pairs.extend(wave.pairs)
-                            continue
-                        start = time.perf_counter()
-                        try:
-                            self._fire("engine")
-                            answers, sweep = csr_bit_bibfs(
-                                csr, wave.pairs, budget=budget, lead=wave.lead
-                            )
-                        except BudgetExceeded:
-                            # Out of time/edges: the remaining pairs take
-                            # the scalar path, whose degraded stage owns
-                            # partial-answer semantics.
-                            exhausted = True
-                            scalar_pairs.extend(wave.pairs)
-                            continue
-                        except Exception:
-                            self._stats.incr("engine_failures")
-                            self._stats.incr("batch_wave_failures")
-                            self._breaker.record_failure()
-                            scalar_pairs.extend(wave.pairs)
-                            continue
-                        self._stats.observe_latency(
-                            "batch", time.perf_counter() - start
-                        )
-                        self._breaker.record_success()
-                        self._stats.incr("bit_waves")
-                        self._stats.incr("bit_words", sweep.words)
-                        self._stats.incr("bit_lanes", sweep.lanes)
-                        self._stats.incr("bit_layers", sweep.layers)
-                        self._stats.incr("bit_resolved", len(wave.pairs))
-                        self._stats.incr("queries", len(wave.pairs))
-                        detail = f"lanes={sweep.lanes} layers={sweep.layers}"
-                        self._cache.put_many(
-                            zip(wave.pairs, answers), version, confident=True
-                        )
-                        for pair, answer in zip(wave.pairs, answers):
-                            outcomes[pair] = QueryOutcome(
-                                pair[0],
-                                pair[1],
-                                answer,
-                                True,
-                                "bitbatch",
-                                version,
-                                detail,
-                            )
-        if scalar_pairs:
-            self._stats.incr("batch_scalar_queries", len(scalar_pairs))
-            pool = self._executor()
-            futures = [
-                (pair, pool.submit(self._serve, pair[0], pair[1], deadline))
-                for pair in scalar_pairs
-            ]
-            for pair, future in futures:
-                outcomes[pair] = future.result()
-        return [outcomes[pair] for pair in queries]
+        if plan.pending:
+            stats.incr("cache_misses", len(plan.pending))
+        return plan.pending
 
-    def _batch_csr(self):
-        """The current version's CSR snapshot, frozen on demand.
-
-        A batch amortizes its own freeze, so unlike :meth:`_ensure_csr`
-        this bypasses the per-query demand threshold. Returns ``None``
-        (scalar fallback) when kernels are off or the freeze fails.
-        """
-        if not self.use_kernels:
-            return None
-        try:
-            csr = self.graph.csr(build=False)
-            if csr is not None:
-                return csr
-            with self._csr_lock:
-                csr = self.graph.csr(build=False)
-                if csr is not None:
-                    return csr
-                start = time.perf_counter()
-                self._fire("freeze")
-                csr = self.graph.csr(build=True)
-                self._stats.observe_latency(
-                    "freeze", time.perf_counter() - start
-                )
-                self._stats.incr("csr_freezes")
-                return csr
-        except Exception:
-            self._stats.incr("stage_errors_freeze")
-            return None
-
-    # ------------------------------------------------------------------
-    # The label tier (third pruner; shared by scalar, batch, and router)
-    # ------------------------------------------------------------------
     def _label_filter_fn(self):
         """The batch-facing label surface: a callable mapping a pair list
         to aligned int8 verdicts (``1``/``-1``/``0``), or ``None`` when
@@ -1155,7 +955,13 @@ class ReachabilityService:
         def filter_pairs(pairs):
             try:
                 self._fire("labels")
-                verdicts = labels.filter_pairs(pairs)
+                if len(pairs) == 1:
+                    # The vectorised gather has a ~50 us numpy floor;
+                    # one pair takes the same rules as scalars.
+                    verdict = labels.check(*pairs[0])
+                    verdicts = (0 if verdict is None else 1 if verdict else -1,)
+                else:
+                    verdicts = labels.filter_pairs(pairs)
             except Exception:
                 self._stats.incr("stage_errors_labels")
                 self._note_label_failure()
@@ -1175,111 +981,45 @@ class ReachabilityService:
             self._labels_disabled = True
 
     # ------------------------------------------------------------------
-    # Shard routing (runs under the batch read lock)
+    # Search rungs: ``rung(walk, survivors) -> survivors``
     # ------------------------------------------------------------------
-    def _route_shards(
-        self,
-        pending: List[Tuple[int, int]],
-        version: int,
-        deadline: Optional[float],
-        label_filter=None,
-    ) -> Dict[Tuple[int, int], Tuple[bool, str]]:
-        """Route one batch's cache-missing pairs through the shard fleet.
+    def _rung_shard(self, walk: _Walk, survivors: List[Pair]) -> List[Pair]:
+        """Route survivors through the shard fleet's rules and waves.
 
-        Returns the router's exact verdicts (empty when sharding is off,
-        the fleet is anchored at another epoch, or the route failed).
-        Pairs the router could not answer are simply absent — the caller
-        keeps them on the local bit/scalar ladder, so a degraded fleet
-        costs throughput, never availability or exactness.
+        Skipped when sharding is off or the fleet is anchored at another
+        epoch. Pairs the router could not answer stay survivors, so a
+        degraded fleet costs throughput, never availability or exactness.
         """
-        router = self._shard_router(version)
+        router = self._shard_router(walk.version) if self._shards >= 2 else None
         if router is None:
-            return {}
+            return survivors
         self._stats.incr("shard_batches")
         start = time.perf_counter()
-        try:
-            self._fire("shard")
-            resolved, unresolved = router.execute_batch(
-                pending,
-                deadline=deadline,
-                edge_ceiling=self.engine_edge_budget,
-                label_filter=label_filter,
-            )
-        except Exception:
-            self._stats.incr("stage_errors_shard")
-            return {}
+        resolved, unresolved = router.execute_batch(
+            survivors,
+            deadline=walk.deadline,
+            edge_ceiling=self.engine_edge_budget,
+        )
         self._stats.observe_latency("shard", time.perf_counter() - start)
-        if resolved:
-            self._stats.incr("shard_resolved", len(resolved))
-            # The DL/BL tier screens the fleet's searchable pairs before
-            # any worker round trip (the ROADMAP's "shard workers don't
-            # consult labels" follow-up) — surface those saves.
-            label_hits = sum(
-                1
-                for _answer, how in resolved.values()
-                if how == "label-pos" or how == "label-neg"
-            )
-            if label_hits:
-                self._stats.incr("shard_label_hits", label_hits)
         if unresolved:
             self._stats.incr("shard_unresolved", len(unresolved))
-        return resolved
-
-    def _route_scalar_shard(
-        self,
-        source: int,
-        target: int,
-        version: int,
-        deadline: Optional[float],
-    ) -> Optional[QueryOutcome]:
-        """Consult an already-deployed fleet for one point query.
-
-        Strictly an accelerator on the scalar ladder (after the cache,
-        before the local engine): the router's O(1) rule ladder answers
-        lock-free, and a searchable pair rides the fleet's scheduler
-        as a 1-lane wave *only* when the fleet is idle — a scalar query
-        never deploys the fleet, never waits behind a batch holding the
-        route lock, and never blocks on another epoch's router. Any
-        miss, busy signal, or error falls through to the local path.
-        """
-        router = self._router
-        if router is None or router.version != version:
-            return None
-        start = time.perf_counter()
-        try:
-            self._fire("shard")
-            verdict, status = router.route_scalar(
-                source,
-                target,
-                deadline=deadline,
-                edge_ceiling=self.engine_edge_budget,
+        if not resolved:
+            return survivors
+        self._stats.incr("shard_resolved", len(resolved))
+        version, outcomes = walk.version, walk.outcomes
+        searched = []
+        for pair, (answer, how) in resolved.items():
+            outcomes[pair] = QueryOutcome(
+                pair[0], pair[1], answer, True, "shard", version, how
             )
-        except Exception:
-            self._stats.incr("stage_errors_shard")
-            return None
-        finally:
-            self._stats.observe_latency(
-                "shard_scalar", time.perf_counter() - start
-            )
-        if status == "rule":
-            self._stats.incr("shard_scalar_rules")
-        elif status == "search":
-            self._stats.incr("shard_scalar_waves")
-        elif status == "busy":
-            self._stats.incr("shard_scalar_busy")
-        else:
-            self._stats.incr("shard_scalar_misses")
-        if verdict is None:
-            return None
-        answer, how = verdict
-        if how == "wave" or how == "cross":
-            # Rule verdicts re-derive in O(1); only searched verdicts
-            # are worth a cache slot (mirrors the batch route).
-            try:
-                self._cache.put(source, target, answer, version, confident=True)
-            except Exception:
-                self._stats.incr("stage_errors_cache")
-        return QueryOutcome(source, target, answer, True, "shard", version, how)
+            if how == "wave" or how == "cross":
+                searched.append((pair, answer))
+        # Only search verdicts earn a cache slot: a rule verdict
+        # re-derives in O(1) on the next route, so caching it would just
+        # evict entries that saved real work.
+        if searched:
+            self._cache.put_many(searched, version, confident=True)
+        return [pair for pair in survivors if pair not in resolved]
 
     def _shard_router(self, version: int) -> Optional["ShardRouter"]:
         """The fleet anchored at ``version``, deploying/refreshing lazily.
@@ -1292,8 +1032,7 @@ class ReachabilityService:
         lifetime — the single-process path serves everything.
         """
         if (
-            self._shards < 2
-            or not self.use_kernels
+            not self.use_kernels
             or ShardRouter is None
             or self._router_failures >= 2
         ):
@@ -1313,7 +1052,6 @@ class ReachabilityService:
                 return None
             start = time.perf_counter()
             try:
-                self._fire("shard")
                 if router is None:
                     self._router = ShardRouter(
                         self.graph,
@@ -1337,192 +1075,160 @@ class ReachabilityService:
             self._router_failures = 0
             return self._router
 
-    # ------------------------------------------------------------------
-    # The staged pipeline (runs under the read lock): plan, then execute
-    # ------------------------------------------------------------------
-    def _serve(
-        self, source: int, target: int, deadline: Optional[float]
-    ) -> QueryOutcome:
-        self._stats.incr("queries")
-        with self._lock.read:
-            plan = self._plan_query(source, target, deadline)
-            return self._execute_plan(plan)
+    def _rung_waves(self, walk: _Walk, survivors: List[Pair]) -> List[Pair]:
+        """Sweep survivors as bit-parallel BiBFS waves, 64 lanes a word.
 
-    def _plan_query(
-        self, source: int, target: int, deadline: Optional[float]
-    ) -> QueryPlan:
-        """Decide one query's course of action under the read lock.
-
-        Everything snapshot-coherent but search-free happens here: the
-        fast-path observation, the cache probe, the deadline pre-check,
-        the on-demand CSR freeze, and the budget construction. Stage
-        errors fall through to the next stage (counted), exactly as the
-        pre-split inline ladder did.
+        Pairs the kernel does not answer — the auto cutover chose
+        scalar, the snapshot would not freeze, a wave failed
+        (breaker-counted), or the budget expired mid-batch — stay
+        survivors; the engine rung's degraded hand-off owns
+        partial-answer semantics.
         """
-        version = self.graph.version
-
-        start = time.perf_counter()
-        try:
-            self._fire("fastpath")
-            self._pruner.observe_query()
-            observed = self._pruner.check(source, target)
-        except Exception:
-            self._stats.incr("stage_errors_fastpath")
-            observed = None
-        self._stats.observe_latency("fastpath", time.perf_counter() - start)
-        if observed is not None:
-            answer, rule = observed
-            self._stats.fastpath_hit(rule)
-            return QueryPlan(
-                source,
-                target,
-                version,
-                PLAN_RESOLVED,
-                outcome=QueryOutcome(
-                    source, target, answer, True, "fastpath", version, rule
-                ),
+        if walk.strategy == "scalar":
+            return survivors
+        stats = self._stats
+        if walk.strategy == "auto":
+            use_bits = self._batch_cost.prefer_bitparallel(
+                len(survivors),
+                self.graph.num_vertices,
+                self.graph.num_edges,
+                stats.stage_mean_seconds("engine"),
             )
-
-        labels = self._labels
-        if labels is not None and not self._labels_disabled:
+            stats.incr(
+                "batch_auto_bitparallel" if use_bits else "batch_auto_scalar"
+            )
+            if not use_bits:
+                return survivors
+        csr = self._freeze(walk.version, len(survivors), at_once=True)
+        if csr is None:
+            stats.incr("batch_scalar_fallback")
+            return survivors
+        _, waves = pack_waves(survivors, graph=self.graph)
+        budget = self._make_budget(walk.deadline, self._policy("engine"))
+        version, outcomes = walk.version, walk.outcomes
+        leftovers: List[Pair] = []
+        exhausted = False
+        for wave in waves:
+            if exhausted or self._breaker.state != "closed":
+                leftovers.extend(wave.pairs)
+                continue
             start = time.perf_counter()
-            verdict = None
             try:
-                self._fire("labels")
-                labels.observe_query()
-                verdict = labels.check(source, target)
+                self._fire("engine")
+                answers, sweep = csr_bit_bibfs(
+                    csr, wave.pairs, budget=budget, lead=wave.lead
+                )
+            except BudgetExceeded:
+                exhausted = True
+                leftovers.extend(wave.pairs)
+                continue
             except Exception:
-                self._stats.incr("stage_errors_labels")
-                self._note_label_failure()
-            else:
-                self._label_failures = 0
-            self._stats.observe_latency("labels", time.perf_counter() - start)
-            if verdict is not None:
-                rule = "label-pos" if verdict else "label-neg"
-                self._stats.incr(
-                    "label_hits_pos" if verdict else "label_hits_neg"
-                )
-                return QueryPlan(
-                    source,
-                    target,
-                    version,
-                    PLAN_RESOLVED,
-                    outcome=QueryOutcome(
-                        source, target, verdict, True, "labels", version, rule
-                    ),
-                )
-
-        start = time.perf_counter()
-        try:
-            self._fire("cache")
-            cached = self._cache.get(source, target)
-        except Exception:
-            self._stats.incr("stage_errors_cache")
-            cached = None
-        self._stats.observe_latency("cache", time.perf_counter() - start)
-        if cached is not None:
-            self._stats.incr("cache_hits")
-            return QueryPlan(
-                source,
-                target,
-                version,
-                PLAN_RESOLVED,
-                outcome=QueryOutcome(
-                    source, target, cached, True, "cache", version
-                ),
+                stats.incr("engine_failures")
+                stats.incr("batch_wave_failures")
+                self._breaker.record_failure()
+                leftovers.extend(wave.pairs)
+                continue
+            stats.observe_latency("batch", time.perf_counter() - start)
+            self._breaker.record_success()
+            stats.incr("bit_waves")
+            stats.incr("bit_words", sweep.words)
+            stats.incr("bit_lanes", sweep.lanes)
+            stats.incr("bit_layers", sweep.layers)
+            stats.incr("bit_resolved", len(wave.pairs))
+            detail = f"lanes={sweep.lanes} layers={sweep.layers}"
+            self._cache.put_many(
+                zip(wave.pairs, answers), version, confident=True
             )
-        self._stats.incr("cache_misses")
-
-        if deadline is not None and time.perf_counter() > deadline:
-            return QueryPlan(
-                source, target, version, PLAN_DEGRADED, why="pre-engine"
-            )
-
-        if self._shards >= 2:
-            outcome = self._route_scalar_shard(source, target, version, deadline)
-            if outcome is not None:
-                return QueryPlan(
-                    source, target, version, PLAN_RESOLVED, outcome=outcome
+            for pair, answer in zip(wave.pairs, answers):
+                outcomes[pair] = QueryOutcome(
+                    pair[0], pair[1], answer, True, "bitbatch", version, detail
                 )
+        return leftovers
 
-        try:
-            self._ensure_csr(version)
-        except Exception:
-            self._stats.incr("stage_errors_freeze")
+    def _rung_engine(self, walk: _Walk, survivors: List[Pair]) -> List[Pair]:
+        """One exact search per survivor, inline: breaker, fallback twin,
+        and the degraded hand-off of an interrupted search's partial
+        state all live in :meth:`_engine_stage` and below."""
+        if walk.strategy != "scalar":
+            self._stats.incr("batch_scalar_queries", len(survivors))
+        self._freeze(walk.version, len(survivors))
+        policy = self._policy("engine")
+        version = walk.version
+        for pair in survivors:
+            source, target = pair
+            budget = self._make_budget(walk.deadline, policy)
+            try:
+                outcome = self._engine_stage(source, target, version, budget)
+            except BudgetExceeded as exc:
+                self._stats.incr("budget_degraded")
+                outcome = self._degraded(
+                    source, target, version, exc.partial, exc.reason
+                )
+            walk.outcomes[pair] = outcome
+        return []
 
-        return QueryPlan(
-            source,
-            target,
-            version,
-            PLAN_ENGINE,
-            budget=self._make_budget(deadline, self._policy("engine")),
-        )
-
-    def _execute_plan(self, plan: QueryPlan) -> QueryOutcome:
-        """Dispatch one plan through the flat executor table."""
-        return self._EXECUTORS[plan.action](self, plan)
-
-    def _execute_resolved(self, plan: QueryPlan) -> QueryOutcome:
-        assert plan.outcome is not None
-        return plan.outcome
-
-    def _execute_degraded(self, plan: QueryPlan) -> QueryOutcome:
-        return self._degraded(
-            plan.source, plan.target, plan.version, None, plan.why
-        )
-
-    def _execute_engine(self, plan: QueryPlan) -> QueryOutcome:
-        try:
-            return self._engine_stage(plan)
-        except BudgetExceeded as exc:
-            self._stats.incr("budget_degraded")
-            return self._degraded(
-                plan.source, plan.target, plan.version, exc.partial, exc.reason
+    def _rung_degraded(self, walk: _Walk, survivors: List[Pair]) -> List[Pair]:
+        """The last rung answers everything left (it never raises)."""
+        for pair in survivors:
+            walk.outcomes[pair] = self._degraded(
+                pair[0], pair[1], walk.version, None, walk.why
             )
+        return []
 
-    #: The complete action -> executor dispatch table. Executors are
-    #: stateless in the plan: they read only the plan plus substrate
-    #: state (breaker, fallback twin, stats), never the planning ladder.
-    _EXECUTORS: Dict[str, Callable[["ReachabilityService", QueryPlan], QueryOutcome]] = {
-        PLAN_RESOLVED: _execute_resolved,
-        PLAN_DEGRADED: _execute_degraded,
-        PLAN_ENGINE: _execute_engine,
-    }
+    #: The search rungs, in the order every surviving pair tries them.
+    _SEARCH_RUNGS = (
+        ("shard", _rung_shard),
+        ("waves", _rung_waves),
+        ("engine", _rung_engine),
+        ("degraded", _rung_degraded),
+    )
 
-    def _ensure_csr(self, version: int) -> None:
-        """Freeze one shared CSR snapshot per graph version, on demand.
+    def _freeze(self, version: int, demand: int, at_once: bool = False):
+        """The version's shared CSR snapshot, frozen on demand, or ``None``.
 
-        Runs under the read lock, so the graph cannot move while freezing;
-        the dedicated mutex keeps concurrent readers from freezing the
-        same version twice. Demand below the threshold leaves the epoch on
-        the dict path — exactly the mid-churn fallback: a version that
-        never attracts enough engine-stage queries never pays a freeze.
+        Runs under the read lock, so the graph cannot move while
+        freezing; the dedicated mutex keeps concurrent readers from
+        freezing the same version twice. ``demand`` pairs join the
+        version's search-rung demand: below ``csr_freeze_threshold`` the
+        epoch stays on the dict path, so a version that never attracts
+        enough searches never pays a freeze. ``at_once`` skips the
+        threshold — a wave rung amortizes its own freeze. Kernels off or
+        a failed freeze (counted) also return ``None``.
         """
         if not self.use_kernels:
-            return
-        if self.graph.csr(build=False) is not None:
-            return
-        with self._csr_lock:
-            if self.graph.csr(build=False) is not None:
-                return
-            if self._csr_demand_version != version:
-                self._csr_demand_version = version
-                self._csr_demand = 0
-            self._csr_demand += 1
-            if self._csr_demand < self._csr_threshold:
-                return
-            start = time.perf_counter()
-            self._fire("freeze")
-            self.graph.csr(build=True)
-            self._stats.observe_latency("freeze", time.perf_counter() - start)
-            self._stats.incr("csr_freezes")
+            return None
+        try:
+            csr = self.graph.csr(build=False)
+            if csr is not None:
+                return csr
+            with self._csr_lock:
+                csr = self.graph.csr(build=False)
+                if csr is not None:
+                    return csr
+                if self._csr_demand_version != version:
+                    self._csr_demand_version = version
+                    self._csr_demand = 0
+                self._csr_demand += demand
+                if not at_once and self._csr_demand < self._csr_threshold:
+                    return None
+                start = time.perf_counter()
+                self._fire("freeze")
+                csr = self.graph.csr(build=True)
+                self._stats.observe_latency(
+                    "freeze", time.perf_counter() - start
+                )
+                self._stats.incr("csr_freezes")
+                return csr
+        except Exception:
+            self._stats.incr("stage_errors_freeze")
+            return None
 
     # ------------------------------------------------------------------
     # Engine stage: budget + circuit breaker + fallback
     # ------------------------------------------------------------------
-    def _engine_stage(self, plan: QueryPlan) -> QueryOutcome:
-        source, target, version = plan.source, plan.target, plan.version
-        budget = plan.budget
+    def _engine_stage(
+        self, source: int, target: int, version: int, budget: Optional[Budget]
+    ) -> QueryOutcome:
         policy = self._policy("engine")
         allowed, probing = self._breaker.acquire()
 

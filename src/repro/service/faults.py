@@ -33,10 +33,12 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
-#: Stages an injector can target. The pipeline stages mirror
-#: :data:`repro.service.stats.STAGES`; ``kernel`` targets the numpy
-#: substrate via :func:`repro.graph.kernels.set_fault_hook` and
-#: ``journal`` the write-ahead append.
+#: Stages an injector can target: the ladder's fire points (the three
+#: index rungs each have one although they share the ``fastpath``
+#: latency sample; the shard rung has none — worker faults are driven
+#: by killing processes), ``update``, ``kernel`` (the numpy substrate,
+#: via :func:`repro.graph.kernels.set_fault_hook`) and ``journal`` (the
+#: write-ahead append).
 FAULT_STAGES = (
     "fastpath",
     "labels",

@@ -17,30 +17,27 @@ from __future__ import annotations
 import threading
 from typing import Dict, List, Optional, Tuple
 
-#: Pipeline stages tracked by the latency histograms. ``labels`` is the
-#: DL/BL label-tier probe (one sample per scalar query that reached it;
-#: batch prefilters fold into the planning sample); ``freeze`` is the
-#: per-epoch CSR snapshot build the kernel path amortizes over queries;
-#: ``journal`` is the write-ahead append (fsync batches show as spikes);
-#: ``batch`` is one bit-parallel kernel wave (up to 64 queries per word),
-#: so its per-sample latency covers a whole wave, not one query;
-#: ``shard`` is one routed scatter–gather batch over the shard-worker
-#: fleet, ``shard_scalar`` is one point query's consult of that fleet
-#: (rule-ladder probe plus, on a searchable miss, a 1-lane scheduler
-#: ride), and ``shard_deploy`` covers partition + publish + spawn/swap
-#: of the fleet (paid once per served graph epoch).
+#: Pipeline stages tracked by the latency histograms. ``fastpath`` is one
+#: walk's whole index pass (fast path, cache and label filter fold into
+#: one sample — per-pair timers would cost as much as the probes);
+#: ``update_wait`` is the share of ``update`` spent queueing for the write
+#: lock; ``freeze`` is the per-epoch CSR snapshot build the kernel path
+#: amortizes over queries; ``journal`` is the write-ahead append (fsync
+#: batches show as spikes); ``batch`` is one bit-parallel kernel wave (up
+#: to 64 queries per word), so its per-sample latency covers a whole
+#: wave, not one query; ``shard`` is one walk's scatter–gather route over
+#: the shard-worker fleet, and ``shard_deploy`` covers partition +
+#: publish + spawn/swap of the fleet (paid once per served graph epoch).
 STAGES = (
     "fastpath",
-    "labels",
-    "cache",
     "engine",
     "degraded",
     "update",
+    "update_wait",
     "freeze",
     "journal",
     "batch",
     "shard",
-    "shard_scalar",
     "shard_deploy",
 )
 

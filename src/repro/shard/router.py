@@ -57,10 +57,8 @@ which multiplexes all worker pipes with
 worker, and advances each cross-shard fixpoint the moment its own
 replies land (the monotone sent masks make the fixpoint confluent, so no
 round barrier is needed). The reactor is the only way a serving wave or
-closure step reaches a worker. Scalar point queries ride the same
-machinery via :meth:`route_scalar`: the O(1) ladder answers lock-free; a
-searchable miss becomes a 1-lane run if the fleet is idle, and backs off
-to the caller when a batch holds the route lock. The control plane
+closure step reaches a worker; a point query arrives as a batch of one
+and rides the same machinery. The control plane
 (ping, probe, swap, warm-up wave) speaks the same ``(req_id, msg)`` wire
 shape through :meth:`ShardWorkerHandle.call`, one request at a time.
 """
@@ -107,8 +105,8 @@ def classify_pair(plan: ShardPlan, s: int, t: int):
     Returns ``("resolved", (answer, how))`` when a rule answers,
     ``("intra", shard)`` / ``("cross", (ks, kt))`` when a search is
     needed, or ``("unknown", None)`` when an endpoint is not in the
-    plan. Batches (:meth:`ShardRouter.execute_batch`), the scalar path
-    and workload probes all walk this one function; the per-rule
+    plan. Batches (:meth:`ShardRouter.execute_batch`) and workload
+    probes walk this one function; the per-rule
     ``route_<how>`` counters are tallied from the returned ``how``.
     """
     ks = plan.shard_of.get(s)
@@ -260,9 +258,7 @@ class ShardRouter:
         self._last_respawn_at = 0.0
         self._closed = False
         self._token = f"r{next(_ROUTER_TOKENS)}"
-        # Serializes every path that touches worker pipes. Batches take
-        # it blocking; scalar riders take it non-blocking and fall back
-        # to the caller instead of convoying behind a batch.
+        # Serializes every path that touches worker pipes.
         self._route_lock = threading.Lock()
         self._deploy(graph)
 
@@ -563,10 +559,11 @@ class ShardRouter:
         unknown to the plan) are the caller's to answer locally.
         ``deadline`` is an absolute ``time.perf_counter()`` stamp
         forwarded to workers as a remaining-time budget. ``label_filter``
-        (the service's DL/BL tier, see
-        :mod:`repro.graph.labels`) screens every pair that survived the
-        O(1) rule ladder in one vectorized call before any worker round
-        trip is paid.
+        (a DL/BL tier, see :mod:`repro.graph.labels`) screens every pair
+        that survived the O(1) rule ladder in one vectorized call before
+        any worker round trip is paid — for callers whose pairs have not
+        met the labels yet; the serving engine's label rung runs before
+        its shard rung, so it passes none.
         """
         if self._closed or self._plan is None:
             return {}, list(pairs)
@@ -644,58 +641,6 @@ class ShardRouter:
         if unresolved:
             self._incr("route_unresolved", len(unresolved))
         return resolved, unresolved
-
-    def route_scalar(
-        self,
-        s: int,
-        t: int,
-        *,
-        deadline: Optional[float] = None,
-        edge_ceiling: Optional[int] = None,
-    ) -> Tuple[Optional[Verdict], str]:
-        """Route one point query; returns ``(verdict_or_None, status)``.
-
-        The O(1) rule ladder runs lock-free (the plan is immutable per
-        epoch), so a rule hit costs no coordination at all. A searchable
-        pair becomes a 1-lane rider on the pipelined scheduler — but
-        only if the route lock is free: a scalar query never queues
-        behind a batch (status ``"busy"``), it falls back to the
-        caller's local engine instead. Status is one of ``"rule"``,
-        ``"search"``, ``"busy"``, ``"miss"``.
-        """
-        if self._closed or self._plan is None:
-            return None, "miss"
-        kind, info = classify_pair(self._plan, s, t)
-        if kind == "resolved":
-            self._incr("route_scalar_rules")
-            return info, "rule"
-        if kind == "unknown":
-            return None, "miss"
-        if not self._route_lock.acquire(blocking=False):
-            self._incr("route_scalar_busy")
-            return None, "busy"
-        try:
-            self._maybe_respawn()
-            if not any(w.alive for w in self._workers):
-                self._incr("route_scalar_misses")
-                return None, "miss"
-            run = pipeline.PipelineRun(
-                self, deadline=deadline, edge_ceiling=edge_ceiling
-            )
-            pair = (s, t)
-            if kind == "intra":
-                run.add_intra(info, [pair])
-            else:
-                run.add_group([pair])
-            resolved, _unresolved = run.run()
-            verdict = resolved.get(pair)
-            if verdict is None:
-                self._incr("route_scalar_misses")
-                return None, "miss"
-            self._incr("route_scalar_waves")
-            return verdict, "search"
-        finally:
-            self._route_lock.release()
 
     def _time_left(self, deadline: Optional[float]) -> Optional[float]:
         if deadline is None:

@@ -23,7 +23,7 @@ from repro.graph import HAVE_NUMPY, kernels
 from repro.graph.digraph import DynamicDiGraph
 from repro.graph.traversal import is_reachable_bfs
 from repro.service import ReachabilityService
-from repro.service.batcher import BatchCostModel, plan_batch
+from repro.service.batcher import BatchCostModel, pack_waves, plan_batch
 
 pytestmark = pytest.mark.bitparallel
 
@@ -157,6 +157,18 @@ class TestBatchPlanner:
         assert sum((w.pairs for w in plan.waves), []) == sorted(set(pairs))
         assert all(w.lead in ("forward", "reverse") for w in plan.waves)
         assert plan.waves[0].words == 1
+
+    def test_unpacked_plan_leaves_packing_to_the_wave_rung(self):
+        graph = DynamicDiGraph(
+            edges=[(i, i + 1) for i in range(10)] + [(9, 0)]
+        )
+        pairs = [(i, (i + 3) % 10) for i in reversed(range(10))]
+        plan = plan_batch(pairs, graph=graph, max_wave_lanes=4, pack=False)
+        assert plan.pending == pairs  # arrival order, not sorted
+        assert plan.waves == []
+        pending, waves = pack_waves(plan.pending, graph=graph, max_wave_lanes=4)
+        packed = plan_batch(pairs, graph=graph, max_wave_lanes=4)
+        assert (pending, waves) == (packed.pending, packed.waves)
 
     def test_cost_model_cutover_is_monotone(self):
         model = BatchCostModel()

@@ -209,7 +209,8 @@ class TestContainment:
             assert out.answer is True and out.confident
             counters = service.stats()["counters"]
             assert counters["stage_errors_fastpath"] >= 1
-            assert counters["stage_errors_labels"] >= 1
+            if service.labels is not None:  # the tier needs numpy
+                assert counters["stage_errors_labels"] >= 1
             assert counters["stage_errors_cache"] >= 1
 
     def test_engine_error_takes_fallback(self):

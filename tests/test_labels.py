@@ -20,7 +20,6 @@ from repro.graph.labels import labels_available
 from repro.graph.traversal import is_reachable_bfs
 from repro.service import ReachabilityService
 from repro.service.batcher import plan_batch
-from repro.service.engine import PLAN_RESOLVED
 from repro.service.faults import FaultPlan, FaultSpec, plan_by_name
 
 from tests.conftest import random_graph
@@ -303,12 +302,11 @@ class TestServiceIntegration:
         with ReachabilityService(
             graph, num_workers=1, num_supportive=0
         ) as svc:
-            plan = svc._plan_query(0, 21, None)
-            assert plan.action == PLAN_RESOLVED
-            assert plan.outcome.via == "labels"
-            assert plan.outcome.detail == "label-neg"
-            assert plan.outcome.answer is False
-            assert plan.outcome.confident
+            outcome = svc.query(0, 21)
+            assert outcome.via == "labels"
+            assert outcome.detail == "label-neg"
+            assert outcome.answer is False
+            assert outcome.confident
 
     @needs_numpy
     def test_batched_ladder_matches_label_free_service(self):
@@ -446,7 +444,7 @@ class TestFaultContainment:
 
     @needs_numpy
     def test_repeated_query_failures_disable_tier(self, monkeypatch):
-        graph = DynamicDiGraph(edges=[(i, i + 1) for i in range(6)])
+        graph = DynamicDiGraph(edges=[(i, i + 1) for i in range(26)])
         with ReachabilityService(
             graph, num_workers=1, num_supportive=0
         ) as svc:
@@ -454,12 +452,34 @@ class TestFaultContainment:
                 raise RuntimeError("label check exploded")
 
             monkeypatch.setattr(svc.labels, "check", boom)
-            for _ in range(20):
-                assert svc.query(0, 6).answer is True
+            # Distinct pairs: the cache rung sits above the label rung,
+            # so a repeated pair would never reach the broken probe.
+            for target in range(6, 26):
+                assert svc.query(0, target).answer is True
             assert svc._labels_disabled
             monkeypatch.undo()
             # Disabled stays disabled: the tier is never consulted again.
             assert svc.query(1, 6).via != "labels"
+
+    @needs_numpy
+    def test_failing_probe_is_contained_at_every_width(self, monkeypatch):
+        """One pending pair takes the scalar ``check``, several take the
+        vectorised ``filter_pairs``; either failing only abstains."""
+        graph = DynamicDiGraph(edges=[(i, i + 1) for i in range(12)])
+        with ReachabilityService(
+            graph, num_workers=1, num_supportive=0
+        ) as svc:
+            def boom(*args):
+                raise RuntimeError("label probe exploded")
+
+            monkeypatch.setattr(svc.labels, "filter_pairs", boom)
+            assert svc.query(0, 5).via == "labels"  # width 1: check
+            outcomes = svc.query_batch([(0, 6), (1, 7), (2, 8)])
+            assert [o.answer for o in outcomes] == [True, True, True]
+            assert all(o.via != "labels" for o in outcomes)
+            monkeypatch.setattr(svc.labels, "check", boom)
+            assert svc.query(0, 9).answer is True
+            assert svc.stats()["counters"]["stage_errors_labels"] == 2
 
     def test_stage_errors_plan_survives_oracle_check(self):
         graph = random_graph(100, 220, seed=23)

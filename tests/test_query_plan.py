@@ -1,18 +1,18 @@
-"""Golden tests for the plan/execute split in the serving engine.
+"""Golden tests for the serving ladder at width 1.
 
-:meth:`ReachabilityService._plan_query` must make exactly the decisions
-the pre-split inline ladder made — same resolution stage, same counters,
-same degradation — and the executor table must be the *only* thing that
-acts on a plan. These tests pin the contract so future substrates (the
-shard router rides the same split) can extend the table without
-re-deriving the ladder.
+:meth:`ReachabilityService.query` is a batch of one: it walks the same
+ordered rungs as ``query_batch`` (index rungs, deadline pre-check,
+search rungs). These tests pin which rung answers, with which detail and
+which counters, so the rung list can change shape without changing what
+a caller sees.
 """
 
-import time
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.graph.digraph import DynamicDiGraph
-from repro.service import QueryPlan, ReachabilityService
-from repro.service.engine import PLAN_DEGRADED, PLAN_ENGINE, PLAN_RESOLVED
+from repro.graph.traversal import is_reachable_bfs
+from repro.service import ReachabilityService
 from repro.service.faults import FaultPlan, FaultSpec
 
 
@@ -28,7 +28,7 @@ def service(**kwargs):
     kwargs.setdefault("num_workers", 1)
     kwargs.setdefault("num_supportive", 0)
     # These are golden tests for the pre-label ladder stages; the label
-    # tier's own planning contract lives in tests/test_labels.py.
+    # tier's own contract lives in tests/test_labels.py.
     kwargs.setdefault("use_labels", False)
     return ReachabilityService(line_graph(), **kwargs)
 
@@ -36,65 +36,47 @@ def service(**kwargs):
 class TestPlanning:
     def test_fastpath_resolves_in_plan(self):
         with service() as svc:
-            plan = svc._plan_query(3, 3, None)
-            assert plan.action == PLAN_RESOLVED
-            assert plan.outcome is not None
-            assert plan.outcome.via == "fastpath"
-            assert plan.outcome.answer is True and plan.outcome.confident
-            assert plan.version == svc.graph.version
+            out = svc.query(3, 3)
+            assert out.via == "fastpath"
+            assert out.answer is True and out.confident
+            assert out.version == svc.graph.version
             assert svc.stats()["counters"]["fastpath_hits"] == 1
 
     def test_cache_hit_resolves_in_plan(self):
         with service() as svc:
             first = svc.query(0, 9)
             assert first.via == "engine"
-            plan = svc._plan_query(0, 9, None)
-            assert plan.action == PLAN_RESOLVED
-            assert plan.outcome.via == "cache"
-            assert plan.outcome.answer is True
+            out = svc.query(0, 9)
+            assert out.via == "cache"
+            assert out.answer is True
             assert svc.stats()["counters"]["cache_hits"] == 1
 
     def test_expired_deadline_plans_degraded(self):
         with service() as svc:
-            plan = svc._plan_query(0, 8, time.perf_counter() - 1.0)
-            assert plan.action == PLAN_DEGRADED
-            assert plan.why == "pre-engine"
-            assert plan.outcome is None and plan.budget is None
+            out = svc.query(0, 8, deadline_s=-1.0)
+            assert out.via == "degraded"
+            assert out.detail.startswith("pre-engine:")
+            assert svc.stats()["counters"].get("engine_calls", 0) == 0
 
     def test_engine_plan_carries_budget(self):
-        with service() as svc:
-            plan = svc._plan_query(0, 8, None)
-            assert plan.action == PLAN_ENGINE
-            assert plan.budget is not None
-            assert plan.outcome is None
-            assert svc.stats()["counters"]["cache_misses"] == 1
+        with service(engine_edge_budget=1) as svc:
+            # The engine rung runs under a budget: one edge access is
+            # not enough, so the search hands over to the degraded rung.
+            out = svc.query(0, 8)
+            assert out.via == "degraded" and out.answer is True
+            counters = svc.stats()["counters"]
+            assert counters["cache_misses"] == 1
+            assert counters["budget_degraded"] == 1
 
     def test_stage_errors_fall_through_to_engine(self):
         plan_faults = FaultPlan(
             "t", (FaultSpec("fastpath"), FaultSpec("cache"))
         )
         with service(fault_plan=plan_faults) as svc:
-            plan = svc._plan_query(0, 8, None)
-            assert plan.action == PLAN_ENGINE
+            assert svc.query(0, 8).via == "engine"
             counters = svc.stats()["counters"]
             assert counters["stage_errors_fastpath"] >= 1
             assert counters["stage_errors_cache"] >= 1
-
-    def test_executor_table_covers_exactly_the_actions(self):
-        assert set(ReachabilityService._EXECUTORS) == {
-            PLAN_RESOLVED,
-            PLAN_DEGRADED,
-            PLAN_ENGINE,
-        }
-
-    def test_plan_is_immutable_plain_data(self):
-        plan = QueryPlan(0, 1, 7, PLAN_DEGRADED, why="pre-engine")
-        try:
-            plan.action = PLAN_ENGINE
-        except AttributeError:
-            pass
-        else:  # pragma: no cover
-            raise AssertionError("QueryPlan must be frozen")
 
 
 class TestExecutionEquivalence:
@@ -147,3 +129,49 @@ class TestExecutionEquivalence:
                 outcomes = svc.query_batch(pairs, strategy=strategy)
                 assert [o.answer for o in outcomes] == scalar
                 assert all(o.confident for o in outcomes)
+
+
+#: The rungs that answer without a search.
+INDEX_VIAS = ("fastpath", "cache", "labels")
+
+_vertex = st.integers(0, 11)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(2, 10),
+    edges=st.lists(st.tuples(_vertex, _vertex), max_size=30),
+    pairs=st.lists(st.tuples(_vertex, _vertex), min_size=1, max_size=20),
+    use_labels=st.booleans(),
+)
+def test_point_queries_and_batches_walk_one_ladder(n, edges, pairs, use_labels):
+    """``[query(s, t) ...]`` and ``query_batch(pairs)`` are the same walk
+    at widths 1 and N: both exact against a BFS oracle (duplicates and
+    unknown endpoints included), and wherever an index rung answered,
+    both name the same rung and rule. Process-free, numpy or not."""
+    graph = DynamicDiGraph(
+        vertices=range(n), edges=[(u % n, v % n) for u, v in edges if u % n != v % n]
+    )
+    with ReachabilityService(
+        graph.copy(), num_workers=1, use_labels=use_labels
+    ) as svc:
+        points = [svc.query(s, t) for s, t in pairs]
+    with ReachabilityService(
+        graph.copy(), num_workers=1, use_labels=use_labels
+    ) as svc:
+        batch = svc.query_batch(pairs)
+    first = {}
+    for pair, point, batched in zip(pairs, points, batch):
+        s, t = pair
+        # Identity is the first trivial verdict, known vertex or not.
+        truth = s == t or is_reachable_bfs(graph, s, t)
+        for outcome in (point, batched):
+            assert (outcome.source, outcome.target) == pair
+            assert outcome.answer == truth, (pair, outcome)
+            assert outcome.confident
+            assert outcome.version == graph.version
+        # A repeated point query finds its first answer in the cache; a
+        # batch answers duplicates once. Compare first occurrences.
+        point = first.setdefault(pair, point)
+        if point.via in INDEX_VIAS or batched.via in INDEX_VIAS:
+            assert (point.via, point.detail) == (batched.via, batched.detail)

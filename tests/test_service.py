@@ -16,9 +16,12 @@ import time
 
 import pytest
 
+from repro.graph import HAVE_NUMPY
 from repro.graph.digraph import DynamicDiGraph
 from repro.graph.traversal import is_reachable_bfs
 from repro.service import (
+    FaultPlan,
+    FaultSpec,
     ReachabilityService,
     RWLock,
     ServiceTimeout,
@@ -441,6 +444,33 @@ class TestReachabilityService:
         assert len(result.outcomes) == result.num_queries
         assert result.stats["counters"]["queries"] == result.num_queries
 
+    @pytest.mark.skipif(not HAVE_NUMPY, reason="the wave rung needs numpy")
+    def test_wave_dropout_is_counted_once(self, line_graph, monkeypatch):
+        """A batch pair that drops from the wave rung to the engine rung
+        stays on the walk: one cache miss, one query, one observation —
+        it does not re-enter the ladder and count a second time."""
+        faults = FaultPlan("t", (FaultSpec("engine", max_fires=1),))
+        pairs = [(0, 4), (1, 4), (0, 3)]
+        with ReachabilityService(
+            line_graph, num_workers=1, num_supportive=0, use_labels=False,
+            fault_plan=faults,
+        ) as svc:
+            observed = []
+            observe = svc.pruner.observe_query
+            monkeypatch.setattr(
+                svc.pruner, "observe_query",
+                lambda: (observed.append(1), observe())[1],
+            )
+            outcomes = svc.query_batch(pairs, strategy="bitparallel")
+            assert [o.via for o in outcomes] == ["engine"] * 3
+            assert all(o.answer and o.confident for o in outcomes)
+            counters = svc.stats()["counters"]
+            assert counters["batch_wave_failures"] == 1
+            assert counters["batch_scalar_queries"] == 3
+            assert counters["cache_misses"] == 3
+            assert counters["queries"] == 3
+            assert len(observed) == 3
+
 
 # ----------------------------------------------------------------------
 # RWLock
@@ -621,6 +651,23 @@ class TestWriteTimeout:
         service.add_edge(1, 2)  # reader gone: the update goes through
         assert service.graph.has_edge(1, 2)
         service.close()
+
+    def test_update_wait_measures_the_queue_behind_readers(self):
+        with ReachabilityService(
+            DynamicDiGraph(edges=[(0, 1)]), num_workers=1
+        ) as service:
+            service._lock.acquire_read()  # a reader walk in progress
+            writer = threading.Thread(target=service.add_edge, args=(1, 2))
+            writer.start()
+            time.sleep(0.05)
+            assert not service.graph.has_edge(1, 2)  # still queued
+            service._lock.release_read()
+            writer.join(5.0)
+            assert service.graph.has_edge(1, 2)
+            latency = service.stats()["latency"]
+            assert latency["update_wait"]["count"] == 1
+            assert latency["update_wait"]["mean_us"] >= 40_000
+            assert latency["update"]["mean_us"] >= latency["update_wait"]["mean_us"]
 
 
 # ----------------------------------------------------------------------

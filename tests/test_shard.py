@@ -72,6 +72,22 @@ def sample_pairs(graph, count, seed=0):
     return [(rng.choice(verts), rng.choice(verts)) for _ in range(count)]
 
 
+def label_hard_pairs(graph, count, seed=0):
+    """Pairs the default DL/BL label tier abstains on — what a service on
+    default settings still has for its shard rung once the label rung
+    has answered nearly everything on a small graph."""
+    from repro.graph.labels import LabelIndex
+
+    labels = LabelIndex(graph)
+    hard = [
+        pair
+        for pair in dict.fromkeys(sample_pairs(graph, 3000, seed))
+        if pair[0] != pair[1] and labels.check(*pair) is None
+    ]
+    assert len(hard) >= count, len(hard)
+    return hard[:count]
+
+
 # ----------------------------------------------------------------------
 # Partition invariants (tier 1: no processes, no numpy)
 # ----------------------------------------------------------------------
@@ -460,12 +476,16 @@ def test_fleet_refresh_kill_cleanup():
 @needs_fleet
 @pytest.mark.shard
 def test_sharded_service_end_to_end():
-    """ReachabilityService(shards=K): oracle equality, stale-fleet
-    correctness after an update, threshold-triggered refresh."""
+    """ReachabilityService(shards=K) on default settings (label tier
+    on): the label rung filters, the shard rung routes what it leaves;
+    oracle equality, stale-fleet correctness after an update,
+    threshold-triggered refresh."""
     from repro.service import ReachabilityService
 
-    graph = chain_graph(num_cycles=24)
-    pairs = sample_pairs(graph, 150, seed=8)
+    # Deep enough that the label rung (64 landmarks + bloom words) leaves
+    # survivors; the sampled pairs alone would all die above the fleet.
+    graph = chain_graph(num_cycles=120)
+    pairs = sample_pairs(graph, 110, seed=8) + label_hard_pairs(graph, 30)
     with ReachabilityService(
         graph.copy(), shards=2, num_supportive=0, cache_capacity=4,
         shard_refresh_threshold=3,
@@ -473,6 +493,8 @@ def test_sharded_service_end_to_end():
         outcomes = svc.query_batch(pairs, strategy="bitparallel")
         for (s, t), outcome in zip(pairs, outcomes):
             assert outcome.answer == is_reachable_bfs(graph, s, t)
+        vias = {outcome.via for outcome in outcomes}
+        assert {"labels", "shard"} <= vias, vias
         assert svc.router is not None and svc.router.healthy
         stats = svc.stats()
         assert stats["counters"].get("shard_batches", 0) >= 1
@@ -484,12 +506,13 @@ def test_sharded_service_end_to_end():
         svc.add_edge(0, 61)
         updated = graph.copy()
         updated.add_edge(0, 61)
-        outcomes = svc.query_batch(pairs[:60], strategy="bitparallel")
-        for (s, t), outcome in zip(pairs[:60], outcomes):
+        outcomes = svc.query_batch(pairs[-60:], strategy="bitparallel")
+        for (s, t), outcome in zip(pairs[-60:], outcomes):
             assert outcome.answer == is_reachable_bfs(updated, s, t)
-        # Enough batches at the new version trigger one refresh.
+        # Enough walks reaching the shard rung at the new version (the
+        # label-hard tail does) trigger one refresh.
         for _ in range(4):
-            svc.query_batch(pairs[:20], strategy="bitparallel")
+            svc.query_batch(pairs[-20:], strategy="bitparallel")
         assert svc.router.version == svc.graph.version
 
 
@@ -501,8 +524,8 @@ def test_auto_respawn_heals_service_fleet():
     repartition, no republish — and answers keep matching the oracle."""
     from repro.service import ReachabilityService
 
-    graph = chain_graph(num_cycles=24)
-    pairs = sample_pairs(graph, 120, seed=11)
+    graph = chain_graph(num_cycles=120)
+    pairs = sample_pairs(graph, 80, seed=11) + label_hard_pairs(graph, 30)
     with ReachabilityService(
         graph.copy(), shards=2, num_supportive=0, cache_capacity=4,
     ) as svc:
@@ -805,9 +828,10 @@ def test_sigstop_mid_pipeline_convicted_by_timeout(monkeypatch, window_of_one):
 @needs_fleet
 @pytest.mark.shard
 def test_scalar_routing_vs_oracle_under_churn():
-    """Scalar ``query()`` consults the deployed fleet (counter-visible),
-    stays oracle-exact through churn that leaves the fleet stale, and
-    rides again once batches re-anchor the fleet at the new epoch."""
+    """Scalar ``query()`` is a width-1 walk: it routes through the
+    deployed fleet (``via == "shard"``), stays oracle-exact through churn
+    that leaves the fleet stale, and rides again once enough walks
+    re-anchor the fleet at the new epoch."""
     from repro.service import ReachabilityService
 
     graph = chain_graph(num_cycles=24)
@@ -819,61 +843,34 @@ def test_scalar_routing_vs_oracle_under_churn():
         svc.query_batch(pairs, strategy="bitparallel")  # deploys the fleet
         router = svc.router
         assert router is not None
+        routed = 0
         for s, t in pairs:
             outcome = svc.query(s, t)
             assert outcome.answer == is_reachable_bfs(graph, s, t), (s, t)
-        counters = svc.stats()["counters"]
-        consults = (
-            counters.get("shard_scalar_rules", 0)
-            + counters.get("shard_scalar_waves", 0)
-        )
-        assert consults > 0
-        assert router.counters.get("route_scalar_waves", 0) > 0
+            routed += outcome.via == "shard"
+        assert routed > 0
+        assert router.counters.get("route_pipeline_batches", 0) > 1
 
-        # Churn: the fleet is stale for the new version — scalar queries
-        # skip it (never block on another epoch's router) and stay exact.
+        # Churn: the fleet is stale for the new version — the first walk
+        # there skips it (the refresh threshold is 2) and stays exact.
         svc.add_edge(1, 66)
         oracle = graph.copy()
         oracle.add_edge(1, 66)
+        stale = svc.query(*pairs[0])
+        assert stale.via != "shard"
+        assert svc.router.version != svc.graph.version
         for s, t in pairs[:40]:
             outcome = svc.query(s, t)
             assert outcome.answer == is_reachable_bfs(oracle, s, t), (s, t)
 
-        # Batches at the new version re-anchor the fleet; scalar rides it.
-        svc.query_batch(pairs[:30], strategy="bitparallel")
-        svc.query_batch(pairs[:30], strategy="bitparallel")
+        # Walks at the new version re-anchor the fleet; scalar rides it.
         assert svc.router.version == svc.graph.version
+        routed = 0
         for s, t in pairs[40:90]:
             outcome = svc.query(s, t)
             assert outcome.answer == is_reachable_bfs(oracle, s, t), (s, t)
-
-
-@needs_fleet
-@pytest.mark.shard
-def test_scalar_route_busy_falls_back_locally():
-    """A scalar query finding the route lock held (a batch in flight)
-    must not queue behind it: it answers on the local path, exactly."""
-    from repro.service import ReachabilityService
-
-    graph = chain_graph(num_cycles=16)
-    pairs = sample_pairs(graph, 60, seed=29)
-    with ReachabilityService(
-        graph.copy(), shards=2, num_supportive=0, cache_capacity=4,
-        use_labels=False,
-    ) as svc:
-        svc.query_batch(pairs, strategy="bitparallel")
-        router = svc.router
-        assert router is not None
-        assert router._route_lock.acquire(timeout=5)
-        try:
-            for s, t in pairs:
-                outcome = svc.query(s, t)
-                assert outcome.answer == is_reachable_bfs(graph, s, t), (s, t)
-        finally:
-            router._route_lock.release()
-        counters = svc.stats()["counters"]
-        assert counters.get("shard_scalar_busy", 0) >= 1
-        assert counters.get("shard_scalar_waves", 0) == 0
+            routed += outcome.via == "shard"
+        assert routed > 0
 
 
 def test_service_shard_fallback_without_kernels():
