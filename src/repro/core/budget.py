@@ -71,8 +71,12 @@ class BudgetExceeded(Exception):
 
     ``reason`` is ``"deadline" | "edge-budget" | "cancelled"``;
     ``partial`` carries the interrupted search state when the raiser could
-    export it soundly (``None`` otherwise).
+    export it soundly (``None`` otherwise). A batch kernel sets
+    ``decided`` instead: one entry per pair of its batch, the final
+    verdict of a lane resolved before the interrupt, ``None`` otherwise.
     """
+
+    decided: Optional[List[Optional[bool]]] = None
 
     def __init__(
         self,

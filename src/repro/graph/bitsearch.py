@@ -1,47 +1,66 @@
-"""Bit-parallel batched reachability: 64 BiBFS queries per uint64 word.
+"""Bit-parallel batched reachability: a frame of BiBFS queries per sweep.
 
 DBL (Lyu et al., 2021) packs per-vertex reachability labels into machine
 words so one AND/OR compares 64 landmarks at once. This module applies
-the same word-packing to *query execution*: a batch of ``B`` pairs
-becomes an ``(n, ceil(B/64))`` uint64 label matrix per direction, and one
-bidirectional BFS sweep over the frozen CSR snapshot advances *all* lanes
-simultaneously — per-edge work is a word OR over the whole batch instead
-of a per-query set insertion, so Python/numpy dispatch cost is paid once
-per layer for the batch rather than once per layer per query.
+the same word-packing to *query execution*: 64 pairs share a uint64, a
+batch of ``B`` pairs is ``ceil(B/64)`` **word-groups**, and one
+bidirectional BFS sweep over the frozen CSR snapshot advances every lane
+of every group together — per-edge work is a word OR instead of a
+per-query set insertion, and numpy dispatch is paid once per layer for
+the whole frame rather than once per layer per query (or per word).
 
 Lane semantics
 --------------
-Lane ``q`` (bit ``q % 64`` of word ``q // 64``) belongs to pair
+Lane ``q`` (bit ``q % 64`` of group ``q // 64``) belongs to pair
 ``(sources[q], targets[q])``:
 
-* ``label_f[v]`` carries bit ``q`` iff ``v`` is reachable from
-  ``sources[q]`` through the layers explored so far;
-* ``label_r[v]`` carries bit ``q`` iff ``targets[q]`` is reachable from
+* ``label_f[g*n + v]`` carries bit ``q % 64`` iff ``v`` is reachable from
+  ``sources[q]`` through the layers explored so far (``g = q // 64``);
+* ``label_r[g*n + v]`` carries it iff ``targets[q]`` is reachable from
   ``v`` likewise;
-* a **meet** — ``label_f[v] & label_r[v]`` non-zero in lane ``q`` — proves
+* a **meet** — both labels of one row non-zero in lane ``q`` — proves
   the positive;
 * a lane that stops appearing on one side's frontier has had that side's
   *full* closure explored without a meet, which proves the negative: if
   ``t`` were reachable, the forward closure would contain ``t``, where the
   reverse seed bit already waits.
 
-Propagation is **delta-based** (the classic frontier discipline, lifted to
-words): a vertex re-enters the frontier only with the lanes it *gained*
-last layer, since earlier lanes were already pushed when they arrived.
-Resolved lanes are masked out of every contribution through the per-word
-``pending`` mask, and a word whose pending mask empties is compacted out
-of the label matrices entirely — the per-wave early-out that keeps late
-layers (a few stubborn negatives) from paying full-batch width.
+Layout: block-sparse rows, one loop
+-----------------------------------
+State is keyed by **row** ``g*n + v`` with one uint64 per row: a frontier
+is a sorted row array plus the lanes each row *gained* last layer
+(delta-based propagation: earlier lanes were pushed when they arrived),
+``pending`` / ``adv`` / ``result`` are ``(groups,)`` arrays, and per-group
+ORs are one ``reduceat`` over the already-sorted rows. Only rows that
+carry a live lane exist, so a group whose lanes are all resolved costs
+nothing from then on, and a frame of any width advances in one set of
+numpy calls per layer. With one group the rows *are* the vertices, the
+scatter keys stay the narrow ``uint16`` targets (numpy radix-sorts only
+<= 16-bit keys) and ``pending`` is ``pending[0]`` — the same loop.
 
-Scatter merges use ``argsort`` + ``np.bitwise_or.reduceat`` rather than
-``np.bitwise_or.at``: the unbuffered ``ufunc.at`` loops per element, while
-sort+reduceat stays in vectorized code and yields the per-target merged
-word rows (and hence the ``new_bits`` delta) directly.
+Wide is only right while layers are light. On ``batch_search`` frames
+(1024 searchable pairs, sparse 50k-vertex graph) a layer gathers ~125
+edges per group, all dispatch: 16 one-group calls cost 18.5-19.9
+ms/frame, one wide call 6.2-6.6. On bandwidth-bound input (dense 50k
+graph, uniform pairs, 770k edges/frame) staying wide to the end costs
+61-62 ms/frame against 47-49 for 16 one-group calls: the label blocks
+leave cache and the keys lose the radix sort. So the loop watches the
+quantity that decides it: when the cheaper side's next expansion exceeds
+:data:`HEAVY_LAYER_EDGES`, every still-pending group finishes **alone**,
+re-entering the same loop with one group over its own contiguous ``(n,)``
+label block (47.7-50.3 ms/frame on the dense input, 14.2-15.3 against
+21.2-22.5 on sparse uniform pairs).
+
+Label blocks live in one process-wide scratch pair (:class:`_Scratch`),
+held under a lock for the duration of a kernel call and zeroed by
+touched rows on every way out; a batch wider than the scratch runs as
+successive sweeps inside the call.
 
 Budgets are checkpointed at layer boundaries exactly like the scalar
 kernels: edge accesses are charged *before* the layer is examined, so a
 :class:`~repro.core.budget.BudgetExceeded` cannot be outrun by one huge
-layer.
+layer. A lane leaves ``pending`` only once decided, so an interrupted
+call hands its decided lanes out with the exception.
 
 Like every other kernel, this module is inert without numpy: callers must
 check :data:`~repro.graph.kernels.HAVE_NUMPY` /
@@ -52,10 +71,11 @@ path (the serving engine does this in ``query_batch``).
 from __future__ import annotations
 
 import os
+import threading
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
-from repro.core.budget import Budget
+from repro.core.budget import Budget, BudgetExceeded
 from repro.graph.kernels import HAVE_NUMPY, _gather, _maybe_fault, np
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -64,10 +84,33 @@ if TYPE_CHECKING:  # pragma: no cover
 #: Lanes per label word.
 WORD_BITS = 64
 
+#: Rows (one uint64 each) per scratch label block: 4 MiB a side, so a
+#: sweep carries ``_SCRATCH_ROWS // n`` word-groups and wider batches run
+#: as successive sweeps inside one kernel call.
+_SCRATCH_ROWS = 1 << 19
+
+#: A layer whose expansion gathers more edges than this is bandwidth-
+#: bound, and from there each word-group finishes alone. Measured, not
+#: tuned per deployment (ms/frame at 16384 / 32768 / 65536 on the 50k
+#: benchmark graphs: dense uniform 48.9-50.5 / 48.7-50.3 / 47.7-49.7,
+#: sparse uniform 17.1-18.5 / 14.2-15.3 / 14.5, searchable pool 6.2 at
+#: all three; 131072 and up lose 3-9 ms on dense, 4096 doubles the pool).
+HEAVY_LAYER_EDGES = 32768
+
 
 def words_for(lanes: int) -> int:
     """How many uint64 words a batch of ``lanes`` queries occupies."""
     return (lanes + WORD_BITS - 1) // WORD_BITS
+
+
+def _sweep_span(num_vertices: int) -> int:
+    """Word-groups one sweep carries on a graph of ``num_vertices``."""
+    return max(1, _SCRATCH_ROWS // max(1, num_vertices))
+
+
+def sweeps_for(lanes: int, num_vertices: int) -> int:
+    """How many sweeps a kernel call over ``lanes`` queries takes."""
+    return -(-words_for(lanes) // _sweep_span(num_vertices))
 
 
 def _sweep_targets(csr: "CSRSnapshot"):
@@ -106,18 +149,18 @@ def _sweep_targets(csr: "CSRSnapshot"):
 
 @dataclass(frozen=True)
 class BitSweepStats:
-    """What one bit-parallel sweep did (for counters and cost models)."""
+    """What one kernel call did (for counters and cost models)."""
 
-    #: Queries packed into the sweep.
+    #: Queries packed into the call.
     lanes: int
-    #: uint64 words the label matrices were seeded with.
+    #: uint64 word-groups the lanes occupied.
     words: int
-    #: Frontier expansions executed (forward + reverse).
+    #: Frontier expansions executed (forward + reverse, all sweeps).
     layers: int
     #: CSR edge slots gathered across all layers.
     edge_accesses: int
-    #: Times the label matrices shed exhausted words mid-sweep.
-    compactions: int
+    #: Scratch fills the call took (1 unless ``words`` outgrew the scratch).
+    sweeps: int
 
     @property
     def occupancy(self) -> float:
@@ -125,165 +168,229 @@ class BitSweepStats:
         return self.lanes / (self.words * WORD_BITS) if self.words else 0.0
 
 
-def _sweep_single_word(
-    csr: "CSRSnapshot",
-    pairs: Sequence[Tuple[int, int]],
-    budget: Optional[Budget],
-    lead: str,
-) -> Tuple[List[bool], BitSweepStats]:
-    """One-word specialization of :func:`csr_bit_bibfs` (<= 64 lanes).
+class _Scratch:
+    """The process's one pair of label blocks, lock-held for a kernel call.
 
-    Batches this narrow are numpy-dispatch-bound, not bandwidth-bound:
-    the label state fits a flat ``(n,)`` uint64 vector and the pending
-    mask a single scalar, so every per-layer matrix pass (axis keywords,
-    2-D row gathers, compaction bookkeeping) collapses to its cheapest
-    1-D form. The batch planner slices waves to 64 lanes mainly to stay
-    on this path.
+    Label state is the kernel's only O(n) memory. One shared pair, zeroed
+    by touched rows on the way out of every sweep, keeps a serving
+    process's resident set flat (per-thread or per-call blocks read
+    190-194 MiB on ``batch_search`` against 171-172 with this pair).
     """
-    lanes = len(pairs)
-    n = csr.num_vertices
-    src_idx = csr.indices_of([s for s, _ in pairs])
-    tgt_idx = csr.indices_of([t for _, t in pairs])
 
-    lane_bit = np.uint64(1) << np.arange(lanes, dtype=np.uint64)
-    full = np.uint64(np.iinfo(np.uint64).max)
-    one = np.uint64(1)
+    def __init__(self) -> None:
+        self.pid = os.getpid()
+        self.lock = threading.Lock()
+        self.label_f = self.label_r = np.zeros(0, dtype=np.uint64)
 
-    label_f = np.zeros(n, dtype=np.uint64)
-    label_r = np.zeros(n, dtype=np.uint64)
-    np.bitwise_or.at(label_f, src_idx, lane_bit)
-    np.bitwise_or.at(label_r, tgt_idx, lane_bit)
+    def blocks(self, rows: int):
+        """Both all-zero blocks, at least ``rows`` long (call lock-held)."""
+        if len(self.label_f) < rows:
+            rows = max(rows, _SCRATCH_ROWS)  # one allocation serves any graph
+            self.label_f = np.zeros(rows, dtype=np.uint64)
+            self.label_r = np.zeros(rows, dtype=np.uint64)
+        return self.label_f, self.label_r
 
-    lanes_mask = full if lanes == WORD_BITS else (one << np.uint64(lanes)) - one
-    pending = lanes_mask
-    result = np.uint64(0)
 
-    seed_rows = np.unique(np.concatenate([src_idx, tgt_idx]))
-    met = np.bitwise_or.reduce(label_f[seed_rows] & label_r[seed_rows])
-    result |= met
-    pending &= ~met
+_scratch: Optional[_Scratch] = None
 
-    front_f = np.unique(src_idx)
-    front_r = np.unique(tgt_idx)
-    delta_f = label_f[front_f]
-    delta_r = label_r[front_r]
-    adv_f = np.bitwise_or.reduce(delta_f)
-    adv_r = np.bitwise_or.reduce(delta_r)
 
-    out_off, in_off = csr.out_offsets, csr.in_offsets
-    # Narrow (uint16) target copies double as radix-sortable keys: numpy
-    # only radix-sorts <= 16-bit dtypes (wider stable sorts are ~10x
-    # slower comparison sorts), so gathering narrow also sorts fast.
-    out_tgt, in_tgt = _sweep_targets(csr)
-    prefer_forward = lead != "reverse"
-    layers = 0
-    accesses = 0
-    charged = 0
+def _process_scratch() -> _Scratch:
+    """This pid's scratch. A forked child sees its parent's object — maybe
+    with the lock held by a thread that does not exist on this side — so
+    a pid mismatch builds a fresh pair. Two threads racing the very first
+    call may each build one; the loser's is garbage after its sweep."""
+    global _scratch
+    scratch = _scratch
+    if scratch is None or scratch.pid != os.getpid():
+        scratch = _scratch = _Scratch()
+    return scratch
 
-    # Masking and frontier costing are lazy: a delta only needs re-masking
-    # when ``pending`` shrank since it was last masked (``masked_*`` holds
-    # that value — expansion deltas are born masked and row-compressed),
-    # and a side's adjacency volume only changes when its frontier does.
-    # Most layers resolve no lane, so both books stay closed. The seeds
-    # were built before the seed-met lanes left ``pending``, hence the
-    # full-lane initial mark.
-    masked_f = masked_r = lanes_mask
-    cost_f = int((out_off[front_f + 1] - out_off[front_f]).sum())
-    cost_r = int((in_off[front_r + 1] - in_off[front_r]).sum())
 
-    while pending:
-        if budget is not None:
-            budget.checkpoint(accesses - charged)
-            charged = accesses
+class _Tally:
+    """Layer and edge accounting shared by every sweep of a kernel call."""
 
-        if masked_f != pending:
-            delta_f &= pending
-            live = delta_f != 0
-            if not live.all():
-                front_f, delta_f = front_f[live], delta_f[live]
-                cost_f = int((out_off[front_f + 1] - out_off[front_f]).sum())
-            masked_f = pending
-        if masked_r != pending:
-            delta_r &= pending
-            live = delta_r != 0
-            if not live.all():
-                front_r, delta_r = front_r[live], delta_r[live]
-                cost_r = int((in_off[front_r + 1] - in_off[front_r]).sum())
-            masked_r = pending
+    __slots__ = ("budget", "layers", "accesses", "charged", "sweeps")
 
-        pending &= adv_f & adv_r
-        if not pending:
-            break
+    def __init__(self, budget: Optional[Budget]) -> None:
+        self.budget = budget
+        self.layers = self.accesses = self.charged = self.sweeps = 0
 
-        forward = cost_f < cost_r or (cost_f == cost_r and prefer_forward)
-        if forward:
-            offsets, targets = out_off, out_tgt
-            frontier, delta, label, other = front_f, delta_f, label_f, label_r
+    def checkpoint(self) -> None:
+        if self.budget is not None:
+            uncharged = self.accesses - self.charged
+            self.charged = self.accesses
+            self.budget.checkpoint(uncharged)
+
+
+def _merge(keys, words):
+    """OR together the ``words`` that share a key: (sorted keys, merged).
+
+    Sort + ``reduceat`` rather than ``np.bitwise_or.at``: the unbuffered
+    ``ufunc.at`` loops per element. numpy radix-sorts only <= 16-bit keys
+    (``stable``); its wider stable sort is a merge sort ~4x slower than
+    the default introsort, and OR does not care about the order of ties.
+    """
+    order = np.argsort(keys, kind="stable" if keys.itemsize <= 2 else None)
+    keys = keys[order]
+    head = np.empty(len(keys), dtype=bool)
+    head[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=head[1:])
+    bounds = np.flatnonzero(head)
+    return keys[bounds], np.bitwise_or.reduceat(words[order], bounds)
+
+
+def _group_or(bits, rows, n: int, groups: int):
+    """Per-group OR of ``bits`` over sorted ``rows``, as a ``(groups,)``
+    array: ``reduceat`` at the first row of every group that has one."""
+    if groups == 1:
+        return np.bitwise_or.reduce(bits, keepdims=True)
+    out = np.zeros(groups, dtype=np.uint64)
+    if len(rows):
+        cuts = np.searchsorted(rows, np.arange(groups + 1) * n)
+        present = np.flatnonzero(cuts[1:] != cuts[:-1])
+        out[present] = np.bitwise_or.reduceat(bits, cuts[present])
+    return out
+
+
+class _Side:
+    """One direction of a sweep: its CSR arrays, label block and frontier."""
+
+    __slots__ = (
+        "offsets", "targets", "label", "base", "touched", "masked",
+        "rows", "delta", "adv", "groups", "lift", "starts", "counts", "cost",
+    )
+
+    def __init__(self, offsets, targets, label, base: int, touched: list):
+        self.offsets, self.targets, self.label = offsets, targets, label
+        #: Scratch row of ``label[0]`` (``touched`` holds scratch rows).
+        self.base, self.touched = base, touched
+        #: The ``pending`` epoch the delta was last masked at.
+        self.masked = 0
+
+    def advance(self, rows, delta, n: int, groups: int) -> None:
+        """Install a frontier — sorted rows plus the lanes each gained
+        last layer — and cost its next expansion. The adjacency bounds
+        are kept: the expansion that follows gathers with them."""
+        self.rows, self.delta = rows, delta
+        if groups == 1:
+            verts = rows
         else:
-            offsets, targets = in_off, in_tgt
-            frontier, delta, label, other = front_r, delta_r, label_r, label_f
-        layers += 1
+            # (floor_divide by a scalar is ~4x cheaper than divmod)
+            self.groups = rows // n
+            self.lift = self.groups * n
+            verts = rows - self.lift
+        self.starts = self.offsets[verts]
+        self.counts = self.offsets[verts + 1] - self.starts
+        self.cost = int(self.counts.sum())
 
-        counts = offsets[frontier + 1] - offsets[frontier]
-        recv = _gather(offsets, targets, frontier)
-        accesses += len(recv)
-        if len(recv) == 0:
-            next_rows = frontier[:0]
-            next_delta = delta[:0]
-            next_adv = np.uint64(0)
+    def mask(self, pending, n: int, groups: int) -> None:
+        """Drop resolved lanes from the delta, and rows left with none."""
+        delta = self.delta
+        delta &= pending[0] if groups == 1 else pending[self.groups]
+        live = delta != 0
+        if not live.all():
+            self.advance(self.rows[live], delta[live], n, groups)
+
+    def write(self, rows, words) -> None:
+        self.label[rows] = words
+        base = self.base
+        self.touched.append(rows.astype(np.int64) + base if base else rows)
+
+    def wipe(self) -> None:
+        """Zero every row this side (or a group split off it) wrote."""
+        if self.touched:
+            self.label[np.concatenate(self.touched)] = 0
+
+    def alone(self, group: int, n: int) -> "_Side":
+        """Word-group ``group`` of this side as a one-word side over its
+        own contiguous ``(n,)`` label block."""
+        lo = group * n
+        side = _Side(
+            self.offsets, self.targets, self.label[lo : lo + n],
+            self.base + lo, self.touched,
+        )
+        a, b = np.searchsorted(self.rows, (lo, lo + n))
+        side.advance(self.rows[a:b] - lo, self.delta[a:b], n, 1)
+        side.adv = self.adv[group : group + 1]
+        return side
+
+
+def _sweep(n, groups, fwd, rev, pending, result, prefer_forward, tally, epoch=0):
+    """Run ``groups`` word-groups of lanes to resolution in lockstep.
+
+    ``pending`` and ``result`` are ``(groups,)`` and updated in place: a
+    lane leaves ``pending`` only decided (a meet sets its ``result`` bit,
+    a lane missing from either side's ``adv`` is a negative), so both are
+    exact whenever a checkpoint raises.
+    """
+    if not pending.any():
+        return  # every lane met at its seed
+    while True:
+        tally.checkpoint()
+        # Masking is lazy: a delta needs it only if ``pending`` shrank
+        # since it was last masked. Keeping both frontiers pruned keeps
+        # the direction estimate honest — stale rows inflate one side.
+        if fwd.masked != epoch:
+            fwd.mask(pending, n, groups)
+            fwd.masked = epoch
+        if rev.masked != epoch:
+            rev.mask(pending, n, groups)
+            rev.masked = epoch
+        live = pending & fwd.adv & rev.adv
+        if (live != pending).any():
+            pending[:] = live
+            epoch += 1
+            if not live.any():
+                return  # a side exhausted every remaining lane: negatives
+        forward = fwd.cost < rev.cost or (fwd.cost == rev.cost and prefer_forward)
+        side, other = (fwd, rev) if forward else (rev, fwd)
+        if groups > 1 and side.cost > HEAVY_LAYER_EDGES:
+            # Wide only pays while layers are light (see the module
+            # docstring): from here each group finishes alone.
+            for group in np.flatnonzero(pending).tolist():
+                _sweep(
+                    n, 1, fwd.alone(group, n), rev.alone(group, n),
+                    pending[group : group + 1], result[group : group + 1],
+                    prefer_forward, tally, epoch=1,
+                )
+            return
+        tally.layers += 1
+        tally.accesses += side.cost
+        if side.cost == 0:
+            rows, new_bits = side.rows[:0], side.delta[:0]
         else:
-            edge_src = np.repeat(
-                np.arange(len(frontier), dtype=np.int32), counts
-            )
-            order = np.argsort(recv, kind="stable")
-            sorted_recv = recv[order]
-            sorted_contrib = np.take(delta, edge_src[order])
-            head = np.empty(len(sorted_recv), dtype=bool)
-            head[0] = True
-            np.not_equal(sorted_recv[1:], sorted_recv[:-1], out=head[1:])
-            bounds = np.flatnonzero(head)
-            rows = sorted_recv[bounds]
-            merged = np.bitwise_or.reduceat(sorted_contrib, bounds)
+            counts = side.counts
+            ends = np.cumsum(counts)
+            slots = np.arange(side.cost, dtype=np.int64)
+            slots += np.repeat(side.starts - (ends - counts), counts)
+            keys = side.targets[slots]
+            if groups > 1:
+                keys = keys + np.repeat(side.lift, counts)
+            rows, merged = _merge(keys, np.repeat(side.delta, counts))
             # Meet-test straight off the merge, before the label update:
-            # lanes already resolved re-meet here (labels are never
-            # masked), hence the ``& pending``. When every remaining lane
-            # meets — the common fate of a wave's last, largest layer —
-            # the whole update tail below is skipped.
-            met = np.bitwise_or.reduce(merged & np.take(other, rows)) & pending
-            if met:
-                result |= met
-                pending &= ~met
-                if not pending:
-                    break
-            seen = np.take(label, rows)
+            # resolved lanes re-meet here (labels are never masked), hence
+            # ``& pending``. When every remaining lane meets — the common
+            # fate of the last, largest layer — the update is skipped.
+            hit = merged & other.label[rows]
+            if hit.any():
+                met = _group_or(hit, rows, n, groups) & pending
+                if met.any():
+                    result |= met
+                    pending &= ~met
+                    epoch += 1
+                    if not pending.any():
+                        return
+            seen = side.label[rows]
             new_bits = merged & ~seen
             gained = new_bits != 0
             if not gained.all():
-                rows, new_bits = rows[gained], new_bits[gained]
-                seen = seen[gained]
+                rows, new_bits, seen = rows[gained], new_bits[gained], seen[gained]
             if len(rows):
-                label[rows] = seen | new_bits
-                next_adv = np.bitwise_or.reduce(new_bits)
-            else:
-                next_adv = np.uint64(0)
-            next_rows = rows
-            next_delta = new_bits
-
-        # The fresh delta inherits the expanded side's masked-at value (its
-        # lanes are a subset of the old delta's), so only the cost changes.
-        if forward:
-            front_f, delta_f, adv_f = next_rows, next_delta, next_adv
-            cost_f = int((out_off[front_f + 1] - out_off[front_f]).sum())
-        else:
-            front_r, delta_r, adv_r = next_rows, next_delta, next_adv
-            cost_r = int((in_off[front_r + 1] - in_off[front_r]).sum())
-
-    if budget is not None:
-        budget.checkpoint(accesses - charged)
-
-    answers = (result & lane_bit) != 0
-    stats = BitSweepStats(lanes, 1, layers, accesses, 0)
-    return [bool(a) for a in answers], stats
+                side.write(rows, seen | new_bits)
+        # The fresh delta's lanes are a subset of the old one's, so it
+        # inherits the side's masked-at epoch.
+        side.adv = _group_or(new_bits, rows, n, groups)
+        side.advance(rows, new_bits, n, groups)
 
 
 def csr_bit_bibfs(
@@ -293,20 +400,20 @@ def csr_bit_bibfs(
     budget: Optional[Budget] = None,
     lead: str = "forward",
 ) -> Tuple[List[bool], BitSweepStats]:
-    """Answer every ``(source, target)`` pair in one bit-parallel sweep.
+    """Answer every ``(source, target)`` pair, a frame at a sweep.
 
     Every endpoint must exist in the snapshot (the batch planner's
-    pre-filter guarantees this; it also drains ``s == t`` and
-    missing-endpoint pairs, though both are handled here for safety).
-    ``lead`` breaks the first-layer direction tie when both frontiers cost
-    the same — later layers always expand the cheaper side, measured by
-    the adjacency volume of the live frontier.
+    pre-filter guarantees this; it also drains ``s == t`` pairs, which
+    are nevertheless handled here). ``lead`` breaks the direction tie
+    when both frontiers cost the same; otherwise every layer expands the
+    side whose live frontier has the smaller adjacency volume.
 
     Returns ``(answers, stats)`` with ``answers[q]`` the verdict for
     ``pairs[q]``. Raises :class:`~repro.core.budget.BudgetExceeded` at a
-    layer boundary when the budget expires — the caller keeps nothing from
-    the sweep (the serving engine then reroutes the wave to the scalar
-    path, whose degraded stage owns partial-answer semantics).
+    layer boundary when the budget expires, with the lanes already
+    decided attached as ``exc.decided`` (``answers``-shaped, ``None``
+    where undecided): the serving engine keeps those and reroutes the
+    rest to the scalar path, whose degraded stage owns partial answers.
     """
     if not HAVE_NUMPY:
         raise RuntimeError("bit-parallel kernels require numpy")
@@ -315,195 +422,67 @@ def csr_bit_bibfs(
     lanes = len(pairs)
     if lanes == 0:
         return [], BitSweepStats(0, 0, 0, 0, 0)
-    if lanes <= WORD_BITS:
-        return _sweep_single_word(csr, pairs, budget, lead)
-
     n = csr.num_vertices
     words = words_for(lanes)
     src_idx = csr.indices_of([s for s, _ in pairs])
     tgt_idx = csr.indices_of([t for _, t in pairs])
+    lane = np.arange(lanes, dtype=np.int64)
+    lane_word = lane >> 6
+    lane_bit = np.uint64(1) << (lane & 63).astype(np.uint64)
 
-    lane = np.arange(lanes, dtype=np.uint64)
-    lane_word = (lane >> np.uint64(6)).astype(np.int64)
-    lane_bit = np.uint64(1) << (lane & np.uint64(63))
+    def per_lane(group_words) -> List[bool]:
+        """Each lane's bit of a ``(words,)`` array."""
+        return ((group_words[lane_word] & lane_bit) != 0).tolist()
 
-    label_f = np.zeros((n, words), dtype=np.uint64)
-    label_r = np.zeros((n, words), dtype=np.uint64)
-    # Seeding is the one scatter small enough for the unbuffered ufunc.at
-    # (duplicate (row, word) cells OR correctly there).
-    np.bitwise_or.at(label_f, (src_idx, lane_word), lane_bit)
-    np.bitwise_or.at(label_r, (tgt_idx, lane_word), lane_bit)
-
-    pending = np.full(words, np.iinfo(np.uint64).max, dtype=np.uint64)
-    tail = lanes % WORD_BITS
-    if tail:
-        pending[-1] = (np.uint64(1) << np.uint64(tail)) - np.uint64(1)
-
-    # Verdict bits, indexed by *original* word id (compaction-proof).
+    pending = np.zeros(words, dtype=np.uint64)
+    np.bitwise_or.at(pending, lane_word, lane_bit)
     result = np.zeros(words, dtype=np.uint64)
-    cols = np.arange(words, dtype=np.int64)  # original word of each column
-
-    # Seed meets (covers s == t and directly coincident endpoints).
-    seed_rows = np.unique(np.concatenate([src_idx, tgt_idx]))
-    met = np.bitwise_or.reduce(label_f[seed_rows] & label_r[seed_rows], axis=0)
-    result |= met
-    pending &= ~met
-
-    # Delta frontiers: rows plus the lanes they gained when visited. At
-    # the seed every present bit is new. ``adv_*`` caches the column-OR of
-    # each side's delta — a pending lane absent from it has that side's
-    # closure fully explored (negative). The cache stays exact without a
-    # per-layer full pass: in-place ``delta &= pending`` masking commutes
-    # with the OR, and dropping all-zero rows cannot change it, so
-    # ``adv & pending`` is always the live aggregate.
-    front_f = np.unique(src_idx)
-    front_r = np.unique(tgt_idx)
-    delta_f = label_f[front_f]
-    delta_r = label_r[front_r]
-    adv_f = np.bitwise_or.reduce(delta_f, axis=0)
-    adv_r = np.bitwise_or.reduce(delta_r, axis=0)
-
-    out_off, in_off = csr.out_offsets, csr.in_offsets
-    # Narrow target copies (see _sweep_targets): less gather traffic, and
-    # receiver sorting — the per-layer scatter-merge workhorse — hits
-    # numpy's radix path, which only exists for <= 16-bit keys.
+    # Narrow (uint16) target copies double as radix-sortable keys.
     out_tgt, in_tgt = _sweep_targets(csr)
     prefer_forward = lead != "reverse"
-    layers = 0
-    accesses = 0
-    charged = 0
-    compactions = 0
+    tally = _Tally(budget)
+    scratch = _process_scratch()
+    with scratch.lock:
+        span = _sweep_span(n)
+        label_f, label_r = scratch.blocks(span * n)
+        try:
+            for lo in range(0, words, span):
+                groups = min(span, words - lo)
+                sel = slice(lo * WORD_BITS, (lo + groups) * WORD_BITS)
+                lift = (lane_word[sel] - lo) * n
+                tally.sweeps += 1
+                fwd = _Side(csr.out_offsets, out_tgt, label_f, 0, [])
+                rev = _Side(csr.in_offsets, in_tgt, label_r, 0, [])
+                try:
+                    for side, idx in ((fwd, src_idx), (rev, tgt_idx)):
+                        rows, bits = _merge(lift + idx[sel], lane_bit[sel])
+                        side.write(rows, bits)
+                        side.adv = _group_or(bits, rows, n, groups)
+                        side.advance(rows, bits, n, groups)
+                    # Seed meets: s == t, the one meet no expansion sees.
+                    met = _group_or(
+                        fwd.delta & label_r[fwd.rows], fwd.rows, n, groups
+                    )
+                    result[lo : lo + groups] = met
+                    pending[lo : lo + groups] &= ~met
+                    _sweep(
+                        n, groups, fwd, rev, pending[lo : lo + groups],
+                        result[lo : lo + groups], prefer_forward, tally,
+                        epoch=int(met.any()),
+                    )
+                finally:
+                    fwd.wipe()
+                    rev.wipe()
+            tally.checkpoint()
+        except BudgetExceeded as exc:
+            exc.decided = [
+                None if undecided else verdict
+                for verdict, undecided in zip(per_lane(result), per_lane(pending))
+            ]
+            raise
 
-    # Lazy masking/costing, as in the single-word path, tracked by an
-    # epoch counter bumped whenever ``pending`` changes (the mask value
-    # is an array here, so a counter beats keeping copies around). The
-    # seed deltas predate the seed-met mask, hence the forced first pass.
-    # Keeping both frontiers pruned whenever lanes *do* resolve keeps the
-    # direction cost estimate honest — stale rows systematically inflate
-    # one side and triple the edge volume.
-    epoch = 0
-    masked_f_epoch = masked_r_epoch = -1
-    cost_f = int((out_off[front_f + 1] - out_off[front_f]).sum())
-    cost_r = int((in_off[front_r + 1] - in_off[front_r]).sum())
-
-    while pending.any():
-        if budget is not None:
-            budget.checkpoint(accesses - charged)
-            charged = accesses
-
-        if masked_f_epoch != epoch:
-            delta_f &= pending
-            live = np.any(delta_f != 0, axis=1)
-            if not live.all():
-                front_f, delta_f = front_f[live], delta_f[live]
-                cost_f = int((out_off[front_f + 1] - out_off[front_f]).sum())
-            masked_f_epoch = epoch
-        if masked_r_epoch != epoch:
-            delta_r &= pending
-            live = np.any(delta_r != 0, axis=1)
-            if not live.all():
-                front_r, delta_r = front_r[live], delta_r[live]
-                cost_r = int((in_off[front_r + 1] - in_off[front_r]).sum())
-            masked_r_epoch = epoch
-
-        new_pending = pending & adv_f & adv_r
-        if not np.array_equal(new_pending, pending):
-            pending = new_pending
-            epoch += 1
-            if not pending.any():
-                break  # a side exhausted every remaining lane: negatives
-
-        forward = cost_f < cost_r or (cost_f == cost_r and prefer_forward)
-        if forward:
-            offsets, targets = out_off, out_tgt
-            frontier, delta, label, other = front_f, delta_f, label_f, label_r
-        else:
-            offsets, targets = in_off, in_tgt
-            frontier, delta, label, other = front_r, delta_r, label_r, label_f
-        layers += 1
-
-        counts = offsets[frontier + 1] - offsets[frontier]
-        recv = _gather(offsets, targets, frontier)
-        accesses += len(recv)
-        if len(recv) == 0:
-            next_rows = frontier[:0]
-            next_delta = delta[:0]
-            next_adv = np.zeros(len(cols), dtype=np.uint64)
-        else:
-            # Sort bare edge ids, not the word rows; the contribution
-            # matrix is then built by one fused gather instead of a
-            # full-width repeat plus a full-width permute.
-            edge_src = np.repeat(
-                np.arange(len(frontier), dtype=np.int32), counts
-            )
-            order = np.argsort(recv, kind="stable")
-            sorted_recv = recv[order]
-            sorted_contrib = np.take(delta, edge_src[order], axis=0)
-            head = np.empty(len(sorted_recv), dtype=bool)
-            head[0] = True
-            np.not_equal(sorted_recv[1:], sorted_recv[:-1], out=head[1:])
-            bounds = np.flatnonzero(head)
-            rows = sorted_recv[bounds]
-            merged = np.bitwise_or.reduceat(sorted_contrib, bounds, axis=0)
-            # Meet-test straight off the merge (see the single-word path):
-            # when every remaining lane meets, the update tail is skipped.
-            met = (
-                np.bitwise_or.reduce(
-                    merged & np.take(other, rows, axis=0), axis=0
-                )
-                & pending
-            )
-            if met.any():
-                result[cols] |= met
-                pending = pending & ~met
-                epoch += 1
-                if not pending.any():
-                    break
-            seen = np.take(label, rows, axis=0)
-            new_bits = merged & ~seen
-            gained = np.any(new_bits != 0, axis=1)
-            if not gained.all():
-                rows, new_bits = rows[gained], new_bits[gained]
-                seen = seen[gained]
-            if len(rows):
-                # One fancy assignment (gathered | delta) beats the
-                # read-modify-write of an indexed |=.
-                label[rows] = seen | new_bits
-                next_adv = np.bitwise_or.reduce(new_bits, axis=0)
-            else:
-                next_adv = np.zeros(len(cols), dtype=np.uint64)
-            next_rows = rows
-            next_delta = new_bits
-
-        # The fresh delta inherits the expanded side's masked epoch (its
-        # lanes are a subset of the old delta's), so only the cost changes.
-        if forward:
-            front_f, delta_f, adv_f = next_rows, next_delta, next_adv
-            cost_f = int((out_off[front_f + 1] - out_off[front_f]).sum())
-        else:
-            front_r, delta_r, adv_r = next_rows, next_delta, next_adv
-            cost_r = int((in_off[front_r + 1] - in_off[front_r]).sum())
-
-        # Early-out compaction: words with no pending lanes left stop
-        # paying memory bandwidth for the rest of the sweep.
-        live_words = np.flatnonzero(pending)
-        if len(live_words) < len(cols):
-            compactions += 1
-            cols = cols[live_words]
-            pending = pending[live_words]
-            adv_f = adv_f[live_words]
-            adv_r = adv_r[live_words]
-            label_f = np.ascontiguousarray(label_f[:, live_words])
-            label_r = np.ascontiguousarray(label_r[:, live_words])
-            delta_f = np.ascontiguousarray(delta_f[:, live_words])
-            delta_r = np.ascontiguousarray(delta_r[:, live_words])
-
-    if budget is not None:
-        budget.checkpoint(accesses - charged)
-
-    answers = (result[lane_word] & lane_bit) != 0
-    stats = BitSweepStats(lanes, words, layers, accesses, compactions)
-    return [bool(a) for a in answers], stats
+    stats = BitSweepStats(lanes, words, tally.layers, tally.accesses, tally.sweeps)
+    return per_lane(result), stats
 
 
 def csr_bit_reach(
@@ -542,15 +521,14 @@ def csr_bit_reach(
     probe_list = list(probes)
     n = csr.num_vertices
     label = np.zeros(n, dtype=np.uint64)
+    frontier = np.empty(0, dtype=np.int64)
+    delta = label[:0]
     if seed_list:
-        idx = np.asarray([i for i, _ in seed_list], dtype=np.int64)
-        masks = np.asarray([m for _, m in seed_list], dtype=np.uint64)
-        np.bitwise_or.at(label, idx, masks)
-        frontier = np.unique(idx)
-        delta = label[frontier]
-    else:
-        frontier = np.empty(0, dtype=np.int64)
-        delta = label[frontier]
+        frontier, delta = _merge(
+            np.asarray([i for i, _ in seed_list], dtype=np.int64),
+            np.asarray([m for _, m in seed_list], dtype=np.uint64),
+        )
+        label[frontier] = delta
 
     lanes = int(np.bitwise_or.reduce(delta)).bit_count() if len(delta) else 0
     offsets = csr.out_offsets if forward else csr.in_offsets
@@ -570,16 +548,7 @@ def csr_bit_reach(
         accesses += len(recv)
         if len(recv) == 0:
             break
-        edge_src = np.repeat(np.arange(len(frontier), dtype=np.int32), counts)
-        order = np.argsort(recv, kind="stable")
-        sorted_recv = recv[order]
-        sorted_contrib = np.take(delta, edge_src[order])
-        head = np.empty(len(sorted_recv), dtype=bool)
-        head[0] = True
-        np.not_equal(sorted_recv[1:], sorted_recv[:-1], out=head[1:])
-        bounds = np.flatnonzero(head)
-        rows = sorted_recv[bounds]
-        merged = np.bitwise_or.reduceat(sorted_contrib, bounds)
+        rows, merged = _merge(recv, np.repeat(delta, counts))
         seen = np.take(label, rows)
         new_bits = merged & ~seen
         gained = new_bits != 0
@@ -599,5 +568,5 @@ def csr_bit_reach(
         mask = int(label[csr.index_of(v)])
         if mask:
             out[v] = mask
-    stats = BitSweepStats(lanes, 1, layers, accesses, 0)
+    stats = BitSweepStats(lanes, 1, layers, accesses, 1)
     return out, stats

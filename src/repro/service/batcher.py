@@ -2,8 +2,8 @@
 
 O'Reach's serving discipline — drain a batch with O(1) observations
 before any search runs — meets DBL's word packing here: the planner takes
-a raw list of ``(s, t)`` pairs and produces *waves* ready for
-:func:`~repro.graph.bitsearch.csr_bit_bibfs`:
+a raw list of ``(s, t)`` pairs and produces what
+:func:`~repro.graph.bitsearch.csr_bit_bibfs` sweeps:
 
 1. **dedup** — repeated pairs occupy one lane and fan back out;
 2. **pre-filter** — the fast-path pruner and the versioned cache (both
@@ -12,22 +12,25 @@ a raw list of ``(s, t)`` pairs and produces *waves* ready for
    endpoint) are additionally checked here so no unresolvable pair can
    ever reach a kernel, even with the pruner stage erroring or absent;
 3. **wave packing** — surviving pairs are sorted by endpoints so queries
-   sharing sources or targets land in the same words (their label bits
-   travel together, maximizing word occupancy) and sliced into waves of
-   at most ``max_wave_lanes`` lanes; the default of 64 lanes (one word)
-   keeps every wave on the kernel's flat single-word fast path, where
-   per-query cost bottoms out on the benchmark graphs — wider waves
-   scale every gather/merge row by the word count and lose more to
-   memory traffic than extra frontier sharing pays back;
+   sharing sources or targets land in the same word-group (their label
+   bits share rows and travel together). The engine's wave rung packs
+   its survivors as **one** wave whatever their count: the kernel keeps
+   one label word per ``(word-group, vertex)`` row that carries a live
+   lane, so a frame costs one set of numpy calls per layer, and it
+   splits into per-group work by itself once layers turn
+   bandwidth-bound (the rule and its measurement are in
+   :mod:`repro.graph.bitsearch`). ``max_wave_lanes`` remains for callers
+   that want a batch cut into several kernel calls (the per-layer
+   benchmark times a 64-lane wave);
 4. **orientation** — each wave gets a ``lead`` hint from degree stats
    (total out-volume of its sources vs. in-volume of its targets); the
    kernel re-evaluates the cheaper side per layer, the hint only breaks
-   the first-layer tie.
+   ties.
 
-:class:`BatchCostModel` is the auto cutover: the same
-``|V'| + |E'|``-shaped account the per-query cost model (Alg. 6) uses,
-scaled by word count, against the batch's expected scalar cost from live
-engine-stage latency.
+:class:`BatchCostModel` is the auto cutover: numpy dispatch per sweep
+layer plus the ``|V'| + |E'|``-shaped account the per-query cost model
+(Alg. 6) uses, per word-group, against the batch's expected scalar cost
+from live engine-stage latency.
 
 The engine calls :func:`plan_batch` once per ladder walk, at every width
 (a point query is a batch of one): it *is* the index rungs. The rung
@@ -46,10 +49,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.graph.bitsearch import words_for
+from repro.graph.bitsearch import sweeps_for, words_for
 from repro.graph.digraph import DynamicDiGraph
 
 Pair = Tuple[int, int]
+
+#: Layers a sweep is expected to run (see :class:`BatchCostModel`).
+SWEEP_LAYERS = 18
 
 #: ``check(s, t)`` -> ``(answer, rule)`` or ``None`` (the pruner surface).
 CheckFn = Callable[[int, int], Optional[Tuple[bool, str]]]
@@ -66,7 +72,7 @@ LabelFilterFn = Callable[[Sequence[Pair]], Optional[Sequence[int]]]
 
 @dataclass(frozen=True)
 class Wave:
-    """One kernel invocation: up to ``max_wave_lanes`` packed pairs."""
+    """One kernel call: the endpoint-sorted pairs it sweeps."""
 
     pairs: List[Pair]
     #: First-layer direction hint (``"forward"`` | ``"reverse"``).
@@ -220,34 +226,44 @@ def pack_waves(
 class BatchCostModel:
     """Scalar-vs-bit-parallel cutover for ``strategy="auto"``.
 
-    One bit-parallel sweep touches every label word per visited vertex
-    and gathered edge, so its cost is ``words * (|V'| + |E'|)`` word
-    operations (the BiBFS account of Alg. 6, widened per word) plus a
-    fixed per-wave dispatch overhead. The scalar alternative costs the
-    batch's pending count times the live engine-stage mean latency — the
-    same live signal admission control already uses — so the cutover
+    A kernel call pays numpy dispatch once per layer of each sweep,
+    whatever the sweep's width, and memory bandwidth per word-group for
+    the part of the graph its lanes explore — bounded by ``|V| + |E|``,
+    the BiBFS account of Alg. 6. The scalar alternative costs the batch's
+    pending count times the live engine-stage mean latency — the same
+    live signal admission control already uses — so the cutover
     self-calibrates as the engine speeds up or slows down.
+
+    The constants were fitted on the two 50k-vertex benchmark graphs
+    (``benchmarks/e2e/inputs.py``: sparse ``|V|+|E|`` = 203k, dense 697k)
+    from kernel calls of 3 / 64 / 256 / 1024 lanes:
+
+    * a sweep ran 17-18 layers on the searchable pool at every width
+      (12-36 on uniform pairs), at 55-110 us a layer up to 64 lanes and
+      ~200 us at ten word-groups: :data:`SWEEP_LAYERS` x
+      ``layer_dispatch_s``;
+    * 1024 uniform pairs cost 53.2 ms on the dense graph and 16.6 ms on
+      the sparse one (16 word-groups; 256 lanes: 13.5 and 4.4 ms), i.e.
+      4.0-4.8 ns per word-group per vertex-or-edge once dispatch is
+      taken out: ``word_edge_s``. It is an upper bound for pairs with
+      small closures (the pool's negatives: 7.3 ms, predicted 18);
+    * a scalar batch of pool pairs cost 0.80 ms a pair end to end
+      (engine-stage mean 1.4 ms, median 0.5) and the dense graph's hard
+      pairs 0.46-0.79 ms: ``default_scalar_s``.
     """
 
-    #: Seconds per (word x (vertex + edge)) unit of sweep work, measured
-    #: on the 50k-vertex benchmark graph (sort-merge dominated).
-    word_edge_s: float = 2.5e-9
-    #: Fixed dispatch cost per wave (seeding, allocation, numpy ramp-up).
-    wave_overhead_s: float = 1e-3
+    #: Seconds per (word-group x (vertex + edge)) of sweep bandwidth.
+    word_edge_s: float = 4.5e-9
+    #: Seconds of numpy dispatch per sweep layer.
+    layer_dispatch_s: float = 1e-4
     #: Scalar per-query estimate before any engine latency is observed.
-    default_scalar_s: float = 5e-4
+    default_scalar_s: float = 8e-4
 
     def sweep_seconds(self, num_vertices: int, num_edges: int, lanes: int) -> float:
-        """Predicted cost of sweeping ``lanes`` pairs in one-word waves.
-
-        ``words_for(lanes)`` doubles as the wave count: the planner slices
-        batches into 64-lane waves, so each label word is one single-word
-        sweep paying its own dispatch overhead.
-        """
-        words = words_for(lanes)
-        return words * (
-            self.wave_overhead_s
-            + (num_vertices + num_edges) * self.word_edge_s
+        """Predicted cost of one kernel call over ``lanes`` pairs."""
+        return (
+            sweeps_for(lanes, num_vertices) * SWEEP_LAYERS * self.layer_dispatch_s
+            + words_for(lanes) * (num_vertices + num_edges) * self.word_edge_s
         )
 
     def scalar_seconds(self, lanes: int, engine_mean_s: float) -> float:

@@ -19,7 +19,7 @@ rungs in this order and stops at the first that answers:
    straight to the last rung (``detail="pre-engine:..."``);
 3. **search rungs** (:attr:`ReachabilityService._SEARCH_RUNGS`), each
    ``survivors -> survivors``: *shard* (the fleet's O(1) partition rules
-   and worker waves), *waves* (64-lane bit-parallel BiBFS, when
+   and worker waves), *waves* (one frame-wide bit-parallel BiBFS, when
    ``strategy`` / the cost model picks it), *engine* (the exact method
    behind the breaker, with the dict-substrate fallback twin),
    *degraded* (the bounded search — it answers everything left).
@@ -36,11 +36,12 @@ The cache sits before the shard rung because a routed ``wave`` /
 recurrence under skewed traffic; the fleet's rule verdicts re-derive in
 O(1), so only searched verdicts earn a cache slot. A rung that raises is
 counted (``stage_errors_<rung>``) and skipped. Pairs a rung leaves
-behind — auto chose scalar, a wave failed, the budget ran out
-mid-batch, the fleet is stale or degraded — reach the next rung inline
-and already filtered: nothing re-enters the ladder, and nothing waits on
-the worker pool while the read lock is held (the lock is not reentrant
-and writers queue behind it, so that wait could deadlock).
+behind — auto chose scalar, the sweep failed, the budget ran out
+before their lanes were decided, the fleet is stale or degraded — reach
+the next rung inline and already filtered: nothing re-enters the ladder,
+and nothing waits on the worker pool while the read lock is held (the
+lock is not reentrant and writers queue behind it, so that wait could
+deadlock).
 
 Sharded serving (``shards=K``)
 ------------------------------
@@ -777,10 +778,11 @@ class ReachabilityService:
         * ``"scalar"`` — each distinct pair is submitted to the worker
           pool (admission control applies) and walks the ladder alone;
         * ``"bitparallel"`` — the batch walks the ladder once and the
-          wave rung sweeps survivors as bit-parallel BiBFS waves — 64
-          queries per uint64 word — over the version's CSR snapshot
-          (:mod:`repro.graph.bitsearch`). Kernel failures feed the
-          circuit breaker and the wave's pairs drop to the engine rung;
+          wave rung sweeps the survivors in one bit-parallel BiBFS
+          kernel call — 64 queries per uint64 word — over the version's
+          CSR snapshot (:mod:`repro.graph.bitsearch`). A kernel failure
+          feeds the circuit breaker and the survivors drop to the engine
+          rung, as do the lanes a budget expiry left undecided;
           with kernels unavailable the whole batch runs scalar (counted
           as ``batch_scalar_fallback``);
         * ``"auto"`` — :class:`~repro.service.batcher.BatchCostModel`
@@ -1076,13 +1078,13 @@ class ReachabilityService:
             return self._router
 
     def _rung_waves(self, walk: _Walk, survivors: List[Pair]) -> List[Pair]:
-        """Sweep survivors as bit-parallel BiBFS waves, 64 lanes a word.
+        """Sweep the survivors in one bit-parallel BiBFS kernel call.
 
         Pairs the kernel does not answer — the auto cutover chose
-        scalar, the snapshot would not freeze, a wave failed
-        (breaker-counted), or the budget expired mid-batch — stay
-        survivors; the engine rung's degraded hand-off owns
-        partial-answer semantics.
+        scalar, the snapshot would not freeze, the call failed
+        (breaker-counted), or the budget expired before their lanes were
+        decided — stay survivors; the engine rung's degraded hand-off
+        owns partial-answer semantics.
         """
         if walk.strategy == "scalar":
             return survivors
@@ -1103,47 +1105,49 @@ class ReachabilityService:
         if csr is None:
             stats.incr("batch_scalar_fallback")
             return survivors
-        _, waves = pack_waves(survivors, graph=self.graph)
+        if self._breaker.state != "closed":
+            return survivors
+        pairs, (wave,) = pack_waves(
+            survivors, graph=self.graph, max_wave_lanes=len(survivors)
+        )
         budget = self._make_budget(walk.deadline, self._policy("engine"))
-        version, outcomes = walk.version, walk.outcomes
-        leftovers: List[Pair] = []
-        exhausted = False
-        for wave in waves:
-            if exhausted or self._breaker.state != "closed":
-                leftovers.extend(wave.pairs)
-                continue
-            start = time.perf_counter()
-            try:
-                self._fire("engine")
-                answers, sweep = csr_bit_bibfs(
-                    csr, wave.pairs, budget=budget, lead=wave.lead
-                )
-            except BudgetExceeded:
-                exhausted = True
-                leftovers.extend(wave.pairs)
-                continue
-            except Exception:
-                stats.incr("engine_failures")
-                stats.incr("batch_wave_failures")
-                self._breaker.record_failure()
-                leftovers.extend(wave.pairs)
-                continue
+        start = time.perf_counter()
+        try:
+            self._fire("engine")
+            answers, sweep = csr_bit_bibfs(
+                csr, pairs, budget=budget, lead=wave.lead
+            )
+        except BudgetExceeded as exc:
+            # Lanes decided before the budget ran out are final verdicts.
+            answers = exc.decided or [None] * len(pairs)
+            detail = f"lanes={len(pairs)} interrupted={exc.reason}"
+        except Exception:
+            stats.incr("engine_failures")
+            stats.incr("batch_wave_failures")
+            self._breaker.record_failure()
+            return survivors
+        else:
             stats.observe_latency("batch", time.perf_counter() - start)
             self._breaker.record_success()
-            stats.incr("bit_waves")
+            stats.incr("bit_waves", sweep.sweeps)
             stats.incr("bit_words", sweep.words)
             stats.incr("bit_lanes", sweep.lanes)
             stats.incr("bit_layers", sweep.layers)
-            stats.incr("bit_resolved", len(wave.pairs))
             detail = f"lanes={sweep.lanes} layers={sweep.layers}"
-            self._cache.put_many(
-                zip(wave.pairs, answers), version, confident=True
+        resolved = [
+            (pair, answer)
+            for pair, answer in zip(pairs, answers)
+            if answer is not None
+        ]
+        stats.incr("bit_resolved", len(resolved))
+        self._cache.put_many(resolved, walk.version, confident=True)
+        for pair, answer in resolved:
+            walk.outcomes[pair] = QueryOutcome(
+                pair[0], pair[1], answer, True, "bitbatch", walk.version, detail
             )
-            for pair, answer in zip(wave.pairs, answers):
-                outcomes[pair] = QueryOutcome(
-                    pair[0], pair[1], answer, True, "bitbatch", version, detail
-                )
-        return leftovers
+        return [
+            pair for pair, answer in zip(pairs, answers) if answer is None
+        ]
 
     def _rung_engine(self, walk: _Walk, survivors: List[Pair]) -> List[Pair]:
         """One exact search per survivor, inline: breaker, fallback twin,

@@ -26,10 +26,9 @@ The ``msg`` / ``reply`` tuples:
     just that its pipe answers.
 ``("wave", version, shard, pairs, lead, time_left, edge_ceiling)``
     → ``("ok", answers, stats)`` — intra-shard bit-parallel BiBFS over
-    shard ``shard``'s CSR, chunked worker-side into ≤64-lane waves
-    (:func:`~repro.graph.bitsearch.csr_bit_bibfs`). One shared budget
-    spans the message's chunks: the edge ceiling bounds the whole
-    per-message batch, not each 64-lane wave separately.
+    shard ``shard``'s CSR, the message's pairs in one kernel call
+    (:func:`~repro.graph.bitsearch.csr_bit_bibfs`); the budget's edge
+    ceiling bounds the whole per-message batch.
 ``("reach", version, shard, seeds, extra_probes, forward, time_left, edge_ceiling)``
     → ``("ok", labels, stats)`` — one bit-label closure over shard
     ``shard`` (:func:`~repro.graph.bitsearch.csr_bit_reach`) reporting
@@ -55,9 +54,6 @@ from typing import Dict, List, Optional, Tuple
 from repro.core.budget import Budget, BudgetExceeded
 from repro.graph.bitsearch import csr_bit_bibfs, csr_bit_reach
 from repro.shard.memory import attach_snapshot
-
-#: Lanes per bit-parallel wave — one query per bit of a 64-bit word.
-_WAVE_LANES = 64
 
 
 class _FleetState:
@@ -152,22 +148,12 @@ def _handle(state: _FleetState, msg: Tuple) -> Tuple:
         csr = state.csrs[shard]
         started = time.perf_counter()
         budget = _budget(time_left, edge_ceiling)
-        answers: List[bool] = []
-        lanes = layers = edges = waves = 0
-        for start in range(0, len(pairs), _WAVE_LANES):
-            chunk = [tuple(p) for p in pairs[start : start + _WAVE_LANES]]
-            chunk_answers, stats = csr_bit_bibfs(
-                csr, chunk, budget=budget, lead=lead
-            )
-            answers.extend(chunk_answers)
-            lanes += stats.lanes
-            layers += stats.layers
-            edges += stats.edge_accesses
-            waves += 1
+        answers, stats = csr_bit_bibfs(csr, pairs, budget=budget, lead=lead)
         return (
             "ok",
             answers,
-            (lanes, layers, edges, time.perf_counter() - started, waves),
+            (stats.lanes, stats.layers, stats.edge_accesses,
+             time.perf_counter() - started, stats.sweeps),
         )
     if kind == "reach":
         (_version, shard, seeds, extra_probes, forward,

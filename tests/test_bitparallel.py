@@ -9,9 +9,14 @@ proving a kernel-less deployment degrades to scalar cleanly.
 
 from __future__ import annotations
 
+import multiprocessing
+import os
 import random
+import sys
+import threading
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.budget import Budget, BudgetExceeded
 from repro.datasets.sbm import two_block_sbm
@@ -88,9 +93,10 @@ class TestBitKernel:
         assert answers == []
         assert stats.words == 0 and stats.layers == 0
 
-    def test_word_compaction_early_out(self):
-        """Resolved words stop paying: a batch of instant identities plus
-        one slow lane compacts down to the slow lane's word."""
+    def test_resolved_groups_stop_paying(self):
+        """A word-group with no lane left pending drops out of the sweep:
+        64 identity lanes plus one 40-hop lane gather exactly the slow
+        lane's 40 edges."""
         from repro.graph.bitsearch import csr_bit_bibfs
 
         graph = DynamicDiGraph(edges=[(i, i + 1) for i in range(40)])
@@ -98,7 +104,8 @@ class TestBitKernel:
         pairs = [(0, 0)] * 64 + [(0, 40)]  # word 0 resolves at seed time
         answers, stats = csr_bit_bibfs(csr, pairs)
         assert all(answers)
-        assert stats.compactions >= 1
+        assert stats.words == 2 and stats.sweeps == 1
+        assert stats.edge_accesses == 40
 
     def test_budget_exceeded_raises_at_layer_boundary(self):
         from repro.graph.bitsearch import csr_bit_bibfs
@@ -118,6 +125,215 @@ class TestBitKernel:
         csr = graph.csr()
         answers, _ = csr_bit_bibfs(csr, [(0, 5), (3, 2), (0, 2), (3, 5)])
         assert answers == [False, False, True, True]
+
+
+# ----------------------------------------------------------------------
+# One loop at every width: split rule, scratch hygiene, concurrency
+# ----------------------------------------------------------------------
+def _oracle(graph, pairs):
+    return [is_reachable_bfs(graph, s, t) for s, t in pairs]
+
+
+def _scratch_is_clean():
+    from repro.graph import bitsearch
+
+    scratch = bitsearch._process_scratch()
+    return not scratch.label_f.any() and not scratch.label_r.any()
+
+
+def _sweep_in_child(edges, pairs, expected):
+    """Child-process body: one sweep, exit status 0 iff oracle-exact."""
+    from repro.graph.bitsearch import csr_bit_bibfs
+
+    answers, _ = csr_bit_bibfs(DynamicDiGraph(edges=edges).csr(), pairs)
+    os._exit(0 if answers == expected else 1)
+
+
+@st.composite
+def _digraph_and_pairs(draw):
+    n = draw(st.integers(2, 40))
+    vertex = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(vertex, vertex), max_size=3 * n))
+    lanes = draw(st.sampled_from([1, 63, 64, 65, 200, 1000]))
+    # A short distinct list cycled out to ``lanes`` pairs: duplicates,
+    # ``s == t`` and unreachable pairs all occur, and the oracle stays cheap.
+    distinct = draw(st.lists(st.tuples(vertex, vertex), min_size=1, max_size=30))
+    offset = draw(st.integers(0, len(distinct) - 1))
+    pairs = [distinct[(offset + i * 7) % len(distinct)] for i in range(lanes)]
+    if draw(st.booleans()):
+        pairs.sort()  # word-groups that differ: some run dry before others
+    return n, edges, pairs
+
+
+@needs_numpy
+class TestFrameWideSweep:
+    @settings(
+        max_examples=40,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(case=_digraph_and_pairs())
+    @pytest.mark.parametrize(
+        "heavy",
+        [0, 1, sys.maxsize],
+        ids=["split-at-once", "split-after-a-layer", "never-split"],
+    )
+    def test_any_width_any_split_point_matches_the_oracle(
+        self, monkeypatch, heavy, case
+    ):
+        """Splitting at once (0), after any real layer (1) and never all
+        agree with BFS, for both leads, at every lane count."""
+        from repro.graph import bitsearch
+
+        monkeypatch.setattr(bitsearch, "HEAVY_LAYER_EDGES", heavy)
+        n, edges, pairs = case
+        graph = DynamicDiGraph(vertices=range(n), edges=edges)
+        expected = _oracle(graph, pairs)
+        csr = graph.csr()
+        for lead in ("forward", "reverse"):
+            answers, stats = bitsearch.csr_bit_bibfs(csr, pairs, lead=lead)
+            assert answers == expected, lead
+            assert stats.lanes == len(pairs)
+        assert _scratch_is_clean()
+
+    def test_batches_wider_than_the_scratch_run_as_successive_sweeps(
+        self, monkeypatch
+    ):
+        from repro.graph import bitsearch
+
+        graph = _graph_family("pa", seed=4)
+        pairs = _random_pairs(graph, 1000, random.Random(8))
+        # Room for two word-groups of this graph per scratch fill.
+        monkeypatch.setattr(bitsearch, "_SCRATCH_ROWS", 2 * graph.num_vertices)
+        answers, stats = bitsearch.csr_bit_bibfs(graph.csr(), pairs)
+        assert answers == _oracle(graph, pairs)
+        assert stats.words == 16 and stats.sweeps == 8
+        assert bitsearch.sweeps_for(1000, graph.num_vertices) == 8
+
+    def test_interrupted_sweep_keeps_decided_lanes_and_cleans_up(self):
+        """A budget that trips mid-sweep hands out the lanes already
+        decided (all oracle-exact), leaves the rest ``None``, and the
+        next sweep on the same snapshot finds a clean scratch."""
+        from repro.graph.bitsearch import csr_bit_bibfs
+
+        chain = [(i, i + 1) for i in range(60)]
+        graph = DynamicDiGraph(edges=chain + [(100, 101), (200, 201)])
+        csr = graph.csr()
+        pairs = [(100, 101), (101, 100), (200, 100), (0, 60), (60, 0), (7, 7)]
+        expected = _oracle(graph, pairs)
+        with pytest.raises(BudgetExceeded) as caught:
+            csr_bit_bibfs(csr, pairs, budget=Budget(edge_ceiling=8))
+        decided = caught.value.decided
+        assert len(decided) == len(pairs)
+        kept = [i for i, verdict in enumerate(decided) if verdict is not None]
+        assert kept and len(kept) < len(pairs)
+        assert decided[3] is None  # the 60-hop lane cannot fit 8 edges
+        for i in kept:
+            assert decided[i] == expected[i], pairs[i]
+        assert _scratch_is_clean()
+        assert csr_bit_bibfs(csr, pairs)[0] == expected
+
+    @pytest.mark.parametrize("failing_call", [0, 1, 3, 6])
+    def test_a_fault_on_any_exit_path_leaves_the_scratch_clean(
+        self, monkeypatch, failing_call
+    ):
+        """Call 0 is the entry fault point (``_maybe_fault``); later ones
+        fail a merge mid-sweep — after seeding, inside the layers."""
+        from repro.graph import bitsearch
+
+        graph = _graph_family("er", seed=11)
+        csr = graph.csr()
+        pairs = _random_pairs(graph, 200, random.Random(13))
+        real_merge, calls = bitsearch._merge, [0]
+
+        def flaky_merge(keys, words):
+            calls[0] += 1
+            if calls[0] == failing_call:
+                raise RuntimeError("injected mid-sweep fault")
+            return real_merge(keys, words)
+
+        def hook(name):
+            if failing_call == 0 and name == "csr_bit_bibfs":
+                raise RuntimeError("injected entry fault")
+
+        monkeypatch.setattr(bitsearch, "_merge", flaky_merge)
+        previous = kernels.set_fault_hook(hook)
+        try:
+            with pytest.raises(RuntimeError, match="injected"):
+                bitsearch.csr_bit_bibfs(csr, pairs)
+        finally:
+            kernels.set_fault_hook(previous)
+        assert _scratch_is_clean()
+        assert not bitsearch._process_scratch().lock.locked()
+        monkeypatch.setattr(bitsearch, "_merge", real_merge)
+        assert bitsearch.csr_bit_bibfs(csr, pairs)[0] == _oracle(graph, pairs)
+
+    def test_concurrent_sweeps_of_one_snapshot_are_both_exact(self):
+        """More sweeping threads than cores over the one scratch pair: a
+        lost label update or a half-wiped block would flip a verdict."""
+        from repro.graph.bitsearch import csr_bit_bibfs
+
+        graph = _graph_family("pa", seed=5)
+        csr = graph.csr()
+        rng = random.Random(19)
+        batches = [_random_pairs(graph, 300, rng) for _ in range(6)]
+        expected = [_oracle(graph, pairs) for pairs in batches]
+        wrong = []
+
+        def sweep(k):
+            for _ in range(8):
+                if csr_bit_bibfs(csr, batches[k])[0] != expected[k]:
+                    wrong.append(k)
+
+        threads = [threading.Thread(target=sweep, args=(k,)) for k in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+        assert _scratch_is_clean()
+
+    @pytest.mark.parametrize("method", ["fork", "spawn"])
+    def test_child_process_gets_its_own_scratch(self, method):
+        """The parent holds the scratch lock (a sweep in flight on another
+        thread, as far as a fork can tell) with dirt in the blocks: the
+        child must neither wait on that lock nor read those rows."""
+        from repro.graph import bitsearch
+
+        if method not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"no {method} start method here")
+        edges = [(0, 1), (1, 2), (3, 4)]
+        pairs = [(0, 2), (2, 0), (3, 4), (0, 4)] * 20
+        expected = [True, False, True, False] * 20
+        scratch = bitsearch._process_scratch()
+        child = multiprocessing.get_context(method).Process(
+            target=_sweep_in_child, args=(edges, pairs, expected)
+        )
+        with scratch.lock:
+            scratch.label_f[:8] = scratch.label_r[:8] = 2**64 - 1
+            try:
+                child.start()
+                child.join(timeout=60)
+            finally:
+                scratch.label_f[:8] = scratch.label_r[:8] = 0
+        assert not child.is_alive()
+        assert child.exitcode == 0
+
+
+@pytest.mark.skipif(HAVE_NUMPY, reason="the kernel is only inert without numpy")
+def test_kernel_is_inert_without_numpy():
+    """The module imports and the kernel refuses; batches run scalar
+    (``test_kernelless_service_falls_back_to_scalar``)."""
+    from repro.graph.bitsearch import csr_bit_bibfs
+
+    with pytest.raises(RuntimeError, match="numpy"):
+        csr_bit_bibfs(DynamicDiGraph(edges=[(0, 1)]), [(0, 1)])
 
 
 # ----------------------------------------------------------------------
@@ -177,6 +393,25 @@ class TestBatchPlanner:
         assert model.prefer_bitparallel(512, 50_000, 650_000, 1e-3)
         # A faster engine raises the bar for the sweep.
         assert not model.prefer_bitparallel(64, 50_000, 650_000, 1e-6)
+
+    def test_cost_model_decisions_on_the_benchmark_batches(self):
+        """The per-layer / per-word-edge account decides the two batches
+        the per-wave account was checked on the way it did: a
+        ``batch_search`` frame (1024 survivors on the sparse 50k graph)
+        sweeps, at any plausible engine latency; a 3-pair batch stays
+        scalar until the engine is observed to cost a millisecond."""
+        model = BatchCostModel()
+        n, m = 50_000, 153_035
+        for engine_mean_s in (0.0, 1e-4, 1e-3, 1e-2):
+            assert model.prefer_bitparallel(1024, n, m, engine_mean_s)
+        assert not model.prefer_bitparallel(3, n, m, 0.0)
+        assert not model.prefer_bitparallel(3, n, m, 5e-4)
+        assert model.prefer_bitparallel(3, n, m, 1e-3)
+        # One frame is two sweeps of this graph; dispatch is charged for
+        # both, bandwidth for its sixteen word-groups.
+        assert model.sweep_seconds(n, m, 1024) == pytest.approx(
+            2 * 18 * 1e-4 + 16 * (n + m) * 4.5e-9
+        )
 
 
 # ----------------------------------------------------------------------
@@ -315,6 +550,32 @@ class TestServiceBatchStrategies:
         for (s, t), o in zip(pairs, outcomes):
             assert o.via != "bitbatch"
             assert o.answer == is_reachable_bfs(graph, s, t)
+
+
+    @needs_numpy
+    def test_budget_expiring_mid_sweep_keeps_the_decided_lanes(self):
+        """The edge ceiling trips after the first lanes resolved: those
+        stay ``bitbatch`` verdicts (oracle-exact); only the undecided
+        lanes drop to the engine rung."""
+        graph = _graph_family("pa", seed=21)
+        pairs = sorted(set(_random_pairs(graph, 400, random.Random(17))))
+        with ReachabilityService(
+            graph.copy(), seed=0, num_supportive=0, use_labels=False,
+            engine_edge_budget=800,
+        ) as svc:
+            outcomes = svc.query_batch(pairs, strategy="bitparallel")
+            counters = svc.stats()["counters"]
+        kept = [o for o in outcomes if o.via == "bitbatch"]
+        searched = [o for o in outcomes if o.via != "fastpath"]
+        assert 0 < len(kept) < len(searched)
+        assert counters["bit_resolved"] == len(kept)
+        assert counters.get("bit_waves", 0) == 0  # the call never finished
+        assert counters["batch_scalar_queries"] == len(searched) - len(kept)
+        assert all("interrupted=edge-budget" in o.detail for o in kept)
+        for (s, t), o in zip(pairs, outcomes):
+            if o.confident:
+                assert o.answer == is_reachable_bfs(graph, s, t), (s, t, o.via)
+        assert all(o.confident for o in kept)
 
 
 # ----------------------------------------------------------------------
