@@ -1,34 +1,20 @@
-"""Extension bench — the wire layer (ext_net).
+"""Extension bench — the wire layer's failover leg (ext_net_failover).
 
-Two measurements over real loopback sockets:
-
-* **Coalescing A/B** — 64 concurrent closed-loop clients stream "hard"
-  query pairs (fast-path-abstained, so every query must search) at the
-  server; one leg serves each wire query with its own scalar
-  ``service.query`` executor call (``coalesce=False``), the other
-  gathers concurrent queries into ``query_batch(strategy="auto")``
-  waves at the socket layer. Clients are identical in both legs — only
-  the server toggles. Every answer is checked against the dict BiBFS
-  oracle; the ISSUE acceptance bar requires >= 5x throughput for the
-  coalesced leg.
-* **Failover** — a replica follows the primary over a journal
-  subscription while updates stream in; the primary is killed abruptly
-  and the replica promotes via ``ReachabilityService.recover()`` on its
-  local journal. The recorded row must show zero BFS-oracle mismatches
-  at the promoted watermark.
+Over real loopback sockets: a replica follows the primary over a journal
+subscription while updates stream in; the primary is killed abruptly
+and the replica promotes via ``ReachabilityService.recover()`` on its
+local journal. The recorded row must show zero BFS-oracle mismatches
+at the promoted watermark. (Wire throughput is ``benchmarks/e2e``'s
+``point_hot`` workload.)
 """
 
 import asyncio
 import time
 
-import pytest
-
 from repro.baselines.bibfs import bibfs_is_reachable
 from repro.datasets.scale_free import preferential_attachment_graph
-from repro.graph import HAVE_NUMPY
 from repro.net import ReachabilityClient, ReachabilityServer, ReplicaNode
 from repro.service import FastPathPruner, ReachabilityService
-from repro.workloads.mixed import QUERY, Op, split_for_clients
 from repro.workloads.queries import generate_queries
 
 from benchmarks.conftest import once
@@ -36,10 +22,6 @@ from benchmarks.conftest import once
 NUM_VERTICES = 20_000
 OUT_DEGREE = 10
 RECIPROCAL = 0.08
-
-NUM_CLIENTS = 64
-QUERIES_PER_CLIENT = 16
-MAX_WAVE = 256
 
 FAILOVER_UPDATES = 100
 FAILOVER_CHECKS = 200
@@ -72,119 +54,6 @@ def _hard_pairs(graph, count, seed=5):
     return pairs
 
 
-async def _drive_clients(address, streams):
-    """Closed-loop wire clients: each awaits every answer before sending
-    the next query. Returns (wall_seconds, outcomes)."""
-
-    async def one_client(ops):
-        results = []
-        async with await ReachabilityClient.open(*address) as client:
-            for op in ops:
-                results.append(await client.query(op.u, op.v))
-        return results
-
-    start = time.perf_counter()
-    per_client = await asyncio.gather(*[one_client(s) for s in streams])
-    wall = time.perf_counter() - start
-    return wall, [o for results in per_client for o in results]
-
-
-def _serve_leg(graph, streams, coalesce):
-    """One A/B leg: fresh service (cold caches), fresh server, identical
-    client fleet; only the server's coalescing toggles."""
-
-    async def scenario():
-        with ReachabilityService(graph.copy(), num_workers=4, seed=0) as service:
-            service.graph.csr()  # pre-freeze: time serving, not the freeze
-            server = ReachabilityServer(
-                service, port=0, coalesce=coalesce, max_wave=MAX_WAVE
-            )
-            await server.start()
-            try:
-                wall, outcomes = await _drive_clients(server.address, streams)
-            finally:
-                await server.stop()
-            derived = service.stats()["derived"]
-            return {
-                "wall": wall,
-                "outcomes": outcomes,
-                "waves": server.counters.get("net_coalesced_waves", 0),
-                "word_occupancy": round(derived.get("word_occupancy", 0.0), 4),
-            }
-
-    return asyncio.run(scenario())
-
-
-def test_wire_coalescing_throughput(benchmark, emit):
-    graph = _graph()
-    pairs = _hard_pairs(graph, NUM_CLIENTS * QUERIES_PER_CLIENT)
-    ops = [Op(QUERY, s, t) for s, t in pairs]
-    streams = split_for_clients(ops, NUM_CLIENTS)
-    oracle = {(s, t): bibfs_is_reachable(graph, s, t) for s, t in set(pairs)}
-
-    def run_both():
-        scalar = _serve_leg(graph, streams, coalesce=False)
-        coalesced = _serve_leg(graph, streams, coalesce=True)
-        return scalar, coalesced
-
-    scalar, coalesced = once(benchmark, run_both)
-
-    rows = []
-    for leg, result in (("wire-scalar", scalar), ("wire-coalesced", coalesced)):
-        mismatches = sum(
-            1
-            for o in result["outcomes"]
-            if o.answer != oracle[(o.source, o.target)]
-        )
-        rows.append(
-            {
-                "leg": leg,
-                "clients": NUM_CLIENTS,
-                "queries": len(result["outcomes"]),
-                "wall_s": round(result["wall"], 4),
-                "qps": round(len(result["outcomes"]) / result["wall"], 1),
-                "coalesced_waves": result["waves"],
-                "word_occupancy": result["word_occupancy"],
-                "mismatches": mismatches,
-            }
-        )
-    speedup = scalar["wall"] / coalesced["wall"]
-    for row in rows:
-        row["speedup_vs_scalar"] = (
-            round(speedup, 2) if row["leg"] == "wire-coalesced" else 1.0
-        )
-
-    emit(
-        "ext_net",
-        "socket-layer coalescing vs per-connection scalar round-trips "
-        f"({NUM_CLIENTS} closed-loop wire clients, hard pairs)",
-        rows,
-        parameters={
-            "n": NUM_VERTICES,
-            "out_degree": OUT_DEGREE,
-            "clients": NUM_CLIENTS,
-            "queries_per_client": QUERIES_PER_CLIENT,
-            "max_wave": MAX_WAVE,
-            "numpy": HAVE_NUMPY,
-        },
-        columns=[
-            "leg",
-            "clients",
-            "queries",
-            "wall_s",
-            "qps",
-            "speedup_vs_scalar",
-            "coalesced_waves",
-            "word_occupancy",
-            "mismatches",
-        ],
-    )
-    assert all(row["mismatches"] == 0 for row in rows)
-    if HAVE_NUMPY:
-        # The ISSUE acceptance bar (bit-parallel waves need numpy).
-        assert speedup >= 5.0, f"coalescing speedup {speedup:.2f}x < 5x"
-
-
 def test_wire_failover_promotes_exactly(benchmark, emit, tmp_path):
     graph = _graph()
     check_pairs = _hard_pairs(graph, FAILOVER_CHECKS, seed=11)
@@ -192,7 +61,6 @@ def test_wire_failover_promotes_exactly(benchmark, emit, tmp_path):
     async def scenario():
         service = ReachabilityService(
             graph.copy(),
-            num_workers=4,
             seed=0,
             journal=tmp_path / "primary.wal",
         )
@@ -200,7 +68,7 @@ def test_wire_failover_promotes_exactly(benchmark, emit, tmp_path):
         node = ReplicaNode(
             *server.address,
             tmp_path / "replica.wal",
-            service_kwargs={"num_workers": 4, "seed": 0},
+            service_kwargs={"seed": 0},
         )
         runner = asyncio.create_task(node.run())
         async with await ReachabilityClient.open(*server.address) as client:

@@ -1,7 +1,8 @@
 """Extension bench — the concurrent query-serving engine.
 
 Replays skewed mixed read/write workloads through
-:class:`ReachabilityService` on two structurally opposite snapshots:
+:class:`ReachabilityService`, one walk per query on the driving thread,
+on two structurally opposite snapshots:
 
 * a two-block SBM (one giant SCC per block) where the same-SCC
   observation should dominate, and
@@ -31,7 +32,7 @@ QUERY_RATIO = 0.9
 SKEW = 1.1
 
 
-def _run_one(name, graph, workers, pair_pool=None, journal=None):
+def _run_one(name, graph, pair_pool=None, journal=None):
     ops = generate_mixed_workload(
         graph,
         NUM_OPS,
@@ -43,7 +44,6 @@ def _run_one(name, graph, workers, pair_pool=None, journal=None):
     queries, inserts, deletes = workload_mix(ops)
     with ReachabilityService(
         graph.copy(),
-        num_workers=workers,
         num_supportive=4,
         seed=7,
         journal=journal,
@@ -54,7 +54,6 @@ def _run_one(name, graph, workers, pair_pool=None, journal=None):
         )
     row = {
         "snapshot": name,
-        "workers": workers,
         "n": graph.num_vertices,
         "m": graph.num_edges,
         "inserts": inserts,
@@ -68,20 +67,15 @@ def _run_one(name, graph, workers, pair_pool=None, journal=None):
 def run_study():
     sbm = two_block_sbm(300, 5.0, seed=11)
     pa = preferential_attachment_graph(1500, 2, seed=11)
-    rows = []
-    for workers in (1, 4):
-        rows.append(_run_one("SBM", sbm, workers))
-        rows.append(_run_one("PA", pa, workers))
+    rows = [_run_one("SBM", sbm), _run_one("PA", pa)]
     # Session-like traffic: whole query pairs repeat from a hot pool, so
     # the LRU cache (not just the fast path) carries measurable load.
-    rows.append(_run_one("PA/hot-pairs", pa, 4, pair_pool=64))
+    rows.append(_run_one("PA/hot-pairs", pa, pair_pool=64))
     # Durability tax: the same run with a write-ahead journal attached —
     # qps relative to the plain PA row is the cost of crash safety.
     with tempfile.TemporaryDirectory() as tmp:
         rows.append(
-            _run_one(
-                "PA/journal", pa, 4, journal=os.path.join(tmp, "wal.jsonl")
-            )
+            _run_one("PA/journal", pa, journal=os.path.join(tmp, "wal.jsonl"))
         )
     return rows
 
@@ -99,7 +93,6 @@ def test_service_throughput(benchmark, emit):
         },
         columns=[
             "snapshot",
-            "workers",
             "qps",
             "fastpath_rate",
             "cache_hit_rate",

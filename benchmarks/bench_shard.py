@@ -3,9 +3,9 @@
 Measurements on the headline 50k-vertex scale-free graph, hard-pair
 workload (pairs the fast-path pruner abstains on, exactly as ext_batch):
 
-* **Sharded A/B throughput** — ``query_batch(strategy="bitparallel")``
-  through a ``shards=K`` fleet vs the single-process PR 5 path
-  (``shards=0``), fresh service per repetition, fleet deploy and pruner
+* **Sharded A/B throughput** — ``query_batch(pairs)`` through a
+  ``shards=K`` fleet vs the single-process path (``shards=0``, where the
+  cutover sweeps the survivors; each arm asserts its rung ran), fresh service per repetition, fleet deploy and pruner
   warm-up paid by an untimed warm-up batch. Both arms walk the same
   index rungs (fast path, cache) first; the shard rung then answers
   most survivors from the shard plan's O(1) summaries
@@ -108,19 +108,21 @@ def _serve_sharded(graph, warmup, pairs, shards):
     before either path under test runs.
     """
     with ReachabilityService(
-        graph.copy(), shards=shards, num_workers=4, seed=0,
-        use_labels=False,
+        graph.copy(), shards=shards, seed=0, use_labels=False,
     ) as service:
         service.graph.csr()  # pre-freeze: time the serving, not the freeze
-        service.query_batch(warmup, strategy="bitparallel")
+        service.query_batch(warmup)
         if service.router is not None:
             service.router.warm_fleet()
         start = time.perf_counter()
-        outcomes = service.query_batch(pairs, strategy="bitparallel")
+        outcomes = service.query_batch(pairs)
         wall_s = time.perf_counter() - start
         counters = dict(service.stats()["counters"])
         router = service.router
         route = dict(router.counters) if router is not None else {}
+    # Each arm measured the rung it names.
+    ran = "shard_resolved" if shards >= 2 else "bit_waves"
+    assert counters.get(ran, 0) > 0, counters
     return wall_s, outcomes, counters, route
 
 
@@ -193,16 +195,16 @@ def run_kill_leg(graph, warmup, pairs, oracle):
     the degraded fleet gets what it leaves.
     """
     with ReachabilityService(
-        graph.copy(), shards=4, num_workers=4, seed=0, shard_respawn=False
+        graph.copy(), shards=4, seed=0, shard_respawn=False
     ) as service:
         service.graph.csr()
-        service.query_batch(warmup, strategy="bitparallel")
+        service.query_batch(warmup)
         router = service.router
         assert router is not None and router.healthy
         router._workers[0].process.kill()
         router._workers[0].process.join(5.0)
         start = time.perf_counter()
-        outcomes = service.query_batch(pairs, strategy="bitparallel")
+        outcomes = service.query_batch(pairs)
         wall_s = time.perf_counter() - start
         counters = dict(service.stats()["counters"])
         degraded = not router.healthy

@@ -3,7 +3,7 @@
 Exposes the library's main entry points without writing Python::
 
     python -m repro query GRAPH.txt SOURCE TARGET [--method ifca]
-    python -m repro query-batch GRAPH.txt PAIRS.txt [--strategy auto]
+    python -m repro query-batch GRAPH.txt PAIRS.txt [--no-kernels]
     python -m repro stats GRAPH.txt
     python -m repro generate sbm --block-size 100 --degree 5 OUT.txt
     python -m repro compare EN [--max-updates 250]
@@ -89,14 +89,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="file of 's t' query pairs (one per line, '#' comments; "
         "'-' reads stdin)",
     )
-    qb.add_argument(
-        "--strategy",
-        choices=["auto", "scalar", "bitparallel"],
-        default="auto",
-        help="batch execution path: bit-parallel kernel waves, the "
-        "per-query scalar pipeline, or the cost-model auto cutover",
-    )
-    qb.add_argument("--workers", type=int, default=4)
     qb.add_argument("--supportive", type=int, default=4)
     qb.add_argument(
         "--deadline-ms",
@@ -108,8 +100,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--kernels",
         action=argparse.BooleanOptionalAction,
         default=True,
-        help="allow the bit-parallel CSR path (--no-kernels forces the "
-        "scalar pipeline)",
+        help="allow the bit-parallel CSR path, taken when the cost model "
+        "picks it (--no-kernels searches pair by pair)",
     )
     qb.add_argument("--seed", type=int, default=0)
     qb.add_argument(
@@ -197,7 +189,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="repeat whole query pairs from a hot pool of this size",
     )
-    sb.add_argument("--workers", type=int, default=4)
     sb.add_argument("--cache-size", type=int, default=4096)
     sb.add_argument("--supportive", type=int, default=4)
     sb.add_argument(
@@ -250,25 +241,12 @@ def build_parser() -> argparse.ArgumentParser:
         "ReachabilityService.recover()",
     )
     sb.add_argument(
-        "--max-pending",
-        type=int,
-        default=0,
-        help="admission control: shed queries once this many are pending "
-        "(0 = unbounded)",
-    )
-    sb.add_argument(
         "--batch-size",
         type=int,
         default=None,
         help="coalesce consecutive queries into query_batch calls of up "
         "to this many pairs (also bursts the generated workload); "
-        "omitted = per-query replay",
-    )
-    sb.add_argument(
-        "--batch-strategy",
-        choices=["auto", "scalar", "bitparallel"],
-        default="auto",
-        help="execution path for batched replay (see query-batch)",
+        "omitted = one walk per query",
     )
     sb.add_argument(
         "--shards",
@@ -297,7 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
     sv.add_argument(
         "--port", type=int, default=7420, help="bind port (0 = ephemeral)"
     )
-    sv.add_argument("--workers", type=int, default=4)
     sv.add_argument("--supportive", type=int, default=4)
     sv.add_argument(
         "--journal",
@@ -312,19 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="shed wire queries once this many are queued or executing "
         "(0 = unbounded); shed responses carry retry_after_ms",
     )
-    sv.add_argument(
-        "--coalesce",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="gather concurrent wire queries into query_batch waves "
-        "(--no-coalesce serves each query with its own worker call)",
-    )
     sv.add_argument("--max-wave", type=int, default=256)
-    sv.add_argument(
-        "--batch-strategy",
-        choices=["auto", "scalar", "bitparallel"],
-        default="auto",
-    )
     sv.add_argument(
         "--kernels", action=argparse.BooleanOptionalAction, default=True
     )
@@ -363,7 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=7421,
         help="serve read-only queries here (0 = ephemeral)",
     )
-    rp.add_argument("--workers", type=int, default=4)
     rp.add_argument("--supportive", type=int, default=4)
     rp.add_argument(
         "--kernels", action=argparse.BooleanOptionalAction, default=True
@@ -395,7 +359,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ch.add_argument("--ops", type=int, default=2000)
     ch.add_argument("--query-ratio", type=float, default=0.8)
-    ch.add_argument("--workers", type=int, default=4)
     ch.add_argument("--supportive", type=int, default=0)
     ch.add_argument(
         "--deadline-ms",
@@ -409,7 +372,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="per-query engine edge-access ceiling",
     )
-    ch.add_argument("--max-pending", type=int, default=64)
     ch.add_argument(
         "--journal", default=None, help="write-ahead journal path (JSONL)"
     )
@@ -523,13 +485,12 @@ def cmd_query_batch(args: argparse.Namespace) -> int:
     deadline_s = args.deadline_ms / 1000.0 if args.deadline_ms else None
     with ReachabilityService(
         graph,
-        num_workers=args.workers,
         num_supportive=args.supportive,
         seed=args.seed,
         deadline_s=deadline_s,
         use_kernels=args.kernels,
     ) as service:
-        outcomes = service.query_batch(pairs, strategy=args.strategy)
+        outcomes = service.query_batch(pairs)
         if not args.quiet:
             for outcome in outcomes:
                 verdict = "reachable" if outcome.answer else "not reachable"
@@ -543,8 +504,7 @@ def cmd_query_batch(args: argparse.Namespace) -> int:
         derived = service.stats()["derived"]
         positives = sum(1 for o in outcomes if o.answer)
         print(
-            f"{len(outcomes)} queries ({positives} reachable) via "
-            f"strategy={args.strategy}: "
+            f"{len(outcomes)} queries ({positives} reachable): "
             f"{counters.get('bit_waves', 0)} bit waves, "
             f"{counters.get('batch_prefilter_hits', 0)} prefilter hits, "
             f"{counters.get('batched_dedup', 0)} deduped, "
@@ -660,7 +620,6 @@ def cmd_serve_bench(args: argparse.Namespace) -> int:
     print(
         f"replaying {len(ops)} ops ({queries} queries, {inserts} inserts, "
         f"{deletes} deletes) on n={graph.num_vertices} m={graph.num_edges} "
-        f"with {args.workers} workers "
         f"(csr kernels {'on' if args.kernels else 'off'}, "
         f"labels {'on' if args.labels else 'off'}, "
         f"shards={args.shards or 'off'})"
@@ -668,7 +627,6 @@ def cmd_serve_bench(args: argparse.Namespace) -> int:
     deadline_s = args.deadline_ms / 1000.0 if args.deadline_ms else None
     with ReachabilityService(
         graph,
-        num_workers=args.workers,
         cache_capacity=args.cache_size,
         num_supportive=args.supportive,
         seed=args.seed,
@@ -679,15 +637,10 @@ def cmd_serve_bench(args: argparse.Namespace) -> int:
         label_bits=args.label_bits,
         csr_freeze_threshold=args.freeze_threshold,
         journal=args.journal,
-        max_pending=args.max_pending,
         shards=args.shards,
     ) as service:
         result = replay_workload(
-            service,
-            ops,
-            deadline_s=deadline_s,
-            batch_size=args.batch_size,
-            batch_strategy=args.batch_strategy,
+            service, ops, deadline_s=deadline_s, batch_size=args.batch_size or 1
         )
         row = result.summary_row()
         print(
@@ -716,7 +669,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     async def run() -> int:
         with ReachabilityService(
             graph,
-            num_workers=args.workers,
             num_supportive=args.supportive,
             seed=args.seed,
             use_kernels=args.kernels,
@@ -725,19 +677,13 @@ def cmd_serve(args: argparse.Namespace) -> int:
             shards=args.shards,
         ) as service:
             server = ReachabilityServer(
-                service,
-                args.host,
-                args.port,
-                coalesce=args.coalesce,
-                max_wave=args.max_wave,
-                batch_strategy=args.batch_strategy,
+                service, args.host, args.port, max_wave=args.max_wave
             )
             await server.start()
             print(
                 f"serving n={graph.num_vertices} m={graph.num_edges} on "
                 f"{server.host}:{server.port} "
-                f"(coalesce={'on' if args.coalesce else 'off'}, "
-                f"journal={args.journal or 'none'}, "
+                f"(coalesce=on, journal={args.journal or 'none'}, "
                 f"shards={args.shards or 'off'})",
                 flush=True,
             )
@@ -784,7 +730,6 @@ def cmd_replica(args: argparse.Namespace) -> int:
             int(port),
             args.journal,
             service_kwargs={
-                "num_workers": args.workers,
                 "num_supportive": args.supportive,
                 "seed": args.seed,
                 "use_kernels": args.kernels,
@@ -854,14 +799,12 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     )
     with ReachabilityService(
         graph,
-        num_workers=args.workers,
         num_supportive=args.supportive,
         seed=args.seed,
         deadline_s=deadline_s,
         engine_edge_budget=args.edge_budget,
         journal=args.journal,
         fault_plan=plan,
-        max_pending=args.max_pending,
     ) as service:
         result = replay_workload(service, ops, deadline_s=deadline_s)
         snapshot = service.stats()
@@ -887,7 +830,6 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     print(f"  queries answered        {answered:>8} / {result.num_queries}")
     print(f"  confident               {confident:>8} ({confident / answered:.1%})"
           if answered else "  confident                      0")
-    print(f"  shed                    {result.shed_queries:>8}")
     print(f"  degraded                {counters.get('degraded', 0):>8}")
     print(f"  engine fallbacks        {counters.get('engine_fallbacks', 0):>8}")
     print(f"  engine failures         {counters.get('engine_failures', 0):>8}")

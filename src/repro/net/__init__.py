@@ -9,7 +9,7 @@ the wire layer runs unchanged on the no-kernel fallback substrate):
 * :mod:`repro.net.server` — :class:`ReachabilityServer`, which serves a
   :class:`~repro.service.engine.ReachabilityService` with socket-layer
   batch coalescing (concurrent wire queries gather into
-  ``query_batch(strategy="auto")`` waves), shed-with-retry-hint
+  ``query_batch`` waves), shed-with-retry-hint
   backpressure, and journal-shipping ``subscribe`` feeds.
 * :mod:`repro.net.client` / :mod:`repro.net.replica` —
   :class:`ReachabilityClient` (pipelined async client),

@@ -163,8 +163,6 @@ async def _spawn_primary_subprocess(
         "0",
         "--journal",
         str(wal),
-        "--workers",
-        "2",
         "--supportive",
         "0",
         stdout=asyncio.subprocess.PIPE,
@@ -216,7 +214,7 @@ async def scenario_kill_primary(
                 host,
                 port,
                 workdir / f"replica{i}.wal",
-                service_kwargs={"num_workers": 2, "num_supportive": 0},
+                service_kwargs={"num_supportive": 0},
                 reconnect_delay_s=0.05,
                 seed=seed + i,
             )
@@ -394,7 +392,7 @@ def _sharded_workload(
     def run_batch(svc) -> None:
         nonlocal mismatches
         batch = [(rng.choice(verts), rng.choice(verts)) for _ in range(24)]
-        outcomes = svc.query_batch(batch, strategy="bitparallel")
+        outcomes = svc.query_batch(batch)
         for (s, t), outcome in zip(batch, outcomes):
             if outcome.answer != is_reachable_bfs(oracle, s, t):
                 mismatches += 1
@@ -440,7 +438,7 @@ def _sharded_workload(
             else:
                 run_batch(svc)
         final_pairs = _check_pairs(oracle, checks, seed + 23)
-        outcomes = svc.query_batch(final_pairs, strategy="bitparallel")
+        outcomes = svc.query_batch(final_pairs)
         for (s, t), outcome in zip(final_pairs, outcomes):
             if outcome.answer != is_reachable_bfs(oracle, s, t):
                 mismatches += 1
@@ -522,7 +520,6 @@ async def scenario_partition_replica(
     _clear_journals(workdir, "partition_primary", "partition_replica")
     service = ReachabilityService(
         graph.copy(),
-        num_workers=2,
         num_supportive=0,
         journal=workdir / "partition_primary.wal",
     )
@@ -530,7 +527,7 @@ async def scenario_partition_replica(
     node = ReplicaNode(
         *server.address,
         workdir / "partition_replica.wal",
-        service_kwargs={"num_workers": 2, "num_supportive": 0},
+        service_kwargs={"num_supportive": 0},
         reconnect_delay_s=0.05,
         reconnect_delay_max_s=0.4,
         seed=seed,
@@ -636,7 +633,7 @@ async def scenario_torn_frames(
     graph = _chaos_graph(seed)
     oracle = graph.copy()
     verts = sorted(graph.vertices())
-    service = ReachabilityService(graph.copy(), num_workers=2, num_supportive=0)
+    service = ReachabilityService(graph.copy(), num_supportive=0)
     server = await ReachabilityServer(service, port=0).start()
     host, port = server.address
     torn = [

@@ -143,7 +143,6 @@ class ReachabilityClient:
     async def query_batch(
         self,
         pairs: Sequence[Pair],
-        strategy: str = "auto",
         deadline_ms: Optional[int] = None,
     ) -> List[QueryOutcome]:
         """One explicit batch request (a single ``query_batch`` call
@@ -151,7 +150,6 @@ class ReachabilityClient:
         message = {
             "type": protocol.BATCH,
             "pairs": [[s, t] for s, t in pairs],
-            "strategy": strategy,
         }
         if deadline_ms is not None:
             message["deadline_ms"] = deadline_ms
@@ -407,12 +405,9 @@ class FailoverClient:
     async def query_batch(
         self,
         pairs: Sequence[Pair],
-        strategy: str = "auto",
         deadline_ms: Optional[int] = None,
     ) -> List[QueryOutcome]:
-        return await self._call(
-            lambda c: c.query_batch(pairs, strategy, deadline_ms)
-        )
+        return await self._call(lambda c: c.query_batch(pairs, deadline_ms))
 
     async def add_edge(self, u: int, v: int) -> dict:
         return await self._call(

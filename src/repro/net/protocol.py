@@ -10,8 +10,8 @@ rely on for torn-tail recovery, applied at the transport layer.
 Request messages carry a client-chosen ``id`` that the response echoes,
 so one connection can have many requests in flight — which is exactly
 what the server's socket-layer coalescer exploits: concurrent ``query``
-frames on one (or many) connections gather into one
-``query_batch(strategy="auto")`` wave.
+frames on one (or many) connections gather into one ``query_batch``
+wave.
 
 Message types (requests -> responses):
 
@@ -19,7 +19,7 @@ Message types (requests -> responses):
 ``query``             ``{"type": "query", "id", "s", "t", "deadline_ms"?}``
                       -> ``result`` (a wire-encoded ``QueryOutcome``)
 ``batch``             ``{"type": "batch", "id", "pairs": [[s, t], ...],
-                      "strategy"?, "deadline_ms"?}`` -> ``batch-result``
+                      "deadline_ms"?}`` -> ``batch-result``
 ``update``            ``{"type": "update", "id", "op": "+"|"-", "u", "v"}``
                       -> ``update-result`` | ``error`` (read-only replica)
 ``stats``             ``{"type": "stats", "id"}`` -> ``stats-result`` with

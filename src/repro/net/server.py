@@ -2,8 +2,9 @@
 
 Architecture
 ------------
-One event loop owns all sockets; the (thread-based, GIL-releasing-on-IO)
-service runs in executor threads. Each socket is one ``asyncio.Protocol``
+One event loop owns all sockets; the service owns no threads, so its
+calls run on the loop's default executor — one query wave at a time.
+Each socket is one ``asyncio.Protocol``
 object (:class:`_Connection`). A point query costs no task, future or
 ``send()`` of its own — the socket work is per *wave*, like the engine
 call:
@@ -21,9 +22,9 @@ call:
   ``retry_after_ms`` hint. A malformed query gets its own ``error``
   reply; its neighbours in the read are served.
 * **Wave.** One drain task gathers what is queued, across connections,
-  into one ``service.query_batch(strategy="auto")`` call per wave (the
-  batcher is the sink, so dedup, fast-path/cache pre-filtering and
-  bit-parallel kernel waves all engage). Under load the queue refills
+  into one ``service.query_batch`` call per wave (the batcher is the
+  sink, so dedup, fast-path/cache pre-filtering and — past the cutover
+  — bit-parallel kernel waves all engage). Under load the queue refills
   while a wave executes, so waves pack toward ``max_wave`` lanes exactly
   when batching pays most. The queries of a wave that carry
   ``deadline_ms`` run first, apart, under the tightest of them; the
@@ -279,11 +280,6 @@ class ReachabilityServer:
     host, port:
         Bind address; ``port=0`` picks a free port (read it back from
         :attr:`port` after :meth:`start`).
-    coalesce:
-        Gather concurrent ``query`` frames into ``query_batch`` waves
-        (the default). ``False`` serves each query with a dedicated
-        ``service.query`` executor call — the per-connection scalar
-        round-trip baseline the loopback bench compares against.
     max_wave:
         Most queries drained into one ``query_batch`` call.
     coalesce_delay_s:
@@ -291,8 +287,6 @@ class ReachabilityServer:
         the first enqueue before draining, letting concurrent arrivals
         pack into the same wave. 0 (default) drains immediately —
         under real load the executor round-trip itself is the window.
-    batch_strategy:
-        Strategy handed to ``query_batch`` for coalesced waves.
     read_only:
         Reject ``update`` frames (replica mode). Flipped by
         :meth:`promote`.
@@ -309,10 +303,8 @@ class ReachabilityServer:
         host: str = "127.0.0.1",
         port: int = 0,
         *,
-        coalesce: bool = True,
         max_wave: int = 256,
         coalesce_delay_s: float = 0.0,
-        batch_strategy: str = "auto",
         read_only: bool = False,
         role: str = "primary",
         tail_poll_s: float = 0.02,
@@ -322,10 +314,8 @@ class ReachabilityServer:
         self.port = port
         self.role = role
         self.read_only = read_only
-        self._coalesce = coalesce
         self._max_wave = max(1, max_wave)
         self._coalesce_delay_s = max(0.0, coalesce_delay_s)
-        self._batch_strategy = batch_strategy
         self._tail_poll_s = tail_poll_s
         self._server: Optional[asyncio.base_events.Server] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
@@ -354,8 +344,7 @@ class ReachabilityServer:
             lambda: _Connection(self), self.host, self.port
         )
         self.port = self._server.sockets[0].getsockname()[1]
-        if self._coalesce:
-            self._drain_task = asyncio.create_task(self._drain_loop())
+        self._drain_task = asyncio.create_task(self._drain_loop())
         return self
 
     @property
@@ -429,19 +418,18 @@ class ReachabilityServer:
         queries = queued = 0
         max_pending = self.service.max_pending
         for message in messages:
-            is_query = message.get("type") == protocol.QUERY
-            queries += is_query
-            if not (is_query and self._coalesce):
+            if message.get("type") != protocol.QUERY:
                 conn.spawn(self._handle_message(message, conn.respond))
                 continue
+            queries += 1
             mid = message.get("id")
             try:
                 s, t = int(message["s"]), int(message["t"])
                 deadline_s = self._deadline_s(message)
                 if max_pending and self._inflight >= max_pending:
                     # Socket-layer backpressure: shed before burning an
-                    # executor thread, with the same live retry-after
-                    # hint the in-process admission control attaches.
+                    # executor thread, with the service's live
+                    # retry-after hint.
                     self._incr("net_shed")
                     shed = self.service.shed_outcome(
                         s, t, backlog=self._inflight
@@ -467,14 +455,7 @@ class ReachabilityServer:
         mid = message.get("id")
         mtype = message.get("type")
         try:
-            if mtype == protocol.QUERY:  # coalesce=False only
-                s, t = int(message["s"]), int(message["t"])
-                deadline_s = self._deadline_s(message)
-                outcome = await self._loop.run_in_executor(
-                    None, lambda: self.service.query(s, t, deadline_s)
-                )
-                reply = self._result(mid, outcome)
-            elif mtype == protocol.BATCH:
+            if mtype == protocol.BATCH:
                 reply = await self._serve_batch(message, mid)
             elif mtype == protocol.UPDATE:
                 reply = await self._serve_update(message, mid)
@@ -568,10 +549,7 @@ class ReachabilityServer:
         self._incr("net_coalesced_queries", len(items))
         try:
             outcomes = await self._loop.run_in_executor(
-                None,
-                lambda: self.service.query_batch(
-                    pairs, deadline_s, strategy=self._batch_strategy
-                ),
+                None, self.service.query_batch, pairs, deadline_s
             )
         except Exception as exc:
             self._incr("net_wave_errors")
@@ -607,15 +585,11 @@ class ReachabilityServer:
     # ------------------------------------------------------------------
     async def _serve_batch(self, message: dict, mid) -> dict:
         pairs = [(int(s), int(t)) for s, t in message.get("pairs", [])]
-        strategy = message.get("strategy", "auto")
         deadline_s = self._deadline_s(message)
         self._incr("net_batches")
         self._incr("net_queries", len(pairs))
         outcomes = await self._loop.run_in_executor(
-            None,
-            lambda: self.service.query_batch(
-                pairs, deadline_s, strategy=strategy
-            ),
+            None, self.service.query_batch, pairs, deadline_s
         )
         return {
             "type": protocol.BATCH_RESULT,

@@ -2,11 +2,13 @@
 
 A serving front-end around the exact IFCA engine: O'Reach-style O(1)
 fast-path observations, a version-stamped LRU result cache with
-update-aware invalidation, a worker pool with per-query deadlines and
-graceful degradation — and a fault-tolerance layer: pluggable fault
+update-aware invalidation, per-query deadlines and graceful
+degradation on the caller's thread (the service owns none) — and a
+fault-tolerance layer: pluggable fault
 injection, a circuit breaker over the kernel substrate with a dict
-fallback twin, cooperative mid-search cancellation, admission-control
-load shedding, and an optional write-ahead update journal. See
+fallback twin, cooperative mid-search cancellation, the retry-after
+hint for socket-layer load shedding, and an optional write-ahead update
+journal. See
 ``docs/service.md``.
 """
 

@@ -27,7 +27,7 @@ a raw list of ``(s, t)`` pairs and produces what
    kernel re-evaluates the cheaper side per layer, the hint only breaks
    ties.
 
-:class:`BatchCostModel` is the auto cutover: numpy dispatch per sweep
+:class:`BatchCostModel` is the cutover: numpy dispatch per sweep
 layer plus the ``|V'| + |E'|``-shaped account the per-query cost model
 (Alg. 6) uses, per word-group, against the batch's expected scalar cost
 from live engine-stage latency.
@@ -224,7 +224,7 @@ def pack_waves(
 
 @dataclass(frozen=True)
 class BatchCostModel:
-    """Scalar-vs-bit-parallel cutover for ``strategy="auto"``.
+    """The scalar-vs-bit-parallel cutover, applied at every width.
 
     A kernel call pays numpy dispatch once per layer of each sweep,
     whatever the sweep's width, and memory bandwidth per word-group for

@@ -1,11 +1,11 @@
 """Closed-loop workload replay against a :class:`ReachabilityService`.
 
 The driver walks one interleaved operation stream (see
-:mod:`repro.workloads.mixed`): updates are applied in stream order from
-the driving thread, queries are fanned out to the service's worker pool
-in flight-window-sized bursts and joined before the next update — the
-closed-loop discipline keeps every query's snapshot well-defined while
-still exercising genuine thread concurrency between queries.
+:mod:`repro.workloads.mixed`) on the driving thread: updates are applied
+in stream order, runs of consecutive queries are flushed through
+``query_batch`` in chunks of ``batch_size`` (1 = one walk per query)
+before the next update — the closed-loop discipline keeps every query's
+snapshot well-defined.
 
 Used by both ``python -m repro serve-bench`` and
 ``benchmarks/bench_service.py``.
@@ -34,8 +34,6 @@ class ReplayResult:
     #: service guarantees a failed update mutated nothing, so the replay
     #: keeps going — chaos runs count these instead of crashing.
     failed_updates: int = 0
-    #: Queries resolved ``via="shed"`` by admission control.
-    shed_queries: int = 0
 
     @property
     def ops_per_second(self) -> float:
@@ -66,7 +64,6 @@ class ReplayResult:
                 round(confident / len(self.outcomes), 4) if self.outcomes else 1.0
             ),
             "failed_updates": self.failed_updates,
-            "shed": self.shed_queries,
             # Batch-path observability: occupancy and the batch_* family
             # ride along so serve-bench JSON (and everything built on
             # summary rows) exposes them without reading engine internals.
@@ -93,65 +90,39 @@ def replay_workload(
     service: ReachabilityService,
     ops: Sequence[Op],
     *,
-    flight_window: int = 32,
     deadline_s: Optional[float] = None,
-    collect_outcomes: bool = True,
-    batch_size: Optional[int] = None,
-    batch_strategy: str = "auto",
+    batch_size: int = 1,
 ) -> ReplayResult:
     """Drive the stream through the service; returns timing + stats.
 
-    ``flight_window`` bounds how many queries may be in flight at once;
-    an update op acts as a barrier (it must serialize anyway, since it
-    takes the write lock).
-
-    With ``batch_size`` set, consecutive query ops are coalesced into
+    Consecutive query ops are coalesced into
     :meth:`~repro.service.engine.ReachabilityService.query_batch` calls
-    of up to that many pairs (flushed by an update op or stream end),
-    executed with ``batch_strategy`` — the replay shape of a client-side
-    request coalescer in front of the service.
+    of up to ``batch_size`` pairs, flushed by an update op (a barrier:
+    it takes the write lock) or stream end — the replay shape of a
+    client-side request coalescer in front of the service.
     """
-    if batch_size is not None:
-        return _replay_batched(
-            service,
-            ops,
-            batch_size=batch_size,
-            batch_strategy=batch_strategy,
-            deadline_s=deadline_s,
-            collect_outcomes=collect_outcomes,
-        )
-    in_flight: List[Tuple[int, "object"]] = []
-    outcomes: List[Optional[QueryOutcome]] = (
-        [None] * sum(1 for op in ops if op.is_query) if collect_outcomes else []
-    )
+    if batch_size <= 0:
+        raise ValueError("batch_size must be positive")
+    outcomes: List[QueryOutcome] = []
     num_queries = 0
     num_updates = 0
     failed_updates = 0
-    shed = 0
+    pending: List[Tuple[int, int]] = []
 
-    def drain() -> int:
-        local_shed = 0
-        for slot, future in in_flight:
-            outcome = future.result()
-            if outcome.via == "shed":
-                local_shed += 1
-            if collect_outcomes:
-                outcomes[slot] = outcome
-        in_flight.clear()
-        return local_shed
+    def flush() -> None:
+        if pending:
+            outcomes.extend(service.query_batch(pending, deadline_s))
+            pending.clear()
 
     start = time.perf_counter()
-    query_index = 0
     for op in ops:
         if op.is_query:
-            future = service.submit(op.u, op.v, deadline_s)
-            in_flight.append((query_index, future))
-            query_index += 1
+            pending.append((op.u, op.v))
             num_queries += 1
-            if len(in_flight) >= flight_window:
-                shed += drain()
+            if len(pending) >= batch_size:
+                flush()
         else:
-            shed += drain()
+            flush()
             try:
                 if op.kind == INSERT:
                     service.add_edge(op.u, op.v)
@@ -162,87 +133,14 @@ def replay_workload(
                 # before mutating), so the stream stays replayable.
                 failed_updates += 1
             num_updates += 1
-    shed += drain()
+    flush()
     wall = time.perf_counter() - start
 
     return ReplayResult(
         num_queries=num_queries,
         num_updates=num_updates,
         wall_seconds=wall,
-        outcomes=[o for o in outcomes if o is not None],
+        outcomes=outcomes,
         stats=service.stats(),
         failed_updates=failed_updates,
-        shed_queries=shed,
-    )
-
-
-def _replay_batched(
-    service: ReachabilityService,
-    ops: Sequence[Op],
-    *,
-    batch_size: int,
-    batch_strategy: str,
-    deadline_s: Optional[float],
-    collect_outcomes: bool,
-) -> ReplayResult:
-    """Batched replay: coalesce query runs into ``query_batch`` calls."""
-    if batch_size <= 0:
-        raise ValueError("batch_size must be positive")
-    outcomes: List[Optional[QueryOutcome]] = (
-        [None] * sum(1 for op in ops if op.is_query) if collect_outcomes else []
-    )
-    num_queries = 0
-    num_updates = 0
-    failed_updates = 0
-    shed = 0
-    pending: List[Tuple[int, int]] = []
-    slots: List[int] = []
-
-    def flush() -> int:
-        local_shed = 0
-        if not pending:
-            return 0
-        batch = service.query_batch(
-            list(pending), deadline_s, strategy=batch_strategy
-        )
-        for slot, outcome in zip(slots, batch):
-            if outcome.via in ("shed", "shed-dedup"):
-                local_shed += 1
-            if collect_outcomes:
-                outcomes[slot] = outcome
-        pending.clear()
-        slots.clear()
-        return local_shed
-
-    start = time.perf_counter()
-    query_index = 0
-    for op in ops:
-        if op.is_query:
-            pending.append((op.u, op.v))
-            slots.append(query_index)
-            query_index += 1
-            num_queries += 1
-            if len(pending) >= batch_size:
-                shed += flush()
-        else:
-            shed += flush()
-            try:
-                if op.kind == INSERT:
-                    service.add_edge(op.u, op.v)
-                elif op.kind == DELETE:
-                    service.remove_edge(op.u, op.v)
-            except Exception:
-                failed_updates += 1
-            num_updates += 1
-    shed += flush()
-    wall = time.perf_counter() - start
-
-    return ReplayResult(
-        num_queries=num_queries,
-        num_updates=num_updates,
-        wall_seconds=wall,
-        outcomes=[o for o in outcomes if o is not None],
-        stats=service.stats(),
-        failed_updates=failed_updates,
-        shed_queries=shed,
     )

@@ -6,11 +6,14 @@ of rungs: cheap exact observations first, searches after.
 
 The ladder: a point query is a batch of one
 -------------------------------------------
-:meth:`~ReachabilityService.query` / :meth:`~ReachabilityService.submit`
-(width 1) and :meth:`~ReachabilityService.query_batch` (width N) run the
-same walk, :meth:`ReachabilityService._walk`: ``pairs -> outcomes``
-under one read-lock hold at one graph version. Every pair tries the
-rungs in this order and stops at the first that answers:
+:meth:`~ReachabilityService.query` (width 1) and
+:meth:`~ReachabilityService.query_batch` (width N) run the same walk,
+:meth:`ReachabilityService._walk`: ``pairs -> outcomes`` on the calling
+thread, under one read-lock hold at one graph version. The service owns
+no threads: in-process the caller's thread searches; on the wire it is
+an event-loop executor thread, one wave at a time (:mod:`repro.net.server`).
+Every pair tries the rungs in this order and stops at the first that
+answers:
 
 1. **index rungs** — one :func:`~repro.service.batcher.plan_batch`
    call: dedup, trivial verdicts, fast path, cache, then one vectorised
@@ -20,9 +23,9 @@ rungs in this order and stops at the first that answers:
 3. **search rungs** (:attr:`ReachabilityService._SEARCH_RUNGS`), each
    ``survivors -> survivors``: *shard* (the fleet's O(1) partition rules
    and worker waves), *waves* (one frame-wide bit-parallel BiBFS, when
-   ``strategy`` / the cost model picks it), *engine* (the exact method
-   behind the breaker, with the dict-substrate fallback twin),
-   *degraded* (the bounded search — it answers everything left).
+   the cost model picks it — the cutover, at every width), *engine* (the
+   exact method behind the breaker, with the dict-substrate fallback
+   twin), *degraded* (the bounded search — it answers everything left).
 
 The degraded rung runs when a query's budget (deadline, edge ceiling, or
 a cancel token) expires — before the search starts *or cooperatively in
@@ -36,12 +39,12 @@ The cache sits before the shard rung because a routed ``wave`` /
 recurrence under skewed traffic; the fleet's rule verdicts re-derive in
 O(1), so only searched verdicts earn a cache slot. A rung that raises is
 counted (``stage_errors_<rung>``) and skipped. Pairs a rung leaves
-behind — auto chose scalar, the sweep failed, the budget ran out
-before their lanes were decided, the fleet is stale or degraded — reach
-the next rung inline and already filtered: nothing re-enters the ladder,
-and nothing waits on the worker pool while the read lock is held (the
-lock is not reentrant and writers queue behind it, so that wait could
-deadlock).
+behind — the cutover chose scalar, kernels are off, the breaker is
+open, the sweep failed, the budget ran out before their lanes were
+decided, the fleet is stale or degraded — reach the next rung inline and
+already filtered: nothing re-enters the ladder. A batch that reaches the
+engine rung whole therefore searches its pairs one after another under
+the walk's single read-lock hold.
 
 Sharded serving (``shards=K``)
 ------------------------------
@@ -84,8 +87,9 @@ lock (journal order == version order). :meth:`recover` replays a journal
 into a fresh service whose graph — version counter included — matches the
 pre-crash state exactly.
 
-Consistency model: every query observes one frozen snapshot. Workers hold
-a shared read lock for the whole pipeline; updates take the write lock
+Consistency model: every query observes one frozen snapshot. A walk holds
+a shared read lock for the whole pipeline (callers on different threads
+walk concurrently); updates take the write lock
 (optionally with a timeout that raises
 :class:`~repro.service.concurrency.ServiceTimeout`), mutate the graph,
 repair the pruner, journal the mutation, and advance the cache barriers.
@@ -98,8 +102,7 @@ from __future__ import annotations
 
 import threading
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -140,11 +143,10 @@ class QueryOutcome:
     #: guess of a blown budget, a shed query, or a total pipeline failure.
     confident: bool
     #: Which stage produced the answer:
-    #: ``"fastpath" | "cache" | "engine" | "engine-fallback" | "bitbatch"
-    #: | "degraded" | "shed" | "shed-dedup" | "error"``. ``"bitbatch"``
-    #: marks answers from a bit-parallel batch sweep; ``"shed-dedup"``
-    #: marks a shed verdict fanned out to deduplicated batch duplicates
-    #: after their one retry was shed as well.
+    #: ``"fastpath" | "labels" | "cache" | "shard" | "bitbatch" | "engine"
+    #: | "engine-fallback" | "degraded" | "shed" | "error"``. ``"bitbatch"``
+    #: marks answers from a bit-parallel sweep; ``"shed"`` a socket-layer
+    #: admission-control rejection (:mod:`repro.net.server`).
     via: str
     #: Graph version of the snapshot the answer is exact for.
     version: int
@@ -153,23 +155,19 @@ class QueryOutcome:
     detail: str = ""
     #: Structured retry hint for shed outcomes (milliseconds), derived by
     #: admission control from the live engine-stage mean latency. Always
-    #: set on ``via="shed"`` / ``"shed-dedup"`` outcomes — clients and the
-    #: wire protocol read this field, not the ``detail`` string.
+    #: set on ``via="shed"`` outcomes — clients and the wire protocol
+    #: read this field, not the ``detail`` string.
     retry_after_ms: Optional[int] = None
 
 
 class _Walk:
     """One ladder walk's state, fixed under one read-lock hold."""
 
-    __slots__ = ("version", "deadline", "strategy", "outcomes", "why")
+    __slots__ = ("version", "deadline", "outcomes", "why")
 
-    def __init__(
-        self, version: int, deadline: Optional[float], strategy: str
-    ) -> None:
+    def __init__(self, version: int, deadline: Optional[float]) -> None:
         self.version = version
         self.deadline = deadline
-        #: ``"scalar"`` (no wave rung) | ``"bitparallel"`` | ``"auto"``.
-        self.strategy = strategy
         self.outcomes: Dict[Pair, QueryOutcome] = {}
         #: Why the degraded rung is answering (its detail prefix).
         self.why = ""
@@ -181,6 +179,10 @@ _DEFAULT_POLICY = StagePolicy()
 class ReachabilityService:
     """A thread-safe serving front-end over one dynamic graph.
 
+    The service starts no threads: every query is searched on the thread
+    that called :meth:`query` / :meth:`query_batch`; concurrent callers
+    share the read lock.
+
     Parameters
     ----------
     graph:
@@ -188,13 +190,11 @@ class ReachabilityService:
         subsequent updates must go through the service.
     method_factory:
         Builds the exact engine from the graph (default ``IFCAMethod``).
-    num_workers:
-        Worker threads backing :meth:`submit` / :meth:`query_batch`.
     cache_capacity, num_supportive, seed, rebuild_cooldown:
         Tuning for the cache and fast-path stages.
     deadline_s:
         Default per-query deadline (``None`` = never degrade on time).
-        Measured from submission and enforced *cooperatively*: the engine
+        Measured from the call and enforced *cooperatively*: the engine
         checkpoints its budget mid-search and hands partial state to the
         degraded search on expiry.
     degrade_budget:
@@ -224,9 +224,11 @@ class ReachabilityService:
         process-wide kernel fault hook for the plan's ``kernel`` stage
         (restored on :meth:`close`) — arm chaos on one service at a time.
     max_pending:
-        Admission control: :meth:`submit` sheds (``via="shed"``, with a
-        ``retry-after-ms`` hint) once this many submitted queries are
-        unfinished. 0 disables shedding.
+        Admission control for the network front end, which reads it from
+        here: :mod:`repro.net.server` sheds a wire query
+        (:meth:`shed_outcome`, ``via="shed"`` with a retry-after hint)
+        while this many are queued or executing. 0 disables shedding;
+        in-process callers are never shed — they own the thread.
     stage_policies:
         Per-stage :class:`~repro.service.faults.StagePolicy` overrides.
         ``engine``: ``timeout_s`` folds into the query budget,
@@ -277,7 +279,6 @@ class ReachabilityService:
             Callable[[DynamicDiGraph], ReachabilityMethod]
         ] = None,
         *,
-        num_workers: int = 4,
         cache_capacity: int = 4096,
         num_supportive: int = 4,
         seed: int = 0,
@@ -347,8 +348,6 @@ class ReachabilityService:
         )
         self._cache = VersionedQueryCache(cache_capacity)
         self._stats = ServiceStats()
-        self._pool: Optional[ThreadPoolExecutor] = None
-        self._num_workers = max(1, num_workers)
         self._closed = False
         self._csr_lock = threading.Lock()
         self._csr_threshold = max(1, csr_freeze_threshold)
@@ -383,8 +382,6 @@ class ReachabilityService:
         self._batch_cost = BatchCostModel()
         self._cancel = CancelToken()
         self.max_pending = max(0, max_pending)
-        self._pending = 0
-        self._pending_lock = threading.Lock()
 
         self._owns_journal = isinstance(journal, (str, Path))
         self._journal: Optional[UpdateJournal] = (
@@ -411,29 +408,17 @@ class ReachabilityService:
         if self._closed:
             raise RuntimeError("service is closed")
 
-    def _executor(self) -> ThreadPoolExecutor:
-        self._check_open()
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(
-                max_workers=self._num_workers,
-                thread_name_prefix="reach-serve",
-            )
-        return self._pool
-
     def close(self, cancel_inflight: bool = False) -> None:
-        """Drain in-flight work and release the worker threads.
+        """Refuse new calls and release the fleet, hooks and journal.
 
         ``cancel_inflight=True`` trips the service-wide cancel token
-        first, so running searches exit cooperatively at their next
-        checkpoint (their queries resolve as degraded outcomes) instead
-        of running to completion.
+        first, so searches running on other threads exit cooperatively
+        at their next checkpoint (their queries resolve as degraded
+        outcomes) instead of running to completion.
         """
         self._closed = True
         if cancel_inflight:
             self._cancel.cancel()
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
         with self._router_lock:
             if self._router is not None:
                 self._router.close()
@@ -677,73 +662,47 @@ class ReachabilityService:
     def query(
         self, source: int, target: int, deadline_s: Optional[float] = None
     ) -> QueryOutcome:
-        """Serve one query synchronously on the calling thread."""
+        """Serve one query on the calling thread: a batch of one."""
         self._check_open()
-        return self._serve(source, target, self._deadline(deadline_s))
+        return self._walk([(source, target)], self._deadline(deadline_s))[0]
 
-    def submit(
-        self, source: int, target: int, deadline_s: Optional[float] = None
-    ) -> "Future[QueryOutcome]":
-        """Queue one query on the worker pool; returns a future.
+    def query_batch(
+        self,
+        queries: Sequence[Tuple[int, int]],
+        deadline_s: Optional[float] = None,
+    ) -> List[QueryOutcome]:
+        """Serve a batch of pairs on the calling thread, in one walk.
 
-        With ``max_pending`` set, an overloaded service sheds instead of
-        queueing unboundedly: the future resolves immediately to a
-        ``via="shed"`` outcome whose detail carries a ``retry-after-ms``
-        hint derived from the live engine-stage mean latency.
+        Repeated pairs are answered once and fanned back out. Pairs no
+        index rung answers are searched by whichever rung the walk
+        itself picks: :class:`~repro.service.batcher.BatchCostModel`
+        compares one bit-parallel sweep's predicted cost against the
+        survivors' expected engine-rung cost (from live engine-stage
+        latency) and keeps or skips the wave rung — 64 queries per
+        uint64 word over the version's CSR snapshot
+        (:mod:`repro.graph.bitsearch`). With kernels unavailable
+        (counted ``batch_scalar_fallback``) or the breaker open the wave
+        rung abstains; a kernel failure feeds the breaker. Either way
+        the survivors, and the lanes a budget expiry left undecided,
+        drop to the engine rung inline.
         """
-        deadline = self._deadline(deadline_s)
-        if self.max_pending:
-            with self._pending_lock:
-                if self._pending >= self.max_pending:
-                    shed = True
-                    backlog = self._pending
-                else:
-                    shed = False
-                    self._pending += 1
-            if shed:
-                return self._shed(source, target, backlog)
-            return self._executor().submit(
-                self._serve_tracked, source, target, deadline
-            )
-        return self._executor().submit(self._serve, source, target, deadline)
+        self._check_open()
+        return self._walk(
+            [(s, t) for s, t in queries], self._deadline(deadline_s)
+        )
 
-    def _serve(
-        self, source: int, target: int, deadline: Optional[float]
-    ) -> QueryOutcome:
-        """A point query is a batch of one (width 1 has no wave rung)."""
-        return self._walk([(source, target)], deadline, "scalar")[0]
-
-    def _serve_tracked(
-        self, source: int, target: int, deadline: Optional[float]
-    ) -> QueryOutcome:
-        try:
-            return self._serve(source, target, deadline)
-        finally:
-            with self._pending_lock:
-                self._pending -= 1
-
-    def _shed(self, source: int, target: int, backlog: int) -> "Future[QueryOutcome]":
-        future: "Future[QueryOutcome]" = Future()
-        future.set_result(self.shed_outcome(source, target, backlog))
-        return future
-
-    def retry_after_hint_ms(self, backlog: Optional[int] = None) -> int:
+    def retry_after_hint_ms(self, backlog: int) -> int:
         """The live retry-after hint (ms) admission control attaches to
-        shed outcomes: ``backlog`` queries drained at the observed
-        engine-stage mean latency across the worker pool."""
-        if backlog is None:
-            backlog = self.pending
+        shed outcomes: ``backlog`` queries drained one wave at a time at
+        the observed engine-stage mean latency."""
         mean = self._stats.stage_mean_seconds("engine") or 1e-3
-        return max(1, int(1000.0 * max(1, backlog) * mean / self._num_workers))
+        return max(1, int(1000.0 * max(1, backlog) * mean))
 
-    def shed_outcome(
-        self, source: int, target: int, backlog: Optional[int] = None
-    ) -> QueryOutcome:
+    def shed_outcome(self, source: int, target: int, backlog: int) -> QueryOutcome:
         """One admission-control rejection, hint attached.
 
-        Every shed path — :meth:`submit` overload, batch dedup retries,
-        and the network front end's socket-layer backpressure
-        (:mod:`repro.net`) — builds its outcome here, so the retry-after
+        The network front end's socket-layer backpressure
+        (:mod:`repro.net`) builds its outcome here, so the retry-after
         hint is carried structurally (:attr:`QueryOutcome.retry_after_ms`)
         on every rejection, never only in the detail string.
         """
@@ -760,88 +719,11 @@ class ReachabilityService:
             retry_after_ms=retry_ms,
         )
 
-    @property
-    def pending(self) -> int:
-        with self._pending_lock:
-            return self._pending
-
-    def query_batch(
-        self,
-        queries: Sequence[Tuple[int, int]],
-        deadline_s: Optional[float] = None,
-        strategy: str = "auto",
-    ) -> List[QueryOutcome]:
-        """Serve a batch of pairs, deduplicating repeated pairs.
-
-        ``strategy`` picks how pairs no index rung answered are searched:
-
-        * ``"scalar"`` — each distinct pair is submitted to the worker
-          pool (admission control applies) and walks the ladder alone;
-        * ``"bitparallel"`` — the batch walks the ladder once and the
-          wave rung sweeps the survivors in one bit-parallel BiBFS
-          kernel call — 64 queries per uint64 word — over the version's
-          CSR snapshot (:mod:`repro.graph.bitsearch`). A kernel failure
-          feeds the circuit breaker and the survivors drop to the engine
-          rung, as do the lanes a budget expiry left undecided;
-          with kernels unavailable the whole batch runs scalar (counted
-          as ``batch_scalar_fallback``);
-        * ``"auto"`` — :class:`~repro.service.batcher.BatchCostModel`
-          compares one sweep's predicted cost against the survivors'
-          expected engine-rung cost (from live engine-stage latency) and
-          keeps or skips the wave rung per batch.
-        """
-        self._check_open()
-        if strategy not in ("auto", "scalar", "bitparallel"):
-            raise ValueError(f"unknown batch strategy: {strategy!r}")
-        pairs = [(s, t) for s, t in queries]
-        if strategy != "scalar":
-            if (
-                self.use_kernels
-                and kernels.kernels_enabled()
-                and self._breaker.state == "closed"
-            ):
-                return self._walk(pairs, self._deadline(deadline_s), strategy)
-            self._stats.incr("batch_scalar_fallback")
-        return self._query_batch_scalar(pairs, deadline_s)
-
-    def _query_batch_scalar(
-        self,
-        queries: List[Tuple[int, int]],
-        deadline_s: Optional[float],
-    ) -> List[QueryOutcome]:
-        """The per-query path: one pool submission per distinct pair.
-
-        Skewed traffic repeats pairs heavily; each distinct pair is
-        scheduled once and its outcome fanned back out in order. A shed
-        verdict, however, answered exactly *one* admission slot — fanning
-        it out would shed duplicates that never loaded the service — so a
-        deduplicated pair that was shed retries once on behalf of its
-        duplicates; a retry shed again fans out as ``via="shed-dedup"``.
-        """
-        distinct: Dict[Tuple[int, int], "Future[QueryOutcome]"] = {}
-        duplicated = set()
-        for pair in queries:
-            if pair in distinct:
-                duplicated.add(pair)
-            else:
-                distinct[pair] = self.submit(pair[0], pair[1], deadline_s)
-        self._stats.incr("batched_dedup", len(queries) - len(distinct))
-        outcomes: Dict[Tuple[int, int], QueryOutcome] = {}
-        for pair, future in distinct.items():
-            outcome = future.result()
-            if outcome.via == "shed" and pair in duplicated:
-                self._stats.incr("shed_dedup_retries")
-                outcome = self.submit(pair[0], pair[1], deadline_s).result()
-                if outcome.via == "shed":
-                    outcome = replace(outcome, via="shed-dedup")
-            outcomes[pair] = outcome
-        return [outcomes[pair] for pair in queries]
-
     # ------------------------------------------------------------------
     # The ladder (see the module docstring): one walk at every width
     # ------------------------------------------------------------------
     def _walk(
-        self, pairs: List[Pair], deadline: Optional[float], strategy: str
+        self, pairs: List[Pair], deadline: Optional[float]
     ) -> List[QueryOutcome]:
         """Walk ``pairs`` down the ladder; outcomes align with ``pairs``.
 
@@ -850,7 +732,7 @@ class ReachabilityService:
         rung that raises is counted and its survivors fall through.
         """
         with self._lock.read:
-            walk = _Walk(self.graph.version, deadline, strategy)
+            walk = _Walk(self.graph.version, deadline)
             survivors = self._index_rungs(walk, pairs)
             rungs = self._SEARCH_RUNGS
             if (
@@ -1080,32 +962,30 @@ class ReachabilityService:
     def _rung_waves(self, walk: _Walk, survivors: List[Pair]) -> List[Pair]:
         """Sweep the survivors in one bit-parallel BiBFS kernel call.
 
-        Pairs the kernel does not answer — the auto cutover chose
-        scalar, the snapshot would not freeze, the call failed
-        (breaker-counted), or the budget expired before their lanes were
-        decided — stay survivors; the engine rung's degraded hand-off
-        owns partial-answer semantics.
+        The rung decides for itself, at every width, from what it can
+        observe: the breaker, the cost model's cutover on the survivor
+        count, graph size and live engine mean, and whether the version
+        has (or can freeze) a snapshot. Pairs the kernel does not answer
+        — any of those said no, the call failed (breaker-counted), or
+        the budget expired before their lanes were decided — stay
+        survivors; the engine rung's degraded hand-off owns
+        partial-answer semantics.
         """
-        if walk.strategy == "scalar":
-            return survivors
         stats = self._stats
-        if walk.strategy == "auto":
-            use_bits = self._batch_cost.prefer_bitparallel(
-                len(survivors),
-                self.graph.num_vertices,
-                self.graph.num_edges,
-                stats.stage_mean_seconds("engine"),
-            )
-            stats.incr(
-                "batch_auto_bitparallel" if use_bits else "batch_auto_scalar"
-            )
-            if not use_bits:
-                return survivors
+        if self._breaker.state != "closed":
+            return survivors
+        use_bits = self._batch_cost.prefer_bitparallel(
+            len(survivors),
+            self.graph.num_vertices,
+            self.graph.num_edges,
+            stats.stage_mean_seconds("engine"),
+        )
+        stats.incr("batch_auto_bitparallel" if use_bits else "batch_auto_scalar")
+        if not use_bits:
+            return survivors
         csr = self._freeze(walk.version, len(survivors), at_once=True)
         if csr is None:
             stats.incr("batch_scalar_fallback")
-            return survivors
-        if self._breaker.state != "closed":
             return survivors
         pairs, (wave,) = pack_waves(
             survivors, graph=self.graph, max_wave_lanes=len(survivors)
@@ -1153,8 +1033,7 @@ class ReachabilityService:
         """One exact search per survivor, inline: breaker, fallback twin,
         and the degraded hand-off of an interrupted search's partial
         state all live in :meth:`_engine_stage` and below."""
-        if walk.strategy != "scalar":
-            self._stats.incr("batch_scalar_queries", len(survivors))
+        self._stats.incr("batch_scalar_queries", len(survivors))
         self._freeze(walk.version, len(survivors))
         policy = self._policy("engine")
         version = walk.version

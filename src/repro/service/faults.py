@@ -104,7 +104,7 @@ class FaultInjector:
     ``fire(stage)`` is called by the engine at each instrumented point;
     matching specs roll the (seeded, shared) RNG and either sleep or
     raise. All bookkeeping is under one lock; the sleep itself is not, so
-    latency faults do not serialize the worker pool.
+    latency faults do not serialize concurrent callers.
     """
 
     def __init__(self, plan: FaultPlan) -> None:

@@ -11,7 +11,6 @@ from repro.workloads.mixed import (
     generate_mixed_workload,
     load_workload,
     save_workload,
-    split_for_clients,
     workload_mix,
 )
 from repro.workloads.precision import accuracy, confusion_counts, precision_recall
@@ -28,6 +27,5 @@ __all__ = [
     "precision_recall",
     "save_workload",
     "split_by_sign",
-    "split_for_clients",
     "workload_mix",
 ]

@@ -226,30 +226,6 @@ def workload_mix(ops: Iterable[Op]) -> Tuple[int, int, int]:
     return queries, inserts, deletes
 
 
-def split_for_clients(ops: Iterable[Op], num_clients: int) -> List[List[Op]]:
-    """Partition one stream into per-client streams for wire-driven runs.
-
-    Queries go round-robin (every client carries load); updates all go to
-    client 0, preserving their relative order — replicated to more
-    clients they would double-apply, and interleaved across clients the
-    update order (and thus the version sequence) would be racy. Client
-    streams keep each op's position relative to the updates client 0
-    will apply, so a closed-loop client sees a graph no older than the
-    single-stream replay would have shown it.
-    """
-    if num_clients < 1:
-        raise ValueError("num_clients must be >= 1")
-    streams: List[List[Op]] = [[] for _ in range(num_clients)]
-    next_client = 0
-    for op in ops:
-        if op.kind == QUERY:
-            streams[next_client].append(op)
-            next_client = (next_client + 1) % num_clients
-        else:
-            streams[0].append(op)
-    return streams
-
-
 def save_workload(ops: Iterable[Op], path: PathLike) -> None:
     """Write the stream as ``Q|I|D u v`` lines (``#`` comments allowed)."""
     with open(path, "w", encoding="utf-8") as handle:

@@ -14,6 +14,7 @@ from repro.datasets.scale_free import (
     star_heavy_graph,
 )
 from repro.graph.digraph import DynamicDiGraph
+from repro.service import BatchCostModel
 
 
 @pytest.fixture
@@ -82,3 +83,15 @@ def random_graph(n: int, m: int, seed: int) -> DynamicDiGraph:
         if u != v:
             g.add_edge(u, v)
     return g
+
+
+def force_waves(svc):
+    """Make ``svc``'s wave rung sweep whatever reaches it.
+
+    The cost model's cutover keeps the few survivors of a tiny test graph
+    on the engine rung; tests that mean to exercise the bit-parallel
+    sweep swap in a model whose sweep is free (and assert
+    ``bit_waves > 0`` afterwards). Returns ``svc``.
+    """
+    svc._batch_cost = BatchCostModel(layer_dispatch_s=0, word_edge_s=0)
+    return svc

@@ -9,6 +9,7 @@ proving a kernel-less deployment degrades to scalar cleanly.
 
 from __future__ import annotations
 
+import inspect
 import multiprocessing
 import os
 import random
@@ -29,6 +30,7 @@ from repro.graph.digraph import DynamicDiGraph
 from repro.graph.traversal import is_reachable_bfs
 from repro.service import ReachabilityService
 from repro.service.batcher import BatchCostModel, pack_waves, plan_batch
+from tests.conftest import force_waves
 
 pytestmark = pytest.mark.bitparallel
 
@@ -419,9 +421,14 @@ class TestBatchPlanner:
 # ----------------------------------------------------------------------
 class TestServiceBatchStrategies:
     def test_invalid_strategy_rejected(self):
+        """There is no caller-chosen strategy: the keyword itself is
+        rejected, and the cutover is the rung's own decision."""
         with ReachabilityService(DynamicDiGraph(edges=[(0, 1)])) as svc:
-            with pytest.raises(ValueError):
+            with pytest.raises(TypeError):
                 svc.query_batch([(0, 1)], strategy="simd")
+        assert list(inspect.signature(svc.query_batch).parameters) == [
+            "queries", "deadline_s"
+        ]
 
     @needs_numpy
     @pytest.mark.parametrize("family", ["pa", "sbm"])
@@ -436,13 +443,13 @@ class TestServiceBatchStrategies:
         with ReachabilityService(
             graph.copy(), seed=0, num_supportive=0, use_labels=False
         ) as bit_svc:
-            bit = bit_svc.query_batch(pairs, strategy="bitparallel")
+            bit = force_waves(bit_svc).query_batch(pairs)
             counters = bit_svc.stats()["counters"]
             assert counters["bit_waves"] >= 1
             assert counters["bit_lanes"] == counters["bit_resolved"]
             assert bit_svc.stats()["derived"]["word_occupancy"] > 0.0
         with ReachabilityService(graph.copy(), seed=0) as scalar_svc:
-            scalar = scalar_svc.query_batch(pairs, strategy="scalar")
+            scalar = [scalar_svc.query(s, t) for s, t in pairs]
         for (s, t), b, c in zip(pairs, bit, scalar):
             expected = is_reachable_bfs(graph, s, t)
             assert b.answer == expected, (s, t, b.via)
@@ -456,7 +463,7 @@ class TestServiceBatchStrategies:
         # use_labels=False: the label prefilter would resolve every pair,
         # leaving no pending batch for the auto cutover to decide on.
         with ReachabilityService(graph.copy(), seed=0, use_labels=False) as svc:
-            outcomes = svc.query_batch(pairs, strategy="auto")
+            outcomes = svc.query_batch(pairs)
             counters = svc.stats()["counters"]
             assert (
                 counters.get("batch_auto_bitparallel", 0)
@@ -473,10 +480,14 @@ class TestServiceBatchStrategies:
         graph = _graph_family("er", seed=6)
         rng = random.Random(33)
         vs = sorted(graph.vertices())
-        with ReachabilityService(graph, seed=0) as svc:
+        # Index tiers weakened so pairs survive to ride a wave each round.
+        with ReachabilityService(
+            graph, seed=0, num_supportive=0, use_labels=False
+        ) as svc:
+            force_waves(svc)
             for round_no in range(4):
                 pairs = _random_pairs(svc.graph, 150, rng)
-                outcomes = svc.query_batch(pairs, strategy="bitparallel")
+                outcomes = svc.query_batch(pairs)
                 for (s, t), o in zip(pairs, outcomes):
                     assert o.answer == is_reachable_bfs(svc.graph, s, t)
                     assert o.version == svc.graph.version
@@ -486,6 +497,7 @@ class TestServiceBatchStrategies:
                         svc.add_edge(u, v)
                     elif u != v:
                         svc.remove_edge(u, v)
+            assert svc.stats()["counters"]["bit_waves"] > 0
 
     @needs_numpy
     def test_cache_reuse_across_batches(self):
@@ -494,23 +506,25 @@ class TestServiceBatchStrategies:
         # use_labels=False: label verdicts are recomputed per batch, never
         # cached, so the cache-reuse contract is about kernel answers.
         with ReachabilityService(graph, seed=0, use_labels=False) as svc:
-            svc.query_batch(pairs, strategy="bitparallel")
+            force_waves(svc).query_batch(pairs)
             first = svc.stats()["counters"]
-            svc.query_batch(pairs, strategy="bitparallel")
+            svc.query_batch(pairs)
             second = svc.stats()["counters"]
             # The second identical batch drains via the prefilter (cache).
-            assert second["bit_waves"] == first["bit_waves"]
+            assert second["bit_waves"] == first["bit_waves"] > 0
             assert second["cache_hits"] > first.get("cache_hits", 0)
 
     def test_kernelless_service_falls_back_to_scalar(self):
-        """Without kernels (numpy absent or disabled) every strategy
-        answers through the scalar pipeline, counted as a fallback."""
+        """Without kernels (numpy absent or disabled) a batch the cutover
+        would have swept answers through the engine rung, counted as a
+        fallback when pairs actually reached the wave rung."""
         graph = _graph_family("sbm", seed=14)
         pairs = _random_pairs(graph, 100, random.Random(3))
         with ReachabilityService(graph, seed=0, use_kernels=False) as svc:
-            outcomes = svc.query_batch(pairs, strategy="bitparallel")
+            outcomes = force_waves(svc).query_batch(pairs)
             counters = svc.stats()["counters"]
-            assert counters["batch_scalar_fallback"] == 1
+            reached = counters.get("batch_scalar_queries", 0) > 0
+            assert counters.get("batch_scalar_fallback", 0) == int(reached)
             assert counters.get("bit_waves", 0) == 0
             for (s, t), o in zip(pairs, outcomes):
                 assert o.via != "bitbatch"
@@ -522,9 +536,14 @@ class TestServiceBatchStrategies:
         previous = kernels.set_kernels_enabled(False)
         try:
             with ReachabilityService(graph, seed=0) as svc:
-                outcomes = svc.query_batch([(0, 5), (5, 0)], strategy="auto")
-                assert svc.stats()["counters"]["batch_scalar_fallback"] == 1
+                pairs = [(0, 5), (5, 0)]
+                outcomes = force_waves(svc).query_batch(pairs)
+                counters = svc.stats()["counters"]
+                reached = counters.get("batch_scalar_queries", 0) > 0
+                assert counters.get("batch_scalar_fallback", 0) == int(reached)
                 assert all(o.via != "bitbatch" for o in outcomes)
+                for (s, t), o in zip(pairs, outcomes):
+                    assert o.answer == is_reachable_bfs(graph, s, t)
         finally:
             kernels.set_kernels_enabled(previous)
 
@@ -542,7 +561,7 @@ class TestServiceBatchStrategies:
 
         monkeypatch.setattr(engine_mod, "csr_bit_bibfs", exploding)
         with ReachabilityService(graph.copy(), seed=0, use_labels=False) as svc:
-            outcomes = svc.query_batch(pairs, strategy="bitparallel")
+            outcomes = force_waves(svc).query_batch(pairs)
             counters = svc.stats()["counters"]
             assert counters["batch_wave_failures"] >= 1
             assert counters["batch_scalar_queries"] >= 1
@@ -563,7 +582,7 @@ class TestServiceBatchStrategies:
             graph.copy(), seed=0, num_supportive=0, use_labels=False,
             engine_edge_budget=800,
         ) as svc:
-            outcomes = svc.query_batch(pairs, strategy="bitparallel")
+            outcomes = force_waves(svc).query_batch(pairs)
             counters = svc.stats()["counters"]
         kept = [o for o in outcomes if o.via == "bitbatch"]
         searched = [o for o in outcomes if o.via != "fastpath"]
@@ -596,9 +615,7 @@ class TestBatchedReplay:
         )
         assert len(ops) == 300
         with ReachabilityService(graph.copy(), seed=0) as svc:
-            result = replay_workload(
-                svc, ops, batch_size=32, batch_strategy="auto"
-            )
+            result = replay_workload(svc, ops, batch_size=32)
         assert result.num_queries == sum(1 for op in ops if op.is_query)
         assert len(result.outcomes) == result.num_queries
         with ReachabilityService(graph.copy(), seed=0) as svc:

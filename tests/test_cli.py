@@ -158,8 +158,6 @@ class TestServeBench:
                 graph_file,
                 "--ops",
                 "120",
-                "--workers",
-                "2",
                 "--seed",
                 "3",
                 "--save-workload",
@@ -191,13 +189,13 @@ class TestKnobCensus:
         from repro.service import ReachabilityService
 
         params = inspect.signature(ReachabilityService.__init__).parameters
-        assert len(params) - 1 <= 26, self.RATCHET  # minus self
+        assert len(params) - 1 <= 25, self.RATCHET  # minus self
 
     def test_engine_module_lines(self):
         import repro.service.engine as engine
 
         with open(engine.__file__, encoding="utf-8") as handle:
-            assert sum(1 for _ in handle) <= 1650, self.RATCHET
+            assert sum(1 for _ in handle) <= 1480, self.RATCHET
 
     def test_cli_flags(self):
         def flags(parser):
@@ -209,4 +207,4 @@ class TestKnobCensus:
                     count += 1
             return count
 
-        assert flags(build_parser()) <= 103, self.RATCHET
+        assert flags(build_parser()) <= 92, self.RATCHET

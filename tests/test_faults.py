@@ -10,6 +10,7 @@ named fault plans with a BFS oracle on the confident answers.
 from __future__ import annotations
 
 import random
+import threading
 import time
 
 import pytest
@@ -203,7 +204,7 @@ class TestContainment:
             ),
         )
         with ReachabilityService(
-            _connected_pair_graph(), num_workers=1, fault_plan=plan
+            _connected_pair_graph(), fault_plan=plan
         ) as service:
             out = service.query(0, 19)
             assert out.answer is True and out.confident
@@ -217,7 +218,6 @@ class TestContainment:
         plan = FaultPlan("t", (FaultSpec("engine", max_fires=1),))
         with ReachabilityService(
             _connected_pair_graph(),
-            num_workers=1,
             num_supportive=0,
             use_labels=False,
             fault_plan=plan,
@@ -233,7 +233,6 @@ class TestContainment:
         plan = FaultPlan("t", (FaultSpec("engine"),))  # every attempt dies
         with ReachabilityService(
             _connected_pair_graph(),
-            num_workers=1,
             num_supportive=0,
             use_labels=False,
             fault_plan=plan,
@@ -249,7 +248,6 @@ class TestContainment:
         )
         with ReachabilityService(
             _connected_pair_graph(),
-            num_workers=1,
             num_supportive=0,
             use_labels=False,
             fault_plan=plan,
@@ -261,7 +259,7 @@ class TestContainment:
     def test_update_fault_is_atomic(self):
         plan = FaultPlan("t", (FaultSpec("update", max_fires=1),))
         with ReachabilityService(
-            DynamicDiGraph(edges=[(0, 1)]), num_workers=1, fault_plan=plan
+            DynamicDiGraph(edges=[(0, 1)]), fault_plan=plan
         ) as service:
             version_before = service.graph.version
             with pytest.raises(InjectedFault):
@@ -276,7 +274,6 @@ class TestContainment:
         plan = FaultPlan("t", (FaultSpec("journal"),))
         with ReachabilityService(
             DynamicDiGraph(edges=[(0, 1)]),
-            num_workers=1,
             journal=tmp_path / "wal.jsonl",
             fault_plan=plan,
         ) as service:
@@ -288,7 +285,6 @@ class TestContainment:
         plan = FaultPlan("t", (FaultSpec("engine", max_fires=4),))
         with ReachabilityService(
             _connected_pair_graph(),
-            num_workers=1,
             num_supportive=0,
             use_labels=False,
             cache_capacity=1,
@@ -314,7 +310,6 @@ class TestContainment:
         path = DynamicDiGraph(edges=[(i, i + 1) for i in range(599)])
         with ReachabilityService(
             path,
-            num_workers=1,
             num_supportive=0,
             use_labels=False,
             cache_capacity=1,
@@ -356,7 +351,6 @@ class TestVerdictProbe:
             graph,
             method_factory=_LyingMethod,
             fallback_factory=lambda g: IFCAMethod(g),
-            num_workers=1,
             num_supportive=0,
             use_labels=False,
             cache_capacity=1,
@@ -378,34 +372,21 @@ class TestVerdictProbe:
 
 
 class TestAdmissionControl:
-    def test_overload_sheds_with_retry_hint(self):
-        plan = FaultPlan(
-            "slow", (FaultSpec("engine", kind="latency", delay_s=0.05),)
-        )
-        with ReachabilityService(
-            _connected_pair_graph(),
-            num_workers=1,
-            num_supportive=0,
-            use_labels=False,
-            cache_capacity=1,
-            max_pending=2,
-            fault_plan=plan,
-        ) as service:
-            futures = [service.submit(0, 19) for _ in range(8)]
-            outcomes = [f.result() for f in futures]
-            shed = [o for o in outcomes if o.via == "shed"]
-            assert shed, "expected at least one shed outcome"
-            assert all(o.detail.startswith("retry-after-ms=") for o in shed)
-            assert all(not o.confident for o in shed)
-            served = [o for o in outcomes if o.via != "shed"]
-            assert served and all(o.answer is True for o in served)
-
-    def test_zero_max_pending_never_sheds(self):
-        with ReachabilityService(
-            _connected_pair_graph(), num_workers=1
-        ) as service:
-            outcomes = [service.submit(0, 19).result() for _ in range(8)]
-            assert all(o.via != "shed" for o in outcomes)
+    def test_retry_after_hint_is_backlog_times_engine_mean(self):
+        """Shedding happens at the socket layer, whose drain loop runs
+        one wave at a time: the hint is the whole backlog at the
+        engine-stage mean, with no parallelism divisor."""
+        with ReachabilityService(_connected_pair_graph()) as service:
+            # Before any engine sample the mean is a 1 ms prior.
+            assert service.shed_outcome(0, 19, backlog=5).retry_after_ms == 5
+            service._stats.observe_latency("engine", 0.004)
+            service._stats.observe_latency("engine", 0.008)
+            shed = service.shed_outcome(0, 19, backlog=10)
+            assert (shed.via, shed.answer, shed.confident) == ("shed", False, False)
+            assert shed.retry_after_ms == 60  # 10 queued x 6 ms
+            assert shed.detail == "retry-after-ms=60"
+            assert service.retry_after_hint_ms(1) == 6
+            assert service.stats()["counters"]["shed"] == 2
 
 
 class TestCooperativeCancellation:
@@ -413,7 +394,6 @@ class TestCooperativeCancellation:
         graph = random_graph(400, 1200, seed=9)
         with ReachabilityService(
             graph,
-            num_workers=2,
             num_supportive=0,
             use_labels=False,
             cache_capacity=1,
@@ -434,20 +414,47 @@ class TestCooperativeCancellation:
             assert degraded > 0
 
     def test_close_cancels_inflight_searches(self):
-        graph = random_graph(500, 2500, seed=4)
-        service = ReachabilityService(
-            graph, num_workers=2, num_supportive=0, cache_capacity=1
+        """Sixteen caller-owned threads sit in the engine stage (a
+        latency fault holds them there) when ``close`` trips the cancel
+        token: every call resolves, nothing hangs or raises, and the
+        searches that were in flight come back degraded."""
+        # A long path: no index rung can prove i -> 499 - i, so every
+        # call needs a search.
+        graph = DynamicDiGraph(edges=[(i, i + 1) for i in range(499)])
+        plan = FaultPlan(
+            "slow", (FaultSpec("engine", kind="latency", delay_s=0.2),)
         )
-        futures = [
-            service.submit(i % 500, (i * 37) % 500) for i in range(16)
-        ]
+        service = ReachabilityService(
+            graph, num_supportive=0, use_labels=False, cache_capacity=1,
+            fault_plan=plan,
+        )
+        results = [None] * 16
+
+        def ask(i):
+            try:
+                results[i] = service.query(i, 499 - i)
+            except RuntimeError as exc:  # arrived after close(): refused
+                results[i] = exc
+
+        threads = [threading.Thread(target=ask, args=(i,)) for i in range(16)]
+        for thread in threads:
+            thread.start()
+        time.sleep(0.05)  # everyone is past admission, inside a walk
         service.close(cancel_inflight=True)
-        for future in futures:
-            out = future.result()  # resolves; nothing hangs or raises
-            assert out.via in (
-                "fastpath", "labels", "cache", "engine", "engine-fallback",
-                "degraded",
+        for thread in threads:
+            thread.join(timeout=30)
+        assert not any(thread.is_alive() for thread in threads)
+        outcomes = [r for r in results if not isinstance(r, RuntimeError)]
+        assert all(
+            out.via in (
+                "fastpath", "cache", "engine", "engine-fallback", "degraded"
             )
+            for out in outcomes
+        )
+        assert any(
+            out.via == "degraded" and out.detail.startswith("cancelled")
+            for out in outcomes
+        )
 
 
 # ----------------------------------------------------------------------
@@ -460,14 +467,12 @@ def _survival_run(plan_name, seed=13, n=200, m=500, ops=400):
     )
     with ReachabilityService(
         graph,
-        num_workers=4,
         num_supportive=0,
         cache_capacity=64,
         csr_freeze_threshold=1,
-        max_pending=64,
         fault_plan=plan_by_name(plan_name, seed=seed),
     ) as service:
-        result = replay_workload(service, ops_stream, flight_window=16)
+        result = replay_workload(service, ops_stream)
         final_version = service.graph.version
         for outcome in result.outcomes:
             if outcome.confident and outcome.version == final_version:
@@ -521,7 +526,6 @@ def test_survival_with_journal_recovery(tmp_path):
     journal_path = tmp_path / "wal.jsonl"
     with ReachabilityService(
         graph,
-        num_workers=2,
         num_supportive=0,
         journal=journal_path,
         fault_plan=plan_by_name("engine-flaky", seed=seed),

@@ -241,7 +241,6 @@ class TestServiceIntegration:
         # the engine, so no search would ever trigger a CSR freeze.
         with ReachabilityService(
             g.copy(),
-            num_workers=2,
             use_kernels=True,
             use_labels=False,
             csr_freeze_threshold=1,
@@ -259,7 +258,7 @@ class TestServiceIntegration:
         g = preferential_attachment_graph(200, 3, seed=29, reciprocal=0.2)
         queries = generate_queries(g, 20, seed=8)
         truth = {(s, t): t in bfs_reachable(g, s) for s, t in queries}
-        with ReachabilityService(g.copy(), num_workers=2, use_kernels=False) as service:
+        with ReachabilityService(g.copy(), use_kernels=False) as service:
             for s, t in queries:
                 assert service.query(s, t).answer == truth[(s, t)]
             assert service.stats()["counters"].get("csr_freezes", 0) == 0

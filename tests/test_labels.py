@@ -22,7 +22,7 @@ from repro.service import ReachabilityService
 from repro.service.batcher import plan_batch
 from repro.service.faults import FaultPlan, FaultSpec, plan_by_name
 
-from tests.conftest import random_graph
+from tests.conftest import force_waves, random_graph
 
 pytestmark = pytest.mark.labels
 
@@ -276,7 +276,7 @@ class TestServiceIntegration:
         graph = self._hard_graph()
         rng = random.Random(1)
         with ReachabilityService(
-            graph.copy(), num_workers=1, num_supportive=0
+            graph.copy(), num_supportive=0
         ) as svc:
             hits = 0
             for _ in range(300):
@@ -300,7 +300,7 @@ class TestServiceIntegration:
             edges=[(i, i + 1) for i in range(8)] + [(20, 21)]
         )
         with ReachabilityService(
-            graph, num_workers=1, num_supportive=0
+            graph, num_supportive=0
         ) as svc:
             outcome = svc.query(0, 21)
             assert outcome.via == "labels"
@@ -316,14 +316,15 @@ class TestServiceIntegration:
             (rng.randrange(200), rng.randrange(200)) for _ in range(256)
         ]
         with ReachabilityService(
-            graph.copy(), num_workers=2, use_labels=True
+            graph.copy(), use_labels=True
         ) as on_svc:
-            labelled = on_svc.query_batch(pairs, strategy="bitparallel")
+            labelled = force_waves(on_svc).query_batch(pairs)
             on_counters = on_svc.stats()["counters"]
         with ReachabilityService(
-            graph.copy(), num_workers=2, use_labels=False
+            graph.copy(), use_labels=False
         ) as off_svc:
-            unlabelled = off_svc.query_batch(pairs, strategy="bitparallel")
+            unlabelled = force_waves(off_svc).query_batch(pairs)
+            assert off_svc.stats()["counters"]["bit_waves"] > 0
         for (s, t), a, b in zip(pairs, labelled, unlabelled):
             truth = oracle(graph, s, t)
             assert a.answer == truth and b.answer == truth, (s, t)
@@ -338,7 +339,7 @@ class TestServiceIntegration:
         graph = self._hard_graph(seed=13)
         rng = random.Random(3)
         with ReachabilityService(
-            graph.copy(), num_workers=1, num_supportive=0
+            graph.copy(), num_supportive=0
         ) as svc:
             for step in range(120):
                 u, v = rng.randrange(200), rng.randrange(200)
@@ -360,7 +361,7 @@ class TestServiceIntegration:
         """use_labels=True without numpy serves exactly, tier absent."""
         graph = DynamicDiGraph(edges=[(i, i + 1) for i in range(6)])
         with ReachabilityService(
-            graph, num_workers=1, use_labels=True
+            graph, use_labels=True
         ) as svc:
             if labels_available():
                 assert svc.labels is not None
@@ -391,7 +392,6 @@ class TestFaultContainment:
         rng = random.Random(4)
         with ReachabilityService(
             graph.copy(),
-            num_workers=1,
             num_supportive=0,  # weaken the fast path so labels are probed
             fault_plan=plan_by_name("label-poison"),
         ) as svc:
@@ -412,10 +412,9 @@ class TestFaultContainment:
         pairs = [(rng.randrange(80), rng.randrange(80)) for _ in range(64)]
         with ReachabilityService(
             graph.copy(),
-            num_workers=2,
             fault_plan=plan_by_name("label-poison"),
         ) as svc:
-            outcomes = svc.query_batch(pairs, strategy="bitparallel")
+            outcomes = svc.query_batch(pairs)
             for (s, t), out in zip(pairs, outcomes):
                 assert out.answer == oracle(graph, s, t), (s, t)
 
@@ -425,7 +424,7 @@ class TestFaultContainment:
         instead of leaving a wrong matrix serving verdicts."""
         graph = DynamicDiGraph(edges=[(i, i + 1) for i in range(6)])
         with ReachabilityService(
-            graph, num_workers=1, num_supportive=0
+            graph, num_supportive=0
         ) as svc:
             assert svc.query(0, 6).via == "labels"
 
@@ -446,7 +445,7 @@ class TestFaultContainment:
     def test_repeated_query_failures_disable_tier(self, monkeypatch):
         graph = DynamicDiGraph(edges=[(i, i + 1) for i in range(26)])
         with ReachabilityService(
-            graph, num_workers=1, num_supportive=0
+            graph, num_supportive=0
         ) as svc:
             def boom(source, target):
                 raise RuntimeError("label check exploded")
@@ -467,7 +466,7 @@ class TestFaultContainment:
         vectorised ``filter_pairs``; either failing only abstains."""
         graph = DynamicDiGraph(edges=[(i, i + 1) for i in range(12)])
         with ReachabilityService(
-            graph, num_workers=1, num_supportive=0
+            graph, num_supportive=0
         ) as svc:
             def boom(*args):
                 raise RuntimeError("label probe exploded")
@@ -488,7 +487,7 @@ class TestFaultContainment:
             "labels-flaky", (FaultSpec("labels", probability=0.5),), seed=1
         )
         with ReachabilityService(
-            graph.copy(), num_workers=1, fault_plan=plan
+            graph.copy(), fault_plan=plan
         ) as svc:
             for _ in range(120):
                 s, t = rng.randrange(100), rng.randrange(100)

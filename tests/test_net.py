@@ -71,7 +71,7 @@ async def wait_until(predicate, timeout_s: float = 10.0, step_s: float = 0.01):
 def test_wire_queries_match_bfs_oracle():
     async def scenario():
         graph = chain_graph()
-        with ReachabilityService(graph, num_workers=2) as service:
+        with ReachabilityService(graph) as service:
             async with serving(service) as server:
                 pairs = [(0, 40), (40, 0), (0, 1040), (1000, 1040), (5, 35)]
                 async with await ReachabilityClient.open(
@@ -97,7 +97,7 @@ def test_concurrent_wire_queries_coalesce_into_waves():
         # the label prefilter — the point is to see it take the batch
         # pipeline's auto cutover rather than 32 scalar calls.
         with ReachabilityService(
-            graph, num_workers=2, use_labels=False
+            graph, use_labels=False
         ) as service:
             # A gathering window makes wave packing deterministic: all
             # 32 concurrent queries are enqueued before the first drain.
@@ -129,28 +129,48 @@ def test_concurrent_wire_queries_coalesce_into_waves():
     run(scenario())
 
 
-def test_uncoalesced_server_serves_scalar_round_trips():
-    async def scenario():
-        graph = chain_graph()
-        with ReachabilityService(graph, num_workers=2) as service:
-            async with serving(service, coalesce=False) as server:
+def test_batch_frame_strategy_field_cannot_pick_a_code_path():
+    """A legacy (or hostile) ``batch`` frame may still carry
+    ``"strategy"``: the server does not read it, so on equal service
+    state every value gets the outcomes of a frame without the field,
+    and no pool thread appears."""
+    graph = chain_graph()
+    pairs = [(0, 40), (40, 0), (0, 1040), (1000, 1040), (5, 35), (5, 35)]
+
+    async def scenario(extra):
+        with ReachabilityService(graph.copy()) as service:
+            async with serving(service) as server:
                 async with await ReachabilityClient.open(
                     *server.address
                 ) as client:
-                    outcomes = await asyncio.gather(
-                        *[client.query(i, 40) for i in range(8)]
+                    reply = await client._request(
+                        {
+                            "type": protocol.BATCH,
+                            "pairs": [[s, t] for s, t in pairs],
+                            **extra,
+                        }
                     )
-                assert all(o.answer for o in outcomes)
-                assert "net_coalesced_waves" not in server.counters
+                assert "net_request_errors" not in server.counters
+        assert not [
+            thread.name
+            for thread in threading.enumerate()
+            if thread.name.startswith("reach-serve")
+        ]
+        return reply["outcomes"]
 
-    run(scenario())
+    plain = run(scenario({}))
+    assert [o["answer"] for o in plain] == [
+        is_reachable_bfs(graph, s, t) for s, t in pairs
+    ]
+    for value in ("scalar", "bitparallel", "simd"):
+        assert run(scenario({"strategy": value})) == plain, value
 
 
 def test_shed_response_carries_live_retry_after_hint():
     async def scenario():
         graph = chain_graph()
         with ReachabilityService(
-            graph, num_workers=2, max_pending=1
+            graph, max_pending=1
         ) as service:
             # Hold the drain long enough that the first query is still
             # queued (inflight=1) when the rest arrive -> they shed.
@@ -179,7 +199,7 @@ def test_shed_response_carries_live_retry_after_hint():
 def test_update_over_wire_and_read_only_rejection():
     async def scenario():
         graph = chain_graph()
-        with ReachabilityService(graph, num_workers=2) as service:
+        with ReachabilityService(graph) as service:
             async with serving(service) as server:
                 async with await ReachabilityClient.open(
                     *server.address
@@ -209,14 +229,12 @@ def test_update_over_wire_and_read_only_rejection():
 def test_stats_frame_surfaces_occupancy_and_batch_counters():
     async def scenario():
         graph = chain_graph()
-        with ReachabilityService(graph, num_workers=2) as service:
+        with ReachabilityService(graph) as service:
             async with serving(service) as server:
                 async with await ReachabilityClient.open(
                     *server.address
                 ) as client:
-                    await client.query_batch(
-                        [(i, 40) for i in range(12)], strategy="auto"
-                    )
+                    await client.query_batch([(i, 40) for i in range(12)])
                     frame = await client.stats()
                 assert frame["role"] == "primary"
                 assert frame["watermark"] == graph.version
@@ -258,7 +276,7 @@ def test_stats_frame_surfaces_occupancy_and_batch_counters():
 def test_protocol_error_drops_connection_but_not_server():
     async def scenario():
         graph = chain_graph(10)
-        with ReachabilityService(graph, num_workers=2) as service:
+        with ReachabilityService(graph) as service:
             async with serving(service) as server:
                 # Garbage header: an absurd frame length.
                 reader, writer = await asyncio.open_connection(
@@ -285,13 +303,12 @@ def test_replica_follows_primary_and_serves_at_watermark(tmp_path):
     async def scenario():
         graph = chain_graph()
         with ReachabilityService(
-            graph, num_workers=2, journal=tmp_path / "primary.wal"
+            graph, journal=tmp_path / "primary.wal"
         ) as service:
             async with serving(service) as server:
                 node = ReplicaNode(
                     *server.address,
                     tmp_path / "replica.wal",
-                    service_kwargs={"num_workers": 2},
                 )
                 replica_server = await node.serve()
                 runner = asyncio.create_task(node.run())
@@ -326,7 +343,7 @@ def test_replica_resumes_at_exact_watermark_after_reconnect(tmp_path):
     async def scenario():
         graph = chain_graph(10)
         with ReachabilityService(
-            graph, num_workers=2, journal=tmp_path / "primary.wal"
+            graph, journal=tmp_path / "primary.wal"
         ) as service:
             server = ReachabilityServer(service, port=0)
             await server.start()
@@ -335,7 +352,6 @@ def test_replica_resumes_at_exact_watermark_after_reconnect(tmp_path):
                 "127.0.0.1",
                 port,
                 tmp_path / "replica.wal",
-                service_kwargs={"num_workers": 2},
                 reconnect_delay_s=0.02,
             )
             runner = asyncio.create_task(node.run())
@@ -372,7 +388,7 @@ def test_replica_bootstraps_from_snapshot_after_compaction(tmp_path):
     async def scenario():
         graph = chain_graph(10)
         with ReachabilityService(
-            graph, num_workers=2, journal=tmp_path / "primary.wal"
+            graph, journal=tmp_path / "primary.wal"
         ) as service:
             service.add_edge(10, 700)
             # Compaction discards the records a fresh replica would need:
@@ -382,7 +398,6 @@ def test_replica_bootstraps_from_snapshot_after_compaction(tmp_path):
                 node = ReplicaNode(
                     *server.address,
                     tmp_path / "replica.wal",
-                    service_kwargs={"num_workers": 2},
                 )
                 runner = asyncio.create_task(node.run())
                 try:
@@ -409,13 +424,12 @@ def test_replica_survives_primary_compaction_mid_stream(tmp_path):
     async def scenario():
         graph = chain_graph(10)
         with ReachabilityService(
-            graph, num_workers=2, journal=tmp_path / "primary.wal"
+            graph, journal=tmp_path / "primary.wal"
         ) as service:
             async with serving(service) as server:
                 node = ReplicaNode(
                     *server.address,
                     tmp_path / "replica.wal",
-                    service_kwargs={"num_workers": 2},
                 )
                 runner = asyncio.create_task(node.run())
                 try:
@@ -452,13 +466,12 @@ def test_promote_after_primary_death_matches_bfs_oracle(tmp_path):
     async def scenario():
         graph = chain_graph(20)
         service = ReachabilityService(
-            graph, num_workers=2, journal=tmp_path / "primary.wal"
+            graph, journal=tmp_path / "primary.wal"
         )
         server = await ReachabilityServer(service, port=0).start()
         node = ReplicaNode(
             *server.address,
             tmp_path / "replica.wal",
-            service_kwargs={"num_workers": 2},
         )
         runner = asyncio.create_task(node.run())
         async with await ReachabilityClient.open(*server.address) as client:
@@ -499,13 +512,12 @@ def test_promoted_replica_server_flips_writable(tmp_path):
     async def scenario():
         graph = chain_graph(10)
         with ReachabilityService(
-            graph, num_workers=2, journal=tmp_path / "primary.wal"
+            graph, journal=tmp_path / "primary.wal"
         ) as service:
             server = await ReachabilityServer(service, port=0).start()
             node = ReplicaNode(
                 *server.address,
                 tmp_path / "replica.wal",
-                service_kwargs={"num_workers": 2},
             )
             replica_server = await node.serve()
             runner = asyncio.create_task(node.run())
@@ -580,7 +592,7 @@ def test_one_burst_of_queries_costs_one_write_per_wave(max_wave):
     async def scenario():
         graph = chain_graph()
         pairs = [(i % 40, 40) for i in range(32)] + [(0, 1000 + i) for i in range(32)]
-        with ReachabilityService(graph, num_workers=2) as service:
+        with ReachabilityService(graph) as service:
             async with serving(service, max_wave=max_wave) as server:
                 raw = await RawClient.open(server)
                 raw.transport.write(query_frames(pairs))  # one write
@@ -610,7 +622,7 @@ def test_one_burst_of_queries_costs_one_write_per_wave(max_wave):
 
 def test_a_lone_query_is_one_read_one_wave_one_write():
     async def scenario():
-        with ReachabilityService(chain_graph(), num_workers=2) as service:
+        with ReachabilityService(chain_graph()) as service:
             async with serving(service) as server:
                 async with await ReachabilityClient.open(
                     *server.address
@@ -634,7 +646,7 @@ def test_malformed_query_in_a_burst_fails_alone():
             {"type": "nonsense", "id": "e"},
             {"type": "query", "id": "f", "s": 40, "t": 0},
         ]
-        with ReachabilityService(graph, num_workers=2) as service:
+        with ReachabilityService(graph) as service:
             async with serving(service) as server:
                 raw = await RawClient.open(server)
                 raw.transport.write(b"".join(map(protocol.encode, frames)))
@@ -660,7 +672,7 @@ def test_half_close_delivers_every_reply_then_closes():
     async def scenario():
         graph = chain_graph()
         pairs = [(i, 40) for i in range(32)]
-        with ReachabilityService(graph, num_workers=2) as service:
+        with ReachabilityService(graph) as service:
             # The gathering window keeps the queries in flight past EOF.
             async with serving(service, coalesce_delay_s=0.05) as server:
                 raw = await RawClient.open(server)
@@ -690,7 +702,7 @@ def test_client_that_stops_reading_stops_being_read():
     async def scenario():
         graph = chain_graph()
         half = 4000
-        with ReachabilityService(graph, num_workers=2) as service:
+        with ReachabilityService(graph) as service:
             async with serving(service) as server:
                 # Small kernel buffers both ways on the reply direction,
                 # so "not reading" shows after kilobytes, not megabytes.
@@ -746,7 +758,7 @@ def test_stop_answers_queued_and_executing_queries_server_stopped():
     async def scenario():
         graph = chain_graph()
         release = threading.Event()
-        with ReachabilityService(graph, num_workers=2) as service:
+        with ReachabilityService(graph) as service:
             real_batch = service.query_batch
 
             def stuck_batch(pairs, *args, **kwargs):
@@ -786,7 +798,7 @@ def test_stop_answers_queued_and_executing_queries_server_stopped():
 def test_shed_at_enqueue_carries_retry_after_in_the_same_burst():
     async def scenario():
         with ReachabilityService(
-            chain_graph(), num_workers=2, max_pending=3
+            chain_graph(), max_pending=3
         ) as service:
             async with serving(service) as server:
                 raw = await RawClient.open(server)
@@ -825,7 +837,7 @@ def test_large_frame_is_buffered_in_linear_time(monkeypatch):
     )
 
     async def scenario():
-        with ReachabilityService(chain_graph(), num_workers=2) as service:
+        with ReachabilityService(chain_graph()) as service:
             async with serving(service) as server:
                 reader, writer = await asyncio.open_connection(*server.address)
                 for at in range(0, len(frame), 16384):
@@ -850,7 +862,6 @@ def test_one_clients_deadline_does_not_degrade_anothers_query():
         graph = DynamicDiGraph(edges=[(i, i + 1) for i in range(199)])
         with ReachabilityService(
             graph,
-            num_workers=2,
             num_supportive=0,
             use_labels=False,
             use_kernels=False,
@@ -887,7 +898,7 @@ def test_one_clients_deadline_does_not_degrade_anothers_query():
 def test_deadline_free_query_is_not_starved_by_a_timed_backlog():
     async def scenario():
         waves = []
-        with ReachabilityService(chain_graph(), num_workers=2) as service:
+        with ReachabilityService(chain_graph()) as service:
             real_batch = service.query_batch
 
             def recording_batch(pairs, *args, **kwargs):
@@ -922,7 +933,7 @@ def test_deadline_free_query_is_not_starved_by_a_timed_backlog():
 
 def test_frames_ahead_of_a_malformed_frame_are_served():
     async def scenario():
-        with ReachabilityService(chain_graph(), num_workers=2) as service:
+        with ReachabilityService(chain_graph()) as service:
             async with serving(service) as server:
                 raw = await RawClient.open(server)
                 raw.transport.write(  # one write, so one read

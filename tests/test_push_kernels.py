@@ -578,7 +578,7 @@ def test_service_counts_push_kernel_queries():
     edges = [(i, j) for i in range(8) for j in range(8) if i != j]
     graph = DynamicDiGraph(edges=edges)
     graph.add_edge(100, 101)
-    with ReachabilityService(graph, num_workers=1) as service:
+    with ReachabilityService(graph) as service:
         # Force the engine stage to take guided rounds on the array path.
         service.method.engine.params = IFCAParams(force_switch_round=50)
         graph.csr()

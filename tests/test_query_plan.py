@@ -7,13 +7,21 @@ which counters, so the rung list can change shape without changing what
 a caller sees.
 """
 
+import functools
+import random
+import threading
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.graph import HAVE_NUMPY, kernels
 from repro.graph.digraph import DynamicDiGraph
 from repro.graph.traversal import is_reachable_bfs
 from repro.service import ReachabilityService
 from repro.service.faults import FaultPlan, FaultSpec
+
+from tests.conftest import force_waves
 
 
 def line_graph():
@@ -25,7 +33,6 @@ def line_graph():
 
 
 def service(**kwargs):
-    kwargs.setdefault("num_workers", 1)
     kwargs.setdefault("num_supportive", 0)
     # These are golden tests for the pre-label ladder stages; the label
     # tier's own contract lives in tests/test_labels.py.
@@ -124,11 +131,15 @@ class TestExecutionEquivalence:
         pairs = [(0, 9), (9, 0), (0, 55), (55, 59), (2, 7), (3, 3)]
         with service() as svc:
             scalar = [svc.query(s, t).answer for s, t in pairs]
-        for strategy in ("scalar", "bitparallel"):
-            with service() as svc:
-                outcomes = svc.query_batch(pairs, strategy=strategy)
+        # Both search rungs: without kernels the survivors take the
+        # engine rung, with a free sweep they ride the wave rung.
+        for sweep in (False, True):
+            with service(use_kernels=sweep) as svc:
+                outcomes = force_waves(svc).query_batch(pairs)
                 assert [o.answer for o in outcomes] == scalar
                 assert all(o.confident for o in outcomes)
+                swept = svc.stats()["counters"].get("bit_waves", 0) > 0
+                assert swept == (sweep and HAVE_NUMPY)
 
 
 #: The rungs that answer without a search.
@@ -153,11 +164,11 @@ def test_point_queries_and_batches_walk_one_ladder(n, edges, pairs, use_labels):
         vertices=range(n), edges=[(u % n, v % n) for u, v in edges if u % n != v % n]
     )
     with ReachabilityService(
-        graph.copy(), num_workers=1, use_labels=use_labels
+        graph.copy(), use_labels=use_labels
     ) as svc:
         points = [svc.query(s, t) for s, t in pairs]
     with ReachabilityService(
-        graph.copy(), num_workers=1, use_labels=use_labels
+        graph.copy(), use_labels=use_labels
     ) as svc:
         batch = svc.query_batch(pairs)
     first = {}
@@ -175,3 +186,95 @@ def test_point_queries_and_batches_walk_one_ladder(n, edges, pairs, use_labels):
         point = first.setdefault(pair, point)
         if point.via in INDEX_VIAS or batched.via in INDEX_VIAS:
             assert (point.via, point.detail) == (batched.via, batched.detail)
+
+
+_update = st.tuples(st.booleans(), _vertex, _vertex)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    edges=st.lists(st.tuples(_vertex, _vertex), max_size=30),
+    updates=st.lists(_update, max_size=6),
+    warm=st.lists(st.tuples(_vertex, _vertex), max_size=4),
+    pair=st.tuples(_vertex, _vertex),
+    use_labels=st.booleans(),
+)
+def test_a_point_query_is_a_batch_of_one(edges, updates, warm, pair, use_labels):
+    """On one service state — same graph, same updates through the
+    service, same earlier queries in the cache — ``query(s, t)`` and
+    ``query_batch([(s, t)])[0]`` agree on answer, confidence and rung."""
+    answers = []
+    for ask in (
+        lambda svc: svc.query(*pair),
+        lambda svc: svc.query_batch([pair])[0],
+    ):
+        graph = DynamicDiGraph(
+            vertices=range(12), edges=[(u, v) for u, v in edges if u != v]
+        )
+        with ReachabilityService(graph, use_labels=use_labels) as svc:
+            for insert, u, v in updates:
+                if u != v:
+                    (svc.add_edge if insert else svc.remove_edge)(u, v)
+            for s, t in warm:
+                svc.query(s, t)
+            outcome = ask(svc)
+            truth = pair[0] == pair[1] or is_reachable_bfs(svc.graph, *pair)
+        assert outcome.answer == truth and outcome.confident
+        answers.append((outcome.answer, outcome.confident, outcome.via))
+    assert answers[0] == answers[1]
+
+
+@functools.lru_cache(maxsize=None)
+def _search_heavy_case():
+    """A sparse random digraph, 1024 pairs (repeats included), and the
+    BFS verdict of each."""
+    rng = random.Random(19)
+    graph = DynamicDiGraph(vertices=range(120))
+    while graph.num_edges < 260:
+        u, v = rng.randrange(120), rng.randrange(120)
+        if u != v:
+            graph.add_edge(u, v)
+    pairs = [(rng.randrange(120), rng.randrange(120)) for _ in range(1024)]
+    return graph, pairs, [is_reachable_bfs(graph, s, t) for s, t in pairs]
+
+
+@pytest.mark.parametrize("width", [1, 1024])
+@pytest.mark.parametrize(
+    "mode", ["default", "use_kernels=False", "kernel-switch-off", "breaker-open"]
+)
+def test_the_calling_thread_answers_and_no_other_exists(mode, width):
+    """Whatever makes the wave rung abstain — kernels never on, switched
+    off under a live service, the breaker open — and at either width, the
+    walk answers oracle-exactly on the thread that asked: the set of live
+    threads is the same before and after."""
+    graph, pairs, truth = _search_heavy_case()
+    threads = set(threading.enumerate())
+    previous = kernels.kernels_enabled()
+    try:
+        # Index tiers weakened so most pairs need a search rung.
+        with ReachabilityService(
+            graph.copy(), num_supportive=0, use_labels=False,
+            use_kernels=mode != "use_kernels=False",
+            breaker_failures=1, breaker_probe_s=3600.0,
+        ) as svc:
+            if mode == "kernel-switch-off":
+                kernels.set_kernels_enabled(False)
+            elif mode == "breaker-open":
+                svc.breaker.record_failure()
+                assert svc.breaker.state == "open"
+            if width == 1:
+                outcomes = [svc.query(s, t) for s, t in pairs]
+            else:
+                outcomes = svc.query_batch(pairs)
+            assert set(threading.enumerate()) == threads
+            counters = svc.stats()["counters"]
+    finally:
+        kernels.set_kernels_enabled(previous)
+    assert [o.answer for o in outcomes] == truth
+    assert all(o.confident for o in outcomes)
+    assert {o.via for o in outcomes} - set(INDEX_VIAS)  # searches ran
+    if mode != "default":
+        assert counters.get("bit_waves", 0) == 0
+    elif width == 1024 and HAVE_NUMPY:
+        assert counters["bit_waves"] > 0  # the cutover's own choice
+    assert set(threading.enumerate()) == threads

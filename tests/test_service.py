@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -34,7 +35,7 @@ from repro.service.fastpath import FastPathPruner
 from repro.service.stats import ServiceStats, format_stats_table
 from repro.workloads.mixed import INSERT, Op, generate_mixed_workload
 
-from tests.conftest import random_graph
+from tests.conftest import force_waves, random_graph
 
 
 # ----------------------------------------------------------------------
@@ -326,68 +327,13 @@ class TestReachabilityService:
             assert svc.query(0, 3).via == "cache"
 
     def test_submit_and_batch_dedup(self, diamond_graph):
-        with ReachabilityService(diamond_graph, num_workers=2) as svc:
-            future = svc.submit(0, 3)
-            assert future.result().answer is True
-            outcomes = svc.query_batch(
-                [(0, 3), (0, 3), (1, 2), (0, 3)], strategy="scalar"
-            )
+        """Repeated pairs of a batch are answered once and fanned back
+        out (there is no ``submit``: the caller's thread asks)."""
+        with ReachabilityService(diamond_graph) as svc:
+            assert svc.query(0, 3).answer is True
+            outcomes = svc.query_batch([(0, 3), (0, 3), (1, 2), (0, 3)])
             assert [o.answer for o in outcomes] == [True, True, False, True]
             assert svc.stats()["counters"]["batched_dedup"] == 2
-
-    @staticmethod
-    def _shedding_submit(svc, shed_first_n):
-        """Wrap ``svc.submit`` so the first ``shed_first_n`` calls shed."""
-        from concurrent.futures import Future
-
-        from repro.service import QueryOutcome
-
-        real = svc.submit
-        calls = []
-
-        def fake_submit(s, t, deadline_s=None):
-            calls.append((s, t))
-            if len(calls) <= shed_first_n:
-                future = Future()
-                future.set_result(
-                    QueryOutcome(
-                        s, t, False, False, "shed", 0, "retry-after-ms=1"
-                    )
-                )
-                return future
-            return real(s, t, deadline_s)
-
-        svc.submit = fake_submit
-        return calls
-
-    def test_shed_duplicates_retry_through_scalar_path(self, diamond_graph):
-        """A shed verdict answered one admission slot; duplicates of that
-        pair get one real retry instead of inheriting the shed."""
-        with ReachabilityService(diamond_graph, num_workers=2) as svc:
-            calls = self._shedding_submit(svc, shed_first_n=1)
-            outcomes = svc.query_batch([(0, 3), (0, 3)], strategy="scalar")
-            assert calls == [(0, 3), (0, 3)]  # one submit + one retry
-            assert all(o.via != "shed" for o in outcomes)
-            assert all(o.answer is True and o.confident for o in outcomes)
-            assert svc.stats()["counters"]["shed_dedup_retries"] == 1
-
-    def test_shed_retry_also_shed_is_marked(self, diamond_graph):
-        with ReachabilityService(diamond_graph, num_workers=2) as svc:
-            self._shedding_submit(svc, shed_first_n=2)
-            outcomes = svc.query_batch(
-                [(0, 3), (0, 3), (0, 3)], strategy="scalar"
-            )
-            assert [o.via for o in outcomes] == ["shed-dedup"] * 3
-            assert all(not o.confident for o in outcomes)
-            assert svc.stats()["counters"]["shed_dedup_retries"] == 1
-
-    def test_shed_without_duplicates_not_retried(self, diamond_graph):
-        with ReachabilityService(diamond_graph, num_workers=2) as svc:
-            calls = self._shedding_submit(svc, shed_first_n=1)
-            outcomes = svc.query_batch([(0, 3), (1, 2)], strategy="scalar")
-            assert calls == [(0, 3), (1, 2)]  # no retry submits
-            assert outcomes[0].via == "shed"
-            assert svc.stats()["counters"].get("shed_dedup_retries", 0) == 0
 
     def test_outcome_version_identifies_snapshot(self, line_graph):
         with ReachabilityService(line_graph, num_supportive=0) as svc:
@@ -429,7 +375,7 @@ class TestReachabilityService:
         svc = ReachabilityService(diamond_graph)
         svc.close()
         with pytest.raises(RuntimeError):
-            svc.submit(0, 3)
+            svc.query_batch([(0, 3)])
         with pytest.raises(RuntimeError):
             svc.query(0, 3)
         with pytest.raises(RuntimeError):
@@ -438,7 +384,7 @@ class TestReachabilityService:
     def test_replay_workload_roundtrip(self):
         g = random_graph(30, 80, seed=5)
         ops = generate_mixed_workload(g, 200, query_ratio=0.8, seed=6)
-        with ReachabilityService(g.copy(), num_workers=2) as svc:
+        with ReachabilityService(g.copy()) as svc:
             result = replay_workload(svc, ops)
         assert result.num_queries + result.num_updates == 200
         assert len(result.outcomes) == result.num_queries
@@ -452,7 +398,7 @@ class TestReachabilityService:
         faults = FaultPlan("t", (FaultSpec("engine", max_fires=1),))
         pairs = [(0, 4), (1, 4), (0, 3)]
         with ReachabilityService(
-            line_graph, num_workers=1, num_supportive=0, use_labels=False,
+            line_graph, num_supportive=0, use_labels=False,
             fault_plan=faults,
         ) as svc:
             observed = []
@@ -461,7 +407,7 @@ class TestReachabilityService:
                 svc.pruner, "observe_query",
                 lambda: (observed.append(1), observe())[1],
             )
-            outcomes = svc.query_batch(pairs, strategy="bitparallel")
+            outcomes = force_waves(svc).query_batch(pairs)
             assert [o.via for o in outcomes] == ["engine"] * 3
             assert all(o.answer and o.confident for o in outcomes)
             counters = svc.stats()["counters"]
@@ -513,7 +459,7 @@ class TestRWLock:
 # The concurrent stress test: confident answers vs a per-version oracle
 # ----------------------------------------------------------------------
 class TestConcurrentStress:
-    NUM_QUERY_THREADS = 3
+    NUM_QUERY_THREADS = 4
     QUERIES_PER_THREAD = 80
     NUM_UPDATES = 60
 
@@ -521,7 +467,7 @@ class TestConcurrentStress:
         base = random_graph(40, 100, seed=11)
         initial = base.copy()
         service = ReachabilityService(
-            base, num_workers=2, num_supportive=3, seed=1, rebuild_cooldown=8
+            base, num_supportive=3, seed=1, rebuild_cooldown=8
         )
 
         update_rng = random.Random(21)
@@ -554,11 +500,20 @@ class TestConcurrentStress:
         def querier(seed):
             rng = random.Random(seed)
             try:
-                for _ in range(self.QUERIES_PER_THREAD):
-                    s, t = rng.randrange(45), rng.randrange(45)
-                    outcome = service.query(s, t)
+                # Caller-owned threads: odd seeds ask point queries, even
+                # seeds the same number of pairs in batches of eight.
+                width = 1 if seed % 2 else 8
+                for _ in range(self.QUERIES_PER_THREAD // width):
+                    pairs = [
+                        (rng.randrange(45), rng.randrange(45))
+                        for _ in range(width)
+                    ]
+                    if width == 1:
+                        answered = [service.query(*pairs[0])]
+                    else:
+                        answered = service.query_batch(pairs)
                     with outcomes_lock:
-                        outcomes.append(outcome)
+                        outcomes.extend(answered)
             except Exception as exc:  # pragma: no cover - surfaced below
                 errors.append(exc)
 
@@ -638,7 +593,6 @@ class TestWriteTimeout:
     def test_service_update_times_out_under_stuck_reader(self):
         service = ReachabilityService(
             DynamicDiGraph(edges=[(0, 1)]),
-            num_workers=1,
             stage_policies={"update": StagePolicy(timeout_s=0.05)},
         )
         service._lock.acquire_read()  # a reader that never finishes
@@ -654,7 +608,7 @@ class TestWriteTimeout:
 
     def test_update_wait_measures_the_queue_behind_readers(self):
         with ReachabilityService(
-            DynamicDiGraph(edges=[(0, 1)]), num_workers=1
+            DynamicDiGraph(edges=[(0, 1)])
         ) as service:
             service._lock.acquire_read()  # a reader walk in progress
             writer = threading.Thread(target=service.add_edge, args=(1, 2))
@@ -689,7 +643,6 @@ class TestCacheConfidentGate:
         path = DynamicDiGraph(edges=[(i, i + 1) for i in range(199)])
         with ReachabilityService(
             path,
-            num_workers=1,
             num_supportive=0,
             use_labels=False,  # labels would answer exactly, no degrade
             deadline_s=0.0,  # expired on arrival: every search degrades
@@ -719,7 +672,6 @@ class TestMidChurnFallback:
         graph = random_graph(60, 150, seed=31)
         service = ReachabilityService(
             graph,
-            num_workers=2,
             num_supportive=0,
             cache_capacity=16,
             use_kernels=True,
@@ -728,12 +680,10 @@ class TestMidChurnFallback:
         )
         shadow = {service.graph.version: frozenset(service.graph.edges())}
         outcomes = []
+        callers = ThreadPoolExecutor(max_workers=4)  # the test's threads
         for round_no in range(25):
-            futures = [
-                service.submit(rng.randrange(60), rng.randrange(60))
-                for _ in range(8)
-            ]
-            outcomes.extend(f.result() for f in futures)
+            pairs = [(rng.randrange(60), rng.randrange(60)) for _ in range(8)]
+            outcomes.extend(callers.map(lambda p: service.query(*p), pairs))
             u, v = rng.randrange(60), rng.randrange(60)
             if u != v:
                 if service.graph.has_edge(u, v):
@@ -743,6 +693,7 @@ class TestMidChurnFallback:
                 shadow[service.graph.version] = frozenset(
                     service.graph.edges()
                 )
+        callers.shutdown()
         counters = service.stats()["counters"]
         service.close()
         # No version ever froze, so no query ran the array kernels.

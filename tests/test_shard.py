@@ -490,7 +490,7 @@ def test_sharded_service_end_to_end():
         graph.copy(), shards=2, num_supportive=0, cache_capacity=4,
         shard_refresh_threshold=3,
     ) as svc:
-        outcomes = svc.query_batch(pairs, strategy="bitparallel")
+        outcomes = svc.query_batch(pairs)
         for (s, t), outcome in zip(pairs, outcomes):
             assert outcome.answer == is_reachable_bfs(graph, s, t)
         vias = {outcome.via for outcome in outcomes}
@@ -506,13 +506,13 @@ def test_sharded_service_end_to_end():
         svc.add_edge(0, 61)
         updated = graph.copy()
         updated.add_edge(0, 61)
-        outcomes = svc.query_batch(pairs[-60:], strategy="bitparallel")
+        outcomes = svc.query_batch(pairs[-60:])
         for (s, t), outcome in zip(pairs[-60:], outcomes):
             assert outcome.answer == is_reachable_bfs(updated, s, t)
         # Enough walks reaching the shard rung at the new version (the
         # label-hard tail does) trigger one refresh.
         for _ in range(4):
-            svc.query_batch(pairs[-20:], strategy="bitparallel")
+            svc.query_batch(pairs[-20:])
         assert svc.router.version == svc.graph.version
 
 
@@ -529,7 +529,7 @@ def test_auto_respawn_heals_service_fleet():
     with ReachabilityService(
         graph.copy(), shards=2, num_supportive=0, cache_capacity=4,
     ) as svc:
-        svc.query_batch(pairs, strategy="bitparallel")  # deploys the fleet
+        svc.query_batch(pairs)  # deploys the fleet
         router = svc.router
         assert router is not None and router.healthy
         deploys = router.counters.get("deploys")
@@ -537,7 +537,7 @@ def test_auto_respawn_heals_service_fleet():
         victim = router._workers[0]
         os.kill(victim.process.pid, signal.SIGKILL)
         victim.process.join(5)
-        outcomes = svc.query_batch(pairs, strategy="bitparallel")
+        outcomes = svc.query_batch(pairs)
         for (s, t), outcome in zip(pairs, outcomes):
             assert outcome.answer == is_reachable_bfs(graph, s, t), (s, t)
         assert router.healthy  # degraded flag cleared by the probe wave
@@ -608,7 +608,7 @@ def test_worker_death_mid_cross_fixpoint(monkeypatch):
         graph.copy(), shards=3, num_supportive=0, cache_capacity=4,
         use_labels=False,
     ) as svc:
-        svc.query_batch(pairs[:10], strategy="bitparallel")
+        svc.query_batch(pairs[:10])
         router = svc.router
         assert router is not None
         original = PipelineRun._on_reply
@@ -637,7 +637,7 @@ def test_worker_death_mid_cross_fixpoint(monkeypatch):
             return original(self, widx, reply)
 
         monkeypatch.setattr(PipelineRun, "_on_reply", sabotaged)
-        outcomes = svc.query_batch(pairs, strategy="bitparallel")
+        outcomes = svc.query_batch(pairs)
         for (s, t), outcome in zip(pairs, outcomes):
             assert outcome.answer == is_reachable_bfs(graph, s, t), (s, t)
             if (s, t) in state["doomed"]:
@@ -840,7 +840,7 @@ def test_scalar_routing_vs_oracle_under_churn():
         graph.copy(), shards=3, num_supportive=0, cache_capacity=4,
         use_labels=False, shard_refresh_threshold=2,
     ) as svc:
-        svc.query_batch(pairs, strategy="bitparallel")  # deploys the fleet
+        svc.query_batch(pairs)  # deploys the fleet
         router = svc.router
         assert router is not None
         routed = 0

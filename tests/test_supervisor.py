@@ -77,7 +77,7 @@ async def supervised(server, tmp_path, *, replicas=2, **sup_kwargs):
             node = ReplicaNode(
                 *server.address,
                 tmp_path / f"replica{i}.wal",
-                service_kwargs={"num_workers": 1, "num_supportive": 0},
+                service_kwargs={"num_supportive": 0},
                 reconnect_delay_s=0.02,
                 seed=i,
             )
@@ -125,7 +125,7 @@ def test_heartbeat_grants_lease_and_publishes_endpoints(tmp_path):
     async def scenario():
         graph = chain_graph()
         with ReachabilityService(
-            graph, num_workers=1, journal=tmp_path / "primary.wal"
+            graph, journal=tmp_path / "primary.wal"
         ) as service:
             async with serving(service) as server:
                 async with supervised(server, tmp_path, replicas=1) as (
@@ -164,7 +164,7 @@ def test_auto_failover_promotes_and_repoints(tmp_path):
         graph = chain_graph()
         loop = asyncio.get_running_loop()
         service = ReachabilityService(
-            graph, num_workers=1, journal=tmp_path / "primary.wal"
+            graph, journal=tmp_path / "primary.wal"
         )
         server = await ReachabilityServer(service, port=0).start()
         async with supervised(server, tmp_path, replicas=2) as (sup, nodes):
@@ -225,7 +225,7 @@ def test_failover_elects_most_caught_up_replica(tmp_path):
         graph = chain_graph()
         loop = asyncio.get_running_loop()
         service = ReachabilityService(
-            graph, num_workers=1, journal=tmp_path / "primary.wal"
+            graph, journal=tmp_path / "primary.wal"
         )
         server = await ReachabilityServer(service, port=0).start()
         async with supervised(server, tmp_path, replicas=2) as (sup, nodes):
@@ -262,7 +262,7 @@ def test_partitioned_supervisor_leaves_exactly_one_primary(tmp_path):
     async def scenario():
         graph = chain_graph()
         service = ReachabilityService(
-            graph, num_workers=1, journal=tmp_path / "primary.wal"
+            graph, journal=tmp_path / "primary.wal"
         )
         server = await ReachabilityServer(service, port=0).start()
         try:
@@ -322,7 +322,7 @@ def test_two_replicas_share_one_journal_tailer(tmp_path):
     async def scenario():
         graph = chain_graph()
         with ReachabilityService(
-            graph, num_workers=1, journal=tmp_path / "primary.wal"
+            graph, journal=tmp_path / "primary.wal"
         ) as service:
             async with serving(service) as server:
                 nodes = [
@@ -330,7 +330,6 @@ def test_two_replicas_share_one_journal_tailer(tmp_path):
                         *server.address,
                         tmp_path / f"fan{i}.wal",
                         service_kwargs={
-                            "num_workers": 1,
                             "num_supportive": 0,
                         },
                         reconnect_delay_s=0.02,
@@ -377,7 +376,7 @@ def test_replica_backoff_grows_while_down_and_resets_on_subscribe(tmp_path):
     async def scenario():
         graph = chain_graph()
         with ReachabilityService(
-            graph, num_workers=1, journal=tmp_path / "primary.wal"
+            graph, journal=tmp_path / "primary.wal"
         ) as service:
             async with serving(service) as server:
                 node = ReplicaNode(
@@ -385,7 +384,7 @@ def test_replica_backoff_grows_while_down_and_resets_on_subscribe(tmp_path):
                     "127.0.0.1",
                     1,
                     tmp_path / "replica.wal",
-                    service_kwargs={"num_workers": 1, "num_supportive": 0},
+                    service_kwargs={"num_supportive": 0},
                     reconnect_delay_s=0.02,
                     reconnect_delay_max_s=0.1,
                 )
