@@ -402,11 +402,14 @@ def csr_bit_bibfs(
 ) -> Tuple[List[bool], BitSweepStats]:
     """Answer every ``(source, target)`` pair, a frame at a sweep.
 
-    Every endpoint must exist in the snapshot (the batch planner's
-    pre-filter guarantees this; it also drains ``s == t`` pairs, which
-    are nevertheless handled here). ``lead`` breaks the direction tie
-    when both frontiers cost the same; otherwise every layer expands the
-    side whose live frontier has the smaller adjacency volume.
+    ``pairs`` is a sequence of id pairs or a ``(lanes, 2)`` int64 id
+    array (what :func:`~repro.service.batcher.pack_waves` packs from a
+    snapshot). Every endpoint must exist in the snapshot (the batch
+    planner's pre-filter guarantees this; it also drains ``s == t``
+    pairs, which are nevertheless handled here). ``lead`` breaks the
+    direction tie when both frontiers cost the same; otherwise every
+    layer expands the side whose live frontier has the smaller adjacency
+    volume.
 
     Returns ``(answers, stats)`` with ``answers[q]`` the verdict for
     ``pairs[q]``. Raises :class:`~repro.core.budget.BudgetExceeded` at a
@@ -424,8 +427,12 @@ def csr_bit_bibfs(
         return [], BitSweepStats(0, 0, 0, 0, 0)
     n = csr.num_vertices
     words = words_for(lanes)
-    src_idx = csr.indices_of([s for s, _ in pairs])
-    tgt_idx = csr.indices_of([t for _, t in pairs])
+    if isinstance(pairs, np.ndarray):
+        src_idx = csr.indices_of(pairs[:, 0])
+        tgt_idx = csr.indices_of(pairs[:, 1])
+    else:
+        src_idx = csr.indices_of([s for s, _ in pairs])
+        tgt_idx = csr.indices_of([t for _, t in pairs])
     lane = np.arange(lanes, dtype=np.int64)
     lane_word = lane >> 6
     lane_bit = np.uint64(1) << (lane & 63).astype(np.uint64)

@@ -16,7 +16,7 @@ lookup table, so graphs with sparse id spaces freeze without waste.
 from __future__ import annotations
 
 import os
-from itertools import chain, count
+from itertools import chain, count, repeat
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Tuple, Union
 
@@ -71,6 +71,11 @@ class CSRSnapshot:
         # searchsorted (load() of a foreign archive might not be sorted).
         self._ids_sorted = bool(
             len(vertex_ids) < 2 or np.all(np.diff(vertex_ids) > 0)
+        )
+        # Sorted distinct ids spanning exactly 0..n-1: an id is its row.
+        n = len(vertex_ids)
+        self._ids_are_rows = self._ids_sorted and bool(
+            n == 0 or (vertex_ids[0] == 0 and vertex_ids[-1] == n - 1)
         )
         # (pid, serial): identifies *this materialization in this process*.
         # Version-keyed caches that key by snapshot contents or object
@@ -158,14 +163,36 @@ class CSRSnapshot:
 
         Uses one ``searchsorted`` when the id table is sorted (always true
         for :meth:`freeze` output); every id must exist in the snapshot.
+        An int64 array is taken as it is.
         """
-        arr = np.fromiter(ids, dtype=np.int64)
+        arr = ids if isinstance(ids, np.ndarray) else np.fromiter(ids, dtype=np.int64)
+        if self._ids_are_rows:
+            return arr
         if self._ids_sorted:
             return np.searchsorted(self.vertex_ids, arr)
         index = self._index
         return np.fromiter(
             (index[int(v)] for v in arr), dtype=np.int64, count=len(arr)
         )
+
+    def rows_of(self, ids: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """``(rows, known)`` for an int64 id array that may hold strangers.
+
+        ``known[i]`` says whether the snapshot has ``ids[i]``; where it
+        does, ``rows[i]`` is its compacted index (elsewhere some row in
+        range, so gathers stay legal).
+        """
+        n = len(self.vertex_ids)
+        if self._ids_are_rows:
+            known = (ids >= 0) & (ids < n)
+        elif self._ids_sorted:
+            rows = np.minimum(np.searchsorted(self.vertex_ids, ids), n - 1)
+            return rows, self.vertex_ids[rows] == ids
+        else:
+            found = map(self._index.get, ids.tolist(), repeat(-1))
+            ids = np.fromiter(found, dtype=np.int64, count=len(ids))
+            known = ids >= 0
+        return np.where(known, ids, 0), known
 
     def out_degree(self, v: int) -> int:
         i = self._index[v]

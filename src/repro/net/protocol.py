@@ -43,6 +43,13 @@ Message types (requests -> responses):
                       clients reconnect through
 ====================  =====================================================
 
+``result`` and ``batch-result`` frames — the two that carry outcomes,
+one per point query and a thousand per batch — have an encoder of their
+own (:func:`encode_result`, :func:`encode_batch_result`) that formats
+``s`` / ``t`` / ``id`` into a memoised JSON tail instead of building a
+dict per outcome; its bytes are those of :func:`encode` over
+:func:`outcome_to_wire`.
+
 Errors at the request level come back as
 ``{"type": "error", "id", "error": reason}``; errors at the framing level
 (oversized, truncated, or undecodable frames) are connection-fatal and
@@ -102,10 +109,7 @@ _dumps = json.JSONEncoder(separators=(",", ":")).encode
 
 def encode(message: dict) -> bytes:
     """One message as a length-prefixed frame."""
-    body = _dumps(message).encode("utf-8")
-    if len(body) > MAX_FRAME:
-        raise ProtocolError(f"frame of {len(body)} bytes exceeds MAX_FRAME")
-    return _HEADER.pack(len(body)) + body
+    return _frame(_dumps(message))
 
 
 async def read_frame(reader: asyncio.StreamReader) -> Optional[dict]:
@@ -213,6 +217,62 @@ async def send(writer: asyncio.StreamWriter, message: dict) -> None:
     """Write one frame and drain (so backpressure reaches the sender)."""
     writer.write(encode(message))
     await writer.drain()
+
+
+def _json(value) -> str:
+    """``_dumps(value)``; a plain ``int`` formats itself, which is quicker."""
+    return str(value) if type(value) is int else _dumps(value)
+
+
+def _frame(body: str) -> bytes:
+    data = body.encode("utf-8")
+    if len(data) > MAX_FRAME:
+        raise ProtocolError(f"frame of {len(data)} bytes exceeds MAX_FRAME")
+    return _HEADER.pack(len(data)) + data
+
+
+#: JSON text of everything in a wire outcome after ``"s"`` and ``"t"``,
+#: closing brace included, by ``(answer, confident, via, version, detail,
+#: retry_after_ms)``. A wave's outcomes share a handful of these, so a
+#: reply is mostly integer formatting. Emptied when it reaches
+#: ``_TAILS_MAX`` (versions move on; old tails never come back).
+_tails: dict = {}
+_TAILS_MAX = 1024
+
+
+def _outcome_json(outcome: QueryOutcome) -> str:
+    """``outcome_to_wire(outcome)`` as JSON text."""
+    key = (
+        outcome.answer, outcome.confident, outcome.via, outcome.version,
+        outcome.detail, outcome.retry_after_ms,
+    )
+    tail = _tails.get(key)
+    if tail is None:
+        wire = outcome_to_wire(outcome)
+        del wire["s"], wire["t"]
+        if len(_tails) >= _TAILS_MAX:
+            _tails.clear()
+        tail = _tails[key] = "," + _dumps(wire)[1:]
+    s, t = outcome.source, outcome.target
+    if type(s) is not int or type(t) is not int:
+        s, t = _dumps(s), _dumps(t)
+    return f'{{"s":{s},"t":{t}{tail}'
+
+
+def encode_result(mid, outcome: QueryOutcome) -> bytes:
+    """The ``result`` frame for one outcome: the bytes of
+    ``encode({"type": RESULT, "id": mid, **outcome_to_wire(outcome)})``."""
+    fields = _outcome_json(outcome)[1:]
+    return _frame(f'{{"type":"{RESULT}","id":{_json(mid)},{fields}')
+
+
+def encode_batch_result(mid, outcomes: Sequence[QueryOutcome]) -> bytes:
+    """The ``batch-result`` frame for a batch's outcomes: the bytes of
+    ``encode({"type": BATCH_RESULT, "id": mid, "outcomes": [...]})``."""
+    items = ",".join(map(_outcome_json, outcomes))
+    return _frame(
+        f'{{"type":"{BATCH_RESULT}","id":{_json(mid)},"outcomes":[{items}]}}'
+    )
 
 
 def outcome_to_wire(outcome: QueryOutcome) -> dict:

@@ -29,8 +29,10 @@ call:
   when batching pays most. The queries of a wave that carry
   ``deadline_ms`` run first, apart, under the tightest of them; the
   others run without one.
-* **Write.** The outcomes are encoded, grouped by connection and written
-  with one ``transport.write`` per connection per wave.
+* **Write.** The outcomes are encoded
+  (:func:`~repro.net.protocol.encode_result`: integers formatted into a
+  memoised JSON tail, no dict per reply), grouped by connection and
+  written with one ``transport.write`` per connection per wave.
 * **Backpressure.** When a connection's write buffer passes its
   high-water mark the server stops *reading* that socket until it
   drains: a client that stops reading stops being read, and nobody else
@@ -73,7 +75,7 @@ from __future__ import annotations
 import asyncio
 import contextlib
 from collections import deque
-from typing import Deque, Dict, List, Optional, Set, Tuple
+from typing import Deque, Dict, List, Optional, Set, Tuple, Union
 
 from repro.graph.journal import JournalGap, JournalTailer
 from repro.net import protocol
@@ -253,11 +255,14 @@ class _Connection(asyncio.Protocol):
             self.server._incr("net_writes")
             self.transport.write(b"".join(frames))
 
-    async def respond(self, message: dict) -> None:
-        """Write one frame, then wait out write backpressure."""
+    async def respond(self, message: Union[dict, bytes]) -> None:
+        """Write one frame (``bytes``: already encoded), then wait out
+        write backpressure."""
         if self.transport.is_closing():
             raise ConnectionResetError("connection lost")
-        self.write([protocol.encode(message)])
+        if not isinstance(message, bytes):
+            message = protocol.encode(message)
+        self.write([message])
         await self._writable.wait()
 
     def shutdown(self) -> None:
@@ -434,7 +439,7 @@ class ReachabilityServer:
                     shed = self.service.shed_outcome(
                         s, t, backlog=self._inflight
                     )
-                    replies.append(protocol.encode(self._result(mid, shed)))
+                    replies.append(protocol.encode_result(mid, shed))
                     continue
             except Exception as exc:  # per-request containment
                 replies.append(protocol.encode(self._error_reply(mid, exc)))
@@ -492,14 +497,6 @@ class ReachabilityServer:
         """The reply to a request that raised (contained, counted)."""
         self._incr("net_request_errors")
         return self._error(mid, str(exc) or type(exc).__name__)
-
-    @staticmethod
-    def _result(mid, outcome: QueryOutcome) -> dict:
-        return {
-            "type": protocol.RESULT,
-            "id": mid,
-            **protocol.outcome_to_wire(outcome),
-        }
 
     @staticmethod
     def _deadline_s(message: dict) -> Optional[float]:
@@ -565,7 +562,7 @@ class ReachabilityServer:
             frames = by_conn.get(conn)
             if frames is None:
                 frames = by_conn[conn] = []
-            frames.append(protocol.encode(self._result(mid, outcome)))
+            frames.append(protocol.encode_result(mid, outcome))
         for conn, frames in by_conn.items():
             conn.write(frames)
             conn.answered(len(frames))
@@ -583,7 +580,7 @@ class ReachabilityServer:
     # ------------------------------------------------------------------
     # Batch / update / stats
     # ------------------------------------------------------------------
-    async def _serve_batch(self, message: dict, mid) -> dict:
+    async def _serve_batch(self, message: dict, mid) -> bytes:
         pairs = [(int(s), int(t)) for s, t in message.get("pairs", [])]
         deadline_s = self._deadline_s(message)
         self._incr("net_batches")
@@ -591,11 +588,7 @@ class ReachabilityServer:
         outcomes = await self._loop.run_in_executor(
             None, self.service.query_batch, pairs, deadline_s
         )
-        return {
-            "type": protocol.BATCH_RESULT,
-            "id": mid,
-            "outcomes": [protocol.outcome_to_wire(o) for o in outcomes],
-        }
+        return protocol.encode_batch_result(mid, outcomes)
 
     async def _serve_update(self, message: dict, mid) -> dict:
         self._maybe_demote()

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Iterable, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 Key = Tuple[int, int]
 
@@ -90,6 +90,35 @@ class VersionedQueryCache:
             self._entries.move_to_end(key)
             self.hits += 1
             return answer
+
+    def get_many(self, keys: Iterable[Key]) -> List[Optional[bool]]:
+        """:meth:`get` for every key, in order, under one lock acquisition.
+
+        The read twin of :meth:`put_many`: the same counts, stale-entry
+        deletion and LRU touch order as one :meth:`get` per key — a walk
+        probes a thousand pairs and per-probe locking costs more than
+        the probes.
+        """
+        answers: List[Optional[bool]] = []
+        hits = stale = 0
+        with self._lock:
+            entries = self._entries
+            for key in keys:
+                entry = entries.get(key)
+                if entry is None:
+                    answers.append(None)
+                elif not self._valid(*entry):
+                    del entries[key]
+                    stale += 1
+                    answers.append(None)
+                else:
+                    entries.move_to_end(key)
+                    hits += 1
+                    answers.append(entry[0])
+            self.hits += hits
+            self.misses += len(answers) - hits
+            self.stale_evictions += stale
+        return answers
 
     def put(
         self,

@@ -17,7 +17,13 @@ answers:
 
 1. **index rungs** — one :func:`~repro.service.batcher.plan_batch`
    call: dedup, trivial verdicts, fast path, cache, then one vectorised
-   DL/BL label filter over whatever is left;
+   DL/BL label filter over whatever is left. Same rungs, same order at
+   every width; a walk at least ``COLUMNAR_MIN_PAIRS`` wide (measured:
+   :mod:`repro.service.batcher`) runs them over endpoint arrays when
+   numpy is present and the pruner has its array view of the walk's
+   version — built by the pruner from the CSR snapshot a wave rung
+   froze, current until the version or its sample holder moves on
+   (:mod:`repro.service.fastpath`). Nothing a caller sets picks the body;
 2. **deadline pre-check** — an expired deadline sends the survivors
    straight to the last rung (``detail="pre-engine:..."``);
 3. **search rungs** (:attr:`ReachabilityService._SEARCH_RUNGS`), each
@@ -118,7 +124,9 @@ from repro.graph.digraph import DynamicDiGraph
 from repro.graph.journal import JournalReplayError, UpdateJournal
 from repro.graph.labels import LabelIndex, labels_available
 from repro.service.batcher import (
+    COLUMNAR_MIN_PAIRS,
     BatchCostModel,
+    IndexColumns,
     Pair,
     pack_waves,
     plan_batch,
@@ -687,9 +695,7 @@ class ReachabilityService:
         drop to the engine rung inline.
         """
         self._check_open()
-        return self._walk(
-            [(s, t) for s, t in queries], self._deadline(deadline_s)
-        )
+        return self._walk([(s, t) for s, t in queries], self._deadline(deadline_s))
 
     def retry_after_hint_ms(self, backlog: int) -> int:
         """The live retry-after hint (ms) admission control attaches to
@@ -753,14 +759,24 @@ class ReachabilityService:
         self._stats.incr("queries", len(outcomes))
         return [outcomes[pair] for pair in pairs]
 
-    def _fires(self, stage: str) -> bool:
-        """Fire ``stage``'s fault point; ``False`` (counted) if it raised."""
+    def _index_rung(self, stage: str, probe: Callable) -> Optional[Callable]:
+        """``probe`` as an index rung of one walk: ``None`` (counted) when
+        ``stage``'s fault point raises — the rung sits the walk out — else
+        ``probe`` with its errors counted: a probe that raises abstains."""
         try:
             self._fire(stage)
         except Exception:
             self._stats.incr(f"stage_errors_{stage}")
-            return False
-        return True
+            return None
+
+        def contained(*args):
+            try:
+                return probe(*args)
+            except Exception:
+                self._stats.incr(f"stage_errors_{stage}")
+                return None
+
+        return contained
 
     def _index_rungs(self, walk: _Walk, pairs: List[Pair]) -> List[Pair]:
         """The rungs that answer without a search: one ``plan_batch`` call
@@ -769,50 +785,58 @@ class ReachabilityService:
         Fault points and the latency sample are per walk, not per pair:
         per-pair timers would cost as much as the probes themselves, so
         the whole pass records one sample under ``fastpath`` (which
-        dominates it). A rung whose fault point raises sits this walk
-        out; a probe that raises abstains on that pair.
+        dominates it). A walk at least ``COLUMNAR_MIN_PAIRS`` wide takes
+        the rungs in array form when the pruner has its view of this
+        version (:meth:`FastPathPruner.view`); there a probe that raises
+        abstains on the whole walk, not on one pair.
         """
-        stats = self._stats
-
-        def check(source: int, target: int):
+        stats, pruner, cache = self._stats, self._pruner, self._cache
+        view = None
+        if len(pairs) >= COLUMNAR_MIN_PAIRS:
             try:
-                self._pruner.observe_query()
-                return self._pruner.check(source, target)
+                view = pruner.view()
             except Exception:
                 stats.incr("stage_errors_fastpath")
-                return None
-
-        def cache_get(source: int, target: int):
-            try:
-                return self._cache.get(source, target)
-            except Exception:
-                stats.incr("stage_errors_cache")
-                return None
-
-        label_filter = self._label_filter_fn()
+        label_filter = self._label_filter_fn(many=view is not None)
         if label_filter is not None:
             try:
                 self._labels.observe_query()
             except Exception:
                 stats.incr("stage_errors_labels")
+        if view is None:
+            def check(source, target):
+                pruner.observe_query()
+                return pruner.check(source, target)
+
+            rungs = dict(
+                check=self._index_rung("fastpath", check),
+                cache_get=self._index_rung("cache", cache.get),
+                label_filter=label_filter,
+            )
+        else:
+            def check_many(source, target):
+                pruner.observe_query(len(source))
+                return pruner.check_many(source, target)
+
+            rungs = dict(columns=IndexColumns(
+                view.csr,
+                self._index_rung("fastpath", check_many),
+                self._index_rung("cache", cache.get_many),
+                label_filter,
+            ))
         start = time.perf_counter()
-        plan = plan_batch(
-            pairs,
-            graph=self.graph,
-            check=check if self._fires("fastpath") else None,
-            cache_get=cache_get if self._fires("cache") else None,
-            label_filter=label_filter,
-            pack=False,  # the wave rung packs what reaches it
-        )
+        # pack=False: the wave rung packs what reaches it.
+        plan = plan_batch(pairs, graph=self.graph, pack=False, **rungs)
         stats.observe_latency("fastpath", time.perf_counter() - start)
-        if plan.dedup_saved:
-            stats.incr("batched_dedup", plan.dedup_saved)
-        if plan.prefilter_hits:
-            stats.incr("batch_prefilter_hits", plan.prefilter_hits)
-        if plan.label_pos:
-            stats.incr("label_hits_pos", plan.label_pos)
-        if plan.label_neg:
-            stats.incr("label_hits_neg", plan.label_neg)
+        for name, count in (
+            ("batched_dedup", plan.dedup_saved),
+            ("batch_prefilter_hits", plan.prefilter_hits),
+            ("label_hits_pos", plan.label_pos),
+            ("label_hits_neg", plan.label_neg),
+            ("cache_misses", len(plan.pending)),
+        ):
+            if count:
+                stats.incr(name, count)
         version, outcomes = walk.version, walk.outcomes
         for pair, (answer, via, detail) in plan.resolved.items():
             if via == "fastpath":
@@ -822,30 +846,32 @@ class ReachabilityService:
             outcomes[pair] = QueryOutcome(
                 pair[0], pair[1], answer, True, via, version, detail
             )
-        if plan.pending:
-            stats.incr("cache_misses", len(plan.pending))
         return plan.pending
 
-    def _label_filter_fn(self):
+    def _label_filter_fn(self, many: bool = False):
         """The batch-facing label surface: a callable mapping a pair list
-        to aligned int8 verdicts (``1``/``-1``/``0``), or ``None`` when
-        the tier is off. Errors (injected or real) are contained inside
-        the callable — the caller sees an abstaining filter, never an
-        exception."""
+        (``many``: aligned endpoint arrays) to aligned int8 verdicts
+        (``1``/``-1``/``0``), or ``None`` when the tier is off. Errors
+        (injected or real) are contained inside the callable — the
+        caller sees an abstaining filter, never an exception."""
         labels = self._labels
         if labels is None or self._labels_disabled:
             return None
 
-        def filter_pairs(pairs):
+        def pairwise(pairs):
+            if len(pairs) > 1:
+                return labels.filter_pairs(pairs)
+            # The vectorised gather has a ~50 us numpy floor; one pair
+            # takes the same rules as scalars.
+            verdict = labels.check(*pairs[0])
+            return (0 if verdict is None else 1 if verdict else -1,)
+
+        probe = labels.query_many if many else pairwise
+
+        def label_filter(*columns):
             try:
                 self._fire("labels")
-                if len(pairs) == 1:
-                    # The vectorised gather has a ~50 us numpy floor;
-                    # one pair takes the same rules as scalars.
-                    verdict = labels.check(*pairs[0])
-                    verdicts = (0 if verdict is None else 1 if verdict else -1,)
-                else:
-                    verdicts = labels.filter_pairs(pairs)
+                verdicts = probe(*columns)
             except Exception:
                 self._stats.incr("stage_errors_labels")
                 self._note_label_failure()
@@ -853,7 +879,7 @@ class ReachabilityService:
             self._label_failures = 0
             return verdicts
 
-        return filter_pairs
+        return label_filter
 
     def _note_label_failure(self) -> None:
         """Contain a label-stage error; repeated *consecutive* failures
@@ -952,9 +978,7 @@ class ReachabilityService:
                     self._router.close()
                     self._router = None
                 return None
-            self._stats.observe_latency(
-                "shard_deploy", time.perf_counter() - start
-            )
+            self._stats.observe_latency("shard_deploy", time.perf_counter() - start)
             self._stats.incr("shard_deploys")
             self._router_failures = 0
             return self._router
@@ -988,14 +1012,14 @@ class ReachabilityService:
             stats.incr("batch_scalar_fallback")
             return survivors
         pairs, (wave,) = pack_waves(
-            survivors, graph=self.graph, max_wave_lanes=len(survivors)
+            survivors, graph=self.graph, max_wave_lanes=len(survivors), csr=csr
         )
         budget = self._make_budget(walk.deadline, self._policy("engine"))
         start = time.perf_counter()
         try:
             self._fire("engine")
             answers, sweep = csr_bit_bibfs(
-                csr, pairs, budget=budget, lead=wave.lead
+                csr, wave.ids, budget=budget, lead=wave.lead
             )
         except BudgetExceeded as exc:
             # Lanes decided before the budget ran out are final verdicts.
@@ -1025,9 +1049,7 @@ class ReachabilityService:
             walk.outcomes[pair] = QueryOutcome(
                 pair[0], pair[1], answer, True, "bitbatch", walk.version, detail
             )
-        return [
-            pair for pair, answer in zip(pairs, answers) if answer is None
-        ]
+        return [pair for pair, answer in zip(pairs, answers) if answer is None]
 
     def _rung_engine(self, walk: _Walk, survivors: List[Pair]) -> List[Pair]:
         """One exact search per survivor, inline: breaker, fallback twin,
@@ -1097,9 +1119,7 @@ class ReachabilityService:
                 start = time.perf_counter()
                 self._fire("freeze")
                 csr = self.graph.csr(build=True)
-                self._stats.observe_latency(
-                    "freeze", time.perf_counter() - start
-                )
+                self._stats.observe_latency("freeze", time.perf_counter() - start)
                 self._stats.incr("csr_freezes")
                 return csr
         except Exception:
@@ -1134,9 +1154,7 @@ class ReachabilityService:
                 self._stats.incr("engine_failures")
                 self._breaker.record_failure()
             else:
-                self._stats.observe_latency(
-                    "engine", time.perf_counter() - start
-                )
+                self._stats.observe_latency("engine", time.perf_counter() - start)
                 self._stats.incr("engine_calls")
                 if probing:
                     verdict_ok = self._verdict_probe(
@@ -1195,7 +1213,6 @@ class ReachabilityService:
         """Answer on the dict-substrate twin (breaker open or primary
         failed), with the stage policy's retry/backoff discipline."""
         attempts = 1 + max(0, policy.max_retries)
-        last_error: Optional[Exception] = None
         for attempt in range(attempts):
             if attempt and policy.backoff_s:
                 time.sleep(policy.backoff_s)
@@ -1207,9 +1224,8 @@ class ReachabilityService:
                 )
             except BudgetExceeded:
                 raise
-            except Exception as exc:
+            except Exception:
                 self._stats.incr("engine_failures")
-                last_error = exc
                 continue
             self._stats.observe_latency("engine", time.perf_counter() - start)
             self._stats.incr("engine_calls")
@@ -1219,7 +1235,6 @@ class ReachabilityService:
                 source, target, answer, True, "engine-fallback", version, detail
             )
         # Both substrates failed: last resort is the degraded search.
-        del last_error
         return self._degraded(source, target, version, None, "engine-error")
 
     def _fallback_method(self) -> ReachabilityMethod:
@@ -1322,42 +1337,28 @@ class ReachabilityService:
     def stats(self) -> Dict[str, object]:
         """A coherent snapshot of counters, rates, and stage latencies."""
         snapshot = self._stats.snapshot()
-        counters = snapshot["counters"]
-        counters["cache_size"] = len(self._cache)  # type: ignore[index]
-        counters["cache_stale_evictions"] = (  # type: ignore[index]
-            self._cache.stale_evictions
-        )
-        counters["cache_unconfident_rejections"] = (  # type: ignore[index]
-            self._cache.unconfident_rejections
-        )
-        counters["sample_rebuilds"] = (  # type: ignore[index]
-            self._pruner.sample_rebuilds
-        )
-        counters["kernel_sample_rebuilds"] = (  # type: ignore[index]
-            self._pruner.kernel_rebuilds
-        )
+        counters: Dict[str, int] = snapshot["counters"]  # type: ignore[assignment]
+        cache = self._cache
+        counters["cache_size"] = len(cache)
+        counters["cache_stale_evictions"] = cache.stale_evictions
+        counters["cache_unconfident_rejections"] = cache.unconfident_rejections
+        counters["sample_rebuilds"] = self._pruner.sample_rebuilds
+        counters["kernel_sample_rebuilds"] = self._pruner.kernel_rebuilds
+        counters["pruner_view_builds"] = self._pruner.view_builds
         dag = self._pruner.dag
-        counters["dag_merges"] = dag.merge_count  # type: ignore[index]
-        counters["dag_splits"] = dag.split_count  # type: ignore[index]
-        counters["dag_reconnects"] = dag.reconnect_count  # type: ignore[index]
-        counters["dag_probe_visited"] = dag.probe_visited  # type: ignore[index]
-        counters["breaker_trips"] = self._breaker.trips  # type: ignore[index]
-        counters["breaker_probes"] = self._breaker.probes  # type: ignore[index]
+        counters["dag_merges"] = dag.merge_count
+        counters["dag_splits"] = dag.split_count
+        counters["dag_reconnects"] = dag.reconnect_count
+        counters["dag_probe_visited"] = dag.probe_visited
+        counters["breaker_trips"] = self._breaker.trips
+        counters["breaker_probes"] = self._breaker.probes
         snapshot["breaker_state"] = self._breaker.state
         if self._labels is not None:
             label_summary = self._labels.summary()
-            counters["label_updates"] = (  # type: ignore[index]
-                label_summary["updates"]
-            )
-            counters["label_rebuilds"] = (  # type: ignore[index]
-                label_summary["full_rebuilds"]
-            )
-            counters["label_partial_rebuilds"] = (  # type: ignore[index]
-                label_summary["partial_rebuilds"]
-            )
-            counters["label_staleness"] = (  # type: ignore[index]
-                label_summary["stale_rows"]
-            )
+            counters["label_updates"] = label_summary["updates"]
+            counters["label_rebuilds"] = label_summary["full_rebuilds"]
+            counters["label_partial_rebuilds"] = label_summary["partial_rebuilds"]
+            counters["label_staleness"] = label_summary["stale_rows"]
             snapshot["labels"] = label_summary
         if self._injector is not None:
             snapshot["faults_fired"] = self._injector.fired

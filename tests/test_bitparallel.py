@@ -388,6 +388,35 @@ class TestBatchPlanner:
         packed = plan_batch(pairs, graph=graph, max_wave_lanes=4)
         assert (pending, waves) == (packed.pending, packed.waves)
 
+    @needs_numpy
+    @pytest.mark.parametrize("stride", [1, 7], ids=["ids-are-rows", "sparse-ids"])
+    def test_packing_from_a_snapshot_is_the_same_packing(self, stride):
+        """``pack_waves(csr=...)``: one lexsort and the CSR's offsets in
+        place of ``sorted`` and 2N degree calls — same order, same waves,
+        same leads — and the kernel answers a wave's id array as it
+        answers its pair list."""
+        from repro.graph.bitsearch import csr_bit_bibfs
+
+        base = _graph_family("pa", 5)
+        graph = DynamicDiGraph(
+            vertices=[stride * v for v in base.vertices()],
+            edges=[(stride * u, stride * v) for u, v in base.edges()],
+        )
+        rng = random.Random(9)
+        pairs = list(dict.fromkeys(_random_pairs(graph, 200, rng)))
+        csr = graph.csr()
+        for lanes in (64, 7, len(pairs)):
+            plain = pack_waves(pairs, graph=graph, max_wave_lanes=lanes)
+            packed = pack_waves(pairs, graph=graph, max_wave_lanes=lanes, csr=csr)
+            assert packed == plain
+            for wave in packed[1]:
+                assert list(map(tuple, wave.ids.tolist())) == wave.pairs
+        wave = packed[1][0]
+        by_ids, _ = csr_bit_bibfs(csr, wave.ids, lead=wave.lead)
+        by_pairs, _ = csr_bit_bibfs(csr, wave.pairs, lead=wave.lead)
+        assert by_ids == by_pairs
+        assert pack_waves([], graph=graph, csr=csr) == ([], [])
+
     def test_cost_model_cutover_is_monotone(self):
         model = BatchCostModel()
         # Tiny batches on big graphs: scalar wins; big batches: sweep wins.

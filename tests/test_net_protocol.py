@@ -109,6 +109,55 @@ def test_outcome_wire_roundtrip_shed_with_retry_hint():
 
 
 # ----------------------------------------------------------------------
+# The outcome encoder: result / batch-result frames without a dict each
+# ----------------------------------------------------------------------
+_details = st.text(max_size=16) | st.sampled_from(
+    ["", "identity", 'say "hi"', "back\\slash", "naïve é ✓", "lanes=1024 layers=18"]
+)
+_outcomes = st.builds(
+    QueryOutcome,
+    source=st.integers(-(2**70), 2**70),
+    target=st.integers(-(2**70), 2**70),
+    answer=st.booleans(),
+    confident=st.booleans(),
+    via=st.sampled_from(["fastpath", "labels", "cache", "bitbatch", "shed", "error"]),
+    version=st.integers(0, 2**40),
+    detail=_details,
+    retry_after_ms=st.none() | st.integers(0, 10**6),
+)
+_ids = st.none() | st.integers(-(2**40), 2**40) | st.text(max_size=8)
+
+
+@settings(max_examples=100, deadline=None)
+@given(mid=_ids, outcomes=st.lists(_outcomes, max_size=5))
+def test_outcome_encoder_is_byte_identical_to_the_generic_one(mid, outcomes):
+    assert protocol.encode_batch_result(mid, outcomes) == protocol.encode({
+        "type": protocol.BATCH_RESULT,
+        "id": mid,
+        "outcomes": [protocol.outcome_to_wire(o) for o in outcomes],
+    })
+    for outcome in outcomes:
+        frame = protocol.encode_result(mid, outcome)
+        assert frame == protocol.encode({
+            "type": protocol.RESULT,
+            "id": mid,
+            **protocol.outcome_to_wire(outcome),
+        })
+        assert protocol.outcome_from_wire(_read(frame)) == outcome
+
+
+def test_outcome_encoder_memo_is_bounded():
+    """A version bump per frame (a writer beside the readers) mints a new
+    tail per frame; the memo is emptied, not grown."""
+    for version in range(10_000):
+        outcome = QueryOutcome(1, 2, True, True, "fastpath", version, "same-scc")
+        protocol.encode_result(version, outcome)
+        assert len(protocol._tails) <= protocol._TAILS_MAX
+    shed = QueryOutcome(1, 2, False, False, "shed", 3, "retry-after-ms=5", 5)
+    assert protocol.outcome_from_wire(_read(protocol.encode_result(0, shed))) == shed
+
+
+# ----------------------------------------------------------------------
 # split_frames: the synchronous splitter behind the server's frame pump
 # ----------------------------------------------------------------------
 _json_values = st.recursive(

@@ -58,6 +58,40 @@ class TestFreezeThaw:
         assert snap.thaw() == DynamicDiGraph()
 
 
+class TestRowLookups:
+    """``rows_of``: rows plus membership for ids that may be strangers,
+    whichever shape the id table has; ``indices_of`` takes arrays."""
+
+    @pytest.mark.parametrize(
+        "ids",
+        [list(range(12)), [3, 8, 9, 40, 41, 1000], [40, 3, 1000, 9]],
+        ids=["ids-are-rows", "sorted-sparse", "unsorted"],
+    )
+    def test_rows_of_matches_index_of(self, ids):
+        empty = np.zeros(0, dtype=np.int64)
+        offsets = np.zeros(len(ids) + 1, dtype=np.int64)
+        snap = CSRSnapshot(
+            np.array(ids, dtype=np.int64), offsets, empty, offsets, empty
+        )
+        probes = np.array(
+            ids + [-1, 2, 11, 12, 39, 42, 999, 1001, 2**62, -(2**62)],
+            dtype=np.int64,
+        )
+        rows, known = snap.rows_of(probes)
+        assert known.tolist() == [snap.has_vertex(v) for v in probes.tolist()]
+        for v, row, ok in zip(probes.tolist(), rows.tolist(), known.tolist()):
+            assert 0 <= row < len(ids)
+            if ok:
+                assert row == snap.index_of(v)
+        inside = np.array(ids[::-1], dtype=np.int64)
+        assert snap.indices_of(inside).tolist() == snap.indices_of(ids[::-1]).tolist()
+
+    def test_rows_of_on_the_empty_snapshot(self):
+        snap = CSRSnapshot.freeze(DynamicDiGraph())
+        rows, known = snap.rows_of(np.array([0, 5], dtype=np.int64))
+        assert rows.tolist() == [0, 0] and known.tolist() == [False, False]
+
+
 class TestPersistence:
     def test_save_load_round_trip(self, tmp_path):
         g = random_graph(25, 70, seed=3)
