@@ -26,20 +26,14 @@ replace them.
 import time
 
 import numpy as np
-import pytest
 
 from repro.baselines.bibfs import bibfs_is_reachable
 from repro.datasets.scale_free import preferential_attachment_graph
-from repro.graph import HAVE_NUMPY
 from repro.graph.bitsearch import csr_bit_bibfs
 from repro.graph.labels import LabelIndex
 from repro.service import FastPathPruner, ReachabilityService
 
 from benchmarks.conftest import once
-
-pytestmark = pytest.mark.skipif(
-    not HAVE_NUMPY, reason="bit-parallel kernels need numpy"
-)
 
 #: Same headline graph as ext_kernels: dense scale-free, giant SCC, mixed
 #: positive/negative workload.

@@ -13,7 +13,6 @@ import pytest
 from repro.datasets.registry import COMMUNITY, REGISTRY, load_analog
 from repro.dynamic.events import materialize
 from repro.experiments.optimizations import run_optimization_ladder
-from repro.graph import kernels
 
 from benchmarks.conftest import once
 
@@ -24,8 +23,6 @@ DATASETS = ["EN", "FL", "WT"]
 @pytest.mark.parametrize("code", DATASETS)
 def test_fig07_optimization_ladder(benchmark, emit, code, substrate):
     use_kernels = substrate == "kernel"
-    if use_kernels and not kernels.kernels_enabled():
-        pytest.skip("CSR kernels unavailable")
     _, initial, stream = load_analog(code, seed=0)
     graph = materialize(initial, stream)
     rows = once(

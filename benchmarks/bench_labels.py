@@ -22,19 +22,13 @@ Three measurements on the headline 50k-vertex scale-free graph:
 
 import time
 
-import pytest
 
 from repro.baselines.bibfs import bibfs_is_reachable
 from repro.datasets.scale_free import preferential_attachment_graph
-from repro.graph import HAVE_NUMPY
 from repro.service import FastPathPruner, ReachabilityService
 from repro.workloads.queries import generate_queries
 
 from benchmarks.conftest import once
-
-pytestmark = pytest.mark.skipif(
-    not HAVE_NUMPY, reason="the label tier's word matrices need numpy"
-)
 
 #: Same headline graph as ext_kernels / ext_batch: dense scale-free,
 #: giant SCC, skewed degree distribution.

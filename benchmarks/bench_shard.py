@@ -29,20 +29,14 @@ every width), so it has no leg of its own.
 import os
 import time
 
-import pytest
 
 from repro.baselines.bibfs import bibfs_is_reachable
 from repro.datasets.scale_free import preferential_attachment_graph
-from repro.graph import HAVE_NUMPY
 from repro.service import FastPathPruner, ReachabilityService
 from repro.workloads.queries import generate_queries
 
 from benchmarks.bench_batch import NUM_VERTICES, OUT_DEGREE, RECIPROCAL
 from benchmarks.conftest import once
-
-pytestmark = pytest.mark.skipif(
-    not HAVE_NUMPY, reason="shard workers need numpy (shared-memory CSR)"
-)
 
 WARMUP = 64
 BATCH_SIZES = (1024, 4096)

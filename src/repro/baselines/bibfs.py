@@ -22,18 +22,19 @@ def bibfs_is_reachable(
     source: int,
     target: int,
     stats: Optional[QueryStats] = None,
-    use_kernels: Optional[bool] = None,
+    use_kernels: bool = True,
     budget: Optional[Budget] = None,
 ) -> bool:
     """Bidirectional BFS from ``source``/``target``, alternating at layer
     granularity exactly as Alg. 5 does from singleton frontiers.
 
-    When a current-version CSR snapshot is already frozen (and kernels are
-    enabled — ``use_kernels=None`` consults the process-wide switch), the
-    search runs on the vectorized kernel instead of dict adjacency;
-    answers are identical, updates still touch nothing but the adjacency
-    lists, and a graph mid-churn (stale or absent snapshot) silently takes
-    the dict path.
+    When a current-version CSR snapshot is already frozen (and
+    ``use_kernels``), the search runs on the vectorized kernel instead of
+    dict adjacency; answers are identical, updates still touch nothing but
+    the adjacency lists, and a graph mid-churn (stale or absent snapshot)
+    silently takes the dict path. ``use_kernels=False`` pins the
+    pure-Python loop: the serving breaker's verdict probe and the e2e
+    oracle need a BiBFS that shares no kernel with what they check.
 
     ``budget`` is checkpointed once per layer. On the dict path a raise
     carries the current visited sets and frontiers as ``exc.partial``
@@ -48,8 +49,6 @@ def bibfs_is_reachable(
     if source not in graph or target not in graph:
         stats.result = False
         return False
-    if use_kernels is None:
-        use_kernels = kernels.kernels_enabled()
     if use_kernels:
         snapshot = graph.csr(build=False)
         if snapshot is not None:

@@ -3,7 +3,7 @@
 Exposes the library's main entry points without writing Python::
 
     python -m repro query GRAPH.txt SOURCE TARGET [--method ifca]
-    python -m repro query-batch GRAPH.txt PAIRS.txt [--no-kernels]
+    python -m repro query-batch GRAPH.txt PAIRS.txt [--deadline-ms 5]
     python -m repro stats GRAPH.txt
     python -m repro generate sbm --block-size 100 --degree 5 OUT.txt
     python -m repro compare EN [--max-updates 250]
@@ -70,13 +70,6 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument(
         "--method", choices=sorted(METHOD_FACTORIES), default="ifca"
     )
-    q.add_argument(
-        "--kernels",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="freeze a CSR snapshot up front so the query runs on the "
-        "vectorized kernels (--no-kernels pins the dict path)",
-    )
     q.set_defaults(func=cmd_query)
 
     qb = sub.add_parser(
@@ -95,13 +88,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         help="whole-batch deadline; expired work degrades per query",
-    )
-    qb.add_argument(
-        "--kernels",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="allow the bit-parallel CSR path, taken when the cost model "
-        "picks it (--no-kernels searches pair by pair)",
     )
     qb.add_argument("--seed", type=int, default=0)
     qb.add_argument(
@@ -152,8 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--push-kernels",
         action=argparse.BooleanOptionalAction,
         default=False,
-        help="time the array-state push drain instead of the dict twin "
-        "(requires numpy)",
+        help="time the array-state push drain instead of the dict twin",
     )
     l.set_defaults(func=cmd_calibrate)
 
@@ -198,25 +183,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-query deadline; expired queries degrade instead of blocking",
     )
     sb.add_argument(
-        "--kernels",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="serve reads from per-epoch frozen CSR snapshots via the "
-        "vectorized kernels (--no-kernels forces the dict path)",
-    )
-    sb.add_argument(
-        "--push-kernels",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="run the IFCA guided phase on the array-state push kernels "
-        "(--no-push-kernels keeps only the BiBFS read-path kernels)",
-    )
-    sb.add_argument(
         "--labels",
         action=argparse.BooleanOptionalAction,
         default=True,
         help="prefilter queries through the incremental DL/BL label tier "
-        "(--no-labels drops the tier; no-op without numpy)",
+        "(--no-labels drops the tier)",
     )
     sb.add_argument(
         "--label-bits",
@@ -291,9 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sv.add_argument("--max-wave", type=int, default=256)
     sv.add_argument(
-        "--kernels", action=argparse.BooleanOptionalAction, default=True
-    )
-    sv.add_argument(
         "--shards",
         type=int,
         default=0,
@@ -329,9 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="serve read-only queries here (0 = ephemeral)",
     )
     rp.add_argument("--supportive", type=int, default=4)
-    rp.add_argument(
-        "--kernels", action=argparse.BooleanOptionalAction, default=True
-    )
     rp.add_argument("--seed", type=int, default=0)
     rp.add_argument(
         "--max-seconds",
@@ -436,17 +401,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_query(args: argparse.Namespace) -> int:
-    from repro.core.params import IFCAParams
-    from repro.graph import kernels
-
     graph = read_edge_list(args.graph)
-    use_kernels = args.kernels and kernels.kernels_enabled()
-    if use_kernels:
-        graph.csr()  # freeze once so every kernel path can engage
-    if args.method == "ifca":
-        method = IFCAMethod(graph, IFCAParams(use_kernels=use_kernels))
-    else:
-        method = METHOD_FACTORIES[args.method](graph)
+    graph.csr()  # freeze once so every kernel path can engage
+    method = METHOD_FACTORIES[args.method](graph)
     reachable = method.query(args.source, args.target)
     print(
         f"{args.source} -> {args.target}: "
@@ -488,7 +445,6 @@ def cmd_query_batch(args: argparse.Namespace) -> int:
         num_supportive=args.supportive,
         seed=args.seed,
         deadline_s=deadline_s,
-        use_kernels=args.kernels,
     ) as service:
         outcomes = service.query_batch(pairs)
         if not args.quiet:
@@ -620,8 +576,7 @@ def cmd_serve_bench(args: argparse.Namespace) -> int:
     print(
         f"replaying {len(ops)} ops ({queries} queries, {inserts} inserts, "
         f"{deletes} deletes) on n={graph.num_vertices} m={graph.num_edges} "
-        f"(csr kernels {'on' if args.kernels else 'off'}, "
-        f"labels {'on' if args.labels else 'off'}, "
+        f"(labels {'on' if args.labels else 'off'}, "
         f"shards={args.shards or 'off'})"
     )
     deadline_s = args.deadline_ms / 1000.0 if args.deadline_ms else None
@@ -631,8 +586,6 @@ def cmd_serve_bench(args: argparse.Namespace) -> int:
         num_supportive=args.supportive,
         seed=args.seed,
         deadline_s=deadline_s,
-        use_kernels=args.kernels,
-        push_kernels=args.push_kernels,
         use_labels=args.labels,
         label_bits=args.label_bits,
         csr_freeze_threshold=args.freeze_threshold,
@@ -671,7 +624,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
             graph,
             num_supportive=args.supportive,
             seed=args.seed,
-            use_kernels=args.kernels,
             journal=args.journal,
             max_pending=args.max_pending,
             shards=args.shards,
@@ -732,7 +684,6 @@ def cmd_replica(args: argparse.Namespace) -> int:
             service_kwargs={
                 "num_supportive": args.supportive,
                 "seed": args.seed,
-                "use_kernels": args.kernels,
             },
         )
         server = await node.serve(args.host, args.port)

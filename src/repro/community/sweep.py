@@ -44,10 +44,9 @@ def sweep_cut(
         The vertex set with the lowest conductance seen along the sweep and
         that conductance. Returns ``(set(), 1.0)`` for an empty vector.
     """
-    if kernels.kernels_enabled():
-        snapshot = graph.csr(build=False)
-        if snapshot is not None:
-            return kernels.csr_sweep_cut(snapshot, ppr, max_size)
+    snapshot = graph.csr(build=False)
+    if snapshot is not None:
+        return kernels.csr_sweep_cut(snapshot, ppr, max_size)
     ranked = [
         (value / max(graph.degree(v), 1), v)
         for v, value in ppr.items()

@@ -7,10 +7,9 @@ runs the same three phases as whole-frontier numpy passes over a
 *sweep*. :mod:`repro.core.ifca` picks between the two per query: the array
 path whenever ``params.use_kernels and params.use_push_kernels`` and a
 current-version snapshot is already frozen (``graph.csr(build=False)``),
-the dict path otherwise (numpy absent, ``REPRO_NO_NUMPY``, kernels
-switched off, or a mid-churn graph with no fresh snapshot). The dict twin
-therefore remains the authoritative reference implementation — it is the
-only path that exists on every install — and the array path must agree
+the dict path otherwise (a per-call pin off, or a mid-churn graph with
+no fresh snapshot). The dict twin remains the authoritative,
+paper-faithful reference implementation, and the array path must agree
 with it on *verdicts* for every query (asserted across push styles ×
 orders × contraction on/off by ``tests/test_push_kernels.py``).
 
@@ -59,14 +58,14 @@ from __future__ import annotations
 
 from typing import Optional
 
+import numpy as np
+
 from repro.core.budget import Budget, BudgetExceeded, PartialSearchState
 from repro.core.contraction import ContractionOutcome
 from repro.core.params import ORDER_GREEDY, PUSH_FORWARD, ResolvedParams
 from repro.core.stats import QueryStats
 from repro.graph import kernels
 from repro.graph.digraph import DynamicDiGraph
-
-np = kernels.np  # None when numpy is unavailable; ifca gates dispatch
 
 
 def _degree_tables(snapshot):

@@ -154,9 +154,8 @@ class IFCA:
             # Array-state dispatch: when both kernel switches are on and a
             # current-version snapshot is already frozen, the whole guided
             # phase (drains, contraction, hand-off) runs on the array
-            # twins; otherwise — numpy absent, kernels off, or a mid-churn
-            # graph whose snapshot is stale — the dict twins answer
-            # identically.
+            # twins; otherwise — a switch off, or a mid-churn graph whose
+            # snapshot is stale — the dict twins answer identically.
             ctx = self._make_context(params, source, target, budget)
             if isinstance(ctx, ArraySearchContext):
                 stats.used_push_kernel = True
@@ -205,7 +204,7 @@ class IFCA:
         self, params, source: int, target: int, budget: Optional[Budget] = None
     ):
         """Pick the array-state context when its preconditions hold."""
-        if params.use_kernels and params.use_push_kernels and kernels.kernels_enabled():
+        if params.use_kernels and params.use_push_kernels:
             snapshot = self.graph.csr(build=False)
             if snapshot is not None:
                 return ArraySearchContext(

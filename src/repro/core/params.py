@@ -88,8 +88,7 @@ class IFCAParams:
     #: Stand up the incremental DL/BL label tier
     #: (:mod:`repro.graph.labels`) as the serving ladder's third pruner.
     #: Like ``shards`` this is a deployment descriptor the engine itself
-    #: ignores — the serving layer reads it; without numpy the tier is
-    #: skipped regardless.
+    #: ignores — the serving layer reads it.
     use_labels: bool = True
     #: Bits per label side per vertex (a multiple of 64, >= 64): word 0
     #: is the exact landmark word, the rest are bloom words. More bits

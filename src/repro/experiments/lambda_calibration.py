@@ -24,7 +24,6 @@ from repro.core.params import IFCAParams
 from repro.core.state import SearchContext
 from repro.core.stats import QueryStats
 from repro.datasets.sbm import two_block_sbm
-from repro.graph import kernels
 from repro.graph.digraph import DynamicDiGraph
 
 
@@ -41,7 +40,7 @@ def calibrate_lambda(
     access times. Returns a ratio >= 0.1 (clamped for sanity).
 
     ``push_kernels`` times the array-state drain instead of the dict twin
-    (requires numpy; the graph is frozen first). Both paths report the
+    (the graph is frozen first). Both paths report the
     same counter units — one edge access per adjacency entry scanned — so
     the resulting ratios are directly comparable: the kernel's smaller
     lambda is exactly what shifts the Alg. 6 switch point in its favor.
@@ -61,10 +60,6 @@ def calibrate_lambda(
         epsilon_pre=epsilon, epsilon_init=epsilon, use_cost_model=False
     ).resolve(graph)
     if push_kernels:
-        if not kernels.kernels_enabled():
-            raise RuntimeError(
-                "push_kernels calibration requires numpy-backed kernels"
-            )
         graph.csr()
 
     # Warm caches (adjacency lists, code paths) before timing.

@@ -4,7 +4,6 @@ from repro.graph.digraph import DynamicDiGraph
 from repro.graph.scc import condensation, strongly_connected_components
 from repro.graph.dag import DynamicDAG
 from repro.graph.closure import TransitiveClosure
-from repro.graph.kernels import HAVE_NUMPY, kernels_enabled, set_kernels_enabled
 from repro.graph.stats import GraphSummary, summarize
 from repro.graph.traversal import (
     bfs_distances,
@@ -12,14 +11,8 @@ from repro.graph.traversal import (
     is_reachable_bfs,
     reverse_bfs_reachable,
 )
-
-if HAVE_NUMPY:
-    from repro.graph.snapshot import CSRSnapshot
-    from repro.graph.labels import LabelIndex
-else:  # pragma: no cover - the no-numpy environment only
-    CSRSnapshot = None  # type: ignore[assignment, misc]
-    LabelIndex = None  # type: ignore[assignment, misc]
-from repro.graph.labels import labels_available
+from repro.graph.snapshot import CSRSnapshot
+from repro.graph.labels import LabelIndex
 
 __all__ = [
     "DynamicDiGraph",
@@ -27,12 +20,8 @@ __all__ = [
     "TransitiveClosure",
     "CSRSnapshot",
     "LabelIndex",
-    "labels_available",
     "GraphSummary",
     "summarize",
-    "HAVE_NUMPY",
-    "kernels_enabled",
-    "set_kernels_enabled",
     "strongly_connected_components",
     "condensation",
     "bfs_reachable",

@@ -61,11 +61,6 @@ kernels: edge accesses are charged *before* the layer is examined, so a
 :class:`~repro.core.budget.BudgetExceeded` cannot be outrun by one huge
 layer. A lane leaves ``pending`` only once decided, so an interrupted
 call hands its decided lanes out with the exception.
-
-Like every other kernel, this module is inert without numpy: callers must
-check :data:`~repro.graph.kernels.HAVE_NUMPY` /
-:func:`~repro.graph.kernels.kernels_enabled` and fall back to the scalar
-path (the serving engine does this in ``query_batch``).
 """
 
 from __future__ import annotations
@@ -75,8 +70,10 @@ import threading
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
+import numpy as np
+
 from repro.core.budget import Budget, BudgetExceeded
-from repro.graph.kernels import HAVE_NUMPY, _gather, _maybe_fault, np
+from repro.graph.kernels import _gather, _maybe_fault
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.graph.snapshot import CSRSnapshot
@@ -418,8 +415,6 @@ def csr_bit_bibfs(
     where undecided): the serving engine keeps those and reroutes the
     rest to the scalar path, whose degraded stage owns partial answers.
     """
-    if not HAVE_NUMPY:
-        raise RuntimeError("bit-parallel kernels require numpy")
     _maybe_fault("csr_bit_bibfs")
 
     lanes = len(pairs)
@@ -520,8 +515,6 @@ def csr_bit_reach(
     :func:`csr_bit_bibfs`: checkpoints at layer boundaries, nothing kept
     on :class:`~repro.core.budget.BudgetExceeded`.
     """
-    if not HAVE_NUMPY:
-        raise RuntimeError("bit-parallel kernels require numpy")
     _maybe_fault("csr_bit_reach")
 
     seed_list = [(csr.index_of(v), m) for v, m in seeds if m]

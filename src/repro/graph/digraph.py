@@ -214,25 +214,20 @@ class DynamicDiGraph:
     # Frozen CSR read view
     # ------------------------------------------------------------------
     def csr(self, build: bool = True):
-        """A frozen CSR view of the current epoch, or ``None``.
+        """A frozen CSR view of the current epoch.
 
         The view is keyed by :attr:`version`: any effective mutation makes
         the cached snapshot stale, after which it is rebuilt lazily — at
         most once per graph epoch — on the next ``build=True`` call.
         ``build=False`` is the pure probe the hot paths use: it returns
         the snapshot only when one is already frozen *for this exact
-        version*, never paying a freeze mid-churn. Returns ``None``
-        whenever numpy is unavailable or kernels are switched off.
+        version*, never paying a freeze mid-churn, and ``None`` otherwise.
 
         Thread-safety matches the rest of the class: concurrent readers
         may race to build the same version (both produce identical
         snapshots; one reference wins the single-assignment publish), but
         mutations must not run concurrently with ``build=True``.
         """
-        from repro.graph import kernels
-
-        if not kernels.kernels_enabled():
-            return None
         # Keyed by (version, pid): a snapshot frozen before a fork belongs
         # to the parent's address-space segment, and its own version-keyed
         # side caches (narrow-target tables, degree tables) key by

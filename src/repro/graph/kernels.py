@@ -27,38 +27,20 @@ Contract
   A/B leg ``tests/test_push_kernels.py`` runs.
 * Kernels never mutate the snapshot; all state (visited masks, frontiers,
   residue arrays) is caller-owned or per-call scratch.
-* numpy is optional. :data:`HAVE_NUMPY` is ``False`` when the import
-  fails — or when ``REPRO_NO_NUMPY`` is set in the environment, which lets
-  CI prove the dict fallback stays green on a machine that *does* have
-  numpy installed. Callers must consult :func:`kernels_enabled` (or simply
-  pass the ``None`` they got from ``DynamicDiGraph.csr``) before
-  dispatching here.
+* numpy is a declared dependency, so every caller may dispatch here; the
+  dict twins that remain are selected per call (``IFCAParams.use_kernels``
+  / ``use_push_kernels``, ``bibfs_is_reachable(..., use_kernels=False)``),
+  never by a process-wide switch.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Dict, Iterable, List, Set, Tuple, TYPE_CHECKING
 
-try:
-    if os.environ.get("REPRO_NO_NUMPY"):
-        raise ImportError("numpy disabled via REPRO_NO_NUMPY")
-    import numpy as np
+import numpy as np
 
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
-    np = None  # type: ignore[assignment]
-    HAVE_NUMPY = False
-
-if TYPE_CHECKING:  # avoid importing snapshot (and numpy) at runtime
+if TYPE_CHECKING:  # avoid an import cycle through digraph
     from repro.graph.snapshot import CSRSnapshot
-
-_enabled = HAVE_NUMPY
-
-
-def kernels_enabled() -> bool:
-    """Whether CSR kernels may be used (numpy present and not switched off)."""
-    return _enabled
 
 
 # ----------------------------------------------------------------------
@@ -87,18 +69,6 @@ def _maybe_fault(name: str) -> None:
     hook = _fault_hook
     if hook is not None:
         hook(name)
-
-
-def set_kernels_enabled(flag: bool) -> bool:
-    """Flip the process-wide kernel switch; returns the previous value.
-
-    Forced ``True`` is still capped by numpy availability. Benchmarks and
-    the A/B equivalence harness use this to run both paths back to back.
-    """
-    global _enabled
-    previous = _enabled
-    _enabled = bool(flag) and HAVE_NUMPY
-    return previous
 
 
 # ----------------------------------------------------------------------

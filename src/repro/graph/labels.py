@@ -57,9 +57,7 @@ asserts both against a BFS oracle under churn):
   propagation's early-stop at a dirty vertex safe, and what guarantees
   the partial rebuild's dirty subgraph never cuts an SCC in half.
 
-The tier is numpy-only by design (the labels *are* the packed words);
-:func:`labels_available` is ``False`` under ``REPRO_NO_NUMPY`` and the
-service simply skips the tier.
+The labels *are* the packed words, so the tier is numpy arrays throughout.
 """
 
 from __future__ import annotations
@@ -68,14 +66,10 @@ import threading
 from collections import deque
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.graph.digraph import DynamicDiGraph
-from repro.graph.kernels import HAVE_NUMPY
-from repro.graph.scc import condensation, strongly_connected_components
+import numpy as np
 
-if HAVE_NUMPY:
-    import numpy as np
-else:  # pragma: no cover - exercised by the no-numpy CI leg
-    np = None  # type: ignore[assignment]
+from repro.graph.digraph import DynamicDiGraph
+from repro.graph.scc import condensation, strongly_connected_components
 
 Pair = Tuple[int, int]
 
@@ -84,11 +78,6 @@ Pair = Tuple[int, int]
 _HASH_MULT = 2654435761
 _WORD_BITS = 64
 _U64_MASK = (1 << 64) - 1
-
-
-def labels_available() -> bool:
-    """True when the numpy label tier can exist in this process."""
-    return HAVE_NUMPY
 
 
 class _LabelState:
@@ -163,8 +152,6 @@ class LabelIndex:
         landmarks: Optional[Iterable[int]] = None,
         build: bool = True,
     ) -> None:
-        if np is None:
-            raise RuntimeError("the label tier requires numpy")
         if label_bits < _WORD_BITS or label_bits % _WORD_BITS:
             raise ValueError("label_bits must be a positive multiple of 64")
         if not 0 < staleness_threshold <= 1:

@@ -20,8 +20,6 @@ from itertools import chain, count, repeat
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Tuple, Union
 
-if os.environ.get("REPRO_NO_NUMPY"):  # pragma: no cover - no-numpy CI job
-    raise ImportError("numpy disabled via REPRO_NO_NUMPY")
 import numpy as np
 
 from repro.graph.digraph import DynamicDiGraph

@@ -1,7 +1,6 @@
 """repro.net: the wire layer over :mod:`repro.service`.
 
-Three pieces, all asyncio and all pure-stdlib (no numpy dependency, so
-the wire layer runs unchanged on the no-kernel fallback substrate):
+Three pieces, all asyncio and all pure-stdlib:
 
 * :mod:`repro.net.protocol` — length-prefixed JSON framing and the
   message vocabulary (``query`` / ``batch`` / ``update`` / ``stats`` /

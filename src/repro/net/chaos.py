@@ -58,7 +58,6 @@ import time
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.graph import HAVE_NUMPY
 from repro.graph.digraph import DynamicDiGraph
 from repro.graph.io import write_edge_list
 from repro.graph.traversal import is_reachable_bfs
@@ -356,13 +355,6 @@ async def scenario_kill_primary(
 # ----------------------------------------------------------------------
 # worker-respawn / stop-worker
 # ----------------------------------------------------------------------
-def _require_fleet() -> None:
-    from repro.shard import ShardRouter
-
-    if not HAVE_NUMPY or ShardRouter is None:
-        raise ScenarioSkipped("shard workers need numpy kernels")
-
-
 def _sharded_workload(
     *,
     sabotage: Callable[[object], Dict[str, object]],
@@ -380,7 +372,6 @@ def _sharded_workload(
     muddy the ``deploys`` counter), then a mixed update/query tail once
     the heal is asserted, then the final oracle sweep.
     """
-    _require_fleet()
     from repro.service import ReachabilityService
 
     rng = random.Random(seed)
@@ -781,7 +772,6 @@ def run_chaos_net(
                     "ops": ops,
                     "checks": checks,
                     "seed": seed,
-                    "numpy": HAVE_NUMPY,
                 },
                 "rows": rows,
             }

@@ -48,7 +48,7 @@ def backward_push(
         state = PushState.indicator(target)
     alpha, epsilon = config.alpha, config.epsilon
 
-    if use_kernels and kernels.kernels_enabled():
+    if use_kernels:
         snapshot = graph.csr(build=False)
         if snapshot is not None:
             budget = (

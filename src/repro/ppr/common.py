@@ -18,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Set
 
+import numpy as np
+
 
 @dataclass
 class PushConfig:
@@ -62,10 +64,7 @@ def state_to_arrays(state: PushState, snapshot):
     """Densify a sparse :class:`PushState` over a snapshot's compacted ids.
 
     Returns ``(residue, reserve)`` float64 arrays for the kernel drains.
-    Only called on the kernel path, so numpy is importable here.
     """
-    import numpy as np
-
     n = snapshot.num_vertices
     residue = np.zeros(n, dtype=np.float64)
     reserve = np.zeros(n, dtype=np.float64)
@@ -83,8 +82,6 @@ def state_from_arrays(state: PushState, snapshot, residue, reserve) -> None:
     (the scalar twin may keep explicit zeros; consumers treat a missing key
     and a zero identically, and the A/B tests compare through that lens).
     """
-    import numpy as np
-
     ids = snapshot.vertex_ids
     nz = np.flatnonzero(residue)
     state.residue = {int(ids[i]): float(residue[i]) for i in nz}

@@ -42,7 +42,7 @@ def forward_push(
     :func:`repro.graph.kernels.csr_forward_push_drain` (push order differs
     from the scalar worklist — both quiesce; the A/B tests pin the shared
     properties). The scalar loop remains the authoritative twin and serves
-    numpy-free installs and mid-churn graphs.
+    mid-churn graphs.
     """
     if config is None:
         config = PushConfig()
@@ -52,7 +52,7 @@ def forward_push(
         state = PushState.indicator(source)
     alpha, epsilon = config.alpha, config.epsilon
 
-    if use_kernels and kernels.kernels_enabled():
+    if use_kernels:
         snapshot = graph.csr(build=False)
         if snapshot is not None:
             budget = (

@@ -65,8 +65,8 @@ verdicts are taken first). An id that no ``int64`` holds is in no
 snapshot: such a pair is answered ``missing-endpoint`` (``identity``)
 before the arrays are built.
 
-Which body runs is decided by the engine from three things it observes,
-none of them settable: numpy is present, the walk is at least
+Which body runs is decided by the engine from two things it observes,
+neither of them settable: the walk is at least
 :data:`COLUMNAR_MIN_PAIRS` wide, and the pruner has (or can build from
 an already-frozen snapshot) its array view of the walk's version.
 ``COLUMNAR_MIN_PAIRS = 48`` is the narrowest measured width at which
@@ -96,9 +96,10 @@ from dataclasses import dataclass, field
 from itertools import chain
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.graph.bitsearch import sweeps_for, words_for
 from repro.graph.digraph import DynamicDiGraph
-from repro.graph.kernels import np
 from repro.service.fastpath import RULE_ANSWERS, RULES
 
 Pair = Tuple[int, int]

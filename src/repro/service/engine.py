@@ -20,9 +20,8 @@ answers:
    DL/BL label filter over whatever is left. Same rungs, same order at
    every width; a walk at least ``COLUMNAR_MIN_PAIRS`` wide (measured:
    :mod:`repro.service.batcher`) runs them over endpoint arrays when
-   numpy is present and the pruner has its array view of the walk's
-   version — built by the pruner from the CSR snapshot a wave rung
-   froze, current until the version or its sample holder moves on
+   the pruner has its array view of the walk's version — built by the
+   pruner from the CSR snapshot a wave rung froze, current until the version or its sample holder moves on
    (:mod:`repro.service.fastpath`). Nothing a caller sets picks the body;
 2. **deadline pre-check** — an expired deadline sends the survivors
    straight to the last rung (``detail="pre-engine:..."``);
@@ -45,7 +44,7 @@ The cache sits before the shard rung because a routed ``wave`` /
 recurrence under skewed traffic; the fleet's rule verdicts re-derive in
 O(1), so only searched verdicts earn a cache slot. A rung that raises is
 counted (``stage_errors_<rung>``) and skipped. Pairs a rung leaves
-behind — the cutover chose scalar, kernels are off, the breaker is
+behind — the cutover chose scalar, the freeze failed, the breaker is
 open, the sweep failed, the budget ran out before their lanes were
 decided, the fleet is stale or degraded — reach the next rung inline and
 already filtered: nothing re-enters the ladder. A batch that reaches the
@@ -54,11 +53,10 @@ the walk's single read-lock hold.
 
 Sharded serving (``shards=K``)
 ------------------------------
-With ``shards >= 2`` (and kernels available) the shard rung lazily
-deploys a :class:`~repro.shard.router.ShardRouter`: the graph is
-partitioned along its SCC condensation into K shared-memory CSR shards
-served by a pool of spawned worker processes (every worker attaches
-every shard). Routing is strictly an accelerator: pairs the router
+With ``shards >= 2`` the shard rung lazily deploys a
+:class:`~repro.shard.router.ShardRouter`: the graph is partitioned
+along its SCC condensation into K shared-memory CSR shards served by a
+pool of spawned worker processes (every worker attaches every shard). Routing is strictly an accelerator: pairs the router
 cannot answer (worker death, budget, stale epoch) stay on the ladder,
 so a degraded fleet degrades throughput, never availability. The fleet
 re-anchors to a new graph epoch after ``shard_refresh_threshold`` walks
@@ -122,7 +120,7 @@ from repro.graph import kernels
 from repro.graph.bitsearch import csr_bit_bibfs
 from repro.graph.digraph import DynamicDiGraph
 from repro.graph.journal import JournalReplayError, UpdateJournal
-from repro.graph.labels import LabelIndex, labels_available
+from repro.graph.labels import LabelIndex
 from repro.service.batcher import (
     COLUMNAR_MIN_PAIRS,
     BatchCostModel,
@@ -210,18 +208,12 @@ class ReachabilityService:
     engine_edge_budget:
         Per-query edge-access ceiling for the engine stage (``None`` =
         unbounded). Exceeding it degrades exactly like a blown deadline.
-    use_kernels:
-        Freeze one CSR snapshot per graph version (lazily, on engine-stage
-        demand) so every search on that version runs the vectorized
-        kernels and all concurrent readers share the same arrays. Falls
-        back to pure dict serving when off or when numpy is absent.
-    push_kernels:
-        Let the default IFCA engine run its *guided phase* on the
-        array-state push kernels too (``IFCAParams.use_push_kernels``).
     csr_freeze_threshold:
         How many pairs one graph version must send to the engine rung
-        before its snapshot is frozen (a wave rung freezes at once: the
-        batch amortizes its own freeze).
+        before its one shared CSR snapshot is frozen (a wave rung freezes
+        at once: the batch amortizes its own freeze). Every search on a
+        frozen version runs the vectorized kernels; until then it runs on
+        the dict adjacency.
     journal:
         An :class:`~repro.graph.journal.UpdateJournal`, or a path to open
         one at (the service then owns and closes it). Every effective
@@ -247,9 +239,9 @@ class ReachabilityService:
     shards:
         Deploy a :class:`~repro.shard.router.ShardRouter` of this many
         shared-memory shard-worker processes as the ladder's first
-        search rung. ``0``/``1`` (or kernels unavailable) keeps
-        single-process serving; the router is built lazily by the first
-        walk that reaches the rung and torn down by :meth:`close`.
+        search rung. ``0``/``1`` keeps single-process serving; the
+        router is built lazily by the first walk that reaches the rung
+        and torn down by :meth:`close`.
         Worker failures are contained: unrouted pairs stay on the
         ladder.
     shard_refresh_threshold:
@@ -270,7 +262,7 @@ class ReachabilityService:
         Stand up the incremental DL/BL label tier
         (:class:`~repro.graph.labels.LabelIndex`) as the last index
         rung: one vectorized filter per walk over the pairs the fast
-        path and the cache left. Skipped without numpy.
+        path and the cache left.
     label_bits:
         Bits per label side per vertex (multiple of 64; word 0 is the
         exact landmark word, the rest bloom words).
@@ -294,8 +286,6 @@ class ReachabilityService:
         deadline_s: Optional[float] = None,
         degrade_budget: int = 2048,
         engine_edge_budget: Optional[int] = None,
-        use_kernels: bool = True,
-        push_kernels: bool = True,
         csr_freeze_threshold: int = 2,
         journal: Union[UpdateJournal, str, Path, None] = None,
         fault_plan: Union[FaultPlan, FaultInjector, None] = None,
@@ -320,7 +310,6 @@ class ReachabilityService:
             factory = lambda g: IFCAMethod(  # noqa: E731
                 g,
                 IFCAParams(
-                    use_push_kernels=push_kernels,
                     shards=shards,
                     use_labels=use_labels,
                     label_bits=label_bits,
@@ -343,16 +332,13 @@ class ReachabilityService:
         self.deadline_s = deadline_s
         self.degrade_budget = degrade_budget
         self.engine_edge_budget = engine_edge_budget
-        self.use_kernels = use_kernels and kernels.kernels_enabled()
         self._lock = RWLock()
         self._pruner = FastPathPruner(
             self.graph,
             num_supportive=num_supportive,
             seed=seed,
             rebuild_cooldown=rebuild_cooldown,
-            csr_provider=(
-                (lambda: self.graph.csr(build=False)) if self.use_kernels else None
-            ),
+            csr_provider=lambda: self.graph.csr(build=False),
         )
         self._cache = VersionedQueryCache(cache_capacity)
         self._stats = ServiceStats()
@@ -373,13 +359,12 @@ class ReachabilityService:
         self._router_failures = 0
 
         # The DL/BL label tier: the last index rung, after the O'Reach
-        # fast path and the cache. Numpy-only; a failed
-        # build just leaves the tier off (counted) — labels are an
-        # acceleration, never a dependency.
+        # fast path and the cache. A failed build just leaves the tier
+        # off (counted) — labels are an acceleration, never a dependency.
         self._labels: Optional[LabelIndex] = None
         self._labels_disabled = False
         self._label_failures = 0
-        if use_labels and labels_available():
+        if use_labels:
             try:
                 self._labels = LabelIndex(self.graph, label_bits=label_bits)
             except Exception:
@@ -688,9 +673,9 @@ class ReachabilityService:
         survivors' expected engine-rung cost (from live engine-stage
         latency) and keeps or skips the wave rung — 64 queries per
         uint64 word over the version's CSR snapshot
-        (:mod:`repro.graph.bitsearch`). With kernels unavailable
-        (counted ``batch_scalar_fallback``) or the breaker open the wave
-        rung abstains; a kernel failure feeds the breaker. Either way
+        (:mod:`repro.graph.bitsearch`). With no snapshot (a failed
+        freeze, counted ``batch_scalar_fallback``) or the breaker open
+        the wave rung abstains; a kernel failure feeds the breaker. Either way
         the survivors, and the lanes a budget expiry left undecided,
         drop to the engine rung inline.
         """
@@ -941,11 +926,7 @@ class ReachabilityService:
         deploy/refresh failures disable sharding for the service's
         lifetime — the single-process path serves everything.
         """
-        if (
-            not self.use_kernels
-            or ShardRouter is None
-            or self._router_failures >= 2
-        ):
+        if self._router_failures >= 2:
             return None
         with self._router_lock:
             router = self._router
@@ -1097,11 +1078,9 @@ class ReachabilityService:
         version's search-rung demand: below ``csr_freeze_threshold`` the
         epoch stays on the dict path, so a version that never attracts
         enough searches never pays a freeze. ``at_once`` skips the
-        threshold — a wave rung amortizes its own freeze. Kernels off or
-        a failed freeze (counted) also return ``None``.
+        threshold — a wave rung amortizes its own freeze. A failed freeze
+        (counted) also returns ``None``.
         """
-        if not self.use_kernels:
-            return None
         try:
             csr = self.graph.csr(build=False)
             if csr is not None:
@@ -1384,7 +1363,7 @@ class ReachabilityService:
 
     @property
     def labels(self) -> Optional[LabelIndex]:
-        """The DL/BL label tier (``None`` when off or numpy is absent)."""
+        """The DL/BL label tier (``None`` when off or its build failed)."""
         return self._labels
 
     @property

@@ -40,7 +40,7 @@ frozen CSR snapshot): degree-zero masks from its offsets, ``scc_of`` as a
 component array, the component's level, and one bit per supportive
 vertex in a ``F(x)`` word and a ``B(x)`` word — with :meth:`check`'s rule
 names in :meth:`check`'s first-match order (:data:`RULES`). :meth:`check`
-stays the width-1 / no-numpy / no-view path and the reference the
+stays the width-1 / no-view path and the reference the
 property tests hold ``check_many`` to.
 
 The pruner builds the view itself, lazily, in :meth:`FastPathPruner.view`
@@ -64,8 +64,9 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Dict, List, NamedTuple, Optional, Set, Tuple
 
+import numpy as np
+
 from repro.graph import kernels
-from repro.graph.kernels import np
 from repro.graph.dag import DynamicDAG
 from repro.graph.digraph import DynamicDiGraph
 from repro.graph.traversal import bfs_reachable, reverse_bfs_reachable
@@ -331,9 +332,7 @@ class FastPathPruner:
     # ------------------------------------------------------------------
     def _build_samples(self) -> _SampleSets:
         vertices = _choose_supportive(self.graph, self.num_supportive, self._rng)
-        snapshot = None
-        if self._csr_provider is not None and kernels.kernels_enabled():
-            snapshot = self._csr_provider()
+        snapshot = self._csr_provider() if self._csr_provider is not None else None
         if snapshot is not None:
             fwd = kernels.csr_multi_reachable_sets(snapshot, vertices, True)
             bwd = kernels.csr_multi_reachable_sets(snapshot, vertices, False)
@@ -455,7 +454,7 @@ class FastPathPruner:
         view, holder, version = self._view, self._samples, self.graph.version
         if view is not None and view.version == version and view.holder is holder:
             return view
-        if np is None or self._csr_provider is None:
+        if self._csr_provider is None:
             return None
         if len(holder.vertices) > _MASK_BITS:
             return None

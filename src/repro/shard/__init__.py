@@ -20,18 +20,12 @@ ladder — drives the fleet on the primary. The serving engine reaches all of it
 """
 
 from repro.shard.partition import ShardInfo, ShardPlan, partition_graph
-try:  # router needs numpy + multiprocessing; partition is always importable
-    from repro.shard.router import (
-        ShardRouter,
-        ShardWorkerHandle,
-        WorkerDied,
-        classify_pair,
-    )
-except ImportError:  # pragma: no cover - no-numpy installs
-    ShardRouter = None  # type: ignore[assignment]
-    ShardWorkerHandle = None  # type: ignore[assignment]
-    WorkerDied = None  # type: ignore[assignment]
-    classify_pair = None  # type: ignore[assignment]
+from repro.shard.router import (
+    ShardRouter,
+    ShardWorkerHandle,
+    WorkerDied,
+    classify_pair,
+)
 
 __all__ = [
     "ShardInfo",

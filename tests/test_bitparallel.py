@@ -3,8 +3,8 @@
 
 The load-bearing property: for any batch, on any graph, mid-churn or
 not, bit-parallel verdicts are bitwise-equal to the BFS oracle and to
-the scalar `query_batch` path. The fallback tests run without numpy too,
-proving a kernel-less deployment degrades to scalar cleanly.
+the scalar `query_batch` path. The fallback tests prove a walk with no
+snapshot to sweep degrades to scalar cleanly.
 """
 
 from __future__ import annotations
@@ -25,19 +25,15 @@ from repro.datasets.scale_free import (
     erdos_renyi_graph,
     preferential_attachment_graph,
 )
-from repro.graph import HAVE_NUMPY, kernels
+from repro.graph import kernels
 from repro.graph.digraph import DynamicDiGraph
 from repro.graph.traversal import is_reachable_bfs
 from repro.service import ReachabilityService
 from repro.service.batcher import BatchCostModel, pack_waves, plan_batch
+from repro.service.faults import FaultPlan, FaultSpec
 from tests.conftest import force_waves
 
 pytestmark = pytest.mark.bitparallel
-
-needs_numpy = pytest.mark.skipif(
-    not HAVE_NUMPY, reason="bit-parallel kernels require numpy"
-)
-
 
 def _random_pairs(graph, count, rng, include_edge_cases=True):
     vs = sorted(graph.vertices())
@@ -59,7 +55,6 @@ def _graph_family(name, seed):
 # ----------------------------------------------------------------------
 # The kernel itself
 # ----------------------------------------------------------------------
-@needs_numpy
 class TestBitKernel:
     @pytest.mark.parametrize("family", ["pa", "sbm", "er"])
     @pytest.mark.parametrize("batch", [1, 63, 64, 65, 1000])
@@ -167,7 +162,6 @@ def _digraph_and_pairs(draw):
     return n, edges, pairs
 
 
-@needs_numpy
 class TestFrameWideSweep:
     @settings(
         max_examples=40,
@@ -328,16 +322,6 @@ class TestFrameWideSweep:
         assert child.exitcode == 0
 
 
-@pytest.mark.skipif(HAVE_NUMPY, reason="the kernel is only inert without numpy")
-def test_kernel_is_inert_without_numpy():
-    """The module imports and the kernel refuses; batches run scalar
-    (``test_kernelless_service_falls_back_to_scalar``)."""
-    from repro.graph.bitsearch import csr_bit_bibfs
-
-    with pytest.raises(RuntimeError, match="numpy"):
-        csr_bit_bibfs(DynamicDiGraph(edges=[(0, 1)]), [(0, 1)])
-
-
 # ----------------------------------------------------------------------
 # The planner and cost model
 # ----------------------------------------------------------------------
@@ -388,7 +372,6 @@ class TestBatchPlanner:
         packed = plan_batch(pairs, graph=graph, max_wave_lanes=4)
         assert (pending, waves) == (packed.pending, packed.waves)
 
-    @needs_numpy
     @pytest.mark.parametrize("stride", [1, 7], ids=["ids-are-rows", "sparse-ids"])
     def test_packing_from_a_snapshot_is_the_same_packing(self, stride):
         """``pack_waves(csr=...)``: one lexsort and the CSR's offsets in
@@ -459,7 +442,6 @@ class TestServiceBatchStrategies:
             "queries", "deadline_s"
         ]
 
-    @needs_numpy
     @pytest.mark.parametrize("family", ["pa", "sbm"])
     def test_bitparallel_equals_scalar_and_oracle(self, family):
         graph = _graph_family(family, seed=21)
@@ -485,7 +467,6 @@ class TestServiceBatchStrategies:
             assert c.answer == expected, (s, t, c.via)
             assert b.confident and c.confident
 
-    @needs_numpy
     def test_auto_strategy_matches_oracle_and_counts_decision(self):
         graph = _graph_family("pa", seed=8)
         pairs = _random_pairs(graph, 300, random.Random(4))
@@ -502,7 +483,6 @@ class TestServiceBatchStrategies:
         for (s, t), o in zip(pairs, outcomes):
             assert o.answer == is_reachable_bfs(graph, s, t)
 
-    @needs_numpy
     def test_mid_churn_batches_stay_exact(self):
         """Batches interleaved with updates answer on the version they
         observed; each round is checked against an oracle on that graph."""
@@ -528,7 +508,6 @@ class TestServiceBatchStrategies:
                         svc.remove_edge(u, v)
             assert svc.stats()["counters"]["bit_waves"] > 0
 
-    @needs_numpy
     def test_cache_reuse_across_batches(self):
         graph = _graph_family("pa", seed=12)
         pairs = _random_pairs(graph, 128, random.Random(2))
@@ -544,12 +523,13 @@ class TestServiceBatchStrategies:
             assert second["cache_hits"] > first.get("cache_hits", 0)
 
     def test_kernelless_service_falls_back_to_scalar(self):
-        """Without kernels (numpy absent or disabled) a batch the cutover
+        """Without a snapshot (every freeze fails) a batch the cutover
         would have swept answers through the engine rung, counted as a
         fallback when pairs actually reached the wave rung."""
         graph = _graph_family("sbm", seed=14)
         pairs = _random_pairs(graph, 100, random.Random(3))
-        with ReachabilityService(graph, seed=0, use_kernels=False) as svc:
+        no_freeze = FaultPlan("no-freeze", (FaultSpec("freeze"),))
+        with ReachabilityService(graph, seed=0, fault_plan=no_freeze) as svc:
             outcomes = force_waves(svc).query_batch(pairs)
             counters = svc.stats()["counters"]
             reached = counters.get("batch_scalar_queries", 0) > 0
@@ -559,24 +539,6 @@ class TestServiceBatchStrategies:
                 assert o.via != "bitbatch"
                 assert o.answer == is_reachable_bfs(graph, s, t)
 
-    @needs_numpy
-    def test_kernel_switch_disables_bit_path(self):
-        graph = _graph_family("sbm", seed=15)
-        previous = kernels.set_kernels_enabled(False)
-        try:
-            with ReachabilityService(graph, seed=0) as svc:
-                pairs = [(0, 5), (5, 0)]
-                outcomes = force_waves(svc).query_batch(pairs)
-                counters = svc.stats()["counters"]
-                reached = counters.get("batch_scalar_queries", 0) > 0
-                assert counters.get("batch_scalar_fallback", 0) == int(reached)
-                assert all(o.via != "bitbatch" for o in outcomes)
-                for (s, t), o in zip(pairs, outcomes):
-                    assert o.answer == is_reachable_bfs(graph, s, t)
-        finally:
-            kernels.set_kernels_enabled(previous)
-
-    @needs_numpy
     def test_wave_failure_feeds_breaker_and_reroutes(self, monkeypatch):
         """A kernel fault mid-batch is contained: the breaker records it
         and the wave's pairs answer through the scalar path."""
@@ -600,7 +562,6 @@ class TestServiceBatchStrategies:
             assert o.answer == is_reachable_bfs(graph, s, t)
 
 
-    @needs_numpy
     def test_budget_expiring_mid_sweep_keeps_the_decided_lanes(self):
         """The edge ceiling trips after the first lanes resolved: those
         stay ``bitbatch`` verdicts (oracle-exact); only the undecided

@@ -2,6 +2,8 @@
 
 import argparse
 import inspect
+import re
+from pathlib import Path
 
 import pytest
 
@@ -189,13 +191,13 @@ class TestKnobCensus:
         from repro.service import ReachabilityService
 
         params = inspect.signature(ReachabilityService.__init__).parameters
-        assert len(params) - 1 <= 25, self.RATCHET  # minus self
+        assert len(params) - 1 <= 23, self.RATCHET  # minus self
 
     def test_engine_module_lines(self):
         import repro.service.engine as engine
 
         with open(engine.__file__, encoding="utf-8") as handle:
-            assert sum(1 for _ in handle) <= 1480, self.RATCHET
+            assert sum(1 for _ in handle) <= 1458, self.RATCHET
 
     def test_cli_flags(self):
         def flags(parser):
@@ -207,4 +209,42 @@ class TestKnobCensus:
                     count += 1
             return count
 
-        assert flags(build_parser()) <= 92, self.RATCHET
+        assert flags(build_parser()) <= 86, self.RATCHET
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class TestNumpyIsADependency:
+    """numpy is declared in ``pyproject.toml``: no code path, test or CI
+    leg may exist only for its absence."""
+
+    # Each name is split so that this file does not match itself.
+    GATES = re.compile(
+        "|".join(
+            ("REPRO_NO" + "_NUMPY", "HAVE" + "_NUMPY", "kernels" + "_enabled",
+             "labels" + "_available")
+        )
+    )
+
+    def test_no_gate_survives(self):
+        hits = [
+            f"{path.relative_to(ROOT)}:{number}"
+            for top in ("src", "tests", ".github")
+            for path in sorted((ROOT / top).rglob("*"))
+            if path.is_file() and path.suffix in (".py", ".yml", ".yaml")
+            for number, line in enumerate(
+                path.read_text(encoding="utf-8").splitlines(), 1
+            )
+            if self.GATES.search(line)
+        ]
+        assert hits == []
+
+    def test_ci_has_no_numpy_axis(self):
+        ci = (ROOT / ".github" / "workflows" / "ci.yml").read_text(encoding="utf-8")
+        assert "matrix.numpy" not in ci
+        assert not re.search(r"^\s+numpy:", ci, flags=re.M)
+
+    def test_numpy_is_declared(self):
+        pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+        assert re.search(r'^dependencies = \["numpy"\]$', pyproject, flags=re.M)

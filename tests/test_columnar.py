@@ -5,10 +5,6 @@ Three contracts. ``FastPathPruner.check_many`` is ``check`` over arrays
 is N ``get`` calls under one lock; and a ladder walk answers the same
 whichever body ran its index rungs — at every width, labels on and off,
 with outside input in the frame and with the pruner rung faulted.
-
-Without numpy there is no columnar body: the same tests then pin that the
-scalar body serves every width (``check_many`` refuses, no view is ever
-built), so they run — never skip — on the no-numpy CI leg too.
 """
 
 from __future__ import annotations
@@ -16,11 +12,11 @@ from __future__ import annotations
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graph import HAVE_NUMPY
 from repro.graph.traversal import is_reachable_bfs
 from repro.service import BatchCostModel, ReachabilityService
 from repro.service import engine as engine_module
@@ -33,9 +29,6 @@ from tests.conftest import random_graph
 
 pytestmark = pytest.mark.bitparallel
 
-if HAVE_NUMPY:
-    import numpy as np
-
 #: Walk widths on both sides of the crossover, and the benchmark's frame.
 WIDTHS = (1, COLUMNAR_MIN_PAIRS - 1, COLUMNAR_MIN_PAIRS, 1024)
 
@@ -46,8 +39,6 @@ WIDTHS = (1, COLUMNAR_MIN_PAIRS - 1, COLUMNAR_MIN_PAIRS, 1024)
 def _check_many(pruner: FastPathPruner, pairs):
     """``check_many`` over ``pairs`` in ``check``'s vocabulary, or
     ``None`` when it refuses."""
-    if not HAVE_NUMPY:
-        return pruner.check_many([s for s, _ in pairs], [t for _, t in pairs])
     ids = np.array(pairs, dtype=np.int64).reshape(-1, 2)
     rule = pruner.check_many(ids[:, 0].copy(), ids[:, 1].copy())
     if rule is None:
@@ -94,7 +85,7 @@ def test_check_many_is_check_over_arrays_or_refuses(edges, ops, supportive):
 
     def compare():
         expected = [pruner.check(s, t) for s, t in probes]
-        assert _check_many(pruner, probes) == (expected if HAVE_NUMPY else None)
+        assert _check_many(pruner, probes) == expected
 
     graph.csr()
     compare()
@@ -115,7 +106,6 @@ def test_check_many_is_check_over_arrays_or_refuses(edges, ops, supportive):
         compare()
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="the array view needs numpy")
 @pytest.mark.parametrize("supportive", [9, 40])
 def test_check_many_with_wider_mask_words(supportive):
     graph = random_graph(60, 150, seed=5)
@@ -246,11 +236,11 @@ def test_every_width_walks_to_the_same_outcomes_and_counters(use_labels):
                 )
             },
         )
-        # The body is picked by width, numpy and the view — nothing else.
-        assert bool(columnar) == (HAVE_NUMPY and width >= COLUMNAR_MIN_PAIRS)
+        # The body is picked by width and the view — nothing else.
+        assert bool(columnar) == (width >= COLUMNAR_MIN_PAIRS)
     vias = Counter(via for _, _, via, _ in seen[1][0])
     assert vias["cache"] and vias["engine"] and vias["fastpath"]
-    assert bool(vias["labels"]) == (use_labels and HAVE_NUMPY)
+    assert bool(vias["labels"]) == use_labels
     assert seen[1][2]["cache_hits"] > 0 and seen[1][2]["cache_misses"] > 0
     for width in WIDTHS[1:]:
         assert seen[width] == seen[1], width
@@ -276,8 +266,7 @@ def test_both_bodies_agree_on_frames_with_duplicates(width, monkeypatch):
         counters = dict(stats["counters"])
         counters.pop("pruner_view_builds")
         runs.append((outcomes, stats["fastpath_rules"], counters))
-        wide = HAVE_NUMPY and floor <= width
-        assert bool(built) == wide
+        assert bool(built) == (floor <= width)
     assert runs[0] == runs[1]
     assert runs[0][2].get("batched_dedup", 0) > 0
 
@@ -341,8 +330,7 @@ def test_trivial_verdicts_hold_with_the_pruner_rung_out(width, broken, monkeypat
         rules = svc.stats()["fastpath_rules"]
     # Every other rule is out with the rung; the walks went on without it.
     assert set(rules) <= {"identity", "missing-endpoint"}
-    wide = HAVE_NUMPY and width >= COLUMNAR_MIN_PAIRS
-    if broken == "fault-point" or wide:
+    if broken == "fault-point" or width >= COLUMNAR_MIN_PAIRS:
         # One count per walk: the rung sat it out, or its one gather raised.
         assert counters["stage_errors_fastpath"] == len(frames)
     else:
@@ -363,4 +351,4 @@ def test_an_id_beyond_int64_costs_the_label_tier_nothing():
         counters = svc.stats()["counters"]
         assert counters.get("stage_errors_labels", 0) == 0
         assert svc._label_failures == 0 and not svc._labels_disabled
-        assert bool(svc.pruner.view_builds) == HAVE_NUMPY
+        assert svc.pruner.view_builds

@@ -210,8 +210,7 @@ class TestContainment:
             assert out.answer is True and out.confident
             counters = service.stats()["counters"]
             assert counters["stage_errors_fastpath"] >= 1
-            if service.labels is not None:  # the tier needs numpy
-                assert counters["stage_errors_labels"] >= 1
+            assert counters["stage_errors_labels"] >= 1
             assert counters["stage_errors_cache"] >= 1
 
     def test_engine_error_takes_fallback(self):
@@ -315,7 +314,6 @@ class TestContainment:
             cache_capacity=1,
             engine_edge_budget=1,
             degrade_budget=50,
-            use_kernels=False,
             breaker_failures=1,
         ) as service:
             saw_degraded = False
@@ -369,6 +367,72 @@ class TestVerdictProbe:
             assert out.via == "engine-fallback"
             assert service.stats()["counters"]["verdict_mismatches"] == 1
             assert service.breaker.state == BREAKER_OPEN  # still distrusted
+
+
+class TestFallbackSharesNoKernel:
+    """The dict-substrate fallback and the verdict probe must not touch
+    the kernels they stand in for: with every kernel entry faulted, both
+    still answer exactly, and the ``kernel`` fault count does not move."""
+
+    def _service(self, graph):
+        graph.csr()  # frozen: the primary would run on the kernels
+        return ReachabilityService(
+            graph,
+            num_supportive=0,
+            use_labels=False,
+            cache_capacity=1,
+            breaker_failures=1,
+            breaker_probe_s=1.0,
+            fault_plan=FaultPlan("kernels-down", (FaultSpec("kernel"),)),
+        )
+
+    def test_open_breaker_answers_without_kernels(self):
+        graph = random_graph(80, 200, seed=3)
+        rng = random.Random(5)
+        pairs = [(rng.randrange(80), rng.randrange(80)) for _ in range(60)]
+        with self._service(graph) as service:
+            service._breaker._clock = FakeClock()  # no probe comes due
+            service._breaker.record_failure()
+            assert service.breaker.state == BREAKER_OPEN
+            fired = service.injector.fired.get("kernel", 0)
+            point = [service.query(s, t) for s, t in pairs]
+            batch = service.query_batch(pairs)
+            assert service.injector.fired.get("kernel", 0) == fired
+            for (s, t), a, b in zip(pairs, point, batch):
+                truth = is_reachable_bfs(graph, s, t)
+                for outcome in (a, b):
+                    assert outcome.answer == truth and outcome.confident
+                    assert outcome.via in ("engine-fallback", "fastpath", "cache")
+            assert {o.via for o in point + batch} >= {"engine-fallback"}
+            assert service.stats()["counters"].get("engine_failures", 0) == 0
+
+    def test_half_open_probe_completes_without_kernels(self):
+        graph = random_graph(80, 200, seed=4)
+        clock = FakeClock()
+        with self._service(graph) as service:
+            s, t = next(  # a reachable pair only a search can answer
+                (s, t) for s in range(80) for t in range(80)
+                if service.pruner.check(s, t) is None
+                and is_reachable_bfs(graph, s, t)
+            )
+            service._breaker._clock = clock
+            service._breaker.record_failure()
+            # The probe's own query: the primary dies on its first kernel
+            # entry, the dict twin answers and the breaker re-opens.
+            clock.advance(1.5)
+            out = service.query(s, t)
+            assert (out.answer, out.via) == (True, "engine-fallback")
+            assert service.breaker.state == BREAKER_OPEN
+            # The verdict check itself re-answers on the dict twin only:
+            # it agrees, closes the breaker, and enters no kernel.
+            clock.advance(1.5)
+            assert service._breaker.acquire() == (True, True)
+            fired = service.injector.fired["kernel"]
+            failures = service.stats()["counters"]["engine_failures"]
+            assert service._verdict_probe(s, t, True, None)
+            assert service.breaker.state == BREAKER_CLOSED
+            assert service.injector.fired["kernel"] == fired
+            assert service.stats()["counters"]["engine_failures"] == failures
 
 
 class TestAdmissionControl:

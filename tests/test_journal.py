@@ -233,10 +233,6 @@ class TestRestoreVersion:
             g.restore_version(v)  # backwards: refused
 
     def test_restore_invalidates_csr(self):
-        from repro.graph import kernels
-
-        if not kernels.kernels_enabled():
-            pytest.skip("numpy kernels disabled")
         g = DynamicDiGraph(edges=[(0, 1)])
         g.csr()
         assert g.csr(build=False) is not None

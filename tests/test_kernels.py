@@ -6,8 +6,8 @@ kernel returns exactly the answer its dict twin returns on the same
 snapshot. These tests pit three implementations against each other — the
 BFS oracle, the dict path, and the kernel path — across graph families,
 random query batches, a post-update re-freeze, and both push orders, then
-exercise the process-wide fallback switch, the version-keyed CSR cache,
-and the serving engine's per-epoch freeze.
+exercise the version-keyed CSR cache and the serving engine's per-epoch
+freeze.
 """
 
 import random
@@ -20,32 +20,17 @@ from repro.core.params import ORDER_GREEDY, ORDER_LIFO, IFCAParams
 from repro.core.stats import QueryStats
 from repro.datasets.sbm import two_block_sbm
 from repro.datasets.scale_free import preferential_attachment_graph
-from repro.graph import HAVE_NUMPY, kernels
+from repro.graph import kernels
 from repro.graph.digraph import DynamicDiGraph
 from repro.graph.traversal import bfs_reachable, reverse_bfs_reachable
 from repro.ppr.power_iteration import power_iteration_ppr
 from repro.workloads.queries import generate_queries
-
-pytestmark = pytest.mark.skipif(
-    not HAVE_NUMPY,
-    reason="kernels need numpy; without it every caller takes the dict "
-    "path already exercised by the rest of the suite",
-)
-
 
 def _families():
     return [
         ("sbm", two_block_sbm(100, 6.0, seed=11)),
         ("scale_free", preferential_attachment_graph(400, 3, seed=11, reciprocal=0.2)),
     ]
-
-
-@pytest.fixture(autouse=True)
-def _kernels_on():
-    """Every test starts from the enabled state and restores it."""
-    previous = kernels.set_kernels_enabled(True)
-    yield
-    kernels.set_kernels_enabled(previous)
 
 
 class TestBiBFSEquivalence:
@@ -184,14 +169,13 @@ class TestSweepEquivalence:
         for seed in range(5):
             g = two_block_sbm(40, 6.0, seed=seed)
             ppr = power_iteration_ppr(g, seed % g.num_vertices, alpha=0.1)
-            for max_size in (0, 5, 25):
-                g.csr()
+            sizes = (0, 5, 25)
+            # No snapshot is frozen yet, so these cuts take the dict walk.
+            assert g.csr(build=False) is None
+            dict_cuts = [sweep_cut(g, ppr, max_size=size) for size in sizes]
+            g.csr()
+            for max_size, dict_cut in zip(sizes, dict_cuts):
                 kern_cut = sweep_cut(g, ppr, max_size=max_size)
-                previous = kernels.set_kernels_enabled(False)
-                try:
-                    dict_cut = sweep_cut(g, ppr, max_size=max_size)
-                finally:
-                    kernels.set_kernels_enabled(previous)
                 assert kern_cut[0] == dict_cut[0], (seed, max_size)
                 assert kern_cut[1] == pytest.approx(dict_cut[1]), (seed, max_size)
 
@@ -209,26 +193,6 @@ class TestCSRCacheAndFallback:
         g.remove_edge(2, 3)
         assert g.csr(build=False) is None
 
-    def test_disabled_switch_forces_dict_path(self):
-        g = two_block_sbm(30, 5.0, seed=1)
-        g.csr()
-        previous = kernels.set_kernels_enabled(False)
-        try:
-            assert not kernels.kernels_enabled()
-            assert g.csr() is None  # even build=True refuses while off
-            stats = QueryStats()
-            answer = bibfs_is_reachable(g, 0, 45, stats)
-            assert answer == (45 in bfs_reachable(g, 0))
-            assert not stats.used_kernel
-        finally:
-            kernels.set_kernels_enabled(previous)
-        assert g.csr() is not None
-
-    def test_switch_returns_previous_value(self):
-        previous = kernels.set_kernels_enabled(False)
-        assert kernels.set_kernels_enabled(previous) is False
-        assert kernels.kernels_enabled() == previous
-
 
 class TestServiceIntegration:
     def test_engine_freezes_and_answers_match_oracle(self):
@@ -241,7 +205,6 @@ class TestServiceIntegration:
         # the engine, so no search would ever trigger a CSR freeze.
         with ReachabilityService(
             g.copy(),
-            use_kernels=True,
             use_labels=False,
             csr_freeze_threshold=1,
         ) as service:
@@ -258,7 +221,11 @@ class TestServiceIntegration:
         g = preferential_attachment_graph(200, 3, seed=29, reciprocal=0.2)
         queries = generate_queries(g, 20, seed=8)
         truth = {(s, t): t in bfs_reachable(g, s) for s, t in queries}
-        with ReachabilityService(g.copy(), use_kernels=False) as service:
+        # A version that never reaches the freeze threshold has no
+        # snapshot: every search runs on the dict adjacency.
+        with ReachabilityService(
+            g.copy(), csr_freeze_threshold=10**9
+        ) as service:
             for s, t in queries:
                 assert service.query(s, t).answer == truth[(s, t)]
             assert service.stats()["counters"].get("csr_freezes", 0) == 0

@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.core.params import IFCAParams
 from repro.graph.digraph import DynamicDiGraph
-from repro.graph.labels import labels_available
+from repro.graph.labels import LabelIndex
 from repro.graph.traversal import is_reachable_bfs
 from repro.service import ReachabilityService
 from repro.service.batcher import plan_batch
@@ -25,15 +26,6 @@ from repro.service.faults import FaultPlan, FaultSpec, plan_by_name
 from tests.conftest import force_waves, random_graph
 
 pytestmark = pytest.mark.labels
-
-needs_numpy = pytest.mark.skipif(
-    not labels_available(), reason="the label tier needs numpy"
-)
-
-if labels_available():
-    import numpy as np
-
-    from repro.graph.labels import LabelIndex
 
 
 def oracle(graph, s, t):
@@ -57,7 +49,6 @@ def assert_one_sided(idx, graph, pairs):
 # ----------------------------------------------------------------------
 # Static builds
 # ----------------------------------------------------------------------
-@needs_numpy
 class TestBuild:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_fresh_build_is_one_sided_exact(self, seed):
@@ -114,7 +105,6 @@ class TestBuild:
 # ----------------------------------------------------------------------
 # Dynamics: inserts, deletes, lazy repair
 # ----------------------------------------------------------------------
-@needs_numpy
 class TestDynamics:
     def test_incremental_inserts_equal_fresh_build(self):
         """In-place OR propagation lands bit-for-bit on the full build."""
@@ -271,7 +261,6 @@ class TestServiceIntegration:
         # Sparse enough that the fast path abstains on plenty of pairs.
         return random_graph(200, 260, seed=seed)
 
-    @needs_numpy
     def test_scalar_ladder_resolves_via_labels(self):
         graph = self._hard_graph()
         rng = random.Random(1)
@@ -294,7 +283,6 @@ class TestServiceIntegration:
             )
             assert svc.stats()["labels"]["bits"] == 256
 
-    @needs_numpy
     def test_label_plan_is_resolved_with_detail(self):
         graph = DynamicDiGraph(
             edges=[(i, i + 1) for i in range(8)] + [(20, 21)]
@@ -308,7 +296,6 @@ class TestServiceIntegration:
             assert outcome.answer is False
             assert outcome.confident
 
-    @needs_numpy
     def test_batched_ladder_matches_label_free_service(self):
         graph = self._hard_graph(seed=11)
         rng = random.Random(2)
@@ -334,7 +321,6 @@ class TestServiceIntegration:
             > 0
         )
 
-    @needs_numpy
     def test_update_path_keeps_labels_exact_through_service(self):
         graph = self._hard_graph(seed=13)
         rng = random.Random(3)
@@ -356,23 +342,6 @@ class TestServiceIntegration:
                 assert out.answer == oracle(graph, s, t), (step, s, t)
             counters = svc.stats()["counters"]
             assert counters.get("label_updates", 0) > 0
-
-    def test_no_numpy_tier_is_skipped_not_fatal(self):
-        """use_labels=True without numpy serves exactly, tier absent."""
-        graph = DynamicDiGraph(edges=[(i, i + 1) for i in range(6)])
-        with ReachabilityService(
-            graph, use_labels=True
-        ) as svc:
-            if labels_available():
-                assert svc.labels is not None
-            else:
-                assert svc.labels is None
-            assert svc.query(0, 6).answer is True
-            assert svc.query(6, 0).answer is False
-            counters = svc.stats()["counters"]
-            if not labels_available():
-                assert "label_hits_pos" not in counters
-                assert "labels" not in svc.stats()
 
     def test_use_labels_false_never_builds_the_tier(self):
         graph = DynamicDiGraph(edges=[(0, 1)])
@@ -418,7 +387,6 @@ class TestFaultContainment:
             for (s, t), out in zip(pairs, outcomes):
                 assert out.answer == oracle(graph, s, t), (s, t)
 
-    @needs_numpy
     def test_update_hook_failure_quarantines_tier(self, monkeypatch):
         """A label maintenance error invalidates the tier (abstain-all)
         instead of leaving a wrong matrix serving verdicts."""
@@ -441,7 +409,6 @@ class TestFaultContainment:
             assert out.via != "labels"
             assert out.answer is True
 
-    @needs_numpy
     def test_repeated_query_failures_disable_tier(self, monkeypatch):
         graph = DynamicDiGraph(edges=[(i, i + 1) for i in range(26)])
         with ReachabilityService(
@@ -460,7 +427,6 @@ class TestFaultContainment:
             # Disabled stays disabled: the tier is never consulted again.
             assert svc.query(1, 6).via != "labels"
 
-    @needs_numpy
     def test_failing_probe_is_contained_at_every_width(self, monkeypatch):
         """One pending pair takes the scalar ``check``, several take the
         vectorised ``filter_pairs``; either failing only abstains."""

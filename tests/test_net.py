@@ -2,7 +2,7 @@
 
 Everything runs against real sockets on 127.0.0.1 (ephemeral ports) with
 ``asyncio.run`` driving each scenario. Marked ``net`` — the tier-2 CI
-leg runs this file alone (with a no-numpy leg); it also runs under the
+leg runs this file alone; it also runs under the
 tier-1 sweep, so every scenario is kept small and bounded.
 """
 
@@ -15,7 +15,6 @@ import threading
 
 import pytest
 
-from repro.graph import HAVE_NUMPY
 from repro.graph.digraph import DynamicDiGraph
 from repro.graph.traversal import is_reachable_bfs
 from repro.net import (
@@ -243,30 +242,24 @@ def test_stats_frame_surfaces_occupancy_and_batch_counters():
                 # The satellite: occupancy, the batch_* family, and the
                 # label-tier counters are on the wire, not just in-process.
                 assert "word_occupancy" in derived
-                if HAVE_NUMPY:
-                    # Every batched pair was answered by some tier before
-                    # a kernel had to run: prefilter, label matrix, or the
-                    # auto cutover deciding on surviving pairs.
-                    assert (
-                        counters.get("batch_auto_bitparallel", 0)
-                        + counters.get("batch_auto_scalar", 0)
-                        + counters.get("batch_scalar_fallback", 0)
-                        + counters.get("batch_prefilter_hits", 0)
-                        + counters.get("label_hits_pos", 0)
-                        + counters.get("label_hits_neg", 0)
-                        >= 12
-                    )
-                    assert (
-                        counters.get("label_hits_pos", 0)
-                        + counters.get("label_hits_neg", 0)
-                        >= 1
-                    )
-                    assert frame["stats"]["labels"]["bits"] >= 64
-                else:
-                    # No kernels: the whole batch takes the scalar
-                    # fallback (counted per batch, not per pair) and the
-                    # label tier never exists.
-                    assert counters.get("batch_scalar_fallback", 0) >= 1
+                # Every batched pair was answered by some tier before
+                # a kernel had to run: prefilter, label matrix, or the
+                # auto cutover deciding on surviving pairs.
+                assert (
+                    counters.get("batch_auto_bitparallel", 0)
+                    + counters.get("batch_auto_scalar", 0)
+                    + counters.get("batch_scalar_fallback", 0)
+                    + counters.get("batch_prefilter_hits", 0)
+                    + counters.get("label_hits_pos", 0)
+                    + counters.get("label_hits_neg", 0)
+                    >= 12
+                )
+                assert (
+                    counters.get("label_hits_pos", 0)
+                    + counters.get("label_hits_neg", 0)
+                    >= 1
+                )
+                assert frame["stats"]["labels"]["bits"] >= 64
                 assert frame["server"]["net_batches"] == 1
                 assert frame["server"]["net_connections"] == 1
 
@@ -864,7 +857,6 @@ def test_one_clients_deadline_does_not_degrade_anothers_query():
             graph,
             num_supportive=0,
             use_labels=False,
-            use_kernels=False,
             degrade_budget=10,
         ) as service:
             # The gathering window puts both connections in one drain.

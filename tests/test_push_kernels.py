@@ -15,12 +15,13 @@ Three layers of equivalence, from contract to bitwise:
   array totals *equal* whenever expansion order cannot differ (chains,
   stars); elsewhere only the units agree.
 
-The fallback legs run without numpy too (``REPRO_NO_NUMPY=1``): kernel
-tests skip, dispatch tests assert the dict twin serves every query.
+The dispatch tests pin the per-call dict legs: ``use_push_kernels=False``
+and a graph with no current snapshot both serve on the dict twin.
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.baselines.bibfs import bibfs_is_reachable
@@ -48,10 +49,6 @@ from repro.workloads.queries import generate_queries
 
 pytestmark = pytest.mark.push_kernels
 
-needs_numpy = pytest.mark.skipif(
-    not kernels.HAVE_NUMPY, reason="numpy-backed kernels unavailable"
-)
-
 STYLES = [PUSH_FORWARD, PUSH_BACKWARD]
 ORDERS = [ORDER_LIFO, ORDER_GREEDY]
 
@@ -59,7 +56,6 @@ ORDERS = [ORDER_LIFO, ORDER_GREEDY]
 # ----------------------------------------------------------------------
 # Verdict equivalence: array path vs dict twin vs BiBFS ground truth
 # ----------------------------------------------------------------------
-@needs_numpy
 @pytest.mark.parametrize("style", STYLES)
 @pytest.mark.parametrize("order", ORDERS)
 @pytest.mark.parametrize("contraction", [True, False])
@@ -94,7 +90,6 @@ def test_verdict_equivalence_grid(style, order, contraction):
         assert kernel_hits > 0
 
 
-@needs_numpy
 def test_dispatch_requires_frozen_snapshot():
     graph = two_block_sbm(60, 5.0, seed=1)
     params = IFCAParams(force_switch_round=2)
@@ -218,12 +213,10 @@ def _scalar_drain_model(
     return False, cand, pushes, edge_accesses, int_edges, explored_added
 
 
-@needs_numpy
 @pytest.mark.parametrize("style", STYLES)
 @pytest.mark.parametrize("order", ORDERS)
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_kernel_matches_scalar_model_bitwise(style, order, seed):
-    np = kernels.np
     graph = preferential_attachment_graph(150, 3, seed=seed, reciprocal=0.2)
     snapshot = graph.csr()
     n = snapshot.num_vertices
@@ -351,7 +344,6 @@ def _drain_pair(graph, style, order, source, target, epsilon):
     return d_stats, a_stats
 
 
-@needs_numpy
 @pytest.mark.parametrize("style", STYLES)
 @pytest.mark.parametrize("order", ORDERS)
 def test_counter_contract_chain(style, order):
@@ -365,7 +357,6 @@ def test_counter_contract_chain(style, order):
     assert d_stats.guided_edge_accesses == a_stats.guided_edge_accesses > 0
 
 
-@needs_numpy
 @pytest.mark.parametrize("order", ORDERS)
 def test_counter_contract_star(order):
     # Hub -> leaves: one expansion (k edge accesses), every leaf dangling.
@@ -380,7 +371,6 @@ def test_counter_contract_star(order):
 # ----------------------------------------------------------------------
 # Contraction parity: triggers and terminal outcomes
 # ----------------------------------------------------------------------
-@needs_numpy
 @pytest.mark.parametrize("style", STYLES)
 @pytest.mark.parametrize("order", ORDERS)
 def test_contraction_exhaustion_parity(style, order):
@@ -414,7 +404,6 @@ def test_contraction_exhaustion_parity(style, order):
     assert st_arr.used_push_kernel and not st_dict.used_push_kernel
 
 
-@needs_numpy
 def test_contraction_meet_parity():
     # Two dense communities joined by a bridge: a positive query that
     # needs at least one contraction on the way. Both paths must prove it.
@@ -434,11 +423,11 @@ def test_contraction_meet_parity():
 
 
 # ----------------------------------------------------------------------
-# Dispatch fallbacks (run with and without numpy)
+# Dispatch fallbacks
 # ----------------------------------------------------------------------
 def test_use_push_kernels_false_pins_dict_twin():
     graph = two_block_sbm(60, 5.0, seed=1)
-    graph.csr()  # None without numpy; frozen otherwise — both fine
+    graph.csr()
     params = IFCAParams(force_switch_round=2, use_push_kernels=False)
     engine = IFCA(graph, params)
     answer, stats = engine.query_with_stats(0, 30)
@@ -446,34 +435,21 @@ def test_use_push_kernels_false_pins_dict_twin():
     assert answer == bibfs_is_reachable(graph, 0, 30)
 
 
-def test_kernel_switch_off_pins_dict_twin():
-    graph = two_block_sbm(60, 5.0, seed=1)
-    graph.csr()
-    previous = kernels.set_kernels_enabled(False)
-    try:
-        engine = IFCA(graph, IFCAParams(force_switch_round=2))
-        answer, stats = engine.query_with_stats(0, 30)
-        assert not stats.used_push_kernel
-    finally:
-        kernels.set_kernels_enabled(previous)
-    assert answer == bibfs_is_reachable(graph, 0, 30)
-
-
-def test_no_numpy_leg_answers_correctly():
-    # Exercises whatever substrate this interpreter has; under
-    # REPRO_NO_NUMPY this is the pure-dict leg of the A/B matrix.
+def test_unfrozen_graph_answers_on_dict_twin():
+    # No snapshot is frozen, so every query runs the pure-dict leg.
     graph = preferential_attachment_graph(200, 3, seed=11, reciprocal=0.2)
-    graph.csr()
     queries = generate_queries(graph, 30, seed=2)
     engine = IFCA(graph, IFCAParams(force_switch_round=3))
     for s, t in queries:
-        assert engine.is_reachable(s, t) == bibfs_is_reachable(graph, s, t)
+        answer, stats = engine.query_with_stats(s, t)
+        assert not stats.used_push_kernel and not stats.used_kernel
+        assert answer == bibfs_is_reachable(graph, s, t, use_kernels=False)
+    assert graph.csr(build=False) is None
 
 
 # ----------------------------------------------------------------------
 # PPR push drains: kernel vs scalar residue equivalence
 # ----------------------------------------------------------------------
-@needs_numpy
 @pytest.mark.parametrize("push", [forward_push, backward_push])
 def test_ppr_kernel_quiescence_and_mass(push):
     graph = two_block_sbm(80, 5.0, seed=4)
@@ -492,7 +468,6 @@ def test_ppr_kernel_quiescence_and_mass(push):
         assert mass == pytest.approx(1.0, abs=1e-9)
 
 
-@needs_numpy
 @pytest.mark.parametrize("push", [forward_push, backward_push])
 def test_ppr_kernel_close_to_scalar(push):
     # Push order differs (sweeps vs worklist), so reserves agree only up
@@ -511,7 +486,6 @@ def test_ppr_kernel_close_to_scalar(push):
     assert worst < 100 * config.epsilon
 
 
-@needs_numpy
 def test_ppr_kernel_invariant_vs_power_iteration():
     graph = two_block_sbm(40, 4.0, seed=6)
     config = PushConfig(alpha=0.2, epsilon=1e-8)
@@ -527,7 +501,6 @@ def test_ppr_kernel_invariant_vs_power_iteration():
     assert shortfall <= sum(state.residue.values()) + 1e-9
 
 
-@needs_numpy
 @pytest.mark.parametrize("push", [forward_push, backward_push])
 def test_ppr_kernel_resumable(push):
     graph = two_block_sbm(60, 5.0, seed=8)
@@ -548,7 +521,6 @@ def test_ppr_kernel_resumable(push):
     assert resumed.edge_accesses > 0
 
 
-@needs_numpy
 def test_ppr_kernel_budget_resumes():
     graph = two_block_sbm(60, 5.0, seed=8)
     graph.csr()
@@ -571,7 +543,6 @@ def test_ppr_kernel_budget_resumes():
 # ----------------------------------------------------------------------
 # Service integration: the push_kernel_queries counter
 # ----------------------------------------------------------------------
-@needs_numpy
 def test_service_counts_push_kernel_queries():
     from repro.service.engine import ReachabilityService
 

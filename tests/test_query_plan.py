@@ -15,7 +15,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graph import HAVE_NUMPY, kernels
 from repro.graph.digraph import DynamicDiGraph
 from repro.graph.traversal import is_reachable_bfs
 from repro.service import ReachabilityService
@@ -131,15 +130,17 @@ class TestExecutionEquivalence:
         pairs = [(0, 9), (9, 0), (0, 55), (55, 59), (2, 7), (3, 3)]
         with service() as svc:
             scalar = [svc.query(s, t).answer for s, t in pairs]
-        # Both search rungs: without kernels the survivors take the
-        # engine rung, with a free sweep they ride the wave rung.
+        # Both search rungs: with no snapshot to sweep (every freeze
+        # fails) the survivors take the engine rung, with a free sweep
+        # they ride the wave rung.
+        no_freeze = FaultPlan("no-freeze", (FaultSpec("freeze"),))
         for sweep in (False, True):
-            with service(use_kernels=sweep) as svc:
+            with service(fault_plan=None if sweep else no_freeze) as svc:
                 outcomes = force_waves(svc).query_batch(pairs)
                 assert [o.answer for o in outcomes] == scalar
                 assert all(o.confident for o in outcomes)
                 swept = svc.stats()["counters"].get("bit_waves", 0) > 0
-                assert swept == (sweep and HAVE_NUMPY)
+                assert swept == sweep
 
 
 #: The rungs that answer without a search.
@@ -239,42 +240,33 @@ def _search_heavy_case():
 
 
 @pytest.mark.parametrize("width", [1, 1024])
-@pytest.mark.parametrize(
-    "mode", ["default", "use_kernels=False", "kernel-switch-off", "breaker-open"]
-)
+@pytest.mark.parametrize("mode", ["default", "breaker-open"])
 def test_the_calling_thread_answers_and_no_other_exists(mode, width):
-    """Whatever makes the wave rung abstain — kernels never on, switched
-    off under a live service, the breaker open — and at either width, the
-    walk answers oracle-exactly on the thread that asked: the set of live
-    threads is the same before and after."""
+    """Whether the cutover picks the wave rung or the open breaker makes
+    it abstain (the serving path's dict-substrate leg), and at either
+    width, the walk answers oracle-exactly on the thread that asked: the
+    set of live threads is the same before and after."""
     graph, pairs, truth = _search_heavy_case()
     threads = set(threading.enumerate())
-    previous = kernels.kernels_enabled()
-    try:
-        # Index tiers weakened so most pairs need a search rung.
-        with ReachabilityService(
-            graph.copy(), num_supportive=0, use_labels=False,
-            use_kernels=mode != "use_kernels=False",
-            breaker_failures=1, breaker_probe_s=3600.0,
-        ) as svc:
-            if mode == "kernel-switch-off":
-                kernels.set_kernels_enabled(False)
-            elif mode == "breaker-open":
-                svc.breaker.record_failure()
-                assert svc.breaker.state == "open"
-            if width == 1:
-                outcomes = [svc.query(s, t) for s, t in pairs]
-            else:
-                outcomes = svc.query_batch(pairs)
-            assert set(threading.enumerate()) == threads
-            counters = svc.stats()["counters"]
-    finally:
-        kernels.set_kernels_enabled(previous)
+    # Index tiers weakened so most pairs need a search rung.
+    with ReachabilityService(
+        graph.copy(), num_supportive=0, use_labels=False,
+        breaker_failures=1, breaker_probe_s=3600.0,
+    ) as svc:
+        if mode == "breaker-open":
+            svc.breaker.record_failure()
+            assert svc.breaker.state == "open"
+        if width == 1:
+            outcomes = [svc.query(s, t) for s, t in pairs]
+        else:
+            outcomes = svc.query_batch(pairs)
+        assert set(threading.enumerate()) == threads
+        counters = svc.stats()["counters"]
     assert [o.answer for o in outcomes] == truth
     assert all(o.confident for o in outcomes)
     assert {o.via for o in outcomes} - set(INDEX_VIAS)  # searches ran
     if mode != "default":
         assert counters.get("bit_waves", 0) == 0
-    elif width == 1024 and HAVE_NUMPY:
+    elif width == 1024:
         assert counters["bit_waves"] > 0  # the cutover's own choice
     assert set(threading.enumerate()) == threads

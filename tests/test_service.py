@@ -17,7 +17,6 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repro.graph import HAVE_NUMPY
 from repro.graph.digraph import DynamicDiGraph
 from repro.graph.traversal import is_reachable_bfs
 from repro.service import (
@@ -390,7 +389,6 @@ class TestReachabilityService:
         assert len(result.outcomes) == result.num_queries
         assert result.stats["counters"]["queries"] == result.num_queries
 
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="the wave rung needs numpy")
     def test_wave_dropout_is_counted_once(self, line_graph, monkeypatch):
         """A batch pair that drops from the wave rung to the engine rung
         stays on the walk: one cache miss, one query, one observation —
@@ -647,7 +645,6 @@ class TestCacheConfidentGate:
             use_labels=False,  # labels would answer exactly, no degrade
             deadline_s=0.0,  # expired on arrival: every search degrades
             degrade_budget=10,
-            use_kernels=False,
         ) as service:
             out = service.query(0, 199)
             assert out.via == "degraded"
@@ -674,8 +671,6 @@ class TestMidChurnFallback:
             graph,
             num_supportive=0,
             cache_capacity=16,
-            use_kernels=True,
-            push_kernels=True,
             csr_freeze_threshold=10**9,  # never freeze: permanent churn
         )
         shadow = {service.graph.version: frozenset(service.graph.edges())}

@@ -15,7 +15,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graph import HAVE_NUMPY
 from repro.graph.digraph import DynamicDiGraph
 from repro.graph.traversal import is_reachable_bfs
 from repro.shard import ShardRouter, partition_graph, pipeline
@@ -339,14 +338,8 @@ def test_cross_fixpoint_is_order_independent(
 
 
 # ----------------------------------------------------------------------
-# Worker fleet (tier 2: spawns processes; needs numpy kernels)
+# Worker fleet (tier 2: spawns processes)
 # ----------------------------------------------------------------------
-needs_fleet = pytest.mark.skipif(
-    not HAVE_NUMPY or ShardRouter is None,
-    reason="shard workers need numpy kernels",
-)
-
-
 def shm_segments():
     return glob.glob("/dev/shm/ifca*")
 
@@ -354,15 +347,12 @@ def shm_segments():
 @pytest.fixture(scope="module")
 def fleet():
     """One spawned K=3 fleet shared by the read-only router tests."""
-    if not HAVE_NUMPY or ShardRouter is None:
-        pytest.skip("shard workers need numpy kernels")
     graph = chain_graph()
     router = ShardRouter(graph, 3, call_timeout_s=20.0)
     yield graph, router
     router.close()
 
 
-@needs_fleet
 @pytest.mark.shard
 class TestRouter:
     def test_batch_matches_oracle(self, fleet):
@@ -408,7 +398,6 @@ class TestRouter:
         assert unresolved
 
 
-@needs_fleet
 @pytest.mark.shard
 def test_fleet_refresh_kill_cleanup():
     """Lifecycle in one spawn session: in-place swap on refresh, worker
@@ -473,7 +462,6 @@ def test_fleet_refresh_kill_cleanup():
     assert set(shm_segments()) <= preexisting
 
 
-@needs_fleet
 @pytest.mark.shard
 def test_sharded_service_end_to_end():
     """ReachabilityService(shards=K) on default settings (label tier
@@ -516,7 +504,6 @@ def test_sharded_service_end_to_end():
         assert svc.router.version == svc.graph.version
 
 
-@needs_fleet
 @pytest.mark.shard
 def test_auto_respawn_heals_service_fleet():
     """SIGKILL a worker under a live service: the next routed batch
@@ -546,7 +533,6 @@ def test_auto_respawn_heals_service_fleet():
         assert router.version == version
 
 
-@needs_fleet
 @pytest.mark.shard
 def test_kill_midwave_releases_cleanly():
     """``ShardWorkerHandle.kill()`` mid-call: the process is reaped (no
@@ -587,7 +573,6 @@ def test_kill_midwave_releases_cleanly():
     assert set(shm_segments()) <= preexisting
 
 
-@needs_fleet
 @pytest.mark.shard
 def test_worker_death_mid_cross_fixpoint(monkeypatch):
     """SIGKILL a worker *mid-fixpoint*: the reactor is about to absorb
@@ -651,7 +636,6 @@ def test_worker_death_mid_cross_fixpoint(monkeypatch):
 # ----------------------------------------------------------------------
 # The scheduler: wire protocol, backpressure, containment, scalar routing
 # ----------------------------------------------------------------------
-@needs_fleet
 @pytest.mark.shard
 def test_tagged_protocol_reply_matching(fleet):
     """The wire protocol has one shape: every request is ``(req_id,
@@ -691,7 +675,6 @@ def test_tagged_protocol_reply_matching(fleet):
     assert worker.call(("probe", router.version), 20.0)[0] == "ok"
 
 
-@needs_fleet
 @pytest.mark.shard
 def test_two_routers_share_a_process():
     """Two routers over equal-version graphs publish the same (shard,
@@ -728,7 +711,6 @@ def window_of_one(monkeypatch):
     monkeypatch.setattr(pipeline, "INFLIGHT_WINDOW", 1)
 
 
-@needs_fleet
 @pytest.mark.shard
 def test_inflight_window_backpressure(window_of_one):
     """window=1 floods: more jobs than window slots must stall the queue
@@ -749,7 +731,6 @@ def test_inflight_window_backpressure(window_of_one):
         router.close()
 
 
-@needs_fleet
 @pytest.mark.shard
 def test_sigkill_mid_pipeline_contains_to_one_worker(monkeypatch, window_of_one):
     """SIGKILL one worker while the reactor has many jobs in flight:
@@ -794,7 +775,6 @@ def test_sigkill_mid_pipeline_contains_to_one_worker(monkeypatch, window_of_one)
         router.close()
 
 
-@needs_fleet
 @pytest.mark.shard
 def test_sigstop_mid_pipeline_convicted_by_timeout(monkeypatch, window_of_one):
     """SIGSTOP freezes a worker without closing its pipe — only the
@@ -825,7 +805,6 @@ def test_sigstop_mid_pipeline_convicted_by_timeout(monkeypatch, window_of_one):
         router.close()  # SIGKILL terminates even a stopped process
 
 
-@needs_fleet
 @pytest.mark.shard
 def test_scalar_routing_vs_oracle_under_churn():
     """Scalar ``query()`` is a width-1 walk: it routes through the
@@ -873,16 +852,28 @@ def test_scalar_routing_vs_oracle_under_churn():
         assert routed > 0
 
 
-def test_service_shard_fallback_without_kernels():
-    """shards=K with kernels disabled degrades to the local path — no
-    router, exact answers (covers the no-numpy CI leg too)."""
+def test_service_shard_fallback_when_deploy_fails(monkeypatch):
+    """shards=K whose fleet cannot deploy degrades to the local path — no
+    router, exact answers, and sharding off after two failed deploys."""
+    import repro.service.engine as engine_mod
     from repro.service import ReachabilityService
 
+    def no_fleet(*args, **kwargs):
+        raise OSError("injected deploy failure")
+
+    monkeypatch.setattr(engine_mod, "ShardRouter", no_fleet)
     graph = chain_graph(num_cycles=10)
-    pairs = sample_pairs(graph, 40, seed=9)
-    with ReachabilityService(graph.copy(), shards=4, use_kernels=False) as svc:
-        outcomes = svc.query_batch(pairs)
-        for (s, t), outcome in zip(pairs, outcomes):
-            assert outcome.answer == is_reachable_bfs(graph, s, t)
+    # Index rungs weakened and fresh pairs each walk, so every walk
+    # reaches the shard rung.
+    with ReachabilityService(
+        graph.copy(), shards=4, num_supportive=0, use_labels=False
+    ) as svc:
+        for seed in range(3):
+            pairs = sample_pairs(graph, 40, seed=seed)
+            outcomes = svc.query_batch(pairs)
+            for (s, t), outcome in zip(pairs, outcomes):
+                assert outcome.answer == is_reachable_bfs(graph, s, t)
         assert svc.router is None
-        assert svc.stats()["counters"].get("shard_batches", 0) == 0
+        counters = svc.stats()["counters"]
+        assert counters["stage_errors_shard"] == 2
+        assert counters.get("shard_batches", 0) == 0

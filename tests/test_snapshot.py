@@ -2,21 +2,12 @@
 
 import os
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graph import HAVE_NUMPY
 from repro.graph.digraph import DynamicDiGraph
-
-if not HAVE_NUMPY:  # snapshots are numpy-backed; the dict paths are
-    pytest.skip(  # covered regardless (see test_kernels fallback tests)
-        "requires numpy (absent or disabled via REPRO_NO_NUMPY)",
-        allow_module_level=True,
-    )
-
-import numpy as np
-
 from repro.graph.snapshot import _ALIGN, ARRAY_FIELDS, CSRSnapshot
 
 from tests.conftest import random_graph
