@@ -7,7 +7,6 @@ Exposes the library's main entry points without writing Python::
     python -m repro stats GRAPH.txt
     python -m repro generate sbm --block-size 100 --degree 5 OUT.txt
     python -m repro compare EN [--max-updates 250]
-    python -m repro serve-bench GRAPH.txt [--ops 2000 --journal WAL.jsonl]
     python -m repro serve GRAPH.txt [--port 7420 --journal WAL.jsonl]
     python -m repro replica HOST:PORT REPLICA.wal [--port 7421]
     python -m repro chaos GRAPH.txt --plan kernel-crash
@@ -152,90 +151,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--markdown", action="store_true", help="emit GitHub-flavoured tables"
     )
     r.set_defaults(func=cmd_report)
-
-    sb = sub.add_parser(
-        "serve-bench",
-        help="closed-loop throughput run of the query-serving engine",
-    )
-    sb.add_argument("graph", help="edge-list file with the initial snapshot")
-    sb.add_argument(
-        "--workload",
-        help="mixed workload file (Q|I|D u v lines); generated when omitted",
-    )
-    sb.add_argument(
-        "--save-workload", help="write the (generated) workload to this file"
-    )
-    sb.add_argument("--ops", type=int, default=2000, help="operations to generate")
-    sb.add_argument("--query-ratio", type=float, default=0.9)
-    sb.add_argument("--skew", type=float, default=1.0, help="endpoint zipf skew")
-    sb.add_argument(
-        "--pair-pool",
-        type=int,
-        default=None,
-        help="repeat whole query pairs from a hot pool of this size",
-    )
-    sb.add_argument("--cache-size", type=int, default=4096)
-    sb.add_argument("--supportive", type=int, default=4)
-    sb.add_argument(
-        "--deadline-ms",
-        type=float,
-        default=None,
-        help="per-query deadline; expired queries degrade instead of blocking",
-    )
-    sb.add_argument(
-        "--labels",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="prefilter queries through the incremental DL/BL label tier "
-        "(--no-labels drops the tier)",
-    )
-    sb.add_argument(
-        "--label-bits",
-        type=int,
-        default=256,
-        help="label width per side in bits (multiple of 64; word 0 is "
-        "the landmark word, the rest bloom words)",
-    )
-    sb.add_argument(
-        "--freeze-threshold",
-        type=int,
-        default=2,
-        help="engine-stage queries one graph version must attract before "
-        "its CSR snapshot is frozen",
-    )
-    sb.add_argument("--seed", type=int, default=0)
-    sb.add_argument(
-        "--journal",
-        default=None,
-        help="append every applied update to this write-ahead journal "
-        "(JSONL); a crashed run is recoverable with "
-        "ReachabilityService.recover()",
-    )
-    sb.add_argument(
-        "--batch-size",
-        type=int,
-        default=None,
-        help="coalesce consecutive queries into query_batch calls of up "
-        "to this many pairs (also bursts the generated workload); "
-        "omitted = one walk per query",
-    )
-    sb.add_argument(
-        "--shards",
-        type=int,
-        default=0,
-        help="deploy this many shared-memory shard-worker processes and "
-        "route queries no index rung answers through the scatter–gather "
-        "router (0/1 = single-process serving)",
-    )
-    sb.add_argument(
-        "--shard-locality",
-        type=float,
-        default=0.0,
-        help="probability a generated query's endpoints are redrawn into "
-        "the same shard (shard-skew knob; needs --shards >= 2 and a "
-        "generated workload)",
-    )
-    sb.set_defaults(func=cmd_serve_bench)
 
     sv = sub.add_parser(
         "serve",
@@ -534,80 +449,6 @@ def cmd_compare(args: argparse.Namespace) -> int:
             title=f"{args.dataset} analog",
         )
     )
-    return 0
-
-
-def cmd_serve_bench(args: argparse.Namespace) -> int:
-    from repro.service import ReachabilityService, format_stats_table
-    from repro.service.driver import replay_workload
-    from repro.workloads.mixed import (
-        generate_mixed_workload,
-        load_workload,
-        save_workload,
-        workload_mix,
-    )
-
-    graph = read_edge_list(args.graph)
-    shard_of = None
-    if args.shards >= 2 and args.shard_locality > 0.0 and not args.workload:
-        from repro.shard import partition_graph
-
-        # Pure analysis (no worker fleet): the same partition the serving
-        # router will deploy, so the locality knob biases toward genuine
-        # intra-shard traffic.
-        shard_of = partition_graph(graph, args.shards).shard_of
-    if args.workload:
-        ops = load_workload(args.workload)
-    else:
-        ops = generate_mixed_workload(
-            graph,
-            args.ops,
-            query_ratio=args.query_ratio,
-            skew=args.skew,
-            pair_pool=args.pair_pool,
-            batch_size=args.batch_size,
-            shard_of=shard_of,
-            shard_locality=args.shard_locality,
-            seed=args.seed,
-        )
-    if args.save_workload:
-        save_workload(ops, args.save_workload)
-    queries, inserts, deletes = workload_mix(ops)
-    print(
-        f"replaying {len(ops)} ops ({queries} queries, {inserts} inserts, "
-        f"{deletes} deletes) on n={graph.num_vertices} m={graph.num_edges} "
-        f"(labels {'on' if args.labels else 'off'}, "
-        f"shards={args.shards or 'off'})"
-    )
-    deadline_s = args.deadline_ms / 1000.0 if args.deadline_ms else None
-    with ReachabilityService(
-        graph,
-        cache_capacity=args.cache_size,
-        num_supportive=args.supportive,
-        seed=args.seed,
-        deadline_s=deadline_s,
-        use_labels=args.labels,
-        label_bits=args.label_bits,
-        csr_freeze_threshold=args.freeze_threshold,
-        journal=args.journal,
-        shards=args.shards,
-    ) as service:
-        result = replay_workload(
-            service, ops, deadline_s=deadline_s, batch_size=args.batch_size or 1
-        )
-        row = result.summary_row()
-        print(
-            f"\n{row['qps']:.0f} queries/s over {result.wall_seconds:.3f}s wall "
-            f"({result.ops_per_second:.0f} ops/s); "
-            f"{row['no_search_rate']:.1%} answered without full search\n"
-        )
-        print(format_stats_table(service.stats()))
-        if args.journal:
-            journal = service.journal
-            print(
-                f"\njournal: {journal.records_written} records "
-                f"({journal.sync_count} fsyncs) -> {args.journal}"
-            )
     return 0
 
 

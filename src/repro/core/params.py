@@ -78,22 +78,6 @@ class IFCAParams:
     #: deadline adherence at the price of a clock read per interval;
     #: irrelevant when queries carry no budget.
     budget_check_interval: int = 256
-    #: Shard-worker fan-out the *serving* layer should deploy for this
-    #: configuration (:mod:`repro.shard`): 0/1 = single-process serving,
-    #: K >= 2 = K shared-memory shard workers behind the scatter–gather
-    #: router. The engine itself ignores it — it is carried here so one
-    #: params object can describe a full deployment and flow through
-    #: config pipelines alongside the query-time tunables.
-    shards: int = 0
-    #: Stand up the incremental DL/BL label tier
-    #: (:mod:`repro.graph.labels`) as the serving ladder's third pruner.
-    #: Like ``shards`` this is a deployment descriptor the engine itself
-    #: ignores — the serving layer reads it.
-    use_labels: bool = True
-    #: Bits per label side per vertex (a multiple of 64, >= 64): word 0
-    #: is the exact landmark word, the rest are bloom words. More bits
-    #: sharpen the negative rule at linear memory/AND cost.
-    label_bits: int = 256
 
     def __post_init__(self) -> None:
         if not 0 < self.alpha < 1:
@@ -116,10 +100,6 @@ class IFCAParams:
             raise ValueError("max_rounds must be positive")
         if self.budget_check_interval <= 0:
             raise ValueError("budget_check_interval must be positive")
-        if self.shards < 0:
-            raise ValueError("shards must be non-negative")
-        if self.label_bits < 64 or self.label_bits % 64:
-            raise ValueError("label_bits must be a positive multiple of 64")
 
     def with_overrides(self, **kwargs: object) -> "IFCAParams":
         """A copy with some fields replaced (frozen-dataclass convenience)."""

@@ -85,6 +85,14 @@ from repro.service.engine import QueryOutcome, ReachabilityService
 Item = Tuple[int, int, Optional[float], "_Connection", object]
 
 
+def _vertex_pair(s: object, t: object) -> Tuple[int, int]:
+    """A frame's endpoints, which must be JSON integers: ``int()`` would
+    read ``4.5`` as vertex 4, ``"5"`` as 5 and ``true`` as 1."""
+    if type(s) is not int or type(t) is not int:
+        raise ValueError(f"vertex ids must be integers, got {s!r}, {t!r}")
+    return s, t
+
+
 class JournalFanout:
     """One shared journal reader feeding N subscriber queues.
 
@@ -429,7 +437,7 @@ class ReachabilityServer:
             queries += 1
             mid = message.get("id")
             try:
-                s, t = int(message["s"]), int(message["t"])
+                s, t = _vertex_pair(message["s"], message["t"])
                 deadline_s = self._deadline_s(message)
                 if max_pending and self._inflight >= max_pending:
                     # Socket-layer backpressure: shed before burning an
@@ -581,7 +589,7 @@ class ReachabilityServer:
     # Batch / update / stats
     # ------------------------------------------------------------------
     async def _serve_batch(self, message: dict, mid) -> bytes:
-        pairs = [(int(s), int(t)) for s, t in message.get("pairs", [])]
+        pairs = [_vertex_pair(s, t) for s, t in message.get("pairs", [])]
         deadline_s = self._deadline_s(message)
         self._incr("net_batches")
         self._incr("net_queries", len(pairs))
@@ -597,7 +605,7 @@ class ReachabilityServer:
             kind = "demoted" if self.role == "demoted" else "replica"
             return self._error(mid, f"read-only-{kind}", role=self.role)
         op = message.get("op")
-        u, v = int(message["u"]), int(message["v"])
+        u, v = _vertex_pair(message["u"], message["v"])
         if op == "+":
             apply = lambda: self.service.add_edge(u, v)  # noqa: E731
         elif op == "-":

@@ -20,7 +20,7 @@ from repro.service.batcher import (
     plan_batch,
 )
 from repro.service.cache import VersionedQueryCache
-from repro.service.concurrency import RWLock, ServiceTimeout
+from repro.service.concurrency import RWLock
 from repro.service.driver import ReplayResult, replay_workload
 from repro.service.engine import QueryOutcome, ReachabilityService
 from repro.service.fastpath import FastPathPruner, UpdateEffect
@@ -32,10 +32,9 @@ from repro.service.faults import (
     FaultPlan,
     FaultSpec,
     InjectedFault,
-    StagePolicy,
     plan_by_name,
 )
-from repro.service.stats import ServiceStats, format_stats_table
+from repro.service.stats import ServiceStats
 
 __all__ = [
     "Backoff",
@@ -53,12 +52,9 @@ __all__ = [
     "ReachabilityService",
     "ReplayResult",
     "ServiceStats",
-    "ServiceTimeout",
-    "StagePolicy",
     "UpdateEffect",
     "VersionedQueryCache",
     "Wave",
-    "format_stats_table",
     "pack_waves",
     "plan_batch",
     "plan_by_name",

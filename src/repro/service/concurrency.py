@@ -11,16 +11,6 @@ where the same acquire/release discipline maps onto real parallelism.
 from __future__ import annotations
 
 import threading
-import time
-
-
-class ServiceTimeout(RuntimeError):
-    """A bounded wait (lock acquisition, stage budget) expired.
-
-    The message carries the lock's held-state diagnostics at expiry so a
-    timed-out update in production logs names its blocker class (stuck
-    readers vs a stuck writer) without a debugger attached.
-    """
 
 
 class RWLock:
@@ -52,32 +42,12 @@ class RWLock:
                 self._cond.notify_all()
 
     # -- writer side ---------------------------------------------------
-    def acquire_write(self, timeout: float | None = None) -> None:
-        """Acquire exclusively; optionally give up after ``timeout`` seconds.
-
-        On expiry raises :class:`ServiceTimeout` describing who held the
-        lock — the writer slot is *not* taken, so the caller may retry or
-        shed the update without unwinding any lock state.
-        """
-        deadline = (
-            time.monotonic() + timeout if timeout is not None else None
-        )
+    def acquire_write(self) -> None:
         with self._cond:
             self._writers_waiting += 1
             try:
                 while self._writer_active or self._readers:
-                    if deadline is None:
-                        self._cond.wait()
-                        continue
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0 or not self._cond.wait(remaining):
-                        if deadline - time.monotonic() <= 0:
-                            raise ServiceTimeout(
-                                f"write lock not acquired within {timeout}s "
-                                f"(readers={self._readers}, "
-                                f"writer_active={self._writer_active}, "
-                                f"writers_waiting={self._writers_waiting})"
-                            )
+                    self._cond.wait()
             finally:
                 self._writers_waiting -= 1
             self._writer_active = True
@@ -95,10 +65,6 @@ class RWLock:
     @property
     def write(self) -> "_Guard":
         return _Guard(self.acquire_write, self.release_write)
-
-    def write_timeout(self, timeout: float | None) -> "_Guard":
-        """A write guard that raises :class:`ServiceTimeout` on expiry."""
-        return _Guard(lambda: self.acquire_write(timeout), self.release_write)
 
 
 class _Guard:

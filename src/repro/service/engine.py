@@ -59,7 +59,7 @@ along its SCC condensation into K shared-memory CSR shards served by a
 pool of spawned worker processes (every worker attaches every shard). Routing is strictly an accelerator: pairs the router
 cannot answer (worker death, budget, stale epoch) stay on the ladder,
 so a degraded fleet degrades throughput, never availability. The fleet
-re-anchors to a new graph epoch after ``shard_refresh_threshold`` walks
+re-anchors to a new graph epoch after ``SHARD_REFRESH_THRESHOLD`` walks
 arrive at the newer version (repartitioning is seconds-scale, so it is
 amortized exactly like the CSR freeze threshold). An in-process
 ``query()`` routes like any other width-1 walk: it may deploy the fleet
@@ -93,9 +93,7 @@ pre-crash state exactly.
 
 Consistency model: every query observes one frozen snapshot. A walk holds
 a shared read lock for the whole pipeline (callers on different threads
-walk concurrently); updates take the write lock
-(optionally with a timeout that raises
-:class:`~repro.service.concurrency.ServiceTimeout`), mutate the graph,
+walk concurrently); updates take the write lock, mutate the graph,
 repair the pruner, journal the mutation, and advance the cache barriers.
 The version recorded in each :class:`QueryOutcome` identifies exactly
 which snapshot answered it, which the stress tests exploit to replay a
@@ -132,7 +130,7 @@ from repro.service.batcher import (
 from repro.service.cache import VersionedQueryCache
 from repro.service.concurrency import RWLock
 from repro.service.fastpath import FastPathPruner, UpdateEffect
-from repro.service.faults import CircuitBreaker, FaultInjector, FaultPlan, StagePolicy
+from repro.service.faults import CircuitBreaker, FaultInjector, FaultPlan
 from repro.service.stats import ServiceStats
 from repro.shard import ShardRouter
 
@@ -179,7 +177,19 @@ class _Walk:
         self.why = ""
 
 
-_DEFAULT_POLICY = StagePolicy()
+#: Bits per label side per vertex of the DL/BL tier (a multiple of 64:
+#: word 0 is the exact landmark word, the rest bloom words).
+LABEL_BITS = 256
+#: Pairs one graph version must send to the engine rung before its CSR
+#: snapshot is frozen (a wave rung freezes at once: the batch amortizes
+#: its own freeze). Until then its searches run on the dict adjacency.
+CSR_FREEZE_THRESHOLD = 2
+#: Edge-access budget of the degraded bounded search.
+DEGRADE_BUDGET = 2048
+#: Walks that must reach the shard rung at a newer graph version before
+#: the fleet repartitions there (repartitioning costs seconds, so epochs
+#: are amortized like CSR freezes); until then such walks skip the rung.
+SHARD_REFRESH_THRESHOLD = 8
 
 
 class ReachabilityService:
@@ -196,24 +206,16 @@ class ReachabilityService:
         subsequent updates must go through the service.
     method_factory:
         Builds the exact engine from the graph (default ``IFCAMethod``).
-    cache_capacity, num_supportive, seed, rebuild_cooldown:
+    cache_capacity, num_supportive, seed:
         Tuning for the cache and fast-path stages.
     deadline_s:
         Default per-query deadline (``None`` = never degrade on time).
         Measured from the call and enforced *cooperatively*: the engine
         checkpoints its budget mid-search and hands partial state to the
         degraded search on expiry.
-    degrade_budget:
-        Edge-access budget of the degraded bounded search.
     engine_edge_budget:
         Per-query edge-access ceiling for the engine stage (``None`` =
         unbounded). Exceeding it degrades exactly like a blown deadline.
-    csr_freeze_threshold:
-        How many pairs one graph version must send to the engine rung
-        before its one shared CSR snapshot is frozen (a wave rung freezes
-        at once: the batch amortizes its own freeze). Every search on a
-        frozen version runs the vectorized kernels; until then it runs on
-        the dict adjacency.
     journal:
         An :class:`~repro.graph.journal.UpdateJournal`, or a path to open
         one at (the service then owns and closes it). Every effective
@@ -229,13 +231,6 @@ class ReachabilityService:
         (:meth:`shed_outcome`, ``via="shed"`` with a retry-after hint)
         while this many are queued or executing. 0 disables shedding;
         in-process callers are never shed — they own the thread.
-    stage_policies:
-        Per-stage :class:`~repro.service.faults.StagePolicy` overrides.
-        ``engine``: ``timeout_s`` folds into the query budget,
-        ``max_retries``/``backoff_s`` drive the fallback retry.
-        ``update``: ``timeout_s`` bounds write-lock acquisition.
-    breaker_failures, breaker_probe_s:
-        Circuit-breaker trip threshold and half-open probe interval.
     shards:
         Deploy a :class:`~repro.shard.router.ShardRouter` of this many
         shared-memory shard-worker processes as the ladder's first
@@ -244,12 +239,6 @@ class ReachabilityService:
         and torn down by :meth:`close`.
         Worker failures are contained: unrouted pairs stay on the
         ladder.
-    shard_refresh_threshold:
-        Walks that must reach the shard rung at a *newer* graph version
-        before the fleet repartitions and re-anchors there
-        (repartitioning is expensive, so epochs are amortized like CSR
-        freezes). Until the refresh, walks on the new version skip the
-        rung.
     shard_call_timeout_s:
         Per-message worker round-trip timeout; a worker that exceeds it
         is declared dead and its pairs fall back locally.
@@ -263,9 +252,6 @@ class ReachabilityService:
         (:class:`~repro.graph.labels.LabelIndex`) as the last index
         rung: one vectorized filter per walk over the pairs the fast
         path and the cache left.
-    label_bits:
-        Bits per label side per vertex (multiple of 64; word 0 is the
-        exact landmark word, the rest bloom words).
     fallback_factory:
         Builds the engine-stage fallback method (default: a dict-substrate
         ``IFCAMethod`` with all kernels off — deliberately not sharing the
@@ -282,40 +268,21 @@ class ReachabilityService:
         cache_capacity: int = 4096,
         num_supportive: int = 4,
         seed: int = 0,
-        rebuild_cooldown: int = 32,
         deadline_s: Optional[float] = None,
-        degrade_budget: int = 2048,
         engine_edge_budget: Optional[int] = None,
-        csr_freeze_threshold: int = 2,
         journal: Union[UpdateJournal, str, Path, None] = None,
         fault_plan: Union[FaultPlan, FaultInjector, None] = None,
         max_pending: int = 0,
-        stage_policies: Optional[Dict[str, StagePolicy]] = None,
-        breaker_failures: int = 3,
-        breaker_probe_s: float = 0.25,
         shards: int = 0,
-        shard_refresh_threshold: int = 8,
         shard_call_timeout_s: float = 30.0,
         shard_respawn: bool = True,
         use_labels: bool = True,
-        label_bits: int = 256,
         fallback_factory: Optional[
             Callable[[DynamicDiGraph], ReachabilityMethod]
         ] = None,
     ) -> None:
         self.graph = graph if graph is not None else DynamicDiGraph()
-        if method_factory is not None:
-            factory = method_factory
-        else:
-            factory = lambda g: IFCAMethod(  # noqa: E731
-                g,
-                IFCAParams(
-                    shards=shards,
-                    use_labels=use_labels,
-                    label_bits=label_bits,
-                ),
-            )
-        self.method = factory(self.graph)
+        self.method = (method_factory or IFCAMethod)(self.graph)
         if fallback_factory is None:
             # A custom primary gets a second instance of itself as the
             # fallback (it is the only method we know answers this graph);
@@ -330,26 +297,22 @@ class ReachabilityService:
         self._fallback: Optional[ReachabilityMethod] = None
         self._fallback_lock = threading.Lock()
         self.deadline_s = deadline_s
-        self.degrade_budget = degrade_budget
         self.engine_edge_budget = engine_edge_budget
         self._lock = RWLock()
         self._pruner = FastPathPruner(
             self.graph,
             num_supportive=num_supportive,
             seed=seed,
-            rebuild_cooldown=rebuild_cooldown,
             csr_provider=lambda: self.graph.csr(build=False),
         )
         self._cache = VersionedQueryCache(cache_capacity)
         self._stats = ServiceStats()
         self._closed = False
         self._csr_lock = threading.Lock()
-        self._csr_threshold = max(1, csr_freeze_threshold)
         self._csr_demand = 0
         self._csr_demand_version = -1
 
         self._shards = max(0, int(shards))
-        self._shard_refresh_threshold = max(1, shard_refresh_threshold)
         self._shard_call_timeout_s = shard_call_timeout_s
         self._shard_respawn = bool(shard_respawn)
         self._router: Optional["ShardRouter"] = None
@@ -366,12 +329,11 @@ class ReachabilityService:
         self._label_failures = 0
         if use_labels:
             try:
-                self._labels = LabelIndex(self.graph, label_bits=label_bits)
+                self._labels = LabelIndex(self.graph, label_bits=LABEL_BITS)
             except Exception:
                 self._stats.incr("stage_errors_labels")
 
-        self._policies = dict(stage_policies) if stage_policies else {}
-        self._breaker = CircuitBreaker(breaker_failures, breaker_probe_s)
+        self._breaker = CircuitBreaker()
         self._batch_cost = BatchCostModel()
         self._cancel = CancelToken()
         self.max_pending = max(0, max_pending)
@@ -461,10 +423,6 @@ class ReachabilityService:
         if self._injector is not None:
             self._injector.fire(stage)
 
-    def _policy(self, stage: str) -> StagePolicy:
-        policy = self._policies.get(stage)
-        return policy if policy is not None else _DEFAULT_POLICY
-
     # ------------------------------------------------------------------
     # Updates (exclusive)
     # ------------------------------------------------------------------
@@ -487,7 +445,7 @@ class ReachabilityService:
         """
         self._check_open()
         start = time.perf_counter()
-        with self._lock.write_timeout(self._policy("update").timeout_s):
+        with self._lock.write:
             locked = time.perf_counter()
             if stamped is not None and stamped <= self.graph.version:
                 self._stats.incr("replica_stale_records")
@@ -521,8 +479,7 @@ class ReachabilityService:
 
     def add_vertex(self, v: int) -> UpdateEffect:
         self._check_open()
-        timeout = self._policy("update").timeout_s
-        with self._lock.write_timeout(timeout):
+        with self._lock.write:
             effect = self._pruner.add_vertex(v)
             self._note_update(effect, "vertex_adds")
             if self._labels is not None and effect.changed:
@@ -921,7 +878,7 @@ class ReachabilityService:
 
         The first routed batch pays the initial deploy; after updates the
         fleet stays at its old epoch (batches skip it) until
-        ``shard_refresh_threshold`` batches have arrived at the newer
+        ``SHARD_REFRESH_THRESHOLD`` batches have arrived at the newer
         version, then one refresh re-anchors it. Two consecutive
         deploy/refresh failures disable sharding for the service's
         lifetime — the single-process path serves everything.
@@ -938,7 +895,7 @@ class ReachabilityService:
             self._router_demand += 1
             if (
                 router is not None
-                and self._router_demand < self._shard_refresh_threshold
+                and self._router_demand < SHARD_REFRESH_THRESHOLD
             ):
                 return None
             start = time.perf_counter()
@@ -995,7 +952,7 @@ class ReachabilityService:
         pairs, (wave,) = pack_waves(
             survivors, graph=self.graph, max_wave_lanes=len(survivors), csr=csr
         )
-        budget = self._make_budget(walk.deadline, self._policy("engine"))
+        budget = self._make_budget(walk.deadline)
         start = time.perf_counter()
         try:
             self._fire("engine")
@@ -1038,11 +995,10 @@ class ReachabilityService:
         state all live in :meth:`_engine_stage` and below."""
         self._stats.incr("batch_scalar_queries", len(survivors))
         self._freeze(walk.version, len(survivors))
-        policy = self._policy("engine")
         version = walk.version
         for pair in survivors:
             source, target = pair
-            budget = self._make_budget(walk.deadline, policy)
+            budget = self._make_budget(walk.deadline)
             try:
                 outcome = self._engine_stage(source, target, version, budget)
             except BudgetExceeded as exc:
@@ -1075,7 +1031,7 @@ class ReachabilityService:
         Runs under the read lock, so the graph cannot move while
         freezing; the dedicated mutex keeps concurrent readers from
         freezing the same version twice. ``demand`` pairs join the
-        version's search-rung demand: below ``csr_freeze_threshold`` the
+        version's search-rung demand: below ``CSR_FREEZE_THRESHOLD`` the
         epoch stays on the dict path, so a version that never attracts
         enough searches never pays a freeze. ``at_once`` skips the
         threshold — a wave rung amortizes its own freeze. A failed freeze
@@ -1093,7 +1049,7 @@ class ReachabilityService:
                     self._csr_demand_version = version
                     self._csr_demand = 0
                 self._csr_demand += demand
-                if not at_once and self._csr_demand < self._csr_threshold:
+                if not at_once and self._csr_demand < CSR_FREEZE_THRESHOLD:
                     return None
                 start = time.perf_counter()
                 self._fire("freeze")
@@ -1111,7 +1067,6 @@ class ReachabilityService:
     def _engine_stage(
         self, source: int, target: int, version: int, budget: Optional[Budget]
     ) -> QueryOutcome:
-        policy = self._policy("engine")
         allowed, probing = self._breaker.acquire()
 
         if allowed:
@@ -1143,7 +1098,7 @@ class ReachabilityService:
                         # The primary substrate answers but answers
                         # *wrongly*; trust the dict twin instead.
                         return self._fallback_outcome(
-                            source, target, budget, version, policy
+                            source, target, budget, version
                         )
                 else:
                     self._breaker.record_success()
@@ -1152,7 +1107,7 @@ class ReachabilityService:
                     source, target, answer, True, "engine", version, detail
                 )
 
-        return self._fallback_outcome(source, target, budget, version, policy)
+        return self._fallback_outcome(source, target, budget, version)
 
     def _verdict_probe(
         self, source: int, target: int, answer: bool, budget: Optional[Budget]
@@ -1187,34 +1142,28 @@ class ReachabilityService:
         target: int,
         budget: Optional[Budget],
         version: int,
-        policy: StagePolicy,
     ) -> QueryOutcome:
         """Answer on the dict-substrate twin (breaker open or primary
-        failed), with the stage policy's retry/backoff discipline."""
-        attempts = 1 + max(0, policy.max_retries)
-        for attempt in range(attempts):
-            if attempt and policy.backoff_s:
-                time.sleep(policy.backoff_s)
-            start = time.perf_counter()
-            try:
-                self._fire("engine")
-                answer, detail = self._run_engine(
-                    self._fallback_method(), source, target, budget
-                )
-            except BudgetExceeded:
-                raise
-            except Exception:
-                self._stats.incr("engine_failures")
-                continue
-            self._stats.observe_latency("engine", time.perf_counter() - start)
-            self._stats.incr("engine_calls")
-            self._stats.incr("engine_fallbacks")
-            self._cache.put(source, target, answer, version, confident=True)
-            return QueryOutcome(
-                source, target, answer, True, "engine-fallback", version, detail
+        failed)."""
+        start = time.perf_counter()
+        try:
+            self._fire("engine")
+            answer, detail = self._run_engine(
+                self._fallback_method(), source, target, budget
             )
-        # Both substrates failed: last resort is the degraded search.
-        return self._degraded(source, target, version, None, "engine-error")
+        except BudgetExceeded:
+            raise
+        except Exception:
+            self._stats.incr("engine_failures")
+            # Both substrates failed: last resort is the degraded search.
+            return self._degraded(source, target, version, None, "engine-error")
+        self._stats.observe_latency("engine", time.perf_counter() - start)
+        self._stats.incr("engine_calls")
+        self._stats.incr("engine_fallbacks")
+        self._cache.put(source, target, answer, version, confident=True)
+        return QueryOutcome(
+            source, target, answer, True, "engine-fallback", version, detail
+        )
 
     def _fallback_method(self) -> ReachabilityMethod:
         if self._fallback is None:
@@ -1223,21 +1172,11 @@ class ReachabilityService:
                     self._fallback = self._fallback_factory(self.graph)
         return self._fallback
 
-    def _make_budget(
-        self, deadline: Optional[float], policy: StagePolicy
-    ) -> Optional[Budget]:
-        effective = deadline
-        if policy.timeout_s is not None:
-            stage_deadline = time.perf_counter() + policy.timeout_s
-            effective = (
-                stage_deadline
-                if effective is None
-                else min(effective, stage_deadline)
-            )
+    def _make_budget(self, deadline: Optional[float]) -> Budget:
         # A budget always carries the service-wide cancel token so that
         # close(cancel_inflight=True) can interrupt any running search.
         return Budget(
-            deadline=effective,
+            deadline=deadline,
             edge_ceiling=self.engine_edge_budget,
             token=self._cancel,
         )
@@ -1289,7 +1228,7 @@ class ReachabilityService:
         try:
             self._fire("degraded")
             answer, confident, detail = _bounded_bibfs(
-                self.graph, source, target, self.degrade_budget, partial
+                self.graph, source, target, DEGRADE_BUDGET, partial
             )
         except Exception:
             self._stats.incr("stage_errors_degraded")

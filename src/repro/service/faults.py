@@ -18,8 +18,6 @@ against, so the service carries its chaos harness with it:
   and compares verdicts — the half-open probe doubles as a verdict-
   contract check, so a kernel that fails by answering *wrongly* rather
   than by raising also keeps the breaker open.
-* :class:`StagePolicy` is the per-stage timeout/retry/backoff knob the
-  service's admission control reads.
 
 Everything here is dependency-free and usable in production (an absent
 injector costs one ``None`` check per stage).
@@ -297,24 +295,6 @@ class Backoff:
             "base_s": self.base_s,
             "cap_s": self.cap_s,
         }
-
-
-# ----------------------------------------------------------------------
-# Per-stage serving policy
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class StagePolicy:
-    """Timeout / retry / backoff configuration for one pipeline stage.
-
-    ``timeout_s`` bounds the stage (the engine stage folds it into the
-    query's cooperative budget; the update stage uses it as the write-lock
-    acquisition timeout). ``max_retries`` / ``backoff_s`` drive the
-    engine-stage fallback retry.
-    """
-
-    timeout_s: Optional[float] = None
-    max_retries: int = 0
-    backoff_s: float = 0.0
 
 
 # ----------------------------------------------------------------------

@@ -183,37 +183,3 @@ class ServiceStats:
             "derived": derived,
             "latency": latency,
         }
-
-
-def format_stats_table(snapshot: Dict[str, object]) -> str:
-    """Render a :meth:`ServiceStats.snapshot` as an aligned text table."""
-    lines: List[str] = []
-    counters: Dict[str, int] = snapshot.get("counters", {})  # type: ignore[assignment]
-    derived: Dict[str, float] = snapshot.get("derived", {})  # type: ignore[assignment]
-    rules: Dict[str, int] = snapshot.get("fastpath_rules", {})  # type: ignore[assignment]
-    latency: Dict[str, Dict[str, float]] = snapshot.get("latency", {})  # type: ignore[assignment]
-
-    lines.append("counters")
-    for name in sorted(counters):
-        lines.append(f"  {name:<26} {counters[name]:>12}")
-    if rules:
-        lines.append("fast-path rules")
-        for name in sorted(rules):
-            lines.append(f"  {name:<26} {rules[name]:>12}")
-    if derived:
-        lines.append("rates")
-        for name in sorted(derived):
-            lines.append(f"  {name:<26} {derived[name]:>11.1%}")
-    if latency:
-        lines.append("latency (us)")
-        header = f"  {'stage':<12}{'count':>8}{'mean':>10}{'p50':>8}{'p95':>8}{'p99':>8}"
-        lines.append(header)
-        for stage in STAGES:
-            if stage not in latency:
-                continue
-            h = latency[stage]
-            lines.append(
-                f"  {stage:<12}{h['count']:>8}{h['mean_us']:>10.1f}"
-                f"{h['p50_us']:>8.0f}{h['p95_us']:>8.0f}{h['p99_us']:>8.0f}"
-            )
-    return "\n".join(lines)

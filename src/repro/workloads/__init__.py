@@ -9,8 +9,6 @@ from repro.workloads.queries import (
 from repro.workloads.mixed import (
     Op,
     generate_mixed_workload,
-    load_workload,
-    save_workload,
     workload_mix,
 )
 from repro.workloads.precision import accuracy, confusion_counts, precision_recall
@@ -23,9 +21,7 @@ __all__ = [
     "generate_mixed_workload",
     "generate_queries",
     "label_queries",
-    "load_workload",
     "precision_recall",
-    "save_workload",
     "split_by_sign",
     "workload_mix",
 ]

@@ -585,30 +585,3 @@ class TestServiceBatchStrategies:
             if o.confident:
                 assert o.answer == is_reachable_bfs(graph, s, t), (s, t, o.via)
         assert all(o.confident for o in kept)
-
-
-# ----------------------------------------------------------------------
-# Batched replay (driver + workload burst knob)
-# ----------------------------------------------------------------------
-class TestBatchedReplay:
-    def test_burst_workload_and_batched_replay(self):
-        from repro.service import replay_workload
-        from repro.workloads.mixed import generate_mixed_workload
-
-        graph = _graph_family("er", seed=25)
-        ops = generate_mixed_workload(
-            graph.copy(),
-            300,
-            query_ratio=0.9,
-            batch_size=32,
-            seed=5,
-        )
-        assert len(ops) == 300
-        with ReachabilityService(graph.copy(), seed=0) as svc:
-            result = replay_workload(svc, ops, batch_size=32)
-        assert result.num_queries == sum(1 for op in ops if op.is_query)
-        assert len(result.outcomes) == result.num_queries
-        with ReachabilityService(graph.copy(), seed=0) as svc:
-            scalar = replay_workload(svc, ops)
-        paired = zip(result.outcomes, scalar.outcomes)
-        assert all(a.answer == b.answer for a, b in paired)

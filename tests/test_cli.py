@@ -151,35 +151,7 @@ class TestMoreCli:
         assert "no experiment records" in capsys.readouterr().out
 
 
-class TestServeBench:
-    def test_closed_loop_run(self, graph_file, capsys, tmp_path):
-        workload = tmp_path / "wl.txt"
-        code = main(
-            [
-                "serve-bench",
-                graph_file,
-                "--ops",
-                "120",
-                "--seed",
-                "3",
-                "--save-workload",
-                str(workload),
-            ]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "queries/s" in out
-        assert "counters" in out
-        assert workload.exists()
-        # The saved workload replays identically through --workload.
-        assert main(["serve-bench", graph_file, "--workload", str(workload)]) == 0
-
-    def test_deadline_flag(self, graph_file, capsys):
-        code = main(
-            ["serve-bench", graph_file, "--ops", "60", "--deadline-ms", "50"]
-        )
-        assert code == 0
-        assert "answered without full search" in capsys.readouterr().out
+ROOT = Path(__file__).resolve().parent.parent
 
 
 class TestKnobCensus:
@@ -191,13 +163,20 @@ class TestKnobCensus:
         from repro.service import ReachabilityService
 
         params = inspect.signature(ReachabilityService.__init__).parameters
-        assert len(params) - 1 <= 23, self.RATCHET  # minus self
+        assert len(params) - 1 <= 15, self.RATCHET  # minus self
+
+    def test_ifca_params_fields(self):
+        import dataclasses
+
+        from repro.core.params import IFCAParams
+
+        assert len(dataclasses.fields(IFCAParams)) <= 15, self.RATCHET
 
     def test_engine_module_lines(self):
         import repro.service.engine as engine
 
         with open(engine.__file__, encoding="utf-8") as handle:
-            assert sum(1 for _ in handle) <= 1458, self.RATCHET
+            assert sum(1 for _ in handle) <= 1397, self.RATCHET
 
     def test_cli_flags(self):
         def flags(parser):
@@ -209,10 +188,68 @@ class TestKnobCensus:
                     count += 1
             return count
 
-        assert flags(build_parser()) <= 86, self.RATCHET
+        assert flags(build_parser()) <= 68, self.RATCHET
+
+    def test_every_service_parameter_has_a_production_caller(self):
+        """A constructor parameter exists only where code outside the
+        tests sets it; the three exempt ones are the graph and the two
+        engine seams tests use to substitute a fake."""
+        from repro.service import ReachabilityService
+
+        names = set(inspect.signature(ReachabilityService.__init__).parameters)
+        names -= {"self", "graph", "method_factory", "fallback_factory"}
+        engine = (ROOT / "src/repro/service/engine.py").resolve()
+        callers = "\n".join(
+            path.read_text(encoding="utf-8")
+            for top in ("src", "benchmarks")
+            for path in sorted((ROOT / top).rglob("*.py"))
+            if path.resolve() != engine
+        )
+        unset = sorted(
+            name for name in names
+            if not re.search(rf"\b{name}=", callers)
+        )
+        assert unset == [], "delete them or give them a caller"
+
+    def test_deleted_knobs_stay_deleted(self):
+        # Each name is split so that this file does not match itself.
+        gone = re.compile("|".join((
+            "Stage" + "Policy", "stage" + "_policies", "Service" + "Timeout",
+            "write" + "_timeout", "serve" + "-bench",
+        )))
+        hits = [
+            f"{path.relative_to(ROOT)}:{number}"
+            for top in ("src", "tests", ".github")
+            for path in sorted((ROOT / top).rglob("*"))
+            if path.is_file() and path.suffix in (".py", ".yml", ".yaml")
+            for number, line in enumerate(
+                path.read_text(encoding="utf-8").splitlines(), 1
+            )
+            if gone.search(line)
+        ]
+        assert hits == []
 
 
-ROOT = Path(__file__).resolve().parent.parent
+class TestBenchmarkContract:
+    """``benchmarks/e2e`` builds its own fast-path pruner with the
+    ``serve`` defaults and assumes the server's matches: a pair it mines
+    as "searchable" must reach the server's search rungs."""
+
+    def test_serve_defaults_match_the_benchmark(self):
+        import ast
+
+        source = (ROOT / "benchmarks/e2e/inputs.py").read_text(encoding="utf-8")
+        bench = {
+            node.targets[0].id: ast.literal_eval(node.value)
+            for node in ast.parse(source).body
+            if isinstance(node, ast.Assign)
+            and isinstance(node.targets[0], ast.Name)
+            and node.targets[0].id in ("SERVE_SUPPORTIVE", "SERVE_SEED")
+        }
+        args = build_parser().parse_args(["serve", "g.txt"])
+        assert (args.supportive, args.seed) == (
+            bench["SERVE_SUPPORTIVE"], bench["SERVE_SEED"]
+        )
 
 
 class TestNumpyIsADependency:

@@ -200,9 +200,12 @@ def _distinct_pairs(n: int, count: int, seed: int):
 
 
 @pytest.mark.parametrize("use_labels", [True, False], ids=["labels", "no-labels"])
-def test_every_width_walks_to_the_same_outcomes_and_counters(use_labels):
+def test_every_width_walks_to_the_same_outcomes_and_counters(
+    use_labels, monkeypatch
+):
     # Sparse enough, and the labels narrow enough (landmark word only),
     # that every rung answers some pairs and a few dozen are searched.
+    monkeypatch.setattr(engine_module, "LABEL_BITS", 64)
     graph = random_graph(300, 450, seed=11)
     # Each pair once, then all of them again: the second pass is served
     # from the cache wherever the first one searched.
@@ -214,9 +217,7 @@ def test_every_width_walks_to_the_same_outcomes_and_counters(use_labels):
     }
     seen = {}
     for width in WIDTHS:
-        with _service(
-            graph, waves=False, use_labels=use_labels, label_bits=64
-        ) as svc:
+        with _service(graph, waves=False, use_labels=use_labels) as svc:
             outcomes = _walks(svc, pairs, width)
             stats = svc.stats()
             columnar = svc.pruner.view_builds

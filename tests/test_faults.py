@@ -25,10 +25,10 @@ from repro.service import (
     FaultSpec,
     InjectedFault,
     ReachabilityService,
-    StagePolicy,
     plan_by_name,
     replay_workload,
 )
+from repro.service import engine
 from repro.service.faults import BREAKER_CLOSED, BREAKER_HALF_OPEN, BREAKER_OPEN
 from repro.workloads.mixed import generate_mixed_workload
 
@@ -287,10 +287,10 @@ class TestContainment:
             num_supportive=0,
             use_labels=False,
             cache_capacity=1,
-            breaker_failures=2,
-            breaker_probe_s=3600.0,  # no probe during this test
             fault_plan=plan,
         ) as service:
+            service.breaker.failure_threshold = 2
+            service.breaker.probe_interval_s = 3600.0  # no probe in this test
             # Two primary failures trip the breaker; the fallback attempt
             # after each also burns a max_fires charge (engine faults are
             # substrate-independent), so give the spec headroom.
@@ -302,20 +302,20 @@ class TestContainment:
             out = service.query(2, 19)
             assert out.via == "engine-fallback"
 
-    def test_budget_exhaustion_is_not_a_breaker_failure(self):
+    def test_budget_exhaustion_is_not_a_breaker_failure(self, monkeypatch):
         # A 600-long path: every (i, 599) search must walk far past the
         # 1-edge ceiling, so the engine raises BudgetExceeded at its
         # first checkpoint — cancellation, not substrate failure.
         path = DynamicDiGraph(edges=[(i, i + 1) for i in range(599)])
+        monkeypatch.setattr(engine, "DEGRADE_BUDGET", 50)
         with ReachabilityService(
             path,
             num_supportive=0,
             use_labels=False,
             cache_capacity=1,
             engine_edge_budget=1,
-            degrade_budget=50,
-            breaker_failures=1,
         ) as service:
+            service.breaker.failure_threshold = 1
             saw_degraded = False
             for i in range(10):
                 out = service.query(i, 599)
@@ -352,9 +352,9 @@ class TestVerdictProbe:
             num_supportive=0,
             use_labels=False,
             cache_capacity=1,
-            breaker_failures=1,
-            breaker_probe_s=1.0,
         ) as service:
+            service.breaker.failure_threshold = 1
+            service.breaker.probe_interval_s = 1.0
             service._breaker._clock = clock  # deterministic probe timing
             # The primary answers (wrongly) and the breaker, still closed,
             # believes it. Force it open via recorded failures, then let
@@ -376,15 +376,16 @@ class TestFallbackSharesNoKernel:
 
     def _service(self, graph):
         graph.csr()  # frozen: the primary would run on the kernels
-        return ReachabilityService(
+        service = ReachabilityService(
             graph,
             num_supportive=0,
             use_labels=False,
             cache_capacity=1,
-            breaker_failures=1,
-            breaker_probe_s=1.0,
             fault_plan=FaultPlan("kernels-down", (FaultSpec("kernel"),)),
         )
+        service.breaker.failure_threshold = 1
+        service.breaker.probe_interval_s = 1.0
+        return service
 
     def test_open_breaker_answers_without_kernels(self):
         graph = random_graph(80, 200, seed=3)
@@ -454,15 +455,15 @@ class TestAdmissionControl:
 
 
 class TestCooperativeCancellation:
-    def test_deadline_degrades_instead_of_blocking(self):
+    def test_deadline_degrades_instead_of_blocking(self, monkeypatch):
         graph = random_graph(400, 1200, seed=9)
+        monkeypatch.setattr(engine, "DEGRADE_BUDGET", 10_000)
         with ReachabilityService(
             graph,
             num_supportive=0,
             use_labels=False,
             cache_capacity=1,
             deadline_s=0.0,  # already expired at submission
-            degrade_budget=10_000,
         ) as service:
             rng = random.Random(1)
             degraded = 0
@@ -524,16 +525,16 @@ class TestCooperativeCancellation:
 # ----------------------------------------------------------------------
 # Survival runs: named plans over mixed workloads + BFS oracle
 # ----------------------------------------------------------------------
-def _survival_run(plan_name, seed=13, n=200, m=500, ops=400):
+def _survival_run(monkeypatch, plan_name, seed=13, n=200, m=500, ops=400):
     graph = random_graph(n, m, seed=seed)
     ops_stream = generate_mixed_workload(
         graph, ops, query_ratio=0.8, seed=seed
     )
+    monkeypatch.setattr(engine, "CSR_FREEZE_THRESHOLD", 1)
     with ReachabilityService(
         graph,
         num_supportive=0,
         cache_capacity=64,
-        csr_freeze_threshold=1,
         fault_plan=plan_by_name(plan_name, seed=seed),
     ) as service:
         result = replay_workload(service, ops_stream)
@@ -565,8 +566,8 @@ def _survival_run(plan_name, seed=13, n=200, m=500, ops=400):
         "mixed-chaos",
     ],
 )
-def test_survival_under_named_plans(plan_name):
-    result, snapshot = _survival_run(plan_name)
+def test_survival_under_named_plans(plan_name, monkeypatch):
+    result, snapshot = _survival_run(monkeypatch, plan_name)
     if plan_name == "update-storm":
         assert result.failed_updates > 0
     if plan_name in ("engine-flaky", "last-resort"):

@@ -195,18 +195,18 @@ class TestCSRCacheAndFallback:
 
 
 class TestServiceIntegration:
-    def test_engine_freezes_and_answers_match_oracle(self):
-        from repro.service import ReachabilityService
+    def test_engine_freezes_and_answers_match_oracle(self, monkeypatch):
+        from repro.service import ReachabilityService, engine
 
         g = preferential_attachment_graph(300, 3, seed=23, reciprocal=0.2)
         queries = generate_queries(g, 30, seed=7)
         truth = {(s, t): t in bfs_reachable(g, s) for s, t in queries}
+        monkeypatch.setattr(engine, "CSR_FREEZE_THRESHOLD", 1)
         # use_labels=False: the label tier would resolve every query before
         # the engine, so no search would ever trigger a CSR freeze.
         with ReachabilityService(
             g.copy(),
             use_labels=False,
-            csr_freeze_threshold=1,
         ) as service:
             for s, t in queries:
                 outcome = service.query(s, t)
@@ -215,17 +215,16 @@ class TestServiceIntegration:
             assert snap["counters"].get("csr_freezes", 0) >= 1
             assert snap["graph"]["csr_cached"] is True
 
-    def test_kernels_off_service_still_exact(self):
-        from repro.service import ReachabilityService
+    def test_kernels_off_service_still_exact(self, monkeypatch):
+        from repro.service import ReachabilityService, engine
 
         g = preferential_attachment_graph(200, 3, seed=29, reciprocal=0.2)
         queries = generate_queries(g, 20, seed=8)
         truth = {(s, t): t in bfs_reachable(g, s) for s, t in queries}
         # A version that never reaches the freeze threshold has no
         # snapshot: every search runs on the dict adjacency.
-        with ReachabilityService(
-            g.copy(), csr_freeze_threshold=10**9
-        ) as service:
+        monkeypatch.setattr(engine, "CSR_FREEZE_THRESHOLD", 10**9)
+        with ReachabilityService(g.copy()) as service:
             for s, t in queries:
                 assert service.query(s, t).answer == truth[(s, t)]
             assert service.stats()["counters"].get("csr_freezes", 0) == 0

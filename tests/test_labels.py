@@ -15,7 +15,6 @@ import random
 import numpy as np
 import pytest
 
-from repro.core.params import IFCAParams
 from repro.graph.digraph import DynamicDiGraph
 from repro.graph.labels import LabelIndex
 from repro.graph.traversal import is_reachable_bfs
@@ -91,8 +90,6 @@ class TestBuild:
             LabelIndex(graph, label_bits=0)
         with pytest.raises(ValueError):
             LabelIndex(graph, label_bits=100)
-        with pytest.raises(ValueError):
-            IFCAParams(label_bits=100)
 
     def test_unknown_vertices_abstain(self):
         graph = DynamicDiGraph(edges=[(0, 1), (1, 2)])

@@ -24,6 +24,7 @@ from repro.net import (
     ServerError,
     protocol,
 )
+from repro.service import engine
 from repro.service.engine import ReachabilityService
 
 pytestmark = pytest.mark.net
@@ -848,7 +849,9 @@ def test_large_frame_is_buffered_in_linear_time(monkeypatch):
     run(scenario())
 
 
-def test_one_clients_deadline_does_not_degrade_anothers_query():
+def test_one_clients_deadline_does_not_degrade_anothers_query(monkeypatch):
+    monkeypatch.setattr(engine, "DEGRADE_BUDGET", 10)
+
     async def scenario():
         # A long path, no labels, a tiny degraded budget: a search that
         # runs under an expired deadline answers confident=False.
@@ -857,7 +860,6 @@ def test_one_clients_deadline_does_not_degrade_anothers_query():
             graph,
             num_supportive=0,
             use_labels=False,
-            degrade_budget=10,
         ) as service:
             # The gathering window puts both connections in one drain.
             async with serving(service, coalesce_delay_s=0.05) as server:
@@ -943,3 +945,84 @@ def test_frames_ahead_of_a_malformed_frame_are_served():
                 assert server.counters["net_requests"] == 3
 
     run(scenario())
+
+
+# ----------------------------------------------------------------------
+# Vertex ids on the wire are JSON integers
+# ----------------------------------------------------------------------
+#: Ids ``int()`` would read as vertex 4, 5 and 1.
+NON_INTEGER_IDS = pytest.mark.parametrize(
+    "bad", [4.5, "5", True], ids=["float", "string", "bool"]
+)
+
+
+async def _exchange(service, frames):
+    """Send ``frames`` in one write: the replies by id, and the server's
+    counters."""
+    async with serving(service) as server:
+        raw = await RawClient.open(server)
+        raw.transport.write(b"".join(map(protocol.encode, frames)))
+        await wait_until(lambda: len(raw.replies) == len(frames))
+        raw.transport.abort()
+        return raw.by_id(), dict(server.counters)
+
+
+@NON_INTEGER_IDS
+def test_query_frame_ids_must_be_integers(bad):
+    async def scenario():
+        with ReachabilityService(chain_graph()) as service:
+            return await _exchange(service, [
+                {"type": "query", "id": "s", "s": bad, "t": 40},
+                {"type": "query", "id": "t", "s": 0, "t": bad},
+            ])
+
+    replies, counters = run(scenario())
+    assert [replies[mid]["type"] for mid in "st"] == [protocol.ERROR] * 2
+    assert "net_coalesced_queries" not in counters
+
+
+@NON_INTEGER_IDS
+def test_batch_frame_ids_must_be_integers(bad):
+    async def scenario():
+        with ReachabilityService(chain_graph()) as service:
+            return await _exchange(service, [
+                {"type": "batch", "id": "bad", "pairs": [[0, 40], [bad, 40]]},
+                {"type": "batch", "id": "ok", "pairs": [[0, 40], [4, 40]]},
+            ])
+
+    replies, _ = run(scenario())
+    assert replies["bad"]["type"] == protocol.ERROR
+    assert replies["ok"]["type"] == protocol.BATCH_RESULT
+
+
+@NON_INTEGER_IDS
+def test_update_frame_ids_must_be_integers(bad, tmp_path):
+    async def scenario():
+        graph = chain_graph()
+        with ReachabilityService(graph, journal=tmp_path / "wal.jsonl") as service:
+            before = graph.version
+            replies, _ = await _exchange(service, [
+                {"type": "update", "id": "u", "op": "+", "u": bad, "v": 7},
+                {"type": "update", "id": "v", "op": "+", "u": 7, "v": bad},
+            ])
+            return replies, before, graph.version, service.journal.records_written
+
+    replies, before, after, journaled = run(scenario())
+    assert [replies[mid]["type"] for mid in "uv"] == [protocol.ERROR] * 2
+    assert after == before and journaled == 0
+
+
+def test_a_non_integer_query_in_a_burst_fails_alone():
+    async def scenario():
+        with ReachabilityService(chain_graph()) as service:
+            return await _exchange(service, [
+                {"type": "query", "id": "a", "s": 0, "t": 40},
+                {"type": "query", "id": "b", "s": 4.5, "t": 40},
+                {"type": "query", "id": "c", "s": 40, "t": 0},
+            ])
+
+    replies, counters = run(scenario())
+    assert replies["a"]["answer"] and not replies["c"]["answer"]
+    assert replies["b"]["type"] == protocol.ERROR
+    assert counters["net_request_errors"] == 1
+    assert counters["net_coalesced_queries"] == 2

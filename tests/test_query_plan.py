@@ -251,8 +251,9 @@ def test_the_calling_thread_answers_and_no_other_exists(mode, width):
     # Index tiers weakened so most pairs need a search rung.
     with ReachabilityService(
         graph.copy(), num_supportive=0, use_labels=False,
-        breaker_failures=1, breaker_probe_s=3600.0,
     ) as svc:
+        svc.breaker.failure_threshold = 1
+        svc.breaker.probe_interval_s = 3600.0
         if mode == "breaker-open":
             svc.breaker.record_failure()
             assert svc.breaker.state == "open"

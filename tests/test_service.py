@@ -24,14 +24,13 @@ from repro.service import (
     FaultSpec,
     ReachabilityService,
     RWLock,
-    ServiceTimeout,
-    StagePolicy,
     VersionedQueryCache,
     replay_workload,
 )
+from repro.service import engine
 from repro.service.engine import _bounded_bibfs
 from repro.service.fastpath import FastPathPruner
-from repro.service.stats import ServiceStats, format_stats_table
+from repro.service.stats import ServiceStats
 from repro.workloads.mixed import INSERT, Op, generate_mixed_workload
 
 from tests.conftest import force_waves, random_graph
@@ -307,10 +306,11 @@ class TestReachabilityService:
             assert svc.query(0, 4).via == "cache"
             assert svc.stats()["counters"]["neutral_updates"] == 1
 
-    def test_deadline_degrades_instead_of_blocking(self):
+    def test_deadline_degrades_instead_of_blocking(self, monkeypatch):
         g = DynamicDiGraph(edges=[(i, i + 1) for i in range(30)])
+        monkeypatch.setattr(engine, "DEGRADE_BUDGET", 4)
         with ReachabilityService(
-            g, num_supportive=0, degrade_budget=4, use_labels=False
+            g, num_supportive=0, use_labels=False
         ) as svc:
             out = svc.query(0, 29, deadline_s=0.0)
             assert out.via == "degraded"
@@ -350,8 +350,6 @@ class TestReachabilityService:
             assert {"counters", "derived", "latency", "graph"} <= set(snapshot)
             assert snapshot["counters"]["queries"] == 1
             assert snapshot["graph"]["version"] == svc.graph.version
-            table = format_stats_table(snapshot)
-            assert "counters" in table and "latency (us)" in table
 
     def test_stats_surface_condensation_counters(self):
         g = DynamicDiGraph(edges=[(0, 1), (1, 2), (2, 3), (3, 0), (1, 3)])
@@ -464,9 +462,8 @@ class TestConcurrentStress:
     def test_confident_answers_match_per_version_oracle(self):
         base = random_graph(40, 100, seed=11)
         initial = base.copy()
-        service = ReachabilityService(
-            base, num_supportive=3, seed=1, rebuild_cooldown=8
-        )
+        service = ReachabilityService(base, num_supportive=3, seed=1)
+        service.pruner.rebuild_cooldown = 8
 
         update_rng = random.Random(21)
         update_log = []  # (version_after, kind, u, v) in version order
@@ -551,26 +548,9 @@ class TestConcurrentStress:
 
 
 # ----------------------------------------------------------------------
-# Write-lock timeouts (ServiceTimeout)
+# Writers queue behind readers
 # ----------------------------------------------------------------------
 class TestWriteTimeout:
-    def test_acquire_write_times_out_with_diagnostics(self):
-        lock = RWLock()
-        lock.acquire_read()
-        try:
-            started = time.perf_counter()
-            with pytest.raises(ServiceTimeout) as err:
-                lock.acquire_write(timeout=0.05)
-            assert time.perf_counter() - started < 5.0
-            # The message names the blocker class for production logs.
-            assert "readers=1" in str(err.value)
-            assert "writer_active=False" in str(err.value)
-        finally:
-            lock.release_read()
-        # The writer slot was not taken: a plain acquire still works.
-        lock.acquire_write()
-        lock.release_write()
-
     def test_acquire_write_without_timeout_still_blocks(self):
         lock = RWLock()
         lock.acquire_read()
@@ -587,22 +567,6 @@ class TestWriteTimeout:
         lock.release_read()
         assert acquired.wait(5.0)
         thread.join()
-
-    def test_service_update_times_out_under_stuck_reader(self):
-        service = ReachabilityService(
-            DynamicDiGraph(edges=[(0, 1)]),
-            stage_policies={"update": StagePolicy(timeout_s=0.05)},
-        )
-        service._lock.acquire_read()  # a reader that never finishes
-        try:
-            with pytest.raises(ServiceTimeout):
-                service.add_edge(1, 2)
-            assert not service.graph.has_edge(1, 2)
-        finally:
-            service._lock.release_read()
-        service.add_edge(1, 2)  # reader gone: the update goes through
-        assert service.graph.has_edge(1, 2)
-        service.close()
 
     def test_update_wait_measures_the_queue_behind_readers(self):
         with ReachabilityService(
@@ -635,16 +599,16 @@ class TestCacheConfidentGate:
         cache.put(1, 2, True, version=5, confident=True)
         assert cache.peek(1, 2) == (True, 5)
 
-    def test_degraded_guess_never_reaches_the_cache(self):
+    def test_degraded_guess_never_reaches_the_cache(self, monkeypatch):
         # A long path with a tiny degraded budget: the bounded search
         # cannot finish, so its best-effort False must not be cached.
         path = DynamicDiGraph(edges=[(i, i + 1) for i in range(199)])
+        monkeypatch.setattr(engine, "DEGRADE_BUDGET", 10)
         with ReachabilityService(
             path,
             num_supportive=0,
             use_labels=False,  # labels would answer exactly, no degrade
             deadline_s=0.0,  # expired on arrival: every search degrades
-            degrade_budget=10,
         ) as service:
             out = service.query(0, 199)
             assert out.via == "degraded"
@@ -660,18 +624,19 @@ class TestCacheConfidentGate:
 # Mid-churn substrate fallback: push kernels racing updates
 # ----------------------------------------------------------------------
 class TestMidChurnFallback:
-    def test_unfrozen_versions_serve_on_dict_substrate(self):
+    def test_unfrozen_versions_serve_on_dict_substrate(self, monkeypatch):
         """Churn faster than the freeze threshold: every query lands on a
         version whose CSR snapshot never exists, so the engine must serve
         from the dict substrate (push kernels silently disengage) and
         every confident answer must match a per-version BFS oracle."""
         rng = random.Random(31)
         graph = random_graph(60, 150, seed=31)
+        # Never freeze: permanent churn.
+        monkeypatch.setattr(engine, "CSR_FREEZE_THRESHOLD", 10**9)
         service = ReachabilityService(
             graph,
             num_supportive=0,
             cache_capacity=16,
-            csr_freeze_threshold=10**9,  # never freeze: permanent churn
         )
         shadow = {service.graph.version: frozenset(service.graph.edges())}
         outcomes = []

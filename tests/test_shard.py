@@ -463,20 +463,20 @@ def test_fleet_refresh_kill_cleanup():
 
 
 @pytest.mark.shard
-def test_sharded_service_end_to_end():
+def test_sharded_service_end_to_end(monkeypatch):
     """ReachabilityService(shards=K) on default settings (label tier
     on): the label rung filters, the shard rung routes what it leaves;
     oracle equality, stale-fleet correctness after an update,
     threshold-triggered refresh."""
-    from repro.service import ReachabilityService
+    from repro.service import ReachabilityService, engine
 
     # Deep enough that the label rung (64 landmarks + bloom words) leaves
     # survivors; the sampled pairs alone would all die above the fleet.
     graph = chain_graph(num_cycles=120)
     pairs = sample_pairs(graph, 110, seed=8) + label_hard_pairs(graph, 30)
+    monkeypatch.setattr(engine, "SHARD_REFRESH_THRESHOLD", 3)
     with ReachabilityService(
         graph.copy(), shards=2, num_supportive=0, cache_capacity=4,
-        shard_refresh_threshold=3,
     ) as svc:
         outcomes = svc.query_batch(pairs)
         for (s, t), outcome in zip(pairs, outcomes):
@@ -806,18 +806,19 @@ def test_sigstop_mid_pipeline_convicted_by_timeout(monkeypatch, window_of_one):
 
 
 @pytest.mark.shard
-def test_scalar_routing_vs_oracle_under_churn():
+def test_scalar_routing_vs_oracle_under_churn(monkeypatch):
     """Scalar ``query()`` is a width-1 walk: it routes through the
     deployed fleet (``via == "shard"``), stays oracle-exact through churn
     that leaves the fleet stale, and rides again once enough walks
     re-anchor the fleet at the new epoch."""
-    from repro.service import ReachabilityService
+    from repro.service import ReachabilityService, engine
 
     graph = chain_graph(num_cycles=24)
     pairs = sample_pairs(graph, 120, seed=17)
+    monkeypatch.setattr(engine, "SHARD_REFRESH_THRESHOLD", 2)
     with ReachabilityService(
         graph.copy(), shards=3, num_supportive=0, cache_capacity=4,
-        use_labels=False, shard_refresh_threshold=2,
+        use_labels=False,
     ) as svc:
         svc.query_batch(pairs)  # deploys the fleet
         router = svc.router

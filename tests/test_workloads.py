@@ -138,60 +138,12 @@ class TestMixedWorkload:
             elif op.kind == "delete":
                 assert replay.remove_edge(op.u, op.v), op
 
-    def test_skew_concentrates_endpoints(self):
-        from repro.workloads.mixed import generate_mixed_workload
-
-        graph = self._graph()
-        flat = generate_mixed_workload(
-            graph, 2000, query_ratio=1.0, skew=0.0, seed=5
-        )
-        hot = generate_mixed_workload(
-            graph, 2000, query_ratio=1.0, skew=1.5, seed=5
-        )
-
-        def top_share(ops):
-            counts = {}
-            for op in ops:
-                counts[op.u] = counts.get(op.u, 0) + 1
-            return max(counts.values()) / len(ops)
-
-        assert top_share(hot) > 2 * top_share(flat)
-
-    def test_pair_pool_repeats_pairs(self):
-        from repro.workloads.mixed import generate_mixed_workload
-
-        ops = generate_mixed_workload(
-            self._graph(), 500, query_ratio=1.0, pair_pool=10, seed=6
-        )
-        pairs = {(op.u, op.v) for op in ops}
-        assert len(pairs) <= 10
-
     def test_deterministic_under_seed(self):
         from repro.workloads.mixed import generate_mixed_workload
 
         a = generate_mixed_workload(self._graph(), 200, seed=7)
         b = generate_mixed_workload(self._graph(), 200, seed=7)
         assert a == b
-
-    def test_save_load_round_trip(self, tmp_path):
-        from repro.workloads.mixed import (
-            generate_mixed_workload,
-            load_workload,
-            save_workload,
-        )
-
-        ops = generate_mixed_workload(self._graph(), 120, seed=8)
-        path = tmp_path / "wl.txt"
-        save_workload(ops, path)
-        assert load_workload(path) == ops
-
-    def test_load_rejects_malformed_lines(self, tmp_path):
-        from repro.workloads.mixed import load_workload
-
-        path = tmp_path / "bad.txt"
-        path.write_text("Q 1 2\nX 3 4\n")
-        with pytest.raises(ValueError):
-            load_workload(path)
 
     def test_empty_graph_rejected(self):
         from repro.workloads.mixed import generate_mixed_workload
