@@ -46,15 +46,46 @@ graph, uniform pairs, 770k edges/frame) staying wide to the end costs
 61-62 ms/frame against 47-49 for 16 one-group calls: the label blocks
 leave cache and the keys lose the radix sort. So the loop watches the
 quantity that decides it: when the cheaper side's next expansion exceeds
-:data:`HEAVY_LAYER_EDGES`, every still-pending group finishes **alone**,
-re-entering the same loop with one group over its own contiguous ``(n,)``
-label block (47.7-50.3 ms/frame on the dense input, 14.2-15.3 against
-21.2-22.5 on sparse uniform pairs).
+:data:`HEAVY_GROUP_EDGES` edges per live word-group (a non-zero word of
+``pending``), every still-pending group finishes **alone**, re-entering
+the same loop with one group over its own contiguous ``(n,)`` label
+block. The rule is per group because a frame-wide edge count moves its
+split point with the sweep's width: the frame-wide 32 768 it replaces
+was measured on ten-group sweeps, and once a frame was one sixteen-group
+sweep it split sparse uniform frames after a few layers (139 layers a
+frame against 17.5 with the per-group rule; 16.1 / 31.0 / 29.1 ms/frame
+against 14.4 / 13.0 / 19.0 in three alternating runs).
+
+Measured on the 50k-vertex ``benchmarks/e2e`` graphs, 1024-pair frames
+packed as the service packs them (``pack_waves``), answers identical on
+every frame; ms/frame, median [quartiles] of five alternating runs of
+three repetitions each, 2-vCPU x86-64 host, numpy 2.4.6:
+
+==========================  ======================  ==================
+input                       two sweeps, frame-wide  one sweep,
+                            32 768 (before)         per-group 3 277
+==========================  ======================  ==================
+``batch_search`` pool       9.7 [9.1-10.2],         7.7 [7.6-8.4],
+(16 frames, seed 1)         2 sweeps, 35.7 layers   1 sweep, 18 layers
+sparse, uniform pairs       20.9 [20.8-22.4],       20.1 [18.9-21.1],
+(4 frames)                  33.5 layers             17.5 layers
+dense, uniform pairs        73.7 [73.2-75.5],       74.9 [73.5-78.6],
+(4 frames)                  57.8 layers             55.8 layers
+==========================  ======================  ==================
+
+and :data:`HEAVY_GROUP_EDGES` at 2 048 / **3 277** / 4 096 / 6 144 in
+the same runs: pool 8.0 / **7.7** / 7.7 / 7.9, sparse 31.8 (139
+layers: splits too early) / **20.1** / 20.0 / 20.5, dense 71.5 /
+**74.9** / 72.1 / 77.4 (dense runs spread 62-85 at every value, so no
+value is resolvably best there). 3 277 is 32 768 / 10 — the frame-wide
+rule at the width it was measured on — and the lowest of the four that
+keeps sparse frames wide.
 
 Label blocks live in one process-wide scratch pair (:class:`_Scratch`),
 held under a lock for the duration of a kernel call and zeroed by
-touched rows on every way out; a batch wider than the scratch runs as
-successive sweeps inside the call.
+touched rows on every way out. A call grows them to its ``words x n``
+rows, up to :data:`_SCRATCH_ROWS`; a batch wider than that ceiling runs
+as successive sweeps inside the call.
 
 Budgets are checkpointed at layer boundaries exactly like the scalar
 kernels: edge accesses are charged *before* the layer is examined, so a
@@ -81,18 +112,18 @@ if TYPE_CHECKING:  # pragma: no cover
 #: Lanes per label word.
 WORD_BITS = 64
 
-#: Rows (one uint64 each) per scratch label block: 4 MiB a side, so a
-#: sweep carries ``_SCRATCH_ROWS // n`` word-groups and wider batches run
-#: as successive sweeps inside one kernel call.
-_SCRATCH_ROWS = 1 << 19
+#: Ceiling on rows (one uint64 each) per scratch label block: 8 MiB a
+#: side. A call takes ``words x n`` rows up to it, so a sweep carries
+#: ``_SCRATCH_ROWS // n`` word-groups (20 at n = 50k) and wider batches
+#: run as successive sweeps inside one kernel call.
+_SCRATCH_ROWS = 1 << 20
 
-#: A layer whose expansion gathers more edges than this is bandwidth-
-#: bound, and from there each word-group finishes alone. Measured, not
-#: tuned per deployment (ms/frame at 16384 / 32768 / 65536 on the 50k
-#: benchmark graphs: dense uniform 48.9-50.5 / 48.7-50.3 / 47.7-49.7,
-#: sparse uniform 17.1-18.5 / 14.2-15.3 / 14.5, searchable pool 6.2 at
-#: all three; 131072 and up lose 3-9 ms on dense, 4096 doubles the pool).
-HEAVY_LAYER_EDGES = 32768
+#: A layer whose expansion gathers more edges than this many per live
+#: word-group is bandwidth-bound, and from there each word-group
+#: finishes alone. Per group, so the split point does not move with how
+#: many groups share a sweep; measured, not tuned per deployment (2 048
+#: / 3 277 / 4 096 / 6 144 are compared in the module docstring).
+HEAVY_GROUP_EDGES = 3277
 
 
 def words_for(lanes: int) -> int:
@@ -156,7 +187,8 @@ class BitSweepStats:
     layers: int
     #: CSR edge slots gathered across all layers.
     edge_accesses: int
-    #: Scratch fills the call took (1 unless ``words`` outgrew the scratch).
+    #: Scratch fills the call took (1 unless ``words`` outgrew the
+    #: scratch ceiling).
     sweeps: int
 
     @property
@@ -182,7 +214,6 @@ class _Scratch:
     def blocks(self, rows: int):
         """Both all-zero blocks, at least ``rows`` long (call lock-held)."""
         if len(self.label_f) < rows:
-            rows = max(rows, _SCRATCH_ROWS)  # one allocation serves any graph
             self.label_f = np.zeros(rows, dtype=np.uint64)
             self.label_r = np.zeros(rows, dtype=np.uint64)
         return self.label_f, self.label_r
@@ -222,10 +253,15 @@ class _Tally:
 def _merge(keys, words):
     """OR together the ``words`` that share a key: (sorted keys, merged).
 
-    Sort + ``reduceat`` rather than ``np.bitwise_or.at``: the unbuffered
-    ``ufunc.at`` loops per element. numpy radix-sorts only <= 16-bit keys
-    (``stable``); its wider stable sort is a merge sort ~4x slower than
-    the default introsort, and OR does not care about the order of ties.
+    Sort + ``reduceat``, although ``np.bitwise_or.at`` is the cheaper
+    OR on numpy 2.4 (20-31 us against 35-57 for this merge at 2 000
+    keys): the frontier must come out as sorted unique rows, which
+    :func:`_group_or`'s cuts and :meth:`_Side.alone`'s slices rely on,
+    so the sort is paid either way (a ``ufunc.at`` scatter for the
+    per-group ``adv`` alone showed no resolvable gain on 1024-pair
+    frames). numpy radix-sorts only <= 16-bit keys (``stable``); its
+    wider stable sort is a merge sort ~4x slower than the default
+    introsort, and OR does not care about the order of ties.
     """
     order = np.argsort(keys, kind="stable" if keys.itemsize <= 2 else None)
     keys = keys[order]
@@ -341,7 +377,8 @@ def _sweep(n, groups, fwd, rev, pending, result, prefer_forward, tally, epoch=0)
                 return  # a side exhausted every remaining lane: negatives
         forward = fwd.cost < rev.cost or (fwd.cost == rev.cost and prefer_forward)
         side, other = (fwd, rev) if forward else (rev, fwd)
-        if groups > 1 and side.cost > HEAVY_LAYER_EDGES:
+        live_groups = int(np.count_nonzero(pending))
+        if groups > 1 and side.cost > HEAVY_GROUP_EDGES * live_groups:
             # Wide only pays while layers are light (see the module
             # docstring): from here each group finishes alone.
             for group in np.flatnonzero(pending).tolist():
@@ -446,7 +483,7 @@ def csr_bit_bibfs(
     scratch = _process_scratch()
     with scratch.lock:
         span = _sweep_span(n)
-        label_f, label_r = scratch.blocks(span * n)
+        label_f, label_r = scratch.blocks(min(span, words) * n)
         try:
             for lo in range(0, words, span):
                 groups = min(span, words - lo)

@@ -95,11 +95,16 @@ class _LabelState:
         "num_dirty_out",
         "num_dirty_in",
         "missing",
+        "ids_are_rows",
     )
 
     def __init__(self, version, ids, row, dl, bl) -> None:
         self.version = version
         self.ids = ids
+        # ``ids`` is sorted and distinct, so ``0..n-1`` is told by its ends.
+        self.ids_are_rows = len(ids) == 0 or bool(
+            ids[0] == 0 and ids[-1] == len(ids) - 1
+        )
         self.row = row
         self.dl = dl
         self.bl = bl
@@ -353,9 +358,18 @@ class LabelIndex:
             return out
         ids = state.ids
         last = len(ids) - 1
-        si = np.minimum(np.searchsorted(ids, src), last)
-        ti = np.minimum(np.searchsorted(ids, dst), last)
-        ok = (ids[si] == src) & (ids[ti] == dst) & (src != dst)
+        if state.ids_are_rows:
+            # An id is its row: range-check (a negative id viewed unsigned
+            # is out of range too) and clip strangers onto a real row.
+            n = np.uint64(len(ids))
+            ok = (src.view(np.uint64) < n) & (dst.view(np.uint64) < n)
+            ok &= src != dst
+            si = np.clip(src, 0, last)
+            ti = np.clip(dst, 0, last)
+        else:
+            si = np.minimum(np.searchsorted(ids, src), last)
+            ti = np.minimum(np.searchsorted(ids, dst), last)
+            ok = (ids[si] == src) & (ids[ti] == dst) & (src != dst)
         if not ok.any():
             return out
         dirty_out, dirty_in = state.dirty_out, state.dirty_in

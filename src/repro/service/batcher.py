@@ -431,7 +431,8 @@ class BatchCostModel:
     * a sweep ran 17-18 layers on the searchable pool at every width
       (12-36 on uniform pairs), at 55-110 us a layer up to 64 lanes and
       ~200 us at ten word-groups: :data:`SWEEP_LAYERS` x
-      ``layer_dispatch_s``;
+      ``layer_dispatch_s`` per sweep, and a 1024-pair frame on a 50k
+      graph is one sweep (:func:`~repro.graph.bitsearch.sweeps_for`);
     * 1024 uniform pairs cost 53.2 ms on the dense graph and 16.6 ms on
       the sparse one (16 word-groups; 256 lanes: 13.5 and 4.4 ms), i.e.
       4.0-4.8 ns per word-group per vertex-or-edge once dispatch is

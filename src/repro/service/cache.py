@@ -156,20 +156,25 @@ class VersionedQueryCache:
         """Store a batch of answers under one lock acquisition.
 
         Same validity/confidence gates as :meth:`put`; a bit-parallel
-        wave lands tens of answers at once and per-entry locking would
-        cost more than the entries are worth.
+        wave lands a frame of answers at once and per-entry locking would
+        cost more than the entries are worth. One version per call means
+        one validity verdict per answer value, taken once, and eviction
+        by the overflow count: the entries, LRU order and counters left
+        are those of one :meth:`put` per entry.
         """
         with self._lock:
             if not confident:
                 self.unconfident_rejections += 1
                 return
+            keep_true = version >= self._pos_barrier
+            keep_false = version >= self._neg_barrier
             entries = self._entries
+            move = entries.move_to_end
             for key, answer in items:
-                if not self._valid(answer, version):
-                    continue
-                entries[key] = (answer, version)
-                entries.move_to_end(key)
-            while len(entries) > self.capacity:
+                if keep_true if answer else keep_false:
+                    entries[key] = (answer, version)
+                    move(key)
+            for _ in range(len(entries) - self.capacity):
                 entries.popitem(last=False)
 
     # -- introspection (tests, stats) ----------------------------------

@@ -170,26 +170,35 @@ class TestFrameWideSweep:
     )
     @given(case=_digraph_and_pairs())
     @pytest.mark.parametrize(
+        "span", [None, 2], ids=["one-sweep", "two-groups-per-sweep"]
+    )
+    @pytest.mark.parametrize(
         "heavy",
         [0, 1, sys.maxsize],
         ids=["split-at-once", "split-after-a-layer", "never-split"],
     )
     def test_any_width_any_split_point_matches_the_oracle(
-        self, monkeypatch, heavy, case
+        self, monkeypatch, heavy, span, case
     ):
-        """Splitting at once (0), after any real layer (1) and never all
-        agree with BFS, for both leads, at every lane count."""
+        """Splitting at once (0), after any real layer (1 edge per live
+        word-group) and never all agree with BFS, for both leads, at
+        every lane count — whether the frame is one sweep or runs two
+        word-groups per sweep."""
         from repro.graph import bitsearch
 
-        monkeypatch.setattr(bitsearch, "HEAVY_LAYER_EDGES", heavy)
+        monkeypatch.setattr(bitsearch, "HEAVY_GROUP_EDGES", heavy)
         n, edges, pairs = case
+        if span is not None:
+            monkeypatch.setattr(bitsearch, "_SCRATCH_ROWS", span * n)
         graph = DynamicDiGraph(vertices=range(n), edges=edges)
         expected = _oracle(graph, pairs)
         csr = graph.csr()
+        words = bitsearch.words_for(len(pairs))
         for lead in ("forward", "reverse"):
             answers, stats = bitsearch.csr_bit_bibfs(csr, pairs, lead=lead)
             assert answers == expected, lead
             assert stats.lanes == len(pairs)
+            assert stats.sweeps == (1 if span is None else -(-words // span))
         assert _scratch_is_clean()
 
     def test_batches_wider_than_the_scratch_run_as_successive_sweeps(
@@ -205,6 +214,46 @@ class TestFrameWideSweep:
         assert answers == _oracle(graph, pairs)
         assert stats.words == 16 and stats.sweeps == 8
         assert bitsearch.sweeps_for(1000, graph.num_vertices) == 8
+
+    def test_the_split_point_scales_with_live_word_groups(self, monkeypatch):
+        """Heavy is per live word-group: 16 groups of 64 lanes, each lane
+        one frontier row of out-degree 1 on a path, gather 64 edges a
+        group a layer (1024 a layer) — wide at a threshold of 64, split
+        at once at 63."""
+        from repro.graph import bitsearch
+
+        graph = DynamicDiGraph(edges=[(i, i + 1) for i in range(1100)])
+        csr = graph.csr()
+        pairs = [(s, s + 10) for s in range(1024)]
+
+        def layers(heavy):
+            monkeypatch.setattr(bitsearch, "HEAVY_GROUP_EDGES", heavy)
+            answers, stats = bitsearch.csr_bit_bibfs(csr, pairs)
+            assert all(answers) and stats.sweeps == 1
+            return stats.layers
+
+        wide = layers(sys.maxsize)
+        assert layers(64) == wide
+        assert layers(63) > 8 * wide  # each group ran its own layers
+
+    def test_label_blocks_are_sized_by_the_call(self, monkeypatch):
+        """A fresh scratch grows to the call's ``words x n`` rows — no
+        floor — and a call under the ceiling is one sweep, as is a
+        1024-pair frame on a 50k-vertex graph."""
+        from repro.graph import bitsearch
+
+        monkeypatch.setattr(bitsearch, "_scratch", None)
+        graph = _graph_family("pa", seed=4)
+        n = graph.num_vertices
+        pairs = _random_pairs(graph, 1000, random.Random(8))
+        answers, stats = bitsearch.csr_bit_bibfs(graph.csr(), pairs)
+        assert answers == _oracle(graph, pairs)
+        scratch = bitsearch._process_scratch()
+        assert len(scratch.label_f) == len(scratch.label_r) == stats.words * n
+        assert stats.words == 16 and stats.sweeps == 1
+        assert _scratch_is_clean()
+        assert bitsearch.sweeps_for(1024, 50_000) == 1
+        assert bitsearch.sweeps_for(21 * 64, 50_000) == 2
 
     def test_interrupted_sweep_keeps_decided_lanes_and_cleans_up(self):
         """A budget that trips mid-sweep hands out the lanes already
@@ -421,10 +470,10 @@ class TestBatchPlanner:
         assert not model.prefer_bitparallel(3, n, m, 0.0)
         assert not model.prefer_bitparallel(3, n, m, 5e-4)
         assert model.prefer_bitparallel(3, n, m, 1e-3)
-        # One frame is two sweeps of this graph; dispatch is charged for
-        # both, bandwidth for its sixteen word-groups.
+        # One frame is one sweep of this graph; dispatch is charged for
+        # its layers once, bandwidth for its sixteen word-groups.
         assert model.sweep_seconds(n, m, 1024) == pytest.approx(
-            2 * 18 * 1e-4 + 16 * (n + m) * 4.5e-9
+            18 * 1e-4 + 16 * (n + m) * 4.5e-9
         )
 
 

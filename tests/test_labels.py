@@ -98,6 +98,30 @@ class TestBuild:
         assert idx.check(99, 0) is None
         assert list(idx.filter_pairs([(0, 99), (99, 0)])) == [0, 0]
 
+    @pytest.mark.parametrize("identity", [True, False])
+    def test_identity_table_indexes_like_searchsorted(self, identity):
+        """Ids ``0..n-1`` are rows, indexed directly; any other table
+        searches. Either way, strangers (negative, ``>= n``, missing)
+        abstain and the verdicts are the searched path's, byte for byte."""
+        graph = random_graph(120, 300, seed=5)
+        if not identity:
+            graph.remove_vertex(60)  # a hole: ids no longer equal rows
+        idx = LabelIndex(graph, label_bits=128)
+        state = idx._state
+        assert state.ids_are_rows is identity
+        rng = np.random.default_rng(5)
+        strangers = [-1, -(2**63), 120, 121, 2**62] + [60] * (not identity)
+        known = [3] * len(strangers)
+        src = np.concatenate([rng.integers(0, 120, 400), strangers, known])
+        dst = np.concatenate([rng.integers(0, 120, 400), known, strangers])
+        direct = idx.query_many(src, dst)
+        state.ids_are_rows = False
+        searched = idx.query_many(src, dst)
+        assert direct.dtype == searched.dtype == np.int8
+        assert direct.tobytes() == searched.tobytes()
+        assert not direct[400:].any()  # every stranger pair abstains
+        assert (direct != 0).sum() > 100
+
 
 # ----------------------------------------------------------------------
 # Dynamics: inserts, deletes, lazy repair

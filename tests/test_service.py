@@ -233,6 +233,40 @@ class TestVersionedQueryCache:
         assert cache.peek(0, 1) is None
         assert cache.get(1, 2) is True
 
+    @pytest.mark.parametrize(
+        "neg, pos", [(4, 8), (8, 4), (0, 0), (9, 9)],
+        ids=["keeps-negatives", "keeps-positives", "keeps-all", "keeps-none"],
+    )
+    def test_put_many_is_one_put_per_entry(self, neg, pos):
+        """At version 6 between the barriers (or above or below both), a
+        mixed batch into a full cache leaves the same entries, LRU order
+        and counters as one ``put`` per entry."""
+        rng = random.Random(neg * 10 + pos)
+        caches = [VersionedQueryCache(16), VersionedQueryCache(16)]
+        for cache in caches:
+            for i in range(16):
+                cache.put(0, i, i % 2 == 0, version=1)
+            cache.get(0, 3)
+            cache.note_update(
+                neg, adds_reachability=True, removes_reachability=False
+            )
+            cache.note_update(
+                pos, adds_reachability=False, removes_reachability=True
+            )
+        batch = [
+            ((0, rng.randrange(24)), rng.random() < 0.5) for _ in range(20)
+        ]
+        one_by_one, at_once = caches
+        for (s, t), answer in batch:
+            one_by_one.put(s, t, answer, version=6)
+        at_once.put_many(batch, version=6)
+        entries = list(at_once._entries.items())
+        assert entries == list(one_by_one._entries.items())
+        for counter in (
+            "hits", "misses", "stale_evictions", "unconfident_rejections"
+        ):
+            assert getattr(at_once, counter) == getattr(one_by_one, counter)
+
 
 # ----------------------------------------------------------------------
 # Degraded bounded search
