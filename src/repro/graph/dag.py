@@ -5,8 +5,11 @@ strongly connected components. On a dynamic graph the condensation itself
 must be maintained: an edge insertion may merge a chain of SCCs into one,
 and an edge deletion inside an SCC may split it apart (Yildirim et al.,
 DAGGER, 2013). :class:`DynamicDAG` keeps the original graph, the
-vertex-to-component mapping, the condensation DAG, and inter-component edge
-multiplicities consistent under both operations.
+vertex-to-component mapping, the condensation DAG, inter-component edge
+multiplicities and a topological level per component consistent under
+both operations. It is the one owner of that structure: the serving
+pruner's ``same-scc`` / ``topo-level`` rules and the DL/BL label sweeps
+read it instead of recomputing it.
 """
 
 from __future__ import annotations
@@ -14,9 +17,10 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
+import numpy as np
+
 from repro.graph.digraph import DynamicDiGraph
 from repro.graph.scc import strongly_connected_components
-from repro.graph.traversal import topological_order
 
 
 def _grow(
@@ -56,6 +60,13 @@ class DynamicDAG:
     ``on_split(old_cid, new_cids)`` let an index (e.g. DAGGER's interval
     labels) react to condensation changes; the surviving id appears on
     both sides, and ``new_cids`` is in Tarjan's sinks-first order.
+
+    ``level[cid]`` strictly rises along every DAG edge, so
+    ``level(a) >= level(b)`` refutes ``a ~> b`` between distinct
+    components. A build assigns longest-path levels; updates repair them
+    where they change (see :meth:`_raise_levels`). ``version`` is the
+    graph version last applied here: a graph mutated behind the DAG's
+    back leaves it behind for good.
     """
 
     def __init__(self, graph: Optional[DynamicDiGraph] = None) -> None:
@@ -63,6 +74,7 @@ class DynamicDAG:
         self.dag = DynamicDiGraph()
         self.scc_of: Dict[int, int] = {}
         self.members: Dict[int, Set[int]] = {}
+        self.level: Dict[int, int] = {}
         self._edge_multiplicity: Dict[Tuple[int, int], int] = {}
         self._next_cid = 0
         self.merge_count = 0
@@ -75,6 +87,7 @@ class DynamicDAG:
         self.on_split: Optional[Callable[[int, List[int]], None]] = None
         if graph is not None:
             self._build_from_scratch()
+        self.version = self.graph.version
 
     # ------------------------------------------------------------------
     # Construction
@@ -88,9 +101,12 @@ class DynamicDAG:
         self.dag = DynamicDiGraph()
         self.scc_of.clear()
         self.members.clear()
+        self.level.clear()
         self._edge_multiplicity.clear()
+        cids = []
         for comp in strongly_connected_components(self.graph):
             cid = self._fresh_cid()
+            cids.append(cid)
             self.dag.add_vertex(cid)
             self.members[cid] = set(comp)
             for v in comp:
@@ -99,6 +115,12 @@ class DynamicDAG:
             cu, cv = self.scc_of[u], self.scc_of[v]
             if cu != cv:
                 self._add_dag_edge(cu, cv)
+        # Tarjan emits sinks first: its reverse is a topological order.
+        level, in_neighbors = self.level, self.dag.in_neighbors
+        for cid in reversed(cids):
+            level[cid] = max(
+                (level[p] + 1 for p in in_neighbors(cid)), default=0
+            )
 
     def _add_dag_edge(self, cu: int, cv: int, mult: int = 1) -> None:
         key = (cu, cv)
@@ -126,32 +148,33 @@ class DynamicDAG:
     def same_component(self, u: int, v: int) -> bool:
         return self.scc_of.get(u) == self.scc_of.get(v) and u in self.scc_of
 
-    def _dag_reaches(self, src: int, dst: int) -> bool:
-        if src == dst:
-            return True
-        visited = {src}
-        queue = deque([src])
-        while queue:
-            c = queue.popleft()
-            for w in self.dag.out_neighbors(c):
-                if w == dst:
-                    return True
-                if w not in visited:
-                    visited.add(w)
-                    queue.append(w)
-        return False
+    def components_of(self, ids):
+        """``(comp, level)``: each id's component and its level, as
+        ``int64`` arrays aligned with the id array ``ids``."""
+        comps = list(map(self.scc_of.__getitem__, ids.tolist()))
+        level = list(map(self.level.__getitem__, comps))
+        return np.array(comps, dtype=np.int64), np.array(level, dtype=np.int64)
 
     # ------------------------------------------------------------------
     # Updates
     # ------------------------------------------------------------------
+    def _stamp(self, before: int) -> None:
+        """Move ``version`` over one applied mutation, unless the graph was
+        already past it: a DAG that missed an update stays behind."""
+        if self.version == before:
+            self.version = self.graph.version
+
     def add_vertex(self, v: int) -> None:
         if v in self.scc_of:
             return
+        before = self.graph.version
         self.graph.add_vertex(v)
         cid = self._fresh_cid()
         self.dag.add_vertex(cid)
         self.members[cid] = {v}
         self.scc_of[v] = cid
+        self.level[cid] = 0
+        self._stamp(before)
 
     def insert_edge(self, u: int, v: int) -> bool:
         """Insert ``(u, v)``, merging SCCs if a cycle is created.
@@ -160,21 +183,35 @@ class DynamicDAG:
         """
         self.add_vertex(u)
         self.add_vertex(v)
+        before = self.graph.version
         if not self.graph.add_edge(u, v):
             return False
+        self._stamp(before)
         cu, cv = self.scc_of[u], self.scc_of[v]
         if cu == cv:
             return True
-        if self._dag_reaches(cv, cu):
-            self._merge_cycle(cu, cv)
-        else:
-            self._add_dag_edge(cu, cv)
+        level = self.level
+        if level[cv] < level[cu]:
+            # Only components levelled below ``cu`` can lie on a path to it.
+            top = level[cu]
+            forward = self._dag_closure(
+                cv, True, lambda w: level[w] < top or w == cu
+            )
+            if cu in forward:
+                self._merge_cycle(cu, forward)
+                return True
+        self._add_dag_edge(cu, cv)
+        if level[cv] <= level[cu]:
+            level[cv] = level[cu] + 1
+            self._raise_levels(cv)
         return True
 
     def delete_edge(self, u: int, v: int) -> bool:
         """Delete ``(u, v)``, splitting the containing SCC if it breaks apart."""
+        before = self.graph.version
         if not self.graph.remove_edge(u, v):
             return False
+        self._stamp(before)
         cu, cv = self.scc_of[u], self.scc_of[v]
         if cu != cv:
             self._remove_dag_edge(cu, cv)
@@ -188,12 +225,27 @@ class DynamicDAG:
     # ------------------------------------------------------------------
     # Merge / split internals
     # ------------------------------------------------------------------
-    def _merge_cycle(self, cu: int, cv: int) -> None:
+    def _raise_levels(self, start: int) -> None:
+        """Restore ``level[a] < level[b]`` on every DAG edge reachable
+        from ``start`` after its level rose. An insert raises from its
+        head, a merge from the survivor (at the max of the merged levels),
+        a split from each part (numbered upwards in topological order from
+        the old level); a delete cannot break the contract."""
+        level, out_neighbors = self.level, self.dag.out_neighbors
+        stack = [start]
+        while stack:
+            x = stack.pop()
+            lx = level[x]
+            for w in out_neighbors(x):
+                if level[w] <= lx:
+                    level[w] = lx + 1
+                    stack.append(w)
+
+    def _merge_cycle(self, cu: int, forward: Set[int]) -> None:
         """Merge every component on a ``cv -> ... -> cu`` DAG path (plus the
-        new back edge ``cu -> cv``) into the largest of them."""
-        forward = self._dag_closure(cv, forward=True, stop_at=cu)
-        backward = self._dag_closure(cu, forward=False, restrict=forward)
-        to_merge = forward & backward  # contains both cu and cv
+        new back edge ``cu -> cv``) into the largest of them; ``forward``
+        holds what ``cv`` reaches, ``cu`` included."""
+        to_merge = self._dag_closure(cu, False, forward.__contains__)
         members = self.members
         keep = max(to_merge, key=lambda c: len(members[c]))
         absorbed_ids = to_merge - {keep}
@@ -214,35 +266,31 @@ class DynamicDAG:
                 if w != keep:
                     self._add_dag_edge(w, keep, mult)
         kept_members = members[keep]
-        scc_of = self.scc_of
+        scc_of, level = self.scc_of, self.level
+        top = level[keep]
         for cid in absorbed_ids:
             absorbed = members.pop(cid)
             for v in absorbed:
                 scc_of[v] = keep
             kept_members |= absorbed
             self.dag.remove_vertex(cid)
+            top = max(top, level.pop(cid))
+        level[keep] = top  # edges in still rise; raising fixes edges out
+        self._raise_levels(keep)
         self.merge_count += 1
         if self.on_merge is not None:
             self.on_merge(to_merge, keep)
 
     def _dag_closure(
-        self,
-        start: int,
-        forward: bool,
-        stop_at: Optional[int] = None,
-        restrict: Optional[Set[int]] = None,
+        self, start: int, forward: bool, admit: Callable[[int], bool]
     ) -> Set[int]:
-        """BFS closure over the DAG, optionally restricted to a vertex set."""
+        """BFS closure over the DAG through the components ``admit``s."""
         visited = {start}
         queue = deque([start])
         while queue:
             c = queue.popleft()
-            if c == stop_at:
-                continue
             for w in self.dag.neighbors(c, forward):
-                if restrict is not None and w not in restrict:
-                    continue
-                if w not in visited:
+                if w not in visited and admit(w):
                     visited.add(w)
                     queue.append(w)
         return visited
@@ -321,6 +369,14 @@ class DynamicDAG:
                 if b != cid:
                     self._remove_dag_edge(b, cid)
                 self._add_dag_edge(b, a)
+        # Reversed, sinks-first is topological: counting up along it keeps
+        # edges into and between the parts rising; raising fixes edges out.
+        level = self.level
+        base = level[cid]
+        for offset, part in enumerate(reversed(new_cids)):
+            level[part] = base + offset
+        for part in new_cids:
+            self._raise_levels(part)
         self.split_count += 1
         if self.on_split is not None:
             self.on_split(cid, new_cids)
@@ -330,10 +386,11 @@ class DynamicDAG:
     # ------------------------------------------------------------------
     def check_invariants(self) -> None:
         """Raise ``AssertionError`` unless the maintained structures agree
-        with each other. ``O(n + m)`` and Tarjan-free, so cheap enough to
-        run after every step of a harness; it does not prove each
-        component strongly connected — :meth:`check_consistency` is the
-        from-scratch oracle for that."""
+        with each other, and unless every component has a level that
+        every DAG edge strictly raises. ``O(n + m)`` and Tarjan-free, so
+        cheap enough to run after every step of a harness; it does not
+        prove each component strongly connected — :meth:`check_consistency`
+        is the from-scratch oracle for that."""
         graph, dag, scc_of = self.graph, self.dag, self.scc_of
         assert len(scc_of) == graph.num_vertices, "scc_of misses vertices"
         assert sum(len(mem) for mem in self.members.values()) == len(scc_of), (
@@ -346,6 +403,7 @@ class DynamicDAG:
                     f"vertex {v} listed under {cid}, labelled {scc_of.get(v)}"
                 )
         assert set(self.members) == set(dag.vertices()), "DAG vertices diverged"
+        assert set(self.level) == set(self.members), "levels diverged"
         assert set(self._edge_multiplicity) == set(dag.edges()), (
             "multiplicity keys diverged from DAG edges"
         )
@@ -354,10 +412,10 @@ class DynamicDAG:
         assert sum(self._edge_multiplicity.values()) == crossing, (
             "multiplicities do not sum to the inter-component edge count"
         )
-        try:
-            topological_order(dag)
-        except ValueError:
-            raise AssertionError("condensation has a cycle") from None
+        for a, b in self._edge_multiplicity:  # which also proves acyclicity
+            assert self.level[a] < self.level[b], (
+                f"DAG edge {(a, b)} does not raise the level (or a cycle)"
+            )
 
     def check_consistency(self) -> None:
         """Raise ``AssertionError`` if the maintained condensation disagrees

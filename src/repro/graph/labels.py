@@ -27,7 +27,8 @@ the delete side:
 * **insert** is monotone: ``add_edge(u, v)`` ORs ``DL[v]`` into ``u`` and
   its ancestors (symmetrically ``BL[u]`` into ``v`` and its descendants),
   early-stopping where the carry is already contained. A frontier cutoff
-  bounds the touch count; tripping it leaves the labels *under*-
+  (:data:`INSERT_FRONTIER_LIMIT`) bounds the touch count; tripping it
+  leaves the labels *under*-
   approximated, which the global ``missing`` flag records — negatives
   are then suppressed (they would be unsound) while positives stay exact
   (every surviving bit is real).
@@ -37,14 +38,19 @@ the delete side:
   the post-delete ancestors of ``u`` (their ``DL`` is suspect —
   ``dirty_out``) and the post-delete descendants of ``v`` (``BL`` —
   ``dirty_in``). Dirty rows abstain from the rules that depend on them;
-  everything else keeps answering.
+  everything else keeps answering. A delete that would mark more than
+  :data:`DELETE_DIRTY_LIMIT` rows marks every row instead.
 * **lazy rebuild** — :meth:`LabelIndex.observe_query` repairs on demand:
-  a *partial* rebuild recomputes only the dirty rows (Tarjan over the
-  induced dirty subgraph, sinks first, pulling clean neighbours' exact
-  rows), escalating to a *full* vectorized rebuild once the dirty
-  fraction passes ``staleness_threshold`` or the labels went ``missing``.
-  Rebuilds swap a fresh :class:`_LabelState` atomically, so concurrent
-  readers keep a coherent snapshot.
+  a *partial* rebuild recomputes only the dirty rows, a component at a
+  time in level order, pulling clean neighbours' exact rows, escalating
+  to a *full* vectorized rebuild once the dirty fraction passes
+  ``staleness_threshold`` or the labels went ``missing``. Rebuilds swap
+  a fresh :class:`_LabelState` atomically, so concurrent readers keep a
+  coherent snapshot.
+
+Both rebuilds read components and levels from the index's
+:class:`~repro.graph.dag.DynamicDAG` (in a service, the pruner's), and
+neither runs once the graph is past the DAG's version.
 
 Soundness invariants (the property suite in ``tests/test_labels.py``
 asserts both against a BFS oracle under churn):
@@ -55,7 +61,8 @@ asserts both against a BFS oracle under churn):
   ``dirty_out`` vertex is itself ``dirty_out`` (symmetrically
   ``dirty_in`` under "reached-from"). This is what makes insert
   propagation's early-stop at a dirty vertex safe, and what guarantees
-  the partial rebuild's dirty subgraph never cuts an SCC in half.
+  the partial rebuild never finds an SCC only partly dirty.
+  :meth:`LabelIndex.check_invariants` checks it edge by edge.
 
 The labels *are* the packed words, so the tier is numpy arrays throughout.
 """
@@ -64,12 +71,12 @@ from __future__ import annotations
 
 import threading
 from collections import deque
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.graph.dag import DynamicDAG
 from repro.graph.digraph import DynamicDiGraph
-from repro.graph.scc import condensation, strongly_connected_components
 
 Pair = Tuple[int, int]
 
@@ -77,7 +84,12 @@ Pair = Tuple[int, int]
 #: baseline uses, so the two implementations disagree only in layout.
 _HASH_MULT = 2654435761
 _WORD_BITS = 64
-_U64_MASK = (1 << 64) - 1
+
+#: Rows one insert propagation may update before it gives up and raises
+#: the ``missing`` flag (negatives off until the next full rebuild).
+INSERT_FRONTIER_LIMIT = 4096
+#: Rows one delete may mark dirty before it conservatively marks them all.
+DELETE_DIRTY_LIMIT = 4096
 
 
 class _LabelState:
@@ -116,7 +128,7 @@ class _LabelState:
 
 
 class LabelIndex:
-    """Versioned DL/BL label matrices over one :class:`DynamicDiGraph`.
+    """Versioned DL/BL label matrices over the graph of one :class:`DynamicDAG`.
 
     All mutating entry points (``note_insert`` / ``note_delete`` /
     ``note_vertex`` / ``invalidate``) must run under the owning service's
@@ -125,18 +137,15 @@ class LabelIndex:
 
     Parameters
     ----------
+    dag:
+        The condensation the builds read, over the graph labelled; a bare
+        :class:`DynamicDiGraph` is wrapped in a fresh one.
     label_bits:
         Total bits per side per vertex; a multiple of 64, at least 64.
         Word 0 is the exact landmark word; the rest are bloom words.
     staleness_threshold:
         Dirty-row fraction past which :meth:`observe_query` abandons
         partial repair and rebuilds from scratch.
-    insert_frontier_limit:
-        Vertices one insert propagation may touch before giving up and
-        raising the ``missing`` flag (negatives off until rebuild).
-    delete_dirty_limit:
-        Vertices one delete may mark dirty before conservatively marking
-        every row dirty.
     rebuild_cooldown:
         Stale-hit queries required before a rebuild is attempted, so a
         churn burst does not rebuild per query.
@@ -147,25 +156,23 @@ class LabelIndex:
 
     def __init__(
         self,
-        graph: DynamicDiGraph,
+        dag: Union[DynamicDAG, DynamicDiGraph],
         *,
         label_bits: int = 256,
         staleness_threshold: float = 0.25,
-        insert_frontier_limit: int = 4096,
-        delete_dirty_limit: int = 4096,
         rebuild_cooldown: int = 64,
         landmarks: Optional[Iterable[int]] = None,
-        build: bool = True,
     ) -> None:
         if label_bits < _WORD_BITS or label_bits % _WORD_BITS:
             raise ValueError("label_bits must be a positive multiple of 64")
         if not 0 < staleness_threshold <= 1:
             raise ValueError("staleness_threshold must be in (0, 1]")
-        self._graph = graph
+        if not isinstance(dag, DynamicDAG):
+            dag = DynamicDAG(dag)
+        self.dag = dag
+        self._graph = dag.graph
         self.words = label_bits // _WORD_BITS
         self.staleness_threshold = staleness_threshold
-        self.insert_frontier_limit = max(1, insert_frontier_limit)
-        self.delete_dirty_limit = max(1, delete_dirty_limit)
         self.rebuild_cooldown = max(1, rebuild_cooldown)
         self._pinned_landmarks = (
             list(landmarks) if landmarks is not None else None
@@ -178,7 +185,7 @@ class LabelIndex:
         self.partial_rebuilds = 0
         self.stale_abstains = 0
         self._state: Optional[_LabelState] = None
-        if build:
+        if dag.version == dag.graph.version:
             self._state = self._build_state()
 
     # ------------------------------------------------------------------
@@ -196,23 +203,6 @@ class LabelIndex:
                 key=lambda v: (-(g.out_degree(v) + g.in_degree(v)), v),
             )[:_WORD_BITS]
         self._landmark_bit = {v: i for i, v in enumerate(chosen)}
-
-    def _bloom_index(self, v: int) -> int:
-        """Hashed bit position in the bloom region, matching the
-        vectorized uint64 arithmetic exactly (wrap at 2**64)."""
-        nbits = _WORD_BITS * (self.words - 1)
-        return ((v * _HASH_MULT) & _U64_MASK) % nbits
-
-    def _seed_of(self, v: int):
-        """One vertex's seed row (the scalar twin of :meth:`_seed_matrix`)."""
-        seed = np.zeros(self.words, dtype=np.uint64)
-        bit = self._landmark_bit.get(v)
-        if bit is not None:
-            seed[0] = np.uint64(1 << bit)
-        if self.words > 1:
-            h = self._bloom_index(v)
-            seed[1 + h // _WORD_BITS] |= np.uint64(1 << (h % _WORD_BITS))
-        return seed
 
     def _seed_matrix(self, ids, row):
         n = len(ids)
@@ -237,57 +227,42 @@ class LabelIndex:
     def _build_state(self) -> _LabelState:
         """Seed + two level-grouped OR sweeps over the condensation DAG.
 
-        Tarjan emits components in reverse topological order, so longest-
-        path-from-source levels come from one pass over ``C-1 .. 0``; the
-        sweeps then process DAG edges grouped by level — descendants'
-        words flow to ancestors (DL) in descending source level, and the
-        reverse (BL) in ascending target level — with one
-        ``np.bitwise_or.at`` scatter per level group.
+        Components, DAG edges and levels are the DAG's own; the sweeps
+        process DAG edges grouped by level — descendants' words flow to
+        ancestors (DL) in descending source level, and the reverse (BL)
+        in ascending target level — with one ``np.bitwise_or.at`` scatter
+        per level group. Any levels that strictly rise along every edge
+        give the same matrices.
         """
         graph = self._graph
         version = graph.version
         self._choose_landmarks()
         ids_list = sorted(graph.vertices())
-        n = len(ids_list)
         ids = np.asarray(ids_list, dtype=np.int64)
         row = {v: i for i, v in enumerate(ids_list)}
-        if n == 0:
-            empty = np.zeros((0, self.words), dtype=np.uint64)
-            return _LabelState(version, ids, row, empty, empty.copy())
         seeds = self._seed_matrix(ids, row)
-        dag, scc_of, components = condensation(graph)
-        num_comps = len(components)
-        comp_of_row = np.empty(n, dtype=np.int64)
-        for cid, comp in enumerate(components):
-            for v in comp:
-                comp_of_row[row[v]] = cid
-        comp_seed = np.zeros((num_comps, self.words), dtype=np.uint64)
+        comp, level = self.dag.components_of(ids)
+        # Component ids are lineage ids, sparse after churn: compact them.
+        cids, comp_of_row = np.unique(comp, return_inverse=True)
+        comp_seed = np.zeros((len(cids), self.words), dtype=np.uint64)
         np.bitwise_or.at(comp_seed, comp_of_row, seeds)
 
-        edges = list(dag.edges())
+        dag = self.dag.dag
+        edges = np.fromiter(
+            (c for e in dag.edges() for c in e),
+            dtype=np.int64, count=2 * dag.num_edges,
+        )
+        src = np.searchsorted(cids, edges[0::2])
+        dst = np.searchsorted(cids, edges[1::2])
+        lvl = np.empty(len(cids), dtype=np.int64)
+        lvl[comp_of_row] = level
         dl_comp = comp_seed.copy()
-        bl_comp = comp_seed.copy()
-        if edges:
-            level = [0] * num_comps
-            for cid in range(num_comps - 1, -1, -1):
-                best = 0
-                for pred in dag.in_neighbors(cid):
-                    lp = level[pred] + 1
-                    if lp > best:
-                        best = lp
-                level[cid] = best
-            src = np.fromiter(
-                (e[0] for e in edges), dtype=np.int64, count=len(edges)
-            )
-            dst = np.fromiter(
-                (e[1] for e in edges), dtype=np.int64, count=len(edges)
-            )
-            lvl = np.asarray(level, dtype=np.int64)
-            self._sweep(dl_comp, src, dst, -lvl[src])
-            self._sweep(bl_comp, dst, src, lvl[dst])
-        dl = dl_comp[comp_of_row]
-        bl = bl_comp[comp_of_row]
-        return _LabelState(version, ids, row, dl, bl)
+        bl_comp = comp_seed
+        self._sweep(dl_comp, src, dst, -lvl[src])
+        self._sweep(bl_comp, dst, src, lvl[dst])
+        return _LabelState(
+            version, ids, row, dl_comp[comp_of_row], bl_comp[comp_of_row]
+        )
 
     @staticmethod
     def _sweep(mat, into, come_from, key) -> None:
@@ -510,7 +485,7 @@ class LabelIndex:
         is dirty by INV2), or the frontier cutoff (labels go missing)."""
         graph = self._graph
         row = state.row
-        limit = self.insert_frontier_limit
+        limit = INSERT_FRONTIER_LIMIT
         seen = {start}
         queue = deque((start,))
         touched = 0
@@ -539,12 +514,12 @@ class LabelIndex:
     def _taint(self, state, anchor: int, out_side: bool) -> None:
         """Mark ``anchor`` and its (post-mutation) ancestors dirty_out —
         or descendants dirty_in — stopping at already-dirty rows (their
-        closure is covered by INV2) and bounded by ``delete_dirty_limit``
+        closure is covered by INV2) and bounded by :data:`DELETE_DIRTY_LIMIT`
         (overflow marks everything dirty, which is always sound)."""
         graph = self._graph
         row = state.row
         dirty = state.dirty_out if out_side else state.dirty_in
-        limit = self.delete_dirty_limit
+        limit = DELETE_DIRTY_LIMIT
         seen = {anchor}
         queue = deque((anchor,))
         marked = 0
@@ -591,7 +566,8 @@ class LabelIndex:
         bounded dirty region exists, full when the labels are missing,
         version-desynced, or past the staleness threshold. The repaired
         state is swapped in atomically; concurrent readers keep whatever
-        snapshot they already captured.
+        snapshot they already captured. Nothing is rebuilt while the
+        graph is past the DAG's version (the state keeps abstaining).
         """
         state = self._state
         graph = self._graph
@@ -605,6 +581,8 @@ class LabelIndex:
             return
         self._demand += 1
         if state is not None and self._demand < self.rebuild_cooldown:
+            return
+        if self.dag.version != graph.version:
             return
         if not self._rebuild_mutex.acquire(blocking=False):
             return
@@ -639,55 +617,90 @@ class LabelIndex:
     def _partial_rebuild(self, state) -> Optional[_LabelState]:
         """Recompute exactly the dirty rows on copied matrices.
 
-        INV2 guarantees the dirty sets are SCC-closed, so Tarjan over the
-        induced dirty subgraph sees every relevant cycle whole; components
-        come out reverse-topological (sinks first), which is dependency
-        order for DL (out-neighbours first) and reversed for BL. Clean
-        neighbours contribute their exact rows (INV1). Returns ``None``
-        to escalate to a full rebuild on any inconsistency.
+        Clean neighbours contribute their exact rows (INV1). Returns
+        ``None`` to escalate to a full rebuild on any inconsistency.
         """
         dl = state.dl.copy()
         bl = state.bl.copy()
-        rebuilt = _LabelState(state.version, state.ids, state.row, dl, bl)
-        if state.num_dirty_out:
-            rows = np.flatnonzero(state.dirty_out)
-            if not self._recompute(state, rows, dl, out_side=True):
+        seeds = self._seed_matrix(state.ids, state.row)
+        for dirty, mat, out_side in (
+            (state.dirty_out, dl, True), (state.dirty_in, bl, False)
+        ):
+            rows = np.flatnonzero(dirty)
+            if len(rows) and not self._recompute(
+                state, rows, seeds, mat, out_side
+            ):
                 return None
-        if state.num_dirty_in:
-            rows = np.flatnonzero(state.dirty_in)
-            if not self._recompute(state, rows, bl, out_side=False):
-                return None
-        return rebuilt
+        return _LabelState(state.version, state.ids, state.row, dl, bl)
 
-    def _recompute(self, state, dirty_rows, mat, out_side: bool) -> bool:
-        graph = self._graph
-        row = state.row
-        ids = state.ids
-        dirty_set = {int(x) for x in ids[dirty_rows]}
-        comps = strongly_connected_components(graph, within=dirty_set)
-        if not out_side:
-            comps = list(reversed(comps))
-        done = set()
-        for comp in comps:
-            members = set(comp)
-            val = np.zeros(self.words, dtype=np.uint64)
-            for m in comp:
-                val |= self._seed_of(m)
-                for y in graph.neighbors(m, out_side):
-                    if y in members:
-                        continue
-                    ry = row.get(y)
-                    if ry is None:
-                        return False
-                    if y in dirty_set and y not in done:
-                        # A dependency ahead of us in the order would
-                        # break INV2 — escalate rather than trust it.
-                        return False
-                    val |= mat[ry]
-            for m in comp:
-                mat[row[m]] = val
-                done.add(m)
+    def _recompute(self, state, dirty_rows, seeds, mat, out_side) -> bool:
+        """Rebuild ``mat``'s dirty rows a DAG component at a time.
+
+        A row depends on its out-neighbours (DL) or in-neighbours (BL),
+        which sit in the same component or one strictly higher (lower) in
+        level, so descending (ascending) level order computes every
+        dirty dependency first. INV2 makes the dirty rows a union of
+        whole components; one only partly dirty escalates.
+        """
+        graph, row = self._graph, state.row
+        comp, level = self.dag.components_of(state.ids[dirty_rows])
+        order = np.lexsort((comp, -level if out_side else level))
+        comp = comp[order]
+        dirty_rows = dirty_rows[order]
+        cuts = [0, *(np.flatnonzero(np.diff(comp)) + 1).tolist(), len(comp)]
+        for a, b in zip(cuts, cuts[1:]):
+            members = self.dag.members[int(comp[a])]
+            if len(members) != b - a:
+                return False
+            pulled = [
+                row.get(y)
+                for m in members
+                for y in graph.neighbors(m, out_side)
+                if y not in members
+            ]
+            if None in pulled:
+                return False
+            rows = dirty_rows[a:b]
+            mat[rows] = np.bitwise_or.reduce(
+                np.concatenate((seeds[rows], mat[pulled])), axis=0
+            )
         return True
+
+    def check_invariants(self) -> None:
+        """Raise ``AssertionError`` unless the current state is well formed.
+
+        ``O(n + m)``: matrix shapes and dtypes, a sorted id table, dirty
+        counters that match their masks, and — while the state is at the
+        graph's version — INV2 edge by edge: every in-neighbour of a
+        ``dirty_out`` row is ``dirty_out``, every out-neighbour of a
+        ``dirty_in`` row is ``dirty_in`` (edges to a vertex that has no
+        row yet are skipped).
+        """
+        state = self._state
+        if state is None:
+            return
+        n = len(state.ids)
+        for mat in (state.dl, state.bl):
+            assert mat.shape == (n, self.words) and mat.dtype == np.uint64
+        assert np.all(state.ids[1:] > state.ids[:-1]), "ids not sorted"
+        for dirty, count in (
+            (state.dirty_out, state.num_dirty_out),
+            (state.dirty_in, state.num_dirty_in),
+        ):
+            assert dirty.shape == (n,) and dirty.dtype == bool
+            assert count == np.count_nonzero(dirty), "dirty count drifted"
+        if state.version != self._graph.version:
+            return  # stale: every rule abstains
+        row = state.row
+        for u, v in self._graph.edges():
+            ru, rv = row.get(u), row.get(v)
+            if ru is not None and rv is not None:
+                assert state.dirty_out[ru] or not state.dirty_out[rv], (
+                    f"INV2: clean {u} reaches dirty_out {v}"
+                )
+                assert state.dirty_in[rv] or not state.dirty_in[ru], (
+                    f"INV2: clean {v} is reached from dirty_in {u}"
+                )
 
     # ------------------------------------------------------------------
     # Introspection

@@ -329,7 +329,7 @@ class ReachabilityService:
         self._label_failures = 0
         if use_labels:
             try:
-                self._labels = LabelIndex(self.graph, label_bits=LABEL_BITS)
+                self._labels = LabelIndex(self._pruner.dag, label_bits=LABEL_BITS)
             except Exception:
                 self._stats.incr("stage_errors_labels")
 

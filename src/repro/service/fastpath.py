@@ -12,13 +12,13 @@ every observation in structure the repo can maintain incrementally:
    condensation consistent under both insertions (merges) and deletions
    (splits) at a cost proportional to the change; two vertices in the
    same SCC are mutually reachable.
-3. **Topological levels** — each condensation component carries a level
-   such that every DAG edge strictly increases it. Any path therefore
-   strictly increases levels, so ``level(scc(s)) >= level(scc(t))`` (with
-   distinct SCCs) refutes reachability in O(1). Levels are repaired
-   incrementally: raised along out-edges on insertion, reassigned locally
-   on SCC merge/split, untouched by deletions (removing edges cannot
-   violate the invariant).
+3. **Topological levels** — the same :class:`~repro.graph.dag.DynamicDAG`
+   gives each condensation component a level that every DAG edge strictly
+   increases. Any path therefore strictly increases levels, so
+   ``level(scc(s)) >= level(scc(t))`` (with distinct SCCs) refutes
+   reachability in O(1). The DAG repairs them inside its own updates
+   (raised along out-edges on insertion, reassigned locally on SCC
+   merge/split, untouched by deletions); the pruner only reads them.
 4. **Supportive vertices** — ``k`` sampled vertices with materialized
    forward/backward reachable sets ``F(x)`` / ``B(x)``. They prove
    positives (``s ∈ B(x) ∧ t ∈ F(x)``) and refute negatives
@@ -204,8 +204,6 @@ class FastPathPruner:
         self._csr_provider = csr_provider
         self.kernel_rebuilds = 0
         self._rng = random.Random(seed)
-        self._level: Dict[int, int] = {}
-        self._rebuild_levels()
         self._samples = self._build_samples()
         self._rebuild_mutex = threading.Lock()
         self._queries_since_invalid = 0
@@ -215,47 +213,11 @@ class FastPathPruner:
         self.view_builds = 0
 
     # ------------------------------------------------------------------
-    # Topological levels
-    # ------------------------------------------------------------------
-    def _rebuild_levels(self) -> None:
-        """Longest-path levels of the condensation via Kahn's algorithm."""
-        dag = self.dag.dag
-        level = {c: 0 for c in dag.vertices()}
-        indeg = {c: dag.in_degree(c) for c in dag.vertices()}
-        queue = deque(c for c, d in indeg.items() if d == 0)
-        while queue:
-            c = queue.popleft()
-            lc = level[c]
-            for w in dag.out_neighbors(c):
-                if level[w] <= lc:
-                    level[w] = lc + 1
-                indeg[w] -= 1
-                if indeg[w] == 0:
-                    queue.append(w)
-        self._level = level
-
-    def _raise_levels(self, start: int) -> None:
-        """Restore ``level[a] < level[b]`` for all DAG edges reachable from
-        ``start`` after its level increased (or it appeared)."""
-        dag = self.dag.dag
-        level = self._level
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            lx = level[x]
-            for w in dag.out_neighbors(x):
-                if level.get(w, 0) <= lx:
-                    level[w] = lx + 1
-                    stack.append(w)
-
-    # ------------------------------------------------------------------
     # Update routing
     # ------------------------------------------------------------------
     def add_vertex(self, v: int) -> UpdateEffect:
         changed = v not in self.graph
         self.dag.add_vertex(v)
-        if changed:
-            self._level[self.dag.component_of(v)] = 0
         return UpdateEffect(changed, False, False, self.graph.version)
 
     def apply_insert(self, u: int, v: int) -> UpdateEffect:
@@ -263,29 +225,8 @@ class FastPathPruner:
         self.add_vertex(v)
         cu, cv = self.dag.component_of(u), self.dag.component_of(v)
         dag_edge_existed = cu == cv or self.dag.dag.has_edge(cu, cv)
-
-        merges: List[Tuple[Set[int], int]] = []
-        self.dag.on_merge = lambda old, new: merges.append((old, new))
-        try:
-            changed = self.dag.insert_edge(u, v)
-        finally:
-            self.dag.on_merge = None
-
-        if not changed:
+        if not self.dag.insert_edge(u, v):
             return UpdateEffect(False, False, False, self.graph.version)
-
-        level = self._level
-        if merges:
-            # The largest merged component keeps its id, so ``cid`` is
-            # also one of ``old_cids``: pop every level before assigning.
-            old_cids, cid = merges[0]
-            level[cid] = max(level.pop(c, 0) for c in old_cids)
-            self._raise_levels(cid)
-        elif not dag_edge_existed:
-            if level[cv] <= level[cu]:
-                level[cv] = level[cu] + 1
-                self._raise_levels(cv)
-
         adds_reach = not dag_edge_existed  # condensation changed
         if adds_reach:
             self._extend_samples(u, v)
@@ -295,33 +236,15 @@ class FastPathPruner:
         if not self.graph.has_edge(u, v):
             return UpdateEffect(False, False, False, self.graph.version)
         cu, cv = self.dag.component_of(u), self.dag.component_of(v)
-
-        splits: List[Tuple[int, List[int]]] = []
-        self.dag.on_split = lambda old, new: splits.append((old, new))
-        try:
-            self.dag.delete_edge(u, v)
-        finally:
-            self.dag.on_split = None
-
-        level = self._level
+        splits = self.dag.split_count
+        self.dag.delete_edge(u, v)
         if cu != cv:
             # Inter-SCC edge: reachability changed only if the last
             # parallel edge between the two components went away.
             removes_reach = not self.dag.dag.has_edge(cu, cv)
-        elif splits:
-            old_cid, new_cids = splits[0]
-            old_level = level.pop(old_cid, 0)
-            # Tarjan emits sub-components sinks-first (the largest still
-            # under ``old_cid``), so reversing gives a topological order;
-            # strictly increasing levels along it satisfy every
-            # intra-split DAG edge.
-            for offset, cid in enumerate(reversed(new_cids)):
-                level[cid] = old_level + offset
-            for cid in new_cids:
-                self._raise_levels(cid)
-            removes_reach = True
         else:
-            removes_reach = False  # SCC survived: no reachable pair changed
+            # Within one SCC reachability changed only if it split.
+            removes_reach = self.dag.split_count != splits
 
         if removes_reach:
             self._invalidate_samples()
@@ -420,7 +343,8 @@ class FastPathPruner:
         ct = self.dag.scc_of[target]
         if cs == ct:
             return (True, "same-scc")
-        if self._level[cs] >= self._level[ct]:
+        level = self.dag.level
+        if level[cs] >= level[ct]:
             return (False, "topo-level")
         holder = self._samples
         if holder.valid:
@@ -466,14 +390,7 @@ class FastPathPruner:
                 sink, source = view.sink, view.source
                 comp, level = view.comp, view.level
             else:
-                components = list(
-                    map(self.dag.scc_of.__getitem__, csr.vertex_ids.tolist())
-                )
-                comp = np.array(components, dtype=np.int64)
-                level = np.array(
-                    list(map(self._level.__getitem__, components)),
-                    dtype=np.int64,
-                )
+                comp, level = self.dag.components_of(csr.vertex_ids)
                 sink = csr.out_offsets[1:] == csr.out_offsets[:-1]
                 source = csr.in_offsets[1:] == csr.in_offsets[:-1]
             fwd = bwd = None

@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -127,6 +128,59 @@ class TestDeletions:
         dag.check_consistency()
         assert dag.dag.has_edge(dag.component_of(5), dag.component_of(1))
         assert dag.dag.has_edge(dag.component_of(2), dag.component_of(6))
+
+
+class TestLevels:
+    """The DAG owns the topological levels: longest-path at build,
+    repaired in place by every update, strictly rising along every edge."""
+
+    def _level_of(self, dag):
+        return {v: dag.level[c] for v, c in dag.scc_of.items()}
+
+    def test_build_assigns_longest_path_levels(self):
+        graph = DynamicDiGraph(
+            edges=[(4, 5), (5, 4), (5, 0), (0, 1), (1, 2), (0, 2), (2, 3)]
+        )
+        dag = DynamicDAG(graph)
+        dag.check_invariants()
+        assert self._level_of(dag) == {4: 0, 5: 0, 0: 1, 1: 2, 2: 3, 3: 4}
+
+    def test_updates_repair_levels_in_place(self):
+        dag = _build([(0, 1), (2, 3)])
+        assert self._level_of(dag) == {0: 0, 1: 1, 2: 0, 3: 1}
+        dag.insert_edge(1, 2)  # raises 2 and, through it, 3
+        assert self._level_of(dag) == {0: 0, 1: 1, 2: 2, 3: 3}
+        dag.insert_edge(3, 1)  # merges {1, 2, 3} at the max of its parts
+        dag.check_invariants()
+        assert self._level_of(dag) == {0: 0, 1: 3, 2: 3, 3: 3}
+        dag.insert_edge(3, 9)
+        assert self._level_of(dag)[9] == 4
+        dag.delete_edge(3, 1)  # splits in topological order from level 3
+        dag.check_invariants()
+        assert self._level_of(dag) == {0: 0, 1: 3, 2: 4, 3: 5, 9: 6}
+        dag.delete_edge(0, 1)  # a delete leaves levels alone
+        assert self._level_of(dag)[1] == 3
+        dag.add_vertex(7)
+        assert self._level_of(dag)[7] == 0
+
+    def test_components_of_aligns_with_the_ids(self):
+        dag = DynamicDAG(DynamicDiGraph(edges=[(0, 1), (1, 0), (1, 2)]))
+        comp, level = dag.components_of(np.array([0, 1, 2]))
+        assert comp.dtype == level.dtype == np.int64
+        assert comp.tolist() == [dag.component_of(v) for v in (0, 1, 2)]
+        assert level.tolist() == [0, 0, 1]
+
+    def test_version_stamp_falls_behind_for_good(self):
+        graph = DynamicDiGraph(edges=[(0, 1)])
+        dag = DynamicDAG(graph)
+        assert dag.version == graph.version
+        dag.insert_edge(1, 2)
+        dag.delete_edge(0, 1)
+        dag.add_vertex(5)
+        assert dag.version == graph.version
+        graph.add_edge(2, 3)  # behind the DAG's back
+        dag.insert_edge(3, 4)
+        assert dag.version < graph.version
 
 
 class TestCallbacks:
@@ -301,6 +355,18 @@ class TestCheckInvariants:
         dag = self._dag()
         dag.dag.remove_edge(dag.component_of(2), dag.component_of(3))
         with pytest.raises(AssertionError):
+            dag.check_invariants()
+
+    def test_catches_level_that_does_not_rise(self):
+        dag = self._dag()
+        dag.level[dag.component_of(3)] = dag.level[dag.component_of(2)]
+        with pytest.raises(AssertionError, match="does not raise"):
+            dag.check_invariants()
+
+    def test_catches_component_without_level(self):
+        dag = self._dag()
+        del dag.level[dag.component_of(3)]
+        with pytest.raises(AssertionError, match="levels"):
             dag.check_invariants()
 
     def test_catches_cycle_in_condensation(self):

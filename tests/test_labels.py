@@ -15,6 +15,7 @@ import random
 import numpy as np
 import pytest
 
+import repro.graph.labels as labels_module
 from repro.graph.digraph import DynamicDiGraph
 from repro.graph.labels import LabelIndex
 from repro.graph.traversal import is_reachable_bfs
@@ -135,7 +136,7 @@ class TestDynamics:
         landmarks = list(range(50))
         inc = LabelIndex(graph, label_bits=128, landmarks=landmarks)
         for u, v in [(1, 2), (3, 4), (10, 20), (20, 30), (5, 40), (41, 0)]:
-            graph.add_edge(u, v)
+            inc.dag.insert_edge(u, v)
             inc.note_insert(u, v)
         fresh = LabelIndex(graph, label_bits=128, landmarks=landmarks)
         si, sf = inc._state, fresh._state
@@ -162,7 +163,7 @@ class TestDynamics:
             staleness_threshold=0.9,
         )
         assert idx.check(0, 9) is True
-        graph.remove_edge(4, 5)
+        idx.dag.delete_edge(4, 5)
         idx.note_delete(4, 5)
         # The affected rows abstain rather than answer stale.
         assert idx.check(0, 9) is None
@@ -180,7 +181,7 @@ class TestDynamics:
     def test_redundant_delete_keeps_labels_clean(self):
         graph = DynamicDiGraph(edges=[(0, 1), (0, 2), (2, 1)])
         idx = LabelIndex(graph, label_bits=128)
-        graph.remove_edge(0, 1)  # 0 still reaches 1 via 2
+        idx.dag.delete_edge(0, 1)  # 0 still reaches 1 via 2
         idx.note_delete(0, 1, removes_reachability=False)
         assert idx.stale_rows == 0
         assert idx.check(0, 1) is True
@@ -201,7 +202,8 @@ class TestDynamics:
     def test_churn_soundness_property(self, seed):
         """Mixed insert/delete churn with lazy repair interleaved: no
         false positive from the landmark rule, no false negative from
-        the containment rule, at any intermediate state."""
+        the containment rule, and a well-formed state (INV2 included),
+        at any intermediate state."""
         rng = random.Random(seed)
         n = 120
         graph = DynamicDiGraph(vertices=range(n))
@@ -218,20 +220,24 @@ class TestDynamics:
                 u, v = rng.randrange(n), rng.randrange(n)
                 if u == v or (u, v) in edges:
                     continue
-                graph.add_edge(u, v)
+                idx.dag.insert_edge(u, v)
                 edges.add((u, v))
                 idx.note_insert(u, v)
             elif action < 0.85:
                 u, v = rng.choice(sorted(edges))
                 edges.remove((u, v))
-                graph.remove_edge(u, v)
+                idx.dag.delete_edge(u, v)
                 idx.note_delete(u, v)
             else:
                 idx.observe_query()
+            idx.check_invariants()
             pairs = [
                 (rng.randrange(n), rng.randrange(n)) for _ in range(12)
             ]
             assert_one_sided(idx, graph, pairs)
+        assert idx.summary()["partial_rebuilds"] + idx.summary()[
+            "full_rebuilds"
+        ] > 0
 
     def test_version_desync_abstains(self):
         """A graph mutation the tier was never told about must not be
@@ -241,6 +247,108 @@ class TestDynamics:
         graph.add_edge(1, 2)  # applied behind the tier's back
         assert idx.check(0, 2) is None
         assert idx.summary()["stale_abstains"] >= 1
+
+    def test_a_dag_the_graph_moved_past_is_never_read(self, monkeypatch):
+        """Once the graph moves behind the DAG, no rebuild reads it —
+        not the lazy one, not a construction over it — and the DAG's own
+        later updates do not make it current again."""
+        graph = DynamicDiGraph(edges=[(0, 1), (1, 2)])
+        idx = LabelIndex(graph, label_bits=128, rebuild_cooldown=1)
+        graph.add_edge(2, 3)  # behind the DAG's back
+        idx.dag.insert_edge(3, 4)
+        assert idx.dag.version != graph.version
+
+        def unreadable(ids):
+            raise AssertionError("read a DAG the graph moved past")
+
+        monkeypatch.setattr(idx.dag, "components_of", unreadable)
+        idx.invalidate()
+        for _ in range(3):
+            idx.observe_query()
+        assert idx.summary()["full_rebuilds"] == 0
+        assert idx.check(0, 2) is None and idx.check(2, 0) is None
+        again = LabelIndex(idx.dag, label_bits=128)
+        assert again.check(0, 1) is None
+        assert again.summary()["vertices"] == 0
+
+    def test_insert_past_the_frontier_limit_goes_missing(self, monkeypatch):
+        """An insert whose propagation would update more rows than the
+        limit raises ``missing``: negatives turn off everywhere, and every
+        positive that survives is still exact."""
+        monkeypatch.setattr(labels_module, "INSERT_FRONTIER_LIMIT", 3)
+        n = 40
+        graph = DynamicDiGraph(edges=[(i, i + 1) for i in range(n - 1)])
+        graph.add_vertex(n)
+        idx = LabelIndex(graph, label_bits=128, landmarks=[n])
+        idx.dag.insert_edge(n - 1, n)  # every vertex gains n downstream
+        idx.note_insert(n - 1, n)
+        assert idx._state.missing
+        idx.check_invariants()
+        pairs = [(s, t) for s in range(n + 1) for t in range(n + 1)]
+        verdicts = idx.filter_pairs(pairs)
+        assert not (verdicts < 0).any()
+        assert all(idx.check(s, t) is not False for s, t in pairs)
+        assert_one_sided(idx, graph, pairs)
+        assert (verdicts > 0).any()  # rows the insert reached still prove
+
+    def test_delete_past_the_dirty_limit_dirties_every_row(
+        self, monkeypatch
+    ):
+        """A delete whose dirty region would pass the limit marks every
+        row dirty on both sides; the tier abstains until the rebuild,
+        which restores exact answers."""
+        monkeypatch.setattr(labels_module, "DELETE_DIRTY_LIMIT", 3)
+        n = 30
+        graph = DynamicDiGraph(edges=[(i, i + 1) for i in range(n - 1)])
+        idx = LabelIndex(graph, label_bits=128, rebuild_cooldown=1)
+        idx.dag.delete_edge(20, 21)  # 20 has 21 ancestors
+        idx.note_delete(20, 21)
+        state = idx._state
+        assert state.num_dirty_out == state.num_dirty_in == n
+        assert state.dirty_out.all() and state.dirty_in.all()
+        idx.check_invariants()
+        pairs = [(s, t) for s in range(n) for t in range(n)]
+        assert not idx.filter_pairs(pairs).any()
+        assert_one_sided(idx, graph, pairs)
+        idx.observe_query()
+        assert idx.summary()["full_rebuilds"] == 1
+        assert idx.check(0, 20) is True and idx.check(0, 21) is False
+        assert_one_sided(idx, graph, pairs)
+
+
+class TestCheckInvariants:
+    def _idx(self):
+        graph = DynamicDiGraph(edges=[(i, i + 1) for i in range(5)])
+        return LabelIndex(graph, label_bits=128)
+
+    def test_clean_and_tainted_states_pass(self):
+        idx = self._idx()
+        idx.check_invariants()
+        idx.dag.delete_edge(2, 3)
+        idx.note_delete(2, 3)
+        idx.check_invariants()
+
+    def test_catches_a_dirty_row_with_a_clean_ancestor(self):
+        idx = self._idx()
+        state = idx._state
+        state.dirty_out[state.row[3]] = True  # 2 reaches it, stays clean
+        state.num_dirty_out = 1
+        with pytest.raises(AssertionError, match="INV2"):
+            idx.check_invariants()
+
+    def test_catches_a_dirty_row_with_a_clean_descendant(self):
+        idx = self._idx()
+        state = idx._state
+        state.dirty_in[state.row[2]] = True
+        state.num_dirty_in = 1
+        with pytest.raises(AssertionError, match="INV2"):
+            idx.check_invariants()
+
+    def test_catches_a_drifted_dirty_count(self):
+        idx = self._idx()
+        idx._state.num_dirty_in = 1
+        with pytest.raises(AssertionError, match="count"):
+            idx.check_invariants()
 
 
 # ----------------------------------------------------------------------
@@ -363,6 +471,62 @@ class TestServiceIntegration:
                 assert out.answer == oracle(graph, s, t), (step, s, t)
             counters = svc.stats()["counters"]
             assert counters.get("label_updates", 0) > 0
+
+    def test_churn_through_the_service_lands_on_a_fresh_build(self):
+        """Merges, splits and reach-cutting deletes through the service,
+        then a forced partial and a forced full rebuild: each lands bit
+        for bit on a fresh pinned-landmark build of the same graph. The
+        tier reads the pruner's DAG, and both stay well formed at every
+        step."""
+        rng = random.Random(17)
+        n = 60
+        with ReachabilityService(
+            random_graph(n, 110, seed=17), num_supportive=0
+        ) as svc:
+            labels = svc.labels
+            assert labels.dag is svc.pruner.dag
+
+            def churn(steps):
+                for _ in range(steps):
+                    u, v = rng.randrange(n), rng.randrange(n)
+                    if svc.graph.has_edge(u, v):
+                        svc.remove_edge(u, v)
+                    elif u != v:
+                        svc.add_edge(u, v)
+                    labels.check_invariants()
+                    svc.pruner.dag.check_invariants()
+                assert labels.stale_rows > 0  # some delete cut reach
+
+            def assert_fresh():
+                # A full rebuild re-ranks the hubs: pin the current ones.
+                bit_of = labels._landmark_bit
+                fresh = LabelIndex(
+                    svc.graph.copy(),
+                    label_bits=labels.words * 64,
+                    landmarks=sorted(bit_of, key=bit_of.get),
+                )
+                assert labels._state.version == svc.graph.version
+                assert labels.stale_rows == 0
+                assert labels._state.dl.tobytes() == fresh._state.dl.tobytes()
+                assert labels._state.bl.tobytes() == fresh._state.bl.tobytes()
+
+            labels.rebuild_cooldown = 1
+            churn(80)
+            labels.staleness_threshold = 1.0
+            labels.observe_query()
+            assert labels.summary()["partial_rebuilds"] == 1
+            assert labels.summary()["full_rebuilds"] == 0
+            labels.check_invariants()
+            assert_fresh()
+            churn(80)
+            labels.staleness_threshold = 1 / (2 * n)
+            labels.observe_query()
+            assert labels.summary()["partial_rebuilds"] == 1
+            assert labels.summary()["full_rebuilds"] == 1
+            labels.check_invariants()
+            assert_fresh()
+            counters = svc.stats()["counters"]
+            assert counters["dag_merges"] and counters["dag_splits"]
 
     def test_use_labels_false_never_builds_the_tier(self):
         graph = DynamicDiGraph(edges=[(0, 1)])

@@ -109,9 +109,8 @@ class TestFastPathPruner:
         pruner.apply_delete(3, 0)  # split back apart
         assert pruner.check(3, 1)[0] is False
         # invariant: every DAG edge strictly increases the level
-        dag = pruner.dag.dag
-        for a, b in dag.edges():
-            assert pruner._level[a] < pruner._level[b]
+        pruner.dag.check_invariants()
+        assert pruner.dag.merge_count == 1 and pruner.dag.split_count == 1
 
     def test_insert_extends_samples_exactly(self):
         g = DynamicDiGraph(edges=[(0, 1), (0, 2), (5, 0), (3, 4)])
