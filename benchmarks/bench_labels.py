@@ -25,6 +25,7 @@ import time
 
 from repro.baselines.bibfs import bibfs_is_reachable
 from repro.datasets.scale_free import preferential_attachment_graph
+from repro.graph.labels import LABEL_BITS
 from repro.service import FastPathPruner, ReachabilityService
 from repro.workloads.queries import generate_queries
 
@@ -220,7 +221,7 @@ def test_ext_labels(benchmark, emit):
             "reciprocal": RECIPROCAL,
             "batch_sizes": list(BATCH_SIZES),
             "repetitions": REPETITIONS,
-            "label_bits": 256,
+            "label_bits": LABEL_BITS,
             "pair_protocol": (
                 "uniform random pairs the default-config fast-path "
                 "pruner abstains on"

@@ -21,6 +21,7 @@ Graphs are plain edge lists (``u v`` per line, ``#``/``%`` comments).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import Callable, Dict, List, Optional
 
@@ -55,6 +56,16 @@ METHOD_FACTORIES: Dict[str, Callable[[DynamicDiGraph], ReachabilityMethod]] = {
 }
 
 
+def _deadline_ms(text: str) -> float:
+    """A ``--deadline-ms`` value: finite and non-negative (0 is none)."""
+    value = float(text)
+    if not 0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"must be a non-negative number of milliseconds, got {text}"
+        )
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -84,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
     qb.add_argument("--supportive", type=int, default=4)
     qb.add_argument(
         "--deadline-ms",
-        type=float,
+        type=_deadline_ms,
         default=None,
         help="whole-batch deadline; expired work degrades per query",
     )
@@ -242,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     ch.add_argument("--supportive", type=int, default=0)
     ch.add_argument(
         "--deadline-ms",
-        type=float,
+        type=_deadline_ms,
         default=None,
         help="per-query cooperative deadline",
     )

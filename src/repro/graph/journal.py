@@ -28,9 +28,9 @@ silently wrong graph.
 
 Durability model
 ----------------
-Appends are buffered and fsynced every ``fsync_every`` records (1 =
-classic synchronous WAL, the default trades the tail of the batch for
-throughput). A torn final line — the crash landed mid-append — is
+Appends are buffered and fsynced every :data:`FSYNC_EVERY` records
+(1 would be a classic synchronous WAL; 64 trades the tail of the batch
+for throughput). A torn final line — the crash landed mid-append — is
 expected and tolerated: replay stops at the first undecodable *final*
 line. An undecodable line with valid records after it is real corruption
 and raises :class:`JournalCorrupt`.
@@ -68,6 +68,9 @@ from repro.graph.digraph import DynamicDiGraph
 from repro.graph.io import read_edge_list, write_edge_list
 
 PathLike = Union[str, Path]
+
+#: Appended records per fsync.
+FSYNC_EVERY = 64
 
 
 class JournalError(RuntimeError):
@@ -116,24 +119,15 @@ class UpdateJournal:
     journal order is exactly version order).
     """
 
-    def __init__(
-        self,
-        path: PathLike,
-        fsync_every: int = 64,
-        graph_version: int = 0,
-        checkpoint: Optional[PathLike] = None,
-    ) -> None:
-        if fsync_every < 1:
-            raise ValueError("fsync_every must be >= 1")
+    def __init__(self, path: PathLike, graph_version: int = 0) -> None:
         self.path = Path(path)
-        self.fsync_every = fsync_every
         self._pending = 0
         self._records = 0
         self._syncs = 0
         fresh = not self.path.exists() or self.path.stat().st_size == 0
         self._handle = open(self.path, "a", encoding="utf-8")
         if fresh:
-            self._write_header(graph_version, checkpoint)
+            self._write_header(graph_version)
 
     # ------------------------------------------------------------------
     # Appending
@@ -150,17 +144,11 @@ class UpdateJournal:
         self._handle.write(json.dumps(record, separators=(",", ":")) + "\n")
         self._records += 1
         self._pending += 1
-        if self._pending >= self.fsync_every:
+        if self._pending >= FSYNC_EVERY:
             self.flush()
 
-    def _write_header(
-        self, version: int, checkpoint: Optional[PathLike]
-    ) -> None:
-        header = {
-            "op": "open",
-            "ver": version,
-            "ckpt": str(checkpoint) if checkpoint is not None else None,
-        }
+    def _write_header(self, version: int) -> None:
+        header = {"op": "open", "ver": version, "ckpt": None}
         self._handle.write(json.dumps(header, separators=(",", ":")) + "\n")
         self.flush()
 
@@ -178,7 +166,7 @@ class UpdateJournal:
         Replication wants freshness, durability wants batched fsyncs;
         flushing the userspace buffer (no sync) serves the first without
         paying for the second — a :class:`JournalTailer` on the same host
-        sees the records immediately, and the ``fsync_every`` durability
+        sees the records immediately, and the :data:`FSYNC_EVERY` durability
         contract is unchanged.
         """
         if not self._handle.closed:

@@ -44,7 +44,7 @@ the delete side:
   a *partial* rebuild recomputes only the dirty rows, a component at a
   time in level order, pulling clean neighbours' exact rows, escalating
   to a *full* vectorized rebuild once the dirty fraction passes
-  ``staleness_threshold`` or the labels went ``missing``. Rebuilds swap
+  :data:`STALENESS_THRESHOLD` or the labels went ``missing``. Rebuilds swap
   a fresh :class:`_LabelState` atomically, so concurrent readers keep a
   coherent snapshot.
 
@@ -90,6 +90,15 @@ _WORD_BITS = 64
 INSERT_FRONTIER_LIMIT = 4096
 #: Rows one delete may mark dirty before it conservatively marks them all.
 DELETE_DIRTY_LIMIT = 4096
+#: Bits per label side per vertex, a multiple of 64: word 0 is the exact
+#: landmark word, the rest are bloom words.
+LABEL_BITS = 256
+#: Dirty-row fraction past which :meth:`LabelIndex.observe_query`
+#: abandons partial repair and rebuilds from scratch.
+STALENESS_THRESHOLD = 0.25
+#: Stale-hit queries before a rebuild is attempted, so a churn burst
+#: does not rebuild per query.
+REBUILD_COOLDOWN = 64
 
 
 class _LabelState:
@@ -131,7 +140,7 @@ class LabelIndex:
     """Versioned DL/BL label matrices over the graph of one :class:`DynamicDAG`.
 
     All mutating entry points (``note_insert`` / ``note_delete`` /
-    ``note_vertex`` / ``invalidate``) must run under the owning service's
+    ``invalidate``) must run under the owning service's
     write lock; ``check`` / ``query_many`` / ``observe_query`` run under
     its read lock. The index never takes the service lock itself.
 
@@ -140,15 +149,6 @@ class LabelIndex:
     dag:
         The condensation the builds read, over the graph labelled; a bare
         :class:`DynamicDiGraph` is wrapped in a fresh one.
-    label_bits:
-        Total bits per side per vertex; a multiple of 64, at least 64.
-        Word 0 is the exact landmark word; the rest are bloom words.
-    staleness_threshold:
-        Dirty-row fraction past which :meth:`observe_query` abandons
-        partial repair and rebuilds from scratch.
-    rebuild_cooldown:
-        Stale-hit queries required before a rebuild is attempted, so a
-        churn burst does not rebuild per query.
     landmarks:
         Pin the landmark set (tests compare incremental against fresh
         builds bit for bit; a fresh build would otherwise re-rank hubs).
@@ -158,22 +158,13 @@ class LabelIndex:
         self,
         dag: Union[DynamicDAG, DynamicDiGraph],
         *,
-        label_bits: int = 256,
-        staleness_threshold: float = 0.25,
-        rebuild_cooldown: int = 64,
         landmarks: Optional[Iterable[int]] = None,
     ) -> None:
-        if label_bits < _WORD_BITS or label_bits % _WORD_BITS:
-            raise ValueError("label_bits must be a positive multiple of 64")
-        if not 0 < staleness_threshold <= 1:
-            raise ValueError("staleness_threshold must be in (0, 1]")
         if not isinstance(dag, DynamicDAG):
             dag = DynamicDAG(dag)
         self.dag = dag
         self._graph = dag.graph
-        self.words = label_bits // _WORD_BITS
-        self.staleness_threshold = staleness_threshold
-        self.rebuild_cooldown = max(1, rebuild_cooldown)
+        self.words = LABEL_BITS // _WORD_BITS
         self._pinned_landmarks = (
             list(landmarks) if landmarks is not None else None
         )
@@ -456,18 +447,6 @@ class LabelIndex:
         self._taint(state, v, out_side=False)
         state.version = self._graph.version
 
-    def note_vertex(self, v: int) -> None:
-        """An isolated vertex add: no label changes, resync the stamp.
-
-        The new vertex has no row, so its queries abstain until the next
-        full rebuild grows the matrices.
-        """
-        state = self._state
-        if state is None:
-            return
-        self.updates += 1
-        state.version = self._graph.version
-
     def invalidate(self) -> None:
         """Quarantine the whole index (a note hook failed mid-update):
         every row dirty *and* missing, so both rule directions abstain
@@ -561,7 +540,7 @@ class LabelIndex:
     def observe_query(self) -> None:
         """Demand-driven repair, called on the query path.
 
-        After ``rebuild_cooldown`` stale-hit queries, the first caller to
+        After :data:`REBUILD_COOLDOWN` stale-hit queries, the first caller to
         win the (non-blocking) rebuild mutex repairs: partial when only a
         bounded dirty region exists, full when the labels are missing,
         version-desynced, or past the staleness threshold. The repaired
@@ -580,7 +559,7 @@ class LabelIndex:
         ):
             return
         self._demand += 1
-        if state is not None and self._demand < self.rebuild_cooldown:
+        if state is not None and self._demand < REBUILD_COOLDOWN:
             return
         if self.dag.version != graph.version:
             return
@@ -599,7 +578,7 @@ class LabelIndex:
                 state is None
                 or state.missing
                 or state.version != graph.version
-                or stale > self.staleness_threshold * n
+                or stale > STALENESS_THRESHOLD * n
             ):
                 self.full_rebuilds += 1
                 self._state = self._build_state()

@@ -25,6 +25,11 @@ from repro.net import protocol
 from repro.service.engine import QueryOutcome
 from repro.service.faults import Backoff
 
+#: Reconnect-and-resend retries of one :class:`FailoverClient` request.
+MAX_ATTEMPTS = 12
+#: Re-sends of a shed query before its ``shed`` answer is returned.
+SHED_RETRIES = 4
+
 Pair = Tuple[int, int]
 
 
@@ -264,13 +269,9 @@ class FailoverClient:
         *,
         base_delay_s: float = 0.05,
         retry_cap_s: float = 2.0,
-        max_attempts: int = 12,
-        shed_retries: int = 4,
         seed: int = 0,
     ) -> None:
         self.supervisor_address = (supervisor_host, supervisor_port)
-        self.max_attempts = max_attempts
-        self.shed_retries = shed_retries
         self.counters: Dict[str, int] = {}
         self.epoch = 0
         self._endpoints: dict = {}
@@ -350,7 +351,7 @@ class FailoverClient:
     ):
         """Run ``op`` against the current primary, failing over as needed."""
         sent = False
-        for attempt in range(self.max_attempts + 1):
+        for attempt in range(MAX_ATTEMPTS + 1):
             try:
                 client = await self._ensure()
                 if sent and replay_counter is not None:
@@ -367,7 +368,7 @@ class FailoverClient:
                 return result
             self._incr("failover_retries")
             await self._drop()
-            if attempt >= self.max_attempts:
+            if attempt >= MAX_ATTEMPTS:
                 break
             await asyncio.sleep(self._backoff.next_delay())
             with contextlib.suppress(
@@ -379,7 +380,7 @@ class FailoverClient:
             ):
                 await self._refresh_endpoints()
         raise ConnectionLost(
-            f"no writable primary after {self.max_attempts + 1} attempts"
+            f"no writable primary after {MAX_ATTEMPTS + 1} attempts"
         )
 
     # ------------------------------------------------------------------
@@ -389,9 +390,9 @@ class FailoverClient:
         self, s: int, t: int, deadline_ms: Optional[int] = None
     ) -> QueryOutcome:
         """One query, retried across failovers and shed rejections."""
-        for round_ in range(self.shed_retries + 1):
+        for round_ in range(SHED_RETRIES + 1):
             outcome = await self._call(lambda c: c.query(s, t, deadline_ms))
-            if outcome.via != "shed" or round_ == self.shed_retries:
+            if outcome.via != "shed" or round_ == SHED_RETRIES:
                 if outcome.via != "shed":
                     self._shed_backoff.reset()
                 return outcome

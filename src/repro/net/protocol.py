@@ -50,6 +50,12 @@ own (:func:`encode_result`, :func:`encode_batch_result`) that formats
 dict per outcome; its bytes are those of :func:`encode` over
 :func:`outcome_to_wire`.
 
+Vertex ids (``s``, ``t``, ``u``, ``v`` and the members of ``pairs``)
+are JSON integers. ``deadline_ms`` is a finite, non-negative JSON number
+that is not a bool: the request's deadline in milliseconds, where 0 or
+an absent key means none. Any other value fails that request alone with
+an ``error`` reply; the frames around it keep theirs.
+
 Errors at the request level come back as
 ``{"type": "error", "id", "error": reason}``; errors at the framing level
 (oversized, truncated, or undecodable frames) are connection-fatal and

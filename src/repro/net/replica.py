@@ -123,7 +123,7 @@ class ReplicaNode:
     # Serving
     # ------------------------------------------------------------------
     async def serve(
-        self, host: str = "127.0.0.1", port: int = 0, **server_kwargs
+        self, host: str = "127.0.0.1", port: int = 0
     ) -> ReachabilityServer:
         """Serve reads from this replica (read-only until promotion)."""
         self.server = ReachabilityServer(
@@ -132,7 +132,6 @@ class ReplicaNode:
             port,
             read_only=True,
             role="replica",
-            **server_kwargs,
         )
         await self.server.start()
         return self.server

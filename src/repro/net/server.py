@@ -74,6 +74,7 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import math
 from collections import deque
 from typing import Deque, Dict, List, Optional, Set, Tuple, Union
 
@@ -84,6 +85,9 @@ from repro.service.engine import QueryOutcome, ReachabilityService
 #: One queued wire query: ``(s, t, deadline_s, connection, id)``.
 Item = Tuple[int, int, Optional[float], "_Connection", object]
 
+#: Subscriber feed poll interval while the journal is idle (seconds).
+TAIL_POLL_S = 0.02
+
 
 def _vertex_pair(s: object, t: object) -> Tuple[int, int]:
     """A frame's endpoints, which must be JSON integers: ``int()`` would
@@ -91,6 +95,21 @@ def _vertex_pair(s: object, t: object) -> Tuple[int, int]:
     if type(s) is not int or type(t) is not int:
         raise ValueError(f"vertex ids must be integers, got {s!r}, {t!r}")
     return s, t
+
+
+def _deadline_s(message: dict) -> Optional[float]:
+    """A frame's ``deadline_ms`` in seconds; absent or 0 is none. Only a
+    finite, non-negative JSON number is one: ``float()`` would read
+    ``true`` as 1 ms and ``"5"`` as 5 ms, and a wave runs under the
+    ``min()`` of its deadlines, which a NaN or a negative one decides."""
+    deadline_ms = message.get("deadline_ms")
+    if deadline_ms is None:
+        return None
+    if type(deadline_ms) not in (int, float) or not 0 <= deadline_ms < math.inf:
+        raise ValueError(
+            f"deadline_ms must be a non-negative number, got {deadline_ms!r}"
+        )
+    return deadline_ms / 1000.0 if deadline_ms else None
 
 
 class JournalFanout:
@@ -151,7 +170,7 @@ class JournalFanout:
                     for queue in self._queues:
                         queue.put_nowait(record)
                 if not records:
-                    await asyncio.sleep(server._tail_poll_s)
+                    await asyncio.sleep(TAIL_POLL_S)
         except asyncio.CancelledError:
             pass
         except Exception:
@@ -306,8 +325,6 @@ class ReachabilityServer:
     role:
         Advertised in ``stats-result`` frames (``"primary"`` /
         ``"replica"``).
-    tail_poll_s:
-        Subscriber feed poll interval when the journal is idle.
     """
 
     def __init__(
@@ -320,7 +337,6 @@ class ReachabilityServer:
         coalesce_delay_s: float = 0.0,
         read_only: bool = False,
         role: str = "primary",
-        tail_poll_s: float = 0.02,
     ) -> None:
         self.service = service
         self.host = host
@@ -329,7 +345,6 @@ class ReachabilityServer:
         self.read_only = read_only
         self._max_wave = max(1, max_wave)
         self._coalesce_delay_s = max(0.0, coalesce_delay_s)
-        self._tail_poll_s = tail_poll_s
         self._server: Optional[asyncio.base_events.Server] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._queue: Deque[Item] = deque()
@@ -438,7 +453,7 @@ class ReachabilityServer:
             mid = message.get("id")
             try:
                 s, t = _vertex_pair(message["s"], message["t"])
-                deadline_s = self._deadline_s(message)
+                deadline_s = _deadline_s(message)
                 if max_pending and self._inflight >= max_pending:
                     # Socket-layer backpressure: shed before burning an
                     # executor thread, with the service's live
@@ -505,11 +520,6 @@ class ReachabilityServer:
         """The reply to a request that raised (contained, counted)."""
         self._incr("net_request_errors")
         return self._error(mid, str(exc) or type(exc).__name__)
-
-    @staticmethod
-    def _deadline_s(message: dict) -> Optional[float]:
-        deadline_ms = message.get("deadline_ms")
-        return float(deadline_ms) / 1000.0 if deadline_ms else None
 
     # ------------------------------------------------------------------
     # Queries: the socket-layer coalescer
@@ -590,7 +600,7 @@ class ReachabilityServer:
     # ------------------------------------------------------------------
     async def _serve_batch(self, message: dict, mid) -> bytes:
         pairs = [_vertex_pair(s, t) for s, t in message.get("pairs", [])]
-        deadline_s = self._deadline_s(message)
+        deadline_s = _deadline_s(message)
         self._incr("net_batches")
         self._incr("net_queries", len(pairs))
         outcomes = await self._loop.run_in_executor(

@@ -14,14 +14,14 @@ riding the existing wire frames:
   beat, feeding the published endpoint map.
 * **Leases (the split-brain guard).** Each successful heartbeat renews
   an epoch-stamped write lease (``lease`` frame) with TTL
-  ``lease_ttl_s``. A primary partitioned from the supervisor stops
-  hearing renewals and demotes itself to read-only when the last grant
-  expires; the supervisor *fences* every failover by waiting out one
-  full TTL before promoting, so the old primary is provably read-only
-  before the new one is writable — exactly one writable primary at any
-  instant. Promotion bumps the epoch, and servers reject grants at
-  stale epochs, so a lagging supervisor cannot resurrect a demoted
-  primary.
+  ``heartbeat_misses * heartbeat_interval_s``. A primary partitioned
+  from the supervisor stops hearing renewals and demotes itself to
+  read-only when the last grant expires; the supervisor *fences* every
+  failover by waiting out one full TTL before promoting, so the old
+  primary is provably read-only before the new one is writable —
+  exactly one writable primary at any instant. Promotion bumps the
+  epoch, and servers reject grants at stale epochs, so a lagging
+  supervisor cannot resurrect a demoted primary.
 * **Election.** Failover picks the most-caught-up replica —
   watermark-ordered, ties to the earliest registered — stops its
   subscription loop, and promotes it through the standard
@@ -77,11 +77,10 @@ class ClusterSupervisor:
     heartbeat_interval_s:
         Beat period; also the per-beat I/O timeout.
     heartbeat_misses:
-        Consecutive misses before the primary is declared dead.
-    lease_ttl_s:
-        Write-lease TTL granted with each beat and waited out (fencing)
-        before any promotion. Defaults to
-        ``heartbeat_misses * heartbeat_interval_s`` — the lease dies at
+        Consecutive misses before the primary is declared dead. The
+        write-lease TTL granted with each beat, and waited out (fencing)
+        before any promotion, is ``heartbeat_misses *
+        heartbeat_interval_s`` (:attr:`lease_ttl_s`): the lease dies at
         about the same moment the miss threshold trips.
     """
 
@@ -92,18 +91,13 @@ class ClusterSupervisor:
         *,
         heartbeat_interval_s: float = 0.1,
         heartbeat_misses: int = 3,
-        lease_ttl_s: Optional[float] = None,
     ) -> None:
         if heartbeat_misses < 1:
             raise ValueError("heartbeat_misses must be >= 1")
         self.primary: Address = (primary_host, primary_port)
         self.heartbeat_interval_s = heartbeat_interval_s
         self.heartbeat_misses = heartbeat_misses
-        self.lease_ttl_s = (
-            heartbeat_misses * heartbeat_interval_s
-            if lease_ttl_s is None
-            else lease_ttl_s
-        )
+        self.lease_ttl_s = heartbeat_misses * heartbeat_interval_s
         self.epoch = 1
         self.misses = 0
         self.primary_watermark = -1

@@ -177,9 +177,6 @@ class _Walk:
         self.why = ""
 
 
-#: Bits per label side per vertex of the DL/BL tier (a multiple of 64:
-#: word 0 is the exact landmark word, the rest bloom words).
-LABEL_BITS = 256
 #: Pairs one graph version must send to the engine rung before its CSR
 #: snapshot is frozen (a wave rung freezes at once: the batch amortizes
 #: its own freeze). Until then its searches run on the dict adjacency.
@@ -329,7 +326,7 @@ class ReachabilityService:
         self._label_failures = 0
         if use_labels:
             try:
-                self._labels = LabelIndex(self._pruner.dag, label_bits=LABEL_BITS)
+                self._labels = LabelIndex(self._pruner.dag)
             except Exception:
                 self._stats.incr("stage_errors_labels")
 
@@ -475,18 +472,6 @@ class ReachabilityService:
         # write lock behind reader walks (and other writers).
         self._stats.observe_latency("update_wait", locked - start)
         self._stats.observe_latency("update", time.perf_counter() - start)
-        return effect
-
-    def add_vertex(self, v: int) -> UpdateEffect:
-        self._check_open()
-        with self._lock.write:
-            effect = self._pruner.add_vertex(v)
-            self._note_update(effect, "vertex_adds")
-            if self._labels is not None and effect.changed:
-                try:
-                    self._labels.note_vertex(v)
-                except Exception:
-                    self._labels_quarantine()
         return effect
 
     def _labels_note(

@@ -107,6 +107,9 @@ RULE_ANSWERS = (True, False, False, False, True, False, True, False, False)
 #: One mask word per vertex and side: more supportive vertices than this
 #: and the pruner has no array view (every width takes :meth:`check`).
 _MASK_BITS = 64
+#: Queries of demand after a deletion invalidated the supportive sets
+#: before :meth:`FastPathPruner.observe_query` rebuilds them.
+REBUILD_COOLDOWN = 32
 
 
 class _SampleSets:
@@ -190,13 +193,11 @@ class FastPathPruner:
         graph: DynamicDiGraph,
         num_supportive: int = 4,
         seed: int = 0,
-        rebuild_cooldown: int = 32,
         csr_provider: Optional[Callable[[], object]] = None,
     ) -> None:
         self.graph = graph
         self.dag = DynamicDAG(graph)
         self.num_supportive = num_supportive
-        self.rebuild_cooldown = rebuild_cooldown
         #: Supplies the engine's frozen current-version CSR snapshot (or
         #: ``None`` mid-churn); supportive-set rebuilds run on it via the
         #: vectorized reachable-set kernel instead of re-walking dict
@@ -307,7 +308,7 @@ class FastPathPruner:
         """Cooldown-limited lazy rebuild, told of every served query.
 
         Rebuilding costs ``k`` BFS traversals, so after a deletion storm
-        the pruner waits for ``rebuild_cooldown`` queries of demand before
+        the pruner waits for :data:`REBUILD_COOLDOWN` queries of demand before
         paying it; meanwhile the sampled observations simply abstain.
         The non-blocking mutex keeps concurrent readers from duplicating
         the rebuild; the reference swap at the end is atomic.
@@ -315,7 +316,7 @@ class FastPathPruner:
         if self._samples.valid:
             return
         self._queries_since_invalid += count
-        if self._queries_since_invalid < self.rebuild_cooldown:
+        if self._queries_since_invalid < REBUILD_COOLDOWN:
             return
         if not self._rebuild_mutex.acquire(blocking=False):
             return

@@ -163,30 +163,25 @@ class FaultInjector:
 BREAKER_CLOSED = "closed"
 BREAKER_OPEN = "open"
 BREAKER_HALF_OPEN = "half-open"
+#: Consecutive primary failures that trip a closed breaker open.
+FAILURE_THRESHOLD = 3
+#: Seconds an open breaker waits before it admits a probe.
+PROBE_INTERVAL_S = 0.25
 
 
 class CircuitBreaker:
     """A three-state breaker around the primary engine substrate.
 
-    CLOSED: queries run the primary engine; ``failure_threshold``
+    CLOSED: queries run the primary engine; :data:`FAILURE_THRESHOLD`
     consecutive failures trip to OPEN. OPEN: :meth:`acquire` denies the
-    primary (callers take the fallback) until ``probe_interval_s`` has
+    primary (callers take the fallback) until :data:`PROBE_INTERVAL_S` has
     elapsed, then admits exactly one *probe* (HALF_OPEN). The probe's
     :meth:`record_success` re-closes; its :meth:`record_failure` re-opens
     and restarts the interval. Cooperative-budget interrupts must not be
     recorded at all — they are cancellation, not substrate failure.
     """
 
-    def __init__(
-        self,
-        failure_threshold: int = 3,
-        probe_interval_s: float = 0.25,
-        clock: Callable[[], float] = time.monotonic,
-    ) -> None:
-        if failure_threshold < 1:
-            raise ValueError("failure_threshold must be >= 1")
-        self.failure_threshold = failure_threshold
-        self.probe_interval_s = probe_interval_s
+    def __init__(self, clock: Callable[[], float] = time.monotonic) -> None:
         self._clock = clock
         self._lock = threading.Lock()
         self._state = BREAKER_CLOSED
@@ -210,7 +205,7 @@ class CircuitBreaker:
             if self._state == BREAKER_CLOSED:
                 return True, False
             if self._state == BREAKER_OPEN:
-                if self._clock() - self._opened_at >= self.probe_interval_s:
+                if self._clock() - self._opened_at >= PROBE_INTERVAL_S:
                     self._state = BREAKER_HALF_OPEN
                     self.probes += 1
                     return True, True
@@ -232,7 +227,7 @@ class CircuitBreaker:
                 return
             self._failures += 1
             if self._state == BREAKER_CLOSED and (
-                self._failures >= self.failure_threshold
+                self._failures >= FAILURE_THRESHOLD
             ):
                 self._state = BREAKER_OPEN
                 self._opened_at = self._clock()
@@ -245,7 +240,7 @@ class CircuitBreaker:
 class Backoff:
     """Jittered exponential backoff with a cap and reset-on-success.
 
-    The delay sequence is ``base * multiplier**attempt`` capped at
+    The delay sequence is ``base * 2**attempt`` capped at
     ``cap_s``, each draw jittered uniformly into ``[delay/2, delay]`` so
     a fleet of reconnecting followers does not stampede the endpoint
     they all lost at the same instant. Deterministic given ``seed``;
@@ -257,27 +252,21 @@ class Backoff:
         self,
         base_s: float = 0.05,
         cap_s: float = 2.0,
-        multiplier: float = 2.0,
         seed: int = 0,
     ) -> None:
         if base_s <= 0:
             raise ValueError("base_s must be > 0")
         if cap_s < base_s:
             raise ValueError("cap_s must be >= base_s")
-        if multiplier < 1.0:
-            raise ValueError("multiplier must be >= 1")
         self.base_s = base_s
         self.cap_s = cap_s
-        self.multiplier = multiplier
         self.attempts = 0
         self.last_delay_s = 0.0
         self._rng = random.Random(seed)
 
     def next_delay(self) -> float:
         """The next (jittered) delay; advances the attempt counter."""
-        raw = min(
-            self.cap_s, self.base_s * (self.multiplier ** self.attempts)
-        )
+        raw = min(self.cap_s, self.base_s * 2.0 ** self.attempts)
         self.attempts += 1
         self.last_delay_s = raw * (0.5 + 0.5 * self._rng.random())
         return self.last_delay_s

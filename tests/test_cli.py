@@ -1,9 +1,11 @@
 """Tests for the command-line interface."""
 
 import argparse
+import ast
 import inspect
 import re
 from pathlib import Path
+from typing import Dict, List, Optional, Set
 
 import pytest
 
@@ -96,6 +98,17 @@ class TestParser:
         with pytest.raises(SystemExit):
             main(["compare", "NOPE"])
 
+    @pytest.mark.parametrize("command", ["query-batch", "chaos"])
+    @pytest.mark.parametrize("bad", ["-1", "nan", "inf"])
+    def test_deadline_ms_is_finite_and_non_negative(self, command, bad, capsys):
+        argv = [command, "g.txt"] + (["pairs.txt"] if command == "query-batch" else [])
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv + ["--deadline-ms", bad])
+        assert "--deadline-ms" in capsys.readouterr().err
+        for good in ("0", "2.5"):
+            args = build_parser().parse_args(argv + ["--deadline-ms", good])
+            assert args.deadline_ms == float(good)
+
 
 class TestReproduce:
     def test_quick_run_writes_records(self, tmp_path, capsys):
@@ -154,6 +167,122 @@ class TestMoreCli:
 ROOT = Path(__file__).resolve().parent.parent
 
 
+def _parameters(function) -> inspect.Signature:
+    """``function``'s signature as a call site sees it (no ``self``)."""
+    signature = inspect.signature(function)
+    params = list(signature.parameters.values())
+    if params and params[0].name == "self":
+        signature = signature.replace(parameters=params[1:])
+    return signature
+
+
+def serving_census():
+    """Every component the serving stack is built from, as call-site
+    patterns: ``"Name"`` is a constructor (also called as
+    ``module.Name``), ``"Name.open"`` a classmethod that forwards its
+    arguments to ``Name``, ``"*.serve"`` a method on any receiver. Each
+    maps to the component it sets and the signature a call binds."""
+    from repro.graph.journal import UpdateJournal
+    from repro.graph.labels import LabelIndex
+    from repro.net.client import FailoverClient
+    from repro.net.replica import ReplicaNode
+    from repro.net.server import ReachabilityServer
+    from repro.net.supervisor import ClusterSupervisor
+    from repro.service.cache import VersionedQueryCache
+    from repro.service.fastpath import FastPathPruner
+    from repro.service.faults import Backoff, CircuitBreaker
+
+    census = {
+        cls.__name__: (cls.__name__, _parameters(cls.__init__))
+        for cls in (
+            ReachabilityServer, ReplicaNode, ClusterSupervisor, FailoverClient,
+            Backoff, CircuitBreaker, FastPathPruner, VersionedQueryCache,
+            LabelIndex, UpdateJournal,
+        )
+    }
+    census["FailoverClient.open"] = (
+        "FailoverClient", _parameters(FailoverClient.open)
+    )
+    census["*.serve"] = ("ReplicaNode.serve", _parameters(ReplicaNode.serve))
+    return census
+
+
+def _pattern(func: ast.expr, census) -> Optional[str]:
+    if isinstance(func, ast.Name):
+        return func.id if func.id in census else None
+    if not isinstance(func, ast.Attribute):
+        return None
+    owner = func.value
+    owner = getattr(owner, "id", None) or getattr(owner, "attr", None)
+    for pattern in (func.attr, f"{owner}.{func.attr}", f"*.{func.attr}"):
+        if pattern in census:
+            return pattern
+    return None
+
+
+def bound_parameters(sources, census) -> Dict[str, Set[str]]:
+    """The parameters of each component that some call in ``sources``
+    binds: positional and keyword arguments are bound against the
+    signature (a call that does not bind raises ``TypeError``), and a
+    forwarder's ``**kwargs`` bind by name. A ``*sequence`` or
+    ``**mapping`` argument binds nothing the census can name."""
+    bound: Dict[str, Set[str]] = {target: set() for target, _ in census.values()}
+    for source in sources:
+        for call in ast.walk(ast.parse(source)):
+            if not isinstance(call, ast.Call):
+                continue
+            pattern = _pattern(call.func, census)
+            if pattern is None:
+                continue
+            target, signature = census[pattern]
+            args = []
+            for arg in call.args:
+                if isinstance(arg, ast.Starred):
+                    break
+                args.append(arg)
+            kwargs = {kw.arg: kw.value for kw in call.keywords if kw.arg}
+            arguments = signature.bind_partial(*args, **kwargs).arguments
+            for name, value in arguments.items():
+                if signature.parameters[name].kind is inspect.Parameter.VAR_KEYWORD:
+                    bound[target].update(value)
+                else:
+                    bound[target].add(name)
+    return bound
+
+
+def component_signatures(census) -> Dict[str, inspect.Signature]:
+    """Each component's own signature (a forwarder's is not one)."""
+    return {
+        target: signature
+        for pattern, (target, signature) in census.items()
+        if pattern == target or target not in census
+    }
+
+
+def unset_parameters(sources, census, exempt) -> Dict[str, List[str]]:
+    """Each component's parameters that no call binds and ``exempt``
+    does not excuse (components with none are left out)."""
+    bound = bound_parameters(sources, census)
+    unset = {}
+    for target, signature in component_signatures(census).items():
+        names = {
+            name for name, param in signature.parameters.items()
+            if param.kind not in (param.VAR_POSITIONAL, param.VAR_KEYWORD)
+        }
+        missing = sorted(names - bound[target] - set(exempt.get(target, ())))
+        if missing:
+            unset[target] = missing
+    return unset
+
+
+def production_sources() -> List[str]:
+    return [
+        path.read_text(encoding="utf-8")
+        for top in ("src", "benchmarks")
+        for path in sorted((ROOT / top).rglob("*.py"))
+    ]
+
+
 class TestKnobCensus:
     """The numbers ROADMAP's north star tracks, as a ratchet."""
 
@@ -176,7 +305,7 @@ class TestKnobCensus:
         import repro.service.engine as engine
 
         with open(engine.__file__, encoding="utf-8") as handle:
-            assert sum(1 for _ in handle) <= 1397, self.RATCHET
+            assert sum(1 for _ in handle) <= 1382, self.RATCHET
 
     def test_cli_flags(self):
         def flags(parser):
@@ -211,6 +340,59 @@ class TestKnobCensus:
         )
         assert unset == [], "delete them or give them a caller"
 
+    #: Serving parameters no production call sets, each with its reason.
+    EXEMPT = {
+        "FailoverClient": {
+            "supervisor_host": "a deployment address: callers pass *address",
+            "supervisor_port": "a deployment address: callers pass *address",
+        },
+        "CircuitBreaker": {"clock": "a test seam: tests substitute a fake clock"},
+        "LabelIndex": {
+            "landmarks": "a test seam: a fresh build re-ranks hubs by current "
+            "degree, so bit-for-bit rebuild tests pin the landmark set",
+        },
+        "ReachabilityServer": {
+            "coalesce_delay_s": "a test seam: tests put several connections "
+            "into one drain (an injected clock would replace it)",
+        },
+    }
+
+    def test_every_serving_parameter_has_a_production_caller(self):
+        """Every parameter of every component the service is built from
+        is bound by some call under ``src/`` or ``benchmarks/``, or is
+        exempt with a reason; an exemption is never stale."""
+        census = serving_census()
+        sources = production_sources()
+        unset = unset_parameters(sources, census, self.EXEMPT)
+        assert unset == {}, "delete them or give them a caller"
+        bound = bound_parameters(sources, census)
+        signatures = component_signatures(census)
+        for target, reasons in self.EXEMPT.items():
+            for name, reason in reasons.items():
+                assert name in signatures[target].parameters, (target, name)
+                assert name not in bound[target] and reason, (target, name)
+
+    def test_serving_parameters(self):
+        signatures = component_signatures(serving_census())
+        total = sum(len(signature.parameters) for signature in signatures.values())
+        assert total <= 38, self.RATCHET
+
+    def test_deleted_settings_stay_deleted(self):
+        from repro.graph.labels import LabelIndex
+        from repro.service import engine
+
+        gone = {
+            "tail_poll_s", "server_kwargs", "lease_ttl_s", "max_attempts",
+            "shed_retries", "multiplier", "failure_threshold",
+            "probe_interval_s", "rebuild_cooldown", "label_bits",
+            "staleness_threshold", "fsync_every", "checkpoint",
+        }
+        for target, signature in component_signatures(serving_census()).items():
+            assert not gone & set(signature.parameters), target
+        assert not hasattr(engine, "LABEL_BITS")
+        assert not hasattr(engine.ReachabilityService, "add_vertex")
+        assert not hasattr(LabelIndex, "note_vertex")
+
     def test_deleted_knobs_stay_deleted(self):
         # Each name is split so that this file does not match itself.
         gone = re.compile("|".join((
@@ -228,6 +410,58 @@ class TestKnobCensus:
             if gone.search(line)
         ]
         assert hits == []
+
+
+class TestCensusBinder:
+    """The census binds arguments the way Python does."""
+
+    def bound(self, source, census=None):
+        return bound_parameters([source], census or serving_census())
+
+    def test_positional_and_keyword_arguments_bind(self):
+        bound = self.bound(
+            "VersionedQueryCache(cache_capacity)\n"
+            "journal.UpdateJournal(path, graph_version=version)\n"
+        )
+        assert bound["VersionedQueryCache"] == {"capacity"}
+        assert bound["UpdateJournal"] == {"path", "graph_version"}
+
+    def test_starred_arguments_bind_nothing_they_cannot_name(self):
+        bound = self.bound(
+            "ReachabilityServer(service, port=0, **server_kwargs)\n"
+            "Backoff(*delays, seed=1)\n"
+        )
+        assert bound["ReachabilityServer"] == {"service", "port"}
+        assert bound["Backoff"] == {"seed"}
+
+    def test_a_forwarding_classmethod_sets_its_class(self):
+        bound = self.bound(
+            "FailoverClient.open(host, port, retry_cap_s=0.5)\n"
+            "FailoverClient.open(*address, base_delay_s=0.05)\n"
+            "ReachabilityClient.open(host, port)\n"
+        )
+        assert bound["FailoverClient"] == {
+            "supervisor_host", "supervisor_port", "retry_cap_s", "base_delay_s",
+        }
+
+    def test_a_method_binds_on_any_receiver(self):
+        bound = self.bound("await node.serve(args.host)\n")
+        assert bound["ReplicaNode.serve"] == {"host"}
+
+    def test_a_call_that_does_not_bind_fails(self):
+        with pytest.raises(TypeError):
+            self.bound("CircuitBreaker(clock, 3)\n")
+        with pytest.raises(TypeError):
+            self.bound("UpdateJournal(path, fsync_every=8)\n")
+
+    def test_an_unset_parameter_is_flagged(self):
+        def widget(size, colour="red", *, weight=1.0, **extra):
+            pass
+
+        census = {"Widget": ("Widget", _parameters(widget))}
+        sources = ["Widget(3, weight=2.0)\n", "Widget(size=4)\n"]
+        assert unset_parameters(sources, census, {}) == {"Widget": ["colour"]}
+        assert unset_parameters(sources, census, {"Widget": {"colour": "why"}}) == {}
 
 
 class TestBenchmarkContract:

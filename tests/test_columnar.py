@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.graph.labels as labels_module
 from repro.graph.traversal import is_reachable_bfs
 from repro.service import BatchCostModel, ReachabilityService
 from repro.service import engine as engine_module
@@ -205,7 +206,7 @@ def test_every_width_walks_to_the_same_outcomes_and_counters(
 ):
     # Sparse enough, and the labels narrow enough (landmark word only),
     # that every rung answers some pairs and a few dozen are searched.
-    monkeypatch.setattr(engine_module, "LABEL_BITS", 64)
+    monkeypatch.setattr(labels_module, "LABEL_BITS", 64)
     graph = random_graph(300, 450, seed=11)
     # Each pair once, then all of them again: the second pass is served
     # from the cache wherever the first one searched.

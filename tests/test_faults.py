@@ -28,8 +28,13 @@ from repro.service import (
     plan_by_name,
     replay_workload,
 )
-from repro.service import engine
-from repro.service.faults import BREAKER_CLOSED, BREAKER_HALF_OPEN, BREAKER_OPEN
+from repro.service import engine, faults
+from repro.service.faults import (
+    BREAKER_CLOSED,
+    BREAKER_HALF_OPEN,
+    BREAKER_OPEN,
+    PROBE_INTERVAL_S,
+)
 from repro.workloads.mixed import generate_mixed_workload
 
 from tests.conftest import random_graph
@@ -124,55 +129,60 @@ class FakeClock:
 
 class TestCircuitBreaker:
     def test_trips_after_threshold(self):
-        breaker = CircuitBreaker(failure_threshold=3, clock=FakeClock())
-        for _ in range(2):
+        breaker = CircuitBreaker(clock=FakeClock())
+        for _ in range(faults.FAILURE_THRESHOLD - 1):
             breaker.record_failure()
         assert breaker.state == BREAKER_CLOSED
         breaker.record_failure()
         assert breaker.state == BREAKER_OPEN
         assert breaker.trips == 1
 
-    def test_success_resets_failure_streak(self):
-        breaker = CircuitBreaker(failure_threshold=2, clock=FakeClock())
+    def test_success_resets_failure_streak(self, monkeypatch):
+        monkeypatch.setattr(faults, "FAILURE_THRESHOLD", 2)
+        breaker = CircuitBreaker(clock=FakeClock())
         breaker.record_failure()
         breaker.record_success()
         breaker.record_failure()
         assert breaker.state == BREAKER_CLOSED  # streak broken, no trip
 
-    def test_open_denies_until_probe_interval(self):
+    def test_open_denies_until_probe_interval(self, monkeypatch):
+        monkeypatch.setattr(faults, "FAILURE_THRESHOLD", 1)
         clock = FakeClock()
-        breaker = CircuitBreaker(1, probe_interval_s=1.0, clock=clock)
+        breaker = CircuitBreaker(clock=clock)
         breaker.record_failure()
         assert breaker.acquire() == (False, False)
-        clock.advance(0.5)
+        clock.advance(PROBE_INTERVAL_S / 2)
         assert breaker.acquire() == (False, False)
-        clock.advance(0.6)
+        clock.advance(PROBE_INTERVAL_S / 2)
         assert breaker.acquire() == (True, True)  # the half-open probe
 
-    def test_only_one_probe_in_flight(self):
+    def test_only_one_probe_in_flight(self, monkeypatch):
+        monkeypatch.setattr(faults, "FAILURE_THRESHOLD", 1)
         clock = FakeClock()
-        breaker = CircuitBreaker(1, probe_interval_s=1.0, clock=clock)
+        breaker = CircuitBreaker(clock=clock)
         breaker.record_failure()
-        clock.advance(1.1)
+        clock.advance(PROBE_INTERVAL_S)
         assert breaker.acquire() == (True, True)
         assert breaker.state == BREAKER_HALF_OPEN
         assert breaker.acquire() == (False, False)  # concurrent query
 
-    def test_probe_success_closes(self):
+    def test_probe_success_closes(self, monkeypatch):
+        monkeypatch.setattr(faults, "FAILURE_THRESHOLD", 1)
         clock = FakeClock()
-        breaker = CircuitBreaker(1, probe_interval_s=1.0, clock=clock)
+        breaker = CircuitBreaker(clock=clock)
         breaker.record_failure()
-        clock.advance(1.1)
+        clock.advance(PROBE_INTERVAL_S)
         breaker.acquire()
         breaker.record_success()
         assert breaker.state == BREAKER_CLOSED
         assert breaker.acquire() == (True, False)
 
-    def test_probe_failure_reopens_with_fresh_interval(self):
+    def test_probe_failure_reopens_with_fresh_interval(self, monkeypatch):
+        monkeypatch.setattr(faults, "FAILURE_THRESHOLD", 1)
         clock = FakeClock()
-        breaker = CircuitBreaker(1, probe_interval_s=1.0, clock=clock)
+        breaker = CircuitBreaker(clock=clock)
         breaker.record_failure()
-        clock.advance(1.1)
+        clock.advance(PROBE_INTERVAL_S)
         breaker.acquire()
         breaker.record_failure()
         assert breaker.state == BREAKER_OPEN
@@ -280,7 +290,8 @@ class TestContainment:
             assert service.graph.has_edge(1, 2)
             assert service.stats()["counters"]["journal_errors"] == 1
 
-    def test_breaker_trips_and_routes_to_fallback(self):
+    def test_breaker_trips_and_routes_to_fallback(self, monkeypatch):
+        monkeypatch.setattr(faults, "FAILURE_THRESHOLD", 2)
         plan = FaultPlan("t", (FaultSpec("engine", max_fires=4),))
         with ReachabilityService(
             _connected_pair_graph(),
@@ -289,8 +300,7 @@ class TestContainment:
             cache_capacity=1,
             fault_plan=plan,
         ) as service:
-            service.breaker.failure_threshold = 2
-            service.breaker.probe_interval_s = 3600.0  # no probe in this test
+            service._breaker._clock = FakeClock()  # no probe in this test
             # Two primary failures trip the breaker; the fallback attempt
             # after each also burns a max_fires charge (engine faults are
             # substrate-independent), so give the spec headroom.
@@ -308,6 +318,7 @@ class TestContainment:
         # first checkpoint — cancellation, not substrate failure.
         path = DynamicDiGraph(edges=[(i, i + 1) for i in range(599)])
         monkeypatch.setattr(engine, "DEGRADE_BUDGET", 50)
+        monkeypatch.setattr(faults, "FAILURE_THRESHOLD", 1)
         with ReachabilityService(
             path,
             num_supportive=0,
@@ -315,7 +326,6 @@ class TestContainment:
             cache_capacity=1,
             engine_edge_budget=1,
         ) as service:
-            service.breaker.failure_threshold = 1
             saw_degraded = False
             for i in range(10):
                 out = service.query(i, 599)
@@ -342,7 +352,8 @@ class _LyingMethod:
 
 
 class TestVerdictProbe:
-    def test_probe_catches_wrong_answers(self):
+    def test_probe_catches_wrong_answers(self, monkeypatch):
+        monkeypatch.setattr(faults, "FAILURE_THRESHOLD", 1)
         clock = FakeClock()
         graph = _connected_pair_graph()
         with ReachabilityService(
@@ -353,15 +364,13 @@ class TestVerdictProbe:
             use_labels=False,
             cache_capacity=1,
         ) as service:
-            service.breaker.failure_threshold = 1
-            service.breaker.probe_interval_s = 1.0
             service._breaker._clock = clock  # deterministic probe timing
             # The primary answers (wrongly) and the breaker, still closed,
             # believes it. Force it open via recorded failures, then let
             # the probe compare verdicts.
             service._breaker.record_failure()
             assert service.breaker.state == BREAKER_OPEN
-            clock.advance(1.5)
+            clock.advance(PROBE_INTERVAL_S)
             out = service.query(0, 19)  # the half-open probe query
             assert out.answer is True  # the fallback's (correct) answer
             assert out.via == "engine-fallback"
@@ -374,6 +383,10 @@ class TestFallbackSharesNoKernel:
     the kernels they stand in for: with every kernel entry faulted, both
     still answer exactly, and the ``kernel`` fault count does not move."""
 
+    @pytest.fixture(autouse=True)
+    def _one_failure_trips(self, monkeypatch):
+        monkeypatch.setattr(faults, "FAILURE_THRESHOLD", 1)
+
     def _service(self, graph):
         graph.csr()  # frozen: the primary would run on the kernels
         service = ReachabilityService(
@@ -383,8 +396,6 @@ class TestFallbackSharesNoKernel:
             cache_capacity=1,
             fault_plan=FaultPlan("kernels-down", (FaultSpec("kernel"),)),
         )
-        service.breaker.failure_threshold = 1
-        service.breaker.probe_interval_s = 1.0
         return service
 
     def test_open_breaker_answers_without_kernels(self):
@@ -420,13 +431,13 @@ class TestFallbackSharesNoKernel:
             service._breaker.record_failure()
             # The probe's own query: the primary dies on its first kernel
             # entry, the dict twin answers and the breaker re-opens.
-            clock.advance(1.5)
+            clock.advance(PROBE_INTERVAL_S)
             out = service.query(s, t)
             assert (out.answer, out.via) == (True, "engine-fallback")
             assert service.breaker.state == BREAKER_OPEN
             # The verdict check itself re-answers on the dict twin only:
             # it agrees, closes the breaker, and enters no kernel.
-            clock.advance(1.5)
+            clock.advance(PROBE_INTERVAL_S)
             assert service._breaker.acquire() == (True, True)
             fired = service.injector.fired["kernel"]
             failures = service.stats()["counters"]["engine_failures"]

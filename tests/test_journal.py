@@ -14,6 +14,7 @@ import random
 
 import pytest
 
+import repro.graph.journal as journal_module
 from repro.graph.digraph import DynamicDiGraph
 from repro.graph.journal import (
     JournalCorrupt,
@@ -152,7 +153,7 @@ class TestCrashTolerance:
         with pytest.raises(JournalReplayError):
             replay(path, newer)
 
-    def test_kill_and_recover_stress(self, tmp_path):
+    def test_kill_and_recover_stress(self, tmp_path, monkeypatch):
         """The headline guarantee: kill at arbitrary byte offsets, recover.
 
         One long churn is journaled; the 'crash' is simulated by
@@ -166,7 +167,8 @@ class TestCrashTolerance:
         # Track the graph state after every journaled record so any
         # truncation point can name its expected recovery target.
         states = {0: (frozenset(), 0)}
-        with UpdateJournal(path, fsync_every=8) as journal:
+        monkeypatch.setattr(journal_module, "FSYNC_EVERY", 8)
+        with UpdateJournal(path) as journal:
             for op, u, v in _ops_without_self_loops(rng, 25, 200):
                 if op == "+" and not graph.has_edge(u, v):
                     graph.add_edge(u, v)

@@ -13,6 +13,7 @@ import threading
 
 import pytest
 
+import repro.graph.journal as journal_module
 from repro.graph.digraph import DynamicDiGraph
 from repro.graph.journal import (
     JournalCorrupt,
@@ -23,14 +24,15 @@ from repro.graph.journal import (
 )
 
 
-def _journal(tmp_path, graph, fsync_every=1000):
-    # High fsync_every so visibility comes from publish(), not fsync —
-    # the regime replication actually runs in.
-    return UpdateJournal(
-        tmp_path / "tail.wal",
-        fsync_every=fsync_every,
-        graph_version=graph.version,
-    )
+@pytest.fixture(autouse=True)
+def _no_fsync_flushes(monkeypatch):
+    # No fsync inside a test, so visibility comes from publish(), not
+    # fsync — the regime replication actually runs in.
+    monkeypatch.setattr(journal_module, "FSYNC_EVERY", 1000)
+
+
+def _journal(tmp_path, graph):
+    return UpdateJournal(tmp_path / "tail.wal", graph_version=graph.version)
 
 
 def _apply_insert(graph, journal, u, v):
@@ -59,7 +61,7 @@ def test_poll_sees_published_records_incrementally(tmp_path):
 
 def test_unpublished_records_invisible_until_flush(tmp_path):
     graph = DynamicDiGraph()
-    journal = _journal(tmp_path, graph, fsync_every=1000)
+    journal = _journal(tmp_path, graph)
     with JournalTailer(journal.path) as tailer:
         tailer.poll()
         _apply_insert(graph, journal, 0, 1)

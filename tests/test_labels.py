@@ -28,6 +28,20 @@ from tests.conftest import force_waves, random_graph
 pytestmark = pytest.mark.labels
 
 
+@pytest.fixture
+def narrow_labels(monkeypatch):
+    """Two-word labels: the landmark word and one bloom word."""
+    monkeypatch.setattr(labels_module, "LABEL_BITS", 128)
+
+
+@pytest.fixture
+def cooldown(monkeypatch):
+    """Set the rebuild cooldown (stale-hit queries before a rebuild)."""
+    return lambda queries: monkeypatch.setattr(
+        labels_module, "REBUILD_COOLDOWN", queries
+    )
+
+
 def oracle(graph, s, t):
     return is_reachable_bfs(graph, s, t)
 
@@ -49,6 +63,7 @@ def assert_one_sided(idx, graph, pairs):
 # ----------------------------------------------------------------------
 # Static builds
 # ----------------------------------------------------------------------
+@pytest.mark.usefixtures("narrow_labels")
 class TestBuild:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_fresh_build_is_one_sided_exact(self, seed):
@@ -58,7 +73,7 @@ class TestBuild:
         graph = random_graph(150, 400, seed=seed)
         for i in range(150, 160):  # island: guaranteed negatives exist
             graph.add_edge(i, i + 1)
-        idx = LabelIndex(graph, label_bits=128)
+        idx = LabelIndex(graph)
         rng = random.Random(seed)
         answered = {True: 0, False: 0}
         for _ in range(400):
@@ -72,7 +87,7 @@ class TestBuild:
 
     def test_batch_matches_scalar(self):
         graph = random_graph(120, 300, seed=7)
-        idx = LabelIndex(graph, label_bits=128)
+        idx = LabelIndex(graph)
         rng = random.Random(7)
         pairs = [
             (rng.randrange(120), rng.randrange(120)) for _ in range(300)
@@ -84,13 +99,6 @@ class TestBuild:
                 assert scalar is True
             elif v < 0:
                 assert scalar is False
-
-    def test_label_bits_validation(self):
-        graph = DynamicDiGraph(edges=[(0, 1)])
-        with pytest.raises(ValueError):
-            LabelIndex(graph, label_bits=0)
-        with pytest.raises(ValueError):
-            LabelIndex(graph, label_bits=100)
 
     def test_unknown_vertices_abstain(self):
         graph = DynamicDiGraph(edges=[(0, 1), (1, 2)])
@@ -107,7 +115,7 @@ class TestBuild:
         graph = random_graph(120, 300, seed=5)
         if not identity:
             graph.remove_vertex(60)  # a hole: ids no longer equal rows
-        idx = LabelIndex(graph, label_bits=128)
+        idx = LabelIndex(graph)
         state = idx._state
         assert state.ids_are_rows is identity
         rng = np.random.default_rng(5)
@@ -127,6 +135,7 @@ class TestBuild:
 # ----------------------------------------------------------------------
 # Dynamics: inserts, deletes, lazy repair
 # ----------------------------------------------------------------------
+@pytest.mark.usefixtures("narrow_labels")
 class TestDynamics:
     def test_incremental_inserts_equal_fresh_build(self):
         """In-place OR propagation lands bit-for-bit on the full build."""
@@ -134,11 +143,11 @@ class TestDynamics:
         for i in range(0, 40, 2):
             graph.add_edge(i, i + 1)
         landmarks = list(range(50))
-        inc = LabelIndex(graph, label_bits=128, landmarks=landmarks)
+        inc = LabelIndex(graph, landmarks=landmarks)
         for u, v in [(1, 2), (3, 4), (10, 20), (20, 30), (5, 40), (41, 0)]:
             inc.dag.insert_edge(u, v)
             inc.note_insert(u, v)
-        fresh = LabelIndex(graph, label_bits=128, landmarks=landmarks)
+        fresh = LabelIndex(graph, landmarks=landmarks)
         si, sf = inc._state, fresh._state
         assert not si.missing
         assert si.num_dirty_out == 0 and si.num_dirty_in == 0
@@ -147,7 +156,9 @@ class TestDynamics:
         assert inc.summary()["updates"] == 6
         assert inc.summary()["full_rebuilds"] == 0
 
-    def test_delete_taints_then_partial_rebuild_restores(self):
+    def test_delete_taints_then_partial_rebuild_restores(
+        self, monkeypatch, cooldown
+    ):
         """A reachability-cutting delete dirties the affected region; the
         demand-driven partial rebuild restores exactness without a full
         rebuild."""
@@ -155,13 +166,12 @@ class TestDynamics:
             edges=[(i, i + 1) for i in range(9)]
             + [(20 + i, 21 + i) for i in range(5)]
         )
-        # staleness_threshold=0.9: the dirty region (10 of 16 rows across
-        # both sides) must stay below the full-rebuild escalation bar for
-        # this test to exercise the partial path.
-        idx = LabelIndex(
-            graph, label_bits=128, rebuild_cooldown=1,
-            staleness_threshold=0.9,
-        )
+        # A staleness threshold of 0.9: the dirty region (10 of 16 rows
+        # across both sides) must stay below the full-rebuild escalation
+        # bar for this test to exercise the partial path.
+        monkeypatch.setattr(labels_module, "STALENESS_THRESHOLD", 0.9)
+        cooldown(1)
+        idx = LabelIndex(graph)
         assert idx.check(0, 9) is True
         idx.dag.delete_edge(4, 5)
         idx.note_delete(4, 5)
@@ -180,15 +190,16 @@ class TestDynamics:
 
     def test_redundant_delete_keeps_labels_clean(self):
         graph = DynamicDiGraph(edges=[(0, 1), (0, 2), (2, 1)])
-        idx = LabelIndex(graph, label_bits=128)
+        idx = LabelIndex(graph)
         idx.dag.delete_edge(0, 1)  # 0 still reaches 1 via 2
         idx.note_delete(0, 1, removes_reachability=False)
         assert idx.stale_rows == 0
         assert idx.check(0, 1) is True
 
-    def test_invalidate_abstains_until_rebuilt(self):
+    def test_invalidate_abstains_until_rebuilt(self, cooldown):
+        cooldown(1)
         graph = DynamicDiGraph(edges=[(0, 1), (1, 2)])
-        idx = LabelIndex(graph, label_bits=128, rebuild_cooldown=1)
+        idx = LabelIndex(graph)
         idx.invalidate()
         assert idx.check(0, 2) is None
         assert idx.check(2, 0) is None
@@ -199,7 +210,7 @@ class TestDynamics:
         assert idx.summary()["full_rebuilds"] == 1
 
     @pytest.mark.parametrize("seed", [3, 4, 5])
-    def test_churn_soundness_property(self, seed):
+    def test_churn_soundness_property(self, seed, cooldown):
         """Mixed insert/delete churn with lazy repair interleaved: no
         false positive from the landmark rule, no false negative from
         the containment rule, and a well-formed state (INV2 included),
@@ -213,7 +224,8 @@ class TestDynamics:
             if u != v and (u, v) not in edges:
                 graph.add_edge(u, v)
                 edges.add((u, v))
-        idx = LabelIndex(graph, label_bits=128, rebuild_cooldown=8)
+        cooldown(8)
+        idx = LabelIndex(graph)
         for step in range(150):
             action = rng.random()
             if action < 0.5 or not edges:
@@ -243,17 +255,20 @@ class TestDynamics:
         """A graph mutation the tier was never told about must not be
         answered from the stale matrices."""
         graph = DynamicDiGraph(edges=[(0, 1)])
-        idx = LabelIndex(graph, label_bits=128)
+        idx = LabelIndex(graph)
         graph.add_edge(1, 2)  # applied behind the tier's back
         assert idx.check(0, 2) is None
         assert idx.summary()["stale_abstains"] >= 1
 
-    def test_a_dag_the_graph_moved_past_is_never_read(self, monkeypatch):
+    def test_a_dag_the_graph_moved_past_is_never_read(
+        self, monkeypatch, cooldown
+    ):
         """Once the graph moves behind the DAG, no rebuild reads it —
         not the lazy one, not a construction over it — and the DAG's own
         later updates do not make it current again."""
+        cooldown(1)
         graph = DynamicDiGraph(edges=[(0, 1), (1, 2)])
-        idx = LabelIndex(graph, label_bits=128, rebuild_cooldown=1)
+        idx = LabelIndex(graph)
         graph.add_edge(2, 3)  # behind the DAG's back
         idx.dag.insert_edge(3, 4)
         assert idx.dag.version != graph.version
@@ -267,7 +282,7 @@ class TestDynamics:
             idx.observe_query()
         assert idx.summary()["full_rebuilds"] == 0
         assert idx.check(0, 2) is None and idx.check(2, 0) is None
-        again = LabelIndex(idx.dag, label_bits=128)
+        again = LabelIndex(idx.dag)
         assert again.check(0, 1) is None
         assert again.summary()["vertices"] == 0
 
@@ -279,7 +294,7 @@ class TestDynamics:
         n = 40
         graph = DynamicDiGraph(edges=[(i, i + 1) for i in range(n - 1)])
         graph.add_vertex(n)
-        idx = LabelIndex(graph, label_bits=128, landmarks=[n])
+        idx = LabelIndex(graph, landmarks=[n])
         idx.dag.insert_edge(n - 1, n)  # every vertex gains n downstream
         idx.note_insert(n - 1, n)
         assert idx._state.missing
@@ -292,15 +307,16 @@ class TestDynamics:
         assert (verdicts > 0).any()  # rows the insert reached still prove
 
     def test_delete_past_the_dirty_limit_dirties_every_row(
-        self, monkeypatch
+        self, monkeypatch, cooldown
     ):
         """A delete whose dirty region would pass the limit marks every
         row dirty on both sides; the tier abstains until the rebuild,
         which restores exact answers."""
         monkeypatch.setattr(labels_module, "DELETE_DIRTY_LIMIT", 3)
         n = 30
+        cooldown(1)
         graph = DynamicDiGraph(edges=[(i, i + 1) for i in range(n - 1)])
-        idx = LabelIndex(graph, label_bits=128, rebuild_cooldown=1)
+        idx = LabelIndex(graph)
         idx.dag.delete_edge(20, 21)  # 20 has 21 ancestors
         idx.note_delete(20, 21)
         state = idx._state
@@ -316,10 +332,11 @@ class TestDynamics:
         assert_one_sided(idx, graph, pairs)
 
 
+@pytest.mark.usefixtures("narrow_labels")
 class TestCheckInvariants:
     def _idx(self):
         graph = DynamicDiGraph(edges=[(i, i + 1) for i in range(5)])
-        return LabelIndex(graph, label_bits=128)
+        return LabelIndex(graph)
 
     def test_clean_and_tainted_states_pass(self):
         idx = self._idx()
@@ -472,7 +489,9 @@ class TestServiceIntegration:
             counters = svc.stats()["counters"]
             assert counters.get("label_updates", 0) > 0
 
-    def test_churn_through_the_service_lands_on_a_fresh_build(self):
+    def test_churn_through_the_service_lands_on_a_fresh_build(
+        self, monkeypatch, cooldown
+    ):
         """Merges, splits and reach-cutting deletes through the service,
         then a forced partial and a forced full rebuild: each lands bit
         for bit on a fresh pinned-landmark build of the same graph. The
@@ -501,25 +520,25 @@ class TestServiceIntegration:
                 # A full rebuild re-ranks the hubs: pin the current ones.
                 bit_of = labels._landmark_bit
                 fresh = LabelIndex(
-                    svc.graph.copy(),
-                    label_bits=labels.words * 64,
-                    landmarks=sorted(bit_of, key=bit_of.get),
+                    svc.graph.copy(), landmarks=sorted(bit_of, key=bit_of.get)
                 )
                 assert labels._state.version == svc.graph.version
                 assert labels.stale_rows == 0
                 assert labels._state.dl.tobytes() == fresh._state.dl.tobytes()
                 assert labels._state.bl.tobytes() == fresh._state.bl.tobytes()
 
-            labels.rebuild_cooldown = 1
+            cooldown(1)
             churn(80)
-            labels.staleness_threshold = 1.0
+            monkeypatch.setattr(labels_module, "STALENESS_THRESHOLD", 1.0)
             labels.observe_query()
             assert labels.summary()["partial_rebuilds"] == 1
             assert labels.summary()["full_rebuilds"] == 0
             labels.check_invariants()
             assert_fresh()
             churn(80)
-            labels.staleness_threshold = 1 / (2 * n)
+            monkeypatch.setattr(
+                labels_module, "STALENESS_THRESHOLD", 1 / (2 * n)
+            )
             labels.observe_query()
             assert labels.summary()["partial_rebuilds"] == 1
             assert labels.summary()["full_rebuilds"] == 1

@@ -1026,3 +1026,77 @@ def test_a_non_integer_query_in_a_burst_fails_alone():
     assert replies["b"]["type"] == protocol.ERROR
     assert counters["net_request_errors"] == 1
     assert counters["net_coalesced_queries"] == 2
+
+
+# ----------------------------------------------------------------------
+# A deadline on the wire is a finite, non-negative JSON number
+# ----------------------------------------------------------------------
+#: Deadlines ``float()`` would read as -1 ms, 1 ms, 5 ms and NaN; a wave
+#: runs under the ``min()`` of its deadlines, which each would decide.
+BAD_DEADLINES = pytest.mark.parametrize(
+    "bad", [-1, True, "5", float("nan")], ids=["negative", "bool", "string", "nan"]
+)
+
+
+def _search_service():
+    """No supportive vertices and no labels: a chain pair is searched."""
+    return ReachabilityService(chain_graph(), num_supportive=0, use_labels=False)
+
+
+@BAD_DEADLINES
+def test_query_frame_deadline_must_be_a_non_negative_number(bad):
+    async def scenario():
+        with _search_service() as service:
+            return await _exchange(service, [
+                {"type": "query", "id": "bad", "s": 0, "t": 40, "deadline_ms": bad},
+                {"type": "query", "id": "ok", "s": 0, "t": 40, "deadline_ms": 60000},
+            ])
+
+    replies, counters = run(scenario())
+    assert replies["bad"]["type"] == protocol.ERROR
+    assert "deadline_ms" in replies["bad"]["error"]
+    ok = replies["ok"]
+    assert (ok["type"], ok["answer"], ok["via"]) == (protocol.RESULT, True, "engine")
+    assert counters["net_coalesced_queries"] == 1
+
+
+@BAD_DEADLINES
+def test_batch_frame_deadline_must_be_a_non_negative_number(bad):
+    async def scenario():
+        with _search_service() as service:
+            return await _exchange(service, [
+                {"type": "batch", "id": "bad", "pairs": [[0, 40]], "deadline_ms": bad},
+                {"type": "batch", "id": "ok", "pairs": [[0, 40]], "deadline_ms": 60000},
+            ])
+
+    replies, _ = run(scenario())
+    assert replies["bad"]["type"] == protocol.ERROR
+    assert "deadline_ms" in replies["bad"]["error"]
+    assert replies["ok"]["type"] == protocol.BATCH_RESULT
+    [ok] = replies["ok"]["outcomes"]
+    assert (ok["answer"], ok["via"]) == (True, "engine")
+
+
+def test_a_bad_deadline_in_a_burst_fails_alone():
+    """The bad deadlines fail alone; the timed query keeps its own
+    deadline, and 0 and an absent key both mean none (one untimed wave)."""
+    nan = float("nan")
+
+    async def scenario():
+        with _search_service() as service:
+            return await _exchange(service, [
+                {"type": "query", "id": "a", "s": 0, "t": 40, "deadline_ms": nan},
+                {"type": "query", "id": "b", "s": 1, "t": 40},
+                {"type": "query", "id": "c", "s": 2, "t": 40, "deadline_ms": -1},
+                {"type": "query", "id": "d", "s": 3, "t": 40, "deadline_ms": 60000},
+                {"type": "query", "id": "e", "s": 4, "t": 40, "deadline_ms": 0},
+            ])
+
+    replies, counters = run(scenario())
+    assert [replies[mid]["type"] for mid in "ac"] == [protocol.ERROR] * 2
+    assert [(replies[mid]["answer"], replies[mid]["via"]) for mid in "bde"] == [
+        (True, "engine")
+    ] * 3
+    assert counters["net_request_errors"] == 2
+    assert counters["net_coalesced_waves"] == 2  # {d} timed, {b, e} not
+    assert counters["net_coalesced_queries"] == 3

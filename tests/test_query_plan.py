@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from repro.graph.digraph import DynamicDiGraph
 from repro.graph.traversal import is_reachable_bfs
-from repro.service import ReachabilityService
+from repro.service import ReachabilityService, faults
 from repro.service.faults import FaultPlan, FaultSpec
 
 from tests.conftest import force_waves
@@ -241,19 +241,21 @@ def _search_heavy_case():
 
 @pytest.mark.parametrize("width", [1, 1024])
 @pytest.mark.parametrize("mode", ["default", "breaker-open"])
-def test_the_calling_thread_answers_and_no_other_exists(mode, width):
+def test_the_calling_thread_answers_and_no_other_exists(
+    mode, width, monkeypatch
+):
     """Whether the cutover picks the wave rung or the open breaker makes
     it abstain (the serving path's dict-substrate leg), and at either
     width, the walk answers oracle-exactly on the thread that asked: the
     set of live threads is the same before and after."""
     graph, pairs, truth = _search_heavy_case()
     threads = set(threading.enumerate())
+    monkeypatch.setattr(faults, "FAILURE_THRESHOLD", 1)
+    monkeypatch.setattr(faults, "PROBE_INTERVAL_S", 3600.0)
     # Index tiers weakened so most pairs need a search rung.
     with ReachabilityService(
         graph.copy(), num_supportive=0, use_labels=False,
     ) as svc:
-        svc.breaker.failure_threshold = 1
-        svc.breaker.probe_interval_s = 3600.0
         if mode == "breaker-open":
             svc.breaker.record_failure()
             assert svc.breaker.state == "open"

@@ -27,7 +27,7 @@ from repro.service import (
     VersionedQueryCache,
     replay_workload,
 )
-from repro.service import engine
+from repro.service import engine, fastpath
 from repro.service.engine import _bounded_bibfs
 from repro.service.fastpath import FastPathPruner
 from repro.service.stats import ServiceStats
@@ -78,10 +78,11 @@ class TestFastPathPruner:
             if observed is not None:
                 assert observed[0] == is_reachable_bfs(g, s, t), (s, t, observed)
 
-    def test_agreement_maintained_under_updates(self):
+    def test_agreement_maintained_under_updates(self, monkeypatch):
+        monkeypatch.setattr(fastpath, "REBUILD_COOLDOWN", 1)
         rng = random.Random(3)
         g = random_graph(30, 60, seed=4)
-        pruner = FastPathPruner(g, num_supportive=3, seed=1, rebuild_cooldown=1)
+        pruner = FastPathPruner(g, num_supportive=3, seed=1)
         for step in range(250):
             if rng.random() < 0.5:
                 pruner.apply_insert(rng.randrange(30), rng.randrange(30))
@@ -121,9 +122,10 @@ class TestFastPathPruner:
         assert pruner.samples_valid
         assert pruner.check(5, 4) == (True, "supportive-bridge")
 
-    def test_delete_invalidates_then_cooldown_rebuilds(self):
+    def test_delete_invalidates_then_cooldown_rebuilds(self, monkeypatch):
+        monkeypatch.setattr(fastpath, "REBUILD_COOLDOWN", 3)
         g = DynamicDiGraph(edges=[(0, 1), (1, 2), (0, 3), (4, 0)])
-        pruner = FastPathPruner(g, num_supportive=1, rebuild_cooldown=3)
+        pruner = FastPathPruner(g, num_supportive=1)
         assert pruner.samples_valid
         pruner.apply_delete(1, 2)  # removes reachability -> invalidates
         assert not pruner.samples_valid
@@ -492,11 +494,11 @@ class TestConcurrentStress:
     QUERIES_PER_THREAD = 80
     NUM_UPDATES = 60
 
-    def test_confident_answers_match_per_version_oracle(self):
+    def test_confident_answers_match_per_version_oracle(self, monkeypatch):
+        monkeypatch.setattr(fastpath, "REBUILD_COOLDOWN", 8)
         base = random_graph(40, 100, seed=11)
         initial = base.copy()
         service = ReachabilityService(base, num_supportive=3, seed=1)
-        service.pruner.rebuild_cooldown = 8
 
         update_rng = random.Random(21)
         update_log = []  # (version_after, kind, u, v) in version order

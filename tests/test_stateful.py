@@ -8,6 +8,7 @@ failures to minimal traces.
 
 import random
 
+import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
@@ -18,6 +19,7 @@ from repro.core.params import IFCAParams
 from repro.graph.dag import DynamicDAG
 from repro.graph.digraph import DynamicDiGraph
 from repro.graph.traversal import is_reachable_bfs
+from repro.service import fastpath
 from repro.service.fastpath import FastPathPruner
 
 VERTICES = st.integers(0, 9)
@@ -76,9 +78,7 @@ class PrunerMachine(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
         self.graph = DynamicDiGraph()
-        self.pruner = FastPathPruner(
-            self.graph, num_supportive=2, seed=0, rebuild_cooldown=1
-        )
+        self.pruner = FastPathPruner(self.graph, num_supportive=2, seed=0)
 
     @rule(u=VERTICES, v=VERTICES)
     def insert(self, u, v):
@@ -167,7 +167,12 @@ TestDagMachine = DagMachine.TestCase
 TestDagMachine.settings = settings(
     max_examples=40, stateful_step_count=40, deadline=None
 )
-TestPrunerMachine = PrunerMachine.TestCase
+class TestPrunerMachine(PrunerMachine.TestCase):
+    @pytest.fixture(autouse=True)
+    def _rebuild_every_query(self, monkeypatch):
+        monkeypatch.setattr(fastpath, "REBUILD_COOLDOWN", 1)
+
+
 TestPrunerMachine.settings = settings(
     max_examples=40, stateful_step_count=30, deadline=None
 )

@@ -97,7 +97,7 @@ async def supervised(server, tmp_path, *, replicas=2, **sup_kwargs):
 # Backoff (the shared retry schedule)
 # ----------------------------------------------------------------------
 def test_backoff_grows_caps_jitters_and_resets():
-    b = Backoff(base_s=0.1, cap_s=0.5, multiplier=2.0, seed=7)
+    b = Backoff(base_s=0.1, cap_s=0.5, seed=7)
     nominal = [0.1, 0.2, 0.4, 0.5, 0.5]
     delays = [b.next_delay() for _ in nominal]
     for got, want in zip(delays, nominal):
