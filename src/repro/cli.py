@@ -23,7 +23,8 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from typing import Callable, Dict, List, Optional
+from pathlib import Path
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 from repro.baselines.arrow import ArrowMethod
 from repro.baselines.base import ReachabilityMethod
@@ -44,6 +45,9 @@ from repro.datasets.scale_free import (
 from repro.experiments.tables import format_table
 from repro.graph.digraph import DynamicDiGraph
 from repro.graph.io import read_edge_list, write_edge_list
+
+if TYPE_CHECKING:
+    from repro.service import ReachabilityService
 
 METHOD_FACTORIES: Dict[str, Callable[[DynamicDiGraph], ReachabilityMethod]] = {
     "ifca": lambda g: IFCAMethod(g),
@@ -463,23 +467,45 @@ def cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_serve(args: argparse.Namespace) -> int:
-    import asyncio
+def serve_service(args: argparse.Namespace) -> "ReachabilityService":
+    """The service ``repro serve`` runs on ``args.graph``.
 
-    from repro.net.server import ReachabilityServer
+    A ``--journal`` that already holds a header is replayed onto the edge
+    list first (the edge list is its base), so a restarted server answers
+    with the updates of the runs before it and stamps new records after
+    theirs. Raises :class:`~repro.graph.journal.JournalError` when the
+    journal does not replay onto that edge list.
+    """
     from repro.service import ReachabilityService
 
     graph = read_edge_list(args.graph)
+    kwargs = dict(
+        num_supportive=args.supportive,
+        seed=args.seed,
+        max_pending=args.max_pending,
+        shards=args.shards,
+    )
+    journal = Path(args.journal) if args.journal else None
+    if journal is not None and journal.exists() and journal.stat().st_size:
+        return ReachabilityService.recover(journal, base_graph=graph, **kwargs)
+    return ReachabilityService(graph, journal=journal, **kwargs)
+
+
+def cmd_serve(args: argparse.Namespace) -> int:
+    import asyncio
+
+    from repro.graph.journal import JournalError
+    from repro.net.server import ReachabilityServer
+
+    try:
+        service = serve_service(args)
+    except JournalError as exc:
+        print(f"error: cannot resume {args.journal}: {exc}", file=sys.stderr)
+        return 2
+    graph = service.graph
 
     async def run() -> int:
-        with ReachabilityService(
-            graph,
-            num_supportive=args.supportive,
-            seed=args.seed,
-            journal=args.journal,
-            max_pending=args.max_pending,
-            shards=args.shards,
-        ) as service:
+        with service:
             server = ReachabilityServer(
                 service, args.host, args.port, max_wave=args.max_wave
             )
@@ -661,8 +687,6 @@ def cmd_chaos(args: argparse.Namespace) -> int:
 
 
 def cmd_chaos_net(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
     from repro.net.chaos import run_chaos_net
 
     rows, ok = run_chaos_net(

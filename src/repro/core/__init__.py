@@ -4,8 +4,12 @@ Public entry points:
 
 * :class:`~repro.core.ifca.IFCA` — the full framework (Alg. 2): an engine
   bound to one dynamic graph, answering exact reachability queries.
-* :class:`~repro.core.params.IFCAParams` — all tunables with the paper's
-  heuristic defaults (Sec. VI-A4).
+* :class:`~repro.core.params.IFCAParams` — the tunables some caller
+  varies, with the paper's heuristic defaults (Sec. VI-A4). Contraction
+  is always on and ``beta`` always fitted; the round cap and the
+  budget-check interval are module constants
+  (:data:`repro.core.ifca.MAX_ROUNDS`,
+  :data:`repro.core.guided.BUDGET_CHECK_INTERVAL`).
 * :func:`~repro.core.baseline.push_reachability` — the approximate
   push-based baseline (Alg. 1).
 * :class:`~repro.core.stats.QueryStats` — per-query counters (edge

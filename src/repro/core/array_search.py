@@ -385,8 +385,6 @@ def array_community_contraction(
     all reduced-size bookkeeping mirror
     :func:`repro.core.contraction.community_contraction`.
     """
-    if not ctx.params.use_contraction:
-        return ContractionOutcome.NOT_TRIGGERED
     if ctx.epsilon_cur >= ctx.params.epsilon_pre:
         return ContractionOutcome.NOT_TRIGGERED
     if state.explored_count == 0:

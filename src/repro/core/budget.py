@@ -1,15 +1,16 @@
-"""Cooperative cancellation for in-flight searches.
+"""Cooperative interruption of in-flight searches by a spend limit.
 
 The serving engine's original deadline discipline was all-or-nothing: a
 blown deadline was only noticed *before* the engine started, so one slow
 query still ran its full search while holding a worker and a read lock.
 This module makes every search phase interruptible at safe points:
 
-* :class:`Budget` bundles a wall-clock deadline, an edge-access ceiling,
-  and an optional :class:`CancelToken`. Searches ``charge()`` edge
-  accesses as they go and call :meth:`Budget.checkpoint` at *rung
-  boundaries* — once per guided-drain interval, per BiBFS layer, per
-  main-loop round — where their state is consistent.
+* :class:`Budget` bundles a wall-clock deadline and an edge-access
+  ceiling. Searches ``charge()`` edge accesses as they go and call
+  :meth:`Budget.checkpoint` at *rung boundaries* — once per guided-drain
+  interval, per BiBFS layer, per main-loop round — where their state is
+  consistent. A search with neither limit gets no budget at all
+  (``budget=None``) and never checkpoints.
 * A tripped checkpoint raises :class:`BudgetExceeded`. The raiser (or the
   engine's ``query_with_stats``) attaches a :class:`PartialSearchState`
   when the interrupted search state is soundly exportable, so the
@@ -25,26 +26,9 @@ without creating an import cycle.
 
 from __future__ import annotations
 
-import threading
 import time
 from dataclasses import dataclass, field
 from typing import List, Optional, Set
-
-
-class CancelToken:
-    """A thread-safe one-way cancellation flag shared across queries."""
-
-    __slots__ = ("_event",)
-
-    def __init__(self) -> None:
-        self._event = threading.Event()
-
-    def cancel(self) -> None:
-        self._event.set()
-
-    @property
-    def cancelled(self) -> bool:
-        return self._event.is_set()
 
 
 @dataclass
@@ -69,7 +53,7 @@ class PartialSearchState:
 class BudgetExceeded(Exception):
     """Raised at a checkpoint once a budget dimension is exhausted.
 
-    ``reason`` is ``"deadline" | "edge-budget" | "cancelled"``;
+    ``reason`` is ``"deadline" | "edge-budget"``;
     ``partial`` carries the interrupted search state when the raiser could
     export it soundly (``None`` otherwise). A batch kernel sets
     ``decided`` instead: one entry per pair of its batch, the final
@@ -91,38 +75,32 @@ class BudgetExceeded(Exception):
 
 
 class Budget:
-    """A per-query spend tracker: deadline + edge ceiling + cancel token.
+    """A per-query spend tracker: a deadline plus an edge ceiling.
 
-    All limits are optional; a limit left ``None`` is never checked, so a
-    token-only budget costs one ``Event.is_set()`` per checkpoint and a
+    Either limit may be ``None`` and is then never checked, so a
     deadline-free budget never calls the clock.
     """
 
-    __slots__ = ("deadline", "edge_ceiling", "token", "spent")
+    __slots__ = ("deadline", "edge_ceiling", "spent")
 
     def __init__(
         self,
         deadline: Optional[float] = None,
         edge_ceiling: Optional[int] = None,
-        token: Optional[CancelToken] = None,
     ) -> None:
         #: Absolute ``time.perf_counter()`` timestamp, or ``None``.
         self.deadline = deadline
         self.edge_ceiling = edge_ceiling
-        self.token = token
         self.spent = 0
 
     @classmethod
     def from_timeout(
-        cls,
-        timeout_s: Optional[float],
-        edge_ceiling: Optional[int] = None,
-        token: Optional[CancelToken] = None,
+        cls, timeout_s: Optional[float], edge_ceiling: Optional[int] = None
     ) -> "Budget":
         deadline = (
             time.perf_counter() + timeout_s if timeout_s is not None else None
         )
-        return cls(deadline=deadline, edge_ceiling=edge_ceiling, token=token)
+        return cls(deadline=deadline, edge_ceiling=edge_ceiling)
 
     def charge(self, edges: int) -> None:
         """Record ``edges`` accesses against the ceiling (no check)."""
@@ -130,8 +108,6 @@ class Budget:
 
     def reason(self) -> Optional[str]:
         """The first exhausted dimension, or ``None`` while within budget."""
-        if self.token is not None and self.token.cancelled:
-            return "cancelled"
         if self.edge_ceiling is not None and self.spent > self.edge_ceiling:
             return "edge-budget"
         if self.deadline is not None and time.perf_counter() > self.deadline:

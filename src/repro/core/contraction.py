@@ -50,8 +50,6 @@ def community_contraction(
     ctx: SearchContext, state: DirectionState, stats: QueryStats
 ) -> ContractionOutcome:
     """Run Alg. 4 for one direction if its trigger condition holds."""
-    if not ctx.params.use_contraction:
-        return ContractionOutcome.NOT_TRIGGERED
     if ctx.epsilon_cur >= ctx.params.epsilon_pre:
         return ContractionOutcome.NOT_TRIGGERED
     if not state.explored:

@@ -57,10 +57,10 @@ class CostEstimate:
 class CostModel:
     """Per-graph cost model state: the fitted ``beta`` and ``lambda``.
 
-    ``beta`` is fitted once per graph snapshot binding (cheap, sampled) and
-    can be pinned via ``params.beta``. The model is re-created by the IFCA
-    engine whenever the graph changes enough to matter (on update, the
-    engine marks it stale).
+    ``beta`` is always fitted from sampled degrees (Sec. V-D3: it derives
+    from the graph's power law). ``beta=`` hands in a fit made earlier:
+    the IFCA engine caches the sampling across updates and refits only
+    when the graph has drifted by more than 10% of its edges.
     """
 
     def __init__(
@@ -72,14 +72,7 @@ class CostModel:
     ) -> None:
         self.params = params
         self.d_avg = max(graph.average_degree, 1e-9)
-        if params.beta is not None:
-            self.beta = params.beta
-        elif beta is not None:
-            # A pre-fitted exponent (the engine caches the expensive degree
-            # sampling across updates and hands it back in).
-            self.beta = beta
-        else:
-            self.beta = self.fit_beta(graph, seed)
+        self.beta = beta if beta is not None else self.fit_beta(graph, seed)
         # Round-1 decisions depend only on (n, m, epsilon_cur); nearly every
         # query asks exactly that, so memoize it.
         self._initial_decisions: dict = {}

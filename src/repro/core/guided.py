@@ -21,7 +21,8 @@ Deviations from the pseudocode, all behavior-preserving:
   bound. A drain that exceeds it returns normally — stopping Alg. 3 early
   at any point is always sound ("choose any u" never *requires* a push),
   and the budget converts pathological residue circulation at extreme
-  thresholds into ordinary main-loop rounds bounded by ``max_rounds``.
+  thresholds into ordinary main-loop rounds bounded by
+  :data:`repro.core.ifca.MAX_ROUNDS`.
 
 Implementation note: this is the hottest loop in the package, so the
 adjacency map, overlay, and per-style weighting are all bound to locals —
@@ -45,6 +46,12 @@ from repro.core.budget import BudgetExceeded
 from repro.core.params import ORDER_GREEDY, PUSH_FORWARD
 from repro.core.state import DirectionState, SearchContext
 from repro.core.stats import QueryStats
+
+#: Pushes between cooperative :class:`~repro.core.budget.Budget`
+#: checkpoints inside one guided drain. Smaller values tighten deadline
+#: adherence at the price of a clock read per interval; irrelevant when
+#: a query carries no budget. Read per drain.
+BUDGET_CHECK_INTERVAL = 256
 
 
 def guided_search(
@@ -70,12 +77,12 @@ def guided_search(
         + 8 * ctx.n_reduced
     )
 
-    # Cooperative cancellation: charge accrued edge accesses and test the
-    # budget every ``budget_check_interval`` pushes. Residue/visited/
+    # Cooperative interruption: charge accrued edge accesses and test the
+    # budget every ``BUDGET_CHECK_INTERVAL`` pushes. Residue/visited/
     # explored are consistent at every push boundary, so raising here
     # leaves state the degraded search can be seeded from.
     budget = ctx.budget
-    check_interval = ctx.params.budget_check_interval
+    check_interval = BUDGET_CHECK_INTERVAL
     charged = 0
     if budget is not None:
         budget.checkpoint()

@@ -17,7 +17,7 @@ The main loop per query:
 Termination notes (DESIGN.md): exhaustion is detected per side (a
 strengthening of Alg. 2 line 16, which waits for both sides), contraction
 is skipped when nothing new was explored (avoids an epsilon-reset livelock)
-and ``epsilon_cur`` is floored, and a ``max_rounds`` safety valve falls
+and ``epsilon_cur`` is floored, and a :data:`MAX_ROUNDS` safety valve falls
 back to the always-terminating BiBFS — so the engine is total on any input.
 """
 
@@ -43,6 +43,10 @@ from repro.core.state import SearchContext
 from repro.core.stats import QueryStats
 from repro.graph import kernels
 from repro.graph.digraph import DynamicDiGraph
+
+#: Main-loop rounds after which a query hands over to BiBFS whatever the
+#: cost model says (the termination safety valve; read per query).
+MAX_ROUNDS = 10_000
 
 
 class IFCA:
@@ -222,7 +226,7 @@ class IFCA:
     ) -> bool:
         if params.force_switch_round is not None:
             return round_number > params.force_switch_round
-        if round_number > params.max_rounds:
+        if round_number > MAX_ROUNDS:
             return True
         if not params.use_cost_model:
             return False

@@ -43,10 +43,15 @@ ORDER_GREEDY = "greedy"
 class IFCAParams:
     """User-facing tunables of the IFCA framework.
 
-    ``use_contraction`` / ``use_cost_model`` select the paper's ablation
-    variants; ``force_switch_round`` (used by the Tab. IV oracle) overrides
+    ``use_cost_model=False`` selects the paper's *Contract* ablation
+    variant; ``force_switch_round`` (used by the Tab. IV oracle) overrides
     the cost model and hands over to BiBFS after exactly that many main-loop
-    rounds (0 = immediately).
+    rounds (0 = immediately). Community contraction is always on (Alg. 2),
+    the power-law exponent ``beta`` is always fitted from the graph
+    (Sec. V-D3), and the round cap and budget-check interval are module
+    constants (:data:`repro.core.ifca.MAX_ROUNDS`,
+    :data:`repro.core.guided.BUDGET_CHECK_INTERVAL`): every field here has
+    a caller outside the tests that sets it.
     """
 
     alpha: float = 0.1
@@ -56,11 +61,8 @@ class IFCAParams:
     push_style: str = PUSH_FORWARD
     push_order: str = ORDER_LIFO
     lambda_ratio: float = 1.7
-    beta: Optional[float] = None
-    use_contraction: bool = True
     use_cost_model: bool = True
     force_switch_round: Optional[int] = None
-    max_rounds: int = 10_000
     #: Dispatch BiBFS phases to the vectorized CSR kernels whenever a
     #: current-version snapshot is already frozen (``graph.csr(build=False)``).
     #: Semantics are identical either way; turning this off forces the dict
@@ -73,11 +75,6 @@ class IFCAParams:
     #: kernels while pinning the guided phase to the dict twin (the push
     #: A/B harness does exactly that).
     use_push_kernels: bool = True
-    #: Pushes between cooperative :class:`~repro.core.budget.Budget`
-    #: checkpoints inside one guided drain. Smaller values tighten
-    #: deadline adherence at the price of a clock read per interval;
-    #: irrelevant when queries carry no budget.
-    budget_check_interval: int = 256
 
     def __post_init__(self) -> None:
         if not 0 < self.alpha < 1:
@@ -94,12 +91,6 @@ class IFCAParams:
             raise ValueError("epsilon_init must be positive")
         if self.lambda_ratio <= 0:
             raise ValueError("lambda_ratio must be positive")
-        if self.beta is not None and not 0 < self.beta < 1:
-            raise ValueError("beta must be in (0, 1)")
-        if self.max_rounds <= 0:
-            raise ValueError("max_rounds must be positive")
-        if self.budget_check_interval <= 0:
-            raise ValueError("budget_check_interval must be positive")
 
     def with_overrides(self, **kwargs: object) -> "IFCAParams":
         """A copy with some fields replaced (frozen-dataclass convenience)."""
@@ -124,14 +115,10 @@ class IFCAParams:
             push_style=self.push_style,
             push_order=self.push_order,
             lambda_ratio=self.lambda_ratio,
-            beta=self.beta,
-            use_contraction=self.use_contraction,
             use_cost_model=self.use_cost_model,
             force_switch_round=self.force_switch_round,
-            max_rounds=self.max_rounds,
             use_kernels=self.use_kernels,
             use_push_kernels=self.use_push_kernels,
-            budget_check_interval=self.budget_check_interval,
         )
 
 
@@ -146,11 +133,7 @@ class ResolvedParams:
     push_style: str
     push_order: str
     lambda_ratio: float
-    beta: Optional[float]
-    use_contraction: bool
     use_cost_model: bool
     force_switch_round: Optional[int]
-    max_rounds: int
     use_kernels: bool = True
     use_push_kernels: bool = True
-    budget_check_interval: int = 256

@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Set
 
 from repro.core.budget import Budget, PartialSearchState
-from repro.core.params import PUSH_FORWARD, ResolvedParams
+from repro.core.params import ResolvedParams
 from repro.graph.digraph import DynamicDiGraph
 
 SUPER_FORWARD = -1
@@ -111,57 +111,8 @@ class SearchContext:
         """Map a raw vertex id through the contraction overlay."""
         return self.find.get(v, v)
 
-    def neighbors(self, state: DirectionState, v: int) -> List[int]:
-        """Raw (unmapped) adjacency of ``v`` in ``state``'s direction.
-
-        Callers must map each entry through :meth:`resolve`.
-        """
-        if state.has_super and v == state.super_id:
-            return state.super_adj
-        return self.graph.neighbors(v, state.forward)
-
-    def degree(self, state: DirectionState, v: int) -> int:
-        """The reduced-graph directional degree used by ``f_norm``/``f_dist``."""
-        if state.has_super and v == state.super_id:
-            return len(state.super_adj)
-        if v < 0:
-            # The *other* side's super-vertex: its adjacency in this
-            # direction is never enumerated (visiting it is an immediate
-            # meet), but distribution weights may ask for a degree.
-            other = self.rev if state.forward else self.fwd
-            return max(len(other.super_adj), 1)
-        return (
-            self.graph.out_degree(v) if state.forward else self.graph.in_degree(v)
-        )
-
     def other(self, state: DirectionState) -> DirectionState:
         return self.rev if state.forward else self.fwd
-
-    # ------------------------------------------------------------------
-    # Push weighting (Sec. III-A)
-    # ------------------------------------------------------------------
-    def f_norm(self, state: DirectionState, v: int) -> float:
-        """Threshold normalization: ``d(u)`` for forward push, 1 otherwise."""
-        if self.params.push_style == PUSH_FORWARD:
-            return float(self.degree(state, v))
-        return 1.0
-
-    def f_dist(self, state: DirectionState, sender: int, receiver: int) -> float:
-        """Residue distribution divisor for edge ``sender -> receiver``
-        (in the search direction's orientation)."""
-        if self.params.push_style == PUSH_FORWARD:
-            return float(self.degree(state, sender))
-        # Backward push weights by the receiver's degree against the edge
-        # direction: its in-degree when scanning out-edges and vice versa.
-        return float(self._opposite_degree(state, receiver))
-
-    def _opposite_degree(self, state: DirectionState, v: int) -> int:
-        if v < 0:
-            # Super-vertices: fall back to their stored adjacency size.
-            side = self.fwd if v == SUPER_FORWARD else self.rev
-            return max(len(side.super_adj), 1)
-        d = self.graph.in_degree(v) if state.forward else self.graph.out_degree(v)
-        return max(d, 1)
 
     # ------------------------------------------------------------------
     # Cost-model progress protocol (shared with ArraySearchContext)

@@ -133,10 +133,6 @@ class JournalFanout:
         self._queues: set = set()
         self._task: Optional[asyncio.Task] = None
 
-    @property
-    def subscribers(self) -> int:
-        return len(self._queues)
-
     def attach(self) -> "asyncio.Queue[Optional[dict]]":
         """Register a subscriber queue (starts the pump on first use)."""
         queue: "asyncio.Queue[Optional[dict]]" = asyncio.Queue()

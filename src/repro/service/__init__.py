@@ -6,7 +6,7 @@ update-aware invalidation, per-query deadlines and graceful
 degradation on the caller's thread (the service owns none) — and a
 fault-tolerance layer: pluggable fault
 injection, a circuit breaker over the kernel substrate with a dict
-fallback twin, cooperative mid-search cancellation, the retry-after
+fallback twin, cooperative mid-search budget checks, the retry-after
 hint for socket-layer load shedding, and an optional write-ahead update
 journal. See
 ``docs/service.md``.

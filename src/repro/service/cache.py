@@ -178,12 +178,6 @@ class VersionedQueryCache:
                 entries.popitem(last=False)
 
     # -- introspection (tests, stats) ----------------------------------
-    @property
-    def barriers(self) -> Tuple[int, int]:
-        """(neg_barrier, pos_barrier) — versions entries must meet."""
-        with self._lock:
-            return (self._neg_barrier, self._pos_barrier)
-
     def peek(self, source: int, target: int) -> Optional[Tuple[bool, int]]:
         """The raw entry without touching LRU order or counters."""
         with self._lock:

@@ -32,12 +32,12 @@ answers:
    exact method behind the breaker, with the dict-substrate fallback
    twin), *degraded* (the bounded search — it answers everything left).
 
-The degraded rung runs when a query's budget (deadline, edge ceiling, or
-a cancel token) expires — before the search starts *or cooperatively in
-the middle of it* — seeded with the interrupted search's partial state
-when the engine could export it soundly. If it completes inside its own
-budget (a meet, or a frontier exhausted) the answer is still exact; only
-a budget overrun returns the best guess flagged ``confident=False``.
+The degraded rung runs when a query's budget (deadline or edge ceiling)
+expires — before the search starts *or cooperatively in the middle of
+it* — seeded with the interrupted search's partial state when the engine
+could export it soundly. If it completes inside its own budget (a meet,
+or a frontier exhausted) the answer is still exact; only a budget
+overrun returns the best guess flagged ``confident=False``.
 
 The cache sits before the shard rung because a routed ``wave`` /
 ``cross`` pair would otherwise re-run its worker search on every
@@ -111,7 +111,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 from collections import deque
 
 from repro.baselines.base import ReachabilityMethod
-from repro.core.budget import Budget, BudgetExceeded, CancelToken, PartialSearchState
+from repro.core.budget import Budget, BudgetExceeded, PartialSearchState
 from repro.core.ifca import IFCAMethod
 from repro.core.params import IFCAParams
 from repro.graph import kernels
@@ -332,7 +332,6 @@ class ReachabilityService:
 
         self._breaker = CircuitBreaker()
         self._batch_cost = BatchCostModel()
-        self._cancel = CancelToken()
         self.max_pending = max(0, max_pending)
 
         self._owns_journal = isinstance(journal, (str, Path))
@@ -360,17 +359,9 @@ class ReachabilityService:
         if self._closed:
             raise RuntimeError("service is closed")
 
-    def close(self, cancel_inflight: bool = False) -> None:
-        """Refuse new calls and release the fleet, hooks and journal.
-
-        ``cancel_inflight=True`` trips the service-wide cancel token
-        first, so searches running on other threads exit cooperatively
-        at their next checkpoint (their queries resolve as degraded
-        outcomes) instead of running to completion.
-        """
+    def close(self) -> None:
+        """Refuse new calls and release the fleet, hooks and journal."""
         self._closed = True
-        if cancel_inflight:
-            self._cancel.cancel()
         with self._router_lock:
             if self._router is not None:
                 self._router.close()
@@ -1062,7 +1053,7 @@ class ReachabilityService:
                     self.method, source, target, budget
                 )
             except BudgetExceeded:
-                # Cooperative cancellation is not a substrate failure. A
+                # A budget interrupt is not a substrate failure. A
                 # half-open probe interrupted this way is inconclusive:
                 # return the breaker to OPEN (no trip counted) and let a
                 # later probe decide.
@@ -1157,14 +1148,11 @@ class ReachabilityService:
                     self._fallback = self._fallback_factory(self.graph)
         return self._fallback
 
-    def _make_budget(self, deadline: Optional[float]) -> Budget:
-        # A budget always carries the service-wide cancel token so that
-        # close(cancel_inflight=True) can interrupt any running search.
-        return Budget(
-            deadline=deadline,
-            edge_ceiling=self.engine_edge_budget,
-            token=self._cancel,
-        )
+    def _make_budget(self, deadline: Optional[float]) -> Optional[Budget]:
+        # A walk with no limit searches with no budget: nothing checkpoints.
+        if deadline is None and self.engine_edge_budget is None:
+            return None
+        return Budget(deadline=deadline, edge_ceiling=self.engine_edge_budget)
 
     def _run_engine(
         self,
@@ -1305,10 +1293,6 @@ class ReachabilityService:
     @property
     def injector(self) -> Optional[FaultInjector]:
         return self._injector
-
-    @property
-    def cancel_token(self) -> CancelToken:
-        return self._cancel
 
     @property
     def router(self) -> Optional["ShardRouter"]:

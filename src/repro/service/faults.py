@@ -178,7 +178,7 @@ class CircuitBreaker:
     elapsed, then admits exactly one *probe* (HALF_OPEN). The probe's
     :meth:`record_success` re-closes; its :meth:`record_failure` re-opens
     and restarts the interval. Cooperative-budget interrupts must not be
-    recorded at all — they are cancellation, not substrate failure.
+    recorded at all — a spent budget is not a substrate failure.
     """
 
     def __init__(self, clock: Callable[[], float] = time.monotonic) -> None:

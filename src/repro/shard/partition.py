@@ -129,9 +129,6 @@ class ShardPlan:
     def num_shards(self) -> int:
         return len(self.shards)
 
-    def class_of_shard(self, shard: int) -> Optional[int]:
-        return self.shards[shard].scc_class
-
     def summary(self) -> Dict[str, object]:
         """Plain-data description for stats surfaces and logs."""
         return {

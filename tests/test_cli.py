@@ -132,6 +132,56 @@ class TestReproduce:
         assert "[fig01]" in text and "[tab03]" in text
 
 
+class TestServeRestart:
+    """``repro serve --journal P`` over a ``P`` an earlier run wrote
+    resumes that history instead of forking it."""
+
+    @pytest.fixture
+    def first_run(self, tmp_path):
+        """A 200-vertex edge list, and a journal a first ``serve`` on it
+        wrote with one update in it."""
+        from repro.cli import serve_service
+
+        graph_path, journal = tmp_path / "g.txt", tmp_path / "p.wal"
+        assert main(["generate", "pa", str(graph_path), "--n", "200"]) == 0
+        args = build_parser().parse_args(
+            ["serve", str(graph_path), "--journal", str(journal)]
+        )
+        with serve_service(args) as service:
+            service.add_edge(900, 901)
+            version = service.graph.version
+        return graph_path, journal, args, version
+
+    def test_a_restarted_serve_answers_with_the_first_runs_updates(
+        self, first_run
+    ):
+        from repro.cli import serve_service
+        from repro.graph.journal import replay
+
+        graph_path, journal, args, version = first_run
+        with serve_service(args) as service:
+            assert service.query(900, 901).answer
+            assert service.graph.version == version
+            service.add_edge(901, 902)
+            resumed = service.graph.version
+        result = replay(journal, read_edge_list(graph_path))
+        assert result.version == resumed > version
+        assert result.graph.has_edge(900, 901)
+        assert result.graph.has_edge(901, 902)
+
+    def test_an_edge_list_that_is_not_the_base_exits_non_zero(
+        self, first_run, tmp_path, capsys
+    ):
+        graph_path, journal, _, _ = first_run
+        other = tmp_path / "other.txt"
+        graph = read_edge_list(graph_path)
+        graph.add_edge(700, 701)
+        write_edge_list(graph, other)
+        argv = ["serve", str(other), "--journal", str(journal)]
+        assert main(argv + ["--port", "0", "--max-seconds", "0"]) == 2
+        assert "cannot resume" in capsys.readouterr().err
+
+
 class TestStatsRich:
     def test_extended_stats_fields(self, graph_file, capsys):
         main(["stats", graph_file, "--exact-clustering"])
@@ -205,6 +255,19 @@ def serving_census():
     )
     census["*.serve"] = ("ReplicaNode.serve", _parameters(ReplicaNode.serve))
     return census
+
+
+def ifca_census():
+    """``IFCAParams`` as call-site patterns: its constructor, and
+    ``with_overrides`` on any receiver (its ``**kwargs`` bind by name)."""
+    from repro.core.params import IFCAParams
+
+    return {
+        "IFCAParams": ("IFCAParams", _parameters(IFCAParams.__init__)),
+        "*.with_overrides": (
+            "IFCAParams", _parameters(IFCAParams.with_overrides)
+        ),
+    }
 
 
 def _pattern(func: ast.expr, census) -> Optional[str]:
@@ -297,15 +360,16 @@ class TestKnobCensus:
     def test_ifca_params_fields(self):
         import dataclasses
 
-        from repro.core.params import IFCAParams
+        from repro.core.params import IFCAParams, ResolvedParams
 
-        assert len(dataclasses.fields(IFCAParams)) <= 15, self.RATCHET
+        assert len(dataclasses.fields(IFCAParams)) <= 11, self.RATCHET
+        assert len(dataclasses.fields(ResolvedParams)) <= 11, self.RATCHET
 
     def test_engine_module_lines(self):
         import repro.service.engine as engine
 
         with open(engine.__file__, encoding="utf-8") as handle:
-            assert sum(1 for _ in handle) <= 1382, self.RATCHET
+            assert sum(1 for _ in handle) <= 1366, self.RATCHET
 
     def test_cli_flags(self):
         def flags(parser):
@@ -372,12 +436,23 @@ class TestKnobCensus:
                 assert name in signatures[target].parameters, (target, name)
                 assert name not in bound[target] and reason, (target, name)
 
+    def test_every_ifca_param_has_a_production_caller(self):
+        """The paper's parameters are no exception: every ``IFCAParams``
+        field is bound by some ``IFCAParams(...)`` or
+        ``.with_overrides(...)`` call under ``src/`` or ``benchmarks/``."""
+        unset = unset_parameters(production_sources(), ifca_census(), {})
+        assert unset == {}, "delete them or give them a caller"
+
     def test_serving_parameters(self):
         signatures = component_signatures(serving_census())
         total = sum(len(signature.parameters) for signature in signatures.values())
         assert total <= 38, self.RATCHET
 
     def test_deleted_settings_stay_deleted(self):
+        import dataclasses
+
+        from repro.core import budget
+        from repro.core.params import IFCAParams, ResolvedParams
         from repro.graph.labels import LabelIndex
         from repro.service import engine
 
@@ -392,6 +467,17 @@ class TestKnobCensus:
         assert not hasattr(engine, "LABEL_BITS")
         assert not hasattr(engine.ReachabilityService, "add_vertex")
         assert not hasattr(LabelIndex, "note_vertex")
+
+        params_gone = {"use_contraction", "beta", "max_rounds", "budget_check_interval"}
+        for cls in (IFCAParams, ResolvedParams):
+            fields = {field.name for field in dataclasses.fields(cls)}
+            assert not params_gone & fields, cls
+        assert not hasattr(budget, "CancelToken")
+        for function in (budget.Budget.__init__, budget.Budget.from_timeout):
+            assert "token" not in inspect.signature(function).parameters
+        service = engine.ReachabilityService
+        assert "cancel_inflight" not in inspect.signature(service.close).parameters
+        assert not hasattr(service, "cancel_token")
 
     def test_deleted_knobs_stay_deleted(self):
         # Each name is split so that this file does not match itself.

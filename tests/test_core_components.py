@@ -51,8 +51,6 @@ class TestParams:
             {"epsilon_pre": -1.0},
             {"epsilon_init": 0.0},
             {"lambda_ratio": 0.0},
-            {"beta": 1.5},
-            {"max_rounds": 0},
         ],
     )
     def test_validation(self, kwargs):
@@ -177,14 +175,6 @@ class TestContraction:
         outcome = community_contraction(ctx, ctx.fwd, QueryStats())
         assert outcome is ContractionOutcome.NOT_TRIGGERED
 
-    def test_disabled_by_params(self, cycle_graph):
-        ctx = make_ctx(cycle_graph, 0, 3, use_contraction=False)
-        ctx.epsilon_cur = 0.0
-        assert (
-            community_contraction(ctx, ctx.fwd, QueryStats())
-            is ContractionOutcome.NOT_TRIGGERED
-        )
-
     def test_contraction_builds_super_vertex(self):
         g = DynamicDiGraph(edges=[(0, 1), (1, 0), (1, 2)])
         ctx = self._drained_ctx(g, 0, 2)
@@ -269,8 +259,8 @@ class TestCostModel:
         assert 1.0 <= model.k_upper_bound(n) <= n
 
     def test_fixed_beta_honored(self, sbm_small):
-        model, _ = self._model(sbm_small, beta=0.42)
-        assert model.beta == 0.42
+        params = IFCAParams().resolve(sbm_small)
+        assert CostModel(sbm_small, params, beta=0.42).beta == 0.42
 
     def test_estimate_fields(self, sbm_small):
         model, params = self._model(sbm_small)

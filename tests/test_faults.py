@@ -10,7 +10,6 @@ named fault plans with a BFS oracle on the confident answers.
 from __future__ import annotations
 
 import random
-import threading
 import time
 
 import pytest
@@ -29,6 +28,7 @@ from repro.service import (
     replay_workload,
 )
 from repro.service import engine, faults
+from repro.service.batcher import BatchCostModel
 from repro.service.faults import (
     BREAKER_CLOSED,
     BREAKER_HALF_OPEN,
@@ -37,7 +37,7 @@ from repro.service.faults import (
 )
 from repro.workloads.mixed import generate_mixed_workload
 
-from tests.conftest import random_graph
+from tests.conftest import force_waves, random_graph
 
 
 # ----------------------------------------------------------------------
@@ -489,48 +489,44 @@ class TestCooperativeCancellation:
                     assert out.answer == is_reachable_bfs(graph, s, t)
             assert degraded > 0
 
-    def test_close_cancels_inflight_searches(self):
-        """Sixteen caller-owned threads sit in the engine stage (a
-        latency fault holds them there) when ``close`` trips the cancel
-        token: every call resolves, nothing hangs or raises, and the
-        searches that were in flight come back degraded."""
+    @pytest.mark.parametrize("rung", ["waves", "engine"])
+    @pytest.mark.parametrize("width", [1, 64])
+    def test_a_walk_with_no_limit_passes_no_budget(self, monkeypatch, width, rung):
+        """No deadline and no ``engine_edge_budget``: the bit kernel and
+        the engine search run with ``budget=None``, so nothing
+        checkpoints."""
         # A long path: no index rung can prove i -> 499 - i, so every
-        # call needs a search.
+        # pair needs a search.
         graph = DynamicDiGraph(edges=[(i, i + 1) for i in range(499)])
-        plan = FaultPlan(
-            "slow", (FaultSpec("engine", kind="latency", delay_s=0.2),)
-        )
-        service = ReachabilityService(
-            graph, num_supportive=0, use_labels=False, cache_capacity=1,
-            fault_plan=plan,
-        )
-        results = [None] * 16
+        pairs = [(i, 499 - i) for i in range(width)]
+        budgets = []
+        kernel = engine.csr_bit_bibfs
 
-        def ask(i):
-            try:
-                results[i] = service.query(i, 499 - i)
-            except RuntimeError as exc:  # arrived after close(): refused
-                results[i] = exc
+        def bit_bibfs(csr, ids, budget=None, lead=None):
+            budgets.append(("waves", budget))
+            return kernel(csr, ids, budget=budget, lead=lead)
 
-        threads = [threading.Thread(target=ask, args=(i,)) for i in range(16)]
-        for thread in threads:
-            thread.start()
-        time.sleep(0.05)  # everyone is past admission, inside a walk
-        service.close(cancel_inflight=True)
-        for thread in threads:
-            thread.join(timeout=30)
-        assert not any(thread.is_alive() for thread in threads)
-        outcomes = [r for r in results if not isinstance(r, RuntimeError)]
-        assert all(
-            out.via in (
-                "fastpath", "cache", "engine", "engine-fallback", "degraded"
+        monkeypatch.setattr(engine, "csr_bit_bibfs", bit_bibfs)
+        with ReachabilityService(
+            graph, num_supportive=0, use_labels=False, cache_capacity=1
+        ) as service:
+            search = service.method.engine.query_with_stats
+
+            def query_with_stats(source, target, budget=None):
+                budgets.append(("engine", budget))
+                return search(source, target, budget=budget)
+
+            monkeypatch.setattr(
+                service.method.engine, "query_with_stats", query_with_stats
             )
-            for out in outcomes
-        )
-        assert any(
-            out.via == "degraded" and out.detail.startswith("cancelled")
-            for out in outcomes
-        )
+            if rung == "waves":
+                force_waves(service)
+            else:  # a sweep never pays: every pair takes the engine rung
+                service._batch_cost = BatchCostModel(layer_dispatch_s=1e9)
+            outcomes = service.query_batch(pairs)
+        assert all(out.answer and out.confident for out in outcomes)
+        assert {where for where, _ in budgets} == {rung}
+        assert all(budget is None for _, budget in budgets)
 
 
 # ----------------------------------------------------------------------

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import ifca
 from repro.core.ifca import IFCA, IFCAMethod
 from repro.core.params import IFCAParams
 from repro.graph.digraph import DynamicDiGraph
@@ -26,7 +27,6 @@ VARIANTS = {
     "greedy_order": IFCAParams(push_order="greedy"),
     "tiny_epsilon": IFCAParams(epsilon_pre=1e-6, epsilon_init=1e-4),
     "large_step": IFCAParams(step=1000.0),
-    "fixed_beta": IFCAParams(beta=0.5),
 }
 
 
@@ -205,8 +205,9 @@ class TestMethodWrapper:
 
 
 class TestTermination:
-    def test_max_rounds_fallback_is_exact(self, sbm_small):
-        params = IFCAParams(use_cost_model=False, max_rounds=2)
+    def test_max_rounds_fallback_is_exact(self, sbm_small, monkeypatch):
+        monkeypatch.setattr(ifca, "MAX_ROUNDS", 2)
+        params = IFCAParams(use_cost_model=False)
         assert_matches_oracle(sbm_small, params, sample_queries(sbm_small, 30, 6))
 
     def test_two_isolated_cliques(self):

@@ -9,6 +9,7 @@ Every case is validated against the BFS oracle under multiple variants.
 
 import pytest
 
+from repro.core import ifca
 from repro.core.ifca import IFCA
 from repro.core.params import IFCAParams
 from repro.graph.digraph import DynamicDiGraph
@@ -119,13 +120,14 @@ class TestDegenerate:
         g.add_edge(10, 20)
         check(g, [(10, 20), (20, 10), (0, 99), (10, 99)])
 
-    def test_extreme_parameters(self):
+    def test_extreme_parameters(self, monkeypatch):
+        monkeypatch.setattr(ifca, "MAX_ROUNDS", 50)
         g = DynamicDiGraph(edges=[(i, i + 1) for i in range(20)])
         for params in (
             IFCAParams(alpha=0.99, use_cost_model=False),
             IFCAParams(alpha=0.01, use_cost_model=False),
             IFCAParams(epsilon_pre=1e-12, epsilon_init=1e-10, use_cost_model=False),
-            IFCAParams(step=1.0001, use_cost_model=False, max_rounds=50),
+            IFCAParams(step=1.0001, use_cost_model=False),
         ):
             engine = IFCA(g, params)
             assert engine.is_reachable(0, 20)

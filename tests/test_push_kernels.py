@@ -58,8 +58,7 @@ ORDERS = [ORDER_LIFO, ORDER_GREEDY]
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("style", STYLES)
 @pytest.mark.parametrize("order", ORDERS)
-@pytest.mark.parametrize("contraction", [True, False])
-def test_verdict_equivalence_grid(style, order, contraction):
+def test_verdict_equivalence_grid(style, order):
     graphs = [
         two_block_sbm(120, 6.0, seed=3),
         preferential_attachment_graph(300, 3, seed=7, reciprocal=0.15),
@@ -73,7 +72,6 @@ def test_verdict_equivalence_grid(style, order, contraction):
             params = IFCAParams(
                 push_style=style,
                 push_order=order,
-                use_contraction=contraction,
                 force_switch_round=3,
                 use_push_kernels=push_kernels,
             )

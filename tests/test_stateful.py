@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.baselines.dbl import DBLMethod
+from repro.core import ifca
 from repro.core.ifca import IFCA
 from repro.core.params import IFCAParams
 from repro.graph.dag import DynamicDAG
@@ -121,9 +122,7 @@ class IfcaMachine(RuleBasedStateMachine):
         super().__init__()
         self.graph = DynamicDiGraph(vertices=range(10))
         self.engine = IFCA(self.graph)
-        self.contract_engine = IFCA(
-            self.graph, IFCAParams(use_cost_model=False, max_rounds=200)
-        )
+        self.contract_engine = IFCA(self.graph, IFCAParams(use_cost_model=False))
         self.shadow = self.graph.copy()
 
     @rule(u=VERTICES, v=VERTICES)
@@ -176,7 +175,12 @@ class TestPrunerMachine(PrunerMachine.TestCase):
 TestPrunerMachine.settings = settings(
     max_examples=40, stateful_step_count=30, deadline=None
 )
-TestIfcaMachine = IfcaMachine.TestCase
+class TestIfcaMachine(IfcaMachine.TestCase):
+    @pytest.fixture(autouse=True)
+    def _round_cap(self, monkeypatch):
+        monkeypatch.setattr(ifca, "MAX_ROUNDS", 200)
+
+
 TestIfcaMachine.settings = settings(
     max_examples=20, stateful_step_count=25, deadline=None
 )
