@@ -10,10 +10,10 @@ Three measurements on the 50k-vertex scale-free workload shared with
   handful of vertices, so numpy dispatch costs as much as it saves. The
   deep rungs are where the sweeps pay; the deepest must clear 2x.
 * **End-to-end IFCA** — full queries (guided rounds + contraction +
-  Alg. 5 hand-off) with the push kernel on vs off, answers checked
-  query by query against the dict BiBFS reference (must be identical).
-  Reported at a deep forced-switch round and under the default cost
-  model; the shallow default regime is expected near parity.
+  Alg. 5 hand-off) on the array state vs all on the dict twins
+  (``IFCAParams.use_kernels``), answers checked query by query against
+  the dict BiBFS reference (must be identical). Reported at a deep
+  forced-switch round and under the default cost model.
 * **Lambda recalibration** — the Sec. V-D4 ratio measured on the dict
   path and on the kernel path. The kernel's cheaper per-edge push time
   lowers lambda, which is exactly what shifts the Alg. 6 switch point
@@ -126,23 +126,23 @@ def _end_to_end_rows(graph, queries):
         ("default cost model", None),
     ):
         dict_s = None
-        for push_kernels in (False, True):
+        for use_kernels in (False, True):
             engine = IFCA(
                 graph,
                 IFCAParams(
                     force_switch_round=force_switch_round,
-                    use_push_kernels=push_kernels,
+                    use_kernels=use_kernels,
                 ),
             )
             wall, answers = _best_of(
                 lambda: [engine.is_reachable(s, t) for s, t in queries]
             )
-            if not push_kernels:
+            if not use_kernels:
                 dict_s = wall
             rows.append(
                 {
                     "measurement": f"e2e ifca {regime} x{NUM_QUERIES}q",
-                    "path": "push kernel" if push_kernels else "dict twin",
+                    "path": "push kernel" if use_kernels else "dict twin",
                     "wall_s": wall,
                     "speedup_vs_dict": dict_s / wall if wall else float("inf"),
                     "mismatches": sum(

@@ -4,14 +4,15 @@ The dict twins (:mod:`repro.core.guided`, :mod:`repro.core.contraction`,
 :mod:`repro.core.bibfs`) run one Python iteration per *edge*; this module
 runs the same three phases as whole-frontier numpy passes over a
 :class:`~repro.graph.snapshot.CSRSnapshot`, one interpreter dispatch per
-*sweep*. :mod:`repro.core.ifca` picks between the two per query: the array
-path whenever ``params.use_kernels and params.use_push_kernels`` and a
-current-version snapshot is already frozen (``graph.csr(build=False)``),
-the dict path otherwise (a per-call pin off, or a mid-churn graph with
-no fresh snapshot). The dict twin remains the authoritative,
-paper-faithful reference implementation, and the array path must agree
-with it on *verdicts* for every query (asserted across push styles ×
-orders × contraction on/off by ``tests/test_push_kernels.py``).
+*sweep*. :mod:`repro.core.ifca` picks between the two once per query,
+when it builds the search context: the array path for all three phases
+whenever ``params.use_kernels`` and a current-version snapshot is
+already frozen (``graph.csr(build=False)``), the dict path for all three
+otherwise (the switch off, or a mid-churn graph with no fresh snapshot).
+The dict twin remains the authoritative, paper-faithful reference
+implementation, and the array path must agree with it on *verdicts* for
+every query (asserted across push styles × orders by
+``tests/test_push_kernels.py``).
 
 State layout
 ------------
@@ -450,10 +451,9 @@ def array_community_contraction(
 def array_frontier_bibfs(ctx: ArraySearchContext, stats: QueryStats) -> bool:
     """Run the hand-off BiBFS on array state, overlay included.
 
-    Unlike the PR 2 read-path kernel (``csr_bibfs_frontiers``), which
-    required an *empty* overlay, this twin composes ``remap`` at gather
-    time, so contracted queries stay on the vectorized substrate all the
-    way to the answer.
+    It composes ``remap`` at gather time, so contracted queries stay on
+    the vectorized substrate all the way to the answer; it is the only
+    array hand-off (a dict context finishes on the dict twin).
     """
     fwd, rev = ctx.fwd, ctx.rev
     budget = ctx.budget

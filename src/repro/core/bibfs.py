@@ -10,11 +10,9 @@ context, which is exactly the plain BiBFS competitor. All per-direction
 bindings are hoisted out of the layer loop: on sparse graphs layers hold
 only a couple of vertices, so per-layer setup would otherwise dominate.
 
-When the query never contracted (empty overlay, no super-vertices) and a
-current-version CSR snapshot is already frozen, the whole phase dispatches
-to the vectorized kernel (:func:`repro.graph.kernels.csr_bibfs_frontiers`)
-instead — answer-equivalent, but paying interpreter cost per layer rather
-than per edge.
+This is the dict twin only: a query that started on the array state
+hands off through :func:`repro.core.array_search.array_frontier_bibfs`,
+and one that started on dicts finishes here, whatever was frozen since.
 """
 
 from __future__ import annotations
@@ -23,7 +21,6 @@ from typing import Iterable, List
 
 from repro.core.state import SearchContext
 from repro.core.stats import QueryStats
-from repro.graph import kernels
 
 
 def frontier_bibfs(
@@ -35,28 +32,6 @@ def frontier_bibfs(
     """Run Alg. 5 to completion; returns whether ``s -> t``."""
     fwd, rev = ctx.fwd, ctx.rev
     budget = ctx.budget
-    if (
-        ctx.params.use_kernels
-        and not ctx.find
-        and not fwd.has_super
-        and not rev.has_super
-    ):
-        snapshot = ctx.graph.csr(build=False)
-        if snapshot is not None:
-            # The kernel checkpoints the budget per layer itself; the dict
-            # visited sets are untouched on a raise, so the engine's
-            # export still describes sound (pre-BiBFS) state.
-            met, accesses = kernels.csr_bibfs_frontiers(
-                snapshot,
-                frontier_f,
-                frontier_r,
-                fwd.visited,
-                rev.visited,
-                budget=budget,
-            )
-            stats.bibfs_edge_accesses += accesses
-            stats.used_kernel = True
-            return met
     visited_f, visited_r = fwd.visited, rev.visited
     adj_f = ctx.graph.adjacency(True)
     adj_r = ctx.graph.adjacency(False)

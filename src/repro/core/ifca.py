@@ -155,11 +155,12 @@ class IFCA:
                 )
                 return self._finish(stats, met, "bibfs")
 
-            # Array-state dispatch: when both kernel switches are on and a
-            # current-version snapshot is already frozen, the whole guided
-            # phase (drains, contraction, hand-off) runs on the array
-            # twins; otherwise — a switch off, or a mid-churn graph whose
-            # snapshot is stale — the dict twins answer identically.
+            # One substrate per query: with ``use_kernels`` on and a
+            # current-version snapshot already frozen, every phase (drains,
+            # contraction, hand-off) runs on the array twins; otherwise —
+            # the switch off, or a mid-churn graph whose snapshot is stale
+            # — every phase runs on the dict twins, even if the version is
+            # frozen mid-query.
             ctx = self._make_context(params, source, target, budget)
             if isinstance(ctx, ArraySearchContext):
                 stats.used_push_kernel = True
@@ -208,7 +209,7 @@ class IFCA:
         self, params, source: int, target: int, budget: Optional[Budget] = None
     ):
         """Pick the array-state context when its preconditions hold."""
-        if params.use_kernels and params.use_push_kernels:
+        if params.use_kernels:
             snapshot = self.graph.csr(build=False)
             if snapshot is not None:
                 return ArraySearchContext(

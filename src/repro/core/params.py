@@ -63,18 +63,13 @@ class IFCAParams:
     lambda_ratio: float = 1.7
     use_cost_model: bool = True
     force_switch_round: Optional[int] = None
-    #: Dispatch BiBFS phases to the vectorized CSR kernels whenever a
-    #: current-version snapshot is already frozen (``graph.csr(build=False)``).
-    #: Semantics are identical either way; turning this off forces the dict
-    #: path even when a snapshot is available (the A/B harness does).
+    #: The one substrate switch: when a current-version snapshot is
+    #: already frozen (``graph.csr(build=False)``) as a query starts, every
+    #: phase of it (Alg. 3 drains, Alg. 4 contraction, the Alg. 5 hand-off,
+    #: or the immediate BiBFS) runs on the CSR arrays
+    #: (:mod:`repro.core.array_search`); otherwise, or with this off, every
+    #: phase runs on the dict twins. One query never mixes the two.
     use_kernels: bool = True
-    #: Additionally run the guided search itself (Alg. 3 drains, Alg. 4
-    #: contraction, the Alg. 5 hand-off) on the array-state kernels
-    #: (:mod:`repro.core.array_search`) when a snapshot is frozen. Requires
-    #: ``use_kernels``; turning only this off keeps the BiBFS read-path
-    #: kernels while pinning the guided phase to the dict twin (the push
-    #: A/B harness does exactly that).
-    use_push_kernels: bool = True
 
     def __post_init__(self) -> None:
         if not 0 < self.alpha < 1:
@@ -118,7 +113,6 @@ class IFCAParams:
             use_cost_model=self.use_cost_model,
             force_switch_round=self.force_switch_round,
             use_kernels=self.use_kernels,
-            use_push_kernels=self.use_push_kernels,
         )
 
 
@@ -136,4 +130,3 @@ class ResolvedParams:
     use_cost_model: bool
     force_switch_round: Optional[int]
     use_kernels: bool = True
-    use_push_kernels: bool = True

@@ -112,7 +112,10 @@ class UpdateJournal:
     """An append-only write-ahead journal for one dynamic graph.
 
     Opening an empty (or absent) file writes the header; opening an
-    existing journal resumes appending after its last record. The journal
+    existing journal resumes appending after its last record, first
+    cutting a torn final line (a crash mid-append: that record never
+    committed, and replay drops it) so the next record starts a line of
+    its own instead of joining the torn one. The journal
     is oblivious to *who* mutates the graph — callers append a record for
     every effective mutation they apply, stamped with the resulting
     graph version (the serving engine does this inside its write lock, so
@@ -124,7 +127,7 @@ class UpdateJournal:
         self._pending = 0
         self._records = 0
         self._syncs = 0
-        fresh = not self.path.exists() or self.path.stat().st_size == 0
+        fresh = not self.path.exists() or _cut_torn_tail(self.path) == 0
         self._handle = open(self.path, "a", encoding="utf-8")
         if fresh:
             self._write_header(graph_version)
@@ -227,6 +230,28 @@ class UpdateJournal:
         return self._syncs
 
 
+def _cut_torn_tail(path: Path) -> int:
+    """Truncate ``path`` to just after its last newline; returns the size.
+
+    Scans back from the end in blocks, so the cost is the torn line's
+    length, not the journal's.
+    """
+    with open(path, "r+b") as handle:
+        size = end = handle.seek(0, os.SEEK_END)
+        while end > 0:
+            start = max(end - 4096, 0)
+            handle.seek(start)
+            cut = handle.read(end - start).rfind(b"\n")
+            if cut >= 0:
+                end = start + cut + 1
+                break
+            end = start
+        if end < size:
+            handle.truncate(end)
+            os.fsync(handle.fileno())
+    return end
+
+
 def replay(
     path: PathLike, base_graph: Optional[DynamicDiGraph] = None
 ) -> ReplayResult:
@@ -260,6 +285,8 @@ def replay(
                 break
             raise JournalCorrupt(f"{path}: undecodable record at line {i + 1}")
 
+    if not records:
+        raise JournalCorrupt(f"{path}: no complete header")
     header = records[0]
     if header.get("op") != "open":
         raise JournalCorrupt(f"{path}: first record is not a header")

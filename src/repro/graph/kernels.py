@@ -28,9 +28,10 @@ Contract
 * Kernels never mutate the snapshot; all state (visited masks, frontiers,
   residue arrays) is caller-owned or per-call scratch.
 * numpy is a declared dependency, so every caller may dispatch here; the
-  dict twins that remain are selected per call (``IFCAParams.use_kernels``
-  / ``use_push_kernels``, ``bibfs_is_reachable(..., use_kernels=False)``),
-  never by a process-wide switch.
+  dict twins that remain are selected per call (``IFCAParams.use_kernels``,
+  ``bibfs_is_reachable(..., use_kernels=False)``), never by a
+  process-wide switch, and one IFCA query runs on one substrate: the
+  array state from start to answer, or the dict twins throughout.
 """
 
 from __future__ import annotations
@@ -495,39 +496,6 @@ def csr_bibfs(
     frontier_f = np.array([si], dtype=np.int64)
     frontier_r = np.array([ti], dtype=np.int64)
     return _bibfs_loop(csr, frontier_f, frontier_r, visited_f, visited_r, budget)
-
-
-def csr_bibfs_frontiers(
-    csr: "CSRSnapshot",
-    frontier_f: Iterable[int],
-    frontier_r: Iterable[int],
-    visited_f: Set[int],
-    visited_r: Set[int],
-    budget=None,
-) -> Tuple[bool, int]:
-    """The frontier-initialized hand-off variant (Alg. 5 without overlay).
-
-    Inherits the guided search's visited sets and frontiers (original
-    ids). Only valid when the query performed no contraction — the caller
-    checks that the overlay is empty before dispatching here. The input
-    sets are never mutated, so a budget raise leaves the caller's state
-    exactly as handed in.
-    """
-    n = csr.num_vertices
-    mask_f = np.zeros(n, dtype=bool)
-    mask_r = np.zeros(n, dtype=bool)
-    idx_f = csr.indices_of(visited_f)
-    idx_r = csr.indices_of(visited_r)
-    mask_f[idx_f] = True
-    mask_r[idx_r] = True
-    cur_f = np.unique(csr.indices_of(frontier_f))
-    cur_r = np.unique(csr.indices_of(frontier_r))
-    # The inherited sets may already overlap only if a meet was missed
-    # upstream, which the engine's invariants forbid; a cheap intersection
-    # test keeps the kernel sound regardless.
-    if mask_f[idx_r].any():
-        return True, 0
-    return _bibfs_loop(csr, cur_f, cur_r, mask_f, mask_r, budget)
 
 
 def _bibfs_loop(csr, frontier_f, frontier_r, visited_f, visited_r, budget=None):

@@ -30,15 +30,14 @@ def backward_push(
     config: Optional[PushConfig] = None,
     state: Optional[PushState] = None,
     max_operations: Optional[int] = None,
-    use_kernels: bool = True,
 ) -> PushState:
     """Run backward push toward ``target`` until no vertex is pushable.
 
     As with forward push, re-invoking with a smaller epsilon resumes the
     computation, and the drain dispatches to
-    :func:`repro.graph.kernels.csr_backward_push_drain` when kernels are
-    enabled and a current-version snapshot is frozen (the scalar worklist
-    loop stays authoritative and always available).
+    :func:`repro.graph.kernels.csr_backward_push_drain` when a
+    current-version snapshot is frozen (the scalar worklist loop stays
+    authoritative and serves graphs with no current snapshot).
     """
     if config is None:
         config = PushConfig()
@@ -48,33 +47,32 @@ def backward_push(
         state = PushState.indicator(target)
     alpha, epsilon = config.alpha, config.epsilon
 
-    if use_kernels:
-        snapshot = graph.csr(build=False)
-        if snapshot is not None:
-            budget = (
-                None
-                if max_operations is None
-                else max_operations - state.push_operations
+    snapshot = graph.csr(build=False)
+    if snapshot is not None:
+        budget = (
+            None
+            if max_operations is None
+            else max_operations - state.push_operations
+        )
+        if budget is None or budget > 0:
+            residue, reserve = state_to_arrays(state, snapshot)
+            out_deg = (
+                snapshot.out_offsets[1:] - snapshot.out_offsets[:-1]
+            ).astype(kernels.np.float64)
+            pushes, accesses = kernels.csr_backward_push_drain(
+                snapshot.in_offsets,
+                snapshot.in_targets,
+                out_deg,
+                residue,
+                reserve,
+                alpha,
+                epsilon,
+                budget,
             )
-            if budget is None or budget > 0:
-                residue, reserve = state_to_arrays(state, snapshot)
-                out_deg = (
-                    snapshot.out_offsets[1:] - snapshot.out_offsets[:-1]
-                ).astype(kernels.np.float64)
-                pushes, accesses = kernels.csr_backward_push_drain(
-                    snapshot.in_offsets,
-                    snapshot.in_targets,
-                    out_deg,
-                    residue,
-                    reserve,
-                    alpha,
-                    epsilon,
-                    budget,
-                )
-                state_from_arrays(state, snapshot, residue, reserve)
-                state.push_operations += pushes
-                state.edge_accesses += accesses
-            return state
+            state_from_arrays(state, snapshot, residue, reserve)
+            state.push_operations += pushes
+            state.edge_accesses += accesses
+        return state
 
     work = Worklist()
     for v, r in state.residue.items():

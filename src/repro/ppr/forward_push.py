@@ -29,7 +29,6 @@ def forward_push(
     config: Optional[PushConfig] = None,
     state: Optional[PushState] = None,
     max_operations: Optional[int] = None,
-    use_kernels: bool = True,
 ) -> PushState:
     """Run forward push from ``source`` until no vertex is pushable.
 
@@ -37,12 +36,12 @@ def forward_push(
     the computation (push is monotone in ``epsilon``), which is exactly how
     IFCA's shrinking threshold loop re-enters the search.
 
-    When ``use_kernels`` and a current-version CSR snapshot is already
-    frozen, the drain runs as whole-frontier sweeps through
+    When a current-version CSR snapshot is already frozen, the drain runs
+    as whole-frontier sweeps through
     :func:`repro.graph.kernels.csr_forward_push_drain` (push order differs
     from the scalar worklist — both quiesce; the A/B tests pin the shared
     properties). The scalar loop remains the authoritative twin and serves
-    mid-churn graphs.
+    graphs with no current snapshot (never frozen, or mid-churn).
     """
     if config is None:
         config = PushConfig()
@@ -52,29 +51,28 @@ def forward_push(
         state = PushState.indicator(source)
     alpha, epsilon = config.alpha, config.epsilon
 
-    if use_kernels:
-        snapshot = graph.csr(build=False)
-        if snapshot is not None:
-            budget = (
-                None
-                if max_operations is None
-                else max_operations - state.push_operations
+    snapshot = graph.csr(build=False)
+    if snapshot is not None:
+        budget = (
+            None
+            if max_operations is None
+            else max_operations - state.push_operations
+        )
+        if budget is None or budget > 0:
+            residue, reserve = state_to_arrays(state, snapshot)
+            pushes, accesses = kernels.csr_forward_push_drain(
+                snapshot.out_offsets,
+                snapshot.out_targets,
+                residue,
+                reserve,
+                alpha,
+                epsilon,
+                budget,
             )
-            if budget is None or budget > 0:
-                residue, reserve = state_to_arrays(state, snapshot)
-                pushes, accesses = kernels.csr_forward_push_drain(
-                    snapshot.out_offsets,
-                    snapshot.out_targets,
-                    residue,
-                    reserve,
-                    alpha,
-                    epsilon,
-                    budget,
-                )
-                state_from_arrays(state, snapshot, residue, reserve)
-                state.push_operations += pushes
-                state.edge_accesses += accesses
-            return state
+            state_from_arrays(state, snapshot, residue, reserve)
+            state.push_operations += pushes
+            state.edge_accesses += accesses
+        return state
 
     work = Worklist()
     for v, r in state.residue.items():

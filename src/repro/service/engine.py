@@ -288,7 +288,7 @@ class ReachabilityService:
                 fallback_factory = method_factory
             else:
                 fallback_factory = lambda g: IFCAMethod(  # noqa: E731
-                    g, IFCAParams(use_kernels=False, use_push_kernels=False)
+                    g, IFCAParams(use_kernels=False)
                 )
         self._fallback_factory = fallback_factory
         self._fallback: Optional[ReachabilityMethod] = None

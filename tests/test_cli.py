@@ -362,8 +362,8 @@ class TestKnobCensus:
 
         from repro.core.params import IFCAParams, ResolvedParams
 
-        assert len(dataclasses.fields(IFCAParams)) <= 11, self.RATCHET
-        assert len(dataclasses.fields(ResolvedParams)) <= 11, self.RATCHET
+        assert len(dataclasses.fields(IFCAParams)) <= 10, self.RATCHET
+        assert len(dataclasses.fields(ResolvedParams)) <= 10, self.RATCHET
 
     def test_engine_module_lines(self):
         import repro.service.engine as engine
@@ -453,7 +453,9 @@ class TestKnobCensus:
 
         from repro.core import budget
         from repro.core.params import IFCAParams, ResolvedParams
+        from repro.graph import kernels
         from repro.graph.labels import LabelIndex
+        from repro.ppr import backward_push, forward_push
         from repro.service import engine
 
         gone = {
@@ -468,10 +470,17 @@ class TestKnobCensus:
         assert not hasattr(engine.ReachabilityService, "add_vertex")
         assert not hasattr(LabelIndex, "note_vertex")
 
-        params_gone = {"use_contraction", "beta", "max_rounds", "budget_check_interval"}
+        params_gone = {
+            "use_contraction", "beta", "max_rounds", "budget_check_interval",
+            "use_push_kernels",
+        }
         for cls in (IFCAParams, ResolvedParams):
             fields = {field.name for field in dataclasses.fields(cls)}
             assert not params_gone & fields, cls
+        # One substrate per query: no hybrid hand-off, no per-call PPR pin.
+        assert not hasattr(kernels, "csr_bibfs_frontiers")
+        for function in (forward_push, backward_push):
+            assert "use_kernels" not in inspect.signature(function).parameters
         assert not hasattr(budget, "CancelToken")
         for function in (budget.Budget.__init__, budget.Budget.from_timeout):
             assert "token" not in inspect.signature(function).parameters

@@ -139,6 +139,35 @@ class TestCrashTolerance:
         with pytest.raises(JournalCorrupt):
             replay(path)
 
+    def test_restart_after_torn_append_keeps_later_updates(self, tmp_path):
+        # Crash mid-append, recover, keep appending: the reopened journal
+        # cuts the torn line, so the next records do not join it (and get
+        # dropped with it as "the torn final line", or corrupt the file).
+        path = tmp_path / "wal.jsonl"
+        graph = DynamicDiGraph()
+        with UpdateJournal(path) as journal:
+            for i in range(3):
+                graph.add_edge(i, i + 1)
+                journal.record_insert(i, i + 1, graph.version)
+        path.write_bytes(path.read_bytes()[:-7])
+        for u, v in [(3, 0), (4, 5), (5, 6)]:
+            graph = replay(path).graph
+            with UpdateJournal(path, graph_version=graph.version) as journal:
+                graph.add_edge(u, v)
+                journal.record_insert(u, v, graph.version)
+        result = replay(path)
+        assert not result.torn_tail
+        assert sorted(result.graph.edges()) == [(0, 1), (1, 2), (3, 0), (4, 5), (5, 6)]
+        assert result.graph.version == graph.version
+
+    def test_torn_header_is_corrupt(self, tmp_path):
+        # The crash landed inside the header itself: nothing committed,
+        # and recovery must say so with the journal's own error.
+        path = tmp_path / "wal.jsonl"
+        path.write_text('{"op":"open","ver":0,"ck')
+        with pytest.raises(JournalCorrupt):
+            replay(path)
+
     def test_missing_header_is_rejected(self, tmp_path):
         path = tmp_path / "wal.jsonl"
         path.write_text('{"op":"+","u":0,"v":1,"ver":2}\n')

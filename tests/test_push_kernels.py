@@ -4,7 +4,7 @@ Three layers of equivalence, from contract to bitwise:
 
 * **Verdicts** — the array path must answer every query exactly like the
   dict twin (and like plain BiBFS ground truth) across push styles x
-  orders x contraction on/off on random SBM and scale-free graphs. Push
+  orders on random SBM and scale-free graphs. Push
   is not order-confluent, so visited/explored *sets* may differ between
   the lazy-heap twin and the sweep kernel — both are sound.
 * **State** — a pure-Python model restating the kernel's sweep semantics
@@ -15,8 +15,10 @@ Three layers of equivalence, from contract to bitwise:
   array totals *equal* whenever expansion order cannot differ (chains,
   stars); elsewhere only the units agree.
 
-The dispatch tests pin the per-call dict legs: ``use_push_kernels=False``
-and a graph with no current snapshot both serve on the dict twin.
+The dispatch tests pin the one substrate switch: ``use_kernels=False``,
+a graph with no current snapshot, and a query whose version is frozen
+only after it started all run every phase on the dict twins and enter
+no kernel.
 """
 
 from __future__ import annotations
@@ -68,21 +70,21 @@ def test_verdict_equivalence_grid(style, order):
         queries = generate_queries(graph, 40, seed=5)
         truth = [bibfs_is_reachable(graph, s, t) for s, t in queries]
         engines = {}
-        for push_kernels in (False, True):
+        for use_kernels in (False, True):
             params = IFCAParams(
                 push_style=style,
                 push_order=order,
                 force_switch_round=3,
-                use_push_kernels=push_kernels,
+                use_kernels=use_kernels,
             )
-            engines[push_kernels] = IFCA(graph, params)
+            engines[use_kernels] = IFCA(graph, params)
         kernel_hits = 0
         for (s, t), want in zip(queries, truth):
             a_dict, st_dict = engines[False].query_with_stats(s, t)
             a_arr, st_arr = engines[True].query_with_stats(s, t)
             assert a_dict == want
             assert a_arr == want
-            assert not st_dict.used_push_kernel
+            assert not st_dict.used_push_kernel and not st_dict.used_kernel
             kernel_hits += st_arr.used_push_kernel
         # Non-trivial queries must actually exercise the array path.
         assert kernel_hits > 0
@@ -380,16 +382,16 @@ def test_contraction_exhaustion_parity(style, order):
     graph.add_edge(100, 101)  # separate component holding the target
     graph.csr()
     results = {}
-    for push_kernels in (False, True):
+    for use_kernels in (False, True):
         params = IFCAParams(
             push_style=style,
             push_order=order,
             force_switch_round=50,
-            use_push_kernels=push_kernels,
+            use_kernels=use_kernels,
         )
         engine = IFCA(graph, params)
         answer, stats = engine.query_with_stats(0, 101)
-        results[push_kernels] = (answer, stats)
+        results[use_kernels] = (answer, stats)
     (a_dict, st_dict), (a_arr, st_arr) = results[False], results[True]
     assert a_dict is False and a_arr is False
     assert st_dict.terminated_by == st_arr.terminated_by == "exhausted"
@@ -410,27 +412,53 @@ def test_contraction_meet_parity():
     edges.append((3, 13))
     graph = DynamicDiGraph(edges=edges)
     graph.csr()
-    for push_kernels in (False, True):
-        params = IFCAParams(
-            force_switch_round=50, use_push_kernels=push_kernels
-        )
+    for use_kernels in (False, True):
+        params = IFCAParams(force_switch_round=50, use_kernels=use_kernels)
         engine = IFCA(graph, params)
         answer, stats = engine.query_with_stats(0, 15)
         assert answer is True
-        assert stats.used_push_kernel == push_kernels
+        assert stats.used_push_kernel == use_kernels
 
 
 # ----------------------------------------------------------------------
 # Dispatch fallbacks
 # ----------------------------------------------------------------------
-def test_use_push_kernels_false_pins_dict_twin():
+def test_use_kernels_false_pins_every_phase_to_dicts():
     graph = two_block_sbm(60, 5.0, seed=1)
     graph.csr()
-    params = IFCAParams(force_switch_round=2, use_push_kernels=False)
+    params = IFCAParams(force_switch_round=2, use_kernels=False)
     engine = IFCA(graph, params)
     answer, stats = engine.query_with_stats(0, 30)
     assert not stats.used_push_kernel
+    assert not stats.used_kernel
     assert answer == bibfs_is_reachable(graph, 0, 30)
+
+
+def test_query_started_on_dicts_stays_on_dicts(monkeypatch):
+    # The context is built with no snapshot, then another caller freezes
+    # the version before the hand-off: the query must finish on the dict
+    # twin it started on, entering no kernel.
+    graph = two_block_sbm(60, 5.0, seed=1)
+    make_context = IFCA._make_context
+
+    def make_then_freeze(self, *args):
+        ctx = make_context(self, *args)
+        graph.csr()
+        return ctx
+
+    monkeypatch.setattr(IFCA, "_make_context", make_then_freeze)
+    engine = IFCA(graph, IFCAParams(force_switch_round=2))
+    entered = []
+    previous = kernels.set_fault_hook(entered.append)
+    try:
+        answer, stats = engine.query_with_stats(0, 30)
+    finally:
+        kernels.set_fault_hook(previous)
+    assert graph.csr(build=False) is not None
+    assert stats.switched_to_bibfs
+    assert not stats.used_push_kernel and not stats.used_kernel
+    assert entered == []
+    assert answer == bibfs_is_reachable(graph, 0, 30, use_kernels=False)
 
 
 def test_unfrozen_graph_answers_on_dict_twin():
@@ -453,7 +481,7 @@ def test_ppr_kernel_quiescence_and_mass(push):
     graph = two_block_sbm(80, 5.0, seed=4)
     config = PushConfig(alpha=0.15, epsilon=1e-5)
     graph.csr()
-    state = push(graph, 0, config, use_kernels=True)
+    state = push(graph, 0, config)
     # Quiescence: no vertex is still pushable.
     for v, r in state.residue.items():
         if push is forward_push:
@@ -473,9 +501,9 @@ def test_ppr_kernel_close_to_scalar(push):
     # leftover-residue invariant bounds the gap.
     graph = preferential_attachment_graph(150, 3, seed=9, reciprocal=0.2)
     config = PushConfig(alpha=0.1, epsilon=1e-6)
-    scalar = push(graph, 0, config, use_kernels=False)
+    scalar = push(graph, 0, config)
     graph.csr()
-    kernel = push(graph, 0, config, use_kernels=True)
+    kernel = push(graph, 0, config)
     keys = set(scalar.reserve) | set(kernel.reserve)
     worst = max(
         abs(scalar.reserve.get(v, 0.0) - kernel.reserve.get(v, 0.0))
@@ -488,7 +516,7 @@ def test_ppr_kernel_invariant_vs_power_iteration():
     graph = two_block_sbm(40, 4.0, seed=6)
     config = PushConfig(alpha=0.2, epsilon=1e-8)
     graph.csr()
-    state = forward_push(graph, 0, config, use_kernels=True)
+    state = forward_push(graph, 0, config)
     exact = power_iteration_ppr(graph, 0, alpha=config.alpha)
     for v in graph.vertices():
         reserve = state.reserve.get(v, 0.0)
@@ -505,9 +533,9 @@ def test_ppr_kernel_resumable(push):
     graph.csr()
     coarse = PushConfig(alpha=0.1, epsilon=1e-3)
     fine = PushConfig(alpha=0.1, epsilon=1e-6)
-    resumed = push(graph, 0, coarse, use_kernels=True)
-    resumed = push(graph, 0, fine, state=resumed, use_kernels=True)
-    fresh = push(graph, 0, fine, use_kernels=True)
+    resumed = push(graph, 0, coarse)
+    resumed = push(graph, 0, fine, state=resumed)
+    fresh = push(graph, 0, fine)
     keys = set(resumed.reserve) | set(fresh.reserve)
     worst = max(
         abs(resumed.reserve.get(v, 0.0) - fresh.reserve.get(v, 0.0))
@@ -523,16 +551,14 @@ def test_ppr_kernel_budget_resumes():
     graph = two_block_sbm(60, 5.0, seed=8)
     graph.csr()
     config = PushConfig(alpha=0.1, epsilon=1e-6)
-    state = forward_push(graph, 0, config, max_operations=5, use_kernels=True)
+    state = forward_push(graph, 0, config, max_operations=5)
     assert state.push_operations >= 5  # sweeps may overshoot by < one sweep
     first = state.push_operations
     # Budget already consumed: an equal budget re-invocation is a no-op.
-    state = forward_push(
-        graph, 0, config, state=state, max_operations=first, use_kernels=True
-    )
+    state = forward_push(graph, 0, config, state=state, max_operations=first)
     assert state.push_operations == first
     # Raising the budget resumes toward quiescence.
-    state = forward_push(graph, 0, config, state=state, use_kernels=True)
+    state = forward_push(graph, 0, config, state=state)
     for v, r in state.residue.items():
         d = graph.out_degree(v)
         assert d > 0 and r / d < config.epsilon
