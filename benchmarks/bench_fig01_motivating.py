@@ -7,18 +7,12 @@ baseline terminates with a false negative and the small-epsilon baseline
 spends more accesses than BFS.
 """
 
-from repro.experiments.figures import run_motivating_example
-
-from benchmarks.conftest import once
+from benchmarks.conftest import paper_params
 
 
-def test_fig01_motivating_example(benchmark, emit):
-    rows = once(benchmark, run_motivating_example)
-    emit(
-        "fig01",
-        "BFS vs push baseline on the Highschool stand-in (edge accesses)",
-        rows,
-    )
+@paper_params("fig01")
+def test_fig01_motivating_example(run_paper, entry):
+    rows = run_paper(entry)
     by_key = {(r["query"], r["method"]): r for r in rows}
     intra_bfs = by_key[("intra-community", "BFS")]
     intra_small = by_key[("intra-community", "Baseline@eps-small")]

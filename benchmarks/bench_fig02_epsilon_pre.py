@@ -5,36 +5,11 @@ Paper shape: the curve first decreases then increases in ``epsilon_pre``
 best value sits at an interior point rather than at either extreme.
 """
 
-import pytest
-
-from repro.datasets.registry import load_analog
-from repro.dynamic.events import materialize
-from repro.experiments.parameter_study import run_epsilon_pre_sweep
-
-from benchmarks.conftest import once
-
-EPSILON_PRE_VALUES = [1e-1, 3e-2, 1e-2, 3e-3, 1e-3, 3e-4, 1e-4]
-DATASETS = ["EN", "FL", "WG"]
+from benchmarks.conftest import paper_params
 
 
-@pytest.mark.parametrize("code", DATASETS)
-def test_fig02_epsilon_pre_sweep(benchmark, emit, code):
-    _, initial, stream = load_analog(code, seed=0)
-    graph = materialize(initial, stream)
-    rows = once(
-        benchmark,
-        run_epsilon_pre_sweep,
-        graph,
-        EPSILON_PRE_VALUES,
-        num_queries=60,
-        seed=1,
-    )
-    for row in rows:
-        row["dataset"] = code
-    emit(
-        f"fig02_{code}",
-        f"avg query time varying epsilon_pre on the {code} analog",
-        rows,
-        parameters={"epsilon_pre_values": EPSILON_PRE_VALUES},
-    )
+@paper_params("fig02")
+def test_fig02_epsilon_pre_sweep(run_paper, entry):
+    rows = run_paper(entry)
+    assert len(rows) == len(entry.parameters["epsilon_pre_values"])
     assert all(r["avg_query_time_ms"] > 0 for r in rows)

@@ -6,43 +6,18 @@ is sublinear because the push exhausts the community first. We check
 sublinearity on the first half of the sweep and report the full series.
 """
 
-import pytest
-
-from repro.datasets.registry import load_analog
-from repro.dynamic.events import materialize
-from repro.experiments.parameter_study import run_push_turning_point
-
-from benchmarks.conftest import once
-
-INVERSE_EPSILONS = [10, 30, 100, 300, 1000, 3000, 10000, 30000]
-DATASETS = ["EN", "FL", "WT"]
+from benchmarks.conftest import paper_params
 
 
-@pytest.mark.parametrize("code", DATASETS)
-def test_fig03_push_turning_point(benchmark, emit, code):
-    _, initial, stream = load_analog(code, seed=0)
-    graph = materialize(initial, stream)
-    rows = once(
-        benchmark,
-        run_push_turning_point,
-        graph,
-        INVERSE_EPSILONS,
-        num_sources=100,
-        seed=2,
-    )
-    for row in rows:
-        row["dataset"] = code
-    emit(
-        f"fig03_{code}",
-        f"avg push time varying 1/epsilon on the {code} analog",
-        rows,
-        parameters={"inverse_epsilons": INVERSE_EPSILONS},
-    )
+@paper_params("fig03")
+def test_fig03_push_turning_point(run_paper, entry):
+    rows = run_paper(entry)
     accesses = [r["avg_edge_accesses"] for r in rows]
     assert accesses == sorted(accesses)
     # Sublinear region: over the full sweep the work grows far slower than
     # 1/epsilon (3000x here), because pushes saturate the reachable
     # neighborhood — this is exactly why the turning point exists.
+    inverse_epsilons = entry.parameters["inverse_epsilons"]
     growth = accesses[-1] / max(accesses[0], 1)
-    ratio_range = INVERSE_EPSILONS[-1] / INVERSE_EPSILONS[0]
+    ratio_range = inverse_epsilons[-1] / inverse_epsilons[0]
     assert growth < ratio_range

@@ -5,31 +5,10 @@ query time climbs sharply (random walks halt too eagerly, so the guided
 frontier advances too slowly), except on WT where the effect is flat.
 """
 
-import pytest
-
-from repro.datasets.registry import load_analog
-from repro.dynamic.events import materialize
-from repro.experiments.parameter_study import run_alpha_sweep
-
-from benchmarks.conftest import once
-
-ALPHA_VALUES = [0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9]
-DATASETS = ["EN", "FL", "WT"]
+from benchmarks.conftest import paper_params
 
 
-@pytest.mark.parametrize("code", DATASETS)
-def test_fig04_alpha_sweep(benchmark, emit, code):
-    _, initial, stream = load_analog(code, seed=0)
-    graph = materialize(initial, stream)
-    rows = once(
-        benchmark, run_alpha_sweep, graph, ALPHA_VALUES, num_queries=60, seed=3
-    )
-    for row in rows:
-        row["dataset"] = code
-    emit(
-        f"fig04_{code}",
-        f"avg query time varying alpha on the {code} analog",
-        rows,
-        parameters={"alpha_values": ALPHA_VALUES},
-    )
-    assert len(rows) == len(ALPHA_VALUES)
+@paper_params("fig04")
+def test_fig04_alpha_sweep(run_paper, entry):
+    rows = run_paper(entry)
+    assert len(rows) == len(entry.parameters["alpha_values"])

@@ -5,43 +5,12 @@ spread stays within a small factor of its best cell, justifying the
 heuristic defaults (``epsilon_init = 100 * epsilon_pre``, ``step = 10``).
 """
 
-import pytest
-
-from repro.datasets.registry import load_analog
-from repro.dynamic.events import materialize
-from repro.experiments.parameter_study import run_init_step_grid
-
-from benchmarks.conftest import once
-
-INIT_MULTIPLIERS = [1.0, 10.0, 100.0, 1000.0]
-STEP_VALUES = [10.0, 100.0, 1000.0]
-DATASETS = ["EN", "WG"]
+from benchmarks.conftest import paper_params
 
 
-@pytest.mark.parametrize("code", DATASETS)
-def test_fig05_init_step_grid(benchmark, emit, code):
-    _, initial, stream = load_analog(code, seed=0)
-    graph = materialize(initial, stream)
-    rows = once(
-        benchmark,
-        run_init_step_grid,
-        graph,
-        INIT_MULTIPLIERS,
-        STEP_VALUES,
-        num_queries=40,
-        seed=4,
-    )
-    for row in rows:
-        row["dataset"] = code
-    emit(
-        f"fig05_{code}",
-        f"avg query time over the epsilon_init x step grid on the {code} analog",
-        rows,
-        parameters={
-            "epsilon_init_multipliers": INIT_MULTIPLIERS,
-            "step_values": STEP_VALUES,
-        },
-    )
+@paper_params("fig05")
+def test_fig05_init_step_grid(run_paper, entry):
+    rows = run_paper(entry)
     times = [r["avg_query_time_ms"] for r in rows]
     # "Their impact on the average query time is insignificant": the whole
     # grid stays within an order of magnitude of the best cell.

@@ -14,42 +14,14 @@ Paper shape checks:
   compress toward ~1x at analog scale — see EXPERIMENTS.md).
 """
 
-import pytest
+from repro.experiments.reproduce import COMPARISON_DATASETS
 
-from repro.experiments.comparison import derive_table3, run_comparison_on_analog
-
-from benchmarks.conftest import once
-
-DATASETS = ["EN", "FL", "WT", "WG"]
-_collected = {}
+from benchmarks.conftest import paper_params
 
 
-@pytest.mark.parametrize("code", DATASETS)
-def test_fig06_comparison(benchmark, emit, code):
-    rows = once(
-        benchmark,
-        run_comparison_on_analog,
-        code,
-        num_batches=4,
-        queries_per_batch=30,
-        seed=0,
-        max_updates=250,
-    )
-    _collected[code] = rows
-    emit(
-        f"fig06_{code}",
-        f"avg update + query time per method on the {code} analog",
-        rows,
-        columns=[
-            "dataset",
-            "method",
-            "avg_update_ms",
-            "avg_query_ms",
-            "avg_pos_query_ms",
-            "avg_neg_query_ms",
-            "accuracy",
-        ],
-    )
+@paper_params("fig06")
+def test_fig06_comparison(run_paper, entry):
+    rows = run_paper(entry)
     by_method = {r["method"]: r for r in rows}
     for exact in ("IFCA", "BiBFS", "TOL", "IP", "DAGGER"):
         assert by_method[exact]["accuracy"] == 1.0, exact
@@ -64,25 +36,9 @@ def test_fig06_comparison(benchmark, emit, code):
     assert by_method["IFCA"]["avg_query_ms"] < 12 * by_method["BiBFS"]["avg_query_ms"]
 
 
-def test_tab03_speedups(benchmark, emit):
-    def derive():
-        rows = []
-        for code in DATASETS:
-            if code not in _collected:
-                _collected[code] = run_comparison_on_analog(
-                    code,
-                    num_batches=4,
-                    queries_per_batch=30,
-                    seed=0,
-                    max_updates=250,
-                )
-            rows.extend(_collected[code])
-        return derive_table3(rows)
-
-    table = once(benchmark, derive)
-    emit(
-        "tab03",
-        "IFCA vs BiBFS average query time and speedups",
-        table,
-    )
-    assert len(table) == len(DATASETS)
+@paper_params("tab03")
+def test_tab03_speedups(run_paper, entry):
+    # Derived from the fig06 rows this session already made; a fig06
+    # record not made yet is made (once) first.
+    table = run_paper(entry)
+    assert len(table) == len(COMPARISON_DATASETS)

@@ -8,41 +8,14 @@ Paper shape conclusions this bench asserts:
 * IFCA (adding cost-based strategy selection) beats Contract.
 """
 
-import pytest
+from repro.datasets.registry import COMMUNITY, REGISTRY
 
-from repro.datasets.registry import COMMUNITY, REGISTRY, load_analog
-from repro.dynamic.events import materialize
-from repro.experiments.optimizations import run_optimization_ladder
-
-from benchmarks.conftest import once
-
-DATASETS = ["EN", "FL", "WT"]
+from benchmarks.conftest import paper_params
 
 
-@pytest.mark.parametrize("substrate", ["dict", "kernel"])
-@pytest.mark.parametrize("code", DATASETS)
-def test_fig07_optimization_ladder(benchmark, emit, code, substrate):
-    use_kernels = substrate == "kernel"
-    _, initial, stream = load_analog(code, seed=0)
-    graph = materialize(initial, stream)
-    rows = once(
-        benchmark,
-        run_optimization_ladder,
-        graph,
-        num_queries=50,
-        seed=5,
-        use_kernels=use_kernels,
-    )
-    for row in rows:
-        row["dataset"] = code
-        row["substrate"] = substrate
-    suffix = "_kernel" if use_kernels else ""
-    emit(
-        f"fig07_{code}{suffix}",
-        f"precision vs avg query time of Base/Contract/IFCA on the {code} "
-        f"analog ({substrate} substrate)",
-        rows,
-    )
+@paper_params("fig07")
+def test_fig07_optimization_ladder(run_paper, entry):
+    rows = run_paper(entry)
     by_method = {r["method"]: r for r in rows}
     assert by_method["Base@90%"]["precision"] >= 0.9
     assert by_method["Base@100%"]["precision"] == 1.0
@@ -53,7 +26,7 @@ def test_fig07_optimization_ladder(benchmark, emit, code, substrate):
         by_method["IFCA"]["avg_query_time_ms"]
         <= by_method["Contract"]["avg_query_time_ms"] * 1.2
     )
-    if REGISTRY[code].category == COMMUNITY:
+    if REGISTRY[rows[0]["dataset"]].category == COMMUNITY:
         # On community graphs, exact answering by Base needs a tiny epsilon
         # and is far slower than IFCA (the paper's "orders of magnitude").
         # On the no-community analogs the cones are so small that Base's

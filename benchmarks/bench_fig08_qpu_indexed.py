@@ -6,35 +6,14 @@ queries) but the crossover with IFCA sits above QpU = 1000 on most
 datasets because their update cost dominates IFCA's query cost.
 """
 
-import pytest
+from repro.experiments.qpu import crossover_qpu
 
-from repro.datasets.registry import load_analog
-from repro.dynamic.driver import DynamicWorkload
-from repro.dynamic.events import TemporalEdgeStream
-from repro.experiments.qpu import crossover_qpu, run_qpu_sweep
-
-from benchmarks.conftest import once
-
-DATASETS = ["EN", "WT"]
-METHODS = ["IFCA", "TOL", "IP", "DAGGER"]
+from benchmarks.conftest import paper_params
 
 
-@pytest.mark.parametrize("code", DATASETS)
-def test_fig08_qpu_vs_index_based(benchmark, emit, code):
-    _, initial, stream = load_analog(code, seed=0)
-    workload = DynamicWorkload(
-        initial=initial,
-        stream=TemporalEdgeStream(stream.events[:200]),
-        num_batches=4,
-        queries_per_batch=25,
-        seed=0,
-    )
-    rows = once(benchmark, run_qpu_sweep, workload, METHODS, dataset=code)
-    emit(
-        f"fig08_{code}",
-        f"total time (one update + QpU queries) vs QpU on the {code} analog",
-        rows,
-    )
+@paper_params("fig08")
+def test_fig08_qpu_vs_index_based(run_paper, entry):
+    rows = run_paper(entry)
     at_qpu1 = {r["method"]: r for r in rows if r["qpu"] == 1}
     # Update-cost ordering at the line's start: TOL and IP far above IFCA.
     assert at_qpu1["TOL"]["avg_update_ms"] > 10 * at_qpu1["IFCA"]["avg_update_ms"]

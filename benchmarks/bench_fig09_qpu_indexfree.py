@@ -5,38 +5,15 @@ cost, so the ranking is decided purely by query time; IFCA and BiBFS stay
 within a small factor of each other across the whole QpU range.
 """
 
-import pytest
-
-from repro.datasets.registry import load_analog
-from repro.dynamic.driver import DynamicWorkload
-from repro.dynamic.events import TemporalEdgeStream
-from repro.experiments.qpu import run_qpu_sweep
-
-from benchmarks.conftest import once
-
-DATASETS = ["EN", "WT"]
-METHODS = ["IFCA", "BiBFS", "ARROW"]
+from benchmarks.conftest import paper_params
 
 
-@pytest.mark.parametrize("code", DATASETS)
-def test_fig09_qpu_vs_index_free(benchmark, emit, code):
-    _, initial, stream = load_analog(code, seed=0)
-    workload = DynamicWorkload(
-        initial=initial,
-        stream=TemporalEdgeStream(stream.events[:200]),
-        num_batches=4,
-        queries_per_batch=25,
-        seed=0,
-    )
-    rows = once(benchmark, run_qpu_sweep, workload, METHODS, dataset=code)
-    emit(
-        f"fig09_{code}",
-        f"total time (one update + QpU queries) vs QpU, index-free methods, {code} analog",
-        rows,
-    )
+@paper_params("fig09")
+def test_fig09_qpu_vs_index_free(run_paper, entry):
+    rows = run_paper(entry)
     at_qpu1 = {r["method"]: r for r in rows if r["qpu"] == 1}
     # Index-free updates are adjacency-only: all within a small factor.
-    updates = [at_qpu1[m]["avg_update_ms"] for m in METHODS]
+    updates = [row["avg_update_ms"] for row in at_qpu1.values()]
     assert max(updates) < 25 * max(min(updates), 1e-9)
     # IFCA tracks BiBFS over the whole sweep.
     for qpu in (1, 100, 1000):

@@ -9,38 +9,21 @@ denser graphs and (b) positive pairs get closer. Both explanatory
 statistics are measured and asserted alongside the timings.
 """
 
-from repro.experiments.scalability import run_scalability
-
-from benchmarks.conftest import once
-
-BLOCK_SIZES = [100, 300, 1000]
-DEGREES = [2.5, 5.0, 10.0]
+from benchmarks.conftest import paper_params
 
 
-def test_fig10_scalability(benchmark, emit):
-    rows = once(
-        benchmark,
-        run_scalability,
-        BLOCK_SIZES,
-        DEGREES,
-        num_queries=40,
-        epsilon_pre=1e-4,
-        seed=7,
-    )
-    emit(
-        "fig10",
-        "IFCA avg query time on two-block SBMs varying n and d_avg",
-        rows,
-        parameters={"block_sizes": BLOCK_SIZES, "degrees": DEGREES},
-    )
+@paper_params("fig10")
+def test_fig10_scalability(run_paper, entry):
+    rows = run_paper(entry)
+    block_sizes = entry.parameters["block_sizes"]
     cell = {(r["block_size"], r["avg_degree"]): r for r in rows}
     # Larger graphs cost more at fixed degree.
     assert (
-        cell[(1000, 5.0)]["avg_query_time_ms"]
-        > cell[(100, 5.0)]["avg_query_time_ms"]
+        cell[(block_sizes[-1], 5.0)]["avg_query_time_ms"]
+        > cell[(block_sizes[0], 5.0)]["avg_query_time_ms"]
     )
     # The paper's two density mechanisms:
-    for b in BLOCK_SIZES:
+    for b in block_sizes:
         assert (
             cell[(b, 10.0)]["negative_fraction"]
             <= cell[(b, 2.5)]["negative_fraction"]

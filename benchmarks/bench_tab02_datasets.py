@@ -6,40 +6,15 @@ the paper's categorization rule (clustering >= 0.01 <=> discernible
 communities) asserted per category.
 """
 
-from repro.community.clustering import global_clustering_coefficient
-from repro.datasets.registry import DATASET_ORDER, REGISTRY, load_analog
-from repro.dynamic.events import materialize
-from repro.workloads.queries import generate_queries, label_queries
+from repro.datasets.registry import DATASET_ORDER, REGISTRY
 
-from benchmarks.conftest import once
+from benchmarks.conftest import paper_params
 
 
-def build_table():
-    rows = []
-    for code in DATASET_ORDER:
-        analog, initial, stream = load_analog(code, seed=0)
-        final = materialize(initial, stream)
-        batch = label_queries(final, generate_queries(final, 200, seed=1))
-        rows.append(
-            {
-                "code": code,
-                "dataset": analog.paper_name,
-                "category": analog.category,
-                "n": final.num_vertices,
-                "m_initial": initial.num_edges,
-                "insertions": stream.num_insertions,
-                "deletions": stream.num_deletions,
-                "negative_pct": round(100 * batch.negative_fraction, 1),
-                "clustering": round(global_clustering_coefficient(final), 5),
-            }
-        )
-    return rows
-
-
-def test_tab02_dataset_statistics(benchmark, emit):
-    rows = once(benchmark, build_table)
-    emit("tab02", "dataset analog statistics (cf. paper Tab. II)", rows)
-    assert len(rows) == 12
+@paper_params("tab02")
+def test_tab02_dataset_statistics(run_paper, entry):
+    rows = run_paper(entry)
+    assert [row["code"] for row in rows] == list(DATASET_ORDER)
     for row in rows:
         expected_community = REGISTRY[row["code"]].category == "community"
         assert (row["clustering"] >= 0.01) == expected_community, row

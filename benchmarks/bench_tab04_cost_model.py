@@ -5,36 +5,12 @@ on every dataset, with Contract (never switch) and BiBFS (switch at round
 0) as the two extremes.
 """
 
-import pytest
-
-from repro.datasets.registry import load_analog
-from repro.dynamic.events import materialize
-from repro.experiments.oracle import run_cost_model_vs_oracle
-
-from benchmarks.conftest import once
-
-DATASETS = ["EN", "FL", "WT", "WG"]
+from benchmarks.conftest import paper_params
 
 
-@pytest.mark.parametrize("code", DATASETS)
-def test_tab04_cost_model_vs_oracle(benchmark, emit, code):
-    _, initial, stream = load_analog(code, seed=0)
-    graph = materialize(initial, stream)
-    row = once(
-        benchmark,
-        run_cost_model_vs_oracle,
-        graph,
-        num_queries=40,
-        seed=6,
-        max_switch_round=4,
-    )
-    row["dataset"] = code
-    emit(
-        f"tab04_{code}",
-        f"oracle / IFCA / Contract / BiBFS avg query time (ms) on the {code} analog",
-        [row],
-        columns=["dataset", "oracle_ms", "ifca_ms", "contract_ms", "bibfs_ms"],
-    )
+@paper_params("tab04")
+def test_tab04_cost_model_vs_oracle(run_paper, entry):
+    [row] = run_paper(entry)
     # The oracle is a per-query minimum: nothing beats it (timing-noise slack).
     assert row["oracle_ms"] <= row["ifca_ms"] * 1.25
     assert row["oracle_ms"] <= row["contract_ms"] * 1.25

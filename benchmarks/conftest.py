@@ -1,10 +1,11 @@
 """Shared benchmark plumbing.
 
-Every bench target regenerates one of the paper's tables/figures: it runs
-the corresponding experiment runner under pytest-benchmark (heavy runners
-use a single pedantic round), prints the same rows the paper reports, and
-appends an :class:`ExperimentRecord` to ``results/<experiment>.json`` for
-EXPERIMENTS.md.
+Every paper bench (``bench_fig*`` / ``bench_tab*``) times one entry of
+:data:`repro.experiments.reproduce.PAPER` per test (a single pedantic
+round) and asserts the paper's shape on its rows; the other benches run
+their own studies. Both write ``results/<experiment>.json`` through
+:func:`repro.experiments.records.write_record`, the record writer
+``python -m repro reproduce`` uses too.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ from typing import Any, Dict, List
 
 import pytest
 
-from repro.experiments.records import ExperimentRecord, save_records
-from repro.experiments.tables import format_table
+from repro.experiments.records import ExperimentRecord, write_record
+from repro.experiments.reproduce import PAPER, PaperExperiment, PaperRun
 
 RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
 
@@ -24,6 +25,27 @@ RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
 def results_dir() -> Path:
     RESULTS_DIR.mkdir(exist_ok=True)
     return RESULTS_DIR
+
+
+@pytest.fixture(scope="session")
+def paper_run() -> PaperRun:
+    """One full-size run shared by the session's paper benches, so a
+    derived record (Tab. III) reads the rows its sources already made."""
+    return PaperRun()
+
+
+@pytest.fixture
+def run_paper(benchmark, paper_run, results_dir):
+    """Time one paper entry, write its record, and return its rows."""
+
+    def _run(entry: PaperExperiment) -> List[Dict[str, Any]]:
+        once(benchmark, paper_run.rows, entry.experiment_id)
+        record = paper_run.record(entry.experiment_id)
+        print()
+        write_record(record, results_dir, columns=entry.columns)
+        return record.rows
+
+    return _run
 
 
 @pytest.fixture
@@ -44,10 +66,18 @@ def emit(results_dir):
             rows=rows,
         )
         print()
-        print(format_table(rows, columns=columns, title=f"[{experiment_id}] {description}"))
-        save_records([record], results_dir / f"{experiment_id}.json")
+        write_record(record, results_dir, columns=columns)
 
     return _emit
+
+
+def paper_params(prefix: str):
+    """Parametrize a paper bench over the entries whose id starts with
+    ``prefix``, each test named by its record id."""
+    entries = [e for eid, e in PAPER.items() if eid.startswith(prefix)]
+    return pytest.mark.parametrize(
+        "entry", entries, ids=lambda e: e.experiment_id
+    )
 
 
 def once(benchmark, func, *args, **kwargs):

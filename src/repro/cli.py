@@ -316,11 +316,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     rep = sub.add_parser(
         "reproduce",
-        help="run the paper's full evaluation and save all records",
+        help="make every paper record (Figs. 1-10, Tabs. II-IV) from the "
+        "one table the paper benches run, and save them",
     )
     rep.add_argument("--out", default="results", help="output directory")
     rep.add_argument(
-        "--quick", action="store_true", help="smaller workloads (smoke run)"
+        "--quick",
+        action="store_true",
+        help="smaller workloads, records marked quick (smoke run)",
     )
     rep.add_argument(
         "--quiet", action="store_true", help="suppress per-experiment tables"
@@ -471,10 +474,11 @@ def serve_service(args: argparse.Namespace) -> "ReachabilityService":
     """The service ``repro serve`` runs on ``args.graph``.
 
     A ``--journal`` that already holds a header is replayed onto the edge
-    list first (the edge list is its base), so a restarted server answers
-    with the updates of the runs before it and stamps new records after
-    theirs. Raises :class:`~repro.graph.journal.JournalError` when the
-    journal does not replay onto that edge list.
+    list first (the edge list is its base; a checkpointed journal's base
+    is its checkpoint, and the edge list must equal it), so a restarted
+    server answers with the updates of the runs before it and stamps new
+    records after theirs. Raises :class:`~repro.graph.journal.JournalError`
+    when the journal does not replay onto that edge list.
     """
     from repro.service import ReachabilityService
 

@@ -9,7 +9,9 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Union
+
+from repro.experiments.tables import format_table
 
 PathLike = Union[str, Path]
 
@@ -31,6 +33,21 @@ def save_records(records: List[ExperimentRecord], path: PathLike) -> None:
     """Write a list of records as one JSON document."""
     payload = [asdict(r) for r in records]
     Path(path).write_text(json.dumps(payload, indent=2), encoding="utf-8")
+
+
+def write_record(
+    record: ExperimentRecord,
+    out_dir: PathLike,
+    columns: Optional[Sequence[str]] = None,
+    echo: Optional[Callable[[str], None]] = print,
+) -> None:
+    """Persist ``record`` as ``out_dir/<experiment_id>.json`` and echo it
+    as a paper-style table (``echo=None`` writes silently)."""
+    save_records([record], Path(out_dir) / f"{record.experiment_id}.json")
+    if echo is not None:
+        title = f"[{record.experiment_id}] {record.description}"
+        echo(format_table(record.rows, columns=columns, title=title))
+        echo("")
 
 
 def load_records(path: PathLike) -> List[ExperimentRecord]:

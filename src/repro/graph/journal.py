@@ -82,8 +82,9 @@ class JournalCorrupt(JournalError):
 
 
 class JournalReplayError(JournalError):
-    """Replay produced a graph whose version disagrees with the records
-    (the supplied base graph does not match the journal's base state)."""
+    """The supplied base graph does not match the journal's base state:
+    it is not the checkpoint the header names, or replay produced a graph
+    whose version disagrees with the records."""
 
 
 class JournalGap(JournalError):
@@ -257,10 +258,12 @@ def replay(
 ) -> ReplayResult:
     """Rebuild the graph a journal describes.
 
-    ``base_graph`` supplies the journal's base state (the graph as it was
-    at header time); when omitted, the header's checkpoint path (resolved
-    relative to the journal's directory) is loaded, and failing that the
-    base is the empty graph — correct for journals opened at version 0.
+    A header that names a checkpoint (resolved relative to the journal's
+    directory) makes that checkpoint the base: a ``base_graph`` given too
+    must equal it, vertices and edges, or :class:`JournalReplayError`
+    names the checkpoint. Otherwise ``base_graph`` supplies the base state
+    (the graph as it was at header time), and failing that the base is
+    the empty graph — correct for journals opened at version 0.
 
     The rebuilt graph's version counter is realigned to the last record's
     stamp via :meth:`~repro.graph.digraph.DynamicDiGraph.restore_version`,
@@ -294,11 +297,16 @@ def replay(
     ckpt = header.get("ckpt")
 
     graph = base_graph
-    if graph is None and ckpt:
+    if ckpt:
         ckpt_path = Path(ckpt)
         if not ckpt_path.is_absolute():
             ckpt_path = path.parent / ckpt_path
         graph = read_edge_list(ckpt_path)
+        if base_graph is not None and base_graph != graph:
+            raise JournalReplayError(
+                f"{path}: the base graph is not the checkpoint {ckpt} the "
+                f"journal replays on"
+            )
     if graph is None:
         graph = DynamicDiGraph()
     if graph.version > base_version:

@@ -110,24 +110,53 @@ class TestParser:
             assert args.deadline_ms == float(good)
 
 
+RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
+
+
+@pytest.fixture(scope="module")
+def quick_run(tmp_path_factory):
+    """The directory one ``repro reproduce --quick`` wrote, shared by
+    every test that reads a quick run."""
+    out = tmp_path_factory.mktemp("reproduce") / "res"
+    assert main(["reproduce", "--quick", "--quiet", "--out", str(out)]) == 0
+    return out
+
+
 class TestReproduce:
-    def test_quick_run_writes_records(self, tmp_path, capsys):
-        out = tmp_path / "res"
-        assert main(["reproduce", "--quick", "--quiet", "--out", str(out)]) == 0
-        written = list(out.glob("*.json"))
-        assert len(written) >= 20
-        # Every record is well-formed JSON with rows.
-        import json
+    def test_every_committed_paper_record_has_one_table_entry(self):
+        from repro.experiments.records import load_records
+        from repro.experiments.reproduce import PAPER
 
-        for path in written[:5]:
-            payload = json.loads(path.read_text())
-            assert payload[0]["rows"]
+        committed = sorted(RESULTS_DIR.glob("fig*.json")) + sorted(
+            RESULTS_DIR.glob("tab*.json")
+        )
+        assert len(committed) == 33
+        for path in committed:
+            [record] = load_records(path)
+            entry = PAPER[record.experiment_id]
+            assert path.stem == entry.experiment_id
+            assert record.description == entry.description, path.name
+            assert record.parameters == entry.parameters, path.name
+        assert sorted(PAPER) == sorted(path.stem for path in committed)
 
-    def test_report_renders_reproduce_output(self, tmp_path, capsys):
-        out = tmp_path / "res"
-        main(["reproduce", "--quick", "--quiet", "--out", str(out)])
-        capsys.readouterr()
-        assert main(["report", "--results-dir", str(out)]) == 0
+    def test_quick_run_writes_records(self, quick_run):
+        from repro.experiments.records import load_records
+        from repro.experiments.reproduce import PAPER
+
+        written = sorted(quick_run.glob("*.json"))
+        assert sorted(path.stem for path in written) == sorted(PAPER)
+        for path in written:
+            [record] = load_records(path)
+            assert record.rows, path.name
+            # A smoke run says so: written over a committed record, it
+            # fails the contract test above instead of passing for it.
+            assert record.parameters == {
+                **PAPER[record.experiment_id].parameters,
+                "quick": True,
+            }
+
+    def test_report_renders_reproduce_output(self, quick_run, capsys):
+        assert main(["report", "--results-dir", str(quick_run)]) == 0
         text = capsys.readouterr().out
         assert "[fig01]" in text and "[tab03]" in text
 
@@ -180,6 +209,27 @@ class TestServeRestart:
         argv = ["serve", str(other), "--journal", str(journal)]
         assert main(argv + ["--port", "0", "--max-seconds", "0"]) == 2
         assert "cannot resume" in capsys.readouterr().err
+
+    def test_a_checkpointed_journal_resumes_on_its_checkpoint_only(
+        self, first_run, tmp_path, capsys
+    ):
+        from repro.cli import serve_service
+
+        graph_path, journal, args, _ = first_run
+        snap = tmp_path / "p.ckpt"
+        with serve_service(args) as service:
+            service.journal.checkpoint(service.graph, snap)
+            service.remove_edge(900, 901)
+            version = service.graph.version
+        argv = ["serve", str(graph_path), "--journal", str(journal)]
+        assert main(argv + ["--port", "0", "--max-seconds", "0"]) == 2
+        assert "p.ckpt" in capsys.readouterr().err
+        on_checkpoint = build_parser().parse_args(
+            ["serve", str(snap), "--journal", str(journal)]
+        )
+        with serve_service(on_checkpoint) as service:
+            assert service.graph.version == version
+            assert not service.graph.has_edge(900, 901)
 
 
 class TestStatsRich:

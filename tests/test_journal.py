@@ -16,6 +16,7 @@ import pytest
 
 import repro.graph.journal as journal_module
 from repro.graph.digraph import DynamicDiGraph
+from repro.graph.io import read_edge_list, write_edge_list
 from repro.graph.journal import (
     JournalCorrupt,
     JournalReplayError,
@@ -252,6 +253,29 @@ class TestCheckpoint:
         result = replay(path)
         assert sorted(result.graph.edges()) == sorted(graph.edges())
         assert result.graph.version == graph.version
+
+    def test_a_checkpointed_journal_replays_on_its_checkpoint(self, tmp_path):
+        # A base graph handed in beside a checkpoint that is not that
+        # checkpoint used to be replayed on silently: here the records
+        # after the checkpoint landed on the two-edge list and recovery
+        # returned two edges instead of six, at the journal's version.
+        path, snap, listed = (
+            tmp_path / "wal.jsonl", tmp_path / "snap.txt", tmp_path / "g.txt"
+        )
+        write_edge_list(DynamicDiGraph(edges=[(0, 1), (1, 2)]), listed)
+        graph = read_edge_list(listed)
+        with UpdateJournal(path, graph_version=graph.version) as journal:
+            _journaled_churn(
+                journal, graph, [("+", 2, 3), ("+", 3, 4), ("+", 4, 5), ("+", 5, 6)]
+            )
+            journal.checkpoint(graph, snap)
+            _journaled_churn(journal, graph, [("-", 1, 2), ("+", 0, 2)])
+        with pytest.raises(JournalReplayError, match="snap.txt"):
+            replay(path, read_edge_list(listed))
+        result = replay(path, read_edge_list(snap))
+        assert sorted(result.graph.edges()) == sorted(graph.edges())
+        assert result.graph.num_edges == 6
+        assert result.version == graph.version
 
 
 class TestRestoreVersion:
