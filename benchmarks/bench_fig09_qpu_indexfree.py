@@ -5,6 +5,8 @@ cost, so the ranking is decided purely by query time; IFCA and BiBFS stay
 within a small factor of each other across the whole QpU range.
 """
 
+from repro.experiments.qpu import INDEX_FREE
+
 from benchmarks.conftest import paper_params
 
 
@@ -12,6 +14,7 @@ from benchmarks.conftest import paper_params
 def test_fig09_qpu_vs_index_free(run_paper, entry):
     rows = run_paper(entry)
     at_qpu1 = {r["method"]: r for r in rows if r["qpu"] == 1}
+    assert set(at_qpu1) == set(INDEX_FREE)
     # Index-free updates are adjacency-only: all within a small factor.
     updates = [row["avg_update_ms"] for row in at_qpu1.values()]
     assert max(updates) < 25 * max(min(updates), 1e-9)

@@ -36,7 +36,7 @@ from repro.experiments.parameter_study import (
     run_init_step_grid,
     run_push_turning_point,
 )
-from repro.experiments.qpu import run_qpu_sweep
+from repro.experiments.qpu import INDEX_BASED, INDEX_FREE, run_qpu_sweep
 from repro.experiments.records import ExperimentRecord, write_record
 from repro.experiments.scalability import run_scalability
 from repro.graph.digraph import DynamicDiGraph
@@ -260,7 +260,7 @@ def _entries() -> List[PaperExperiment]:
             f"fig08_{code}",
             f"total time (one update + QpU queries) vs QpU on the {code} analog",
             lambda run, code=code: run_qpu_sweep(
-                _qpu_workload(code, run), ["IFCA", "TOL", "IP", "DAGGER"],
+                _qpu_workload(code, run), ["IFCA", *INDEX_BASED],
                 dataset=code,
             ),
         ))
@@ -269,7 +269,7 @@ def _entries() -> List[PaperExperiment]:
             f"total time (one update + QpU queries) vs QpU, index-free "
             f"methods, {code} analog",
             lambda run, code=code: run_qpu_sweep(
-                _qpu_workload(code, run), ["IFCA", "BiBFS", "ARROW"],
+                _qpu_workload(code, run), list(INDEX_FREE),
                 dataset=code,
             ),
         ))

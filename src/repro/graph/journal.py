@@ -186,7 +186,9 @@ class UpdateJournal:
         *before* the journal is truncated, and the truncated journal is
         itself replaced atomically — at every instant either the old
         journal (still replayable from its own base) or the new
-        journal + snapshot pair exists.
+        journal + snapshot pair exists. A relative ``snapshot_path`` is
+        stored relative to the journal's directory, where
+        :func:`replay` resolves it.
         """
         snapshot_path = Path(snapshot_path)
         write_edge_list(graph, snapshot_path, atomic=True)
@@ -197,7 +199,9 @@ class UpdateJournal:
             header = {
                 "op": "open",
                 "ver": graph.version,
-                "ckpt": str(snapshot_path),
+                "ckpt": str(snapshot_path)
+                if snapshot_path.is_absolute()
+                else os.path.relpath(snapshot_path, self.path.parent),
             }
             handle.write(json.dumps(header, separators=(",", ":")) + "\n")
             handle.flush()
@@ -261,7 +265,8 @@ def replay(
     A header that names a checkpoint (resolved relative to the journal's
     directory) makes that checkpoint the base: a ``base_graph`` given too
     must equal it, vertices and edges, or :class:`JournalReplayError`
-    names the checkpoint. Otherwise ``base_graph`` supplies the base state
+    names the checkpoint, as it does when the checkpoint cannot be
+    read. Otherwise ``base_graph`` supplies the base state
     (the graph as it was at header time), and failing that the base is
     the empty graph — correct for journals opened at version 0.
 
@@ -301,7 +306,13 @@ def replay(
         ckpt_path = Path(ckpt)
         if not ckpt_path.is_absolute():
             ckpt_path = path.parent / ckpt_path
-        graph = read_edge_list(ckpt_path)
+        try:
+            graph = read_edge_list(ckpt_path)
+        except (OSError, ValueError) as exc:
+            raise JournalReplayError(
+                f"{path}: cannot read the checkpoint {ckpt} the journal "
+                f"replays on: {exc}"
+            ) from exc
         if base_graph is not None and base_graph != graph:
             raise JournalReplayError(
                 f"{path}: the base graph is not the checkpoint {ckpt} the "

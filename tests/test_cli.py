@@ -231,6 +231,20 @@ class TestServeRestart:
             assert service.graph.version == version
             assert not service.graph.has_edge(900, 901)
 
+    def test_a_missing_checkpoint_exits_non_zero_naming_it(
+        self, first_run, tmp_path, capsys
+    ):
+        from repro.cli import serve_service
+
+        graph_path, journal, args, _ = first_run
+        snap = tmp_path / "p.ckpt"
+        with serve_service(args) as service:
+            service.journal.checkpoint(service.graph, snap)
+        snap.unlink()
+        argv = ["serve", str(graph_path), "--journal", str(journal)]
+        assert main(argv + ["--port", "0", "--max-seconds", "0"]) == 2
+        assert "p.ckpt" in capsys.readouterr().err
+
 
 class TestStatsRich:
     def test_extended_stats_fields(self, graph_file, capsys):

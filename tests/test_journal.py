@@ -277,6 +277,31 @@ class TestCheckpoint:
         assert result.graph.num_edges == 6
         assert result.version == graph.version
 
+    def test_a_relative_checkpoint_path_resolves_beside_the_journal(
+        self, tmp_path, monkeypatch
+    ):
+        # Both paths relative to the working directory, the journal in a
+        # subdirectory: the header must name the checkpoint as replay
+        # resolves it, relative to the journal's own directory.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "data").mkdir()
+        graph = DynamicDiGraph(edges=[(0, 1), (1, 2)])
+        with UpdateJournal("data/wal.jsonl", graph_version=graph.version) as journal:
+            journal.checkpoint(graph, "data/snap.txt")
+            _journaled_churn(journal, graph, [("+", 2, 3)])
+        result = replay("data/wal.jsonl")
+        assert sorted(result.graph.edges()) == sorted(graph.edges())
+        assert result.version == graph.version
+
+    def test_a_missing_checkpoint_raises_naming_it(self, tmp_path):
+        path, snap = tmp_path / "wal.jsonl", tmp_path / "snap.txt"
+        graph = DynamicDiGraph(edges=[(0, 1)])
+        with UpdateJournal(path, graph_version=graph.version) as journal:
+            journal.checkpoint(graph, snap)
+        snap.unlink()
+        with pytest.raises(JournalReplayError, match="snap.txt"):
+            replay(path, graph)
+
 
 class TestRestoreVersion:
     def test_restore_is_monotone(self):
