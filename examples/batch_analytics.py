@@ -1,11 +1,12 @@
-"""Batch analytics: picking the right oracle for the workload shape.
+"""Batch analytics: a whole risk sweep as one batch query.
 
 A supply-chain risk sweep: given today's dependency graph (who supplies
 whom), score every product against every flagged upstream supplier — a
-dense batch of reachability questions on a frozen snapshot. The
-:class:`~repro.core.planner.QueryPlanner` routes such batches to the
-bitset transitive closure and trickle queries to IFCA, and a frozen
-:class:`~repro.graph.snapshot.CSRSnapshot` archives the audited state.
+dense batch of reachability questions.
+:meth:`~repro.service.engine.ReachabilityService.query_batch` answers the
+batch in one walk down the service's rung ladder (fast path, labels,
+cache, bit-parallel waves, IFCA), and after an update the same call
+re-checks at the new graph version.
 
 Run with::
 
@@ -13,13 +14,11 @@ Run with::
 """
 
 import random
-import tempfile
 import time
-from pathlib import Path
+from collections import Counter
 
-from repro.core.planner import QueryPlanner
+from repro import ReachabilityService
 from repro.datasets import preferential_attachment_graph
-from repro.graph.snapshot import CSRSnapshot
 from repro.graph.stats import summarize
 
 NUM_COMPONENTS = 1_500
@@ -43,36 +42,33 @@ def main() -> None:
     products = rng.sample(range(NUM_COMPONENTS), NUM_PRODUCTS)
     batch = [(s, p) for s in flagged for p in products]
 
-    planner = QueryPlanner(graph)
-    start = time.perf_counter()
-    answers = planner.query_batch(batch)
-    elapsed = time.perf_counter() - start
-    exposed = sum(answers)
-    print(
-        f"risk sweep: {len(batch)} checks in {elapsed * 1000:.1f} ms "
-        f"({'closure' if planner.closure_is_cached else 'IFCA'} strategy), "
-        f"{exposed} exposed product/supplier pairs"
-    )
-
-    # A supplier is remediated: one update invalidates the frozen closure;
-    # trickle re-checks go through IFCA.
-    bad = flagged[0]
-    removed = 0
-    for w in list(graph.out_neighbors(bad)):
-        planner.delete_edge(bad, w)
-        removed += 1
-    print(f"remediated supplier {bad}: removed {removed} dependency edges")
-    still = sum(1 for p in products if planner.query(bad, p))
-    print(f"re-check (IFCA path): {still} products still exposed to {bad}")
-
-    # Archive the audited snapshot.
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "audited.npz"
-        CSRSnapshot.freeze(graph).save(path)
-        restored = CSRSnapshot.load(path)
+    with ReachabilityService(graph) as service:
+        start = time.perf_counter()
+        outcomes = service.query_batch(batch)
+        elapsed = time.perf_counter() - start
+        exposed = sum(o.answer for o in outcomes)
         print(
-            f"archived snapshot: {restored!r} "
-            f"({path.stat().st_size / 1024:.0f} KiB on disk)"
+            f"risk sweep: {len(batch)} checks in {elapsed * 1000:.1f} ms, "
+            f"{exposed} exposed product/supplier pairs"
+        )
+        rungs = Counter(o.via for o in outcomes)
+        print("answered by: " + ", ".join(
+            f"{via} {count}" for via, count in rungs.most_common()
+        ))
+
+        # A supplier is remediated: its dependency edges go, and the
+        # re-check runs at the new graph version.
+        bad = flagged[0]
+        removed = 0
+        for w in list(service.graph.out_neighbors(bad)):
+            service.remove_edge(bad, w)
+            removed += 1
+        print(f"remediated supplier {bad}: removed {removed} dependency edges")
+        recheck = service.query_batch([(bad, p) for p in products])
+        still = sum(o.answer for o in recheck)
+        print(
+            f"re-check at version {recheck[0].version}: {still} products "
+            f"still exposed to {bad}"
         )
 
 

@@ -16,9 +16,6 @@ interface so the dynamic driver and benchmarks treat them uniformly:
 * :class:`~repro.baselines.dbl.DBLMethod` — dynamic landmark + hash labels
   (insert-only) [Lyu et al., 2021]; an extension, excluded from the paper's
   main comparison because it cannot delete.
-* :class:`~repro.baselines.pll.PLLMethod` — static pruned 2-hop labels
-  (Label-Only, no updates): the representative of the paper's static
-  index category, used by the throughput study.
 """
 
 from repro.baselines.base import ReachabilityMethod
@@ -28,7 +25,6 @@ from repro.baselines.tol import TOLMethod
 from repro.baselines.ip import IPMethod
 from repro.baselines.dagger import DaggerMethod
 from repro.baselines.dbl import DBLMethod
-from repro.baselines.pll import PLLMethod
 
 __all__ = [
     "ReachabilityMethod",
@@ -39,5 +35,4 @@ __all__ = [
     "IPMethod",
     "DaggerMethod",
     "DBLMethod",
-    "PLLMethod",
 ]

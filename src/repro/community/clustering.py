@@ -29,27 +29,6 @@ def _undirected_adjacency(graph: DynamicDiGraph) -> Dict[int, Set[int]]:
     return adj
 
 
-def local_clustering_coefficient(graph: DynamicDiGraph, v: int) -> float:
-    """The fraction of ``v``'s neighbor pairs that are themselves linked."""
-    adj = _undirected_adjacency(graph)
-    return _local_from_adj(adj, v)
-
-
-def _local_from_adj(adj: Dict[int, Set[int]], v: int) -> float:
-    nbrs = adj[v]
-    k = len(nbrs)
-    if k < 2:
-        return 0.0
-    links = 0
-    nbr_list = list(nbrs)
-    for i, a in enumerate(nbr_list):
-        adj_a = adj[a]
-        for b in nbr_list[i + 1 :]:
-            if b in adj_a:
-                links += 1
-    return 2.0 * links / (k * (k - 1))
-
-
 def global_clustering_coefficient(graph: DynamicDiGraph) -> float:
     """The transitivity ``3 * triangles / wedges`` of the undirected graph."""
     adj = _undirected_adjacency(graph)

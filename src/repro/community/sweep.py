@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Set, Tuple
 
-from repro.community.conductance import conductance
 from repro.graph import kernels
 from repro.graph.digraph import DynamicDiGraph
 
@@ -84,23 +83,3 @@ def sweep_cut(
             best_phi = phi
             best_set = list(prefix)
     return set(best_set), best_phi
-
-
-def sweep_profile(
-    graph: DynamicDiGraph, ppr: Dict[int, float]
-) -> List[Tuple[int, float]]:
-    """The full (prefix length, conductance) profile of the sweep.
-
-    Useful for diagnostics and for tests cross-checking the incremental
-    conductance against the direct :func:`~repro.community.conductance.conductance`.
-    """
-    ranked = sorted(
-        ((value / max(graph.degree(v), 1), v) for v, value in ppr.items() if v in graph),
-        reverse=True,
-    )
-    profile: List[Tuple[int, float]] = []
-    prefix: Set[int] = set()
-    for _, v in ranked:
-        prefix.add(v)
-        profile.append((len(prefix), conductance(graph, prefix)))
-    return profile

@@ -27,7 +27,6 @@ from repro.core.ifca import IFCA, IFCAMethod
 from repro.core.baseline import push_reachability, tune_epsilon_for_precision
 from repro.core.bibfs import frontier_bibfs
 from repro.core.cost import CostModel, CostEstimate
-from repro.core.planner import QueryPlanner
 
 __all__ = [
     "IFCA",
@@ -40,5 +39,4 @@ __all__ = [
     "frontier_bibfs",
     "CostModel",
     "CostEstimate",
-    "QueryPlanner",
 ]

@@ -103,16 +103,6 @@ class CostModel:
         k = base ** (1.0 / self.beta)
         return min(max(k, 1.0), float(max(n_remaining, 1)))
 
-    def k_lower_bound(self, n_remaining: int) -> float:
-        """Eq. 4: ``k >= (c / eps_pre)^(1/beta) - 1``."""
-        p = self.params
-        c = power_law_coefficient(max(n_remaining, 1), self.beta)
-        base = c / p.epsilon_pre
-        if base <= 1.0:
-            return 1.0
-        k = base ** (1.0 / self.beta) - 1.0
-        return min(max(k, 1.0), float(max(n_remaining, 1)))
-
     def _span_epsilon(self) -> float:
         """The effective threshold a contraction span is priced at.
 

@@ -59,22 +59,3 @@ class QueryStats:
     @property
     def contractions(self) -> int:
         return self.contractions_forward + self.contractions_reverse
-
-    def merge(self, other: "QueryStats") -> None:
-        """Accumulate another query's counters into this one (for averages)."""
-        self.guided_edge_accesses += other.guided_edge_accesses
-        self.bibfs_edge_accesses += other.bibfs_edge_accesses
-        self.push_operations += other.push_operations
-        self.contractions_forward += other.contractions_forward
-        self.contractions_reverse += other.contractions_reverse
-        self.rounds += other.rounds
-        self.merged_forward += other.merged_forward
-        self.merged_reverse += other.merged_reverse
-        if other.switched_to_bibfs:
-            self.switched_to_bibfs = True
-        if other.used_kernel:
-            self.used_kernel = True
-        if other.used_push_kernel:
-            self.used_push_kernel = True
-        if other.budget_exhausted:
-            self.budget_exhausted = True

@@ -19,7 +19,6 @@ name the three special vertices of the figure (star, square, triangle).
 from __future__ import annotations
 
 import random
-from typing import Tuple
 
 from repro.graph.digraph import DynamicDiGraph
 
@@ -81,8 +80,3 @@ def highschool_graph() -> DynamicDiGraph:
         if same_side or rng.random() < 0.1:
             graph.add_edge(u, v)
     return graph
-
-
-def example_queries() -> Tuple[Tuple[int, int], Tuple[int, int]]:
-    """The two Fig. 1 queries: (intra-community, inter-community)."""
-    return (SOURCE, INTRA_DESTINATION), (SOURCE, INTER_DESTINATION)

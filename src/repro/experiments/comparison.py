@@ -17,7 +17,6 @@ from repro.baselines.dagger import DaggerMethod
 from repro.baselines.ip import IPMethod
 from repro.baselines.tol import TOLMethod
 from repro.core.ifca import IFCAMethod
-from repro.core.params import IFCAParams
 from repro.datasets.registry import load_analog
 from repro.dynamic.driver import DynamicWorkload, ReplayResult, replay
 from repro.graph.digraph import DynamicDiGraph
@@ -33,13 +32,6 @@ DEFAULT_METHODS: Dict[str, MethodFactory] = {
     "IP": lambda g: IPMethod(g),
     "DAGGER": lambda g: DaggerMethod(g),
 }
-
-
-def methods_with_params(params: IFCAParams) -> Dict[str, MethodFactory]:
-    """The default lineup with a custom IFCA parameterization."""
-    lineup = dict(DEFAULT_METHODS)
-    lineup["IFCA"] = lambda g: IFCAMethod(g, params)
-    return lineup
 
 
 def run_comparison_on_analog(

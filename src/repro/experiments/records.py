@@ -25,10 +25,6 @@ class ExperimentRecord:
     parameters: Dict[str, Any] = field(default_factory=dict)
     rows: List[Dict[str, Any]] = field(default_factory=list)
 
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=False)
-
-
 def save_records(records: List[ExperimentRecord], path: PathLike) -> None:
     """Write a list of records as one JSON document."""
     payload = [asdict(r) for r in records]

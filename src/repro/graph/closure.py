@@ -10,7 +10,7 @@ when many queries share one snapshot.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Set, Tuple
+from typing import Dict
 
 from repro.graph.digraph import DynamicDiGraph
 from repro.graph.scc import condensation
@@ -42,23 +42,8 @@ class TransitiveClosure:
             return False
         return bool(self._masks[cs] >> ct & 1)
 
-    def reachable_set(self, source: int) -> Set[int]:
-        """All vertices reachable from ``source`` (including itself)."""
-        cs = self._scc_of.get(source)
-        if cs is None:
-            return set()
-        mask = self._masks[cs]
-        out: Set[int] = set()
-        cid = 0
-        while mask:
-            if mask & 1:
-                out.update(self._components[cid])
-            mask >>= 1
-            cid += 1
-        return out
-
     def reachable_count(self, source: int) -> int:
-        """|reachable_set(source)| without materializing it."""
+        """How many vertices ``source`` reaches, itself included."""
         cs = self._scc_of.get(source)
         if cs is None:
             return 0
@@ -83,14 +68,3 @@ class TransitiveClosure:
         for cid, comp in enumerate(self._components):
             total += len(comp) * (self.reachable_count(comp[0]) - 1)
         return total
-
-
-def transitive_closure_pairs(
-    graph: DynamicDiGraph,
-) -> Iterable[Tuple[int, int]]:
-    """Yield every ordered reachable pair ``(u, v)`` with ``u != v``."""
-    closure = TransitiveClosure(graph)
-    for u in graph.vertices():
-        for v in closure.reachable_set(u):
-            if v != u:
-                yield (u, v)

@@ -145,9 +145,6 @@ class DynamicDAG:
         """The condensation vertex containing original vertex ``v``."""
         return self.scc_of[v]
 
-    def same_component(self, u: int, v: int) -> bool:
-        return self.scc_of.get(u) == self.scc_of.get(v) and u in self.scc_of
-
     def components_of(self, ids):
         """``(comp, level)``: each id's component and its level, as
         ``int64`` arrays aligned with the id array ``ids``."""

@@ -287,21 +287,6 @@ class DynamicDiGraph:
             g.add_edge(v, u)
         return g
 
-    def subgraph(self, vertices: Iterable[int]) -> "DynamicDiGraph":
-        """The induced subgraph over ``vertices``."""
-        keep = set(vertices)
-        g = DynamicDiGraph()
-        for v in keep:
-            if v in self._out:
-                g.add_vertex(v)
-        for u in keep:
-            if u not in self._out:
-                continue
-            for v in self._out[u]:
-                if v in keep:
-                    g.add_edge(u, v)
-        return g
-
     # ------------------------------------------------------------------
     # Dunder conveniences
     # ------------------------------------------------------------------

@@ -1,25 +1,21 @@
-"""Edge-list I/O in the formats used by SNAP and KONECT.
+"""Edge-list I/O in the format used by SNAP and KONECT.
 
-The paper's datasets come from SNAP (WT) and KONECT (the rest) as plain or
-temporal edge lists. These readers let users point the library at the real
-files when they have them; the bundled benchmarks use synthetic analogs
-instead (see DESIGN.md, substitutions).
+The paper's datasets come from SNAP (WT) and KONECT (the rest). The
+reader lets users point the library at the real files when they have
+them; the bundled benchmarks use synthetic analogs instead (see
+DESIGN.md, substitutions).
 
-Supported line formats (whitespace separated, ``#`` and ``%`` comments):
-
-* ``u v``                    — static edge
-* ``u v t``                  — temporal edge (insert at time ``t``)
-* ``u v w t``                — KONECT style: weight ``w`` (sign selects
-  insert/delete: ``w >= 0`` insert, ``w < 0`` delete) and timestamp ``t``
+Lines are ``u v`` (whitespace or comma separated; ``#`` and ``%`` start
+comments); columns after the first two, such as KONECT's weight and
+timestamp, are ignored.
 """
 
 from __future__ import annotations
 
 import os
 from pathlib import Path
-from typing import Iterable, Iterator, List, TextIO, Tuple, Union
+from typing import Iterator, List, TextIO, Union
 
-from repro.dynamic.events import EdgeEvent
 from repro.graph.digraph import DynamicDiGraph
 
 PathLike = Union[str, Path]
@@ -66,41 +62,3 @@ def write_edge_list(
             os.fsync(handle.fileno())
     if atomic:
         os.replace(dest, target)
-
-
-def read_temporal_edge_list(path: PathLike) -> List[EdgeEvent]:
-    """Read a temporal edge list into a time-sorted list of edge events.
-
-    Three- and four-column lines are both accepted, as described in the
-    module docstring.
-    """
-    events: List[EdgeEvent] = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for parts in _data_lines(handle):
-            if len(parts) < 3:
-                raise ValueError(
-                    "temporal edge list needs at least 3 columns per line"
-                )
-            u, v = int(parts[0]), int(parts[1])
-            if len(parts) == 3:
-                timestamp = float(parts[2])
-                insert = True
-            else:
-                weight = float(parts[2])
-                timestamp = float(parts[3])
-                insert = weight >= 0
-            events.append(
-                EdgeEvent(time=timestamp, source=u, target=v, insert=insert)
-            )
-    events.sort(key=lambda e: e.time)
-    return events
-
-
-def write_temporal_edge_list(events: Iterable[EdgeEvent], path: PathLike) -> None:
-    """Write events in the four-column KONECT style (sign encodes deletes)."""
-    with open(path, "w", encoding="utf-8") as handle:
-        for event in events:
-            weight = 1 if event.insert else -1
-            handle.write(
-                f"{event.source} {event.target} {weight} {event.time}\n"
-            )

@@ -82,8 +82,9 @@ class JournalCorrupt(JournalError):
 
 
 class JournalReplayError(JournalError):
-    """The supplied base graph does not match the journal's base state:
-    it is not the checkpoint the header names, or replay produced a graph
+    """The journal cannot be replayed onto the base it was given: the
+    base graph is not the checkpoint the header names, there is no base
+    for a journal opened past version 0, or replay produced a graph
     whose version disagrees with the records."""
 
 
@@ -268,7 +269,10 @@ def replay(
     names the checkpoint, as it does when the checkpoint cannot be
     read. Otherwise ``base_graph`` supplies the base state
     (the graph as it was at header time), and failing that the base is
-    the empty graph — correct for journals opened at version 0.
+    the empty graph. That is only right for a journal opened at version
+    0: one opened later, with neither base, raises
+    :class:`JournalReplayError` naming the journal instead of replaying
+    onto a graph it never described.
 
     The rebuilt graph's version counter is realigned to the last record's
     stamp via :meth:`~repro.graph.digraph.DynamicDiGraph.restore_version`,
@@ -319,6 +323,11 @@ def replay(
                 f"journal replays on"
             )
     if graph is None:
+        if base_version > 0:
+            raise JournalReplayError(
+                f"{path}: the journal opens at version {base_version} with "
+                f"no checkpoint and no base graph to replay on"
+            )
         graph = DynamicDiGraph()
     if graph.version > base_version:
         raise JournalReplayError(

@@ -18,13 +18,13 @@ Contract
   ``benchmarks/bench_push_kernel.py``); only edge-access *counts* may
   differ, because whole-layer expansion cannot early-exit mid-layer.
 * The push-drain kernels (:func:`csr_push_drain`,
-  :func:`csr_forward_push_drain`, :func:`csr_backward_push_drain`) are
-  additionally *state-deterministic*: their sweep-synchronous semantics
-  are pinned down exactly (dangling pass, sorted-frontier selection,
-  epsilon-bucketed greedy filter, budget truncation, gather order, one
-  ``np.add.at`` scatter per sweep) so a scalar re-statement of the same
-  sweeps reproduces their residue/visited/explored arrays bitwise — the
-  A/B leg ``tests/test_push_kernels.py`` runs.
+  :func:`csr_forward_push_drain`) are additionally *state-deterministic*:
+  their sweep-synchronous semantics are pinned down exactly (dangling
+  pass, sorted-frontier selection, epsilon-bucketed greedy filter, budget
+  truncation, gather order, one ``np.add.at`` scatter per sweep) so a
+  scalar re-statement of the same sweeps reproduces their
+  residue/visited/explored arrays bitwise — the A/B leg
+  ``tests/test_push_kernels.py`` runs.
 * Kernels never mutate the snapshot; all state (visited masks, frontiers,
   residue arrays) is caller-owned or per-call scratch.
 * numpy is a declared dependency, so every caller may dispatch here; the
@@ -366,7 +366,7 @@ def csr_push_drain(
 
 
 # ----------------------------------------------------------------------
-# PPR push drains (forward / backward push on plain CSR, no overlay)
+# PPR forward-push drain (plain CSR, no overlay)
 # ----------------------------------------------------------------------
 def csr_forward_push_drain(
     offsets, targets, residue, reserve, alpha, epsilon, max_operations=None
@@ -414,56 +414,6 @@ def csr_forward_push_drain(
             residue,
             nbrs,
             np.repeat(one_minus_alpha * r_front / counts, counts),
-        )
-        if budget_stop:
-            break
-    return pushes, edge_accesses
-
-
-def csr_backward_push_drain(
-    in_offsets,
-    in_targets,
-    out_deg,
-    residue,
-    reserve,
-    alpha,
-    epsilon,
-    max_operations=None,
-):
-    """Backward push (contributions) to quiescence as sweeps.
-
-    ``out_deg`` is the float64 out-degree table (the receiver-side
-    divisor; every in-neighbor has out-degree >= 1 by construction).
-    Mirrors the scalar twin: a vertex with ``residue >= epsilon`` is
-    pushed even when it has no in-edges (the push is counted; nothing is
-    distributed). Returns ``(pushes, edge_accesses)``.
-    """
-    one_minus_alpha = 1.0 - alpha
-    pushes = 0
-    edge_accesses = 0
-    while True:
-        frontier = np.flatnonzero(residue >= epsilon)
-        if len(frontier) == 0:
-            break
-        budget_stop = (
-            max_operations is not None
-            and pushes + len(frontier) >= max_operations
-        )
-        if budget_stop:
-            frontier = frontier[: max(max_operations - pushes, 0)]
-            if len(frontier) == 0:
-                break
-        pushes += len(frontier)
-        r_front = residue[frontier].copy()
-        reserve[frontier] += alpha * r_front
-        residue[frontier] = 0.0
-        counts = in_offsets[frontier + 1] - in_offsets[frontier]
-        nbrs = _gather(in_offsets, in_targets, frontier)
-        edge_accesses += len(nbrs)
-        np.add.at(
-            residue,
-            nbrs,
-            np.repeat(one_minus_alpha * r_front, counts) / out_deg[nbrs],
         )
         if budget_stop:
             break

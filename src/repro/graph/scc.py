@@ -101,14 +101,3 @@ def condensation(
         if cu != cv:
             dag.add_edge(cu, cv)
     return dag, scc_of, components
-
-
-def is_dag(graph: DynamicDiGraph) -> bool:
-    """True iff every SCC is a singleton without a self-loop."""
-    for comp in strongly_connected_components(graph):
-        if len(comp) > 1:
-            return False
-        v = comp[0]
-        if graph.has_edge(v, v):
-            return False
-    return True

@@ -1,12 +1,12 @@
-"""Frozen CSR snapshots: compact, immutable, serializable graph states.
+"""Frozen CSR snapshots: compact, immutable graph states.
 
 A :class:`CSRSnapshot` freezes a :class:`DynamicDiGraph` into forward and
 reverse compressed-sparse-row arrays (numpy int64). Use cases:
 
-* persisting a snapshot mid-stream (``save`` / ``load``, portable .npz);
-* memory-lean archival of many snapshots (two arrays per direction instead
-  of per-vertex lists);
-* fast sequential scans for analytics (degree histograms, samplers).
+* the read view the numpy kernels (:mod:`repro.graph.kernels`,
+  :mod:`repro.graph.bitsearch`) run on;
+* one raw buffer per snapshot, so shard workers attach it from shared
+  memory without copying (:meth:`CSRSnapshot.pack_into`).
 
 Snapshots are read-only by design — mutate the dynamic graph and re-freeze.
 Vertex ids are compacted to ``0..n-1`` with the original ids kept in a
@@ -17,14 +17,12 @@ from __future__ import annotations
 
 import os
 from itertools import chain, count, repeat
-from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Tuple
 
 import numpy as np
 
 from repro.graph.digraph import DynamicDiGraph
 
-PathLike = Union[str, Path]
 
 #: Array attributes in canonical manifest order.
 ARRAY_FIELDS = (
@@ -127,16 +125,6 @@ class CSRSnapshot:
         out_offsets, out_targets = _direction(adj_out)
         in_offsets, in_targets = _direction(adj_in)
         return cls(vertex_ids, out_offsets, out_targets, in_offsets, in_targets)
-
-    def thaw(self) -> DynamicDiGraph:
-        """Rebuild an equivalent mutable graph."""
-        graph = DynamicDiGraph(vertices=(int(v) for v in self.vertex_ids))
-        ids = self.vertex_ids
-        for i in range(self.num_vertices):
-            u = int(ids[i])
-            for k in range(int(self.out_offsets[i]), int(self.out_offsets[i + 1])):
-                graph.add_edge(u, int(ids[self.out_targets[k]]))
-        return graph
 
     # ------------------------------------------------------------------
     # Read API
@@ -305,29 +293,6 @@ class CSRSnapshot:
     # ------------------------------------------------------------------
     # Persistence
     # ------------------------------------------------------------------
-    def save(self, path: PathLike) -> None:
-        """Write as a portable ``.npz`` archive."""
-        np.savez_compressed(
-            path,
-            vertex_ids=self.vertex_ids,
-            out_offsets=self.out_offsets,
-            out_targets=self.out_targets,
-            in_offsets=self.in_offsets,
-            in_targets=self.in_targets,
-        )
-
-    @classmethod
-    def load(cls, path: PathLike) -> "CSRSnapshot":
-        """Read an archive written by :meth:`save`."""
-        with np.load(path) as data:
-            return cls(
-                data["vertex_ids"],
-                data["out_offsets"],
-                data["out_targets"],
-                data["in_offsets"],
-                data["in_targets"],
-            )
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CSRSnapshot):
             return NotImplemented

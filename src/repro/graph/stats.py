@@ -8,8 +8,8 @@ and the dataset-characterization tests.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 from repro.community.clustering import (
     DISCERNIBLE_COMMUNITY_THRESHOLD,
@@ -37,10 +37,6 @@ class GraphSummary:
     has_discernible_communities: bool
     degree_tail_exponent: float
     reachable_pair_fraction: float
-
-    def as_dict(self) -> Dict[str, object]:
-        return asdict(self)
-
 
 def summarize(
     graph: DynamicDiGraph,
@@ -82,20 +78,4 @@ def summarize(
         ),
         degree_tail_exponent=fit_power_law_exponent(degrees),
         reachable_pair_fraction=pairs / possible if possible else 0.0,
-    )
-
-
-def degree_histogram(graph: DynamicDiGraph, forward: bool = True) -> Dict[int, int]:
-    """``{degree: count}`` for out- (or in-) degrees."""
-    hist: Dict[int, int] = {}
-    for v in graph.vertices():
-        d = graph.out_degree(v) if forward else graph.in_degree(v)
-        hist[d] = hist.get(d, 0) + 1
-    return hist
-
-
-def scc_size_distribution(graph: DynamicDiGraph) -> List[int]:
-    """SCC sizes in descending order."""
-    return sorted(
-        (len(c) for c in strongly_connected_components(graph)), reverse=True
     )

@@ -1,4 +1,5 @@
-"""Traversal primitives: BFS/DFS reachability, distances, and edge-access counting.
+"""Traversal primitives: BFS reachability, distances, topological order,
+and edge-access counting.
 
 These are the structure-agnostic tools the paper contrasts IFCA against
 (Sec. IV). ``is_reachable_bfs`` is the trusted ground-truth oracle used
@@ -101,25 +102,6 @@ def bfs_edge_access_trace(
                 visited.add(v)
                 queue.append(v)
     return trace
-
-
-def dfs_preorder(
-    graph: DynamicDiGraph, source: int, forward: bool = True
-) -> List[int]:
-    """Iterative DFS preorder from ``source``."""
-    if source not in graph:
-        return []
-    order: List[int] = []
-    visited = {source}
-    stack = [source]
-    while stack:
-        u = stack.pop()
-        order.append(u)
-        for v in graph.neighbors(u, forward):
-            if v not in visited:
-                visited.add(v)
-                stack.append(v)
-    return order
 
 
 def topological_order(graph: DynamicDiGraph) -> List[int]:

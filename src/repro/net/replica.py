@@ -34,10 +34,12 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import os
 from pathlib import Path
 from typing import Dict, Optional, Union
 
 from repro.graph.digraph import DynamicDiGraph
+from repro.graph.journal import JournalReplayError
 from repro.net.client import ConnectionLost, ReachabilityClient, ServerError
 from repro.net.server import ReachabilityServer
 from repro.service.engine import ReachabilityService
@@ -54,7 +56,10 @@ class ReplicaNode:
     journal_path:
         The replica's *local* write-ahead journal. If it already holds
         records (a replica restart), the service is rebuilt from it via
-        ``recover()`` and the subscription resumes at its watermark.
+        ``recover()`` and the subscription resumes at its watermark. A
+        journal that cannot be replayed (``JournalReplayError``: no
+        base, or an unreadable checkpoint) is moved aside to
+        ``<journal_path>.unrecoverable`` and the node starts empty.
     service_kwargs:
         Forwarded to every :class:`ReachabilityService` this node
         constructs (initial, snapshot bootstrap, promotion).
@@ -100,19 +105,34 @@ class ReplicaNode:
         self.reconnects = 0
         self.severed = 0
         self.server: Optional[ReachabilityServer] = None
+        service = None
         if (
             self.journal_path.exists()
             and self.journal_path.stat().st_size > 0
         ):
-            self.service = ReachabilityService.recover(
-                self.journal_path, **self._service_kwargs
-            )
-        else:
-            self.service = ReachabilityService(
+            try:
+                service = ReachabilityService.recover(
+                    self.journal_path, **self._service_kwargs
+                )
+            except JournalReplayError:
+                # Nothing to replay onto (a crash inside the snapshot
+                # bootstrap leaves a journal past version 0 with no
+                # checkpoint): keep the file for inspection and start
+                # over at watermark 0, so the primary answers the
+                # subscribe with its journal or a snapshot.
+                os.replace(
+                    self.journal_path,
+                    self.journal_path.with_name(
+                        self.journal_path.name + ".unrecoverable"
+                    ),
+                )
+        if service is None:
+            service = ReachabilityService(
                 graph=DynamicDiGraph(),
                 journal=self.journal_path,
                 **self._service_kwargs,
             )
+        self.service = service
 
     @property
     def watermark(self) -> int:

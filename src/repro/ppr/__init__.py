@@ -1,34 +1,18 @@
-"""Personalized PageRank computation techniques (Sec. III-A of the paper).
+"""Personalized PageRank by forward push (Sec. III-A of the paper).
 
-Four families are implemented, matching the paper's taxonomy:
-
-* push-based: :func:`~repro.ppr.forward_push.forward_push` (Andersen–
-  Chung–Lang) and :func:`~repro.ppr.backward_push.backward_push`
-  (Andersen et al., contributions) — the engines behind IFCA's
-  probability-guided search;
-* Monte Carlo: :func:`~repro.ppr.monte_carlo.monte_carlo_ppr` — geometric-
-  length random walks, also the engine behind the ARROW competitor;
-* power iteration: :func:`~repro.ppr.power_iteration.power_iteration_ppr`
-  — the slow-but-trustworthy reference used as ground truth in tests;
-* hybrid: :func:`~repro.ppr.fora.fora_ppr` — FORA (Wang et al., KDD 2017),
-  forward push refined by residue-seeded random walks, the approximate-PPR
-  state of the art the paper cites as [46].
+:func:`~repro.ppr.forward_push.forward_push` (Andersen–Chung–Lang) backs
+the push experiments of Figs. 2–3 and the shard partitioner's PPR sweep
+cuts; :class:`~repro.ppr.common.Worklist` is the threshold queue
+the push baseline (Alg. 1) drains. IFCA's own guided search runs its
+push loops in :mod:`repro.core.guided` and :mod:`repro.core.array_search`,
+and ARROW runs its own random walks.
 """
 
 from repro.ppr.common import PushConfig, PushState
 from repro.ppr.forward_push import forward_push
-from repro.ppr.backward_push import backward_push
-from repro.ppr.monte_carlo import monte_carlo_ppr, single_random_walk
-from repro.ppr.power_iteration import power_iteration_ppr
-from repro.ppr.fora import fora_ppr
 
 __all__ = [
     "PushConfig",
     "PushState",
     "forward_push",
-    "backward_push",
-    "monte_carlo_ppr",
-    "single_random_walk",
-    "power_iteration_ppr",
-    "fora_ppr",
 ]

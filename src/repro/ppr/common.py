@@ -1,12 +1,8 @@
-"""Shared state and configuration for push-based PPR algorithms.
+"""Shared state and configuration for push-based PPR.
 
-The paper parameterizes push by two functions (Sec. III-A):
-
-* ``f_dist(u, u_i)`` — the neighbor-weight divisor when distributing
-  residue: forward push uses ``d_out(u)``; backward push uses
-  ``d_in(u_i)``;
-* ``f_norm(u)`` — the threshold normalization: forward push uses
-  ``d_out(u)``; backward push uses ``1``.
+The paper parameterizes push by two functions (Sec. III-A): the
+neighbor-weight divisor ``f_dist`` and the threshold normalization
+``f_norm``. Forward push uses ``d_out(u)`` for both.
 
 :class:`PushState` holds the residue/reserve maps plus a worklist of
 vertices whose normalized residue is above the current threshold, giving
@@ -52,12 +48,6 @@ class PushState:
         state = cls()
         state.residue[source] = 1.0
         return state
-
-    def residue_mass(self) -> float:
-        return sum(self.residue.values())
-
-    def reserve_mass(self) -> float:
-        return sum(self.reserve.values())
 
 
 def state_to_arrays(state: PushState, snapshot):

@@ -63,12 +63,6 @@ class VersionedQueryCache:
             if removes_reachability:
                 self._pos_barrier = max(self._pos_barrier, version)
 
-    def invalidate_all(self, version: int) -> None:
-        """Coarse epoch invalidation: distrust everything older than now."""
-        self.note_update(
-            version, adds_reachability=True, removes_reachability=True
-        )
-
     def _valid(self, answer: bool, version: int) -> bool:
         barrier = self._pos_barrier if answer else self._neg_barrier
         return version >= barrier

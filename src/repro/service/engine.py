@@ -1283,10 +1283,6 @@ class ReachabilityService:
         return self._cache
 
     @property
-    def breaker(self) -> CircuitBreaker:
-        return self._breaker
-
-    @property
     def journal(self) -> Optional[UpdateJournal]:
         return self._journal
 

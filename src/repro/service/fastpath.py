@@ -455,11 +455,3 @@ class FastPathPruner:
         rule[~(source_known & target_known)] = 1
         rule[source == target] = 0
         return rule
-
-    @property
-    def samples_valid(self) -> bool:
-        return self._samples.valid
-
-    @property
-    def supportive_vertices(self) -> List[int]:
-        return list(self._samples.vertices)

@@ -152,11 +152,6 @@ class FaultInjector:
         with self._lock:
             return dict(self._fired)
 
-    def total_fired(self) -> int:
-        with self._lock:
-            return sum(self._fired.values())
-
-
 # ----------------------------------------------------------------------
 # Circuit breaker
 # ----------------------------------------------------------------------

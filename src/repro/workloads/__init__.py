@@ -4,14 +4,13 @@ from repro.workloads.queries import (
     QueryBatch,
     generate_queries,
     label_queries,
-    split_by_sign,
 )
 from repro.workloads.mixed import (
     Op,
     generate_mixed_workload,
     workload_mix,
 )
-from repro.workloads.precision import accuracy, confusion_counts, precision_recall
+from repro.workloads.precision import accuracy, confusion_counts
 
 __all__ = [
     "Op",
@@ -21,7 +20,5 @@ __all__ = [
     "generate_mixed_workload",
     "generate_queries",
     "label_queries",
-    "precision_recall",
-    "split_by_sign",
     "workload_mix",
 ]

@@ -1,9 +1,8 @@
 """Accuracy metrics for (approximate) reachability answers.
 
 The paper reports *precision* in the loose sense of overall accuracy
-("iteratively lower epsilon until the precision is at least 90%"); we
-expose both that and the strict precision/recall pair, so approximate
-methods (Base, ARROW) can be characterized fully.
+("iteratively lower epsilon until the precision is at least 90%"), the
+measure the approximate methods (Base, ARROW) are tuned and reported by.
 """
 
 from __future__ import annotations
@@ -36,14 +35,3 @@ def accuracy(answers: Sequence[bool], truth: Sequence[bool]) -> float:
         return 1.0
     tp, fp, tn, fn = confusion_counts(answers, truth)
     return (tp + tn) / len(truth)
-
-
-def precision_recall(
-    answers: Sequence[bool], truth: Sequence[bool]
-) -> Tuple[float, float]:
-    """Strict (precision, recall) over the positive class; 1.0 when the
-    denominator is empty (no positive answers / no positive truths)."""
-    tp, fp, tn, fn = confusion_counts(answers, truth)
-    precision = tp / (tp + fp) if (tp + fp) else 1.0
-    recall = tp / (tp + fn) if (tp + fn) else 1.0
-    return precision, recall

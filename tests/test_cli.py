@@ -2,10 +2,11 @@
 
 import argparse
 import ast
+import importlib.util
 import inspect
 import re
 from pathlib import Path
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional, Set, Tuple
 
 import pytest
 
@@ -435,6 +436,13 @@ class TestKnobCensus:
         with open(engine.__file__, encoding="utf-8") as handle:
             assert sum(1 for _ in handle) <= 1366, self.RATCHET
 
+    def test_src_lines(self):
+        lines = sum(
+            len(path.read_text(encoding="utf-8").splitlines())
+            for path in (ROOT / "src").rglob("*.py")
+        )
+        assert lines <= 19_571, self.RATCHET
+
     def test_cli_flags(self):
         def flags(parser):
             count = 0
@@ -519,7 +527,7 @@ class TestKnobCensus:
         from repro.core.params import IFCAParams, ResolvedParams
         from repro.graph import kernels
         from repro.graph.labels import LabelIndex
-        from repro.ppr import backward_push, forward_push
+        from repro.ppr import forward_push
         from repro.service import engine
 
         gone = {
@@ -543,8 +551,16 @@ class TestKnobCensus:
             assert not params_gone & fields, cls
         # One substrate per query: no hybrid hand-off, no per-call PPR pin.
         assert not hasattr(kernels, "csr_bibfs_frontiers")
-        for function in (forward_push, backward_push):
-            assert "use_kernels" not in inspect.signature(function).parameters
+        assert "use_kernels" not in inspect.signature(forward_push).parameters
+        # Modules with no production caller, and the bench-only kernel.
+        for module in (
+            "repro.constrained", "repro.baselines.pll", "repro.core.planner",
+            "repro.experiments.accuracy_study", "repro.experiments.throughput",
+            "repro.ppr.backward_push", "repro.ppr.fora", "repro.ppr.monte_carlo",
+            "repro.ppr.power_iteration", "repro.community.conductance",
+        ):
+            assert importlib.util.find_spec(module) is None, module
+        assert not hasattr(kernels, "csr_backward_push_drain")
         assert not hasattr(budget, "CancelToken")
         for function in (budget.Budget.__init__, budget.Budget.from_timeout):
             assert "token" not in inspect.signature(function).parameters
@@ -621,6 +637,299 @@ class TestCensusBinder:
         sources = ["Widget(3, weight=2.0)\n", "Widget(size=4)\n"]
         assert unset_parameters(sources, census, {}) == {"Widget": ["colour"]}
         assert unset_parameters(sources, census, {"Widget": {"colour": "why"}}) == {}
+
+
+_DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _module_name(path: Path, src: Path) -> str:
+    parts = list(path.relative_to(src).with_suffix("").parts)
+    if parts[-1] == "__init__":
+        parts.pop()
+    return ".".join(parts)
+
+
+def _references(tree: ast.AST, module: str, package: bool) -> Tuple[Set[str], Set[str]]:
+    """The names and modules some code refers to: loaded ``ast.Name``
+    ids and ``ast.Attribute`` attributes, import aliases, and the modules
+    imports load. Annotations are types, not calls, and are skipped."""
+    names: Set[str] = set()
+    modules: Set[str] = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.arg):
+            continue
+        if isinstance(node, ast.AnnAssign):
+            stack.extend(n for n in (node.target, node.value) if n is not None)
+            continue
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            stack.extend(node.decorator_list + node.body + node.args.defaults)
+            stack.extend(d for d in node.args.kw_defaults if d is not None)
+            continue
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names.add(node.attr)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                modules.add(alias.name)
+                names.add(alias.name.rsplit(".", 1)[-1])
+        elif isinstance(node, ast.ImportFrom):
+            parts = module.split(".")
+            base = parts[: len(parts) + package - node.level] if node.level else []
+            source = ".".join(base + ([node.module] if node.module else []))
+            modules.add(source)
+            for alias in node.names:
+                names.add(alias.name)
+                modules.add(f"{source}.{alias.name}")
+        stack.extend(ast.iter_child_nodes(node))
+    return names, modules
+
+
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def definition_census(src: Path, roots, seeds=()) -> Tuple[Set[str], Set[str]]:
+    """``(defined, reached)`` over every top-level function and class and
+    every method under ``src``, each named ``module:qualname``.
+
+    The root files are reached whole. A reached module's top-level
+    statements are reached, and so is every definition whose name reached
+    code refers to (a method once its class is reached too; a class's
+    dunder methods with the class). A package ``__init__``'s imports and
+    any ``__all__`` are re-exports, not callers. ``seeds`` (exemptions)
+    are walked as entry points but count as reached only if something
+    else refers to them. Matching is by name, so a name collision keeps a
+    definition alive; it never flags a reached one."""
+    modules: Dict[str, Tuple[ast.Module, bool]] = {}
+    definitions: Dict[str, Tuple[str, ast.AST, Optional[str]]] = {}
+    by_name: Dict[str, List[str]] = {}
+    for path in sorted(src.rglob("*.py")):
+        module = _module_name(path, src)
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        modules[module] = (tree, path.name == "__init__.py")
+        for node in tree.body:
+            if not isinstance(node, _DEFINITIONS):
+                continue
+            key = f"{module}:{node.name}"
+            definitions[key] = (module, node, None)
+            by_name.setdefault(node.name, []).append(key)
+            for sub in node.body if isinstance(node, ast.ClassDef) else ():
+                if isinstance(sub, _DEFINITIONS):
+                    definitions[f"{key}.{sub.name}"] = (module, sub, key)
+                    by_name.setdefault(sub.name, []).append(f"{key}.{sub.name}")
+
+    seen: Set[str] = set()
+    reached: Set[str] = set()
+    entered: Set[str] = set()
+    names: List[str] = []
+    imports: List[str] = []
+
+    def visit(node: ast.AST, module: str) -> None:
+        package = modules.get(module, (None, False))[1]
+        found, loaded = _references(node, module, package)
+        names.extend(found)
+        imports.extend(loaded)
+
+    def reach(key: str) -> None:
+        if key in reached:
+            return
+        reached.add(key)
+        module, node, owner = definitions[key]
+        imports.append(module)
+        if not isinstance(node, ast.ClassDef) or owner is not None:
+            visit(node, module)
+            return
+        body = [s for s in node.body if not isinstance(s, _DEFINITIONS)]
+        keywords = [k.value for k in node.keywords]
+        for part in node.decorator_list + node.bases + keywords + body:
+            visit(part, module)
+        for sub in node.body:
+            if isinstance(sub, _DEFINITIONS) and (sub.name in seen or _is_dunder(sub.name)):
+                reach(f"{key}.{sub.name}")
+
+    for root in roots:
+        module = _module_name(root, src) if src in root.parents else ""
+        visit(ast.parse(root.read_text(encoding="utf-8")), module)
+        entered.add(module)
+        reached.update(k for k, (m, _, _) in definitions.items() if m == module)
+    for key in seeds:
+        if key in definitions:
+            module, node, _ = definitions[key]
+            imports.append(module)
+            visit(node, module)
+
+    while names or imports:
+        while imports:
+            module = imports.pop()
+            if module in entered or module not in modules:
+                continue
+            entered.add(module)
+            tree, package = modules[module]
+            for stmt in tree.body:
+                if isinstance(stmt, _DEFINITIONS) or (
+                    package and isinstance(stmt, (ast.Import, ast.ImportFrom))
+                ):
+                    continue
+                if isinstance(stmt, ast.Assign) and any(
+                    getattr(target, "id", None) == "__all__" for target in stmt.targets
+                ):
+                    continue
+                visit(stmt, module)
+        while names:
+            name = names.pop()
+            if name in seen:
+                continue
+            seen.add(name)
+            for key in by_name.get(name, ()):
+                owner = definitions[key][2]
+                if owner is None or owner in reached:
+                    reach(key)
+    return set(definitions), reached
+
+
+def stale_exemptions(defined: Set[str], reached: Set[str], exempt) -> List[str]:
+    """Exemptions that no longer name a definition, or whose definition
+    something now reaches."""
+    return sorted(key for key in exempt if key not in defined or key in reached)
+
+
+def definition_roots(root: Path = ROOT) -> List[Path]:
+    """Where production reaches ``src/`` from: the CLI, the end-to-end
+    benchmark, and the paper benches."""
+    bench = root / "benchmarks"
+    return [
+        root / "src/repro/cli.py",
+        root / "src/repro/__main__.py",
+        bench / "conftest.py",
+        *sorted((bench / "e2e").glob("*.py")),
+        *sorted(bench.glob("bench_fig*.py")),
+        *sorted(bench.glob("bench_tab*.py")),
+    ]
+
+
+@pytest.fixture(scope="module")
+def repo_census():
+    return definition_census(
+        ROOT / "src", definition_roots(), TestDefinitionCensus.EXEMPT
+    )
+
+
+class TestDefinitionCensus:
+    """Every definition under ``src/`` has a production caller: the CLI,
+    the end-to-end benchmark or the paper benches reach it. A pure test
+    oracle lives under ``tests/`` instead; anything else no root reaches
+    is deleted, or exempt here with its reason."""
+
+    _PROTOCOL = "an asyncio.Protocol callback: the event loop calls it"
+    _CHECK = (
+        "an O(n + m) self-check of a maintained structure: tests run it "
+        "after every update"
+    )
+
+    EXEMPT = {
+        "repro.graph.dag:DynamicDAG.check_invariants": _CHECK,
+        "repro.graph.dag:DynamicDAG.check_consistency": _CHECK,
+        "repro.graph.labels:LabelIndex.check_invariants": _CHECK,
+        "repro.net.server:_Connection.connection_made": _PROTOCOL,
+        "repro.net.server:_Connection.connection_lost": _PROTOCOL,
+        "repro.net.server:_Connection.data_received": _PROTOCOL,
+        "repro.net.server:_Connection.eof_received": _PROTOCOL,
+        "repro.net.server:_Connection.pause_writing": _PROTOCOL,
+        "repro.net.server:_Connection.resume_writing": _PROTOCOL,
+        "repro.service.cache:VersionedQueryCache.peek": "a read that leaves "
+        "LRU order alone: the eviction tests observe the cache through it",
+        "repro.shard.router:ShardRouter.warm_fleet": "bench_shard.py warms "
+        "the fleet with it; the shard package goes as a whole, not method "
+        "by method",
+    }
+
+    def test_every_definition_has_a_production_caller(self, repo_census):
+        defined, reached = repo_census
+        unreached = sorted(defined - reached - set(self.EXEMPT))
+        assert unreached == [], (
+            "delete them, move a test oracle under tests/, or exempt them "
+            "with a reason"
+        )
+
+    def test_no_exemption_is_stale(self, repo_census):
+        assert stale_exemptions(*repo_census, self.EXEMPT) == []
+        assert all(self.EXEMPT.values())
+
+
+class TestDefinitionCensusBinder:
+    """The definition census follows references the way the rule says."""
+
+    TREE = {
+        "src/pkg/__init__.py": (
+            "from pkg.tools import exported\n__all__ = ['exported', 'listed']\n"
+        ),
+        "src/pkg/tools.py": (
+            "def used():\n    return helper()\n\n"
+            "def helper():\n    pass\n\n"
+            "def exported():\n    pass\n\n"
+            "def listed():\n    pass\n\n"
+            "def bench_only():\n    return helper_of_bench()\n\n"
+            "def helper_of_bench():\n    pass\n\n"
+            "class Thing:\n"
+            "    def __init__(self):\n        pass\n\n"
+            "    def method(self):\n        pass\n\n"
+            "    def unused_method(self):\n        pass\n"
+        ),
+        "src/pkg/cli.py": (
+            "from pkg.tools import Thing, used\n\n"
+            "def main():\n    used()\n    Thing().method()\n"
+        ),
+        "benchmarks/bench_other.py": (
+            "from pkg.tools import bench_only\n\nbench_only()\n"
+        ),
+    }
+
+    @pytest.fixture
+    def tree(self, tmp_path):
+        for name, text in self.TREE.items():
+            path = tmp_path / name
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(text, encoding="utf-8")
+        return tmp_path
+
+    def census(self, tree, roots=("src/pkg/cli.py",), seeds=()):
+        return definition_census(
+            tree / "src", [tree / root for root in roots], seeds
+        )
+
+    def test_a_definition_only_a_non_root_bench_reaches_is_flagged(self, tree):
+        defined, reached = self.census(tree)
+        assert sorted(defined - reached) == [
+            "pkg.tools:Thing.unused_method", "pkg.tools:bench_only",
+            "pkg.tools:exported", "pkg.tools:helper_of_bench",
+            "pkg.tools:listed",
+        ]
+        _, reached = self.census(tree, roots=("src/pkg/cli.py", "benchmarks/bench_other.py"))
+        assert {"pkg.tools:bench_only", "pkg.tools:helper_of_bench"} <= reached
+
+    def test_a_reexport_or_all_entry_is_not_a_caller(self, tree):
+        _, reached = self.census(tree)
+        assert "pkg.tools:exported" not in reached
+        assert "pkg.tools:listed" not in reached
+
+    def test_an_exemption_is_an_entry_point(self, tree):
+        defined, reached = self.census(tree, seeds=["pkg.tools:bench_only"])
+        assert "pkg.tools:helper_of_bench" in reached
+        assert "pkg.tools:bench_only" not in reached
+
+    def test_a_reached_or_missing_exemption_is_stale(self, tree):
+        defined, reached = self.census(tree)
+        exempt = {
+            "pkg.tools:bench_only": "why",
+            "pkg.tools:used": "reached",
+            "pkg.tools:gone": "deleted",
+        }
+        assert stale_exemptions(defined, reached, exempt) == [
+            "pkg.tools:gone", "pkg.tools:used",
+        ]
 
 
 class TestBenchmarkContract:

@@ -122,7 +122,7 @@ def test_check_many_with_wider_mask_words(supportive):
 def test_no_view_beyond_one_mask_word_or_without_a_snapshot():
     graph = random_graph(80, 300, seed=3)
     many = FastPathPruner(graph, num_supportive=65, seed=0, csr_provider=graph.csr)
-    assert len(many.supportive_vertices) == 65
+    assert len(many._samples.vertices) == 65
     assert many.view() is None  # 65 sets do not fit one 64-bit word
     unfrozen = FastPathPruner(random_graph(8, 12, seed=1), csr_provider=lambda: None)
     assert unfrozen.view() is None and unfrozen.view_builds == 0

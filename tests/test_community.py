@@ -1,4 +1,5 @@
-"""Tests for conductance, sweep cuts, clustering, and power-law tooling."""
+"""Tests for sweep cuts (against the direct conductance formula),
+clustering, and power-law tooling."""
 
 import math
 
@@ -9,14 +10,7 @@ from hypothesis import strategies as st
 from repro.community.clustering import (
     global_clustering_coefficient,
     has_discernible_communities,
-    local_clustering_coefficient,
     sampled_clustering_coefficient,
-)
-from repro.community.conductance import (
-    conductance,
-    external_edges,
-    internal_edges,
-    volume,
 )
 from repro.community.powerlaw import (
     fit_power_law_exponent,
@@ -24,12 +18,12 @@ from repro.community.powerlaw import (
     power_law_coefficient,
     ppr_power_law_constants,
 )
-from repro.community.sweep import sweep_cut, sweep_profile
+from repro.community.sweep import sweep_cut
 from repro.datasets.sbm import two_block_sbm
 from repro.graph.digraph import DynamicDiGraph
-from repro.ppr.power_iteration import power_iteration_ppr
 
 from tests.conftest import random_graph
+from tests.oracles import conductance, external_edges, power_iteration_ppr, volume
 
 
 class TestConductance:
@@ -40,9 +34,6 @@ class TestConductance:
     def test_external_edges(self, diamond_graph):
         assert external_edges(diamond_graph, {0}) == 2
         assert external_edges(diamond_graph, {0, 1, 2}) == 2
-
-    def test_internal_edges(self, diamond_graph):
-        assert internal_edges(diamond_graph, {0, 1, 3}) == 2
 
     def test_perfect_community_zero(self, disconnected_graph):
         assert conductance(disconnected_graph, {0, 1}) == 0.0
@@ -95,8 +86,14 @@ class TestSweepCut:
         g = random_graph(25, 70, seed=6)
         source = next(iter(g.vertices()))
         ppr = power_iteration_ppr(g, source, alpha=0.15)
-        profile = sweep_profile(g, ppr)
-        best_direct = min((phi for _, phi in profile), default=1.0)
+        ranked = sorted(
+            ((value / max(g.degree(v), 1), v) for v, value in ppr.items()),
+            reverse=True,
+        )
+        best_direct = min(
+            (conductance(g, {v for _, v in ranked[:k]}) for k in range(1, len(ranked) + 1)),
+            default=1.0,
+        )
         _, best_sweep = sweep_cut(g, ppr)
         assert best_sweep == pytest.approx(best_direct)
 
@@ -105,14 +102,10 @@ class TestClustering:
     def test_triangle(self):
         g = DynamicDiGraph(edges=[(0, 1), (1, 2), (2, 0)])
         assert global_clustering_coefficient(g) == pytest.approx(1.0)
-        assert local_clustering_coefficient(g, 0) == pytest.approx(1.0)
 
     def test_star_zero(self):
         g = DynamicDiGraph(edges=[(0, i) for i in range(1, 6)])
         assert global_clustering_coefficient(g) == 0.0
-
-    def test_path_zero_local(self, line_graph):
-        assert local_clustering_coefficient(line_graph, 0) == 0.0
 
     def test_direction_ignored(self):
         a = DynamicDiGraph(edges=[(0, 1), (1, 2), (2, 0)])

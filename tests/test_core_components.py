@@ -73,15 +73,6 @@ class TestStats:
         stats = QueryStats(guided_edge_accesses=5, bibfs_edge_accesses=7)
         assert stats.edge_accesses == 12
 
-    def test_merge(self):
-        a = QueryStats(guided_edge_accesses=1, contractions_forward=2)
-        b = QueryStats(bibfs_edge_accesses=3, switched_to_bibfs=True, rounds=4)
-        a.merge(b)
-        assert a.edge_accesses == 4
-        assert a.contractions == 2
-        assert a.switched_to_bibfs
-        assert a.rounds == 4
-
 
 class TestSearchContext:
     def test_initial_state(self, line_graph):
@@ -255,7 +246,6 @@ class TestCostModel:
     def test_bounds_ordering(self, sbm_small):
         model, _ = self._model(sbm_small)
         n = sbm_small.num_vertices
-        assert 1.0 <= model.k_lower_bound(n) <= n
         assert 1.0 <= model.k_upper_bound(n) <= n
 
     def test_fixed_beta_honored(self, sbm_small):

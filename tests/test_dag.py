@@ -18,8 +18,8 @@ class TestStaticBuild:
         dag = DynamicDAG(two_scc_graph)
         dag.check_consistency()
         assert dag.dag.num_vertices == 2
-        assert dag.same_component(0, 1)
-        assert not dag.same_component(0, 3)
+        assert dag.component_of(0) == dag.component_of(1)
+        assert dag.component_of(0) != dag.component_of(3)
 
     def test_empty(self):
         dag = DynamicDAG()
@@ -31,7 +31,7 @@ class TestInsertions:
         dag = DynamicDAG()
         dag.insert_edge(0, 1)
         dag.check_consistency()
-        assert not dag.same_component(0, 1)
+        assert dag.component_of(0) != dag.component_of(1)
         assert dag.merge_count == 0
 
     def test_insert_duplicate_is_noop(self):
@@ -46,7 +46,7 @@ class TestInsertions:
         dag.insert_edge(1, 2)
         dag.insert_edge(2, 0)
         dag.check_consistency()
-        assert dag.same_component(0, 2)
+        assert dag.component_of(0) == dag.component_of(2)
         assert dag.merge_count == 1
 
     def test_long_path_merge(self):
@@ -65,8 +65,8 @@ class TestInsertions:
         dag.insert_edge(2, 3)
         dag.insert_edge(2, 0)  # merge {0,1,2}, keep 3 outside
         dag.check_consistency()
-        assert dag.same_component(0, 2)
-        assert not dag.same_component(0, 3)
+        assert dag.component_of(0) == dag.component_of(2)
+        assert dag.component_of(0) != dag.component_of(3)
         assert dag.dag.has_edge(dag.component_of(0), dag.component_of(3))
 
     def test_merge_preserves_multiplicity(self):
@@ -107,7 +107,7 @@ class TestDeletions:
             dag.insert_edge(u, v)
         dag.delete_edge(1, 2)
         dag.check_consistency()
-        assert not dag.same_component(0, 2)
+        assert dag.component_of(0) != dag.component_of(2)
         assert dag.split_count == 1
 
     def test_delete_redundant_intra_edge_no_split(self):
@@ -117,7 +117,7 @@ class TestDeletions:
         dag.insert_edge(1, 2)  # redundant chord inside the SCC {0,1,2}
         dag.delete_edge(1, 2)
         dag.check_consistency()
-        assert dag.same_component(0, 2)
+        assert dag.component_of(0) == dag.component_of(2)
         assert dag.split_count == 0
 
     def test_split_rewires_external_edges(self):

@@ -12,7 +12,6 @@ from repro.datasets.highschool import (
     INTER_DESTINATION,
     INTRA_DESTINATION,
     SOURCE,
-    example_queries,
     highschool_graph,
 )
 from repro.datasets.registry import (
@@ -126,9 +125,8 @@ class TestHighschool:
         assert highschool_graph() == highschool_graph()
 
     def test_both_queries_positive(self, highschool):
-        (s1, t1), (s2, t2) = example_queries()
-        assert is_reachable_bfs(highschool, s1, t1)
-        assert is_reachable_bfs(highschool, s2, t2)
+        assert is_reachable_bfs(highschool, SOURCE, INTRA_DESTINATION)
+        assert is_reachable_bfs(highschool, SOURCE, INTER_DESTINATION)
 
     def test_query_vertices_in_expected_communities(self):
         assert SOURCE < 35 and INTRA_DESTINATION < 35

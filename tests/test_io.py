@@ -1,15 +1,7 @@
 """Tests for edge-list I/O."""
 
-import pytest
-
-from repro.dynamic.events import EdgeEvent
 from repro.graph.digraph import DynamicDiGraph
-from repro.graph.io import (
-    read_edge_list,
-    read_temporal_edge_list,
-    write_edge_list,
-    write_temporal_edge_list,
-)
+from repro.graph.io import read_edge_list, write_edge_list
 
 
 class TestStaticEdgeList:
@@ -37,43 +29,8 @@ class TestStaticEdgeList:
         assert read_edge_list(path).num_edges == 1
 
 
-class TestTemporalEdgeList:
-    def test_three_column(self, tmp_path):
-        path = tmp_path / "t.txt"
-        path.write_text("0 1 5.0\n1 2 3.0\n")
-        events = read_temporal_edge_list(path)
-        assert [e.time for e in events] == [3.0, 5.0]  # sorted
-        assert all(e.insert for e in events)
-
-    def test_four_column_konect_signs(self, tmp_path):
-        path = tmp_path / "t.txt"
-        path.write_text("0 1 1 10\n0 1 -1 20\n")
-        events = read_temporal_edge_list(path)
-        assert events[0].insert
-        assert not events[1].insert
-
-    def test_too_few_columns_rejected(self, tmp_path):
-        path = tmp_path / "t.txt"
-        path.write_text("0 1\n")
-        with pytest.raises(ValueError):
-            read_temporal_edge_list(path)
-
-    def test_round_trip(self, tmp_path):
-        events = [
-            EdgeEvent(time=1.0, source=0, target=1, insert=True),
-            EdgeEvent(time=2.0, source=0, target=1, insert=False),
-        ]
-        path = tmp_path / "t.txt"
-        write_temporal_edge_list(events, path)
-        back = read_temporal_edge_list(path)
-        assert [(e.time, e.source, e.target, e.insert) for e in back] == [
-            (1.0, 0, 1, True),
-            (2.0, 0, 1, False),
-        ]
-
-
 class TestRoundTripAllFormats:
-    """Round trips for each of the three supported line formats."""
+    """Round trips through the writer and the reader."""
 
     def test_static_two_column_round_trip(self, tmp_path):
         g = DynamicDiGraph(edges=[(0, 1), (1, 2), (2, 0), (5, 9)])
@@ -83,74 +40,9 @@ class TestRoundTripAllFormats:
         assert back == g
         assert back.num_vertices == g.num_vertices
 
-    def test_three_column_temporal_via_writer(self, tmp_path):
-        # The writer emits four columns; a three-column file is produced
-        # by hand and must parse as pure insertions.
-        path = tmp_path / "t3.txt"
-        path.write_text("0 1 2.5\n1 2 1.5\n2 3 2.5\n")
-        events = read_temporal_edge_list(path)
-        assert [e.time for e in events] == [1.5, 2.5, 2.5]
-        assert all(e.insert for e in events)
-        # Round trip through the writer widens to four columns but must
-        # preserve the event semantics exactly.
-        out = tmp_path / "t4.txt"
-        write_temporal_edge_list(events, out)
-        again = read_temporal_edge_list(out)
-        assert [(e.time, e.edge, e.insert) for e in again] == [
-            (e.time, e.edge, e.insert) for e in events
-        ]
-
-    def test_konect_negative_weight_deletions_round_trip(self, tmp_path):
-        events = [
-            EdgeEvent(time=1.0, source=0, target=1, insert=True),
-            EdgeEvent(time=2.0, source=1, target=2, insert=True),
-            EdgeEvent(time=3.0, source=0, target=1, insert=False),
-            EdgeEvent(time=4.0, source=2, target=3, insert=False),
-        ]
-        path = tmp_path / "konect.txt"
-        write_temporal_edge_list(events, path)
-        # The writer encodes deletions as a negative weight column.
-        lines = [
-            line.split() for line in path.read_text().strip().splitlines()
-        ]
-        assert [row[2] for row in lines] == ["1", "1", "-1", "-1"]
-        back = read_temporal_edge_list(path)
-        assert [(e.time, e.edge, e.insert) for e in back] == [
-            (e.time, e.edge, e.insert) for e in events
-        ]
-
-    def test_zero_weight_counts_as_insert(self, tmp_path):
-        path = tmp_path / "t.txt"
-        path.write_text("0 1 0 7.0\n")
-        (event,) = read_temporal_edge_list(path)
-        assert event.insert and event.time == 7.0
-
-    def test_comments_and_blank_lines_in_temporal_files(self, tmp_path):
-        path = tmp_path / "t.txt"
-        path.write_text(
-            "# SNAP-style comment\n"
-            "% KONECT-style comment\n"
-            "\n"
-            "0 1 1 1.0\n"
-            "\n"
-            "1 2 -1 2.0\n"
-        )
-        events = read_temporal_edge_list(path)
-        assert len(events) == 2
-        assert events[0].insert and not events[1].insert
-
     def test_written_static_header_is_ignored_on_read(self, tmp_path):
         g = DynamicDiGraph(edges=[(3, 4)])
         path = tmp_path / "g.txt"
         write_edge_list(g, path)
         assert path.read_text().startswith("# n=2 m=1\n")
         assert read_edge_list(path) == g
-
-    def test_comma_separated_temporal(self, tmp_path):
-        path = tmp_path / "t.csv"
-        path.write_text("0,1,1,1.0\n1,2,-1,2.0\n")
-        events = read_temporal_edge_list(path)
-        assert [(e.edge, e.insert) for e in events] == [
-            ((0, 1), True),
-            ((1, 2), False),
-        ]

@@ -293,6 +293,19 @@ class TestCheckpoint:
         assert sorted(result.graph.edges()) == sorted(graph.edges())
         assert result.version == graph.version
 
+    def test_a_journal_past_version_zero_needs_a_base(self, tmp_path):
+        # Opened on a three-edge graph at version 9 and closed before any
+        # checkpoint: the header names no base, so replay must refuse
+        # instead of answering with an empty graph at version 9.
+        path = tmp_path / "wal.jsonl"
+        graph = DynamicDiGraph(edges=[(0, 1), (1, 2), (2, 3)])
+        graph.restore_version(9)
+        UpdateJournal(path, graph_version=graph.version).close()
+        with pytest.raises(JournalReplayError, match="wal.jsonl"):
+            replay(path)
+        result = replay(path, graph.copy())
+        assert result.graph == graph and result.version == 9
+
     def test_a_missing_checkpoint_raises_naming_it(self, tmp_path):
         path, snap = tmp_path / "wal.jsonl", tmp_path / "snap.txt"
         graph = DynamicDiGraph(edges=[(0, 1)])

@@ -23,8 +23,9 @@ from repro.datasets.scale_free import preferential_attachment_graph
 from repro.graph import kernels
 from repro.graph.digraph import DynamicDiGraph
 from repro.graph.traversal import bfs_reachable, reverse_bfs_reachable
-from repro.ppr.power_iteration import power_iteration_ppr
 from repro.workloads.queries import generate_queries
+
+from tests.oracles import power_iteration_ppr
 
 def _families():
     return [

@@ -16,6 +16,7 @@ import threading
 import pytest
 
 from repro.graph.digraph import DynamicDiGraph
+from repro.graph.journal import JournalReplayError
 from repro.graph.traversal import is_reachable_bfs
 from repro.net import (
     ReachabilityClient,
@@ -500,6 +501,29 @@ def test_promote_after_primary_death_matches_bfs_oracle(tmp_path):
             await node.close()
 
     run(scenario())
+
+
+def test_a_replica_journal_with_no_base_is_moved_aside(tmp_path):
+    """A crash inside the snapshot bootstrap leaves a local journal that
+    opens past version 0 with no checkpoint. The node keeps it aside and
+    starts empty at watermark 0, so the primary resends what it needs,
+    instead of serving an empty graph at the journal's version; promoting
+    on such a journal raises."""
+    path = tmp_path / "replica.wal"
+    graph = DynamicDiGraph(edges=[(0, 1), (1, 2), (2, 3)])
+    graph.restore_version(9)
+    ReachabilityService(graph, journal=path).close()
+    kept = path.read_text()
+    node = ReplicaNode("127.0.0.1", 1, path)
+    aside = tmp_path / "replica.wal.unrecoverable"
+    try:
+        assert node.watermark == 0 and node.service.graph.num_edges == 0
+        assert aside.read_text() == kept
+    finally:
+        node.service.close()
+    aside.replace(path)
+    with pytest.raises(JournalReplayError, match="replica.wal"):
+        node.promote()
 
 
 def test_promoted_replica_server_flips_writable(tmp_path):

@@ -1,76 +1,8 @@
-"""Tests for the query planner, PLL, R-MAT, and the throughput study."""
-
-import random
+"""Tests for the R-MAT generator."""
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.baselines.bibfs import BiBFSMethod
-from repro.baselines.pll import PLLMethod
-from repro.baselines.tol import TOLMethod
-from repro.core.planner import QueryPlanner
-from repro.datasets.registry import load_analog
 from repro.datasets.scale_free import rmat_graph
-from repro.dynamic.events import TemporalEdgeStream
-from repro.experiments.throughput import (
-    ALIBABA_PEAK_UPDATES_PER_SECOND,
-    measure_update_throughput,
-    run_throughput_study,
-)
-from repro.graph.digraph import DynamicDiGraph
-from repro.graph.traversal import is_reachable_bfs
-
-from tests.conftest import random_graph
-
-
-class TestPLL:
-    def test_all_pairs_correct(self):
-        for seed in range(4):
-            g = random_graph(18, 50, seed)
-            method = PLLMethod(g)
-            vs = list(g.vertices())
-            for s in vs[:10]:
-                for t in vs[:10]:
-                    assert method.query(s, t) == is_reachable_bfs(g, s, t)
-
-    def test_handles_cycles(self, cycle_graph):
-        method = PLLMethod(cycle_graph)
-        assert method.query(0, 4) and method.query(4, 0)
-
-    def test_static_rejects_updates(self, line_graph):
-        method = PLLMethod(line_graph.copy())
-        with pytest.raises(NotImplementedError):
-            method.insert_edge(9, 10)
-        with pytest.raises(NotImplementedError):
-            method.delete_edge(0, 1)
-
-    def test_rebuild_absorbs_change(self, line_graph):
-        g = line_graph.copy()
-        method = PLLMethod(g)
-        g.add_edge(4, 0)  # out-of-band change
-        method.rebuild()
-        assert method.query(4, 2)
-        assert method.build_count == 2
-
-    def test_index_size_positive(self, two_scc_graph):
-        method = PLLMethod(two_scc_graph.copy())
-        assert method.index_size >= two_scc_graph.num_vertices  # self labels
-
-    def test_missing_vertices(self, line_graph):
-        method = PLLMethod(line_graph.copy())
-        assert not method.query(0, 999)
-
-    @settings(max_examples=20, deadline=None)
-    @given(seed=st.integers(0, 10**5))
-    def test_property_matches_oracle(self, seed):
-        g = random_graph(14, 35, seed)
-        method = PLLMethod(g)
-        rng = random.Random(seed)
-        vs = list(g.vertices())
-        for _ in range(8):
-            s, t = rng.choice(vs), rng.choice(vs)
-            assert method.query(s, t) == is_reachable_bfs(g, s, t)
 
 
 class TestRMAT:
@@ -95,95 +27,3 @@ class TestRMAT:
             rmat_graph(5, 0)
         with pytest.raises(ValueError):
             rmat_graph(5, 4, a=0.9, b=0.2, c=0.2)
-
-
-class TestQueryPlanner:
-    def test_single_queries_match_oracle(self):
-        g = random_graph(30, 80, seed=7)
-        planner = QueryPlanner(g)
-        vs = list(g.vertices())
-        for s in vs[:8]:
-            for t in vs[:8]:
-                assert planner.query(s, t) == is_reachable_bfs(g, s, t)
-
-    def test_large_batch_builds_closure(self):
-        g = random_graph(40, 100, seed=8)
-        planner = QueryPlanner(g)
-        rng = random.Random(1)
-        vs = list(g.vertices())
-        queries = [(rng.choice(vs), rng.choice(vs)) for _ in range(500)]
-        answers = planner.query_batch(queries)
-        assert planner.closure_builds == 1
-        assert planner.closure_is_cached
-        for (s, t), got in zip(queries, answers):
-            assert got == is_reachable_bfs(g, s, t)
-
-    def test_small_batch_avoids_closure(self):
-        g = random_graph(200, 600, seed=9)
-        planner = QueryPlanner(g)
-        planner.query_batch([(0, 1)])
-        assert planner.closure_builds == 0
-
-    def test_update_invalidates_closure(self):
-        g = DynamicDiGraph(edges=[(0, 1)])
-        planner = QueryPlanner(g, closure_cost_factor=1e-6)
-        planner.query_batch([(0, 1)] * 10)  # tiny graph: closure built
-        assert planner.closure_is_cached
-        planner.insert_edge(1, 2)
-        assert not planner.closure_is_cached
-        assert planner.query(0, 2)
-        planner.delete_edge(1, 2)
-        assert not planner.query(0, 2)
-
-    def test_empty_batch(self):
-        planner = QueryPlanner(DynamicDiGraph(edges=[(0, 1)]))
-        assert planner.query_batch([]) == []
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            QueryPlanner(DynamicDiGraph(), closure_cost_factor=0)
-
-    def test_cached_closure_serves_single_queries(self):
-        g = random_graph(25, 60, seed=10)
-        planner = QueryPlanner(g, closure_cost_factor=1e-6)
-        planner.query_batch([(0, 1)] * 5)
-        assert planner.closure_is_cached
-        vs = list(g.vertices())
-        for v in vs[:6]:
-            assert planner.query(0, v) == is_reachable_bfs(g, 0, v)
-
-
-class TestThroughput:
-    def test_index_free_beats_index_based(self):
-        _, initial, stream = load_analog("EN", seed=0)
-        stream = TemporalEdgeStream(stream.events[:150])
-        rows = run_throughput_study(
-            initial,
-            stream,
-            {
-                "BiBFS": lambda g: BiBFSMethod(g),
-                "TOL": lambda g: TOLMethod(g),
-            },
-            max_updates=150,
-        )
-        by_method = {r["method"]: r for r in rows}
-        assert (
-            by_method["BiBFS"]["updates_per_second"]
-            > 20 * by_method["TOL"]["updates_per_second"]
-        )
-        # The paper's headline: adjacency-only updates sustain the Alibaba
-        # peak rate even in pure Python.
-        assert by_method["BiBFS"]["meets_alibaba_peak"]
-        assert by_method["BiBFS"]["p50_us"] <= by_method["BiBFS"]["p95_us"]
-
-    def test_empty_stream(self):
-        row = measure_update_throughput(
-            lambda g: BiBFSMethod(g),
-            DynamicDiGraph(edges=[(0, 1)]),
-            TemporalEdgeStream([]),
-        )
-        assert row["updates"] == 0
-        assert not row["meets_alibaba_peak"]
-
-    def test_constant_exported(self):
-        assert ALIBABA_PEAK_UPDATES_PER_SECOND == 20_000

@@ -1,5 +1,5 @@
-"""Tests for the PPR substrate: forward/backward push, Monte Carlo, power
-iteration — including the invariants the paper's machinery relies on."""
+"""Tests for the PPR substrate: forward push against the power-iteration
+oracle — including the invariants the paper's machinery relies on."""
 
 import math
 
@@ -8,13 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graph.digraph import DynamicDiGraph
-from repro.ppr.backward_push import backward_push
 from repro.ppr.common import PushConfig, PushState, Worklist
 from repro.ppr.forward_push import forward_push
-from repro.ppr.monte_carlo import monte_carlo_ppr, single_random_walk
-from repro.ppr.power_iteration import power_iteration_ppr
 
 from tests.conftest import random_graph
+from tests.oracles import power_iteration_ppr
 
 
 class TestPushConfig:
@@ -88,7 +86,7 @@ class TestPowerIteration:
 class TestForwardPush:
     def test_mass_conservation(self, sbm_small):
         state = forward_push(sbm_small, 0, PushConfig(alpha=0.2, epsilon=1e-4))
-        total = state.residue_mass() + state.reserve_mass()
+        total = sum(state.residue.values()) + sum(state.reserve.values())
         assert total == pytest.approx(1.0, abs=1e-9)
 
     def test_reserve_underestimates_ppr(self, sbm_small):
@@ -133,8 +131,8 @@ class TestForwardPush:
             d = sbm_small.out_degree(v)
             if d:
                 assert r / d < cfg2.epsilon
-        assert resumed.reserve_mass() == pytest.approx(
-            fresh.reserve_mass(), rel=0.05
+        assert sum(resumed.reserve.values()) == pytest.approx(
+            sum(fresh.reserve.values()), rel=0.05
         )
 
     def test_termination_bound(self, sbm_small):
@@ -156,70 +154,8 @@ class TestForwardPush:
     def test_self_loop_keeps_share(self):
         g = DynamicDiGraph(edges=[(0, 0), (0, 1)])
         state = forward_push(g, 0, PushConfig(alpha=0.5, epsilon=1e-8))
-        total = state.residue_mass() + state.reserve_mass()
+        total = sum(state.residue.values()) + sum(state.reserve.values())
         assert total == pytest.approx(1.0, abs=1e-9)
-
-
-class TestBackwardPush:
-    def test_reserve_estimates_contribution(self):
-        g = random_graph(12, 30, seed=8)
-        target = next(iter(g.vertices()))
-        alpha = 0.25
-        state = backward_push(g, target, PushConfig(alpha=alpha, epsilon=1e-7))
-        for v in g.vertices():
-            exact = power_iteration_ppr(g, v, alpha=alpha).get(target, 0.0)
-            assert state.reserve.get(v, 0.0) == pytest.approx(exact, abs=1e-4)
-
-    def test_epsilon_error_bound(self):
-        """Eq. 3: ppr_v(t) - reserve(v) <= epsilon for every v."""
-        g = random_graph(10, 25, seed=3)
-        target = next(iter(g.vertices()))
-        alpha, epsilon = 0.3, 1e-2
-        state = backward_push(g, target, PushConfig(alpha=alpha, epsilon=epsilon))
-        for v in g.vertices():
-            exact = power_iteration_ppr(g, v, alpha=alpha).get(target, 0.0)
-            assert exact - state.reserve.get(v, 0.0) <= epsilon + 1e-9
-
-    def test_missing_target(self, sbm_small):
-        with pytest.raises(KeyError):
-            backward_push(sbm_small, 10**9)
-
-    def test_max_operations_cap(self, sbm_small):
-        state = backward_push(
-            sbm_small, 0, PushConfig(epsilon=1e-9), max_operations=3
-        )
-        assert state.push_operations <= 3
-
-
-class TestMonteCarlo:
-    def test_distribution_sums_to_one(self, cycle_graph):
-        ppr = monte_carlo_ppr(cycle_graph, 0, num_walks=500, seed=1)
-        assert sum(ppr.values()) == pytest.approx(1.0)
-
-    def test_approximates_power_iteration(self, sbm_small):
-        alpha = 0.3
-        mc = monte_carlo_ppr(sbm_small, 0, alpha=alpha, num_walks=20_000, seed=2)
-        exact = power_iteration_ppr(sbm_small, 0, alpha=alpha)
-        top = sorted(exact, key=exact.get, reverse=True)[:3]
-        for v in top:
-            assert mc.get(v, 0.0) == pytest.approx(exact[v], abs=0.02)
-
-    def test_only_reachable_vertices(self, line_graph):
-        ppr = monte_carlo_ppr(line_graph, 2, num_walks=300, seed=3)
-        assert set(ppr) <= {2, 3, 4}
-
-    def test_walk_respects_max_length(self, cycle_graph):
-        import random
-
-        rng = random.Random(0)
-        stop = single_random_walk(cycle_graph, 0, alpha=1e-9, rng=rng, max_length=3)
-        assert stop in {0, 1, 2, 3}
-
-    def test_invalid_inputs(self, line_graph):
-        with pytest.raises(KeyError):
-            monte_carlo_ppr(line_graph, 99)
-        with pytest.raises(ValueError):
-            monte_carlo_ppr(line_graph, 0, num_walks=0)
 
 
 class TestProperty1:
@@ -238,51 +174,3 @@ class TestProperty1:
             assert ppr.get(t, 0.0) > 0
         else:
             assert ppr.get(t, 0.0) == pytest.approx(0.0, abs=1e-12)
-
-
-class TestFora:
-    def test_mass_conservation(self, sbm_small):
-        from repro.ppr.fora import fora_ppr
-
-        est = fora_ppr(sbm_small, 0, alpha=0.2, epsilon=1e-3, seed=1)
-        assert sum(est.values()) == pytest.approx(1.0, abs=1e-9)
-
-    def test_approximates_exact(self, sbm_small):
-        from repro.ppr.fora import fora_ppr
-
-        exact = power_iteration_ppr(sbm_small, 0, alpha=0.2)
-        est = fora_ppr(sbm_small, 0, alpha=0.2, epsilon=1e-3, seed=2)
-        top = sorted(exact, key=exact.get, reverse=True)[:5]
-        for v in top:
-            assert est.get(v, 0.0) == pytest.approx(exact[v], abs=0.02)
-
-    def test_beats_pure_monte_carlo_at_equal_budget(self, sbm_small):
-        """FORA's push phase removes most of the variance: at a matched
-        walk budget its top-vertex error is no worse than pure MC."""
-        from repro.ppr.fora import fora_ppr
-
-        exact = power_iteration_ppr(sbm_small, 0, alpha=0.2)
-        top = sorted(exact, key=exact.get, reverse=True)[:10]
-        fora = fora_ppr(
-            sbm_small, 0, alpha=0.2, epsilon=1e-2,
-            walks_per_unit_residue=300, seed=3,
-        )
-        mc = monte_carlo_ppr(sbm_small, 0, alpha=0.2, num_walks=300, seed=3)
-        err_fora = sum(abs(fora.get(v, 0) - exact[v]) for v in top)
-        err_mc = sum(abs(mc.get(v, 0) - exact[v]) for v in top)
-        assert err_fora <= err_mc * 1.5
-
-    def test_no_residue_left_skips_walks(self, line_graph):
-        from repro.ppr.fora import fora_ppr
-
-        # On a DAG, a tiny epsilon drains all residue into reserves.
-        est = fora_ppr(line_graph, 0, alpha=0.5, epsilon=1e-12, seed=4)
-        exact = power_iteration_ppr(line_graph, 0, alpha=0.5)
-        for v, value in exact.items():
-            assert est.get(v, 0.0) == pytest.approx(value, abs=1e-9)
-
-    def test_missing_source(self, line_graph):
-        from repro.ppr.fora import fora_ppr
-
-        with pytest.raises(KeyError):
-            fora_ppr(line_graph, 99)

@@ -45,9 +45,9 @@ from repro.graph import kernels
 from repro.graph.digraph import DynamicDiGraph
 from repro.ppr.common import PushConfig
 from repro.ppr.forward_push import forward_push
-from repro.ppr.backward_push import backward_push
-from repro.ppr.power_iteration import power_iteration_ppr
 from repro.workloads.queries import generate_queries
+
+from tests.oracles import power_iteration_ppr
 
 pytestmark = pytest.mark.push_kernels
 
@@ -476,34 +476,28 @@ def test_unfrozen_graph_answers_on_dict_twin():
 # ----------------------------------------------------------------------
 # PPR push drains: kernel vs scalar residue equivalence
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("push", [forward_push, backward_push])
-def test_ppr_kernel_quiescence_and_mass(push):
+def test_ppr_kernel_quiescence_and_mass():
     graph = two_block_sbm(80, 5.0, seed=4)
     config = PushConfig(alpha=0.15, epsilon=1e-5)
     graph.csr()
-    state = push(graph, 0, config)
+    state = forward_push(graph, 0, config)
     # Quiescence: no vertex is still pushable.
     for v, r in state.residue.items():
-        if push is forward_push:
-            d = graph.out_degree(v)
-            assert d > 0 and r / d < config.epsilon
-        else:
-            assert r < config.epsilon
-    if push is forward_push:
-        mass = sum(state.reserve.values()) + sum(state.residue.values())
-        assert mass == pytest.approx(1.0, abs=1e-9)
+        d = graph.out_degree(v)
+        assert d > 0 and r / d < config.epsilon
+    mass = sum(state.reserve.values()) + sum(state.residue.values())
+    assert mass == pytest.approx(1.0, abs=1e-9)
 
 
-@pytest.mark.parametrize("push", [forward_push, backward_push])
-def test_ppr_kernel_close_to_scalar(push):
+def test_ppr_kernel_close_to_scalar():
     # Push order differs (sweeps vs worklist), so reserves agree only up
     # to the algorithm's own epsilon-scale tolerance — per-vertex, the
     # leftover-residue invariant bounds the gap.
     graph = preferential_attachment_graph(150, 3, seed=9, reciprocal=0.2)
     config = PushConfig(alpha=0.1, epsilon=1e-6)
-    scalar = push(graph, 0, config)
+    scalar = forward_push(graph, 0, config)
     graph.csr()
-    kernel = push(graph, 0, config)
+    kernel = forward_push(graph, 0, config)
     keys = set(scalar.reserve) | set(kernel.reserve)
     worst = max(
         abs(scalar.reserve.get(v, 0.0) - kernel.reserve.get(v, 0.0))
@@ -527,15 +521,14 @@ def test_ppr_kernel_invariant_vs_power_iteration():
     assert shortfall <= sum(state.residue.values()) + 1e-9
 
 
-@pytest.mark.parametrize("push", [forward_push, backward_push])
-def test_ppr_kernel_resumable(push):
+def test_ppr_kernel_resumable():
     graph = two_block_sbm(60, 5.0, seed=8)
     graph.csr()
     coarse = PushConfig(alpha=0.1, epsilon=1e-3)
     fine = PushConfig(alpha=0.1, epsilon=1e-6)
-    resumed = push(graph, 0, coarse)
-    resumed = push(graph, 0, fine, state=resumed)
-    fresh = push(graph, 0, fine)
+    resumed = forward_push(graph, 0, coarse)
+    resumed = forward_push(graph, 0, fine, state=resumed)
+    fresh = forward_push(graph, 0, fine)
     keys = set(resumed.reserve) | set(fresh.reserve)
     worst = max(
         abs(resumed.reserve.get(v, 0.0) - fresh.reserve.get(v, 0.0))

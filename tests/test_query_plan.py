@@ -257,8 +257,8 @@ def test_the_calling_thread_answers_and_no_other_exists(
         graph.copy(), num_supportive=0, use_labels=False,
     ) as svc:
         if mode == "breaker-open":
-            svc.breaker.record_failure()
-            assert svc.breaker.state == "open"
+            svc._breaker.record_failure()
+            assert svc._breaker.state == "open"
         if width == 1:
             outcomes = [svc.query(s, t) for s, t in pairs]
         else:

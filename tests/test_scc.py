@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graph.digraph import DynamicDiGraph
-from repro.graph.scc import condensation, is_dag, strongly_connected_components
+from repro.graph.scc import condensation, strongly_connected_components
 
 from tests.conftest import random_graph
+from tests.oracles import is_dag, subgraph
 
 
 def _as_nx(g: DynamicDiGraph) -> nx.DiGraph:
@@ -81,7 +82,7 @@ class TestTarjanWithin:
         g = random_graph(n, 3 * n, seed)
         keep = {v for v in keep if v in g}
         ours = strongly_connected_components(g, within=keep)
-        sub = g.subgraph(keep)
+        sub = subgraph(g, keep)
         assert {frozenset(c) for c in ours} == {
             frozenset(c) for c in strongly_connected_components(sub)
         }

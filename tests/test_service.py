@@ -63,7 +63,7 @@ class TestFastPathPruner:
         # 0 -> 1 -> 2 and isolated-ish 3 -> 4; vertex 1 is the top hub.
         g = DynamicDiGraph(edges=[(0, 1), (1, 2), (3, 4), (1, 5), (6, 1)])
         pruner = FastPathPruner(g, num_supportive=1)
-        assert pruner.supportive_vertices == [1]
+        assert list(pruner._samples.vertices) == [1]
         assert pruner.check(0, 2) == (True, "supportive-bridge")
         # 2 is in F(1) ... no: 2 not in F? F(1) = {1,2,5}; 4 not in F(1).
         assert pruner.check(1, 4)[0] is False
@@ -116,24 +116,24 @@ class TestFastPathPruner:
     def test_insert_extends_samples_exactly(self):
         g = DynamicDiGraph(edges=[(0, 1), (0, 2), (5, 0), (3, 4)])
         pruner = FastPathPruner(g, num_supportive=1)  # hub 0
-        assert pruner.supportive_vertices == [0]
+        assert list(pruner._samples.vertices) == [0]
         assert pruner.check(5, 4) is None or pruner.check(5, 4)[0] is False
         pruner.apply_insert(2, 3)  # now 0 reaches 3 and 4
-        assert pruner.samples_valid
+        assert pruner._samples.valid
         assert pruner.check(5, 4) == (True, "supportive-bridge")
 
     def test_delete_invalidates_then_cooldown_rebuilds(self, monkeypatch):
         monkeypatch.setattr(fastpath, "REBUILD_COOLDOWN", 3)
         g = DynamicDiGraph(edges=[(0, 1), (1, 2), (0, 3), (4, 0)])
         pruner = FastPathPruner(g, num_supportive=1)
-        assert pruner.samples_valid
+        assert pruner._samples.valid
         pruner.apply_delete(1, 2)  # removes reachability -> invalidates
-        assert not pruner.samples_valid
+        assert not pruner._samples.valid
         pruner.observe_query()
         pruner.observe_query()
-        assert not pruner.samples_valid  # cooldown not reached
+        assert not pruner._samples.valid  # cooldown not reached
         pruner.observe_query()
-        assert pruner.samples_valid
+        assert pruner._samples.valid
         assert pruner.sample_rebuilds == 1
 
     def test_neutral_delete_keeps_samples(self):
@@ -143,7 +143,7 @@ class TestFastPathPruner:
         pruner = FastPathPruner(g, num_supportive=2)
         effect = pruner.apply_delete(1, 2)
         assert effect.changed and not effect.removes_reachability
-        assert pruner.samples_valid
+        assert pruner._samples.valid
 
 
 # ----------------------------------------------------------------------
@@ -195,14 +195,6 @@ class TestVersionedQueryCache:
         cache.put(0, 3, True, 1)
         assert cache.peek(0, 2) is None  # evicted as least recent
         assert cache.peek(0, 1) is not None
-
-    def test_invalidate_all(self):
-        cache = VersionedQueryCache(8)
-        cache.put(0, 1, True, 1)
-        cache.put(1, 2, False, 1)
-        cache.invalidate_all(version=2)
-        assert cache.get(0, 1) is None
-        assert cache.get(1, 2) is None
 
     def test_put_many_stores_batch(self):
         cache = VersionedQueryCache(8)

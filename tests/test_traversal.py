@@ -9,7 +9,6 @@ from repro.graph.traversal import (
     bfs_distances,
     bfs_edge_access_trace,
     bfs_reachable,
-    dfs_preorder,
     estimate_diameter,
     is_reachable_bfs,
     reverse_bfs_reachable,
@@ -95,14 +94,6 @@ class TestEdgeAccessTrace:
 
 
 class TestDfsAndTopo:
-    def test_preorder_starts_at_source(self, line_graph):
-        order = dfs_preorder(line_graph, 1)
-        assert order[0] == 1
-        assert set(order) == {1, 2, 3, 4}
-
-    def test_preorder_reverse(self, line_graph):
-        assert set(dfs_preorder(line_graph, 2, forward=False)) == {0, 1, 2}
-
     def test_topological_order(self, diamond_graph):
         order = topological_order(diamond_graph)
         pos = {v: i for i, v in enumerate(order)}

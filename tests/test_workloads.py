@@ -6,12 +6,8 @@ from hypothesis import strategies as st
 
 from repro.graph.digraph import DynamicDiGraph
 from repro.graph.traversal import is_reachable_bfs
-from repro.workloads.precision import accuracy, confusion_counts, precision_recall
-from repro.workloads.queries import (
-    generate_queries,
-    label_queries,
-    split_by_sign,
-)
+from repro.workloads.precision import accuracy, confusion_counts
+from repro.workloads.queries import generate_queries, label_queries
 
 from tests.conftest import random_graph
 
@@ -60,13 +56,6 @@ class TestLabeling:
         g = DynamicDiGraph(edges=[(0, 1)])
         assert label_queries(g, []).negative_fraction == 0.0
 
-    def test_split_by_sign(self):
-        g = DynamicDiGraph(edges=[(0, 1), (2, 3)])
-        batch = label_queries(g, [(0, 1), (0, 3), (2, 3)])
-        positive, negative = split_by_sign(batch)
-        assert positive == [(0, 1), (2, 3)]
-        assert negative == [(0, 3)]
-
 
 class TestMetrics:
     def test_confusion(self):
@@ -81,16 +70,6 @@ class TestMetrics:
     def test_accuracy(self):
         assert accuracy([True, False], [True, True]) == pytest.approx(0.5)
         assert accuracy([], []) == 1.0
-
-    def test_precision_recall(self):
-        answers = [True, True, False]
-        truth = [True, False, True]
-        precision, recall = precision_recall(answers, truth)
-        assert precision == pytest.approx(0.5)
-        assert recall == pytest.approx(0.5)
-
-    def test_precision_recall_degenerate(self):
-        assert precision_recall([False], [False]) == (1.0, 1.0)
 
 
 @settings(max_examples=30, deadline=None)
