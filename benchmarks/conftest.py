@@ -1,8 +1,8 @@
 """Shared benchmark plumbing.
 
-Every paper bench (``bench_fig*`` / ``bench_tab*``) times one entry of
+``bench_paper.py`` times one entry of
 :data:`repro.experiments.reproduce.PAPER` per test (a single pedantic
-round) and asserts the paper's shape on its rows; the other benches run
+round) and checks the entry's claims on its rows; the other benches run
 their own studies. Both write ``results/<experiment>.json`` through
 :func:`repro.experiments.records.write_record`, the record writer
 ``python -m repro reproduce`` uses too.
@@ -16,7 +16,7 @@ from typing import Any, Dict, List
 import pytest
 
 from repro.experiments.records import ExperimentRecord, write_record
-from repro.experiments.reproduce import PAPER, PaperExperiment, PaperRun
+from repro.experiments.reproduce import PaperExperiment, PaperRun
 
 RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
 
@@ -29,7 +29,7 @@ def results_dir() -> Path:
 
 @pytest.fixture(scope="session")
 def paper_run() -> PaperRun:
-    """One full-size run shared by the session's paper benches, so a
+    """One full-size run shared by the session's paper tests, so a
     derived record (Tab. III) reads the rows its sources already made."""
     return PaperRun()
 
@@ -69,15 +69,6 @@ def emit(results_dir):
         write_record(record, results_dir, columns=columns)
 
     return _emit
-
-
-def paper_params(prefix: str):
-    """Parametrize a paper bench over the entries whose id starts with
-    ``prefix``, each test named by its record id."""
-    entries = [e for eid, e in PAPER.items() if eid.startswith(prefix)]
-    return pytest.mark.parametrize(
-        "entry", entries, ids=lambda e: e.experiment_id
-    )
 
 
 def once(benchmark, func, *args, **kwargs):

@@ -13,9 +13,9 @@ interface so the dynamic driver and benchmarks treat them uniformly:
   labels with pruned search [Wei et al., VLDBJ 2018].
 * :class:`~repro.baselines.dagger.DaggerMethod` — incremental DAG plus
   GRAIL-style interval labels with pruned DFS [Yildirim et al., 2013].
-* :class:`~repro.baselines.dbl.DBLMethod` — dynamic landmark + hash labels
-  (insert-only) [Lyu et al., 2021]; an extension, excluded from the paper's
-  main comparison because it cannot delete.
+* :class:`~repro.baselines.dbl.DBLMethod` — DBL's landmark + hash labels
+  (insert-only) [Lyu et al., 2021] as an adapter over ``graph.labels``; an
+  extension, excluded from the paper's main comparison (cannot delete).
 """
 
 from repro.baselines.base import ReachabilityMethod

@@ -1,218 +1,40 @@
 """DBL — dynamic bidirectional labels (Lyu et al., 2021), insert-only.
 
-Two lightweight, complementary label families on the *original* graph (no
-DAG maintenance), exactly the design point the paper contrasts with
-TOL/IP/DAGGER:
-
-* **DL (landmark labels).** A small set of high-degree landmarks;
-  ``DL_out(v)`` stores the landmarks reachable from ``v`` and ``DL_in(v)``
-  the landmarks reaching ``v``. A non-empty ``DL_out(s) ∩ DL_in(t)`` proves
-  reachability (sufficient condition).
-* **BL (bloom-style hash labels).** Vertices hash into ``b`` buckets;
-  ``BL_out(v)`` is the bucket bitmask of everything reachable from ``v``
-  (``BL_in`` symmetric). ``s -> t`` requires ``BL_out(t) ⊆ BL_out(s)`` and
-  ``BL_in(s) ⊆ BL_in(t)`` (necessary conditions).
-
-Queries: try DL (certain positive), then BL (certain negative), else a
-BL-pruned bidirectional BFS decides exactly.
-
-Both label families are monotone under edge insertion — insert ``(u, v)``
-merges ``v``'s out-labels into ``u`` and propagates up, and ``u``'s
-in-labels into ``v`` propagating down — which is precisely why DBL cannot
-handle deletions ("it has the inherent drawback of not being able to
-handle edge deletions", Sec. II); :meth:`delete_edge` raises.
+A thin adapter over :class:`~repro.graph.labels.LabelIndex`, which packs
+DBL's landmark (DL) and bloom (BL) labels into machine words: inserts go
+through a :class:`~repro.graph.dag.DynamicDAG` and ``note_insert``, and a
+pair the labels abstain on falls back to bidirectional BFS. DBL's labels
+are monotone under insertion, which is why DBL "has the inherent drawback
+of not being able to handle edge deletions" (Sec. II): deletes raise.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Dict, List, Optional, Set, Tuple
-
 from repro.baselines.base import ReachabilityMethod
+from repro.baselines.bibfs import bibfs_is_reachable
+from repro.graph.dag import DynamicDAG
 from repro.graph.digraph import DynamicDiGraph
-from repro.graph.scc import condensation
+from repro.graph.labels import LabelIndex
 
 
 class DBLMethod(ReachabilityMethod):
     """DBL behind the uniform competitor interface (insert-only)."""
 
     name = "DBL"
-    exact = True
     supports_deletions = False
 
-    def __init__(
-        self,
-        graph: DynamicDiGraph,
-        num_landmarks: int = 16,
-        num_buckets: int = 64,
-    ) -> None:
+    def __init__(self, graph: DynamicDiGraph) -> None:
         super().__init__(graph)
-        if num_landmarks < 0 or num_buckets <= 0:
-            raise ValueError("invalid label sizes")
-        self.num_landmarks = num_landmarks
-        self.num_buckets = num_buckets
-        self.dl_out: Dict[int, Set[int]] = {}
-        self.dl_in: Dict[int, Set[int]] = {}
-        self.bl_out: Dict[int, int] = {}
-        self.bl_in: Dict[int, int] = {}
-        self.landmarks: List[int] = []
-        self._build()
+        self.dag = DynamicDAG(graph)
+        self.labels = LabelIndex(self.dag)
 
-    # ------------------------------------------------------------------
-    def _bucket(self, v: int) -> int:
-        # Deterministic scatter of vertex ids over bucket bits.
-        return 1 << ((v * 2654435761) % self.num_buckets)
-
-    def _build(self) -> None:
-        graph = self.graph
-        self.landmarks = sorted(
-            graph.vertices(), key=lambda v: -graph.degree(v)
-        )[: self.num_landmarks]
-        landmark_set = set(self.landmarks)
-        dag, scc_of, components = condensation(graph)
-        # Per-component labels in topological order (Tarjan emits reverse
-        # topological order, so components[0] is a sink).
-        comp_dl_out: Dict[int, Set[int]] = {}
-        comp_bl_out: Dict[int, int] = {}
-        for cid in range(len(components)):  # reverse topo = sinks first
-            dl: Set[int] = {v for v in components[cid] if v in landmark_set}
-            bl = 0
-            for v in components[cid]:
-                bl |= self._bucket(v)
-            for succ in dag.out_neighbors(cid):
-                dl |= comp_dl_out[succ]
-                bl |= comp_bl_out[succ]
-            comp_dl_out[cid] = dl
-            comp_bl_out[cid] = bl
-        comp_dl_in: Dict[int, Set[int]] = {}
-        comp_bl_in: Dict[int, int] = {}
-        for cid in range(len(components) - 1, -1, -1):  # topo = sources first
-            dl = {v for v in components[cid] if v in landmark_set}
-            bl = 0
-            for v in components[cid]:
-                bl |= self._bucket(v)
-            for pred in dag.in_neighbors(cid):
-                dl |= comp_dl_in[pred]
-                bl |= comp_bl_in[pred]
-            comp_dl_in[cid] = dl
-            comp_bl_in[cid] = bl
-        self.dl_out = {v: set(comp_dl_out[scc_of[v]]) for v in graph.vertices()}
-        self.dl_in = {v: set(comp_dl_in[scc_of[v]]) for v in graph.vertices()}
-        self.bl_out = {v: comp_bl_out[scc_of[v]] for v in graph.vertices()}
-        self.bl_in = {v: comp_bl_in[scc_of[v]] for v in graph.vertices()}
-
-    # ------------------------------------------------------------------
-    # Updates (insert-only)
-    # ------------------------------------------------------------------
     def insert_edge(self, source: int, target: int) -> None:
-        for v in (source, target):
-            if not self.graph.has_vertex(v):
-                self.graph.add_vertex(v)
-                self.dl_out[v] = {v} if v in self.landmarks else set()
-                self.dl_in[v] = {v} if v in self.landmarks else set()
-                self.bl_out[v] = self._bucket(v)
-                self.bl_in[v] = self._bucket(v)
-        if not self.graph.add_edge(source, target):
-            return
-        self._propagate_up(source, self.dl_out[target], self.bl_out[target])
-        self._propagate_down(target, self.dl_in[source], self.bl_in[source])
+        if self.dag.insert_edge(source, target):
+            self.labels.note_insert(source, target)
 
-    def _propagate_up(self, start: int, dl: Set[int], bl: int) -> None:
-        queue = deque([(start, dl, bl)])
-        while queue:
-            v, dl_new, bl_new = queue.popleft()
-            merged_dl = self.dl_out[v] | dl_new
-            merged_bl = self.bl_out[v] | bl_new
-            if merged_dl == self.dl_out[v] and merged_bl == self.bl_out[v]:
-                continue
-            self.dl_out[v] = merged_dl
-            self.bl_out[v] = merged_bl
-            for w in self.graph.in_neighbors(v):
-                queue.append((w, merged_dl, merged_bl))
-
-    def _propagate_down(self, start: int, dl: Set[int], bl: int) -> None:
-        queue = deque([(start, dl, bl)])
-        while queue:
-            v, dl_new, bl_new = queue.popleft()
-            merged_dl = self.dl_in[v] | dl_new
-            merged_bl = self.bl_in[v] | bl_new
-            if merged_dl == self.dl_in[v] and merged_bl == self.bl_in[v]:
-                continue
-            self.dl_in[v] = merged_dl
-            self.bl_in[v] = merged_bl
-            for w in self.graph.out_neighbors(v):
-                queue.append((w, merged_dl, merged_bl))
-
-    def delete_edge(self, source: int, target: int) -> None:
-        raise NotImplementedError(
-            "DBL cannot handle edge deletions (labels are insert-monotone)"
-        )
-
-    # ------------------------------------------------------------------
-    # Query
-    # ------------------------------------------------------------------
     def query(self, source: int, target: int) -> bool:
-        if source == target:
-            return True
-        if source not in self.graph or target not in self.graph:
-            return False
-        # DL: certain positive.
-        if self.dl_out[source] & self.dl_in[target]:
-            return True
-        # BL: certain negative.
-        bl_out_s, bl_out_t = self.bl_out[source], self.bl_out[target]
-        if bl_out_t & ~bl_out_s:
-            return False
-        bl_in_s, bl_in_t = self.bl_in[source], self.bl_in[target]
-        if bl_in_s & ~bl_in_t:
-            return False
-        return self._pruned_bibfs(source, target)
-
-    def _pruned_bibfs(self, source: int, target: int) -> bool:
-        """Exact fallback: BiBFS pruning vertices that provably cannot lie
-        on a source-target path (BL necessary conditions)."""
-        bl_out_t = self.bl_out[target]
-        bl_in_s = self.bl_in[source]
-        visited_f = {source}
-        visited_r = {target}
-        frontier_f = [source]
-        frontier_r = [target]
-        while frontier_f or frontier_r:
-            if frontier_f:
-                met, frontier_f = self._layer(
-                    frontier_f, visited_f, visited_r, True, bl_out_t
-                )
-                if met:
-                    return True
-            if frontier_r:
-                met, frontier_r = self._layer(
-                    frontier_r, visited_r, visited_f, False, bl_in_s
-                )
-                if met:
-                    return True
-        return False
-
-    def _layer(
-        self,
-        layer: List[int],
-        own: Set[int],
-        other: Set[int],
-        forward: bool,
-        needed_mask: int,
-    ) -> Tuple[bool, List[int]]:
-        next_layer: List[int] = []
-        for u in layer:
-            for w in self.graph.neighbors(u, forward):
-                if w in own:
-                    continue
-                if w in other:
-                    return True, next_layer
-                own.add(w)
-                # Prune w when it provably cannot continue toward the goal:
-                # forward vertices must reach t (BL_out(w) ⊇ BL_out(t)),
-                # reverse vertices must be reachable from s (BL_in ⊇).
-                mask = self.bl_out[w] if forward else self.bl_in[w]
-                if needed_mask & ~mask:
-                    continue
-                next_layer.append(w)
-        return False, next_layer
+        self.labels.observe_query()
+        verdict = self.labels.check(source, target)
+        if verdict is None:
+            return bibfs_is_reachable(self.graph, source, target)
+        return verdict

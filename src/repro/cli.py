@@ -317,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     rep = sub.add_parser(
         "reproduce",
         help="make every paper record (Figs. 1-10, Tabs. II-IV) from the "
-        "one table the paper benches run, and save them",
+        "one table the paper bench runs, and save them",
     )
     rep.add_argument("--out", default="results", help="output directory")
     rep.add_argument(

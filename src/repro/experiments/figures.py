@@ -9,7 +9,7 @@ factor influencing the query processing time of these methods".
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from repro.core.baseline import push_reachability
 from repro.core.stats import QueryStats
@@ -19,28 +19,17 @@ from repro.datasets.highschool import (
     SOURCE,
     highschool_graph,
 )
-from repro.graph.digraph import DynamicDiGraph
 from repro.graph.traversal import bfs_edge_access_trace
 
 
-def run_motivating_example(
-    graph: Optional[DynamicDiGraph] = None,
-    epsilon_large: float = 1e-2,
-    epsilon_small: float = 1e-4,
-    alpha: float = 0.1,
-) -> List[Dict[str, Any]]:
-    """Fig. 1 rows: edge accesses per (method, query-type) cell.
+#: The two push thresholds of Fig. 1, and the teleport constant.
+EPSILON_LARGE, EPSILON_SMALL, ALPHA = 1e-2, 1e-4, 0.1
 
-    The expected shape, as in the paper:
 
-    * intra-community — the baseline reaches the destination in far fewer
-      edge accesses than BFS at both epsilon values;
-    * inter-community — the large-epsilon baseline terminates early with a
-      false negative; the small-epsilon baseline reaches the destination
-      but spends more accesses than BFS.
-    """
-    if graph is None:
-        graph = highschool_graph()
+def run_motivating_example() -> List[Dict[str, Any]]:
+    """Fig. 1 rows: edge accesses per (method, query-type) cell; the
+    paper's expected shape is ``reproduce.FIG01_CLAIMS``."""
+    graph = highschool_graph()
     queries = [
         ("intra-community", SOURCE, INTRA_DESTINATION),
         ("inter-community", SOURCE, INTER_DESTINATION),
@@ -58,10 +47,10 @@ def run_motivating_example(
                 "reached": reached_bfs,
             }
         )
-        for label, eps in (("large", epsilon_large), ("small", epsilon_small)):
+        for label, eps in (("large", EPSILON_LARGE), ("small", EPSILON_SMALL)):
             stats = QueryStats()
             reached = push_reachability(
-                graph, source, destination, alpha=alpha, epsilon=eps, stats=stats
+                graph, source, destination, alpha=ALPHA, epsilon=eps, stats=stats
             )
             rows.append(
                 {

@@ -13,7 +13,7 @@ Tab. IV adds the oracle comparison, implemented in
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from repro.core.baseline import push_reachability, tune_epsilon_for_precision
 from repro.core.ifca import IFCA
@@ -29,22 +29,20 @@ def run_optimization_ladder(
     num_queries: int = 100,
     seed: int = 0,
     alpha: float = 0.1,
-    base_params: Optional[IFCAParams] = None,
     use_kernels: bool = False,
 ) -> List[Dict[str, Any]]:
     """Fig. 7 rows: method, achieved precision, avg query time (ms).
 
     ``use_kernels`` freezes the graph's CSR snapshot up front so the
-    Contract/IFCA rows run on the vectorized substrate (array-state guided
-    phase included, unless ``base_params`` switches it off); the baseline
-    push rows always use the scalar path the paper's Alg. 1 describes.
+    Contract/IFCA rows run on the vectorized substrate; the baseline push
+    rows always use the scalar path the paper's Alg. 1 describes.
     """
     if use_kernels:
         graph.csr()
     batch = label_queries(graph, generate_queries(graph, num_queries, seed=seed))
     rows: List[Dict[str, Any]] = []
     rows.extend(_baseline_rows(graph, batch, alpha))
-    params = base_params if base_params is not None else IFCAParams()
+    params = IFCAParams()
     for name, variant in (
         ("Contract", params.with_overrides(use_cost_model=False)),
         ("IFCA", params),

@@ -13,7 +13,7 @@ with Contract closer on community graphs and BiBFS closer on the rest.
 from __future__ import annotations
 
 import time
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 from repro.core.ifca import IFCA
 from repro.core.params import IFCAParams
@@ -28,7 +28,6 @@ def oracle_query_time_ms(
     graph: DynamicDiGraph,
     queries: Sequence[Query],
     max_switch_round: int = 6,
-    base_params: Optional[IFCAParams] = None,
 ) -> float:
     """Per-query minimum over all switching points, averaged (ms).
 
@@ -39,7 +38,7 @@ def oracle_query_time_ms(
     """
     if not queries:
         return 0.0
-    base = base_params if base_params is not None else IFCAParams()
+    base = IFCAParams()
     candidates = [
         IFCA(graph, base.with_overrides(force_switch_round=k))
         for k in range(max_switch_round + 1)
@@ -63,18 +62,15 @@ def run_cost_model_vs_oracle(
     num_queries: int = 60,
     seed: int = 0,
     max_switch_round: int = 6,
-    base_params: Optional[IFCAParams] = None,
 ) -> Dict[str, Any]:
     """One Tab. IV row: Oracle / IFCA / Contract / BiBFS times (ms)."""
     queries = generate_queries(graph, num_queries, seed=seed)
-    base = base_params if base_params is not None else IFCAParams()
+    base = IFCAParams()
     ifca = IFCA(graph, base)
     contract = IFCA(graph, base.with_overrides(use_cost_model=False))
     bibfs = IFCA(graph, base.with_overrides(force_switch_round=0))
     return {
-        "oracle_ms": oracle_query_time_ms(
-            graph, queries, max_switch_round, base
-        ),
+        "oracle_ms": oracle_query_time_ms(graph, queries, max_switch_round),
         "ifca_ms": time_queries_ms(ifca.is_reachable, queries),
         "contract_ms": time_queries_ms(contract.is_reachable, queries),
         "bibfs_ms": time_queries_ms(bibfs.is_reachable, queries),

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import random
 import time
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Sequence
 
 from repro.core.ifca import IFCA
 from repro.core.params import IFCAParams
@@ -30,11 +30,10 @@ def run_epsilon_pre_sweep(
     epsilon_pre_values: Sequence[float],
     num_queries: int = 100,
     seed: int = 0,
-    base_params: Optional[IFCAParams] = None,
 ) -> List[Dict[str, Any]]:
     """Fig. 2: avg query time (ms) per ``epsilon_pre``."""
     queries = generate_queries(graph, num_queries, seed=seed)
-    base = base_params if base_params is not None else IFCAParams()
+    base = IFCAParams()
     rows = []
     for eps in epsilon_pre_values:
         params = base.with_overrides(
@@ -88,11 +87,10 @@ def run_alpha_sweep(
     alpha_values: Sequence[float],
     num_queries: int = 100,
     seed: int = 0,
-    base_params: Optional[IFCAParams] = None,
 ) -> List[Dict[str, Any]]:
     """Fig. 4: avg query time (ms) per ``alpha``."""
     queries = generate_queries(graph, num_queries, seed=seed)
-    base = base_params if base_params is not None else IFCAParams()
+    base = IFCAParams()
     rows = []
     for alpha in alpha_values:
         engine = IFCA(graph, base.with_overrides(alpha=alpha))
@@ -107,7 +105,6 @@ def run_init_step_grid(
     step_values: Sequence[float],
     num_queries: int = 100,
     seed: int = 0,
-    base_params: Optional[IFCAParams] = None,
 ) -> List[Dict[str, Any]]:
     """Fig. 5: avg query time (ms) over the epsilon_init x step grid.
 
@@ -115,7 +112,7 @@ def run_init_step_grid(
     heuristic default for the snapshot (``100/m``).
     """
     queries = generate_queries(graph, num_queries, seed=seed)
-    base = base_params if base_params is not None else IFCAParams()
+    base = IFCAParams()
     epsilon_pre = base.resolve(graph).epsilon_pre
     rows = []
     for multiplier in epsilon_init_multipliers:

@@ -1,9 +1,9 @@
 """Render saved experiment records as a consolidated report.
 
 Benchmarks persist their rows as ``results/<experiment>.json``;
-:func:`render_report` re-reads them and produces the text report that
-EXPERIMENTS.md is based on. Exposed on the CLI as ``python -m repro
-report``.
+:func:`render_report` re-reads them as text tables, or as the markdown
+EXPERIMENTS.md is made of (:func:`render_markdown`). Exposed on the CLI
+as ``python -m repro report``.
 """
 
 from __future__ import annotations
@@ -11,8 +11,9 @@ from __future__ import annotations
 from pathlib import Path
 from typing import List, Union
 
-from repro.experiments.records import load_records
-from repro.experiments.tables import format_table
+from repro.experiments.records import ExperimentRecord, load_records
+from repro.experiments.reproduce import PAPER, Claim, Rows
+from repro.experiments.tables import format_cell, format_table
 
 PathLike = Union[str, Path]
 
@@ -21,7 +22,7 @@ def render_report(results_dir: PathLike, markdown: bool = False) -> str:
     """One table per record file, in experiment-id order.
 
     ``markdown=True`` emits GitHub-flavoured pipe tables with a heading per
-    experiment (handy for pasting into EXPERIMENTS.md-style documents).
+    experiment (:func:`render_markdown`).
     """
     directory = Path(results_dir)
     paths = sorted(directory.glob("*.json"))
@@ -36,10 +37,7 @@ def render_report(results_dir: PathLike, markdown: bool = False) -> str:
             continue
         for record in records:
             if markdown:
-                sections.append(
-                    f"## {record.experiment_id} — {record.description}\n\n"
-                    + _markdown_table(record.rows)
-                )
+                sections.append(render_markdown(record))
             else:
                 sections.append(
                     format_table(
@@ -50,20 +48,40 @@ def render_report(results_dir: PathLike, markdown: bool = False) -> str:
     return "\n\n".join(sections)
 
 
-def _markdown_table(rows: List[dict]) -> str:
+def render_markdown(record: ExperimentRecord) -> str:
+    """One record as markdown. A record of the paper's table is a block
+    between ``<!-- record ID -->`` and ``<!-- /record -->``: its entry's
+    columns, then one verdict line per claim."""
+    entry = PAPER.get(record.experiment_id)
+    heading = f"{record.experiment_id} — {record.description}"
+    if entry is None:
+        return f"## {heading}\n\n" + _markdown_table(record.rows)
+    lines = [
+        f"<!-- record {record.experiment_id} -->",
+        f"### {heading}",
+        "",
+        _markdown_table(record.rows, entry.columns),
+        "",
+        *(f"- {_verdict(claim, record.rows)}" for claim in entry.claims),
+        "<!-- /record -->",
+    ]
+    return "\n".join(lines)
+
+
+def _verdict(claim: Claim, rows: Rows) -> str:
+    held = claim.holds(rows)
+    if claim.deviation:
+        verdict = "**holds, though marked a deviation**" if held else "expected deviation"
+        return f"{verdict}: {claim.sentence} Why: {claim.deviation}."
+    return f"{'holds' if held else '**fails**'}: {claim.sentence}"
+
+
+def _markdown_table(rows: List[dict], columns=None) -> str:
     if not rows:
         return "(no rows)"
-    columns = list(rows[0].keys())
-
-    def cell(value: object) -> str:
-        if isinstance(value, float):
-            return f"{value:.4g}"
-        return str(value)
-
-    lines = [
-        "| " + " | ".join(columns) + " |",
-        "| " + " | ".join("---" for _ in columns) + " |",
-    ]
+    columns = columns or list(rows[0].keys())
+    lines = ["| " + " | ".join(columns) + " |", "|" + " --- |" * len(columns)]
     for row in rows:
-        lines.append("| " + " | ".join(cell(row.get(c, "")) for c in columns) + " |")
+        cells = (format_cell(row.get(c, "")) for c in columns)
+        lines.append("| " + " | ".join(cells) + " |")
     return "\n".join(lines)

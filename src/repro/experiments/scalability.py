@@ -10,7 +10,7 @@ denser graphs and positive pairs get closer.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Sequence
 
 from repro.core.ifca import IFCA
 from repro.core.params import IFCAParams
@@ -26,11 +26,10 @@ def run_scalability(
     num_queries: int = 60,
     epsilon_pre: float = 1e-4,
     seed: int = 0,
-    base_params: Optional[IFCAParams] = None,
 ) -> List[Dict[str, Any]]:
     """Fig. 10 rows: avg query time per (block size, average degree),
     plus the explanatory statistics (negative ratio, positive distance)."""
-    base = base_params if base_params is not None else IFCAParams()
+    base = IFCAParams()
     params = base.with_overrides(
         epsilon_pre=epsilon_pre, epsilon_init=100.0 * epsilon_pre
     )

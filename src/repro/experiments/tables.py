@@ -9,7 +9,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Sequence
 
 
-def _format_cell(value: Any) -> str:
+def format_cell(value: Any) -> str:
     if isinstance(value, float):
         if value == 0:
             return "0"
@@ -36,7 +36,7 @@ def format_table(
         columns = list(rows[0].keys())
     cells: List[List[str]] = [[str(c) for c in columns]]
     for row in rows:
-        cells.append([_format_cell(row.get(c, "")) for c in columns])
+        cells.append([format_cell(row.get(c, "")) for c in columns])
     widths = [max(len(r[i]) for r in cells) for i in range(len(columns))]
     lines = []
     if title:

@@ -13,6 +13,7 @@ timestamp, are ignored.
 from __future__ import annotations
 
 import os
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterator, List, TextIO, Union
 
@@ -39,26 +40,38 @@ def read_edge_list(path: PathLike) -> DynamicDiGraph:
     return graph
 
 
+@contextmanager
+def atomic_write(path: Path) -> Iterator[TextIO]:
+    """Write ``path`` through a same-directory temp file that is fsynced
+    and renamed into place, then fsync the directory so the rename itself
+    is durable: after a crash either the old file or the whole new one is
+    there, never a truncated one."""
+    tmp = path.with_name(path.name + ".tmp")
+    with open(tmp, "w", encoding="utf-8") as handle:
+        yield handle
+        handle.flush()
+        os.fsync(handle.fileno())
+    os.replace(tmp, path)
+    directory = os.open(path.parent, os.O_RDONLY)
+    try:
+        os.fsync(directory)
+    finally:
+        os.close(directory)
+
+
 def write_edge_list(
     graph: DynamicDiGraph, path: PathLike, atomic: bool = False
 ) -> None:
     """Write the graph as ``u v`` lines, one edge per line.
 
-    With ``atomic=True`` the file is written to a same-directory temp file,
-    fsynced, and renamed into place, so a crash mid-write can never leave a
-    truncated edge list behind — journal checkpoints
-    (:meth:`repro.graph.journal.UpdateJournal.checkpoint`) rely on this.
+    ``atomic=True`` writes through :func:`atomic_write`, so a crash
+    mid-write can never leave a truncated edge list behind — journal
+    checkpoints (:meth:`repro.graph.journal.UpdateJournal.checkpoint`)
+    rely on this.
     """
     target = Path(path)
-    dest = (
-        target.with_name(target.name + ".tmp") if atomic else target
-    )
-    with open(dest, "w", encoding="utf-8") as handle:
+    opened = atomic_write(target) if atomic else open(target, "w", encoding="utf-8")
+    with opened as handle:
         handle.write(f"# n={graph.num_vertices} m={graph.num_edges}\n")
         for u, v in graph.edges():
             handle.write(f"{u} {v}\n")
-        if atomic:
-            handle.flush()
-            os.fsync(handle.fileno())
-    if atomic:
-        os.replace(dest, target)

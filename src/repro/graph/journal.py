@@ -65,7 +65,7 @@ from pathlib import Path
 from typing import Optional, Union
 
 from repro.graph.digraph import DynamicDiGraph
-from repro.graph.io import read_edge_list, write_edge_list
+from repro.graph.io import atomic_write, read_edge_list, write_edge_list
 
 PathLike = Union[str, Path]
 
@@ -195,8 +195,7 @@ class UpdateJournal:
         write_edge_list(graph, snapshot_path, atomic=True)
         self.flush()
         self._handle.close()
-        tmp = self.path.with_name(self.path.name + ".tmp")
-        with open(tmp, "w", encoding="utf-8") as handle:
+        with atomic_write(self.path) as handle:
             header = {
                 "op": "open",
                 "ver": graph.version,
@@ -205,9 +204,6 @@ class UpdateJournal:
                 else os.path.relpath(snapshot_path, self.path.parent),
             }
             handle.write(json.dumps(header, separators=(",", ":")) + "\n")
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, self.path)
         self._handle = open(self.path, "a", encoding="utf-8")
         self._pending = 0
 

@@ -80,8 +80,7 @@ from repro.graph.digraph import DynamicDiGraph
 
 Pair = Tuple[int, int]
 
-#: Knuth's multiplicative hash constant — the same bucket hash the DBL
-#: baseline uses, so the two implementations disagree only in layout.
+#: Knuth's multiplicative hash constant: scatters vertex ids over bloom bits.
 _HASH_MULT = 2654435761
 _WORD_BITS = 64
 

@@ -344,8 +344,8 @@ class TestDBL:
         # The hub is a landmark; DL answers without any BFS.
         edges = [(i, 50) for i in range(5)] + [(50, 100)]
         g = DynamicDiGraph(edges=edges)
-        method = DBLMethod(g, num_landmarks=1)
-        assert 50 in method.landmarks
+        method = DBLMethod(g)
+        assert method.labels.check(0, 100) is True
         assert method.query(0, 100)
 
     def test_new_vertices_on_insert(self):

@@ -441,7 +441,7 @@ class TestKnobCensus:
             len(path.read_text(encoding="utf-8").splitlines())
             for path in (ROOT / "src").rglob("*.py")
         )
-        assert lines <= 19_571, self.RATCHET
+        assert lines <= 19_569, self.RATCHET
 
     def test_cli_flags(self):
         def flags(parser):
@@ -798,15 +798,14 @@ def stale_exemptions(defined: Set[str], reached: Set[str], exempt) -> List[str]:
 
 def definition_roots(root: Path = ROOT) -> List[Path]:
     """Where production reaches ``src/`` from: the CLI, the end-to-end
-    benchmark, and the paper benches."""
+    benchmark, and the paper bench."""
     bench = root / "benchmarks"
     return [
         root / "src/repro/cli.py",
         root / "src/repro/__main__.py",
         bench / "conftest.py",
         *sorted((bench / "e2e").glob("*.py")),
-        *sorted(bench.glob("bench_fig*.py")),
-        *sorted(bench.glob("bench_tab*.py")),
+        bench / "bench_paper.py",
     ]
 
 
@@ -819,7 +818,7 @@ def repo_census():
 
 class TestDefinitionCensus:
     """Every definition under ``src/`` has a production caller: the CLI,
-    the end-to-end benchmark or the paper benches reach it. A pure test
+    the end-to-end benchmark or the paper bench reach it. A pure test
     oracle lives under ``tests/`` instead; anything else no root reaches
     is deleted, or exempt here with its reason."""
 

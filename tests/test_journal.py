@@ -10,7 +10,9 @@ line must be tolerated, any earlier corruption must be loudly rejected.
 from __future__ import annotations
 
 import json
+import os
 import random
+import stat
 
 import pytest
 
@@ -243,6 +245,35 @@ class TestCheckpoint:
         assert result.checkpoint is not None
         assert sorted(result.graph.edges()) == sorted(graph.edges())
         assert result.graph.version == graph.version
+
+    def test_every_rename_is_made_durable_by_syncing_its_directory(
+        self, tmp_path, monkeypatch
+    ):
+        # A rename is durable only once its directory is fsynced: the
+        # snapshot's (here in its own directory) and the journal's.
+        events = []
+        fsync, replace = os.fsync, os.replace
+
+        def recording_fsync(fd):
+            info = os.fstat(fd)
+            events.append(("fsync", stat.S_ISDIR(info.st_mode), info.st_ino))
+            fsync(fd)
+
+        def recording_replace(src, dst):
+            replace(src, dst)
+            events.append(("rename", True, os.stat(os.path.dirname(dst)).st_ino))
+
+        (tmp_path / "snaps").mkdir()
+        graph = DynamicDiGraph(edges=[(0, 1), (1, 2)])
+        with UpdateJournal(tmp_path / "wal.jsonl", graph_version=graph.version) as journal:
+            monkeypatch.setattr(os, "fsync", recording_fsync)
+            monkeypatch.setattr(os, "replace", recording_replace)
+            journal.checkpoint(graph, tmp_path / "snaps" / "snap.txt")
+        renames = [i for i, event in enumerate(events) if event[0] == "rename"]
+        assert len(renames) == 2
+        for at, until in zip(renames, renames[1:] + [len(events)]):
+            parent = events[at][2]
+            assert ("fsync", True, parent) in events[at + 1:until], events
 
     def test_checkpoint_alone_restores_state(self, tmp_path):
         path = tmp_path / "wal.jsonl"

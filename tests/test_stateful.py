@@ -148,7 +148,7 @@ class DblMachine(RuleBasedStateMachine):
 
     def __init__(self):
         super().__init__()
-        self.method = DBLMethod(DynamicDiGraph(vertices=range(8)), num_landmarks=3)
+        self.method = DBLMethod(DynamicDiGraph(vertices=range(8)))
         self.shadow = DynamicDiGraph(vertices=range(8))
 
     @rule(u=VERTICES.filter(lambda x: x < 8), v=VERTICES.filter(lambda x: x < 8))
