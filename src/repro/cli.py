@@ -351,20 +351,28 @@ def cmd_query_batch(args: argparse.Namespace) -> int:
 
     graph = read_edge_list(args.graph)
     pairs: List[tuple] = []
-    handle = sys.stdin if args.pairs == "-" else open(args.pairs, "r")
+    try:
+        # errors="replace": undecodable bytes fail as a malformed line.
+        handle = (
+            sys.stdin if args.pairs == "-" else open(args.pairs, errors="replace")
+        )
+    except OSError as exc:
+        print(f"error: {args.pairs}: {exc.strerror}", file=sys.stderr)
+        return 2
     try:
         for lineno, raw in enumerate(handle, start=1):
             line = raw.strip()
             if not line or line.startswith(("#", "%")):
                 continue
-            parts = line.split()
-            if len(parts) != 2:
+            try:
+                source, target = map(int, line.split())
+            except ValueError:
                 print(
                     f"error: {args.pairs}:{lineno}: expected 's t', got {line!r}",
                     file=sys.stderr,
                 )
                 return 2
-            pairs.append((int(parts[0]), int(parts[1])))
+            pairs.append((source, target))
     finally:
         if handle is not sys.stdin:
             handle.close()

@@ -61,11 +61,6 @@ class IFCA:
         Tunables; the default follows the paper's heuristic choices.
     """
 
-    #: Feature flag for callers (the serving layer probes it before
-    #: passing ``budget=`` — third-party engines behind the same interface
-    #: may not accept the keyword).
-    supports_budget = True
-
     def __init__(
         self,
         graph: DynamicDiGraph,

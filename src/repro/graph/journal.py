@@ -42,6 +42,8 @@ edge list (temp file + fsync + rename, see
 :func:`repro.graph.io.write_edge_list`) and restarts the journal with a
 header pointing at it, so the journal never grows without bound and
 recovery cost is proportional to updates since the last checkpoint.
+Checkpoints to one path alternate between it and its ``.alt`` twin, so
+the snapshot a crash would replay on is never the one being replaced.
 
 Tailing
 -------
@@ -190,8 +192,18 @@ class UpdateJournal:
         journal + snapshot pair exists. A relative ``snapshot_path`` is
         stored relative to the journal's directory, where
         :func:`replay` resolves it.
+
+        The snapshot the live header names is never written over: when
+        it is ``snapshot_path``, the new snapshot goes to its twin
+        ``<name>.alt`` (and back again on the next checkpoint), and the
+        superseded one is unlinked only once the new header is durable.
         """
         snapshot_path = Path(snapshot_path)
+        twin = snapshot_path.with_name(snapshot_path.name + ".alt")
+        pair = (snapshot_path.resolve(), twin.resolve())
+        live = self._live_checkpoint()
+        if live == pair[0]:
+            snapshot_path = twin
         write_edge_list(graph, snapshot_path, atomic=True)
         self.flush()
         self._handle.close()
@@ -206,6 +218,14 @@ class UpdateJournal:
             handle.write(json.dumps(header, separators=(",", ":")) + "\n")
         self._handle = open(self.path, "a", encoding="utf-8")
         self._pending = 0
+        if live in pair:
+            live.unlink(missing_ok=True)
+
+    def _live_checkpoint(self) -> Optional[Path]:
+        """The snapshot the journal's header names, resolved, or ``None``."""
+        with open(self.path, encoding="utf-8") as handle:
+            ckpt = json.loads(handle.readline()).get("ckpt")
+        return (self.path.parent / ckpt).resolve() if ckpt else None
 
     # ------------------------------------------------------------------
     # Lifecycle / introspection

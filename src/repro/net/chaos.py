@@ -128,7 +128,7 @@ def _clear_journals(workdir: Path, *stems: str) -> None:
     nothing else in the directory is touched.
     """
     for stem in stems:
-        for suffix in (".wal", ".wal.tmp", ".ckpt"):
+        for suffix in (".wal", ".wal.tmp", ".ckpt", ".ckpt.alt"):
             (workdir / (stem + suffix)).unlink(missing_ok=True)
 
 

@@ -39,10 +39,14 @@ could export it soundly. If it completes inside its own budget (a meet,
 or a frontier exhausted) the answer is still exact; only a budget
 overrun returns the best guess flagged ``confident=False``.
 
-The cache sits before the shard rung because a routed ``wave`` /
-``cross`` pair would otherwise re-run its worker search on every
-recurrence under skewed traffic; the fleet's rule verdicts re-derive in
-O(1), so only searched verdicts earn a cache slot. A rung that raises is
+Every verdict is booked by ``_Walk.book``, and the walk writes the
+cache once, still under its read lock: the confident verdicts a search
+paid for (``bitbatch``, ``engine``, ``engine-fallback``, an exact
+``degraded`` run, and the fleet's ``wave`` / ``cross`` pairs). The
+cache sits before the shard rung because a routed search would
+otherwise re-run on every recurrence under skewed traffic; the fleet's
+rule verdicts re-derive in O(1) and a degraded guess is not exact, so
+neither earns a slot. A rung that raises is
 counted (``stage_errors_<rung>``) and skipped. Pairs a rung leaves
 behind — the cutover chose scalar, the freeze failed, the breaker is
 open, the sweep failed, the budget ran out before their lanes were
@@ -69,13 +73,19 @@ Fault tolerance (the containment ladder)
 ----------------------------------------
 Every stage is allowed to fail without failing the query:
 
-* index-rung (fast path, labels, cache), shard-rung and freeze errors
-  fall through to the next rung (counted as ``stage_errors_*``);
-* engine errors feed the substrate :class:`~repro.service.faults.CircuitBreaker`
-  and the query retries on the lazily built dict-substrate fallback twin
+* an index rung (fast path, cache, labels) whose fault point or probe
+  raises abstains for that walk and answers again on the next (counted
+  as ``stage_errors_*``); only a label quarantine whose own
+  ``invalidate()`` raised turns the tier off for good. Shard-rung and
+  freeze errors fall through to the next rung;
+* every exact search is one ``_search`` call (fault point, timing,
+  counters). Engine errors feed the substrate
+  :class:`~repro.service.faults.CircuitBreaker` and the query retries on
+  the lazily built dict-substrate fallback twin
   (``via="engine-fallback"``); an open breaker routes queries straight to
-  the fallback until its half-open probe — which runs *both* substrates
-  and compares verdicts — re-closes it;
+  the fallback until its half-open probe — which searches *both*
+  substrates once each and compares verdicts — re-closes it (on a
+  mismatch the twin's verdict is the answer);
 * a failing fallback degrades (``detail="engine-error"``), and a failing
   degraded search still returns an outcome (``via="error"``) — the
   pipeline never raises out of a query;
@@ -167,14 +177,32 @@ class QueryOutcome:
 class _Walk:
     """One ladder walk's state, fixed under one read-lock hold."""
 
-    __slots__ = ("version", "deadline", "outcomes", "why")
+    __slots__ = ("version", "deadline", "outcomes", "searched", "why")
 
     def __init__(self, version: int, deadline: Optional[float]) -> None:
         self.version = version
         self.deadline = deadline
         self.outcomes: Dict[Pair, QueryOutcome] = {}
+        #: Confident verdicts a search paid for: the walk's cache write.
+        self.searched: List[Tuple[Pair, bool]] = []
         #: Why the degraded rung is answering (its detail prefix).
         self.why = ""
+
+    def book(
+        self,
+        pair: Pair,
+        answer: bool,
+        via: str,
+        detail: str,
+        confident: bool = True,
+        searched: bool = False,
+    ) -> None:
+        """The one place a ladder verdict becomes an outcome."""
+        self.outcomes[pair] = QueryOutcome(
+            pair[0], pair[1], answer, confident, via, self.version, detail
+        )
+        if searched and confident:
+            self.searched.append((pair, answer))
 
 
 #: Pairs one graph version must send to the engine rung before its CSR
@@ -322,8 +350,9 @@ class ReachabilityService:
         # fast path and the cache. A failed build just leaves the tier
         # off (counted) — labels are an acceleration, never a dependency.
         self._labels: Optional[LabelIndex] = None
+        #: A quarantine whose ``invalidate()`` raised: the tier's state is
+        #: unknown, so it never answers again.
         self._labels_disabled = False
-        self._label_failures = 0
         if use_labels:
             try:
                 self._labels = LabelIndex(self._pruner.dag)
@@ -653,7 +682,10 @@ class ReachabilityService:
 
         The one place queries take the read lock: index rungs, deadline
         pre-check and search rungs all see one graph version. A search
-        rung that raises is counted and its survivors fall through.
+        rung that raises is counted and its survivors fall through. The
+        walk's searched verdicts reach the cache in one write, still
+        under the lock, so no update lands between an answer and its
+        stamp.
         """
         with self._lock.read:
             walk = _Walk(self.graph.version, deadline)
@@ -673,6 +705,11 @@ class ReachabilityService:
                     survivors = rung(self, walk, survivors)
                 except Exception:
                     self._stats.incr(f"stage_errors_{stage}")
+            if walk.searched:
+                try:
+                    self._cache.put_many(walk.searched, walk.version)
+                except Exception:
+                    self._stats.incr("stage_errors_cache")
         outcomes = walk.outcomes
         self._stats.incr("queries", len(outcomes))
         return [outcomes[pair] for pair in pairs]
@@ -709,16 +746,20 @@ class ReachabilityService:
         abstains on the whole walk, not on one pair.
         """
         stats, pruner, cache = self._stats, self._pruner, self._cache
+        labels, label_filter = self._labels, None
         view = None
         if len(pairs) >= COLUMNAR_MIN_PAIRS:
             try:
                 view = pruner.view()
             except Exception:
                 stats.incr("stage_errors_fastpath")
-        label_filter = self._label_filter_fn(many=view is not None)
-        if label_filter is not None:
+        if labels is not None and not self._labels_disabled:
+            label_filter = self._index_rung(
+                "labels",
+                labels.filter_pairs if view is None else labels.query_many,
+            )
             try:
-                self._labels.observe_query()
+                labels.observe_query()
             except Exception:
                 stats.incr("stage_errors_labels")
         if view is None:
@@ -755,58 +796,14 @@ class ReachabilityService:
         ):
             if count:
                 stats.incr(name, count)
-        version, outcomes = walk.version, walk.outcomes
+        book = walk.book
         for pair, (answer, via, detail) in plan.resolved.items():
             if via == "fastpath":
                 stats.fastpath_hit(detail)
             elif via == "cache":
                 stats.incr("cache_hits")
-            outcomes[pair] = QueryOutcome(
-                pair[0], pair[1], answer, True, via, version, detail
-            )
+            book(pair, answer, via, detail)
         return plan.pending
-
-    def _label_filter_fn(self, many: bool = False):
-        """The batch-facing label surface: a callable mapping a pair list
-        (``many``: aligned endpoint arrays) to aligned int8 verdicts
-        (``1``/``-1``/``0``), or ``None`` when the tier is off. Errors
-        (injected or real) are contained inside the callable — the
-        caller sees an abstaining filter, never an exception."""
-        labels = self._labels
-        if labels is None or self._labels_disabled:
-            return None
-
-        def pairwise(pairs):
-            if len(pairs) > 1:
-                return labels.filter_pairs(pairs)
-            # The vectorised gather has a ~50 us numpy floor; one pair
-            # takes the same rules as scalars.
-            verdict = labels.check(*pairs[0])
-            return (0 if verdict is None else 1 if verdict else -1,)
-
-        probe = labels.query_many if many else pairwise
-
-        def label_filter(*columns):
-            try:
-                self._fire("labels")
-                verdicts = probe(*columns)
-            except Exception:
-                self._stats.incr("stage_errors_labels")
-                self._note_label_failure()
-                return None
-            self._label_failures = 0
-            return verdicts
-
-        return label_filter
-
-    def _note_label_failure(self) -> None:
-        """Contain a label-stage error; repeated *consecutive* failures
-        disable the tier for the service's lifetime (mirroring the shard
-        router's deploy-failure policy) — the ladder below answers
-        everything regardless."""
-        self._label_failures += 1
-        if self._label_failures >= 16:
-            self._labels_disabled = True
 
     # ------------------------------------------------------------------
     # Search rungs: ``rung(walk, survivors) -> survivors``
@@ -834,19 +831,11 @@ class ReachabilityService:
         if not resolved:
             return survivors
         self._stats.incr("shard_resolved", len(resolved))
-        version, outcomes = walk.version, walk.outcomes
-        searched = []
-        for pair, (answer, how) in resolved.items():
-            outcomes[pair] = QueryOutcome(
-                pair[0], pair[1], answer, True, "shard", version, how
-            )
-            if how == "wave" or how == "cross":
-                searched.append((pair, answer))
         # Only search verdicts earn a cache slot: a rule verdict
         # re-derives in O(1) on the next route, so caching it would just
         # evict entries that saved real work.
-        if searched:
-            self._cache.put_many(searched, version, confident=True)
+        for pair, (answer, how) in resolved.items():
+            walk.book(pair, answer, "shard", how, True, how in ("wave", "cross"))
         return [pair for pair in survivors if pair not in resolved]
 
     def _shard_router(self, version: int) -> Optional["ShardRouter"]:
@@ -952,45 +941,33 @@ class ReachabilityService:
             stats.incr("bit_lanes", sweep.lanes)
             stats.incr("bit_layers", sweep.layers)
             detail = f"lanes={sweep.lanes} layers={sweep.layers}"
-        resolved = [
-            (pair, answer)
-            for pair, answer in zip(pairs, answers)
-            if answer is not None
-        ]
-        stats.incr("bit_resolved", len(resolved))
-        self._cache.put_many(resolved, walk.version, confident=True)
-        for pair, answer in resolved:
-            walk.outcomes[pair] = QueryOutcome(
-                pair[0], pair[1], answer, True, "bitbatch", walk.version, detail
-            )
-        return [pair for pair, answer in zip(pairs, answers) if answer is None]
+        book, left = walk.book, []
+        for pair, answer in zip(pairs, answers):
+            if answer is None:
+                left.append(pair)
+            else:
+                book(pair, answer, "bitbatch", detail, True, True)
+        stats.incr("bit_resolved", len(pairs) - len(left))
+        return left
 
     def _rung_engine(self, walk: _Walk, survivors: List[Pair]) -> List[Pair]:
         """One exact search per survivor, inline: breaker, fallback twin,
         and the degraded hand-off of an interrupted search's partial
-        state all live in :meth:`_engine_stage` and below."""
+        state all live in :meth:`_engine_stage`."""
         self._stats.incr("batch_scalar_queries", len(survivors))
         self._freeze(walk.version, len(survivors))
-        version = walk.version
         for pair in survivors:
-            source, target = pair
-            budget = self._make_budget(walk.deadline)
             try:
-                outcome = self._engine_stage(source, target, version, budget)
+                self._engine_stage(walk, pair, self._make_budget(walk.deadline))
             except BudgetExceeded as exc:
                 self._stats.incr("budget_degraded")
-                outcome = self._degraded(
-                    source, target, version, exc.partial, exc.reason
-                )
-            walk.outcomes[pair] = outcome
+                self._degraded(walk, pair, exc.partial, exc.reason)
         return []
 
     def _rung_degraded(self, walk: _Walk, survivors: List[Pair]) -> List[Pair]:
         """The last rung answers everything left (it never raises)."""
         for pair in survivors:
-            walk.outcomes[pair] = self._degraded(
-                pair[0], pair[1], walk.version, None, walk.why
-            )
+            self._degraded(walk, pair, None, walk.why)
         return []
 
     #: The search rungs, in the order every surviving pair tries them.
@@ -1040,106 +1017,73 @@ class ReachabilityService:
     # ------------------------------------------------------------------
     # Engine stage: budget + circuit breaker + fallback
     # ------------------------------------------------------------------
-    def _engine_stage(
-        self, source: int, target: int, version: int, budget: Optional[Budget]
-    ) -> QueryOutcome:
-        allowed, probing = self._breaker.acquire()
+    def _engine_stage(self, walk: _Walk, pair: Pair, budget: Optional[Budget]) -> None:
+        """Book ``pair``'s exact search behind the substrate breaker.
 
-        if allowed:
-            start = time.perf_counter()
-            try:
-                self._fire("engine")
-                answer, detail = self._run_engine(
-                    self.method, source, target, budget
-                )
-            except BudgetExceeded:
-                # A budget interrupt is not a substrate failure. A
-                # half-open probe interrupted this way is inconclusive:
-                # return the breaker to OPEN (no trip counted) and let a
-                # later probe decide.
-                if probing:
-                    self._breaker.record_failure()
-                raise
-            except Exception:
-                self._stats.incr("engine_failures")
-                self._breaker.record_failure()
-            else:
-                self._stats.observe_latency("engine", time.perf_counter() - start)
-                self._stats.incr("engine_calls")
-                if probing:
-                    verdict_ok = self._verdict_probe(
-                        source, target, answer, budget
-                    )
-                    if not verdict_ok:
-                        # The primary substrate answers but answers
-                        # *wrongly*; trust the dict twin instead.
-                        return self._fallback_outcome(
-                            source, target, budget, version
-                        )
-                else:
-                    self._breaker.record_success()
-                self._cache.put(source, target, answer, version, confident=True)
-                return QueryOutcome(
-                    source, target, answer, True, "engine", version, detail
-                )
-
-        return self._fallback_outcome(source, target, budget, version)
-
-    def _verdict_probe(
-        self, source: int, target: int, answer: bool, budget: Optional[Budget]
-    ) -> bool:
-        """Half-open probe: re-answer on the dict twin and compare.
-
-        A matching verdict re-closes the breaker; a mismatch (the
-        verdict-contract violation) re-opens it. A probe the budget
-        interrupts is inconclusive and re-opens without a verdict.
+        The primary searches while the breaker admits it; a half-open
+        probe searches the dict twin too and closes the breaker only if
+        both answer and agree — a twin that fails keeps the primary's
+        answer, a mismatch books the twin's. An open breaker or a failed
+        primary sends the pair to the twin; a failed twin degrades. A
+        budget interrupt propagates: it is no substrate failure, but a
+        probe it cut short re-opens the breaker with no verdict.
         """
-        try:
-            expected, _ = self._run_engine(
-                self._fallback_method(), source, target, budget
-            )
-        except BudgetExceeded:
-            self._breaker.record_failure()
-            raise
-        except Exception:
-            self._stats.incr("engine_failures")
-            self._breaker.record_failure()
-            return True  # fallback itself failed; keep the primary answer
-        if expected != answer:
-            self._stats.incr("verdict_mismatches")
-            self._breaker.record_failure()
-            return False
-        self._breaker.record_success()
-        return True
+        breaker = self._breaker
+        allowed, probing = breaker.acquire()
+        found = twin = None
+        if allowed:
+            try:
+                found = self._search(self.method, pair, budget)
+                if probing and found is not None:
+                    twin = self._search(self._fallback_method(), pair, budget)
+            except BudgetExceeded:
+                if probing:
+                    breaker.record_failure()
+                raise
+            if twin is not None and twin[0] != found[0]:
+                # The primary answers, but wrongly: trust the twin.
+                self._stats.incr("verdict_mismatches")
+                found = None
+            if found is None or (probing and twin is None):
+                breaker.record_failure()
+            else:
+                breaker.record_success()
+            if found is not None:
+                walk.book(pair, found[0], "engine", found[1], True, True)
+                return
+        if twin is None:
+            twin = self._search(self._fallback_method(), pair, budget)
+        if twin is None:
+            self._degraded(walk, pair, None, "engine-error")
+            return
+        self._stats.incr("engine_fallbacks")
+        walk.book(pair, twin[0], "engine-fallback", twin[1], True, True)
 
-    def _fallback_outcome(
-        self,
-        source: int,
-        target: int,
-        budget: Optional[Budget],
-        version: int,
-    ) -> QueryOutcome:
-        """Answer on the dict-substrate twin (breaker open or primary
-        failed)."""
+    def _search(
+        self, method: ReachabilityMethod, pair: Pair, budget: Optional[Budget]
+    ) -> Optional[Tuple[bool, str]]:
+        """One exact search on ``method``: ``(answer, detail)``, or
+        ``None`` when the substrate failed (counted). A budget interrupt
+        propagates."""
         start = time.perf_counter()
         try:
             self._fire("engine")
-            answer, detail = self._run_engine(
-                self._fallback_method(), source, target, budget
-            )
+            engine = getattr(method, "engine", None)
+            if engine is None:
+                answer, detail = method.query(*pair), ""
+            else:
+                answer, qstats = engine.query_with_stats(*pair, budget=budget)
+                detail = qstats.terminated_by
+                if qstats.used_push_kernel:
+                    self._stats.incr("push_kernel_queries")
         except BudgetExceeded:
             raise
         except Exception:
             self._stats.incr("engine_failures")
-            # Both substrates failed: last resort is the degraded search.
-            return self._degraded(source, target, version, None, "engine-error")
+            return None
         self._stats.observe_latency("engine", time.perf_counter() - start)
         self._stats.incr("engine_calls")
-        self._stats.incr("engine_fallbacks")
-        self._cache.put(source, target, answer, version, confident=True)
-        return QueryOutcome(
-            source, target, answer, True, "engine-fallback", version, detail
-        )
+        return answer, detail
 
     def _fallback_method(self) -> ReachabilityMethod:
         if self._fallback is None:
@@ -1154,73 +1098,43 @@ class ReachabilityService:
             return None
         return Budget(deadline=deadline, edge_ceiling=self.engine_edge_budget)
 
-    def _run_engine(
-        self,
-        method: ReachabilityMethod,
-        source: int,
-        target: int,
-        budget: Optional[Budget],
-    ) -> Tuple[bool, str]:
-        engine = getattr(method, "engine", None)
-        if engine is not None and hasattr(engine, "query_with_stats"):
-            if budget is not None and getattr(engine, "supports_budget", False):
-                answer, qstats = engine.query_with_stats(
-                    source, target, budget=budget
-                )
-            else:
-                answer, qstats = engine.query_with_stats(source, target)
-            if qstats.used_push_kernel:
-                self._stats.incr("push_kernel_queries")
-            return answer, qstats.terminated_by
-        return method.query(source, target), ""
-
     # ------------------------------------------------------------------
     # Degraded stage
     # ------------------------------------------------------------------
     def _degraded(
-        self,
-        source: int,
-        target: int,
-        version: int,
-        partial: Optional[PartialSearchState] = None,
-        why: str = "",
-    ) -> QueryOutcome:
+        self, walk: _Walk, pair: Pair, partial: Optional[PartialSearchState], why: str
+    ) -> None:
         """Budget blown (or both engine substrates down): answer cheaply.
 
         A frontier-balanced bidirectional BFS runs with a hard edge-access
         budget, seeded with the interrupted engine search's partial state
         when one was exported — the work already spent is kept, not
         redone. A meet proves ``True`` and an exhausted frontier proves
-        ``False`` (both still confident); hitting the budget returns the
-        best-effort ``False`` flagged ``confident=False``. The answer is
-        cached only when it is exact, and even a failing degraded search
-        returns an outcome (``via="error"``) rather than raising.
+        ``False`` (both still confident); hitting the budget books the
+        best-effort ``False`` flagged ``confident=False``, which the cache
+        never keeps. Even a failing degraded search books an outcome
+        (``via="error"``) rather than raising.
         """
         start = time.perf_counter()
         self._stats.incr("degraded")
         try:
             self._fire("degraded")
             answer, confident, detail = _bounded_bibfs(
-                self.graph, source, target, DEGRADE_BUDGET, partial
+                self.graph, pair[0], pair[1], DEGRADE_BUDGET, partial
             )
         except Exception:
             self._stats.incr("stage_errors_degraded")
             self._stats.observe_latency("degraded", time.perf_counter() - start)
-            return QueryOutcome(
-                source, target, False, False, "error", version,
-                f"degraded-failed:{why}" if why else "degraded-failed",
-            )
-        if confident:
-            self._cache.put(source, target, answer, version, confident=True)
+            detail = f"degraded-failed:{why}" if why else "degraded-failed"
+            walk.book(pair, False, "error", detail, False)
+            return
         if partial is not None:
             self._stats.incr("degraded_resumed")
             detail = f"resumed:{detail}"
         if why:
             detail = f"{why}:{detail}"
         self._stats.observe_latency("degraded", time.perf_counter() - start)
-        return QueryOutcome(
-            source, target, answer, confident, "degraded", version, detail
-        )
+        walk.book(pair, answer, "degraded", detail, confident, True)
 
     # ------------------------------------------------------------------
     # Introspection

@@ -351,7 +351,68 @@ class _LyingMethod:
         return not is_reachable_bfs(self.graph, source, target)
 
 
+class _HonestMethod(_LyingMethod):
+    """A method that answers truthfully and counts its searches."""
+
+    name = "honest"
+
+    def query(self, source, target):
+        return not super().query(source, target)
+
+
 class TestVerdictProbe:
+    def _probing_service(self, monkeypatch, method_factory, twins):
+        """A service whose next query is the breaker's half-open probe;
+        every twin the service builds is appended to ``twins``."""
+        monkeypatch.setattr(faults, "FAILURE_THRESHOLD", 1)
+
+        def twin_factory(graph):
+            twins.append(_HonestMethod(graph))
+            return twins[-1]
+
+        service = ReachabilityService(
+            _connected_pair_graph(),
+            method_factory=method_factory,
+            fallback_factory=twin_factory,
+            num_supportive=0,
+            use_labels=False,
+            cache_capacity=1,
+        )
+        clock = FakeClock()
+        service._breaker._clock = clock
+        service._breaker.record_failure()
+        clock.advance(PROBE_INTERVAL_S)
+        return service
+
+    def test_a_mismatch_searches_the_twin_once(self, monkeypatch):
+        """The probe already holds the twin's verdict when it catches a
+        wrong primary: that verdict is the answer, not a second search."""
+        twins = []
+        with self._probing_service(monkeypatch, _LyingMethod, twins) as service:
+            out = service.query(0, 19)
+            assert (out.answer, out.via) == (True, "engine-fallback")
+            assert [twin.calls for twin in twins] == [1]
+            assert service.method.calls == 1
+            counters = service.stats()["counters"]
+            assert counters["verdict_mismatches"] == 1
+            assert counters["engine_calls"] == 2
+            assert service._breaker.state == BREAKER_OPEN
+
+    def test_an_agreeing_probe_closes_the_breaker(self, monkeypatch):
+        """Both substrates answer and agree: the primary's verdict is the
+        answer, the breaker closes, and both searches are counted."""
+        twins = []
+        with self._probing_service(monkeypatch, _HonestMethod, twins) as service:
+            out = service.query(0, 19)
+            assert (out.answer, out.via, out.confident) == (True, "engine", True)
+            assert service._breaker.state == BREAKER_CLOSED
+            assert service.method.calls == 1
+            assert [twin.calls for twin in twins] == [1]
+            assert service.stats()["counters"]["engine_calls"] == 2
+            # Closed: the next search asks the primary alone.
+            assert service.query(0, 18).via == "engine"
+            assert [twin.calls for twin in twins] == [1]
+
     def test_probe_catches_wrong_answers(self, monkeypatch):
         monkeypatch.setattr(faults, "FAILURE_THRESHOLD", 1)
         clock = FakeClock()
@@ -435,14 +496,12 @@ class TestFallbackSharesNoKernel:
             out = service.query(s, t)
             assert (out.answer, out.via) == (True, "engine-fallback")
             assert service._breaker.state == BREAKER_OPEN
-            # The verdict check itself re-answers on the dict twin only:
-            # it agrees, closes the breaker, and enters no kernel.
-            clock.advance(PROBE_INTERVAL_S)
-            assert service._breaker.acquire() == (True, True)
+            # The probe's twin search runs on the dict twin only: it
+            # answers, enters no kernel and counts no failure.
             fired = service.injector.fired["kernel"]
             failures = service.stats()["counters"]["engine_failures"]
-            assert service._verdict_probe(s, t, True, None)
-            assert service._breaker.state == BREAKER_CLOSED
+            twin = service._fallback_method()
+            assert service._search(twin, (s, t), None)[0] is True
             assert service.injector.fired["kernel"] == fired
             assert service.stats()["counters"]["engine_failures"] == failures
 

@@ -337,6 +337,43 @@ class TestCheckpoint:
         result = replay(path, graph.copy())
         assert result.graph == graph and result.version == 9
 
+    def test_a_checkpoint_to_the_live_snapshot_path_survives_a_crash(
+        self, tmp_path, monkeypatch
+    ):
+        # A replica checkpoints to the same path every time. Renaming the
+        # new snapshot onto the one the live header names, then crashing
+        # before the journal is replaced, used to leave the first
+        # checkpoint's header over the second's snapshot: replay refused
+        # ("base graph at version 30 is ahead of the journal's base
+        # version 17").
+        path, snap = tmp_path / "wal.jsonl", tmp_path / "wal.ckpt"
+        rng = random.Random(8)
+        graph = DynamicDiGraph()
+        with UpdateJournal(path) as journal:
+            _journaled_churn(journal, graph, _ops_without_self_loops(rng, 12, 11))
+            journal.checkpoint(graph, snap)
+            _journaled_churn(journal, graph, _ops_without_self_loops(rng, 12, 14))
+
+            def crash(target):
+                raise OSError("crashed before the journal was replaced")
+
+            monkeypatch.setattr(journal_module, "atomic_write", crash)
+            with pytest.raises(OSError, match="crashed"):
+                journal.checkpoint(graph, snap)
+        result = replay(path)
+        assert result.graph == graph and result.version == graph.version
+        monkeypatch.undo()
+        # Checkpoints to one path alternate between it and its twin; the
+        # superseded snapshot goes once the new header is durable.
+        with UpdateJournal(path) as journal:
+            for expected in ("wal.ckpt.alt", "wal.ckpt", "wal.ckpt.alt"):
+                _journaled_churn(journal, graph, _ops_without_self_loops(rng, 12, 5))
+                journal.checkpoint(graph, snap)
+                assert os.path.basename(replay(path).checkpoint) == expected
+                assert sorted(p.name for p in tmp_path.glob("wal.ckpt*")) == [expected]
+        result = replay(path)
+        assert result.graph == graph and result.version == graph.version
+
     def test_a_missing_checkpoint_raises_naming_it(self, tmp_path):
         path, snap = tmp_path / "wal.jsonl", tmp_path / "snap.txt"
         graph = DynamicDiGraph(edges=[(0, 1)])

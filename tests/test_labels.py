@@ -613,7 +613,10 @@ class TestFaultContainment:
             assert out.via != "labels"
             assert out.answer is True
 
-    def test_repeated_query_failures_disable_tier(self, monkeypatch):
+    def test_a_failing_probe_abstains_until_it_recovers(self, monkeypatch):
+        """A label probe that raises on every walk abstains on each one,
+        like every other index rung, and the tier answers again once the
+        probe stops raising."""
         graph = DynamicDiGraph(edges=[(i, i + 1) for i in range(26)])
         with ReachabilityService(
             graph, num_supportive=0
@@ -625,15 +628,17 @@ class TestFaultContainment:
             # Distinct pairs: the cache rung sits above the label rung,
             # so a repeated pair would never reach the broken probe.
             for target in range(6, 26):
-                assert svc.query(0, target).answer is True
-            assert svc._labels_disabled
+                out = svc.query(0, target)
+                assert (out.answer, out.confident) == (True, True)
+                assert out.via != "labels"
+            assert svc.stats()["counters"]["stage_errors_labels"] == 20
             monkeypatch.undo()
-            # Disabled stays disabled: the tier is never consulted again.
-            assert svc.query(1, 6).via != "labels"
+            assert svc.query(1, 6).via == "labels"
 
     def test_failing_probe_is_contained_at_every_width(self, monkeypatch):
-        """One pending pair takes the scalar ``check``, several take the
-        vectorised ``filter_pairs``; either failing only abstains."""
+        """One pending pair takes the scalar ``check`` (through
+        ``filter_pairs``), several the vectorised ``query_many``; either
+        failing only abstains."""
         graph = DynamicDiGraph(edges=[(i, i + 1) for i in range(12)])
         with ReachabilityService(
             graph, num_supportive=0
@@ -641,7 +646,7 @@ class TestFaultContainment:
             def boom(*args):
                 raise RuntimeError("label probe exploded")
 
-            monkeypatch.setattr(svc.labels, "filter_pairs", boom)
+            monkeypatch.setattr(svc.labels, "query_many", boom)
             assert svc.query(0, 5).via == "labels"  # width 1: check
             outcomes = svc.query_batch([(0, 6), (1, 7), (2, 8)])
             assert [o.answer for o in outcomes] == [True, True, True]

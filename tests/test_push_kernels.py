@@ -570,7 +570,7 @@ def test_service_counts_push_kernel_queries():
         # Force the engine stage to take guided rounds on the array path.
         service.method.engine.params = IFCAParams(force_switch_round=50)
         graph.csr()
-        answer, detail = service._run_engine(service.method, 0, 101, None)
+        answer, detail = service._search(service.method, (0, 101), None)
         assert answer is False and detail == "exhausted"
         counters = service.stats()["counters"]
         assert counters.get("push_kernel_queries", 0) == 1

@@ -420,7 +420,10 @@ def test_chaos_net_clears_only_the_journals_it_will_write(tmp_path):
     else in the directory."""
     from repro.net.chaos import _clear_journals
 
-    stale = ["replica0.wal", "replica0.ckpt", "replica0.wal.tmp", "primary.wal"]
+    stale = [
+        "replica0.wal", "replica0.ckpt", "replica0.ckpt.alt", "replica0.wal.tmp",
+        "primary.wal",
+    ]
     foreign = ["partition_replica.wal", "supervisor.log", "notes.wal.txt"]
     for name in stale + foreign:
         (tmp_path / name).write_text("left over from another run\n")
