@@ -333,8 +333,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class InputError(Exception):
+    """Unusable input: ``main`` prints ``error: ...`` and exits 2."""
+
+
+def read_graph(path: str) -> DynamicDiGraph:
+    """``path``'s edge list, or an InputError naming ``FILE[:LINE]``."""
+    try:
+        return read_edge_list(path)
+    except OSError as exc:
+        raise InputError(f"{path}: {exc.strerror or exc}") from exc
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
+
+
 def cmd_query(args: argparse.Namespace) -> int:
-    graph = read_edge_list(args.graph)
+    graph = read_graph(args.graph)
     graph.csr()  # freeze once so every kernel path can engage
     method = METHOD_FACTORIES[args.method](graph)
     reachable = method.query(args.source, args.target)
@@ -349,7 +363,7 @@ def cmd_query(args: argparse.Namespace) -> int:
 def cmd_query_batch(args: argparse.Namespace) -> int:
     from repro.service import ReachabilityService
 
-    graph = read_edge_list(args.graph)
+    graph = read_graph(args.graph)
     pairs: List[tuple] = []
     try:
         # errors="replace": undecodable bytes fail as a malformed line.
@@ -357,8 +371,7 @@ def cmd_query_batch(args: argparse.Namespace) -> int:
             sys.stdin if args.pairs == "-" else open(args.pairs, errors="replace")
         )
     except OSError as exc:
-        print(f"error: {args.pairs}: {exc.strerror}", file=sys.stderr)
-        return 2
+        raise InputError(f"{args.pairs}: {exc.strerror}") from exc
     try:
         for lineno, raw in enumerate(handle, start=1):
             line = raw.strip()
@@ -367,18 +380,15 @@ def cmd_query_batch(args: argparse.Namespace) -> int:
             try:
                 source, target = map(int, line.split())
             except ValueError:
-                print(
-                    f"error: {args.pairs}:{lineno}: expected 's t', got {line!r}",
-                    file=sys.stderr,
-                )
-                return 2
+                raise InputError(
+                    f"{args.pairs}:{lineno}: expected 's t', got {line!r}"
+                ) from None
             pairs.append((source, target))
     finally:
         if handle is not sys.stdin:
             handle.close()
     if not pairs:
-        print("error: no query pairs given", file=sys.stderr)
-        return 2
+        raise InputError("no query pairs given")
 
     deadline_s = args.deadline_ms / 1000.0 if args.deadline_ms else None
     with ReachabilityService(
@@ -397,9 +407,9 @@ def cmd_query_batch(args: argparse.Namespace) -> int:
                     + (f", {outcome.detail}" if outcome.detail else "")
                     + ")"
                 )
-        counters = service.stats()["counters"]
-        derived = service.stats()["derived"]
-        positives = sum(1 for o in outcomes if o.answer)
+        stats = service.stats()
+        counters, derived = stats["counters"], stats["derived"]
+        positives = int(outcomes.answers().sum())
         print(
             f"{len(outcomes)} queries ({positives} reachable): "
             f"{counters.get('bit_waves', 0)} bit waves, "
@@ -413,7 +423,7 @@ def cmd_query_batch(args: argparse.Namespace) -> int:
 def cmd_stats(args: argparse.Namespace) -> int:
     from repro.graph.stats import summarize
 
-    graph = read_edge_list(args.graph)
+    graph = read_graph(args.graph)
     summary = summarize(graph, exact_clustering=args.exact_clustering)
     category = (
         "discernible communities"
@@ -490,7 +500,7 @@ def serve_service(args: argparse.Namespace) -> "ReachabilityService":
     """
     from repro.service import ReachabilityService
 
-    graph = read_edge_list(args.graph)
+    graph = read_graph(args.graph)
     kwargs = dict(
         num_supportive=args.supportive,
         seed=args.seed,
@@ -512,8 +522,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     try:
         service = serve_service(args)
     except JournalError as exc:
-        print(f"error: cannot resume {args.journal}: {exc}", file=sys.stderr)
-        return 2
+        raise InputError(f"cannot resume {args.journal}: {exc}") from exc
     graph = service.graph
 
     async def run() -> int:
@@ -560,11 +569,7 @@ def cmd_replica(args: argparse.Namespace) -> int:
 
     host, _, port = args.primary.rpartition(":")
     if not host or not port.isdigit():
-        print(
-            f"error: primary must be HOST:PORT, got {args.primary!r}",
-            file=sys.stderr,
-        )
-        return 2
+        raise InputError(f"primary must be HOST:PORT, got {args.primary!r}")
 
     async def run() -> int:
         node = ReplicaNode(
@@ -623,10 +628,9 @@ def cmd_chaos(args: argparse.Namespace) -> int:
             print(f"{name:<14} {specs}")
         return 0
     if not args.graph:
-        print("error: a graph file is required unless --list-plans", file=sys.stderr)
-        return 2
+        raise InputError("a graph file is required unless --list-plans")
 
-    graph = read_edge_list(args.graph)
+    graph = read_graph(args.graph)
     plan = plan_by_name(args.plan, seed=args.seed)
     ops = generate_mixed_workload(
         graph, args.ops, query_ratio=args.query_ratio, seed=args.seed
@@ -754,7 +758,11 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except InputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

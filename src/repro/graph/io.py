@@ -15,27 +15,29 @@ from __future__ import annotations
 import os
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterator, List, TextIO, Union
+from typing import Iterator, TextIO, Union
 
 from repro.graph.digraph import DynamicDiGraph
 
 PathLike = Union[str, Path]
 
 
-def _data_lines(handle: TextIO) -> Iterator[List[str]]:
-    for raw in handle:
-        line = raw.strip()
-        if not line or line.startswith(("#", "%")):
-            continue
-        yield line.replace(",", " ").split()
-
-
 def read_edge_list(path: PathLike) -> DynamicDiGraph:
-    """Read a static directed edge list into a :class:`DynamicDiGraph`."""
+    """Read a static directed edge list into a :class:`DynamicDiGraph`;
+    a line that is not an edge raises ``ValueError`` naming ``FILE:LINE``."""
     graph = DynamicDiGraph()
-    with open(path, "r", encoding="utf-8") as handle:
-        for parts in _data_lines(handle):
-            u, v = int(parts[0]), int(parts[1])
+    with open(path, "r", encoding="utf-8", errors="replace") as handle:
+        for lineno, raw in enumerate(handle, start=1):
+            line = raw.strip()
+            if not line or line.startswith(("#", "%")):
+                continue
+            parts = line.replace(",", " ").split()
+            try:
+                u, v = int(parts[0]), int(parts[1])
+            except (IndexError, ValueError):
+                raise ValueError(
+                    f"{path}:{lineno}: expected 'u v', got {line!r}"
+                ) from None
             graph.add_edge(u, v)
     return graph
 

@@ -43,12 +43,10 @@ Message types (requests -> responses):
                       clients reconnect through
 ====================  =====================================================
 
-``result`` and ``batch-result`` frames — the two that carry outcomes,
-one per point query and a thousand per batch — have an encoder of their
-own (:func:`encode_result`, :func:`encode_batch_result`) that formats
-``s`` / ``t`` / ``id`` into a memoised JSON tail instead of building a
-dict per outcome; its bytes are those of :func:`encode` over
-:func:`outcome_to_wire`.
+``result`` and ``batch-result`` frames, the two that carry outcomes,
+are written straight from a walk's outcome columns by one writer
+(:func:`encode_results`, :func:`encode_batch_result`): the bytes of
+:func:`encode` over :func:`outcome_to_wire`, with no per-row object.
 
 Vertex ids (``s``, ``t``, ``u``, ``v`` and the members of ``pairs``)
 are JSON integers. ``deadline_ms`` is a finite, non-negative JSON number
@@ -69,7 +67,7 @@ import json
 import struct
 from typing import List, Optional, Sequence, Tuple
 
-from repro.service.engine import QueryOutcome
+from repro.service.outcomes import OutcomeColumns, QueryOutcome
 
 #: Frame header: 4-byte big-endian length.
 _HEADER = struct.Struct(">I")
@@ -237,45 +235,57 @@ def _frame(body: str) -> bytes:
     return _HEADER.pack(len(data)) + data
 
 
-#: JSON text of everything in a wire outcome after ``"s"`` and ``"t"``,
-#: closing brace included, by ``(answer, confident, via, version, detail,
-#: retry_after_ms)``. A wave's outcomes share a handful of these, so a
-#: reply is mostly integer formatting. Emptied when it reaches
-#: ``_TAILS_MAX`` (versions move on; old tails never come back).
-_tails: dict = {}
-_TAILS_MAX = 1024
+#: ``"answer"`` and ``"confident"`` as JSON, by ``answer * 2 + confident``.
+_VERDICTS = tuple(
+    f',"answer":{_dumps(a)},"confident":{_dumps(c)}'
+    for a in (False, True) for c in (False, True)
+)
 
 
-def _outcome_json(outcome: QueryOutcome) -> str:
-    """``outcome_to_wire(outcome)`` as JSON text."""
-    key = (
-        outcome.answer, outcome.confident, outcome.via, outcome.version,
-        outcome.detail, outcome.retry_after_ms,
-    )
-    tail = _tails.get(key)
-    if tail is None:
-        wire = outcome_to_wire(outcome)
-        del wire["s"], wire["t"]
-        if len(_tails) >= _TAILS_MAX:
-            _tails.clear()
-        tail = _tails[key] = "," + _dumps(wire)[1:]
-    s, t = outcome.source, outcome.target
-    if type(s) is not int or type(t) is not int:
-        s, t = _dumps(s), _dumps(t)
-    return f'{{"s":{s},"t":{t}{tail}'
+def _outcomes_json(outcomes) -> List[str]:
+    """The one writer of wire outcomes: each, in request order, as the
+    JSON text of ``outcome_to_wire(outcome)`` less its opening brace.
+    Each distinct row code is formatted once; a row adds its endpoints."""
+    columns = OutcomeColumns.of(outcomes)
+    codes, ends = columns.code.tolist(), {}
+    for code in set(codes):
+        via, version, detail, retry_after_ms = columns.tails[code >> 2]
+        end = f'{_VERDICTS[code & 3]},"via":{_dumps(via)},"version":{_json(version)}'
+        if detail:
+            end += f',"detail":{_dumps(detail)}'
+        if retry_after_ms is not None:
+            end += f',"retry_after_ms":{_json(retry_after_ms)}'
+        ends[code] = end + "}"
+    # Endpoints are ints (the server admits no others), which format as JSON.
+    texts = [
+        f'"s":{s},"t":{t}{ends[code]}' for (s, t), code in zip(columns.pairs, codes)
+    ]
+    fan = columns.fan
+    return texts if fan is None else [texts[row] for row in fan]
+
+
+def encode_results(mids: Sequence, outcomes) -> List[bytes]:
+    """A ``result`` frame per outcome (columns, or :class:`QueryOutcome`
+    rows), ``mids[i]`` answering ``outcomes[i]``: the bytes of
+    ``encode({"type": RESULT, "id": mid, **outcome_to_wire(outcome)})``."""
+    head = f'{{"type":"{RESULT}","id":'
+    return [
+        _frame(f"{head}{_json(mid)},{text}")
+        for mid, text in zip(mids, _outcomes_json(outcomes))
+    ]
 
 
 def encode_result(mid, outcome: QueryOutcome) -> bytes:
-    """The ``result`` frame for one outcome: the bytes of
-    ``encode({"type": RESULT, "id": mid, **outcome_to_wire(outcome)})``."""
-    fields = _outcome_json(outcome)[1:]
-    return _frame(f'{{"type":"{RESULT}","id":{_json(mid)},{fields}')
+    """The ``result`` frame for one outcome (see :func:`encode_results`)."""
+    return encode_results((mid,), (outcome,))[0]
 
 
-def encode_batch_result(mid, outcomes: Sequence[QueryOutcome]) -> bytes:
-    """The ``batch-result`` frame for a batch's outcomes: the bytes of
-    ``encode({"type": BATCH_RESULT, "id": mid, "outcomes": [...]})``."""
-    items = ",".join(map(_outcome_json, outcomes))
+def encode_batch_result(mid, outcomes) -> bytes:
+    """The ``batch-result`` frame for a batch's outcomes (columns or a
+    sequence of :class:`QueryOutcome`): the bytes of ``encode({"type":
+    BATCH_RESULT, "id": mid, "outcomes": [...]})``."""
+    texts = _outcomes_json(outcomes)
+    items = "{" + ",{".join(texts) if texts else ""
     return _frame(
         f'{{"type":"{BATCH_RESULT}","id":{_json(mid)},"outcomes":[{items}]}}'
     )
@@ -284,12 +294,8 @@ def encode_batch_result(mid, outcomes: Sequence[QueryOutcome]) -> bytes:
 def outcome_to_wire(outcome: QueryOutcome) -> dict:
     """A :class:`QueryOutcome` as wire fields (merged into a response)."""
     wire = {
-        "s": outcome.source,
-        "t": outcome.target,
-        "answer": outcome.answer,
-        "confident": outcome.confident,
-        "via": outcome.via,
-        "version": outcome.version,
+        "s": outcome.source, "t": outcome.target, "answer": outcome.answer,
+        "confident": outcome.confident, "via": outcome.via, "version": outcome.version,
     }
     if outcome.detail:
         wire["detail"] = outcome.detail
@@ -300,6 +306,7 @@ def outcome_to_wire(outcome: QueryOutcome) -> dict:
 
 def outcome_from_wire(wire: dict) -> QueryOutcome:
     """The inverse of :func:`outcome_to_wire` (client-side decoding)."""
+    retry = wire.get("retry_after_ms")
     return QueryOutcome(
         source=int(wire["s"]),
         target=int(wire["t"]),
@@ -308,9 +315,5 @@ def outcome_from_wire(wire: dict) -> QueryOutcome:
         via=str(wire["via"]),
         version=int(wire["version"]),
         detail=str(wire.get("detail", "")),
-        retry_after_ms=(
-            int(wire["retry_after_ms"])
-            if wire.get("retry_after_ms") is not None
-            else None
-        ),
+        retry_after_ms=None if retry is None else int(retry),
     )

@@ -29,10 +29,10 @@ call:
   when batching pays most. The queries of a wave that carry
   ``deadline_ms`` run first, apart, under the tightest of them; the
   others run without one.
-* **Write.** The outcomes are encoded
-  (:func:`~repro.net.protocol.encode_result`: integers formatted into a
-  memoised JSON tail, no dict per reply), grouped by connection and
-  written with one ``transport.write`` per connection per wave.
+* **Write.** :func:`~repro.net.protocol.encode_results` writes a
+  ``result`` frame per query straight from the wave's outcome columns
+  (shed and error replies too), grouped by connection and written with
+  one ``transport.write`` per connection per wave.
 * **Backpressure.** When a connection's write buffer passes its
   high-water mark the server stops *reading* that socket until it
   drains: a client that stops reading stops being read, and nobody else
@@ -76,11 +76,12 @@ import asyncio
 import contextlib
 import math
 from collections import deque
-from typing import Deque, Dict, List, Optional, Set, Tuple, Union
+from typing import Deque, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.graph.journal import JournalGap, JournalTailer
 from repro.net import protocol
-from repro.service.engine import QueryOutcome, ReachabilityService
+from repro.service.engine import ReachabilityService
+from repro.service.outcomes import QueryOutcome
 
 #: One queued wire query: ``(s, t, deadline_s, connection, id)``.
 Item = Tuple[int, int, Optional[float], "_Connection", object]
@@ -568,28 +569,25 @@ class ReachabilityServer:
         else:
             self._answer(items, outcomes)
 
-    def _answer(self, items: List[Item], outcomes: List[QueryOutcome]) -> None:
+    def _answer(
+        self, items: List[Item], outcomes: Sequence[QueryOutcome]
+    ) -> None:
         """Reply to coalesced queries: one write per connection."""
         self._inflight -= len(items)
         by_conn: Dict[_Connection, List[bytes]] = {}
-        for (_, _, _, conn, mid), outcome in zip(items, outcomes):
-            frames = by_conn.get(conn)
-            if frames is None:
-                frames = by_conn[conn] = []
-            frames.append(protocol.encode_result(mid, outcome))
+        replies = protocol.encode_results([item[4] for item in items], outcomes)
+        for item, reply in zip(items, replies):
+            by_conn.setdefault(item[3], []).append(reply)
         for conn, frames in by_conn.items():
             conn.write(frames)
             conn.answered(len(frames))
 
     def _fail(self, items: List[Item], detail: str) -> None:
-        self._answer(
-            items, [self._error_outcome(i[0], i[1], detail) for i in items]
-        )
-
-    def _error_outcome(self, s: int, t: int, detail: str) -> QueryOutcome:
-        return QueryOutcome(
-            s, t, False, False, "error", self.service.graph.version, detail
-        )
+        version = self.service.graph.version
+        self._answer(items, [
+            QueryOutcome(i[0], i[1], False, False, "error", version, detail)
+            for i in items
+        ])
 
     # ------------------------------------------------------------------
     # Batch / update / stats

@@ -37,15 +37,14 @@ layer plus the ``|V'| + |E'|``-shaped account the per-query cost model
 from live engine-stage latency.
 
 The engine calls :func:`plan_batch` once per ladder walk, at every width
-(a point query is a batch of one): it *is* the index rungs. The rung
-order is stated once, in :mod:`repro.service.engine`'s module docstring
-— dedup, trivial verdicts, fast path, cache, labels here; then the
-deadline pre-check; then the search rungs (shard fleet, these waves,
-engine, degraded). The cache probe sits here, ahead of the shard rung,
-because a pair the fleet had to *search* would otherwise be searched
-again on every recurrence; and the planner stays the single place that
-guarantees trivial-verdict safety (``s == t``, missing endpoints) for
-whatever any later rung receives.
+(a point query is a batch of one): it *is* the index rungs (the rung
+order is stated once, in :mod:`repro.service.engine`). It creates the
+walk's :class:`~repro.service.outcomes.OutcomeColumns` and books what
+the index rungs answer into them. The cache probe sits here, ahead of
+the shard rung, because a pair the fleet had to *search* would
+otherwise be searched again on every recurrence; and the planner stays
+the single place that guarantees trivial-verdict safety (``s == t``,
+missing endpoints) for whatever any later rung receives.
 
 The columnar body
 -----------------
@@ -86,8 +85,7 @@ width  every rung abstains (pool)  fast path answers (zipf)
 =====  ==========================  ==========================
 
 Abstaining pairs cross over below 16 (a fixed ~90 us of numpy dispatch
-against ~7 us a pair); answered pairs pay the same per-pair outcome
-either way and cross over between 32 and 48.
+against ~7 us a pair); answered pairs cross over between 32 and 48.
 """
 
 from __future__ import annotations
@@ -101,6 +99,7 @@ import numpy as np
 from repro.graph.bitsearch import sweeps_for, words_for
 from repro.graph.digraph import DynamicDiGraph
 from repro.service.fastpath import RULE_ANSWERS, RULES
+from repro.service.outcomes import OutcomeColumns
 
 Pair = Tuple[int, int]
 
@@ -156,6 +155,8 @@ class Wave:
     #: The same pairs as a ``(lanes, 2)`` int64 id array, when the wave
     #: was packed from arrays: what the kernel reads in place of ``pairs``.
     ids: object = field(default=None, compare=False, repr=False)
+    #: Each lane's position in the list :func:`pack_waves` was given.
+    order: object = field(default=None, compare=False, repr=False)
 
     @property
     def words(self) -> int:
@@ -166,33 +167,30 @@ class Wave:
 class BatchPlan:
     """What the planner decided for one batch."""
 
-    #: Distinct pairs resolved without search: pair -> (answer, via, detail)
-    #: with ``via`` one of ``"fastpath"`` | ``"labels"`` | ``"cache"``.
-    resolved: Dict[Pair, Tuple[bool, str, str]] = field(default_factory=dict)
-    #: Distinct pairs that need a search, in wave order.
-    pending: List[Pair] = field(default_factory=list)
-    #: Kernel waves covering exactly ``pending``.
+    #: A row per distinct pair: the index rungs' verdicts are booked.
+    outcomes: OutcomeColumns
+    #: Rows that need a search, in wave order.
+    pending_rows: List[int] = field(default_factory=list)
+    #: Kernel waves covering exactly the pending rows' pairs.
     waves: List[Wave] = field(default_factory=list)
     #: Duplicate occurrences coalesced away (len(queries) - distinct).
     dedup_saved: int = 0
-    #: Pairs the vectorized label prefilter answered (subset of resolved).
+    #: Fast-path verdicts by rule name (trivial verdicts included).
+    rules: Dict[str, int] = field(default_factory=dict)
+    cache_hits: int = 0
+    #: Pairs the vectorized label prefilter answered.
     label_pos: int = 0
     label_neg: int = 0
 
     @property
     def prefilter_hits(self) -> int:
-        """Pairs the per-pair (fastpath/cache) prefilter resolved — label
-        verdicts are counted separately as ``label_pos``/``label_neg``."""
-        return len(self.resolved) - self.label_pos - self.label_neg
+        """Pairs the fast path or the cache answered (label verdicts are
+        counted separately as ``label_pos``/``label_neg``)."""
+        return sum(self.rules.values()) + self.cache_hits
 
 
-#: What the fast path resolves a pair to, by rule code.
-_BY_RULE = tuple(zip(RULE_ANSWERS, ("fastpath",) * len(RULES), RULES))
-_IDENTITY, _MISSING = _BY_RULE[:2]
-
-
-def _fits_int64(value) -> bool:
-    return isinstance(value, int) and -(1 << 63) <= value < (1 << 63)
+#: The fast path's verdict by rule code.
+_RULE_VERDICTS = np.array(RULE_ANSWERS, dtype=bool)
 
 
 def plan_batch(
@@ -217,7 +215,7 @@ def plan_batch(
     ``label_filter`` are then not called). The caller passes it only for
     a walk at least :data:`COLUMNAR_MIN_PAIRS` wide.
 
-    ``pack=False`` stops after the filters: ``pending`` stays in arrival
+    ``pack=False`` stops after the filters: ``pending_rows`` stay in arrival
     order and ``waves`` empty. The engine's walk plans this way — only
     its wave rung packs (:func:`pack_waves`), over what the rungs in
     between left, so pairs an earlier search rung answers are never
@@ -225,101 +223,108 @@ def plan_batch(
     """
     if max_wave_lanes < 1:
         raise ValueError("max_wave_lanes must be positive")
-    plan = BatchPlan()
-    distinct = list(dict.fromkeys(queries))
-    plan.dedup_saved = len(queries) - len(distinct)
+    plan = BatchPlan(OutcomeColumns.of_request(queries, graph.version))
+    plan.dedup_saved = len(queries) - len(plan.outcomes.pairs)
     if columns is not None:
-        _index_columns(plan, distinct, columns)
+        _index_columns(plan, columns)
     else:
-        _index_pairs(plan, distinct, graph, check, cache_get, label_filter)
+        _index_pairs(plan, graph, check, cache_get, label_filter)
     if pack:
-        plan.pending, plan.waves = pack_waves(
-            plan.pending,
+        rows, pairs = plan.pending_rows, plan.outcomes.pairs
+        plan.waves = pack_waves(
+            [pairs[row] for row in rows],
             graph=graph,
             max_wave_lanes=max_wave_lanes,
             csr=None if columns is None else columns.csr,
         )
+        plan.pending_rows = [rows[at] for wave in plan.waves for at in wave.order]
     return plan
 
 
 def _index_pairs(
     plan: BatchPlan,
-    distinct: List[Pair],
     graph: DynamicDiGraph,
     check: Optional[CheckFn],
     cache_get: Optional[CacheFn],
     label_filter: Optional[LabelFilterFn],
 ) -> None:
     """The index rungs, a pair at a time (the scalar body)."""
-    resolved, pending = plan.resolved, plan.pending
-    for pair in distinct:
-        s, t = pair
+    outcomes, rules, pending = plan.outcomes, plan.rules, plan.pending_rows
+    book = outcomes.book
+    for row, (s, t) in enumerate(outcomes.pairs):
         # Trivial verdicts first: these duplicate the pruner's own rules,
         # but the planner must guarantee them regardless of pruner health —
         # the kernels index endpoints into the CSR unconditionally.
         if s == t:
-            resolved[pair] = _IDENTITY
-            continue
-        if s not in graph or t not in graph:
-            resolved[pair] = _MISSING
-            continue
-        observed = check(s, t) if check is not None else None
-        if observed is not None:
+            answer, rule = True, "identity"
+        elif s not in graph or t not in graph:
+            answer, rule = False, "missing-endpoint"
+        else:
+            observed = check(s, t) if check is not None else None
+            if observed is None:
+                cached = cache_get(s, t) if cache_get is not None else None
+                if cached is None:
+                    pending.append(row)
+                else:
+                    book(row, cached, "cache")
+                    plan.cache_hits += 1
+                continue
             answer, rule = observed
-            resolved[pair] = (answer, "fastpath", rule)
-            continue
-        cached = cache_get(s, t) if cache_get is not None else None
-        if cached is not None:
-            resolved[pair] = (cached, "cache", "")
-            continue
-        pending.append(pair)
+        book(row, answer, "fastpath", rule)
+        rules[rule] = rules.get(rule, 0) + 1
 
     if label_filter is not None and pending:
-        verdicts = label_filter(pending)
+        verdicts = label_filter([outcomes.pairs[row] for row in pending])
         if verdicts is not None:
-            plan.pending = _label_verdicts(plan, pending, verdicts)
+            _label_verdicts(plan, np.array(pending), np.asarray(verdicts))
 
 
-def _label_verdicts(plan: BatchPlan, pending: List[Pair], verdicts) -> List[Pair]:
-    """Book the label rung's verdicts; the pairs it abstained on."""
-    survivors: List[Pair] = []
-    for pair, verdict in zip(pending, verdicts):
-        if verdict > 0:
-            plan.resolved[pair] = (True, "labels", "label-pos")
-            plan.label_pos += 1
-        elif verdict < 0:
-            plan.resolved[pair] = (False, "labels", "label-neg")
-            plan.label_neg += 1
-        else:
-            survivors.append(pair)
-    return survivors
+def _label_verdicts(plan: BatchPlan, rows, verdicts) -> None:
+    """Book the label rung's verdicts on ``rows``; the rest stay pending."""
+    outcomes = plan.outcomes
+    pos, neg = verdicts > 0, verdicts < 0
+    outcomes.book_rows(rows[pos], True, outcomes.add_tail("labels", "label-pos"))
+    outcomes.book_rows(rows[neg], False, outcomes.add_tail("labels", "label-neg"))
+    plan.label_pos += int(pos.sum())
+    plan.label_neg += int(neg.sum())
+    plan.pending_rows = rows[~(pos | neg)].tolist()
 
 
-def _index_columns(
-    plan: BatchPlan, distinct: List[Pair], columns: IndexColumns
-) -> None:
+def _book_rules(plan: BatchPlan, rows, codes) -> None:
+    """Book fast-path verdicts by rule code, tallied by rule."""
+    outcomes = plan.outcomes
+    tails = np.array([outcomes.add_tail("fastpath", rule) for rule in RULES])
+    outcomes.book_rows(rows, _RULE_VERDICTS[codes], tails[codes])
+    for rule, n in zip(RULES, np.bincount(codes, minlength=len(RULES)).tolist()):
+        if n:
+            plan.rules[rule] = plan.rules.get(rule, 0) + n
+
+
+def _index_columns(plan: BatchPlan, columns: IndexColumns) -> None:
     """The index rungs over endpoint arrays (the columnar body).
 
     Same rungs, same order, same verdicts as :func:`_index_pairs`: the
     fast path is one gather whose rule codes carry the trivial verdicts
     too (computed here from the snapshot's id table when the pruner is
-    out, so they hold whatever its health), the cache one locked pass,
-    the labels one gather over what those two left.
+    out, so they hold whatever its health) and are booked as one array
+    write, the cache one locked pass, the labels one gather over what
+    those two left.
     """
-    resolved = plan.resolved
-    flat = chain.from_iterable(distinct)
+    outcomes, pairs = plan.outcomes, plan.outcomes.pairs
+    rows = np.arange(len(pairs))
     try:
-        ids = np.fromiter(flat, dtype=np.int64, count=2 * len(distinct))
+        ids = np.fromiter(
+            chain.from_iterable(pairs), dtype=np.int64, count=2 * len(pairs)
+        )
     except (OverflowError, TypeError, ValueError):
-        # An id no int64 holds is in no snapshot: answer its pairs here.
-        kept = []
-        for pair in distinct:
-            if _fits_int64(pair[0]) and _fits_int64(pair[1]):
-                kept.append(pair)
-            else:
-                resolved[pair] = _IDENTITY if pair[0] == pair[1] else _MISSING
-        distinct = kept
-        ids = np.array(distinct, dtype=np.int64)
+        # An id no int64 holds is in no snapshot: identity or missing-endpoint.
+        fits = np.array([
+            all(isinstance(v, int) and -(1 << 63) <= v < 1 << 63 for v in pair)
+            for pair in pairs
+        ])
+        _book_rules(plan, rows[~fits], np.array([int(s != t) for s, t in pairs])[~fits])
+        rows = rows[fits]
+        ids = np.array([pairs[row] for row in rows.tolist()], dtype=np.int64)
     source, target = ids.reshape(-1, 2).T.copy()
 
     rule = None
@@ -330,30 +335,31 @@ def _index_columns(
         known = columns.csr.rows_of(source)[1] & columns.csr.rows_of(target)[1]
         rule[~known] = 1
         rule[source == target] = 0
-    live = np.flatnonzero(rule < 0)
-    if len(live) < len(distinct):
-        hit = np.flatnonzero(rule >= 0)
-        for at, code in zip(hit.tolist(), rule[hit].tolist()):
-            resolved[distinct[at]] = _BY_RULE[code]
-        distinct = [distinct[at] for at in live.tolist()]
+    hit = rule >= 0
+    if hit.any():
+        _book_rules(plan, rows[hit], rule[hit])
+        live = np.flatnonzero(~hit)
+        rows = rows[live]
+        source, target = source[live], target[live]
 
     cached = None
-    if columns.get_many is not None and distinct:
-        cached = columns.get_many(distinct)
+    if columns.get_many is not None and len(rows):
+        cached = columns.get_many([pairs[row] for row in rows.tolist()])
     if cached is not None and cached.count(None) < len(cached):
-        missed = [at for at, answer in enumerate(cached) if answer is None]
-        for pair, answer in zip(distinct, cached):
-            if answer is not None:
-                resolved[pair] = (answer, "cache", "")
-        distinct = [distinct[at] for at in missed]
-        live = live[missed]
+        answers = np.array([bool(answer) for answer in cached])
+        missed = np.array([answer is None for answer in cached])
+        outcomes.book_rows(rows[~missed], answers[~missed], outcomes.add_tail("cache"))
+        plan.cache_hits += len(cached) - int(missed.sum())
+        rows = rows[missed]
+        source, target = source[missed], target[missed]
 
     verdicts = None
-    if columns.query_many is not None and distinct:
-        verdicts = columns.query_many(source[live], target[live])
+    if columns.query_many is not None and len(rows):
+        verdicts = columns.query_many(source, target)
     if verdicts is not None and verdicts.any():
-        distinct = _label_verdicts(plan, distinct, verdicts.tolist())
-    plan.pending = distinct
+        _label_verdicts(plan, rows, verdicts)
+    else:
+        plan.pending_rows = rows.tolist()
 
 
 def pack_waves(
@@ -362,14 +368,15 @@ def pack_waves(
     graph: DynamicDiGraph,
     max_wave_lanes: int = 64,
     csr=None,
-) -> Tuple[List[Pair], List[Wave]]:
+) -> List[Wave]:
     """Pack an already-filtered pair list into kernel waves.
 
     Endpoint-sorted packing: pairs sharing a source (then target) sit in
     adjacent lanes, so their bits share words and frontier rows. Returns
-    the sorted pending list and the waves covering exactly that list —
-    the tail of :func:`plan_batch`, and what the engine's wave rung calls
-    on its survivors.
+    the waves covering exactly ``pairs`` in sorted order — the tail of
+    :func:`plan_batch`, and what the engine's wave rung calls on its
+    survivors. Each wave's ``order`` says where its lanes stood in
+    ``pairs``, so a caller books verdicts back by position.
 
     Each wave's ``lead`` is the side whose seeds fan out less — the
     frontier-balance rule the kernels apply per layer, evaluated on the
@@ -381,18 +388,20 @@ def pack_waves(
     from ``sorted`` and the graph's degree calls.
     """
     if csr is None or not pairs:
-        pending = sorted(pairs)
+        order = sorted(range(len(pairs)), key=pairs.__getitem__)
+        pending = [pairs[at] for at in order]
         waves = []
         for start in range(0, len(pending), max_wave_lanes):
             chunk = pending[start : start + max_wave_lanes]
             out_volume = sum(graph.out_degree(s) for s, _ in chunk)
             in_volume = sum(graph.in_degree(t) for _, t in chunk)
             lead = "forward" if out_volume <= in_volume else "reverse"
-            waves.append(Wave(chunk, lead))
-        return pending, waves
+            waves.append(Wave(chunk, lead, order=order[start : start + max_wave_lanes]))
+        return waves
     flat = chain.from_iterable(pairs)
     ids = np.fromiter(flat, dtype=np.int64, count=2 * len(pairs)).reshape(-1, 2)
-    ids = ids[np.lexsort((ids[:, 1], ids[:, 0]))]
+    order = np.lexsort((ids[:, 1], ids[:, 0]))
+    ids = ids[order]
     pending = list(zip(ids[:, 0].tolist(), ids[:, 1].tolist()))
     starts = np.arange(0, len(ids), max_wave_lanes)
 
@@ -401,15 +410,15 @@ def pack_waves(
         return np.add.reduceat(offsets[rows + 1] - offsets[rows], starts)
 
     forward = volume(csr.out_offsets, ids[:, 0]) <= volume(csr.in_offsets, ids[:, 1])
-    waves = [
+    return [
         Wave(
             pending[start : start + max_wave_lanes],
             "forward" if lead_forward else "reverse",
             ids[start : start + max_wave_lanes],
+            order[start : start + max_wave_lanes],
         )
         for start, lead_forward in zip(starts.tolist(), forward.tolist())
     ]
-    return pending, waves
 
 
 @dataclass(frozen=True)

@@ -39,9 +39,11 @@ could export it soundly. If it completes inside its own budget (a meet,
 or a frontier exhausted) the answer is still exact; only a budget
 overrun returns the best guess flagged ``confident=False``.
 
-Every verdict is booked by ``_Walk.book``, and the walk writes the
-cache once, still under its read lock: the confident verdicts a search
-paid for (``bitbatch``, ``engine``, ``engine-fallback``, an exact
+Every verdict is booked into the walk's
+:class:`~repro.service.outcomes.OutcomeColumns` (rule codes and a
+sweep's lanes as array writes), which ``query_batch`` returns. The walk
+writes the cache once, still under its read lock: the confident rows a
+search paid for (``bitbatch``, ``engine``, ``engine-fallback``, an exact
 ``degraded`` run, and the fleet's ``wave`` / ``cross`` pairs). The
 cache sits before the shard rung because a routed search would
 otherwise re-run on every recurrence under skewed traffic; the fleet's
@@ -105,7 +107,7 @@ Consistency model: every query observes one frozen snapshot. A walk holds
 a shared read lock for the whole pipeline (callers on different threads
 walk concurrently); updates take the write lock, mutate the graph,
 repair the pruner, journal the mutation, and advance the cache barriers.
-The version recorded in each :class:`QueryOutcome` identifies exactly
+The version recorded in each outcome identifies exactly
 which snapshot answered it, which the stress tests exploit to replay a
 BFS oracle per answered version.
 """
@@ -114,11 +116,12 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from collections import deque
+
+import numpy as np
 
 from repro.baselines.base import ReachabilityMethod
 from repro.core.budget import Budget, BudgetExceeded, PartialSearchState
@@ -141,68 +144,23 @@ from repro.service.cache import VersionedQueryCache
 from repro.service.concurrency import RWLock
 from repro.service.fastpath import FastPathPruner, UpdateEffect
 from repro.service.faults import CircuitBreaker, FaultInjector, FaultPlan
+from repro.service.outcomes import OutcomeColumns, QueryOutcome
 from repro.service.stats import ServiceStats
 from repro.shard import ShardRouter
-
-
-@dataclass(frozen=True)
-class QueryOutcome:
-    """One served query: the answer plus full provenance."""
-
-    source: int
-    target: int
-    answer: bool
-    #: ``True`` for exact answers (fast path, cache, engine, or a degraded
-    #: run that still *proved* its answer); ``False`` for the best-effort
-    #: guess of a blown budget, a shed query, or a total pipeline failure.
-    confident: bool
-    #: Which stage produced the answer:
-    #: ``"fastpath" | "labels" | "cache" | "shard" | "bitbatch" | "engine"
-    #: | "engine-fallback" | "degraded" | "shed" | "error"``. ``"bitbatch"``
-    #: marks answers from a bit-parallel sweep; ``"shed"`` a socket-layer
-    #: admission-control rejection (:mod:`repro.net.server`).
-    via: str
-    #: Graph version of the snapshot the answer is exact for.
-    version: int
-    #: Stage detail (fast-path rule name, engine termination reason,
-    #: ``retry-after-ms=N`` for shed queries, ...).
-    detail: str = ""
-    #: Structured retry hint for shed outcomes (milliseconds), derived by
-    #: admission control from the live engine-stage mean latency. Always
-    #: set on ``via="shed"`` outcomes — clients and the wire protocol
-    #: read this field, not the ``detail`` string.
-    retry_after_ms: Optional[int] = None
 
 
 class _Walk:
     """One ladder walk's state, fixed under one read-lock hold."""
 
-    __slots__ = ("version", "deadline", "outcomes", "searched", "why")
+    __slots__ = ("version", "deadline", "outcomes", "why")
 
     def __init__(self, version: int, deadline: Optional[float]) -> None:
         self.version = version
         self.deadline = deadline
-        self.outcomes: Dict[Pair, QueryOutcome] = {}
-        #: Confident verdicts a search paid for: the walk's cache write.
-        self.searched: List[Tuple[Pair, bool]] = []
+        #: The walk's outcome columns (the index rungs create them).
+        self.outcomes: Optional[OutcomeColumns] = None
         #: Why the degraded rung is answering (its detail prefix).
         self.why = ""
-
-    def book(
-        self,
-        pair: Pair,
-        answer: bool,
-        via: str,
-        detail: str,
-        confident: bool = True,
-        searched: bool = False,
-    ) -> None:
-        """The one place a ladder verdict becomes an outcome."""
-        self.outcomes[pair] = QueryOutcome(
-            pair[0], pair[1], answer, confident, via, self.version, detail
-        )
-        if searched and confident:
-            self.searched.append((pair, answer))
 
 
 #: Pairs one graph version must send to the engine rung before its CSR
@@ -625,10 +583,11 @@ class ReachabilityService:
         self,
         queries: Sequence[Tuple[int, int]],
         deadline_s: Optional[float] = None,
-    ) -> List[QueryOutcome]:
+    ) -> OutcomeColumns:
         """Serve a batch of pairs on the calling thread, in one walk.
 
-        Repeated pairs are answered once and fanned back out. Pairs no
+        Returns the walk's :class:`~repro.service.outcomes.OutcomeColumns`,
+        aligned with ``queries``. Repeated pairs are answered once. Pairs no
         index rung answers are searched by whichever rung the walk
         itself picks: :class:`~repro.service.batcher.BatchCostModel`
         compares one bit-parallel sweep's predicted cost against the
@@ -660,24 +619,17 @@ class ReachabilityService:
         on every rejection, never only in the detail string.
         """
         self._stats.incr("shed")
-        retry_ms = self.retry_after_hint_ms(backlog)
-        return QueryOutcome(
-            source,
-            target,
-            False,
-            False,
-            "shed",
-            self.graph.version,  # advisory; read without the lock
-            f"retry-after-ms={retry_ms}",
-            retry_after_ms=retry_ms,
-        )
+        ms = self.retry_after_hint_ms(backlog)
+        version = self.graph.version  # advisory; read without the lock
+        detail = f"retry-after-ms={ms}"
+        return QueryOutcome(source, target, False, False, "shed", version, detail, ms)
 
     # ------------------------------------------------------------------
     # The ladder (see the module docstring): one walk at every width
     # ------------------------------------------------------------------
     def _walk(
         self, pairs: List[Pair], deadline: Optional[float]
-    ) -> List[QueryOutcome]:
+    ) -> OutcomeColumns:
         """Walk ``pairs`` down the ladder; outcomes align with ``pairs``.
 
         The one place queries take the read lock: index rungs, deadline
@@ -705,14 +657,13 @@ class ReachabilityService:
                     survivors = rung(self, walk, survivors)
                 except Exception:
                     self._stats.incr(f"stage_errors_{stage}")
-            if walk.searched:
+            searched = walk.outcomes.cacheable()
+            if searched:
                 try:
-                    self._cache.put_many(walk.searched, walk.version)
+                    self._cache.put_many(searched, walk.version)
                 except Exception:
                     self._stats.incr("stage_errors_cache")
-        outcomes = walk.outcomes
-        self._stats.incr("queries", len(outcomes))
-        return [outcomes[pair] for pair in pairs]
+        return walk.outcomes
 
     def _index_rung(self, stage: str, probe: Callable) -> Optional[Callable]:
         """``probe`` as an index rung of one walk: ``None`` (counted) when
@@ -733,17 +684,18 @@ class ReachabilityService:
 
         return contained
 
-    def _index_rungs(self, walk: _Walk, pairs: List[Pair]) -> List[Pair]:
+    def _index_rungs(self, walk: _Walk, pairs: List[Pair]) -> List[int]:
         """The rungs that answer without a search: one ``plan_batch`` call
         (dedup, trivial verdicts, fast path, cache, one label filter).
 
         Fault points and the latency sample are per walk, not per pair:
         per-pair timers would cost as much as the probes themselves, so
         the whole pass records one sample under ``fastpath`` (which
-        dominates it). A walk at least ``COLUMNAR_MIN_PAIRS`` wide takes
-        the rungs in array form when the pruner has its view of this
-        version (:meth:`FastPathPruner.view`); there a probe that raises
-        abstains on the whole walk, not on one pair.
+        dominates it), and the counters land in one locked add. A walk at
+        least ``COLUMNAR_MIN_PAIRS`` wide takes the rungs in array form
+        when the pruner has its view of this version
+        (:meth:`FastPathPruner.view`); there a probe that raises abstains
+        on the whole walk, not on one pair.
         """
         stats, pruner, cache = self._stats, self._pruner, self._cache
         labels, label_filter = self._labels, None
@@ -787,28 +739,20 @@ class ReachabilityService:
         # pack=False: the wave rung packs what reaches it.
         plan = plan_batch(pairs, graph=self.graph, pack=False, **rungs)
         stats.observe_latency("fastpath", time.perf_counter() - start)
-        for name, count in (
-            ("batched_dedup", plan.dedup_saved),
-            ("batch_prefilter_hits", plan.prefilter_hits),
-            ("label_hits_pos", plan.label_pos),
-            ("label_hits_neg", plan.label_neg),
-            ("cache_misses", len(plan.pending)),
-        ):
-            if count:
-                stats.incr(name, count)
-        book = walk.book
-        for pair, (answer, via, detail) in plan.resolved.items():
-            if via == "fastpath":
-                stats.fastpath_hit(detail)
-            elif via == "cache":
-                stats.incr("cache_hits")
-            book(pair, answer, via, detail)
-        return plan.pending
+        walk.outcomes = plan.outcomes
+        stats.tally({
+            "queries": len(plan.outcomes.pairs), "batched_dedup": plan.dedup_saved,
+            "batch_prefilter_hits": plan.prefilter_hits,
+            "label_hits_pos": plan.label_pos, "label_hits_neg": plan.label_neg,
+            "cache_hits": plan.cache_hits, "cache_misses": len(plan.pending_rows),
+            "fastpath_hits": sum(plan.rules.values()),
+        }, plan.rules)
+        return plan.pending_rows
 
     # ------------------------------------------------------------------
-    # Search rungs: ``rung(walk, survivors) -> survivors``
+    # Search rungs: ``rung(walk, survivors) -> survivors``, as outcome rows
     # ------------------------------------------------------------------
-    def _rung_shard(self, walk: _Walk, survivors: List[Pair]) -> List[Pair]:
+    def _rung_shard(self, walk: _Walk, survivors: List[int]) -> List[int]:
         """Route survivors through the shard fleet's rules and waves.
 
         Skipped when sharding is off or the fleet is anchored at another
@@ -819,24 +763,26 @@ class ReachabilityService:
         if router is None:
             return survivors
         self._stats.incr("shard_batches")
+        pairs = walk.outcomes.pairs
         start = time.perf_counter()
         resolved, unresolved = router.execute_batch(
-            survivors,
+            [pairs[row] for row in survivors],
             deadline=walk.deadline,
             edge_ceiling=self.engine_edge_budget,
         )
         self._stats.observe_latency("shard", time.perf_counter() - start)
-        if unresolved:
-            self._stats.incr("shard_unresolved", len(unresolved))
-        if not resolved:
-            return survivors
-        self._stats.incr("shard_resolved", len(resolved))
+        self._stats.tally(
+            {"shard_unresolved": len(unresolved), "shard_resolved": len(resolved)}, {}
+        )
         # Only search verdicts earn a cache slot: a rule verdict
         # re-derives in O(1) on the next route, so caching it would just
         # evict entries that saved real work.
-        for pair, (answer, how) in resolved.items():
-            walk.book(pair, answer, "shard", how, True, how in ("wave", "cross"))
-        return [pair for pair in survivors if pair not in resolved]
+        for row in survivors:
+            if pairs[row] in resolved:
+                answer, how = resolved[pairs[row]]
+                searched = how in ("wave", "cross")
+                walk.outcomes.book(row, answer, "shard", how, True, searched)
+        return [row for row in survivors if pairs[row] not in resolved]
 
     def _shard_router(self, version: int) -> Optional["ShardRouter"]:
         """The fleet anchored at ``version``, deploying/refreshing lazily.
@@ -886,7 +832,7 @@ class ReachabilityService:
             self._router_failures = 0
             return self._router
 
-    def _rung_waves(self, walk: _Walk, survivors: List[Pair]) -> List[Pair]:
+    def _rung_waves(self, walk: _Walk, survivors: List[int]) -> List[int]:
         """Sweep the survivors in one bit-parallel BiBFS kernel call.
 
         The rung decides for itself, at every width, from what it can
@@ -896,7 +842,7 @@ class ReachabilityService:
         — any of those said no, the call failed (breaker-counted), or
         the budget expired before their lanes were decided — stay
         survivors; the engine rung's degraded hand-off owns
-        partial-answer semantics.
+        partial-answer semantics. Decided lanes are booked in one assignment.
         """
         stats = self._stats
         if self._breaker.state != "closed":
@@ -914,9 +860,12 @@ class ReachabilityService:
         if csr is None:
             stats.incr("batch_scalar_fallback")
             return survivors
-        pairs, (wave,) = pack_waves(
-            survivors, graph=self.graph, max_wave_lanes=len(survivors), csr=csr
+        outcomes = walk.outcomes
+        (wave,) = pack_waves(
+            [outcomes.pairs[row] for row in survivors], graph=self.graph,
+            max_wave_lanes=len(survivors), csr=csr,
         )
+        rows = np.asarray(survivors)[wave.order]
         budget = self._make_budget(walk.deadline)
         start = time.perf_counter()
         try:
@@ -926,48 +875,45 @@ class ReachabilityService:
             )
         except BudgetExceeded as exc:
             # Lanes decided before the budget ran out are final verdicts.
-            answers = exc.decided or [None] * len(pairs)
-            detail = f"lanes={len(pairs)} interrupted={exc.reason}"
+            answers, counts = exc.decided or [None] * len(rows), {}
+            detail = f"lanes={len(rows)} interrupted={exc.reason}"
         except Exception:
-            stats.incr("engine_failures")
-            stats.incr("batch_wave_failures")
+            stats.tally({"engine_failures": 1, "batch_wave_failures": 1}, {})
             self._breaker.record_failure()
             return survivors
         else:
             stats.observe_latency("batch", time.perf_counter() - start)
             self._breaker.record_success()
-            stats.incr("bit_waves", sweep.sweeps)
-            stats.incr("bit_words", sweep.words)
-            stats.incr("bit_lanes", sweep.lanes)
-            stats.incr("bit_layers", sweep.layers)
+            counts = {
+                "bit_waves": sweep.sweeps, "bit_words": sweep.words,
+                "bit_lanes": sweep.lanes, "bit_layers": sweep.layers,
+            }
             detail = f"lanes={sweep.lanes} layers={sweep.layers}"
-        book, left = walk.book, []
-        for pair, answer in zip(pairs, answers):
-            if answer is None:
-                left.append(pair)
-            else:
-                book(pair, answer, "bitbatch", detail, True, True)
-        stats.incr("bit_resolved", len(pairs) - len(left))
-        return left
+        done = np.array([answer is not None for answer in answers])
+        tail = outcomes.add_tail("bitbatch", detail, searched=True)
+        outcomes.book_rows(rows[done], np.array(answers)[done].astype(bool), tail)
+        counts["bit_resolved"] = int(done.sum())
+        stats.tally(counts, {})
+        return rows[~done].tolist()
 
-    def _rung_engine(self, walk: _Walk, survivors: List[Pair]) -> List[Pair]:
+    def _rung_engine(self, walk: _Walk, survivors: List[int]) -> List[int]:
         """One exact search per survivor, inline: breaker, fallback twin,
         and the degraded hand-off of an interrupted search's partial
         state all live in :meth:`_engine_stage`."""
         self._stats.incr("batch_scalar_queries", len(survivors))
         self._freeze(walk.version, len(survivors))
-        for pair in survivors:
+        for row in survivors:
             try:
-                self._engine_stage(walk, pair, self._make_budget(walk.deadline))
+                self._engine_stage(walk, row, self._make_budget(walk.deadline))
             except BudgetExceeded as exc:
                 self._stats.incr("budget_degraded")
-                self._degraded(walk, pair, exc.partial, exc.reason)
+                self._degraded(walk, row, exc.partial, exc.reason)
         return []
 
-    def _rung_degraded(self, walk: _Walk, survivors: List[Pair]) -> List[Pair]:
+    def _rung_degraded(self, walk: _Walk, survivors: List[int]) -> List[int]:
         """The last rung answers everything left (it never raises)."""
-        for pair in survivors:
-            self._degraded(walk, pair, None, walk.why)
+        for row in survivors:
+            self._degraded(walk, row, None, walk.why)
         return []
 
     #: The search rungs, in the order every surviving pair tries them.
@@ -1017,8 +963,8 @@ class ReachabilityService:
     # ------------------------------------------------------------------
     # Engine stage: budget + circuit breaker + fallback
     # ------------------------------------------------------------------
-    def _engine_stage(self, walk: _Walk, pair: Pair, budget: Optional[Budget]) -> None:
-        """Book ``pair``'s exact search behind the substrate breaker.
+    def _engine_stage(self, walk: _Walk, row: int, budget: Optional[Budget]) -> None:
+        """Book ``row``'s exact search behind the substrate breaker.
 
         The primary searches while the breaker admits it; a half-open
         probe searches the dict twin too and closes the breaker only if
@@ -1028,7 +974,7 @@ class ReachabilityService:
         budget interrupt propagates: it is no substrate failure, but a
         probe it cut short re-opens the breaker with no verdict.
         """
-        breaker = self._breaker
+        breaker, pair = self._breaker, walk.outcomes.pairs[row]
         allowed, probing = breaker.acquire()
         found = twin = None
         if allowed:
@@ -1049,15 +995,15 @@ class ReachabilityService:
             else:
                 breaker.record_success()
             if found is not None:
-                walk.book(pair, found[0], "engine", found[1], True, True)
+                walk.outcomes.book(row, found[0], "engine", found[1], True, True)
                 return
         if twin is None:
             twin = self._search(self._fallback_method(), pair, budget)
         if twin is None:
-            self._degraded(walk, pair, None, "engine-error")
+            self._degraded(walk, row, None, "engine-error")
             return
         self._stats.incr("engine_fallbacks")
-        walk.book(pair, twin[0], "engine-fallback", twin[1], True, True)
+        walk.outcomes.book(row, twin[0], "engine-fallback", twin[1], True, True)
 
     def _search(
         self, method: ReachabilityMethod, pair: Pair, budget: Optional[Budget]
@@ -1102,7 +1048,7 @@ class ReachabilityService:
     # Degraded stage
     # ------------------------------------------------------------------
     def _degraded(
-        self, walk: _Walk, pair: Pair, partial: Optional[PartialSearchState], why: str
+        self, walk: _Walk, row: int, partial: Optional[PartialSearchState], why: str
     ) -> None:
         """Budget blown (or both engine substrates down): answer cheaply.
 
@@ -1116,6 +1062,7 @@ class ReachabilityService:
         (``via="error"``) rather than raising.
         """
         start = time.perf_counter()
+        pair = walk.outcomes.pairs[row]
         self._stats.incr("degraded")
         try:
             self._fire("degraded")
@@ -1126,7 +1073,7 @@ class ReachabilityService:
             self._stats.incr("stage_errors_degraded")
             self._stats.observe_latency("degraded", time.perf_counter() - start)
             detail = f"degraded-failed:{why}" if why else "degraded-failed"
-            walk.book(pair, False, "error", detail, False)
+            walk.outcomes.book(row, False, "error", detail, False)
             return
         if partial is not None:
             self._stats.incr("degraded_resumed")
@@ -1134,7 +1081,7 @@ class ReachabilityService:
         if why:
             detail = f"{why}:{detail}"
         self._stats.observe_latency("degraded", time.perf_counter() - start)
-        walk.book(pair, answer, "degraded", detail, confident, True)
+        walk.outcomes.book(row, answer, "degraded", detail, confident, True)
 
     # ------------------------------------------------------------------
     # Introspection

@@ -110,12 +110,13 @@ class ServiceStats:
         with self._lock:
             self._counters[name] = self._counters.get(name, 0) + by
 
-    def fastpath_hit(self, rule: str) -> None:
+    def tally(self, counts: Dict[str, int], rules: Dict[str, int]) -> None:
+        """One walk's counters and fast-path verdicts by rule, one lock."""
         with self._lock:
-            self._counters["fastpath_hits"] = (
-                self._counters.get("fastpath_hits", 0) + 1
-            )
-            self._fastpath_rules[rule] = self._fastpath_rules.get(rule, 0) + 1
+            for table, adds in (self._counters, counts), (self._fastpath_rules, rules):
+                for name, by in adds.items():
+                    if by:
+                        table[name] = table.get(name, 0) + by
 
     def observe_latency(self, stage: str, seconds: float) -> None:
         with self._lock:

@@ -85,6 +85,21 @@ def random_graph(n: int, m: int, seed: int) -> DynamicDiGraph:
     return g
 
 
+def resolved(plan):
+    """A plan's index-rung verdicts: pair -> (answer, via, detail)."""
+    outcomes, pending = plan.outcomes, set(plan.pending_rows)
+    booked = [row for row in range(len(outcomes.pairs)) if row not in pending]
+    return {
+        (o.source, o.target): (o.answer, o.via, o.detail)
+        for o in map(outcomes.row, booked)
+    }
+
+
+def pending(plan):
+    """A plan's pairs that need a search, in its order."""
+    return [plan.outcomes.pairs[row] for row in plan.pending_rows]
+
+
 def force_waves(svc):
     """Make ``svc``'s wave rung sweep whatever reaches it.
 

@@ -31,7 +31,7 @@ from repro.graph.traversal import is_reachable_bfs
 from repro.service import ReachabilityService
 from repro.service.batcher import BatchCostModel, pack_waves, plan_batch
 from repro.service.faults import FaultPlan, FaultSpec
-from tests.conftest import force_waves
+from tests.conftest import force_waves, pending, resolved
 
 pytestmark = pytest.mark.bitparallel
 
@@ -42,6 +42,7 @@ def _random_pairs(graph, count, rng, include_edge_cases=True):
         pairs[0] = (vs[0], vs[0])  # identity
         pairs[1] = pairs[2]  # guaranteed duplicate
     return pairs
+
 
 
 def _graph_family(name, seed):
@@ -381,9 +382,9 @@ class TestBatchPlanner:
             [(0, 2), (0, 2), (1, 1), (0, 99), (2, 0)], graph=graph
         )
         assert plan.dedup_saved == 1
-        assert plan.resolved[(1, 1)] == (True, "fastpath", "identity")
-        assert plan.resolved[(0, 99)] == (False, "fastpath", "missing-endpoint")
-        assert set(plan.pending) == {(0, 2), (2, 0)}
+        assert resolved(plan)[(1, 1)] == (True, "fastpath", "identity")
+        assert resolved(plan)[(0, 99)] == (False, "fastpath", "missing-endpoint")
+        assert set(pending(plan)) == {(0, 2), (2, 0)}
 
     def test_prefilter_callables_drain_pairs(self):
         graph = DynamicDiGraph(edges=[(0, 1), (1, 2), (2, 3)])
@@ -393,9 +394,9 @@ class TestBatchPlanner:
             check=lambda s, t: (True, "rule") if (s, t) == (0, 2) else None,
             cache_get=lambda s, t: False if (s, t) == (1, 3) else None,
         )
-        assert plan.resolved[(0, 2)] == (True, "fastpath", "rule")
-        assert plan.resolved[(1, 3)] == (False, "cache", "")
-        assert plan.pending == [(0, 3)]
+        assert resolved(plan)[(0, 2)] == (True, "fastpath", "rule")
+        assert resolved(plan)[(1, 3)] == (False, "cache", "")
+        assert pending(plan) == [(0, 3)]
         assert plan.prefilter_hits == 2
 
     def test_waves_slice_sorted_pending(self):
@@ -415,11 +416,12 @@ class TestBatchPlanner:
         )
         pairs = [(i, (i + 3) % 10) for i in reversed(range(10))]
         plan = plan_batch(pairs, graph=graph, max_wave_lanes=4, pack=False)
-        assert plan.pending == pairs  # arrival order, not sorted
+        assert pending(plan) == pairs  # arrival order, not sorted
         assert plan.waves == []
-        pending, waves = pack_waves(plan.pending, graph=graph, max_wave_lanes=4)
+        waves = pack_waves(pending(plan), graph=graph, max_wave_lanes=4)
         packed = plan_batch(pairs, graph=graph, max_wave_lanes=4)
-        assert (pending, waves) == (packed.pending, packed.waves)
+        assert waves == packed.waves
+        assert [pair for wave in waves for pair in wave.pairs] == pending(packed)
 
     @pytest.mark.parametrize("stride", [1, 7], ids=["ids-are-rows", "sparse-ids"])
     def test_packing_from_a_snapshot_is_the_same_packing(self, stride):
@@ -441,13 +443,14 @@ class TestBatchPlanner:
             plain = pack_waves(pairs, graph=graph, max_wave_lanes=lanes)
             packed = pack_waves(pairs, graph=graph, max_wave_lanes=lanes, csr=csr)
             assert packed == plain
-            for wave in packed[1]:
+            for wave in packed:
                 assert list(map(tuple, wave.ids.tolist())) == wave.pairs
-        wave = packed[1][0]
+                assert [pairs[at] for at in wave.order] == wave.pairs
+        wave = packed[0]
         by_ids, _ = csr_bit_bibfs(csr, wave.ids, lead=wave.lead)
         by_pairs, _ = csr_bit_bibfs(csr, wave.pairs, lead=wave.lead)
         assert by_ids == by_pairs
-        assert pack_waves([], graph=graph, csr=csr) == ([], [])
+        assert pack_waves([], graph=graph, csr=csr) == []
 
     def test_cost_model_cutover_is_monotone(self):
         model = BatchCostModel()

@@ -67,6 +67,45 @@ class TestQueryBatch:
         assert capsys.readouterr().err.startswith(f"error: {missing}: ")
 
 
+class TestGraphFileErrors:
+    """A graph file that cannot be opened, or one with a line that is not
+    an edge, ends every command that reads one with one ``error:
+    FILE[:LINE]: ...`` line and exit 2, not a traceback."""
+
+    COMMANDS = {
+        "query": ["0", "1"],
+        "query-batch": ["{pairs}"],
+        "stats": [],
+        "serve": ["--port", "0", "--max-seconds", "0"],
+        "chaos": ["--ops", "10"],
+    }
+
+    def run(self, command, graph, tmp_path):
+        pairs = tmp_path / "pairs.txt"
+        pairs.write_text("0 1\n")
+        extra = [arg.format(pairs=pairs) for arg in self.COMMANDS[command]]
+        return main([command, str(graph)] + extra)
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_a_missing_graph_file_exits_two_naming_it(
+        self, command, tmp_path, capsys
+    ):
+        missing = tmp_path / "absent.txt"
+        assert self.run(command, missing, tmp_path) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {missing}: No such file or directory\n"
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_a_malformed_graph_line_exits_two_naming_it(
+        self, command, tmp_path, capsys
+    ):
+        graph = tmp_path / "g.txt"
+        graph.write_text("# n=3\n0 1\n0 x\n1 2\n")
+        assert self.run(command, graph, tmp_path) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {graph}:3: expected 'u v', got '0 x'\n"
+
+
 class TestStats:
     def test_stats_output(self, graph_file, capsys):
         assert main(["stats", graph_file, "--exact-clustering"]) == 0
@@ -459,14 +498,14 @@ class TestKnobCensus:
         import repro.service.engine as engine
 
         with open(engine.__file__, encoding="utf-8") as handle:
-            assert sum(1 for _ in handle) <= 1276, self.RATCHET
+            assert sum(1 for _ in handle) <= 1223, self.RATCHET
 
     def test_src_lines(self):
         lines = sum(
             len(path.read_text(encoding="utf-8").splitlines())
             for path in (ROOT / "src").rglob("*.py")
         )
-        assert lines <= 19_511, self.RATCHET
+        assert lines <= 19_610, self.RATCHET
 
     def test_cli_flags(self):
         def flags(parser):

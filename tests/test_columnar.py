@@ -248,6 +248,29 @@ def test_every_width_walks_to_the_same_outcomes_and_counters(
         assert seen[width] == seen[1], width
 
 
+@pytest.mark.parametrize("width", WIDTHS[:3])
+def test_the_fast_path_tally_is_one_add_per_walk(width, monkeypatch):
+    """A walk adds its fast-path verdicts to the stats once, by rule,
+    under one lock, whichever body ran: ``fastpath_hits`` and
+    ``fastpath_rules`` are what the walks answered, rule for rule."""
+    monkeypatch.setattr(labels_module, "LABEL_BITS", 64)
+    graph = random_graph(300, 450, seed=11)
+    pairs = _distinct_pairs(300, 480, seed=5)
+    with _service(graph, waves=False) as svc:
+        tally, adds = svc._stats.tally, []
+        monkeypatch.setattr(
+            svc._stats, "tally", lambda *args: (adds.append(args), tally(*args))
+        )
+        outcomes = _walks(svc, pairs, width)
+        stats = svc.stats()
+        assert bool(svc.pruner.view_builds) == (width >= COLUMNAR_MIN_PAIRS)
+    rules = Counter(o.detail for o in outcomes if o.via == "fastpath")
+    assert len(rules) >= 3 and {o.via for o in outcomes} > {"fastpath"}
+    assert stats["fastpath_rules"] == dict(rules)
+    assert stats["counters"]["fastpath_hits"] == sum(rules.values())
+    assert len(adds) == -(-len(pairs) // width)
+
+
 @pytest.mark.parametrize("width", WIDTHS[1:])
 def test_both_bodies_agree_on_frames_with_duplicates(width, monkeypatch):
     """The same frames — repeats inside and across them — through the

@@ -476,7 +476,7 @@ class TestFallbackSharesNoKernel:
                 for outcome in (a, b):
                     assert outcome.answer == truth and outcome.confident
                     assert outcome.via in ("engine-fallback", "fastpath", "cache")
-            assert {o.via for o in point + batch} >= {"engine-fallback"}
+            assert {o.via for o in point + list(batch)} >= {"engine-fallback"}
             assert service.stats()["counters"].get("engine_failures", 0) == 0
 
     def test_half_open_probe_completes_without_kernels(self):

@@ -23,9 +23,10 @@ from repro.service import ReachabilityService
 from repro.service.batcher import plan_batch
 from repro.service.faults import FaultPlan, FaultSpec, plan_by_name
 
-from tests.conftest import force_waves, random_graph
+from tests.conftest import force_waves, pending, random_graph, resolved
 
 pytestmark = pytest.mark.labels
+
 
 
 @pytest.fixture
@@ -383,10 +384,10 @@ class TestPlanBatch:
             return [verdict[p] for p in pending]
 
         plan = plan_batch(pairs, graph=graph, label_filter=fake_filter)
-        assert plan.resolved[(0, 5)] == (True, "labels", "label-pos")
-        assert plan.resolved[(5, 0)] == (False, "labels", "label-neg")
-        assert plan.resolved[(0, 11)] == (False, "labels", "label-neg")
-        assert plan.pending == [(1, 4)]
+        assert resolved(plan)[(0, 5)] == (True, "labels", "label-pos")
+        assert resolved(plan)[(5, 0)] == (False, "labels", "label-neg")
+        assert resolved(plan)[(0, 11)] == (False, "labels", "label-neg")
+        assert pending(plan) == [(1, 4)]
         assert plan.label_pos == 1 and plan.label_neg == 2
         assert plan.prefilter_hits == 0  # labels counted separately
 
@@ -395,8 +396,8 @@ class TestPlanBatch:
         plan = plan_batch(
             [(0, 2), (2, 0)], graph=graph, label_filter=lambda pairs: None
         )
-        assert not plan.resolved
-        assert sorted(plan.pending) == [(0, 2), (2, 0)]
+        assert not resolved(plan)
+        assert sorted(pending(plan)) == [(0, 2), (2, 0)]
 
 
 # ----------------------------------------------------------------------

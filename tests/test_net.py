@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import random
 import socket
 import threading
 
@@ -1124,3 +1125,56 @@ def test_a_bad_deadline_in_a_burst_fails_alone():
     assert counters["net_request_errors"] == 2
     assert counters["net_coalesced_waves"] == 2  # {d} timed, {b, e} not
     assert counters["net_coalesced_queries"] == 3
+
+
+# ----------------------------------------------------------------------
+# Outcomes as columns: no per-pair object between socket and socket
+# ----------------------------------------------------------------------
+def test_a_served_frame_builds_no_outcome_object(monkeypatch):
+    """From a request frame to its reply bytes the server builds no
+    ``QueryOutcome``: a searched 1 024-pair ``batch`` frame on the sparse
+    benchmark family, and a coalesced point wave the fast path answers,
+    are both encoded from the walk's outcome columns."""
+    from repro.datasets.scale_free import preferential_attachment_graph
+    from repro.service.engine import QueryOutcome
+
+    graph = preferential_attachment_graph(3000, 3, reciprocal=0.02, seed=3)
+    rng = random.Random(5)
+    verts = sorted(graph.vertices())
+    frame = [(rng.choice(verts), rng.choice(verts)) for _ in range(1024)]
+    built = []
+    init = QueryOutcome.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    async def scenario():
+        with ReachabilityService(graph) as service:
+            hot = [p for p in frame if service.pruner.check(*p) is not None][:32]
+            async with serving(service, coalesce_delay_s=0.05) as server:
+                raw = await RawClient.open(server)
+                monkeypatch.setattr(QueryOutcome, "__init__", counting)
+                raw.transport.write(protocol.encode(
+                    {"type": "batch", "id": "frame", "pairs": frame}
+                ))
+                await wait_until(lambda: len(raw.replies) == 1)
+                raw.transport.write(query_frames(hot))
+                await wait_until(lambda: len(raw.replies) == 1 + len(hot))
+                monkeypatch.undo()
+                raw.transport.abort()
+            counters = service.stats()["counters"]
+            return raw.by_id(), hot, counters, server.counters
+
+    replies, hot, counters, net = run(scenario())
+    assert built == []
+    assert counters["bit_waves"] >= 1 and counters["bit_resolved"] > 0
+    assert net["net_coalesced_waves"] == 1 and len(hot) == 32
+    outcomes = replies["frame"]["outcomes"]
+    assert [(o["s"], o["t"]) for o in outcomes] == frame
+    assert {o["via"] for o in outcomes} >= {"bitbatch", "fastpath"}
+    for (s, t), o in zip(frame, outcomes):
+        assert o["answer"] == is_reachable_bfs(graph, s, t)
+    for i, (s, t) in enumerate(hot):
+        assert replies[i]["via"] == "fastpath"
+        assert replies[i]["answer"] == is_reachable_bfs(graph, s, t)

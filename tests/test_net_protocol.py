@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from repro.net import protocol
 from repro.service.engine import QueryOutcome
+from repro.service.outcomes import OutcomeColumns
 
 
 def _reader_with(data: bytes, eof: bool = True) -> asyncio.StreamReader:
@@ -146,13 +147,76 @@ def test_outcome_encoder_is_byte_identical_to_the_generic_one(mid, outcomes):
         assert protocol.outcome_from_wire(_read(frame)) == outcome
 
 
-def test_outcome_encoder_memo_is_bounded():
-    """A version bump per frame (a writer beside the readers) mints a new
-    tail per frame; the memo is emptied, not grown."""
-    for version in range(10_000):
+#: Every rung and reply kind an outcome can come from.
+_VIAS = (
+    "fastpath", "labels", "cache", "bitbatch", "engine", "engine-fallback",
+    "degraded", "error", "shed",
+)
+
+
+@st.composite
+def _walk_columns(draw):
+    """A walk's outcome columns, booked the way the rungs book them:
+    every via (a shed row with its retry hint), empty and non-empty
+    details, repeated pairs and ids beyond int64, a sweep's rows in one
+    assignment."""
+    version = draw(st.integers(0, 2**40))
+    pool = draw(st.lists(
+        st.tuples(st.integers(-(2**70), 2**70), st.integers(-(2**70), 2**70)),
+        min_size=len(_VIAS), max_size=16, unique=True,
+    ))
+    request = pool + draw(st.lists(st.sampled_from(pool), max_size=16))
+    columns = OutcomeColumns.of_request(draw(st.permutations(request)), version)
+    vias = list(_VIAS) + draw(
+        st.lists(st.sampled_from(_VIAS), min_size=len(pool), max_size=len(pool))
+    )
+    swept = []
+    for row, via in zip(range(len(columns.pairs)), vias):
+        if via == "shed":  # an unconfident False with its retry hint
+            retry_ms = draw(st.integers(0, 10**6))
+            detail = f"retry-after-ms={retry_ms}"
+            tail = columns.add_tail(via, detail, False, version, retry_ms)
+            columns.code[row] = 4 * tail
+        elif via == "bitbatch":
+            swept.append(row)
+        else:
+            answer, confident = draw(st.booleans()), draw(st.booleans())
+            columns.book(row, answer, via, draw(_details), confident)
+    answers = draw(st.lists(st.booleans(), min_size=len(swept), max_size=len(swept)))
+    columns.book_rows(swept, answers, columns.add_tail("bitbatch", "lanes=3 layers=2"))
+    return columns
+
+
+@settings(max_examples=100, deadline=None)
+@given(mid=_ids, columns=_walk_columns())
+def test_column_encoder_is_byte_identical_over_walks_mixing_every_via(mid, columns):
+    rows = list(columns)
+    assert {row.via for row in rows} == set(_VIAS)
+    assert protocol.encode_batch_result(mid, columns) == protocol.encode({
+        "type": protocol.BATCH_RESULT,
+        "id": mid,
+        "outcomes": [protocol.outcome_to_wire(row) for row in rows],
+    })
+    mids = [mid] + list(range(1, len(rows)))
+    frames = protocol.encode_results(mids, columns)
+    assert len(frames) == len(rows)
+    for at, (frame, row) in enumerate(zip(frames, rows)):
+        assert frame == protocol.encode({
+            "type": protocol.RESULT,
+            "id": mids[at],
+            **protocol.outcome_to_wire(row),
+        })
+
+
+def test_a_shed_outcome_round_trips_through_the_result_encoder():
+    """The encoder keeps no state between frames (its tail table lives in
+    the columns it is handed), and a shed outcome's retry hint survives
+    the round trip."""
+    for version in (0, 1, 2**40):
         outcome = QueryOutcome(1, 2, True, True, "fastpath", version, "same-scc")
-        protocol.encode_result(version, outcome)
-        assert len(protocol._tails) <= protocol._TAILS_MAX
+        assert protocol.outcome_from_wire(
+            _read(protocol.encode_result(version, outcome))
+        ) == outcome
     shed = QueryOutcome(1, 2, False, False, "shed", 3, "retry-after-ms=5", 5)
     assert protocol.outcome_from_wire(_read(protocol.encode_result(0, shed))) == shed
 

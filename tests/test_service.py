@@ -361,6 +361,37 @@ class TestReachabilityService:
             assert [o.answer for o in outcomes] == [True, True, False, True]
             assert svc.stats()["counters"]["batched_dedup"] == 2
 
+    @pytest.mark.parametrize("floor", [1, 1 << 30], ids=["columnar", "scalar"])
+    def test_queries_counts_a_batchs_distinct_pairs(
+        self, diamond_graph, monkeypatch, floor
+    ):
+        """``queries`` counts each distinct pair a walk answers once, as
+        ``batched_dedup`` counts the repeats, in either index body."""
+        monkeypatch.setattr(engine, "COLUMNAR_MIN_PAIRS", floor)
+        with ReachabilityService(diamond_graph) as svc:
+            svc.graph.csr()
+            svc.query_batch([(0, 3), (0, 3), (1, 2), (0, 3)])
+            counters = svc.stats()["counters"]
+            assert (counters["queries"], counters["batched_dedup"]) == (2, 2)
+            assert bool(svc.pruner.view_builds) == (floor == 1)
+
+    def test_a_fleet_call_that_raises_still_counts_its_batch(self):
+        """``shard_batches`` counts the calls made, not the ones that
+        returned: a raising fleet is counted, then contained."""
+
+        class RaisingRouter:
+            def execute_batch(self, pairs, **kwargs):
+                raise RuntimeError("fleet down")
+
+        graph = random_graph(60, 90, seed=4)
+        with ReachabilityService(graph, num_supportive=0, use_labels=False) as svc:
+            svc._shards = 2
+            svc._shard_router = lambda version: RaisingRouter()
+            outcomes = svc.query_batch([(s, t) for s in range(20) for t in range(20)])
+            counters = svc.stats()["counters"]
+        assert counters["stage_errors_shard"] == counters["shard_batches"] == 1
+        assert all(o.via != "shard" for o in outcomes)
+
     def test_outcome_version_identifies_snapshot(self, line_graph):
         with ReachabilityService(line_graph, num_supportive=0) as svc:
             v0 = svc.graph.version
