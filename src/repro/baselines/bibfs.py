@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import List, Optional, Set, Tuple
 
 from repro.baselines.base import ReachabilityMethod
-from repro.core.budget import Budget, BudgetExceeded, PartialSearchState
+from repro.core.budget import Budget
 from repro.core.stats import QueryStats
 from repro.graph import kernels
 from repro.graph.digraph import DynamicDiGraph
@@ -36,10 +36,8 @@ def bibfs_is_reachable(
     pure-Python loop: the serving breaker's verdict probe and the e2e
     oracle need a BiBFS that shares no kernel with what they check.
 
-    ``budget`` is checkpointed once per layer. On the dict path a raise
-    carries the current visited sets and frontiers as ``exc.partial``
-    (plain BiBFS has no overlay, so the export is always sound); the
-    kernel path's masks are kernel-local and abandoned on a raise.
+    ``budget`` is checkpointed once per layer; a raise abandons the
+    search on either path, and nothing of its state is handed on.
     """
     if stats is None:
         stats = QueryStats()
@@ -73,17 +71,7 @@ def bibfs_is_reachable(
             total = stats.bibfs_edge_accesses - base
             delta = total - charged
             charged = total
-            try:
-                budget.checkpoint(delta)
-            except BudgetExceeded as exc:
-                if exc.partial is None:
-                    exc.partial = PartialSearchState(
-                        fwd_visited=set(visited_f),
-                        rev_visited=set(visited_r),
-                        fwd_frontier=list(frontier_f),
-                        rev_frontier=list(frontier_r),
-                    )
-                raise
+            budget.checkpoint(delta)
         met, frontier_f = _expand(
             graph, frontier_f, visited_f, visited_r, True, stats
         )

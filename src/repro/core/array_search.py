@@ -61,7 +61,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.core.budget import Budget, BudgetExceeded, PartialSearchState
+from repro.core.budget import Budget
 from repro.core.contraction import ContractionOutcome
 from repro.core.params import ORDER_GREEDY, PUSH_FORWARD, ResolvedParams
 from repro.core.stats import QueryStats
@@ -286,30 +286,6 @@ class ArraySearchContext:
             started,
         )
 
-    # ------------------------------------------------------------------
-    # Partial-state export for the degraded bounded search
-    # ------------------------------------------------------------------
-    def export_state(self) -> Optional[PartialSearchState]:
-        """The interrupted search state, if soundly exportable.
-
-        Mirrors :meth:`repro.core.state.SearchContext.export_state`:
-        only contraction-free queries export (``remap`` materializes on
-        the first contraction, so ``remap is None`` is exactly the
-        contraction-free condition), translated back to original vertex
-        ids through the snapshot's id table.
-        """
-        if self.remap is not None:
-            return None
-        ids = self.snapshot.vertex_ids
-        n = self.n_base
-        fwd, rev = self.fwd, self.rev
-        return PartialSearchState(
-            fwd_visited=set(ids[np.flatnonzero(fwd.visited[:n])].tolist()),
-            rev_visited=set(ids[np.flatnonzero(rev.visited[:n])].tolist()),
-            fwd_frontier=ids[_handoff_frontier(fwd)].tolist(),
-            rev_frontier=ids[_handoff_frontier(rev)].tolist(),
-        )
-
 
 # ----------------------------------------------------------------------
 # Alg. 3 — one guided drain
@@ -466,18 +442,7 @@ def array_frontier_bibfs(ctx: ArraySearchContext, stats: QueryStats) -> bool:
         if budget is not None:
             delta = accesses - charged
             charged = accesses
-            try:
-                budget.checkpoint(delta)
-            except BudgetExceeded as exc:
-                stats.bibfs_edge_accesses += accesses
-                stats.used_kernel = True
-                if exc.partial is None and ctx.remap is None:
-                    # Both frontiers are exact at the loop head (every
-                    # prior layer was fully enumerated), so they — not
-                    # the stale cand/explored arrays — are the sound
-                    # resumable state. Contracted queries export nothing.
-                    exc.partial = _export_bibfs_partial(ctx, cur_f, cur_r)
-                raise
+            budget.checkpoint(delta)
         met, cur_f, acc = _expand_overlay(ctx, fwd, cur_f, rev.visited)
         accesses += acc
         if met:
@@ -493,22 +458,6 @@ def array_frontier_bibfs(ctx: ArraySearchContext, stats: QueryStats) -> bool:
     stats.bibfs_edge_accesses += accesses
     stats.used_kernel = True
     return met
-
-
-def _export_bibfs_partial(ctx, cur_f, cur_r) -> PartialSearchState:
-    """Partial state at an array-BiBFS layer boundary (original ids).
-
-    Only called when ``ctx.remap is None``, so every visited index and
-    frontier entry is a real compacted vertex (< ``n_base``).
-    """
-    ids = ctx.snapshot.vertex_ids
-    n = ctx.n_base
-    return PartialSearchState(
-        fwd_visited=set(ids[np.flatnonzero(ctx.fwd.visited[:n])].tolist()),
-        rev_visited=set(ids[np.flatnonzero(ctx.rev.visited[:n])].tolist()),
-        fwd_frontier=ids[cur_f].tolist(),
-        rev_frontier=ids[cur_r].tolist(),
-    )
 
 
 def _handoff_frontier(state: ArrayDirectionState):

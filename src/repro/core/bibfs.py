@@ -51,8 +51,6 @@ def frontier_bibfs(
         # is disjoint from the other side — no future layer can meet it.
         while cur_f and cur_r:
             if budget is not None:
-                # Layer boundaries keep explored consistent with the
-                # enumerated adjacency, so a raise here exports soundly.
                 delta = accesses - charged
                 charged = accesses
                 budget.checkpoint(delta)

@@ -11,11 +11,9 @@ This module makes every search phase interruptible at safe points:
   interval, per BiBFS layer, per main-loop round — where their state is
   consistent. A search with neither limit gets no budget at all
   (``budget=None``) and never checkpoints.
-* A tripped checkpoint raises :class:`BudgetExceeded`. The raiser (or the
-  engine's ``query_with_stats``) attaches a :class:`PartialSearchState`
-  when the interrupted search state is soundly exportable, so the
-  service's degraded bounded search can resume from the explored
-  frontier instead of restarting from the endpoints.
+* A tripped checkpoint raises :class:`BudgetExceeded`, which ends the
+  search: nothing of its state is handed on. The service's degraded
+  rung restarts a bounded search from the endpoints.
 
 Checkpoints are cooperative: a phase that never checkpoints (a single
 numpy sweep, a contraction pass) simply runs to its own internal bound
@@ -27,51 +25,23 @@ without creating an import cycle.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import List, Optional, Set
-
-
-@dataclass
-class PartialSearchState:
-    """The soundly exportable remains of an interrupted search.
-
-    Invariant: every vertex in a visited set is genuinely reachable from
-    (forward) / can reach (reverse) its endpoint, and every visited vertex
-    whose adjacency was not fully enumerated appears in the matching
-    frontier. A bidirectional search seeded with these sets therefore
-    proves exactly the same answers a fresh one would — it just starts
-    closer to the goal. Contracted queries (overlay non-empty) are *not*
-    exportable and hand over ``None`` instead.
-    """
-
-    fwd_visited: Set[int] = field(default_factory=set)
-    rev_visited: Set[int] = field(default_factory=set)
-    fwd_frontier: List[int] = field(default_factory=list)
-    rev_frontier: List[int] = field(default_factory=list)
+from typing import List, Optional
 
 
 class BudgetExceeded(Exception):
     """Raised at a checkpoint once a budget dimension is exhausted.
 
-    ``reason`` is ``"deadline" | "edge-budget"``;
-    ``partial`` carries the interrupted search state when the raiser could
-    export it soundly (``None`` otherwise). A batch kernel sets
-    ``decided`` instead: one entry per pair of its batch, the final
-    verdict of a lane resolved before the interrupt, ``None`` otherwise.
+    ``reason`` is ``"deadline" | "edge-budget"``. A batch kernel sets
+    ``decided``: one entry per pair of its batch, the final verdict of a
+    lane resolved before the interrupt, ``None`` otherwise.
     """
 
     decided: Optional[List[Optional[bool]]] = None
 
-    def __init__(
-        self,
-        reason: str,
-        spent: int = 0,
-        partial: Optional[PartialSearchState] = None,
-    ) -> None:
+    def __init__(self, reason: str, spent: int = 0) -> None:
         super().__init__(f"search budget exceeded ({reason}, {spent} edge accesses)")
         self.reason = reason
         self.spent = spent
-        self.partial = partial
 
 
 class Budget:

@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import heapq
 
-from repro.core.budget import BudgetExceeded
 from repro.core.params import ORDER_GREEDY, PUSH_FORWARD
 from repro.core.state import DirectionState, SearchContext
 from repro.core.stats import QueryStats
@@ -78,9 +77,7 @@ def guided_search(
     )
 
     # Cooperative interruption: charge accrued edge accesses and test the
-    # budget every ``BUDGET_CHECK_INTERVAL`` pushes. Residue/visited/
-    # explored are consistent at every push boundary, so raising here
-    # leaves state the degraded search can be seeded from.
+    # budget every ``BUDGET_CHECK_INTERVAL`` pushes; a raise ends the query.
     budget = ctx.budget
     check_interval = BUDGET_CHECK_INTERVAL
     charged = 0
@@ -152,12 +149,7 @@ def guided_search(
             break
         pushes += 1
         if budget is not None and pushes % check_interval == 0:
-            try:
-                budget.checkpoint(edge_accesses - charged)
-            except BudgetExceeded:
-                stats.guided_edge_accesses += edge_accesses
-                stats.push_operations += pushes
-                raise
+            budget.checkpoint(edge_accesses - charged)
             charged = edge_accesses
         if u not in explored:
             explored.add(u)

@@ -34,7 +34,7 @@ from repro.core.array_search import (
     array_guided_search,
 )
 from repro.core.bibfs import frontier_bibfs
-from repro.core.budget import Budget, BudgetExceeded
+from repro.core.budget import Budget
 from repro.core.contraction import ContractionOutcome, community_contraction
 from repro.core.cost import CostModel
 from repro.core.guided import guided_search
@@ -103,10 +103,8 @@ class IFCA:
 
         ``budget``, when given, is checkpointed cooperatively at drain,
         layer, and round boundaries. An exhausted budget raises
-        :class:`~repro.core.budget.BudgetExceeded` with ``exc.partial``
-        set to the sound resumable search state when one exists
-        (contraction-free queries only) and ``exc.query_stats`` holding
-        the counters accrued up to the interrupt.
+        :class:`~repro.core.budget.BudgetExceeded`, which ends the query:
+        neither its search state nor its counters are handed on.
         """
         stats = QueryStats()
         if source == target:
@@ -135,70 +133,61 @@ class IFCA:
                 self.graph.num_vertices, self.graph.num_edges, params.epsilon_init
             )
         )
-        ctx = None
-        try:
-            if immediate:
-                stats.rounds = 1
-                stats.switched_to_bibfs = True
-                met = bibfs_is_reachable(
-                    self.graph,
-                    source,
-                    target,
-                    stats,
-                    use_kernels=params.use_kernels,
-                    budget=budget,
-                )
-                return self._finish(stats, met, "bibfs")
-
-            # One substrate per query: with ``use_kernels`` on and a
-            # current-version snapshot already frozen, every phase (drains,
-            # contraction, hand-off) runs on the array twins; otherwise —
-            # the switch off, or a mid-churn graph whose snapshot is stale
-            # — every phase runs on the dict twins, even if the version is
-            # frozen mid-query.
-            ctx = self._make_context(params, source, target, budget)
-            if isinstance(ctx, ArraySearchContext):
-                stats.used_push_kernel = True
-                guided, contract = array_guided_search, array_community_contraction
-            else:
-                guided, contract = guided_search, community_contraction
-
-            while True:
-                stats.rounds += 1
-                if self._should_switch(ctx, cost_model, stats.rounds, params):
-                    break
-                if guided(ctx, ctx.fwd, stats):
-                    return self._finish(stats, True, "guided")
-                outcome = contract(ctx, ctx.fwd, stats)
-                if outcome is ContractionOutcome.MEET:
-                    return self._finish(stats, True, "contraction")
-                if outcome is ContractionOutcome.EXHAUSTED:
-                    return self._finish(stats, False, "exhausted")
-                if guided(ctx, ctx.rev, stats):
-                    return self._finish(stats, True, "guided")
-                outcome = contract(ctx, ctx.rev, stats)
-                if outcome is ContractionOutcome.MEET:
-                    return self._finish(stats, True, "contraction")
-                if outcome is ContractionOutcome.EXHAUSTED:
-                    return self._finish(stats, False, "exhausted")
-                ctx.epsilon_cur = max(ctx.epsilon_cur / params.step, EPSILON_FLOOR)
-
-            # BiBFS takes over from the frontiers (Alg. 2 lines 18-20).
+        if immediate:
+            stats.rounds = 1
             stats.switched_to_bibfs = True
-            if isinstance(ctx, ArraySearchContext):
-                met = array_frontier_bibfs(ctx, stats)
-            else:
-                met = frontier_bibfs(
-                    ctx, ctx.frontier(ctx.fwd), ctx.frontier(ctx.rev), stats
-                )
+            met = bibfs_is_reachable(
+                self.graph,
+                source,
+                target,
+                stats,
+                use_kernels=params.use_kernels,
+                budget=budget,
+            )
             return self._finish(stats, met, "bibfs")
-        except BudgetExceeded as exc:
-            stats.budget_exhausted = True
-            stats.terminated_by = "budget"
-            if exc.partial is None and ctx is not None:
-                exc.partial = ctx.export_state()
-            exc.query_stats = stats
-            raise
+
+        # One substrate per query: with ``use_kernels`` on and a
+        # current-version snapshot already frozen, every phase (drains,
+        # contraction, hand-off) runs on the array twins; otherwise —
+        # the switch off, or a mid-churn graph whose snapshot is stale
+        # — every phase runs on the dict twins, even if the version is
+        # frozen mid-query.
+        ctx = self._make_context(params, source, target, budget)
+        if isinstance(ctx, ArraySearchContext):
+            stats.used_push_kernel = True
+            guided, contract = array_guided_search, array_community_contraction
+        else:
+            guided, contract = guided_search, community_contraction
+
+        while True:
+            stats.rounds += 1
+            if self._should_switch(ctx, cost_model, stats.rounds, params):
+                break
+            if guided(ctx, ctx.fwd, stats):
+                return self._finish(stats, True, "guided")
+            outcome = contract(ctx, ctx.fwd, stats)
+            if outcome is ContractionOutcome.MEET:
+                return self._finish(stats, True, "contraction")
+            if outcome is ContractionOutcome.EXHAUSTED:
+                return self._finish(stats, False, "exhausted")
+            if guided(ctx, ctx.rev, stats):
+                return self._finish(stats, True, "guided")
+            outcome = contract(ctx, ctx.rev, stats)
+            if outcome is ContractionOutcome.MEET:
+                return self._finish(stats, True, "contraction")
+            if outcome is ContractionOutcome.EXHAUSTED:
+                return self._finish(stats, False, "exhausted")
+            ctx.epsilon_cur = max(ctx.epsilon_cur / params.step, EPSILON_FLOOR)
+
+        # BiBFS takes over from the frontiers (Alg. 2 lines 18-20).
+        stats.switched_to_bibfs = True
+        if isinstance(ctx, ArraySearchContext):
+            met = array_frontier_bibfs(ctx, stats)
+        else:
+            met = frontier_bibfs(
+                ctx, ctx.frontier(ctx.fwd), ctx.frontier(ctx.rev), stats
+            )
+        return self._finish(stats, met, "bibfs")
 
     def _make_context(
         self, params, source: int, target: int, budget: Optional[Budget] = None

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Set
 
-from repro.core.budget import Budget, PartialSearchState
+from repro.core.budget import Budget
 from repro.core.params import ResolvedParams
 from repro.graph.digraph import DynamicDiGraph
 
@@ -152,25 +152,3 @@ class SearchContext:
         underflow (see DESIGN.md).
         """
         return [v for v in state.visited if v not in state.explored]
-
-    # ------------------------------------------------------------------
-    # Partial-state export for the degraded bounded search
-    # ------------------------------------------------------------------
-    def export_state(self) -> Optional[PartialSearchState]:
-        """The interrupted search state, if soundly exportable.
-
-        Only contraction-free queries export: once an overlay exists, the
-        visited sets mix raw ids with super sentinels and no raw-graph
-        seeding is sound — return ``None`` and let the degraded search
-        restart from the endpoints. Visited-but-unexplored vertices are
-        exactly the sound frontier (their adjacency was never fully
-        enumerated; every explored vertex's neighbors are all visited).
-        """
-        if self.find or self.fwd.has_super or self.rev.has_super:
-            return None
-        return PartialSearchState(
-            fwd_visited=set(self.fwd.visited),
-            rev_visited=set(self.rev.visited),
-            fwd_frontier=self.frontier(self.fwd),
-            rev_frontier=self.frontier(self.rev),
-        )

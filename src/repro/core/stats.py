@@ -46,10 +46,6 @@ class QueryStats:
     #: same units on the dict and array paths (lambda calibration relies
     #: on it).
     used_push_kernel: bool = False
-    #: Whether the query was interrupted by a cooperative budget
-    #: (:class:`~repro.core.budget.BudgetExceeded` was raised); the
-    #: counters then cover only the work done up to the interrupt.
-    budget_exhausted: bool = False
 
     @property
     def edge_accesses(self) -> int:

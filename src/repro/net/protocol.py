@@ -51,8 +51,10 @@ are written straight from a walk's outcome columns by one writer
 Vertex ids (``s``, ``t``, ``u``, ``v`` and the members of ``pairs``)
 are JSON integers. ``deadline_ms`` is a finite, non-negative JSON number
 that is not a bool: the request's deadline in milliseconds, where 0 or
-an absent key means none. Any other value fails that request alone with
-an ``error`` reply; the frames around it keep theirs.
+an absent key means none. A lease's ``ttl_ms`` is one too (absent is
+0), and a lease's ``epoch`` and a subscription's ``after`` are JSON
+integers >= 0 (absent is 0). Any other value fails that request alone
+with an ``error`` reply; the frames around it keep theirs.
 
 Errors at the request level come back as
 ``{"type": "error", "id", "error": reason}``; errors at the framing level

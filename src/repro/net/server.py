@@ -98,18 +98,34 @@ def _vertex_pair(s: object, t: object) -> Tuple[int, int]:
     return s, t
 
 
+def _count(message: dict, key: str) -> int:
+    """A frame's ``key`` (absent is 0), which must be a JSON integer
+    >= 0: ``int()`` would read ``true`` as 1, ``"7"`` as 7 and ``1.9``
+    as 1."""
+    value = message.get(key, 0)
+    if type(value) is not int or value < 0:
+        raise ValueError(f"{key} must be a non-negative integer, got {value!r}")
+    return value
+
+
+def _duration_ms(message: dict, key: str) -> float:
+    """A frame's ``key`` in ms (absent is 0), which must be a finite,
+    non-negative JSON number: ``float()`` would read ``true`` as 1 and
+    ``"5"`` as 5, and ``json.loads`` accepts ``NaN`` and ``Infinity``,
+    which no comparison with a clock ever decides."""
+    value = message.get(key, 0)
+    if type(value) not in (int, float) or not 0 <= value < math.inf:
+        raise ValueError(f"{key} must be a non-negative number, got {value!r}")
+    return value
+
+
 def _deadline_s(message: dict) -> Optional[float]:
-    """A frame's ``deadline_ms`` in seconds; absent or 0 is none. Only a
-    finite, non-negative JSON number is one: ``float()`` would read
-    ``true`` as 1 ms and ``"5"`` as 5 ms, and a wave runs under the
-    ``min()`` of its deadlines, which a NaN or a negative one decides."""
-    deadline_ms = message.get("deadline_ms")
-    if deadline_ms is None:
+    """A frame's ``deadline_ms`` in seconds; absent or 0 is none. A wave
+    runs under the ``min()`` of its deadlines, which a NaN or a negative
+    one would decide."""
+    if message.get("deadline_ms") is None:
         return None
-    if type(deadline_ms) not in (int, float) or not 0 <= deadline_ms < math.inf:
-        raise ValueError(
-            f"deadline_ms must be a non-negative number, got {deadline_ms!r}"
-        )
+    deadline_ms = _duration_ms(message, "deadline_ms")
     return deadline_ms / 1000.0 if deadline_ms else None
 
 
@@ -648,8 +664,10 @@ class ReachabilityServer:
         (the supervisor re-reached it and still considers it primary —
         it bumps the epoch precisely to prove the grant is fresh).
         """
-        epoch = int(message.get("epoch", 0))
-        ttl_ms = float(message.get("ttl_ms", 0.0))
+        epoch = _count(message, "epoch")
+        # A NaN TTL would make the lease never expire: the primary would
+        # never demote, and the split-brain guard would be off.
+        ttl_ms = _duration_ms(message, "ttl_ms")
         self._maybe_demote()
         if epoch < self.lease_epoch or (
             self.role == "demoted" and epoch == self.lease_epoch
@@ -702,7 +720,7 @@ class ReachabilityServer:
 
     async def _serve_subscription(self, message: dict, respond) -> None:
         mid = message.get("id")
-        after = int(message.get("after", 0))
+        after = _count(message, "after")
         journal = self.service.journal
         if journal is None:
             await respond(self._error(mid, "no-journal"))

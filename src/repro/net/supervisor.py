@@ -42,7 +42,7 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import Awaitable, Callable, Dict, List, Optional, Tuple
 
 from repro.net import protocol
 from repro.net.client import ConnectionLost, ReachabilityClient, ServerError
@@ -195,27 +195,38 @@ class ClusterSupervisor:
         self._incr("heartbeats")
         if self.partition_primary:
             return False
+
+        async def renew(client, within):
+            reply = await within(client.stats())
+            self.primary_watermark = int(reply.get("watermark", -1))
+            return await within(self._grant_lease(client, reply.get("role")))
+
+        lease = await self._probe(self.primary, renew)
+        return lease is not None and bool(lease.get("granted"))
+
+    async def _probe(
+        self,
+        address: Address,
+        exchange: Callable[..., Awaitable[Optional[dict]]],
+    ) -> Optional[dict]:
+        """One heartbeat probe: open a client to ``address`` within the
+        heartbeat timeout, run ``exchange(client, within)`` — ``within``
+        bounds each request by ten timeouts — and close the client. The
+        exchange's reply, or ``None`` when the server was unreachable or a
+        request failed."""
         timeout = max(self.heartbeat_interval_s, 0.05)
         try:
             client = await asyncio.wait_for(
-                ReachabilityClient.open(*self.primary), timeout
+                ReachabilityClient.open(*address), timeout
             )
         except (OSError, asyncio.TimeoutError):
-            return False
+            return None
         try:
-            reply = await asyncio.wait_for(client.stats(), timeout * 10)
-            self.primary_watermark = int(reply.get("watermark", -1))
-            lease = await asyncio.wait_for(
-                self._grant_lease(client, reply.get("role")), timeout * 10
+            return await exchange(
+                client, lambda request: asyncio.wait_for(request, timeout * 10)
             )
-            return bool(lease.get("granted"))
-        except (
-            OSError,
-            ConnectionLost,
-            ServerError,
-            asyncio.TimeoutError,
-        ):
-            return False
+        except (OSError, ConnectionLost, ServerError, asyncio.TimeoutError):
+            return None
         finally:
             await client.close()
 
@@ -251,29 +262,15 @@ class ClusterSupervisor:
             if addr is None:
                 entry.healthy = entry.node.connected
                 continue
-            timeout = max(self.heartbeat_interval_s, 0.05)
-            try:
-                client = await asyncio.wait_for(
-                    ReachabilityClient.open(*addr), timeout
-                )
-            except (OSError, asyncio.TimeoutError):
+            reply = await self._probe(
+                addr, lambda client, within: within(client.ping())
+            )
+            if reply is None:
                 entry.healthy = False
                 self._incr("replica_misses")
-                continue
-            try:
-                reply = await asyncio.wait_for(client.ping(), timeout * 10)
+            else:
                 entry.last_watermark = int(reply.get("watermark", -1))
                 entry.healthy = True
-            except (
-                OSError,
-                ConnectionLost,
-                ServerError,
-                asyncio.TimeoutError,
-            ):
-                entry.healthy = False
-                self._incr("replica_misses")
-            finally:
-                await client.close()
 
     # ------------------------------------------------------------------
     # Failover

@@ -21,7 +21,7 @@ from repro.service.batcher import (
 )
 from repro.service.cache import VersionedQueryCache
 from repro.service.concurrency import RWLock
-from repro.service.driver import ReplayResult, replay_workload
+from repro.service.driver import ReplayResult, oracle_mismatches, replay_workload
 from repro.service.engine import QueryOutcome, ReachabilityService
 from repro.service.fastpath import FastPathPruner, UpdateEffect
 from repro.service.faults import (
@@ -55,6 +55,7 @@ __all__ = [
     "UpdateEffect",
     "VersionedQueryCache",
     "Wave",
+    "oracle_mismatches",
     "pack_waves",
     "plan_batch",
     "plan_by_name",

@@ -5,14 +5,17 @@ The driver walks one interleaved operation stream (see
 in stream order and each query is one walk — the closed-loop discipline
 keeps every query's snapshot well-defined.
 
-Used by ``python -m repro chaos``.
+Used by ``python -m repro chaos``, whose ``--oracle`` checks the run
+with :func:`oracle_mismatches`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.graph.digraph import DynamicDiGraph
+from repro.graph.traversal import is_reachable_bfs
 from repro.service.engine import QueryOutcome, ReachabilityService
 from repro.workloads.mixed import DELETE, INSERT, Op
 
@@ -25,10 +28,11 @@ class ReplayResult:
     num_updates: int
     outcomes: List[QueryOutcome] = field(default_factory=list)
     stats: Dict[str, object] = field(default_factory=dict)
-    #: Updates that raised (injected faults). The service guarantees a
-    #: failed update mutated nothing, so the replay keeps going — chaos
-    #: runs count these instead of crashing.
-    failed_updates: int = 0
+    #: Positions in the op stream of the updates that raised (injected
+    #: faults). The service guarantees a failed update mutated nothing,
+    #: so the replay keeps going, and an oracle replays the stream
+    #: without them.
+    failed_updates: List[int] = field(default_factory=list)
 
 
 def replay_workload(
@@ -40,8 +44,8 @@ def replay_workload(
     """Drive the stream through the service; returns outcomes + stats."""
     outcomes: List[QueryOutcome] = []
     num_updates = 0
-    failed_updates = 0
-    for op in ops:
+    failed_updates: List[int] = []
+    for position, op in enumerate(ops):
         if op.is_query:
             outcomes.append(service.query(op.u, op.v, deadline_s))
             continue
@@ -54,7 +58,7 @@ def replay_workload(
         except Exception:
             # Failed updates are atomic (the service fires faults
             # before mutating), so the stream stays replayable.
-            failed_updates += 1
+            failed_updates.append(position)
 
     return ReplayResult(
         num_queries=len(outcomes),
@@ -63,3 +67,36 @@ def replay_workload(
         stats=service.stats(),
         failed_updates=failed_updates,
     )
+
+
+def oracle_mismatches(
+    start: DynamicDiGraph, ops: Sequence[Op], result: ReplayResult
+) -> Tuple[int, List[QueryOutcome]]:
+    """Check every confident answer of ``result`` at its own version.
+
+    Replays ``ops`` onto ``start`` (a copy of the graph the run began
+    from; it is mutated), skipping the updates that failed, and checks
+    each confident outcome against a BFS on the graph as it stood when
+    its query was reached. An outcome stamped with another version than
+    that graph's is wrong too. Returns ``(checked, wrong outcomes)``.
+    """
+    failed = set(result.failed_updates)
+    outcomes = iter(result.outcomes)
+    checked = 0
+    wrong: List[QueryOutcome] = []
+    for position, op in enumerate(ops):
+        if op.is_query:
+            outcome = next(outcomes)
+            if not outcome.confident:
+                continue
+            checked += 1
+            if outcome.version != start.version or outcome.answer != (
+                is_reachable_bfs(start, outcome.source, outcome.target)
+            ):
+                wrong.append(outcome)
+        elif position not in failed:
+            if op.kind == INSERT:
+                start.add_edge(op.u, op.v)
+            elif op.kind == DELETE:
+                start.remove_edge(op.u, op.v)
+    return checked, wrong

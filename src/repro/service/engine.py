@@ -34,10 +34,10 @@ answers:
 
 The degraded rung runs when a query's budget (deadline or edge ceiling)
 expires — before the search starts *or cooperatively in the middle of
-it* — seeded with the interrupted search's partial state when the engine
-could export it soundly. If it completes inside its own budget (a meet,
-or a frontier exhausted) the answer is still exact; only a budget
-overrun returns the best guess flagged ``confident=False``.
+it*. An interrupted search hands nothing over: the rung restarts a
+bounded BiBFS from the endpoints. If it completes inside its own budget
+(a meet, or a frontier exhausted) the answer is still exact; only a
+budget overrun returns the best guess flagged ``confident=False``.
 
 Every verdict is booked into the walk's
 :class:`~repro.service.outcomes.OutcomeColumns` (rule codes and a
@@ -124,7 +124,7 @@ from collections import deque
 import numpy as np
 
 from repro.baselines.base import ReachabilityMethod
-from repro.core.budget import Budget, BudgetExceeded, PartialSearchState
+from repro.core.budget import Budget, BudgetExceeded
 from repro.core.ifca import IFCAMethod
 from repro.core.params import IFCAParams
 from repro.graph import kernels
@@ -194,8 +194,8 @@ class ReachabilityService:
     deadline_s:
         Default per-query deadline (``None`` = never degrade on time).
         Measured from the call and enforced *cooperatively*: the engine
-        checkpoints its budget mid-search and hands partial state to the
-        degraded search on expiry.
+        checkpoints its budget mid-search, and on expiry the pair goes to
+        the degraded search.
     engine_edge_budget:
         Per-query edge-access ceiling for the engine stage (``None`` =
         unbounded). Exceeding it degrades exactly like a blown deadline.
@@ -841,8 +841,8 @@ class ReachabilityService:
         has (or can freeze) a snapshot. Pairs the kernel does not answer
         — any of those said no, the call failed (breaker-counted), or
         the budget expired before their lanes were decided — stay
-        survivors; the engine rung's degraded hand-off owns
-        partial-answer semantics. Decided lanes are booked in one assignment.
+        survivors for the engine and degraded rungs. Decided lanes are
+        booked in one assignment.
         """
         stats = self._stats
         if self._breaker.state != "closed":
@@ -897,9 +897,9 @@ class ReachabilityService:
         return rows[~done].tolist()
 
     def _rung_engine(self, walk: _Walk, survivors: List[int]) -> List[int]:
-        """One exact search per survivor, inline: breaker, fallback twin,
-        and the degraded hand-off of an interrupted search's partial
-        state all live in :meth:`_engine_stage`."""
+        """One exact search per survivor, inline: breaker and fallback
+        twin live in :meth:`_engine_stage`; an interrupted search
+        degrades."""
         self._stats.incr("batch_scalar_queries", len(survivors))
         self._freeze(walk.version, len(survivors))
         for row in survivors:
@@ -907,13 +907,13 @@ class ReachabilityService:
                 self._engine_stage(walk, row, self._make_budget(walk.deadline))
             except BudgetExceeded as exc:
                 self._stats.incr("budget_degraded")
-                self._degraded(walk, row, exc.partial, exc.reason)
+                self._degraded(walk, row, exc.reason)
         return []
 
     def _rung_degraded(self, walk: _Walk, survivors: List[int]) -> List[int]:
         """The last rung answers everything left (it never raises)."""
         for row in survivors:
-            self._degraded(walk, row, None, walk.why)
+            self._degraded(walk, row, walk.why)
         return []
 
     #: The search rungs, in the order every surviving pair tries them.
@@ -1000,7 +1000,7 @@ class ReachabilityService:
         if twin is None:
             twin = self._search(self._fallback_method(), pair, budget)
         if twin is None:
-            self._degraded(walk, row, None, "engine-error")
+            self._degraded(walk, row, "engine-error")
             return
         self._stats.incr("engine_fallbacks")
         walk.outcomes.book(row, twin[0], "engine-fallback", twin[1], True, True)
@@ -1047,19 +1047,16 @@ class ReachabilityService:
     # ------------------------------------------------------------------
     # Degraded stage
     # ------------------------------------------------------------------
-    def _degraded(
-        self, walk: _Walk, row: int, partial: Optional[PartialSearchState], why: str
-    ) -> None:
+    def _degraded(self, walk: _Walk, row: int, why: str) -> None:
         """Budget blown (or both engine substrates down): answer cheaply.
 
-        A frontier-balanced bidirectional BFS runs with a hard edge-access
-        budget, seeded with the interrupted engine search's partial state
-        when one was exported — the work already spent is kept, not
-        redone. A meet proves ``True`` and an exhausted frontier proves
-        ``False`` (both still confident); hitting the budget books the
-        best-effort ``False`` flagged ``confident=False``, which the cache
-        never keeps. Even a failing degraded search books an outcome
-        (``via="error"``) rather than raising.
+        A frontier-balanced bidirectional BFS runs from the endpoints
+        with a hard edge-access budget. A meet proves ``True`` and an
+        exhausted frontier proves ``False`` (both still confident);
+        hitting the budget books the best-effort ``False`` flagged
+        ``confident=False``, which the cache never keeps. Even a failing
+        degraded search books an outcome (``via="error"``) rather than
+        raising.
         """
         start = time.perf_counter()
         pair = walk.outcomes.pairs[row]
@@ -1067,7 +1064,7 @@ class ReachabilityService:
         try:
             self._fire("degraded")
             answer, confident, detail = _bounded_bibfs(
-                self.graph, pair[0], pair[1], DEGRADE_BUDGET, partial
+                self.graph, pair[0], pair[1], DEGRADE_BUDGET
             )
         except Exception:
             self._stats.incr("stage_errors_degraded")
@@ -1075,9 +1072,6 @@ class ReachabilityService:
             detail = f"degraded-failed:{why}" if why else "degraded-failed"
             walk.outcomes.book(row, False, "error", detail, False)
             return
-        if partial is not None:
-            self._stats.incr("degraded_resumed")
-            detail = f"resumed:{detail}"
         if why:
             detail = f"{why}:{detail}"
         self._stats.observe_latency("degraded", time.perf_counter() - start)
@@ -1163,41 +1157,21 @@ def _bounded_bibfs(
     source: int,
     target: int,
     budget: int,
-    partial: Optional[PartialSearchState] = None,
 ) -> Tuple[bool, bool, str]:
     """Bidirectional BFS that stops after ``budget`` edge accesses.
 
     Returns ``(answer, exact, detail)``. Expands the smaller frontier
     first (the engine's own BiBFS discipline), so short positive paths and
     small reachable sets resolve exactly within tiny budgets.
-
-    ``partial`` seeds the search with an interrupted engine search's
-    visited sets and frontiers (see
-    :class:`~repro.core.budget.PartialSearchState` for the soundness
-    invariant): an empty seeded frontier is already a proof of the
-    negative, and any meet found from the seeded state proves the positive
-    exactly as a fresh search would.
     """
     if source == target:
         return True, True, "identity"
     if source not in graph or target not in graph:
         return False, True, "missing-endpoint"
-    if partial is not None:
-        fwd_seen = set(partial.fwd_visited)
-        rev_seen = set(partial.rev_visited)
-        fwd_seen.add(source)
-        rev_seen.add(target)
-        if fwd_seen & rev_seen:
-            # The engine checks meets at visit time, so overlapping seeds
-            # normally cannot happen — but if they do, it is a meet.
-            return True, True, "meet"
-        fwd_frontier = deque(partial.fwd_frontier)
-        rev_frontier = deque(partial.rev_frontier)
-    else:
-        fwd_seen = {source}
-        rev_seen = {target}
-        fwd_frontier = deque([source])
-        rev_frontier = deque([target])
+    fwd_seen = {source}
+    rev_seen = {target}
+    fwd_frontier = deque([source])
+    rev_frontier = deque([target])
     accesses = 0
     while fwd_frontier and rev_frontier:
         forward = len(fwd_frontier) <= len(rev_frontier)

@@ -9,12 +9,16 @@ named fault plans with a BFS oracle on the confident answers.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.ifca import IFCAMethod
+from repro.core.params import IFCAParams
 from repro.graph.digraph import DynamicDiGraph
 from repro.graph.traversal import is_reachable_bfs
 from repro.service import (
@@ -24,6 +28,7 @@ from repro.service import (
     FaultSpec,
     InjectedFault,
     ReachabilityService,
+    oracle_mismatches,
     plan_by_name,
     replay_workload,
 )
@@ -587,6 +592,57 @@ class TestCooperativeCancellation:
         assert {where for where, _ in budgets} == {rung}
         assert all(budget is None for _, budget in budgets)
 
+    @pytest.mark.parametrize("substrate", ["dict", "csr"])
+    @settings(max_examples=40, deadline=None)
+    @given(
+        m=st.integers(10, 90),
+        seed=st.integers(0, 2**16),
+        limit=st.sampled_from([
+            ("engine_edge_budget", 2), ("engine_edge_budget", 16),
+            ("deadline_s", 0.0), ("deadline_s", 0.0003),
+        ]),
+        degrade_budget=st.sampled_from([4, 32, 2048]),
+        params=st.sampled_from([
+            IFCAParams(),
+            IFCAParams(force_switch_round=1, epsilon_init=0.05, epsilon_pre=1e-3),
+            IFCAParams(force_switch_round=3, epsilon_init=1e-6, epsilon_pre=1e-6),
+        ]),
+    )
+    def test_a_confident_degraded_answer_is_exact(
+        self, substrate, m, seed, limit, degrade_budget, params
+    ):
+        """An interrupted search hands nothing over: the degraded rung
+        restarts from the endpoints, and every answer it books confident
+        is the BFS oracle's, on dicts and on a frozen CSR alike. The cost
+        model sends graphs this small straight to BiBFS; the other two
+        settings interrupt guided drains with a BiBFS hand-off, and
+        guided drains with contractions."""
+        graph = random_graph(30, m, seed=seed)
+        oracle = graph.copy()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(engine, "DEGRADE_BUDGET", degrade_budget)
+            # No freeze behind the test's back: the dict case stays on dicts.
+            patch.setattr(engine, "CSR_FREEZE_THRESHOLD", 1 << 30)
+            if substrate == "csr":
+                graph.csr()
+            with ReachabilityService(
+                graph, num_supportive=0, use_labels=False, cache_capacity=1,
+                method_factory=lambda g: IFCAMethod(g, params),
+                **{limit[0]: limit[1]},
+            ) as service:
+                service._batch_cost = BatchCostModel(layer_dispatch_s=1e9)
+                outcomes = [
+                    service.query(s, t)
+                    for s in range(0, 30, 2) for t in range(1, 30, 3)
+                ]
+        assert (graph.csr(build=False) is not None) == (substrate == "csr")
+        for out in outcomes:
+            assert "resumed:" not in out.detail
+            if out.confident:
+                assert out.answer == is_reachable_bfs(
+                    oracle, out.source, out.target
+                ), out
+
 
 # ----------------------------------------------------------------------
 # Survival runs: named plans over mixed workloads + BFS oracle
@@ -597,6 +653,7 @@ def _survival_run(monkeypatch, plan_name, seed=13, n=200, m=500, ops=400):
         graph, ops, query_ratio=0.8, seed=seed
     )
     monkeypatch.setattr(engine, "CSR_FREEZE_THRESHOLD", 1)
+    start = graph.copy()
     with ReachabilityService(
         graph,
         num_supportive=0,
@@ -604,18 +661,12 @@ def _survival_run(monkeypatch, plan_name, seed=13, n=200, m=500, ops=400):
         fault_plan=plan_by_name(plan_name, seed=seed),
     ) as service:
         result = replay_workload(service, ops_stream)
-        final_version = service.graph.version
-        for outcome in result.outcomes:
-            if outcome.confident and outcome.version == final_version:
-                expected = is_reachable_bfs(
-                    service.graph, outcome.source, outcome.target
-                )
-                assert outcome.answer == expected, (
-                    f"plan {plan_name}: confident answer "
-                    f"{outcome.source}->{outcome.target} wrong"
-                )
         snapshot = service.stats()
     assert len(result.outcomes) == result.num_queries
+    # Every confident answer is checked at the version it was stamped with.
+    checked, wrong = oracle_mismatches(start, ops_stream, result)
+    assert wrong == [], f"plan {plan_name}: confident answers wrong: {wrong[:3]}"
+    assert checked == sum(outcome.confident for outcome in result.outcomes)
     return result, snapshot
 
 
@@ -635,9 +686,45 @@ def _survival_run(monkeypatch, plan_name, seed=13, n=200, m=500, ops=400):
 def test_survival_under_named_plans(plan_name, monkeypatch):
     result, snapshot = _survival_run(monkeypatch, plan_name)
     if plan_name == "update-storm":
-        assert result.failed_updates > 0
+        assert result.failed_updates
     if plan_name in ("engine-flaky", "last-resort"):
         assert snapshot["counters"].get("engine_failures", 0) > 0
+
+
+@pytest.mark.chaos
+def test_the_chaos_oracle_checks_every_answer_at_its_version(monkeypatch):
+    """The oracle replays the stream without its failed updates and checks
+    every confident answer at its own version, not only the ones stamped
+    with the final version: one wrong early answer, or an answer stamped
+    with a version the replay never had at that point, is caught."""
+    result, _ = _survival_run(monkeypatch, "update-storm")
+    final = max(outcome.version for outcome in result.outcomes)
+    early = [
+        row for row, outcome in enumerate(result.outcomes)
+        if outcome.confident and outcome.version < final
+    ]
+    assert result.failed_updates and len(early) > 100
+
+    def check(result):
+        # The run's starting graph and op stream, rebuilt from the seed.
+        graph = random_graph(200, 500, seed=13)
+        ops = generate_mixed_workload(graph, 400, query_ratio=0.8, seed=13)
+        return oracle_mismatches(graph, ops, result)
+
+    checked, wrong = check(result)
+    assert wrong == [] and checked >= len(early)
+    row = early[0]
+    for field, value in (
+        ("answer", not result.outcomes[row].answer),
+        ("version", final),
+    ):
+        outcomes = list(result.outcomes)
+        outcomes[row] = outcomes[row]._replace(**{field: value})
+        assert check(dataclasses.replace(result, outcomes=outcomes))[1] == [
+            outcomes[row]
+        ], field
+    # Replaying the failed updates as if they had applied is caught too.
+    assert check(dataclasses.replace(result, failed_updates=[]))[1]
 
 
 @pytest.mark.chaos

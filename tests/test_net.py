@@ -1128,6 +1128,90 @@ def test_a_bad_deadline_in_a_burst_fails_alone():
 
 
 # ----------------------------------------------------------------------
+# A lease's and a subscription's numbers are checked like a deadline
+# ----------------------------------------------------------------------
+#: Values ``int()`` / ``float()`` would have read: ``true`` as 1, ``"7"``
+#: as 7, ``1.9`` as epoch 1, and NaN / Infinity as a TTL that never ends.
+BAD_LEASE_FIELDS = pytest.mark.parametrize(
+    "field, bad",
+    [
+        ("ttl_ms", float("nan")), ("ttl_ms", float("inf")), ("ttl_ms", -1),
+        ("ttl_ms", True), ("ttl_ms", "50"),
+        ("epoch", True), ("epoch", "7"), ("epoch", 1.9), ("epoch", -1),
+    ],
+    ids=[
+        "ttl-nan", "ttl-infinity", "ttl-negative", "ttl-bool", "ttl-string",
+        "epoch-bool", "epoch-string", "epoch-float", "epoch-negative",
+    ],
+)
+
+
+@BAD_LEASE_FIELDS
+def test_lease_frame_numbers_are_checked(field, bad):
+    """A bad lease is an ``error`` that grants nothing: the epoch stays
+    where it was, and a good lease after it is granted."""
+    async def scenario():
+        with ReachabilityService(chain_graph()) as service:
+            lease = {"type": "lease", "epoch": 3, "ttl_ms": 60000}
+            return await _exchange(service, [
+                {**lease, "id": "bad", field: bad},
+                {"type": "ping", "id": "ping"},
+            ])
+
+    replies, counters = run(scenario())
+    assert replies["bad"]["type"] == protocol.ERROR
+    assert field in replies["bad"]["error"]
+    assert replies["ping"]["epoch"] == 0
+    assert "net_leases" not in counters
+
+
+def test_a_nan_lease_does_not_keep_a_primary_from_demoting():
+    """A primary whose lease ran out demotes, even if a lease frame with
+    a NaN TTL came after the last good grant: the NaN is rejected, not
+    taken as a deadline no clock ever passes."""
+    async def scenario():
+        with ReachabilityService(chain_graph()) as service:
+            async with serving(service) as server:
+                raw = await RawClient.open(server)
+                for frame in (
+                    {"type": "lease", "id": 1, "epoch": 1, "ttl_ms": 50},
+                    {"type": "lease", "id": 2, "epoch": 1, "ttl_ms": float("nan")},
+                ):
+                    raw.transport.write(protocol.encode(frame))
+                    await wait_until(lambda: len(raw.replies) == frame["id"])
+                await asyncio.sleep(0.2)
+                raw.transport.write(protocol.encode({"type": "ping", "id": 3}))
+                await wait_until(lambda: len(raw.replies) == 3)
+                raw.transport.abort()
+                return raw.by_id()
+
+    replies = run(scenario())
+    assert replies[1]["granted"]
+    assert replies[2]["type"] == protocol.ERROR
+    assert replies[3]["role"] == "demoted"
+
+
+@pytest.mark.parametrize(
+    "bad", [True, "7", 1.9, -1], ids=["bool", "string", "float", "negative"]
+)
+def test_subscribe_after_must_be_a_non_negative_integer(bad, tmp_path):
+    async def scenario():
+        with ReachabilityService(
+            chain_graph(), journal=tmp_path / "wal.jsonl"
+        ) as service:
+            service.add_edge(7, 1007)
+            return await _exchange(service, [
+                {"type": "subscribe", "id": "bad", "after": bad},
+                {"type": "ping", "id": "ping"},
+            ])
+
+    replies, counters = run(scenario())
+    assert replies["bad"]["type"] == protocol.ERROR
+    assert "after" in replies["bad"]["error"]
+    assert "net_subscribers" not in counters
+
+
+# ----------------------------------------------------------------------
 # Outcomes as columns: no per-pair object between socket and socket
 # ----------------------------------------------------------------------
 def test_a_served_frame_builds_no_outcome_object(monkeypatch):
