@@ -17,6 +17,7 @@ the paper's simple graph model.
 
 from __future__ import annotations
 
+import gc
 import os
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
@@ -43,18 +44,40 @@ class DynamicDiGraph:
         edges: Optional[Iterable[Tuple[int, int]]] = None,
         vertices: Optional[Iterable[int]] = None,
     ) -> None:
-        self._out: Dict[int, List[int]] = {}
-        self._in: Dict[int, List[int]] = {}
-        self._edge_set: Set[Tuple[int, int]] = set()
-        self._num_edges = 0
-        self._version = 0
+        """One bulk build: the state an ``add_vertex`` loop over
+        ``vertices`` and then an ``add_edge`` loop over ``edges`` would
+        leave (vertex order, adjacency order, first-wins duplicates,
+        self-loops, ``version``), but with one int object per vertex id,
+        so the adjacency lists, the edge set and every structure later
+        keyed by them share it and hash probes hit the identity shortcut.
+        The cyclic collector is paused meanwhile: the build makes only
+        acyclic containers, and the full collections its growing heap
+        would trigger cost more than the build itself."""
+        # vertex id -> (the id's one object, out-list, in-list)
+        nodes: Dict[int, Tuple[int, List[int], List[int]]] = {}
+        edge_set: Set[Tuple[int, int]] = set()
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            for v in () if vertices is None else vertices:
+                nodes.setdefault(v, (v, [], []))
+            for u, v in () if edges is None else edges:
+                a = nodes.get(u) or nodes.setdefault(u, (u, [], []))
+                b = nodes.get(v) or nodes.setdefault(v, (v, [], []))
+                edge = (a[0], b[0])
+                if edge not in edge_set:
+                    edge_set.add(edge)
+                    a[1].append(b[0])
+                    b[2].append(a[0])
+        finally:
+            if collecting:
+                gc.enable()
+        self._out = {v: node[1] for v, node in nodes.items()}
+        self._in = {v: node[2] for v, node in nodes.items()}
+        self._edge_set = edge_set
+        self._num_edges = len(edge_set)
+        self._version = len(nodes) + len(edge_set)
         self._csr_state: Optional[Tuple[int, int, object]] = None
-        if vertices is not None:
-            for v in vertices:
-                self.add_vertex(v)
-        if edges is not None:
-            for u, v in edges:
-                self.add_edge(u, v)
 
     # ------------------------------------------------------------------
     # Basic properties
@@ -264,28 +287,22 @@ class DynamicDiGraph:
     # Derived graphs
     # ------------------------------------------------------------------
     def copy(self) -> "DynamicDiGraph":
-        """An independent deep copy of the current snapshot.
+        """An independent deep copy of the current snapshot, built in bulk
+        in the same vertex and adjacency order.
 
         The version counter is preserved: a copy identifies the *same*
         snapshot, so version-keyed derived state (journal base versions,
         replication watermarks) compares correctly against the copy.
         """
-        g = DynamicDiGraph()
-        for v in self._out:
-            g.add_vertex(v)
-        for u, v in self.edges():
-            g.add_edge(u, v)
+        g = DynamicDiGraph(edges=self.edges(), vertices=self._out)
         g._version = self._version
         return g
 
     def reversed(self) -> "DynamicDiGraph":
         """A copy with every edge direction flipped."""
-        g = DynamicDiGraph()
-        for v in self._out:
-            g.add_vertex(v)
-        for u, v in self.edges():
-            g.add_edge(v, u)
-        return g
+        return DynamicDiGraph(
+            edges=((v, u) for u, v in self.edges()), vertices=self._out
+        )
 
     # ------------------------------------------------------------------
     # Dunder conveniences

@@ -93,11 +93,9 @@ def condensation(
     for cid, comp in enumerate(components):
         for v in comp:
             scc_of[v] = cid
-    dag = DynamicDiGraph()
-    for cid in range(len(components)):
-        dag.add_vertex(cid)
-    for u, v in graph.edges():
-        cu, cv = scc_of[u], scc_of[v]
-        if cu != cv:
-            dag.add_edge(cu, cv)
+    crossings = ((scc_of[u], scc_of[v]) for u, v in graph.edges())
+    dag = DynamicDiGraph(
+        edges=(key for key in crossings if key[0] != key[1]),
+        vertices=range(len(components)),
+    )
     return dag, scc_of, components

@@ -266,11 +266,10 @@ class ReplicaNode:
         checkpoint — after which ``recover()`` on the local journal
         reproduces exactly this state.
         """
-        graph = DynamicDiGraph()
-        for v in snapshot.get("vertices", []):
-            graph.add_vertex(int(v))
-        for u, v in snapshot.get("edges", []):
-            graph.add_edge(int(u), int(v))
+        graph = DynamicDiGraph(
+            edges=snapshot.get("edges", []),
+            vertices=snapshot.get("vertices", []),
+        )
         graph.restore_version(int(snapshot["version"]))
         old = self.service
         old.close()

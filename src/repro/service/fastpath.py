@@ -58,6 +58,7 @@ from, takes :meth:`check`. A stale view therefore never answers.
 
 from __future__ import annotations
 
+import heapq
 import random
 import threading
 from collections import deque
@@ -171,10 +172,11 @@ def _choose_supportive(
     if not vertices or count <= 0:
         return []
     count = min(count, len(vertices))
-    by_degree = sorted(vertices, key=lambda v: (-graph.degree(v), v))
-    num_hubs = (count + 1) // 2
-    chosen = by_degree[:num_hubs]
-    rest = [v for v in vertices if v not in set(chosen)]
+    chosen = heapq.nsmallest(
+        (count + 1) // 2, vertices, key=lambda v: (-graph.degree(v), v)
+    )
+    hubs = set(chosen)
+    rest = [v for v in vertices if v not in hubs]
     rng.shuffle(rest)
     chosen.extend(rest[: count - len(chosen)])
     return chosen

@@ -6,7 +6,8 @@ than under ``src/``.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Set
+import random
+from typing import Dict, Iterable, List, Set
 
 from repro.graph.digraph import DynamicDiGraph
 from repro.graph.scc import strongly_connected_components
@@ -53,6 +54,54 @@ def power_iteration_ppr(
         if change < tolerance:
             break
     return ppr
+
+
+def read_edge_list_by_line(path) -> DynamicDiGraph:
+    """The edge list read one text line and one ``add_edge`` at a time:
+    the graph and the ``FILE:LINE`` errors
+    :func:`repro.graph.io.read_edge_list` must reproduce."""
+    graph = DynamicDiGraph()
+    with open(path, "r", encoding="utf-8", errors="replace") as handle:
+        for lineno, raw in enumerate(handle, start=1):
+            line = raw.strip()
+            if not line or line.startswith(("#", "%")):
+                continue
+            parts = line.replace(",", " ").split()
+            try:
+                u, v = int(parts[0]), int(parts[1])
+            except (IndexError, ValueError):
+                raise ValueError(
+                    f"{path}:{lineno}: expected 'u v', got {line!r}"
+                ) from None
+            graph.add_edge(u, v)
+    return graph
+
+
+def assert_same_build(got: DynamicDiGraph, want: DynamicDiGraph) -> None:
+    """Equal vertex order, adjacency order, edge set and version."""
+    assert list(got.vertices()) == list(want.vertices())
+    for v in want.vertices():
+        assert got.out_neighbors(v) == want.out_neighbors(v), v
+        assert got.in_neighbors(v) == want.in_neighbors(v), v
+    assert got == want
+    assert (got.num_edges, got.version) == (want.num_edges, want.version)
+
+
+def choose_supportive_by_sort(
+    graph: DynamicDiGraph, count: int, rng: random.Random
+) -> List[int]:
+    """Supportive vertices as a full degree sort picks them: the list
+    :func:`repro.service.fastpath._choose_supportive` must return."""
+    vertices = [v for v in graph.vertices() if graph.degree(v) > 0]
+    if not vertices or count <= 0:
+        return []
+    count = min(count, len(vertices))
+    by_degree = sorted(vertices, key=lambda v: (-graph.degree(v), v))
+    chosen = by_degree[: (count + 1) // 2]
+    rest = [v for v in vertices if v not in set(chosen)]
+    rng.shuffle(rest)
+    chosen.extend(rest[: count - len(chosen)])
+    return chosen
 
 
 def subgraph(graph: DynamicDiGraph, vertices: Iterable[int]) -> DynamicDiGraph:

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from repro.graph.digraph import DynamicDiGraph
 
-from tests.oracles import subgraph
+from tests.oracles import assert_same_build, subgraph
 
 
 class TestConstruction:
@@ -124,6 +124,26 @@ class TestDerivedGraphs:
         assert r.has_edge(1, 0)
         assert r.has_edge(2, 1)
         assert r.num_edges == 2
+
+    def test_copy_and_reversed_keep_the_order_of_an_add_edge_loop(self):
+        g = DynamicDiGraph(vertices=[9, 4], edges=[(4, 1), (1, 4), (4, 4)])
+        g.add_edge(1, 2)
+        g.add_edge(0, 4)
+        g.remove_edge(4, 1)
+        g.add_vertex(7)
+        want = DynamicDiGraph()
+        for v in g.vertices():
+            want.add_vertex(v)
+        for u, v in g.edges():
+            want.add_edge(u, v)
+        want.restore_version(g.version)
+        assert_same_build(g.copy(), want)
+        flipped = DynamicDiGraph()
+        for v in g.vertices():
+            flipped.add_vertex(v)
+        for u, v in g.edges():
+            flipped.add_edge(v, u)
+        assert_same_build(g.reversed(), flipped)
 
     def test_reversed_twice_is_identity(self):
         g = DynamicDiGraph(edges=[(0, 1), (2, 3), (3, 0)])

@@ -17,6 +17,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from repro.datasets.scale_free import preferential_attachment_graph
 from repro.graph.digraph import DynamicDiGraph
 from repro.graph.traversal import is_reachable_bfs
 from repro.service import (
@@ -34,6 +35,7 @@ from repro.service.stats import ServiceStats
 from repro.workloads.mixed import INSERT, Op, generate_mixed_workload
 
 from tests.conftest import force_waves, random_graph
+from tests.oracles import choose_supportive_by_sort
 
 
 # ----------------------------------------------------------------------
@@ -144,6 +146,18 @@ class TestFastPathPruner:
         effect = pruner.apply_delete(1, 2)
         assert effect.changed and not effect.removes_reachability
         assert pruner._samples.valid
+
+    def test_supportive_choice_matches_a_full_degree_sort(self):
+        """The hubs come from a heap over the vertices, not a sort of all
+        of them: the same list, on a graph whose top two degrees tie."""
+        g = preferential_attachment_graph(300, 3, reciprocal=0.05, seed=20)
+        top = sorted((g.degree(v) for v in g.vertices()), reverse=True)
+        assert top[0] == top[1]
+        for count in range(1, 9):
+            for seed in range(5):
+                got = fastpath._choose_supportive(g, count, random.Random(seed))
+                want = choose_supportive_by_sort(g, count, random.Random(seed))
+                assert got == want, (count, seed)
 
 
 # ----------------------------------------------------------------------
