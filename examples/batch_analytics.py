@@ -18,8 +18,8 @@ import time
 from collections import Counter
 
 from repro import ReachabilityService
+from repro.community.summary import summarize
 from repro.datasets import preferential_attachment_graph
-from repro.graph.stats import summarize
 
 NUM_COMPONENTS = 1_500
 NUM_FLAGGED = 20

@@ -1,6 +1,6 @@
 """Competitor reachability methods re-implemented from their papers.
 
-All methods implement the :class:`repro.baselines.base.ReachabilityMethod`
+All methods implement the :class:`repro.core.method.ReachabilityMethod`
 interface so the dynamic driver and benchmarks treat them uniformly:
 
 * :class:`~repro.baselines.bibfs.BiBFSMethod` — bidirectional BFS (exact,
@@ -18,13 +18,13 @@ interface so the dynamic driver and benchmarks treat them uniformly:
   extension, excluded from the paper's main comparison (cannot delete).
 """
 
-from repro.baselines.base import ReachabilityMethod
 from repro.baselines.bibfs import BiBFSMethod, bibfs_is_reachable
 from repro.baselines.arrow import ArrowMethod
 from repro.baselines.tol import TOLMethod
 from repro.baselines.ip import IPMethod
 from repro.baselines.dagger import DaggerMethod
 from repro.baselines.dbl import DBLMethod
+from repro.core.method import ReachabilityMethod
 
 __all__ = [
     "ReachabilityMethod",

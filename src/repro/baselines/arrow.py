@@ -22,7 +22,7 @@ import math
 import random
 from typing import List, Optional, Sequence, Tuple
 
-from repro.baselines.base import ReachabilityMethod
+from repro.core.method import ReachabilityMethod
 from repro.graph.digraph import DynamicDiGraph
 from repro.graph.traversal import estimate_diameter
 

@@ -10,8 +10,8 @@ of not being able to handle edge deletions" (Sec. II): deletes raise.
 
 from __future__ import annotations
 
-from repro.baselines.base import ReachabilityMethod
-from repro.baselines.bibfs import bibfs_is_reachable
+from repro.core.bibfs import bibfs_is_reachable
+from repro.core.method import ReachabilityMethod
 from repro.graph.dag import DynamicDAG
 from repro.graph.digraph import DynamicDiGraph
 from repro.graph.labels import LabelIndex

@@ -36,7 +36,7 @@ import random
 from collections import deque
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.baselines.base import ReachabilityMethod
+from repro.core.method import ReachabilityMethod
 from repro.graph.dag import DynamicDAG
 from repro.graph.digraph import DynamicDiGraph
 from repro.graph.traversal import topological_order

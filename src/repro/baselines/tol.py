@@ -28,7 +28,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Dict, Optional, Set
 
-from repro.baselines.base import ReachabilityMethod
+from repro.core.method import ReachabilityMethod
 from repro.graph.dag import DynamicDAG
 from repro.graph.digraph import DynamicDiGraph
 

@@ -27,13 +27,13 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 from repro.baselines.arrow import ArrowMethod
-from repro.baselines.base import ReachabilityMethod
 from repro.baselines.bibfs import BiBFSMethod
 from repro.baselines.dagger import DaggerMethod
 from repro.baselines.dbl import DBLMethod
 from repro.baselines.ip import IPMethod
 from repro.baselines.tol import TOLMethod
 from repro.core.ifca import IFCAMethod
+from repro.core.method import ReachabilityMethod
 from repro.datasets.registry import DATASET_ORDER
 from repro.datasets.sbm import two_block_sbm
 from repro.datasets.scale_free import (
@@ -421,7 +421,7 @@ def cmd_query_batch(args: argparse.Namespace) -> int:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    from repro.graph.stats import summarize
+    from repro.community.summary import summarize
 
     graph = read_graph(args.graph)
     summary = summarize(graph, exact_clustering=args.exact_clustering)

@@ -5,7 +5,9 @@ and its PPR connection, Sec. V-C; the sweep computes conductance
 incrementally) and the cost model's power-law machinery (``beta``, ``c``,
 and the ``k_f`` bounds of Sec. V-D3). The clustering
 coefficient reproduces Tab. II's community/no-community categorization
-(threshold 0.01).
+(threshold 0.01). :func:`~repro.community.summary.summarize` combines
+them with the graph's SCC and closure structure into the one-call
+snapshot summary behind ``python -m repro stats``.
 """
 
 from repro.community.sweep import sweep_cut
@@ -19,6 +21,7 @@ from repro.community.powerlaw import (
     harmonic_partial_sum,
     ppr_power_law_constants,
 )
+from repro.community.summary import GraphSummary, summarize
 
 __all__ = [
     "sweep_cut",
@@ -28,4 +31,6 @@ __all__ = [
     "fit_power_law_exponent",
     "harmonic_partial_sum",
     "ppr_power_law_constants",
+    "GraphSummary",
+    "summarize",
 ]

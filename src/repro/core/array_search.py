@@ -4,7 +4,9 @@ The dict twins (:mod:`repro.core.guided`, :mod:`repro.core.contraction`,
 :mod:`repro.core.bibfs`) run one Python iteration per *edge*; this module
 runs the same three phases as whole-frontier numpy passes over a
 :class:`~repro.graph.snapshot.CSRSnapshot`, one interpreter dispatch per
-*sweep*. :mod:`repro.core.ifca` picks between the two once per query,
+*sweep*; the Alg. 5 hand-off is the kernel BiBFS
+(:func:`repro.graph.kernels.bibfs_loop`) run from this module's state.
+:mod:`repro.core.ifca` picks between the two once per query,
 when it builds the search context: the array path for all three phases
 whenever ``params.use_kernels`` and a current-version snapshot is
 already frozen (``graph.csr(build=False)``), the dict path for all three
@@ -61,11 +63,11 @@ from typing import Optional
 
 import numpy as np
 
-from repro.core.budget import Budget
 from repro.core.contraction import ContractionOutcome
 from repro.core.params import ORDER_GREEDY, PUSH_FORWARD, ResolvedParams
 from repro.core.stats import QueryStats
 from repro.graph import kernels
+from repro.graph.budget import Budget
 from repro.graph.digraph import DynamicDiGraph
 
 
@@ -422,74 +424,17 @@ def array_community_contraction(
 
 
 # ----------------------------------------------------------------------
-# Alg. 5 — overlay-aware vectorized hand-off BiBFS
+# Alg. 5 — the hand-off frontiers for the kernel BiBFS
 # ----------------------------------------------------------------------
-def array_frontier_bibfs(ctx: ArraySearchContext, stats: QueryStats) -> bool:
-    """Run the hand-off BiBFS on array state, overlay included.
-
-    It composes ``remap`` at gather time, so contracted queries stay on
-    the vectorized substrate all the way to the answer; it is the only
-    array hand-off (a dict context finishes on the dict twin).
-    """
-    fwd, rev = ctx.fwd, ctx.rev
-    budget = ctx.budget
-    cur_f = _handoff_frontier(fwd)
-    cur_r = _handoff_frontier(rev)
-    accesses = 0
-    charged = 0
-    met = False
-    while len(cur_f) and len(cur_r):
-        if budget is not None:
-            delta = accesses - charged
-            charged = accesses
-            budget.checkpoint(delta)
-        met, cur_f, acc = _expand_overlay(ctx, fwd, cur_f, rev.visited)
-        accesses += acc
-        if met:
-            break
-        if not len(cur_f):
-            break
-        met, cur_r, acc = _expand_overlay(ctx, rev, cur_r, fwd.visited)
-        accesses += acc
-        if met:
-            break
-    if budget is not None:
-        budget.charge(accesses - charged)
-    stats.bibfs_edge_accesses += accesses
-    stats.used_kernel = True
-    return met
-
-
-def _handoff_frontier(state: ArrayDirectionState):
+def handoff_frontier(state: ArrayDirectionState):
     """Visited-but-unexplored vertices, read off the candidate list.
 
     Residue is only ever zeroed where ``explored`` is set (frontier drains,
     dangling parking, contraction members), so every visited-unexplored
     vertex still holds residue and therefore sits in ``cand`` — an
     O(|cand|) extraction instead of an O(n) scan of the state arrays.
+    The hand-off runs :func:`repro.graph.kernels.bibfs_loop` from these
+    frontiers, through ``remap`` and the overlays.
     """
     cand = state.cand
     return cand[state.visited[cand] & ~state.explored[cand]]
-
-
-def _expand_overlay(ctx, state, frontier, other_visited):
-    """One whole-layer expansion with remap/overlay composition.
-
-    The visited-membership filter subsumes the dict loop's same-super
-    self-edge skip: a gathered entry mapping back to its own source (or
-    slot) is necessarily already visited.
-    """
-    offsets, targets = ctx.offsets_targets(state)
-    real = frontier[frontier < ctx.n_base]
-    raw = kernels.gather_rows(offsets, targets, real)
-    if len(real) != len(frontier) and len(state.overlay):
-        raw = np.concatenate([raw, state.overlay])
-    accesses = len(raw)
-    if accesses == 0:
-        return False, raw, 0
-    mapped = ctx.remap[raw] if ctx.remap is not None else raw
-    fresh = mapped[~state.visited[mapped]]
-    if len(fresh) and other_visited[fresh].any():
-        return True, fresh, accesses
-    state.visited[fresh] = True
-    return False, np.unique(fresh), accesses

@@ -46,7 +46,7 @@ from repro.core.params import ORDER_GREEDY, PUSH_FORWARD
 from repro.core.state import DirectionState, SearchContext
 from repro.core.stats import QueryStats
 
-#: Pushes between cooperative :class:`~repro.core.budget.Budget`
+#: Pushes between cooperative :class:`~repro.graph.budget.Budget`
 #: checkpoints inside one guided drain. Smaller values tighten deadline
 #: adherence at the price of a clock read per interval; irrelevant when
 #: a query carries no budget. Read per drain.

@@ -25,23 +25,22 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
-from repro.baselines.base import ReachabilityMethod
-from repro.baselines.bibfs import bibfs_is_reachable
 from repro.core.array_search import (
     ArraySearchContext,
     array_community_contraction,
-    array_frontier_bibfs,
     array_guided_search,
+    handoff_frontier,
 )
-from repro.core.bibfs import frontier_bibfs
-from repro.core.budget import Budget
+from repro.core.bibfs import bibfs_is_reachable, frontier_bibfs
 from repro.core.contraction import ContractionOutcome, community_contraction
 from repro.core.cost import CostModel
 from repro.core.guided import guided_search
+from repro.core.method import ReachabilityMethod
 from repro.core.params import EPSILON_FLOOR, IFCAParams
 from repro.core.state import SearchContext
 from repro.core.stats import QueryStats
 from repro.graph import kernels
+from repro.graph.budget import Budget
 from repro.graph.digraph import DynamicDiGraph
 
 #: Main-loop rounds after which a query hands over to BiBFS whatever the
@@ -103,7 +102,7 @@ class IFCA:
 
         ``budget``, when given, is checkpointed cooperatively at drain,
         layer, and round boundaries. An exhausted budget raises
-        :class:`~repro.core.budget.BudgetExceeded`, which ends the query:
+        :class:`~repro.graph.budget.BudgetExceeded`, which ends the query:
         neither its search state nor its counters are handed on.
         """
         stats = QueryStats()
@@ -182,7 +181,14 @@ class IFCA:
         # BiBFS takes over from the frontiers (Alg. 2 lines 18-20).
         stats.switched_to_bibfs = True
         if isinstance(ctx, ArraySearchContext):
-            met = array_frontier_bibfs(ctx, stats)
+            fwd, rev = ctx.fwd, ctx.rev
+            met, accesses = kernels.bibfs_loop(
+                ctx.snapshot, handoff_frontier(fwd), handoff_frontier(rev),
+                fwd.visited, rev.visited, ctx.budget,
+                ctx.remap, fwd.overlay, rev.overlay,
+            )
+            stats.bibfs_edge_accesses += accesses
+            stats.used_kernel = True
         else:
             met = frontier_bibfs(
                 ctx, ctx.frontier(ctx.fwd), ctx.frontier(ctx.rev), stats

@@ -3,7 +3,9 @@
 The dynamic driver (:mod:`repro.dynamic.driver`), the comparison
 experiments, and the QpU sweeps all interact with methods exclusively
 through this interface, mirroring how the paper times "query" and "update"
-as the two primitive operations of each framework.
+as the two primitive operations of each framework. IFCA implements it as
+well as every competitor, so it lives in ``core`` and ``baselines`` builds
+on it.
 """
 
 from __future__ import annotations

@@ -15,8 +15,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Set
 
-from repro.core.budget import Budget
 from repro.core.params import ResolvedParams
+from repro.graph.budget import Budget
 from repro.graph.digraph import DynamicDiGraph
 
 SUPER_FORWARD = -1

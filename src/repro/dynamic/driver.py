@@ -14,7 +14,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
-from repro.baselines.base import ReachabilityMethod
+from repro.core.method import ReachabilityMethod
 from repro.dynamic.events import TemporalEdgeStream, apply_event
 from repro.graph.digraph import DynamicDiGraph
 from repro.workloads.queries import generate_queries, label_queries

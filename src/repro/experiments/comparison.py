@@ -11,12 +11,12 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.baselines.arrow import ArrowMethod, tune_arrow_accuracy
-from repro.baselines.base import ReachabilityMethod
 from repro.baselines.bibfs import BiBFSMethod
 from repro.baselines.dagger import DaggerMethod
 from repro.baselines.ip import IPMethod
 from repro.baselines.tol import TOLMethod
 from repro.core.ifca import IFCAMethod
+from repro.core.method import ReachabilityMethod
 from repro.datasets.registry import load_analog
 from repro.dynamic.driver import DynamicWorkload, ReplayResult, replay
 from repro.graph.digraph import DynamicDiGraph

@@ -17,8 +17,8 @@ from __future__ import annotations
 import time
 from typing import Optional, Tuple
 
-from repro.baselines.bibfs import bibfs_is_reachable
 from repro.core.array_search import ArraySearchContext, array_guided_search
+from repro.core.bibfs import bibfs_is_reachable
 from repro.core.guided import guided_search
 from repro.core.params import IFCAParams
 from repro.core.state import SearchContext

@@ -4,7 +4,6 @@ from repro.graph.digraph import DynamicDiGraph
 from repro.graph.scc import condensation, strongly_connected_components
 from repro.graph.dag import DynamicDAG
 from repro.graph.closure import TransitiveClosure
-from repro.graph.stats import GraphSummary, summarize
 from repro.graph.traversal import (
     bfs_distances,
     bfs_reachable,
@@ -20,8 +19,6 @@ __all__ = [
     "TransitiveClosure",
     "CSRSnapshot",
     "LabelIndex",
-    "GraphSummary",
-    "summarize",
     "strongly_connected_components",
     "condensation",
     "bfs_reachable",

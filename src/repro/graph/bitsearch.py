@@ -89,7 +89,7 @@ as successive sweeps inside the call.
 
 Budgets are checkpointed at layer boundaries exactly like the scalar
 kernels: edge accesses are charged *before* the layer is examined, so a
-:class:`~repro.core.budget.BudgetExceeded` cannot be outrun by one huge
+:class:`~repro.graph.budget.BudgetExceeded` cannot be outrun by one huge
 layer. A lane leaves ``pending`` only once decided, so an interrupted
 call hands its decided lanes out with the exception.
 """
@@ -103,8 +103,8 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, TYPE_CHECKIN
 
 import numpy as np
 
-from repro.core.budget import Budget, BudgetExceeded
-from repro.graph.kernels import _gather, _maybe_fault
+from repro.graph.budget import Budget, BudgetExceeded
+from repro.graph.kernels import _maybe_fault, gather_rows
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.graph.snapshot import CSRSnapshot
@@ -446,7 +446,7 @@ def csr_bit_bibfs(
     volume.
 
     Returns ``(answers, stats)`` with ``answers[q]`` the verdict for
-    ``pairs[q]``. Raises :class:`~repro.core.budget.BudgetExceeded` at a
+    ``pairs[q]``. Raises :class:`~repro.graph.budget.BudgetExceeded` at a
     layer boundary when the budget expires, with the lanes already
     decided attached as ``exc.decided`` (``answers``-shaped, ``None``
     where undecided): the serving engine keeps those and reroutes the
@@ -550,7 +550,7 @@ def csr_bit_reach(
     between calls. All seed and probe vertices must exist in the snapshot
     (``KeyError`` otherwise). Budget semantics match
     :func:`csr_bit_bibfs`: checkpoints at layer boundaries, nothing kept
-    on :class:`~repro.core.budget.BudgetExceeded`.
+    on :class:`~repro.graph.budget.BudgetExceeded`.
     """
     _maybe_fault("csr_bit_reach")
 
@@ -581,7 +581,7 @@ def csr_bit_reach(
             charged = accesses
         layers += 1
         counts = offsets[frontier + 1] - offsets[frontier]
-        recv = _gather(offsets, targets, frontier)
+        recv = gather_rows(offsets, targets, frontier)
         accesses += len(recv)
         if len(recv) == 0:
             break

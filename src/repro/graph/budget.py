@@ -18,8 +18,8 @@ This module makes every search phase interruptible at safe points:
 Checkpoints are cooperative: a phase that never checkpoints (a single
 numpy sweep, a contraction pass) simply runs to its own internal bound
 before the next checkpoint fires. This module has no intra-package
-imports, so any layer (graph kernels included) may call into a budget
-without creating an import cycle.
+imports and sits in the bottom layer, so every layer (graph kernels
+included) may call into a budget.
 """
 
 from __future__ import annotations

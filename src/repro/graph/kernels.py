@@ -75,7 +75,7 @@ def _maybe_fault(name: str) -> None:
 # ----------------------------------------------------------------------
 # Frontier primitives
 # ----------------------------------------------------------------------
-def _gather(offsets, targets, frontier):
+def gather_rows(offsets, targets, frontier):
     """Concatenate the adjacency slices of every frontier vertex.
 
     Equivalent to ``np.concatenate([targets[offsets[v]:offsets[v+1]] for v
@@ -114,7 +114,9 @@ def _dedup(fresh, scratch):
     return nxt
 
 
-def _expand(offsets, targets, frontier, visited, other_visited, scratch):
+def _expand(
+    offsets, targets, frontier, visited, other_visited, scratch, remap=None, overlay=None
+):
     """One whole-layer expansion of ``frontier``.
 
     Returns ``(met, next_frontier, accesses)``. Mirrors the dict loop:
@@ -122,8 +124,21 @@ def _expand(offsets, targets, frontier, visited, other_visited, scratch):
     unvisited neighbors are tested against the other direction, then
     marked visited and deduplicated into the next layer. ``scratch`` is a
     caller-owned all-``False`` bool array, restored before returning.
+
+    With a ``remap``, a frontier index past the CSR is the super slot: its
+    stored ``overlay`` row joins the gathered layer, and the whole layer is
+    composed through ``remap`` once. The visited filter subsumes the dict
+    loop's same-super self-edge skip: an entry mapping back to its own
+    source (or slot) is necessarily already visited.
     """
-    nbrs = _gather(offsets, targets, frontier)
+    if remap is None:
+        nbrs = gather_rows(offsets, targets, frontier)
+    else:
+        real = frontier[frontier < len(offsets) - 1]
+        nbrs = gather_rows(offsets, targets, real)
+        if len(real) != len(frontier) and len(overlay):
+            nbrs = np.concatenate([nbrs, overlay])
+        nbrs = remap[nbrs]
     total = len(nbrs)
     if total == 0:
         return False, nbrs, 0
@@ -151,15 +166,6 @@ def _expand(offsets, targets, frontier, visited, other_visited, scratch):
     if not pieces:
         return False, nbrs[:0], total
     return False, _dedup(np.concatenate(pieces), scratch), total
-
-
-def gather_rows(offsets, targets, frontier):
-    """Public alias of :func:`_gather` for the array-state search layer.
-
-    ``frontier`` must contain compacted indices within the CSR (no super
-    slots); the result concatenates the adjacency rows in frontier order.
-    """
-    return _gather(offsets, targets, frontier)
 
 
 # ----------------------------------------------------------------------
@@ -408,7 +414,7 @@ def csr_forward_push_drain(
         reserve[frontier] += alpha * r_front
         residue[frontier] = 0.0
         counts = offsets[frontier + 1] - offsets[frontier]
-        nbrs = _gather(offsets, targets, frontier)
+        nbrs = gather_rows(offsets, targets, frontier)
         edge_accesses += len(nbrs)
         np.add.at(
             residue,
@@ -431,11 +437,12 @@ def csr_bibfs(
     ``source`` / ``target`` are original vertex ids and must exist in the
     snapshot (callers run the trivial tests first, exactly like the dict
     path). ``budget``, when given, is checkpointed once per layer (see
-    :meth:`repro.core.budget.Budget.checkpoint`); a raise abandons the
+    :meth:`repro.graph.budget.Budget.checkpoint`); a raise abandons the
     kernel-local masks, so no partial state survives.
     """
     if source == target:
         return True, 0
+    _maybe_fault("csr_bibfs")
     si = csr.index_of(source)
     ti = csr.index_of(target)
     n = csr.num_vertices
@@ -445,14 +452,26 @@ def csr_bibfs(
     visited_r[ti] = True
     frontier_f = np.array([si], dtype=np.int64)
     frontier_r = np.array([ti], dtype=np.int64)
-    return _bibfs_loop(csr, frontier_f, frontier_r, visited_f, visited_r, budget)
+    return bibfs_loop(csr, frontier_f, frontier_r, visited_f, visited_r, budget)
 
 
-def _bibfs_loop(csr, frontier_f, frontier_r, visited_f, visited_r, budget=None):
-    _maybe_fault("csr_bibfs")
+def bibfs_loop(
+    csr, frontier_f, frontier_r, visited_f, visited_r,
+    budget=None, remap=None, overlay_f=None, overlay_r=None,
+) -> Tuple[bool, int]:
+    """Layer-alternating BiBFS from given frontiers; ``(met, accesses)``.
+
+    The one scalar CSR BiBFS: :func:`csr_bibfs` runs it from ``{s}`` /
+    ``{t}``, and IFCA's array hand-off (Alg. 5) from the guided search's
+    frontiers and visited masks, which it extends in place. After a
+    contraction the hand-off also passes the array state's ``remap`` and
+    each direction's super-slot ``overlay`` (see
+    :mod:`repro.core.array_search`); the masks then cover the two slots
+    past the CSR's ``n`` vertices.
+    """
     out_offsets, out_targets = csr.out_offsets, csr.out_targets
     in_offsets, in_targets = csr.in_offsets, csr.in_targets
-    scratch = np.zeros(csr.num_vertices, dtype=bool)
+    scratch = np.zeros(len(visited_f), dtype=bool)
     accesses = 0
     charged = 0
     # An exhausted frontier proves the negative: that side's visited set
@@ -465,16 +484,18 @@ def _bibfs_loop(csr, frontier_f, frontier_r, visited_f, visited_r, budget=None):
             charged = accesses
             budget.checkpoint(delta)
         met, frontier_f, acc = _expand(
-            out_offsets, out_targets, frontier_f, visited_f, visited_r, scratch
+            out_offsets, out_targets, frontier_f, visited_f, visited_r,
+            scratch, remap, overlay_f,
         )
         accesses += acc
         if met:
             _charge_rest(budget, accesses - charged)
             return True, accesses
-        if not len(frontier_r):
+        if not len(frontier_f):
             break
         met, frontier_r, acc = _expand(
-            in_offsets, in_targets, frontier_r, visited_r, visited_f, scratch
+            in_offsets, in_targets, frontier_r, visited_r, visited_f,
+            scratch, remap, overlay_r,
         )
         accesses += acc
         if met:
@@ -500,7 +521,7 @@ def csr_reachable_mask(csr: "CSRSnapshot", start_index: int, forward: bool = Tru
     visited[start_index] = True
     frontier = np.array([start_index], dtype=np.int64)
     while len(frontier):
-        nbrs = _gather(offsets, targets, frontier)
+        nbrs = gather_rows(offsets, targets, frontier)
         fresh = nbrs[~visited[nbrs]]
         visited[fresh] = True
         frontier = np.unique(fresh)
@@ -577,7 +598,7 @@ def csr_sweep_cut(
 
     vol = np.cumsum(degrees[ranked_idx])
     out_counts = csr.out_offsets[ranked_idx + 1] - csr.out_offsets[ranked_idx]
-    nbrs = _gather(csr.out_offsets, csr.out_targets, ranked_idx)
+    nbrs = gather_rows(csr.out_offsets, csr.out_targets, ranked_idx)
     rank_u = np.repeat(np.arange(1, num_ranked + 1, dtype=np.int64), out_counts)
     rank_v = rank[nbrs]
     removed_at = np.minimum(np.maximum(rank_u, rank_v), num_ranked + 1)

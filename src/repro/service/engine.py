@@ -123,12 +123,12 @@ from collections import deque
 
 import numpy as np
 
-from repro.baselines.base import ReachabilityMethod
-from repro.core.budget import Budget, BudgetExceeded
 from repro.core.ifca import IFCAMethod
+from repro.core.method import ReachabilityMethod
 from repro.core.params import IFCAParams
 from repro.graph import kernels
 from repro.graph.bitsearch import csr_bit_bibfs
+from repro.graph.budget import Budget, BudgetExceeded
 from repro.graph.digraph import DynamicDiGraph
 from repro.graph.journal import JournalReplayError, UpdateJournal
 from repro.graph.labels import LabelIndex

@@ -51,8 +51,8 @@ from __future__ import annotations
 import time
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.budget import Budget, BudgetExceeded
 from repro.graph.bitsearch import csr_bit_bibfs, csr_bit_reach
+from repro.graph.budget import Budget, BudgetExceeded
 from repro.shard.memory import attach_snapshot
 
 

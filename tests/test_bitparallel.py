@@ -19,13 +19,13 @@ import threading
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.core.budget import Budget, BudgetExceeded
 from repro.datasets.sbm import two_block_sbm
 from repro.datasets.scale_free import (
     erdos_renyi_graph,
     preferential_attachment_graph,
 )
 from repro.graph import kernels
+from repro.graph.budget import Budget, BudgetExceeded
 from repro.graph.digraph import DynamicDiGraph
 from repro.graph.traversal import is_reachable_bfs
 from repro.service import ReachabilityService

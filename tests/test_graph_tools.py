@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.community.summary import summarize
 from repro.graph.closure import TransitiveClosure
 from repro.graph.digraph import DynamicDiGraph
-from repro.graph.stats import summarize
 from repro.graph.traversal import is_reachable_bfs
 
 from tests.conftest import random_graph

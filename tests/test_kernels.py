@@ -18,7 +18,7 @@ from repro.baselines.bibfs import bibfs_is_reachable
 from repro.core.ifca import IFCA
 from repro.core.params import ORDER_GREEDY, ORDER_LIFO, IFCAParams
 from repro.core.stats import QueryStats
-from repro.datasets.sbm import two_block_sbm
+from repro.datasets.sbm import planted_partition_graph, two_block_sbm
 from repro.datasets.scale_free import preferential_attachment_graph
 from repro.graph import kernels
 from repro.graph.digraph import DynamicDiGraph
@@ -32,6 +32,10 @@ def _families():
         ("sbm", two_block_sbm(100, 6.0, seed=11)),
         ("scale_free", preferential_attachment_graph(400, 3, seed=11, reciprocal=0.2)),
     ]
+
+
+def _with_queries(graph):
+    return graph, generate_queries(graph, 300, seed=21)
 
 
 class TestBiBFSEquivalence:
@@ -97,6 +101,54 @@ class TestBiBFSEquivalence:
             oracle = t in bfs_reachable(g, s)
             assert engines[False].is_reachable(s, t) == oracle
             assert engines[True].is_reachable(s, t) == oracle
+
+    def test_contracted_handoff_equivalence(self):
+        """The array hand-off after a contraction runs through ``remap``
+        and the super-slot overlays: kernels on, kernels off and the
+        oracle agree, and some hand-off really follows a contraction."""
+        g = planted_partition_graph(6, 60, 0.08, 0.004, seed=3)
+        g.csr()
+        engines = {
+            flag: IFCA(g, params=IFCAParams(force_switch_round=4, use_kernels=flag))
+            for flag in (False, True)
+        }
+        contracted_handoffs = 0
+        for s, t in generate_queries(g, 200, seed=1):
+            oracle = t in bfs_reachable(g, s)
+            assert engines[False].is_reachable(s, t) == oracle
+            answer, stats = engines[True].query_with_stats(s, t)
+            assert answer == oracle
+            if stats.switched_to_bibfs:
+                assert stats.used_kernel
+                contracted_handoffs += (
+                    stats.contractions_forward + stats.contractions_reverse > 0
+                )
+        assert contracted_handoffs > 0
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            lambda: (DynamicDiGraph(edges=[(1, 0), (2, 3), (4, 1), (5, 4)]), [(3, 0)]),
+            lambda: _with_queries(preferential_attachment_graph(3000, 2, seed=3)),
+        ],
+        ids=["forward-runs-out-first", "pa3000"],
+    )
+    def test_negative_edge_accesses_match_the_dict_loop(self, case):
+        """On a negative both loops expand the same vertex sets layer by
+        layer and stop once either side runs out, so they count the same
+        edge accesses: no extra layer after the forward side is done."""
+        graph, queries = case()
+        graph.csr()
+        negatives = 0
+        for s, t in queries:
+            dict_stats, kern_stats = QueryStats(), QueryStats()
+            if bibfs_is_reachable(graph, s, t, dict_stats, use_kernels=False):
+                continue
+            assert not bibfs_is_reachable(graph, s, t, kern_stats, use_kernels=True)
+            assert kern_stats.used_kernel
+            assert kern_stats.bibfs_edge_accesses == dict_stats.bibfs_edge_accesses, (s, t)
+            negatives += 1
+        assert negatives > 0
 
     def test_empty_and_trivial_cases(self):
         g = DynamicDiGraph(edges=[(0, 1), (1, 2)])
