@@ -25,6 +25,34 @@ Lane ``q`` (bit ``q % 64`` of group ``q // 64``) belongs to pair
   ``t`` were reachable, the forward closure would contain ``t``, where the
   reverse seed bit already waits.
 
+Level pruning
+-------------
+Given ``level`` — the condensation's topological level of each row
+(:class:`~repro.graph.dag.DynamicDAG`, read off the pruner's view of the
+snapshot) — each side also drops, per row, the lanes that row cannot
+serve: the forward side admits ``v`` for lane ``q`` only if ``level[v]
+<= level[t_q]``, the reverse side only if ``level[v] >= level[s_q]``.
+Levels rise strictly along every edge between components and are equal
+inside one, so along any path they never fall: every vertex of an
+``s -> t`` path has ``level(s) <= level(v) <= level(t)``. Both pruned
+closures therefore still hold every path, a meet is found exactly when
+it was before, and a lane whose pruned side runs dry is a true negative.
+The bound is ``<=``, not ``<``: ``t``'s whole SCC, ``t`` included, sits
+on ``t``'s level. Any levelling that never falls along an edge is exact,
+so levels past :data:`LEVEL_CEILING` are clamped to it, which bounds the
+lane tables.
+
+The mask is a table lookup per expanded layer: per sweep, each side
+bins its lanes' bits at their bound and OR-accumulates them towards the
+levels that admit them (:func:`_level_table`, ``words x (top + 1)``
+words); after the merge, one gather of the rows' levels and one of the
+table give each row's admitted lanes, ANDed into the merged words before
+the meet test and the label write. A side whose table admits every lane
+at every level skips the mask, and a group that finishes alone takes its
+row of the table along. A ``searchsorted`` over per-group sorted bounds
+(65 keys a group) gave the same answers but cost ~15x the direct gather
+per row (423 against 28 us for 16k rows).
+
 Layout: block-sparse rows, one loop
 -----------------------------------
 State is keyed by **row** ``g*n + v`` with one uint64 per row: a frontier
@@ -59,19 +87,27 @@ against 14.4 / 13.0 / 19.0 in three alternating runs).
 Measured on the 50k-vertex ``benchmarks/e2e`` graphs, 1024-pair frames
 packed as the service packs them (``pack_waves``), answers identical on
 every frame; ms/frame, median [quartiles] of five alternating runs of
-three repetitions each, 2-vCPU x86-64 host, numpy 2.4.6:
+three repetitions each, 2-vCPU x86-64 host, numpy 2.4.6. The last column
+is a later set of such runs, the per-group sweep plain -> level-pruned
+(levels from the graph's ``DynamicDAG``: top level 15 on the sparse
+graph, 4 on the dense one):
 
-==========================  ======================  ==================
-input                       two sweeps, frame-wide  one sweep,
-                            32 768 (before)         per-group 3 277
-==========================  ======================  ==================
-``batch_search`` pool       9.7 [9.1-10.2],         7.7 [7.6-8.4],
-(16 frames, seed 1)         2 sweeps, 35.7 layers   1 sweep, 18 layers
-sparse, uniform pairs       20.9 [20.8-22.4],       20.1 [18.9-21.1],
-(4 frames)                  33.5 layers             17.5 layers
-dense, uniform pairs        73.7 [73.2-75.5],       74.9 [73.5-78.6],
-(4 frames)                  57.8 layers             55.8 layers
-==========================  ======================  ==================
+======================  ====================  ==================  ====================
+input                   two sweeps,           one sweep,          one sweep, plain ->
+                        frame-wide 32 768     per-group 3 277     level-pruned
+                        (before)
+======================  ====================  ==================  ====================
+``batch_search`` pool   9.7 [9.1-10.2],       7.7 [7.6-8.4],      8.2 [8.0-8.3] ->
+(16 frames, seed 1)     2 sweeps, 35.7        1 sweep, 18 layers  2.9 [2.9-3.1]; 18 ->
+                        layers                                    10.3 layers, 31.8k
+                                                                  -> 8.1k edges
+sparse, uniform pairs   20.9 [20.8-22.4],     20.1 [18.9-21.1],   19.3 [18.2-20.6] ->
+(4 frames)              33.5 layers           17.5 layers         13.1 [12.1-14.7];
+                                                                  17.2 -> 15.2 layers
+dense, uniform pairs    73.7 [73.2-75.5],     74.9 [73.5-78.6],   63.9 [63.6-68.1] ->
+(4 frames)              57.8 layers           55.8 layers         69.9 [65.4-75.5];
+                                                                  56.8 layers both
+======================  ====================  ==================  ====================
 
 and :data:`HEAVY_GROUP_EDGES` at 2 048 / **3 277** / 4 096 / 6 144 in
 the same runs: pool 8.0 / **7.7** / 7.7 / 7.9, sparse 31.8 (139
@@ -80,6 +116,13 @@ layers: splits too early) / **20.1** / 20.0 / 20.5, dense 71.5 /
 value is resolvably best there). 3 277 is 32 768 / 10 — the frame-wide
 rule at the width it was measured on — and the lowest of the four that
 keeps sparse frames wide.
+
+Pruning cuts most on negatives whose closures leave the target's level
+(the pool: 16 262 of its 16 384 pairs are negative). On the dense
+graph's uniform pairs nearly every lane lives in the giant SCC, where no
+level bound cuts anything, and the lookup is pure cost (+9 %); in the
+service the ``same-scc`` fast-path rule answers those pairs before any
+sweep.
 
 Label blocks live in one process-wide scratch pair (:class:`_Scratch`),
 held under a lock for the duration of a kernel call and zeroed by
@@ -124,6 +167,12 @@ _SCRATCH_ROWS = 1 << 20
 #: many groups share a sweep; measured, not tuned per deployment (2 048
 #: / 3 277 / 4 096 / 6 144 are compared in the module docstring).
 HEAVY_GROUP_EDGES = 3277
+
+
+#: Levels above this share one row of a lane table (see
+#: :func:`csr_bit_bibfs`): a table is ``words x (LEVEL_CEILING + 1)``
+#: words a side at most, however far churn has pushed the levels up.
+LEVEL_CEILING = 1023
 
 
 def words_for(lanes: int) -> int:
@@ -285,20 +334,49 @@ def _group_or(bits, rows, n: int, groups: int):
     return out
 
 
+def _level_table(group, bound, bits, groups: int, width: int, forward: bool):
+    """Which lanes of each word-group a row admits, by the row's level:
+    word ``g * width + level`` of the flat ``(groups, width)`` table, or
+    ``None`` when every row admits every lane.
+
+    Lane bits are binned at their bound (``level[t]`` forward,
+    ``level[s]`` reverse) and OR-accumulated towards the levels that
+    admit them: downwards forward (``level <= level[t]``), upwards in
+    reverse (``level >= level[s]``).
+    """
+    table = np.zeros((groups, width), dtype=np.uint64)
+    np.bitwise_or.at(table, (group, bound), bits)
+    if forward:
+        table = np.bitwise_or.accumulate(table[:, ::-1], axis=1)[:, ::-1]
+    else:
+        table = np.bitwise_or.accumulate(table, axis=1)
+    if (table[:, 0] == table[:, -1]).all():
+        return None  # every level admits every lane: no mask
+    return np.ascontiguousarray(table).reshape(-1)
+
+
 class _Side:
     """One direction of a sweep: its CSR arrays, label block and frontier."""
 
     __slots__ = (
         "offsets", "targets", "label", "base", "touched", "masked",
         "rows", "delta", "adv", "groups", "lift", "starts", "counts", "cost",
+        "level", "table", "width",
     )
 
-    def __init__(self, offsets, targets, label, base: int, touched: list):
+    def __init__(
+        self, offsets, targets, label, base: int, touched: list,
+        level=None, table=None, width: int = 0,
+    ):
         self.offsets, self.targets, self.label = offsets, targets, label
         #: Scratch row of ``label[0]`` (``touched`` holds scratch rows).
         self.base, self.touched = base, touched
         #: The ``pending`` epoch the delta was last masked at.
         self.masked = 0
+        #: Per-row level and the lanes each level admits
+        #: (:func:`_level_table`, ``width`` levels a group); no table, no
+        #: mask.
+        self.level, self.table, self.width = level, table, width
 
     def advance(self, rows, delta, n: int, groups: int) -> None:
         """Install a frontier — sorted rows plus the lanes each gained
@@ -324,6 +402,15 @@ class _Side:
         if not live.all():
             self.advance(self.rows[live], delta[live], n, groups)
 
+    def admit(self, rows, words, n: int, groups: int) -> None:
+        """AND into each row's ``words`` the lanes its level admits."""
+        if groups == 1:
+            key = self.level[rows]
+        else:
+            lift = rows // n
+            key = self.level[rows - lift * n] + lift * self.width
+        words &= self.table[key]
+
     def write(self, rows, words) -> None:
         self.label[rows] = words
         base = self.base
@@ -338,9 +425,14 @@ class _Side:
         """Word-group ``group`` of this side as a one-word side over its
         own contiguous ``(n,)`` label block."""
         lo = group * n
+        table, width = self.table, self.width
+        if table is not None:
+            table = table[group * width : (group + 1) * width]
+            if table[0] == table[-1]:
+                table = None  # every level admits all of this group's lanes
         side = _Side(
             self.offsets, self.targets, self.label[lo : lo + n],
-            self.base + lo, self.touched,
+            self.base + lo, self.touched, self.level, table, width,
         )
         a, b = np.searchsorted(self.rows, (lo, lo + n))
         side.advance(self.rows[a:b] - lo, self.delta[a:b], n, 1)
@@ -401,6 +493,8 @@ def _sweep(n, groups, fwd, rev, pending, result, prefer_forward, tally, epoch=0)
             if groups > 1:
                 keys = keys + np.repeat(side.lift, counts)
             rows, merged = _merge(keys, np.repeat(side.delta, counts))
+            if side.table is not None:
+                side.admit(rows, merged, n, groups)
             # Meet-test straight off the merge, before the label update:
             # resolved lanes re-meet here (labels are never masked), hence
             # ``& pending``. When every remaining lane meets — the common
@@ -433,6 +527,7 @@ def csr_bit_bibfs(
     *,
     budget: Optional[Budget] = None,
     lead: str = "forward",
+    level: Optional[np.ndarray] = None,
 ) -> Tuple[List[bool], BitSweepStats]:
     """Answer every ``(source, target)`` pair, a frame at a sweep.
 
@@ -443,7 +538,11 @@ def csr_bit_bibfs(
     pairs, which are nevertheless handled here). ``lead`` breaks the
     direction tie when both frontiers cost the same; otherwise every
     layer expands the side whose live frontier has the smaller adjacency
-    volume.
+    volume. ``level``, one integer per CSR row that never falls along an
+    edge (the condensation's topological levels), prunes each lane to the
+    rows that can lie on its path: the forward side admits ``v`` only if
+    ``level[v] <= level[t]``, the reverse side only if ``level[v] >=
+    level[s]``. Verdicts are the same with or without it.
 
     Returns ``(answers, stats)`` with ``answers[q]`` the verdict for
     ``pairs[q]``. Raises :class:`~repro.graph.budget.BudgetExceeded` at a
@@ -473,6 +572,25 @@ def csr_bit_bibfs(
         """Each lane's bit of a ``(words,)`` array."""
         return ((group_words[lane_word] & lane_bit) != 0).tolist()
 
+    if level is not None:
+        top = int(level.max())
+        if top >= LEVEL_CEILING:
+            # Clamped levels still never fall along an edge, so the mask
+            # stays exact; it only stops telling high levels apart.
+            top = LEVEL_CEILING
+            level = np.minimum(level, top)
+
+    def mask_for(forward: bool, sel: slice, groups: int, lo: int):
+        """A side's ``(level, table, width)`` for one sweep: the forward
+        side is bounded by ``level[t]``, the reverse side by ``level[s]``."""
+        if level is None:
+            return ()
+        bound = level[(tgt_idx if forward else src_idx)[sel]]
+        table = _level_table(
+            lane_word[sel] - lo, bound, lane_bit[sel], groups, top + 1, forward
+        )
+        return level, table, top + 1
+
     pending = np.zeros(words, dtype=np.uint64)
     np.bitwise_or.at(pending, lane_word, lane_bit)
     result = np.zeros(words, dtype=np.uint64)
@@ -490,8 +608,14 @@ def csr_bit_bibfs(
                 sel = slice(lo * WORD_BITS, (lo + groups) * WORD_BITS)
                 lift = (lane_word[sel] - lo) * n
                 tally.sweeps += 1
-                fwd = _Side(csr.out_offsets, out_tgt, label_f, 0, [])
-                rev = _Side(csr.in_offsets, in_tgt, label_r, 0, [])
+                fwd = _Side(
+                    csr.out_offsets, out_tgt, label_f, 0, [],
+                    *mask_for(True, sel, groups, lo),
+                )
+                rev = _Side(
+                    csr.in_offsets, in_tgt, label_r, 0, [],
+                    *mask_for(False, sel, groups, lo),
+                )
                 try:
                     for side, idx in ((fwd, src_idx), (rev, tgt_idx)):
                         rows, bits = _merge(lift + idx[sel], lane_bit[sel])

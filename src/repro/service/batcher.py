@@ -450,6 +450,12 @@ class BatchCostModel:
     * a scalar batch of pool pairs cost 0.80 ms a pair end to end
       (engine-stage mean 1.4 ms, median 0.5) and the dense graph's hard
       pairs 0.46-0.79 ms: ``default_scalar_s``.
+
+    Those sweeps ran unpruned. The wave rung now sweeps pruned by
+    topological level whenever the pruner has a view of the snapshot
+    (:func:`~repro.graph.bitsearch.csr_bit_bibfs`): the pool's frames
+    take 10 layers instead of 18 and a quarter of the edges, so for them
+    the sweep side is an upper bound (ROADMAP item 8 re-fits it).
     """
 
     #: Seconds per (word-group x (vertex + edge)) of sweep bandwidth.

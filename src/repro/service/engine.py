@@ -283,9 +283,7 @@ class ReachabilityService:
         self.engine_edge_budget = engine_edge_budget
         self._lock = RWLock()
         self._pruner = FastPathPruner(
-            self.graph,
-            num_supportive=num_supportive,
-            seed=seed,
+            self.graph, num_supportive=num_supportive, seed=seed,
             csr_provider=lambda: self.graph.csr(build=False),
         )
         self._cache = VersionedQueryCache(cache_capacity)
@@ -643,11 +641,7 @@ class ReachabilityService:
             walk = _Walk(self.graph.version, deadline)
             survivors = self._index_rungs(walk, pairs)
             rungs = self._SEARCH_RUNGS
-            if (
-                survivors
-                and deadline is not None
-                and time.perf_counter() > deadline
-            ):
+            if survivors and deadline is not None and time.perf_counter() > deadline:
                 walk.why = "pre-engine"
                 rungs = rungs[-1:]
             for stage, rung in rungs:
@@ -838,7 +832,9 @@ class ReachabilityService:
         The rung decides for itself, at every width, from what it can
         observe: the breaker, the cost model's cutover on the survivor
         count, graph size and live engine mean, and whether the version
-        has (or can freeze) a snapshot. Pairs the kernel does not answer
+        has (or can freeze) a snapshot. The sweep is pruned by the
+        condensation's levels when the pruner's view is of the snapshot
+        swept, and runs unpruned otherwise. Pairs the kernel does not answer
         — any of those said no, the call failed (breaker-counted), or
         the budget expired before their lanes were decided — stay
         survivors for the engine and degraded rungs. Decided lanes are
@@ -848,9 +844,7 @@ class ReachabilityService:
         if self._breaker.state != "closed":
             return survivors
         use_bits = self._batch_cost.prefer_bitparallel(
-            len(survivors),
-            self.graph.num_vertices,
-            self.graph.num_edges,
+            len(survivors), self.graph.num_vertices, self.graph.num_edges,
             stats.stage_mean_seconds("engine"),
         )
         stats.incr("batch_auto_bitparallel" if use_bits else "batch_auto_scalar")
@@ -866,12 +860,18 @@ class ReachabilityService:
             max_wave_lanes=len(survivors), csr=csr,
         )
         rows = np.asarray(survivors)[wave.order]
+        try:  # the pruner's levels of this snapshot, if it has them
+            view = self._pruner.view()
+            level = view.level if view is not None and view.csr is csr else None
+        except Exception:
+            stats.incr("stage_errors_fastpath")
+            level = None
         budget = self._make_budget(walk.deadline)
         start = time.perf_counter()
         try:
             self._fire("engine")
             answers, sweep = csr_bit_bibfs(
-                csr, wave.ids, budget=budget, lead=wave.lead
+                csr, wave.ids, budget=budget, lead=wave.lead, level=level
             )
         except BudgetExceeded as exc:
             # Lanes decided before the budget ran out are final verdicts.

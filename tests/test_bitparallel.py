@@ -16,6 +16,7 @@ import random
 import sys
 import threading
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -370,6 +371,174 @@ class TestFrameWideSweep:
                 scratch.label_f[:8] = scratch.label_r[:8] = 0
         assert not child.is_alive()
         assert child.exitcode == 0
+
+
+# ----------------------------------------------------------------------
+# Level-pruned sweeps: a lane expands only rows that can lie on its path
+# ----------------------------------------------------------------------
+@st.composite
+def _churned_graph_and_pairs(draw):
+    n = draw(st.integers(2, 30))
+    vertex = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(vertex, vertex), max_size=2 * n))
+    # ``close`` inserts the reverse of a live edge (a cycle: SCCs merge,
+    # levels rise); ``delete`` removes a live edge (an SCC may split).
+    kind = st.sampled_from(["insert", "close", "delete"])
+    ops = draw(st.lists(
+        st.tuples(kind, vertex, vertex, st.integers(0, 1 << 16)),
+        min_size=1, max_size=8,
+    ))
+    lanes = draw(st.sampled_from([1, 64, 65, 1100]))
+    distinct = draw(st.lists(st.tuples(vertex, vertex), min_size=1, max_size=20))
+    ceiling = draw(st.sampled_from([None, 1, 2]))
+    return n, edges, ops, lanes, distinct, ceiling
+
+
+def _versions(n, edges, ops):
+    """The graph and its pruner at every version of a churn sequence."""
+    from repro.service.fastpath import FastPathPruner
+
+    graph = DynamicDiGraph(vertices=range(n), edges=edges)
+    pruner = FastPathPruner(
+        graph, num_supportive=2, csr_provider=lambda: graph.csr(build=False)
+    )
+    yield graph, pruner
+    for kind, u, v, pick in ops:
+        live = sorted(graph.edges())
+        if kind == "insert":
+            pruner.apply_insert(u, v)
+        elif live:
+            a, b = live[pick % len(live)]
+            if kind == "close":
+                pruner.apply_insert(b, a)
+            else:
+                pruner.apply_delete(a, b)
+        yield graph, pruner
+
+
+def _inverted_pairs(csr, level, count=4):
+    """Pairs whose source sits on a higher level than their target."""
+    order = np.argsort(level, kind="stable")
+    ids = csr.vertex_ids
+    return [
+        (int(ids[order[-1 - i]]), int(ids[order[i]]))
+        for i in range(min(count, len(order)))
+        if level[order[-1 - i]] > level[order[i]]
+    ]
+
+
+class TestLevelPrunedSweep:
+    @settings(
+        max_examples=40,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(case=_churned_graph_and_pairs())
+    @pytest.mark.parametrize(
+        "span", [None, 2], ids=["one-sweep", "two-groups-per-sweep"]
+    )
+    @pytest.mark.parametrize(
+        "heavy",
+        [0, 1, sys.maxsize],
+        ids=["split-at-once", "split-after-a-layer", "never-split"],
+    )
+    def test_pruned_equals_plain_equals_oracle_under_churn(
+        self, monkeypatch, heavy, span, case
+    ):
+        """At every version of a churn sequence, the sweep pruned by the
+        pruner's view of that version answers lane for lane as the plain
+        sweep and BFS — every width, split point, scratch ceiling, lead
+        and level ceiling, pairs against the levels included."""
+        from repro.graph import bitsearch
+
+        n, edges, ops, lanes, distinct, ceiling = case
+        monkeypatch.setattr(bitsearch, "HEAVY_GROUP_EDGES", heavy)
+        if span is not None:
+            monkeypatch.setattr(bitsearch, "_SCRATCH_ROWS", span * n)
+        if ceiling is not None:
+            monkeypatch.setattr(bitsearch, "LEVEL_CEILING", ceiling)
+        for graph, pruner in _versions(n, edges, ops):
+            csr = graph.csr()
+            view = pruner.view()
+            assert view is not None and view.csr is csr
+            assert view.version == graph.version
+            pool = distinct + _inverted_pairs(csr, view.level)
+            pairs = [pool[(i * 7) % len(pool)] for i in range(lanes)]
+            expected = _oracle(graph, pairs)
+            for lead in ("forward", "reverse"):
+                pruned, stats = bitsearch.csr_bit_bibfs(
+                    csr, pairs, lead=lead, level=view.level
+                )
+                plain, _ = bitsearch.csr_bit_bibfs(csr, pairs, lead=lead)
+                assert pruned == plain == expected, (lead, graph.version)
+                assert stats.lanes == lanes
+        assert _scratch_is_clean()
+
+    def test_a_lane_never_expands_past_its_targets_level(self):
+        """Two chains, ``0 -> ... -> 40`` and ``200 -> ... -> 205``, with
+        ties led forward. Lane ``0 -> 205`` (level 0 to 5): the forward
+        side stops after level 5 instead of walking to 40. Lane ``30 ->
+        5`` (the source above the target): its first layer admits
+        nothing."""
+        from repro.graph.bitsearch import csr_bit_bibfs
+        from repro.graph.dag import DynamicDAG
+
+        chains = [(i, i + 1) for i in range(40)]
+        chains += [(200 + i, 201 + i) for i in range(5)]
+        graph = DynamicDiGraph(edges=chains)
+        csr = graph.csr()
+        _, level = DynamicDAG(graph).components_of(csr.vertex_ids)
+        for pair, layers in (((0, 205), (41, 6)), ((30, 5), (11, 1))):
+            plain, wide = csr_bit_bibfs(csr, [pair], lead="forward")
+            pruned, narrow = csr_bit_bibfs(
+                csr, [pair], lead="forward", level=level
+            )
+            assert plain == pruned == [False]
+            assert (wide.layers, narrow.layers) == layers
+
+    @pytest.mark.parametrize("view_case", ["current", "none", "other-snapshot"])
+    def test_the_wave_rung_prunes_with_the_view_of_its_snapshot(
+        self, monkeypatch, view_case
+    ):
+        """A searched frame on a sparse PA graph books ``bitbatch``
+        verdicts equal to BFS. With the pruner's view of the swept
+        snapshot the sweep runs the pruned layers — fewer than a plain
+        sweep of the same lanes; with no view, or a view of another
+        snapshot, it runs the plain ones."""
+        from repro.graph.bitsearch import csr_bit_bibfs
+
+        graph = preferential_attachment_graph(600, 2, seed=5, reciprocal=0.02)
+        pairs = _random_pairs(graph, 600, random.Random(11), False)
+        with ReachabilityService(
+            graph.copy(), seed=0, num_supportive=0, use_labels=False
+        ) as svc:
+            force_waves(svc)
+            csr = svc.graph.csr()
+            view = svc.pruner.view()
+            assert view is not None and view.csr is csr
+            if view_case == "none":
+                monkeypatch.setattr(svc.pruner, "view", lambda: None)
+            elif view_case == "other-snapshot":
+                other = view._replace(csr=svc.graph.copy().csr())
+                monkeypatch.setattr(svc.pruner, "view", lambda: other)
+            outcomes = svc.query_batch(pairs)
+            counters = svc.stats()["counters"]
+        swept = [(o.source, o.target) for o in outcomes if o.via == "bitbatch"]
+        assert len(swept) >= 64 and counters["bit_waves"] == 1
+        for outcome in outcomes:
+            assert outcome.answer == is_reachable_bfs(
+                graph, outcome.source, outcome.target
+            ), outcome
+        (wave,) = pack_waves(
+            swept, graph=graph, max_wave_lanes=len(swept), csr=csr
+        )
+        _, plain = csr_bit_bibfs(csr, wave.ids, lead=wave.lead)
+        _, pruned = csr_bit_bibfs(
+            csr, wave.ids, lead=wave.lead, level=view.level
+        )
+        assert pruned.layers < plain.layers
+        expected = pruned if view_case == "current" else plain
+        assert counters["bit_layers"] == expected.layers
 
 
 # ----------------------------------------------------------------------

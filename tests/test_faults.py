@@ -566,9 +566,9 @@ class TestCooperativeCancellation:
         budgets = []
         kernel = engine.csr_bit_bibfs
 
-        def bit_bibfs(csr, ids, budget=None, lead=None):
+        def bit_bibfs(csr, ids, budget=None, lead=None, level=None):
             budgets.append(("waves", budget))
-            return kernel(csr, ids, budget=budget, lead=lead)
+            return kernel(csr, ids, budget=budget, lead=lead, level=level)
 
         monkeypatch.setattr(engine, "csr_bit_bibfs", bit_bibfs)
         with ReachabilityService(
