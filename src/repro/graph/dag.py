@@ -15,7 +15,7 @@ read it instead of recomputing it.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -63,10 +63,10 @@ class DynamicDAG:
 
     ``level[cid]`` strictly rises along every DAG edge, so
     ``level(a) >= level(b)`` refutes ``a ~> b`` between distinct
-    components. A build assigns longest-path levels; updates repair them
-    where they change (see :meth:`_raise_levels`). ``version`` is the
-    graph version last applied here: a graph mutated behind the DAG's
-    back leaves it behind for good.
+    components. A build assigns longest-path levels; inserts raise them
+    and deletes lower them where they change (:meth:`_raise_levels`,
+    :meth:`_lower_levels`). ``version`` is the graph version last applied
+    here: a graph mutated behind the DAG's back leaves it behind for good.
     """
 
     def __init__(self, graph: Optional[DynamicDiGraph] = None) -> None:
@@ -129,7 +129,8 @@ class DynamicDAG:
         if count == 0:
             self.dag.add_edge(cu, cv)
 
-    def _remove_dag_edge(self, cu: int, cv: int) -> None:
+    def _remove_dag_edge(self, cu: int, cv: int) -> bool:
+        """``True`` when the last multiplicity, so the DAG edge, went."""
         key = (cu, cv)
         count = self._edge_multiplicity[key] - 1
         if count == 0:
@@ -137,6 +138,7 @@ class DynamicDAG:
             self.dag.remove_edge(cu, cv)
         else:
             self._edge_multiplicity[key] = count
+        return count == 0
 
     # ------------------------------------------------------------------
     # Queries
@@ -211,7 +213,8 @@ class DynamicDAG:
         self._stamp(before)
         cu, cv = self.scc_of[u], self.scc_of[v]
         if cu != cv:
-            self._remove_dag_edge(cu, cv)
+            if self._remove_dag_edge(cu, cv):
+                self._lower_levels((cv,))
         elif u != v:
             if self._still_connected(u, v, self.members[cu]):
                 self.reconnect_count += 1
@@ -224,10 +227,8 @@ class DynamicDAG:
     # ------------------------------------------------------------------
     def _raise_levels(self, start: int) -> None:
         """Restore ``level[a] < level[b]`` on every DAG edge reachable
-        from ``start`` after its level rose. An insert raises from its
-        head, a merge from the survivor (at the max of the merged levels),
-        a split from each part (numbered upwards in topological order from
-        the old level); a delete cannot break the contract."""
+        from ``start`` after its level rose: an insert's head, a merge's
+        survivor (at the max of the merged levels) or a split's part."""
         level, out_neighbors = self.level, self.dag.out_neighbors
         stack = [start]
         while stack:
@@ -237,6 +238,23 @@ class DynamicDAG:
                 if level[w] <= lx:
                     level[w] = lx + 1
                     stack.append(w)
+
+    def _lower_levels(self, starts: Iterable[int]) -> None:
+        """Lower each of ``starts`` (components that lost a DAG in-edge,
+        in topological order) to the least level its in-edges allow, and
+        cascade to the out-neighbours it held up. Exact: edges into a
+        lowered component still rise by construction, edges out rise more."""
+        level, dag = self.level, self.dag
+        queue = deque(starts)
+        while queue:
+            x = queue.popleft()
+            low = max((level[p] + 1 for p in dag.in_neighbors(x)), default=0)
+            old = level[x]
+            if low < old:
+                level[x] = low
+                queue.extend(
+                    w for w in dag.out_neighbors(x) if level[w] == old + 1
+                )
 
     def _merge_cycle(self, cu: int, forward: Set[int]) -> None:
         """Merge every component on a ``cv -> ... -> cu`` DAG path (plus the
@@ -374,6 +392,8 @@ class DynamicDAG:
             level[part] = base + offset
         for part in new_cids:
             self._raise_levels(part)
+        # The offsets can over-level a part: lower each to its in-edges.
+        self._lower_levels(reversed(new_cids))
         self.split_count += 1
         if self.on_split is not None:
             self.on_split(cid, new_cids)

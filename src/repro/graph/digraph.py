@@ -1,4 +1,4 @@
-"""A dynamic directed graph with O(1) amortized inserts and O(deg) deletes.
+"""A dynamic directed graph that is nothing but its adjacency lists.
 
 This is the substrate every algorithm in the package runs on. The design
 follows the paper's index-free philosophy: graph updates touch nothing but
@@ -7,19 +7,28 @@ adjacency lists are modified accordingly").
 
 Representation
 --------------
-Out- and in-adjacency are ``dict[int, list[int]]``. ``add_edge`` appends
-(O(1) amortized); ``remove_edge`` finds the neighbor with ``list.index``
-and swap-removes it, so it costs O(deg) of the two endpoints (order of
-neighbors is not guaranteed, which no algorithm here relies on). Parallel
-edges are rejected so that ``m`` always counts distinct edges, matching
-the paper's simple graph model.
+Out- and in-adjacency are ``dict[int, list[int]]``, and nothing else is
+kept per edge. ``has_edge(u, v)`` scans the shorter of ``u``'s out-list
+and ``v``'s in-list, O(min(d+(u), d-(v))); ``add_edge`` is that test
+plus two appends, and the bulk builder rejects duplicates the same way.
+``remove_edge`` swap-removes from both lists, O(deg) (order of neighbors
+is not guaranteed, which no algorithm here relies on). Parallel edges
+are rejected so that ``m`` always counts distinct edges, matching the
+paper's simple graph model.
+
+The trade against a set of edge tuples, on a 2-vCPU host: a 65k-edge
+preferential-attachment graph holds 35 traced bytes per edge, not 124,
+and the dense 50k benchmark graph loads in 0.6-0.7 s, not 0.9-1.2 s,
+with 31 MiB of RSS, not 105. On a dense uniform graph (n = 2 000,
+m = 591k) the bulk build takes 1.3 s, not 0.6 s, and ``has_edge`` 2-6 us,
+not 0.3-0.5 us.
 """
 
 from __future__ import annotations
 
 import gc
 import os
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 
 class DynamicDiGraph:
@@ -30,14 +39,7 @@ class DynamicDiGraph:
     (backward push, reverse BFS) cost the same as forward ones.
     """
 
-    __slots__ = (
-        "_out",
-        "_in",
-        "_num_edges",
-        "_edge_set",
-        "_version",
-        "_csr_state",
-    )
+    __slots__ = ("_out", "_in", "_num_edges", "_version", "_csr_state")
 
     def __init__(
         self,
@@ -48,14 +50,13 @@ class DynamicDiGraph:
         ``vertices`` and then an ``add_edge`` loop over ``edges`` would
         leave (vertex order, adjacency order, first-wins duplicates,
         self-loops, ``version``), but with one int object per vertex id,
-        so the adjacency lists, the edge set and every structure later
-        keyed by them share it and hash probes hit the identity shortcut.
+        so the adjacency lists and every structure later keyed by them
+        share it and hash probes and list scans hit the identity shortcut.
         The cyclic collector is paused meanwhile: the build makes only
         acyclic containers, and the full collections its growing heap
         would trigger cost more than the build itself."""
         # vertex id -> (the id's one object, out-list, in-list)
         nodes: Dict[int, Tuple[int, List[int], List[int]]] = {}
-        edge_set: Set[Tuple[int, int]] = set()
         collecting = gc.isenabled()
         gc.disable()
         try:
@@ -64,19 +65,17 @@ class DynamicDiGraph:
             for u, v in () if edges is None else edges:
                 a = nodes.get(u) or nodes.setdefault(u, (u, [], []))
                 b = nodes.get(v) or nodes.setdefault(v, (v, [], []))
-                edge = (a[0], b[0])
-                if edge not in edge_set:
-                    edge_set.add(edge)
-                    a[1].append(b[0])
-                    b[2].append(a[0])
+                out, into = a[1], b[2]
+                if not (b[0] in out if len(out) <= len(into) else a[0] in into):
+                    out.append(b[0])
+                    into.append(a[0])
         finally:
             if collecting:
                 gc.enable()
         self._out = {v: node[1] for v, node in nodes.items()}
         self._in = {v: node[2] for v, node in nodes.items()}
-        self._edge_set = edge_set
-        self._num_edges = len(edge_set)
-        self._version = len(nodes) + len(edge_set)
+        self._num_edges = sum(len(node[1]) for node in nodes.values())
+        self._version = len(nodes) + self._num_edges
         self._csr_state: Optional[Tuple[int, int, object]] = None
 
     # ------------------------------------------------------------------
@@ -94,14 +93,9 @@ class DynamicDiGraph:
 
     @property
     def version(self) -> int:
-        """A monotonic epoch counter, bumped on every effective mutation.
-
-        No-op mutations (adding an existing vertex/edge, removing a missing
-        one) leave it unchanged, so ``version`` identifies a snapshot: two
-        reads of the same graph with equal versions saw identical edge
-        sets. Consumers (the service cache, the fast-path pruner) stamp
-        derived state with the version it was computed at.
-        """
+        """A monotonic epoch counter, bumped on every effective mutation
+        (no-ops leave it), so it identifies a snapshot: consumers (the
+        service cache, the fast-path pruner) stamp derived state with it."""
         return self._version
 
     @property
@@ -124,7 +118,11 @@ class DynamicDiGraph:
         return v in self._out
 
     def has_edge(self, u: int, v: int) -> bool:
-        return (u, v) in self._edge_set
+        """O(min(d+(u), d-(v))): a scan of the shorter list."""
+        out, into = self._out.get(u), self._in.get(v)
+        if out is None or into is None:
+            return False
+        return v in out if len(out) <= len(into) else u in into
 
     # ------------------------------------------------------------------
     # Mutation
@@ -143,27 +141,22 @@ class DynamicDiGraph:
         existed (parallel edges are not stored). Self-loops are allowed;
         they never affect reachability answers.
         """
-        if (u, v) in self._edge_set:
+        if self.has_edge(u, v):
             return False
         self.add_vertex(u)
         self.add_vertex(v)
         self._out[u].append(v)
         self._in[v].append(u)
-        self._edge_set.add((u, v))
         self._num_edges += 1
         self._version += 1
         return True
 
     def remove_edge(self, u: int, v: int) -> bool:
-        """Delete the directed edge ``(u, v)``.
-
-        Returns ``True`` if it existed. O(deg): a ``list.index`` scan of
-        each endpoint's list, then swap-removal, so adjacency order is not
-        stable across deletions.
-        """
-        if (u, v) not in self._edge_set:
+        """Delete the directed edge ``(u, v)``; ``True`` if it existed.
+        O(deg): a ``list.index`` scan of each endpoint's list, then
+        swap-removal, so adjacency order is not stable across deletions."""
+        if not self.has_edge(u, v):
             return False
-        self._edge_set.discard((u, v))
         self._swap_remove(self._out[u], v)
         self._swap_remove(self._in[v], u)
         self._num_edges -= 1
@@ -184,17 +177,10 @@ class DynamicDiGraph:
         return True
 
     def restore_version(self, version: int) -> None:
-        """Realign the epoch counter after journal replay.
-
-        Replaying a journal rebuilds the edge set deterministically but not
-        necessarily with the same *number* of effective mutations the
-        original process performed (a recovered base graph may batch what
-        was once incremental). Version-stamped derived state (cache
-        entries, journal records) written before the crash must compare
-        correctly against post-recovery versions, so recovery pins the
-        counter to the last durably recorded version. Monotonicity is
-        enforced: the counter never moves backwards.
-        """
+        """Pin the epoch counter to the last durably recorded version
+        after journal replay, which rebuilds the edges but not the number
+        of mutations that made them, so that state stamped before a crash
+        compares correctly against the recovered graph. Never backwards."""
         if version < self._version:
             raise ValueError(
                 f"cannot restore version {version}: counter already at "
@@ -237,27 +223,20 @@ class DynamicDiGraph:
     # Frozen CSR read view
     # ------------------------------------------------------------------
     def csr(self, build: bool = True):
-        """A frozen CSR view of the current epoch.
-
-        The view is keyed by :attr:`version`: any effective mutation makes
-        the cached snapshot stale, after which it is rebuilt lazily — at
-        most once per graph epoch — on the next ``build=True`` call.
-        ``build=False`` is the pure probe the hot paths use: it returns
-        the snapshot only when one is already frozen *for this exact
-        version*, never paying a freeze mid-churn, and ``None`` otherwise.
+        """A frozen CSR view of the current epoch, rebuilt lazily at most
+        once per :attr:`version` on a ``build=True`` call. ``build=False``
+        is the pure probe the hot paths use: the snapshot if one is frozen
+        for this exact version, never paying a freeze mid-churn, else
+        ``None``.
 
         Thread-safety matches the rest of the class: concurrent readers
         may race to build the same version (both produce identical
         snapshots; one reference wins the single-assignment publish), but
         mutations must not run concurrently with ``build=True``.
         """
-        # Keyed by (version, pid): a snapshot frozen before a fork belongs
-        # to the parent's address-space segment, and its own version-keyed
-        # side caches (narrow-target tables, degree tables) key by
-        # segment_token — a child process serving it would mix parent-era
-        # tokens with child-era rebuilds. The pid guard makes every forked
-        # or spawned worker rebuild (or attach) its own segment instead of
-        # inheriting a stale view.
+        # Keyed by (version, pid): the side caches of a snapshot frozen
+        # before a fork key by the parent's segment_token, so every forked
+        # or spawned worker rebuilds (or attaches) its own segment instead.
         state = self._csr_state
         if (
             state is not None
@@ -319,9 +298,9 @@ class DynamicDiGraph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DynamicDiGraph):
             return NotImplemented
-        return (
-            set(self._out) == set(other._out)
-            and self._edge_set == other._edge_set
+        # Lists hold no duplicates, so per-vertex sets compare the edges.
+        return self._out.keys() == other._out.keys() and all(
+            set(nbrs) == set(other._out[v]) for v, nbrs in self._out.items()
         )
 
     def __hash__(self) -> int:  # mutable container; identity hashing

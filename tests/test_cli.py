@@ -505,7 +505,7 @@ class TestKnobCensus:
             len(path.read_text(encoding="utf-8").splitlines())
             for path in (ROOT / "src").rglob("*.py")
         )
-        assert lines <= 19_722, self.RATCHET
+        assert lines <= 19_721, self.RATCHET
 
     def test_cli_flags(self):
         def flags(parser):

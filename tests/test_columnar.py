@@ -276,24 +276,34 @@ def test_both_bodies_agree_on_frames_with_duplicates(width, monkeypatch):
     """The same frames — repeats inside and across them — through the
     columnar body and through the scalar one: outcome for outcome,
     counter for counter, sweeps included."""
-    graph = random_graph(40, 70, seed=12)
+    # The sibling test's graph and narrow labels, so that the index rungs
+    # leave pairs to the sweep; a small pool, so that frames repeat pairs.
+    monkeypatch.setattr(labels_module, "LABEL_BITS", 64)
+    graph = random_graph(300, 450, seed=11)
     rng = random.Random(7)
-    pairs = [
-        (rng.randrange(-1, 42), rng.randrange(-1, 42)) for _ in range(3 * width)
-    ]
+    pool = [(rng.randrange(-1, 302), rng.randrange(-1, 302)) for _ in range(60)]
+    pairs = [rng.choice(pool) for _ in range(3 * width)]
+    # A sweep builds the pruner's view (for its levels) in either body,
+    # so the columnar body shows by its ``check_many`` calls instead.
+    check_many, columnar = FastPathPruner.check_many, []
+    monkeypatch.setattr(
+        FastPathPruner, "check_many",
+        lambda pruner, *ids: (columnar.append(1), check_many(pruner, *ids))[1],
+    )
     runs = []
     for floor in (COLUMNAR_MIN_PAIRS, 1 << 30):
         monkeypatch.setattr(engine_module, "COLUMNAR_MIN_PAIRS", floor)
+        columnar.clear()
         with _service(graph, waves=True) as svc:
             outcomes = _walks(svc, pairs, width)
             stats = svc.stats()
-            built = svc.pruner.view_builds
         counters = dict(stats["counters"])
         counters.pop("pruner_view_builds")
         runs.append((outcomes, stats["fastpath_rules"], counters))
-        assert bool(built) == (floor <= width)
+        assert bool(columnar) == (floor <= width)
     assert runs[0] == runs[1]
     assert runs[0][2].get("batched_dedup", 0) > 0
+    assert all(counters.get("bit_waves", 0) > 0 for _, _, counters in runs)
 
 
 # ----------------------------------------------------------------------

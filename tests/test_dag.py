@@ -155,13 +155,37 @@ class TestLevels:
         assert self._level_of(dag) == {0: 0, 1: 3, 2: 3, 3: 3}
         dag.insert_edge(3, 9)
         assert self._level_of(dag)[9] == 4
-        dag.delete_edge(3, 1)  # splits in topological order from level 3
+        dag.delete_edge(3, 1)  # splits, then lowers the parts to their in-edges
         dag.check_invariants()
-        assert self._level_of(dag) == {0: 0, 1: 3, 2: 4, 3: 5, 9: 6}
-        dag.delete_edge(0, 1)  # a delete leaves levels alone
-        assert self._level_of(dag)[1] == 3
+        assert self._level_of(dag) == {0: 0, 1: 1, 2: 2, 3: 3, 9: 4}
+        dag.delete_edge(0, 1)  # 1 lost its only in-edge: it and its path fall
+        dag.check_invariants()
+        assert self._level_of(dag) == {0: 0, 1: 0, 2: 1, 3: 2, 9: 3}
         dag.add_vertex(7)
         assert self._level_of(dag)[7] == 0
+
+    def test_churn_does_not_drift_the_levels(self):
+        """Deletes lower what inserts raised: flipping one edge back and
+        forth leaves the levels where a rebuild would put them."""
+        dag = DynamicDAG()
+        for _ in range(500):
+            for edge in ((1, 0), (0, 1)):
+                dag.insert_edge(*edge)
+                dag.check_invariants()
+                dag.delete_edge(*edge)
+                dag.check_invariants()
+                assert max(dag.level.values()) <= 1
+        assert set(dag.level.values()) == {0}
+
+    def test_a_merge_and_split_cycle_does_not_drift_the_levels(self):
+        dag = _build([(5, 0), (1, 2)])
+        for _ in range(50):
+            dag.insert_edge(0, 1)
+            dag.insert_edge(1, 0)  # merges {0, 1} at the max of its parts
+            dag.delete_edge(1, 0)  # splits it again
+            dag.delete_edge(0, 1)
+            dag.check_invariants()
+        assert self._level_of(dag) == {5: 0, 0: 1, 1: 0, 2: 1}
 
     def test_components_of_aligns_with_the_ids(self):
         dag = DynamicDAG(DynamicDiGraph(edges=[(0, 1), (1, 0), (1, 2)]))

@@ -1,7 +1,7 @@
 """Unit and property tests for the dynamic digraph substrate."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.graph.digraph import DynamicDiGraph
@@ -258,3 +258,91 @@ class TestVersionCounter:
         v = clone.version
         g.add_edge(1, 2)
         assert clone.version == v
+
+
+# ----------------------------------------------------------------------
+# The graph is its adjacency lists: no per-edge structure beside them
+# ----------------------------------------------------------------------
+class _CountingId(int):
+    """An int id whose equality tests are counted: a dict probe that
+    finds a distinct equal key, and ``list.__contains__`` at every slot,
+    compare through ``__eq__``."""
+
+    compared = 0
+
+    def __eq__(self, other):
+        _CountingId.compared += 1
+        return int.__eq__(self, other)
+
+    __hash__ = int.__hash__
+
+
+class TestEdgeMembership:
+    def _star(self):
+        # Hub 0 points at 1..1000 and is pointed at by 1001..2000.
+        return DynamicDiGraph(
+            edges=[(0, v) for v in range(1, 1001)]
+            + [(u, 0) for u in range(1001, 2001)]
+        )
+
+    @pytest.mark.parametrize(
+        "u, v, expected",
+        [(0, 500, True), (1500, 0, True), (0, 1500, False), (500, 0, False)],
+    )
+    def test_has_edge_scans_the_short_side_of_a_hub(self, u, v, expected):
+        g = self._star()
+        _CountingId.compared = 0
+        assert g.has_edge(_CountingId(u), _CountingId(v)) is expected
+        assert _CountingId.compared <= 3  # two dict probes, one list slot
+
+    def test_has_edge_with_a_missing_endpoint(self):
+        g = self._star()
+        g.add_vertex(5000)
+        for u, v in ((0, 9999), (9999, 0), (9999, 9998), (5000, 0), (0, 5000)):
+            assert not g.has_edge(u, v)
+        assert g.num_vertices == 2002  # a probe creates no vertex
+
+    def test_a_pa_graph_holds_no_per_edge_tuples(self):
+        """Traced bytes per edge of a 65k-edge preferential-attachment
+        graph built in bulk: list slots and per-vertex containers only
+        (35 B/edge; 124 with a set of edge tuples beside the lists)."""
+        import gc
+        import tracemalloc
+
+        from repro.datasets.scale_free import preferential_attachment_graph
+
+        edges = list(
+            preferential_attachment_graph(5000, 12, seed=1, reciprocal=0.08)
+            .edges()
+        )
+        gc.collect()
+        tracemalloc.start()
+        try:
+            g = DynamicDiGraph(edges=edges)
+            traced, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert g.num_edges >= 50_000
+        assert traced / g.num_edges <= 64
+
+    # A hub's repeats, found from the leaf's side: (hub, leaf) on the
+    # leaf's in-list, (leaf, hub) on its out-list.
+    _HUB = [(0, v) for v in range(1, 40)] + [(v, 0) for v in range(1, 40)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        edges=st.lists(
+            st.tuples(st.integers(0, 6), st.integers(0, 6)), max_size=80
+        ),
+        vertices=st.lists(st.integers(0, 9), max_size=5),
+    )
+    @example(edges=_HUB + _HUB[::-1] + _HUB, vertices=[])
+    def test_bulk_build_with_duplicates_is_the_add_edge_loop(
+        self, edges, vertices
+    ):
+        want = DynamicDiGraph()
+        for v in vertices:
+            want.add_vertex(v)
+        for u, v in edges:
+            want.add_edge(u, v)
+        assert_same_build(DynamicDiGraph(edges=edges, vertices=vertices), want)
