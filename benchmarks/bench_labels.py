@@ -197,7 +197,6 @@ def run_churn_leg(graph):
         "wall_s": wall_s,
         "label_updates": counters.get("label_updates", 0),
         "label_rebuilds": counters.get("label_rebuilds", 0),
-        "label_staleness": counters.get("label_staleness", 0),
         "mismatches": 0,
     }
 

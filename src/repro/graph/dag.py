@@ -384,15 +384,16 @@ class DynamicDAG:
                 if b != cid:
                     self._remove_dag_edge(b, cid)
                 self._add_dag_edge(b, a)
-        # Reversed, sinks-first is topological: counting up along it keeps
-        # edges into and between the parts rising; raising fixes edges out.
+        # Every part starts at the old level, which keeps edges into the
+        # parts rising; raising from each fixes edges between and out of
+        # them. The parts come sinks first, so lowering them reversed is
+        # topological and leaves each at the least level its in-edges allow.
         level = self.level
         base = level[cid]
-        for offset, part in enumerate(reversed(new_cids)):
-            level[part] = base + offset
+        for part in new_cids:
+            level[part] = base
         for part in new_cids:
             self._raise_levels(part)
-        # The offsets can over-level a part: lower each to its in-edges.
         self._lower_levels(reversed(new_cids))
         self.split_count += 1
         if self.on_split is not None:

@@ -77,9 +77,9 @@ Every stage is allowed to fail without failing the query:
 
 * an index rung (fast path, cache, labels) whose fault point or probe
   raises abstains for that walk and answers again on the next (counted
-  as ``stage_errors_*``); only a label quarantine whose own
-  ``invalidate()`` raised turns the tier off for good. Shard-rung and
-  freeze errors fall through to the next rung;
+  as ``stage_errors_*``); a label note hook that raises leaves the
+  tier stale, abstaining until its rebuild. Shard-rung and freeze
+  errors fall through to the next rung;
 * every exact search is one ``_search`` call (fault point, timing,
   counters). Engine errors feed the substrate
   :class:`~repro.service.faults.CircuitBreaker` and the query retries on
@@ -306,9 +306,6 @@ class ReachabilityService:
         # fast path and the cache. A failed build just leaves the tier
         # off (counted) — labels are an acceleration, never a dependency.
         self._labels: Optional[LabelIndex] = None
-        #: A quarantine whose ``invalidate()`` raised: the tier's state is
-        #: unknown, so it never answers again.
-        self._labels_disabled = False
         if use_labels:
             try:
                 self._labels = LabelIndex(self._pruner.dag)
@@ -455,10 +452,9 @@ class ReachabilityService:
     ) -> None:
         """Forward one applied mutation to the label tier (write lock held).
 
-        A note hook that fails mid-propagation leaves labels in an
-        unknown state, so containment is quarantine: every row dirty and
-        the missing flag up — both rule directions abstain until the
-        lazy rebuild replaces the state wholesale.
+        A note hook stamps the label state as its last statement, so one
+        that fails mid-propagation leaves the state stale: every rule
+        abstains until the lazy rebuild replaces it wholesale.
         """
         if self._labels is None or not effect.changed:
             return
@@ -471,14 +467,7 @@ class ReachabilityService:
                     removes_reachability=effect.removes_reachability,
                 )
         except Exception:
-            self._labels_quarantine()
-
-    def _labels_quarantine(self) -> None:
-        self._stats.incr("stage_errors_labels")
-        try:
-            self._labels.invalidate()
-        except Exception:
-            self._labels_disabled = True
+            self._stats.incr("stage_errors_labels")
 
     def apply_journal_record(self, record: Dict) -> Optional[UpdateEffect]:
         """Apply one shipped journal record — the replication write path.
@@ -699,7 +688,7 @@ class ReachabilityService:
                 view = pruner.view()
             except Exception:
                 stats.incr("stage_errors_fastpath")
-        if labels is not None and not self._labels_disabled:
+        if labels is not None:
             label_filter = self._index_rung(
                 "labels",
                 labels.filter_pairs if view is None else labels.query_many,
@@ -1103,8 +1092,6 @@ class ReachabilityService:
             label_summary = self._labels.summary()
             counters["label_updates"] = label_summary["updates"]
             counters["label_rebuilds"] = label_summary["full_rebuilds"]
-            counters["label_partial_rebuilds"] = label_summary["partial_rebuilds"]
-            counters["label_staleness"] = label_summary["stale_rows"]
             snapshot["labels"] = label_summary
         if self._injector is not None:
             snapshot["faults_fired"] = self._injector.fired

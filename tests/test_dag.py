@@ -442,3 +442,34 @@ def test_property_incremental_matches_batch(seed):
     incr_sets = {frozenset(m) for m in dag.members.values()}
     batch_sets = {frozenset(m) for m in batch.members.values()}
     assert incr_sets == batch_sets
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    ops=st.lists(
+        st.tuples(st.booleans(), st.integers(0, 6), st.integers(0, 6)),
+        min_size=1,
+        max_size=80,
+    )
+)
+def test_property_a_split_leaves_its_parts_at_their_in_edges(ops):
+    """After every split each part, the kept id included, sits at the
+    least level its DAG in-edges allow. Only split parts are held to it:
+    merges and inserts may leave levels loose elsewhere. A delete picks
+    an existing edge, so cycles break and splits are common."""
+    dag = DynamicDAG()
+    splits = []
+    dag.on_split = lambda old, parts: splits.append(list(parts))
+    level = dag.level
+    for insert, u, v in ops:
+        edges = sorted(dag.graph.edges())
+        if insert or not edges:
+            dag.insert_edge(u, v)
+        else:
+            dag.delete_edge(*edges[(7 * u + v) % len(edges)])
+        for part in (p for parts in splits for p in parts):
+            assert level[part] == max(
+                (level[p] + 1 for p in dag.dag.in_neighbors(part)), default=0
+            ), (part, splits)
+        splits.clear()
+        dag.check_invariants()

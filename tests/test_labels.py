@@ -14,6 +14,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import repro.graph.labels as labels_module
 from repro.graph.digraph import DynamicDiGraph
@@ -150,72 +152,108 @@ class TestDynamics:
             inc.note_insert(u, v)
         fresh = LabelIndex(graph, landmarks=landmarks)
         si, sf = inc._state, fresh._state
-        assert not si.missing
-        assert si.num_dirty_out == 0 and si.num_dirty_in == 0
+        assert si.version == graph.version
         assert np.array_equal(si.dl, sf.dl)
         assert np.array_equal(si.bl, sf.bl)
         assert inc.summary()["updates"] == 6
         assert inc.summary()["full_rebuilds"] == 0
-
-    def test_delete_taints_then_partial_rebuild_restores(
-        self, monkeypatch, cooldown
-    ):
-        """A reachability-cutting delete dirties the affected region; the
-        demand-driven partial rebuild restores exactness without a full
-        rebuild."""
-        graph = DynamicDiGraph(
-            edges=[(i, i + 1) for i in range(9)]
-            + [(20 + i, 21 + i) for i in range(5)]
-        )
-        # A staleness threshold of 0.9: the dirty region (10 of 16 rows
-        # across both sides) must stay below the full-rebuild escalation
-        # bar for this test to exercise the partial path.
-        monkeypatch.setattr(labels_module, "STALENESS_THRESHOLD", 0.9)
-        cooldown(1)
-        idx = LabelIndex(graph)
-        assert idx.check(0, 9) is True
-        idx.dag.delete_edge(4, 5)
-        idx.note_delete(4, 5)
-        # The affected rows abstain rather than answer stale.
-        assert idx.check(0, 9) is None
-        assert idx.stale_rows > 0
-        # The untouched island keeps answering exactly.
-        assert idx.check(20, 25) is True
-        idx.observe_query()
-        assert idx.summary()["partial_rebuilds"] == 1
-        assert idx.summary()["full_rebuilds"] == 0
-        assert idx.stale_rows == 0
-        assert idx.check(0, 9) is False
-        assert idx.check(0, 4) is True
-        assert idx.check(5, 9) is True
 
     def test_redundant_delete_keeps_labels_clean(self):
         graph = DynamicDiGraph(edges=[(0, 1), (0, 2), (2, 1)])
         idx = LabelIndex(graph)
         idx.dag.delete_edge(0, 1)  # 0 still reaches 1 via 2
         idx.note_delete(0, 1, removes_reachability=False)
-        assert idx.stale_rows == 0
+        assert idx._state.version == graph.version
         assert idx.check(0, 1) is True
 
-    def test_invalidate_abstains_until_rebuilt(self, cooldown):
+    def test_a_reach_cutting_delete_goes_stale_until_rebuilt(self, cooldown):
+        """A delete that may cut reach leaves the state stale: every pair
+        abstains, an island the delete never touched too, until the
+        rebuild restores exact answers."""
+        n = 30
         cooldown(1)
-        graph = DynamicDiGraph(edges=[(0, 1), (1, 2)])
+        graph = DynamicDiGraph(
+            edges=[(i, i + 1) for i in range(n - 1)] + [(40, 41)]
+        )
         idx = LabelIndex(graph)
-        idx.invalidate()
-        assert idx.check(0, 2) is None
-        assert idx.check(2, 0) is None
-        assert list(idx.filter_pairs([(0, 2), (2, 0)])) == [0, 0]
+        assert idx.check(40, 41) is True
+        idx.dag.delete_edge(20, 21)
+        idx.note_delete(20, 21)
+        assert idx._state.version != graph.version
+        idx.check_invariants()
+        ids = [*range(n), 40, 41]
+        pairs = [(s, t) for s in ids for t in ids]
+        assert not idx.filter_pairs(pairs).any()
+        assert all(idx.check(s, t) is None for s, t in pairs)
         idx.observe_query()
-        assert idx.check(0, 2) is True
-        assert idx.check(2, 0) is False
         assert idx.summary()["full_rebuilds"] == 1
+        assert idx.check(0, 20) is True and idx.check(0, 21) is False
+        assert idx.check(40, 41) is True
+        assert_one_sided(idx, graph, pairs)
+
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        ops=st.lists(
+            st.tuples(
+                st.sampled_from("+-~?"),
+                st.integers(0, 13),
+                st.integers(0, 13),
+            ),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    def test_the_state_is_exact_or_stale(self, ops, cooldown):
+        """After every update and every query the state is exact — at
+        the graph's version and bit for bit a fresh pinned build — or
+        stale, and then every pair abstains in ``check`` and in
+        ``query_many``. ``+`` inserts (ids 12 and 13 are new vertices),
+        ``-`` deletes an existing edge with the flag the oracle gives it
+        (a split or a cut goes stale, a redundant delete stays exact),
+        ``~`` deletes one flagged as cutting reach whatever it does, and
+        ``?`` is a query that may rebuild."""
+        cooldown(1)
+        n = 12
+        graph = random_graph(n, 18, seed=len(ops))
+        landmarks = list(range(n + 2))
+        idx = LabelIndex(graph, landmarks=landmarks)
+        ids = range(n + 2)
+        pairs = [(s, t) for s in ids for t in ids]
+        for op, a, b in ops:
+            edges = sorted(graph.edges())
+            if op == "+" or not edges:
+                if idx.dag.insert_edge(a, b):
+                    idx.note_insert(a, b)
+            elif op == "?":
+                idx.observe_query()
+            else:
+                u, v = edges[(14 * a + b) % len(edges)]
+                idx.dag.delete_edge(u, v)
+                idx.note_delete(
+                    u, v,
+                    removes_reachability=(
+                        op == "~" or not is_reachable_bfs(graph, u, v)
+                    ),
+                )
+            state = idx._state
+            if state.version == graph.version:
+                fresh = LabelIndex(graph.copy(), landmarks=landmarks)._state
+                assert state.dl.tobytes() == fresh.dl.tobytes(), op
+                assert state.bl.tobytes() == fresh.bl.tobytes(), op
+            else:
+                assert all(idx.check(s, t) is None for s, t in pairs), op
+                assert not idx.filter_pairs(pairs).any(), op
 
     @pytest.mark.parametrize("seed", [3, 4, 5])
     def test_churn_soundness_property(self, seed, cooldown):
         """Mixed insert/delete churn with lazy repair interleaved: no
         false positive from the landmark rule, no false negative from
-        the containment rule, and a well-formed state (INV2 included),
-        at any intermediate state."""
+        the containment rule, and a well-formed state, at any
+        intermediate state."""
         rng = random.Random(seed)
         n = 120
         graph = DynamicDiGraph(vertices=range(n))
@@ -248,9 +286,7 @@ class TestDynamics:
                 (rng.randrange(n), rng.randrange(n)) for _ in range(12)
             ]
             assert_one_sided(idx, graph, pairs)
-        assert idx.summary()["partial_rebuilds"] + idx.summary()[
-            "full_rebuilds"
-        ] > 0
+        assert idx.summary()["full_rebuilds"] > 0
 
     def test_version_desync_abstains(self):
         """A graph mutation the tier was never told about must not be
@@ -278,7 +314,6 @@ class TestDynamics:
             raise AssertionError("read a DAG the graph moved past")
 
         monkeypatch.setattr(idx.dag, "components_of", unreadable)
-        idx.invalidate()
         for _ in range(3):
             idx.observe_query()
         assert idx.summary()["full_rebuilds"] == 0
@@ -287,49 +322,29 @@ class TestDynamics:
         assert again.check(0, 1) is None
         assert again.summary()["vertices"] == 0
 
-    def test_insert_past_the_frontier_limit_goes_missing(self, monkeypatch):
+    def test_insert_past_the_frontier_limit_goes_stale(
+        self, monkeypatch, cooldown
+    ):
         """An insert whose propagation would update more rows than the
-        limit raises ``missing``: negatives turn off everywhere, and every
-        positive that survives is still exact."""
+        limit leaves the state stale: both rule directions abstain until
+        the rebuild, which answers exactly again."""
         monkeypatch.setattr(labels_module, "INSERT_FRONTIER_LIMIT", 3)
+        cooldown(1)
         n = 40
         graph = DynamicDiGraph(edges=[(i, i + 1) for i in range(n - 1)])
         graph.add_vertex(n)
         idx = LabelIndex(graph, landmarks=[n])
         idx.dag.insert_edge(n - 1, n)  # every vertex gains n downstream
         idx.note_insert(n - 1, n)
-        assert idx._state.missing
+        assert idx._state.version != graph.version
         idx.check_invariants()
         pairs = [(s, t) for s in range(n + 1) for t in range(n + 1)]
-        verdicts = idx.filter_pairs(pairs)
-        assert not (verdicts < 0).any()
-        assert all(idx.check(s, t) is not False for s, t in pairs)
-        assert_one_sided(idx, graph, pairs)
-        assert (verdicts > 0).any()  # rows the insert reached still prove
-
-    def test_delete_past_the_dirty_limit_dirties_every_row(
-        self, monkeypatch, cooldown
-    ):
-        """A delete whose dirty region would pass the limit marks every
-        row dirty on both sides; the tier abstains until the rebuild,
-        which restores exact answers."""
-        monkeypatch.setattr(labels_module, "DELETE_DIRTY_LIMIT", 3)
-        n = 30
-        cooldown(1)
-        graph = DynamicDiGraph(edges=[(i, i + 1) for i in range(n - 1)])
-        idx = LabelIndex(graph)
-        idx.dag.delete_edge(20, 21)  # 20 has 21 ancestors
-        idx.note_delete(20, 21)
-        state = idx._state
-        assert state.num_dirty_out == state.num_dirty_in == n
-        assert state.dirty_out.all() and state.dirty_in.all()
-        idx.check_invariants()
-        pairs = [(s, t) for s in range(n) for t in range(n)]
         assert not idx.filter_pairs(pairs).any()
-        assert_one_sided(idx, graph, pairs)
+        assert all(idx.check(s, t) is None for s, t in pairs)
         idx.observe_query()
         assert idx.summary()["full_rebuilds"] == 1
-        assert idx.check(0, 20) is True and idx.check(0, 21) is False
+        verdicts = idx.filter_pairs(pairs)
+        assert (verdicts > 0).any() and (verdicts < 0).any()
         assert_one_sided(idx, graph, pairs)
 
 
@@ -346,26 +361,12 @@ class TestCheckInvariants:
         idx.note_delete(2, 3)
         idx.check_invariants()
 
-    def test_catches_a_dirty_row_with_a_clean_ancestor(self):
+    def test_catches_an_exact_state_without_a_row_per_vertex(self):
         idx = self._idx()
-        state = idx._state
-        state.dirty_out[state.row[3]] = True  # 2 reaches it, stays clean
-        state.num_dirty_out = 1
-        with pytest.raises(AssertionError, match="INV2"):
-            idx.check_invariants()
-
-    def test_catches_a_dirty_row_with_a_clean_descendant(self):
-        idx = self._idx()
-        state = idx._state
-        state.dirty_in[state.row[2]] = True
-        state.num_dirty_in = 1
-        with pytest.raises(AssertionError, match="INV2"):
-            idx.check_invariants()
-
-    def test_catches_a_drifted_dirty_count(self):
-        idx = self._idx()
-        idx._state.num_dirty_in = 1
-        with pytest.raises(AssertionError, match="count"):
+        idx.dag.add_vertex(9)  # stale: the state has no row for 9
+        idx.check_invariants()
+        idx._state.version = idx.dag.graph.version  # claim it is exact
+        with pytest.raises(AssertionError, match="rows"):
             idx.check_invariants()
 
 
@@ -490,12 +491,10 @@ class TestServiceIntegration:
             counters = svc.stats()["counters"]
             assert counters.get("label_updates", 0) > 0
 
-    def test_churn_through_the_service_lands_on_a_fresh_build(
-        self, monkeypatch, cooldown
-    ):
+    def test_churn_through_the_service_lands_on_a_fresh_build(self, cooldown):
         """Merges, splits and reach-cutting deletes through the service,
-        then a forced partial and a forced full rebuild: each lands bit
-        for bit on a fresh pinned-landmark build of the same graph. The
+        then a rebuild, twice over: each lands bit for bit on a fresh
+        pinned-landmark build of the same graph. The
         tier reads the pruner's DAG, and both stay well formed at every
         step."""
         rng = random.Random(17)
@@ -515,7 +514,8 @@ class TestServiceIntegration:
                         svc.add_edge(u, v)
                     labels.check_invariants()
                     svc.pruner.dag.check_invariants()
-                assert labels.stale_rows > 0  # some delete cut reach
+                # Some delete cut reach, and no query has rebuilt since.
+                assert labels._state.version != svc.graph.version
 
             def assert_fresh():
                 # A full rebuild re-ranks the hubs: pin the current ones.
@@ -524,27 +524,16 @@ class TestServiceIntegration:
                     svc.graph.copy(), landmarks=sorted(bit_of, key=bit_of.get)
                 )
                 assert labels._state.version == svc.graph.version
-                assert labels.stale_rows == 0
                 assert labels._state.dl.tobytes() == fresh._state.dl.tobytes()
                 assert labels._state.bl.tobytes() == fresh._state.bl.tobytes()
 
             cooldown(1)
-            churn(80)
-            monkeypatch.setattr(labels_module, "STALENESS_THRESHOLD", 1.0)
-            labels.observe_query()
-            assert labels.summary()["partial_rebuilds"] == 1
-            assert labels.summary()["full_rebuilds"] == 0
-            labels.check_invariants()
-            assert_fresh()
-            churn(80)
-            monkeypatch.setattr(
-                labels_module, "STALENESS_THRESHOLD", 1 / (2 * n)
-            )
-            labels.observe_query()
-            assert labels.summary()["partial_rebuilds"] == 1
-            assert labels.summary()["full_rebuilds"] == 1
-            labels.check_invariants()
-            assert_fresh()
+            for rebuilds in (1, 2):
+                churn(80)
+                labels.observe_query()
+                assert labels.summary()["full_rebuilds"] == rebuilds
+                labels.check_invariants()
+                assert_fresh()
             counters = svc.stats()["counters"]
             assert counters["dag_merges"] and counters["dag_splits"]
 
@@ -593,23 +582,26 @@ class TestFaultContainment:
                 assert out.answer == oracle(graph, s, t), (s, t)
 
     def test_update_hook_failure_quarantines_tier(self, monkeypatch):
-        """A label maintenance error invalidates the tier (abstain-all)
-        instead of leaving a wrong matrix serving verdicts."""
+        """A label maintenance error mid-propagation leaves the tier stale
+        (abstain-all) instead of leaving a wrong matrix serving verdicts:
+        the stamp is the hook's last statement. The insert joins two
+        existing vertices, so only the failure keeps the stamp off."""
         graph = DynamicDiGraph(edges=[(i, i + 1) for i in range(6)])
         with ReachabilityService(
             graph, num_supportive=0
         ) as svc:
             assert svc.query(0, 6).via == "labels"
 
-            def boom(u, v):
+            def boom(*args):
                 raise RuntimeError("label update exploded")
 
-            monkeypatch.setattr(svc.labels, "note_insert", boom)
-            svc.add_edge(50, 51)  # survives; labels quarantined
-            assert svc.graph.has_edge(50, 51)
+            monkeypatch.setattr(svc.labels, "_propagate", boom)
+            svc.add_edge(0, 3)  # survives; labels quarantined
+            assert svc.graph.has_edge(0, 3)
+            assert svc.labels.summary()["version"] != svc.graph.version
             counters = svc.stats()["counters"]
             assert counters.get("stage_errors_labels", 0) >= 1
-            # The tier abstains now (all rows dirty), the ladder answers.
+            # The tier abstains now (the state is stale), the ladder answers.
             out = svc.query(0, 6)
             assert out.via != "labels"
             assert out.answer is True
