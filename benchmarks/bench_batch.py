@@ -60,9 +60,7 @@ def _searchable_pairs(graph, count, seed=5):
     ``benchmarks/e2e/inputs.mine_searchable``: one vectorised label probe
     per chunk, the per-pair fast path only on what it leaves.
     """
-    pruner = FastPathPruner(
-        graph, seed=0, csr_provider=lambda: graph.csr(build=False)
-    )
+    pruner = FastPathPruner(graph, seed=0)
     labels = LabelIndex(graph)
     vertices = np.fromiter(graph.vertices(), dtype=np.int64)
     rng = np.random.default_rng(seed)

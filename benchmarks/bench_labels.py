@@ -53,9 +53,7 @@ def _hard_pairs(graph, count, seed=5):
     survives is the skewed tail where serving actually pays for a search
     — exactly where the label tier's exact negatives/positives bite.
     """
-    probe = FastPathPruner(
-        graph, seed=0, csr_provider=lambda: graph.csr(build=False)
-    )
+    probe = FastPathPruner(graph, seed=0)
     pairs, chunk_seed = [], seed
     while len(pairs) < count:
         for s, t in generate_queries(graph, 2 * count, seed=chunk_seed):

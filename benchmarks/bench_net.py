@@ -40,9 +40,7 @@ def _hard_pairs(graph, count, seed=5):
     """Uniform random pairs the fast-path pruner abstains on (the pairs
     serving actually has to search; O(1)-answered pairs would only
     measure the shared prefilter). Mirrors bench_batch."""
-    probe = FastPathPruner(
-        graph, seed=0, csr_provider=lambda: graph.csr(build=False)
-    )
+    probe = FastPathPruner(graph, seed=0)
     pairs, chunk_seed = [], seed
     while len(pairs) < count:
         for s, t in generate_queries(graph, 2 * count, seed=chunk_seed):

@@ -71,9 +71,7 @@ def _hard_pairs(graph, count, seed=5):
     to pairs the label rung abstains on as well; this record's rows keep
     their protocol until ROADMAP item 3 settles them.)
     """
-    probe = FastPathPruner(
-        graph, seed=0, csr_provider=lambda: graph.csr(build=False)
-    )
+    probe = FastPathPruner(graph, seed=0)
     pairs, chunk_seed = [], seed
     while len(pairs) < count:
         for s, t in generate_queries(graph, 2 * count, seed=chunk_seed):

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Set, Tuple
 
-from repro.graph import kernels
 from repro.graph.digraph import DynamicDiGraph
 
 
@@ -21,12 +20,6 @@ def sweep_cut(
     max_size: int = 0,
 ) -> Tuple[Set[int], float]:
     """The best-conductance prefix of the PPR sweep order.
-
-    When a current-version CSR snapshot is frozen, the whole sweep —
-    degree-normalized ranking, volume prefix sums, and the incremental
-    boundary bookkeeping — runs as batched numpy scans
-    (:func:`repro.graph.kernels.csr_sweep_cut`); otherwise the dict walk
-    below runs. Both return the identical cut.
 
     Parameters
     ----------
@@ -43,9 +36,6 @@ def sweep_cut(
         The vertex set with the lowest conductance seen along the sweep and
         that conductance. Returns ``(set(), 1.0)`` for an empty vector.
     """
-    snapshot = graph.csr(build=False)
-    if snapshot is not None:
-        return kernels.csr_sweep_cut(snapshot, ppr, max_size)
     ranked = [
         (value / max(graph.degree(v), 1), v)
         for v, value in ppr.items()

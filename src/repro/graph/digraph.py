@@ -277,12 +277,6 @@ class DynamicDiGraph:
         g._version = self._version
         return g
 
-    def reversed(self) -> "DynamicDiGraph":
-        """A copy with every edge direction flipped."""
-        return DynamicDiGraph(
-            edges=((v, u) for u, v in self.edges()), vertices=self._out
-        )
-
     # ------------------------------------------------------------------
     # Dunder conveniences
     # ------------------------------------------------------------------

@@ -1,10 +1,9 @@
 """Vectorized CSR traversal and push kernels for the query hot path.
 
 The dict-of-lists :class:`~repro.graph.digraph.DynamicDiGraph` is the
-mutable source of truth, but its hot read loops (frontier BiBFS,
-supportive-set construction, sweep scans, and — since the push kernels —
-the Alg. 3 probability-guided drain itself) pay Python-interpreter cost
-per *edge*. These kernels run the same algorithms over a frozen
+mutable source of truth, but its hot read loops (frontier BiBFS and the
+Alg. 3 probability-guided drain) pay Python-interpreter cost per *edge*.
+These kernels run the same algorithms over a frozen
 :class:`~repro.graph.snapshot.CSRSnapshot` with numpy whole-frontier
 operations, paying interpreter cost per *layer* (or per *drain sweep*)
 instead — the flat-array adjacency O'Reach demonstrates dominates
@@ -17,13 +16,12 @@ Contract
   and the equivalence harnesses in ``benchmarks/bench_kernels.py`` /
   ``benchmarks/bench_push_kernel.py``); only edge-access *counts* may
   differ, because whole-layer expansion cannot early-exit mid-layer.
-* The push-drain kernels (:func:`csr_push_drain`,
-  :func:`csr_forward_push_drain`) are additionally *state-deterministic*:
-  their sweep-synchronous semantics are pinned down exactly (dangling
-  pass, sorted-frontier selection, epsilon-bucketed greedy filter, budget
-  truncation, gather order, one ``np.add.at`` scatter per sweep) so a
-  scalar re-statement of the same sweeps reproduces their
-  residue/visited/explored arrays bitwise — the A/B leg
+* The push-drain kernel (:func:`csr_push_drain`) is additionally
+  *state-deterministic*: its sweep-synchronous semantics are pinned down
+  exactly (dangling pass, sorted-frontier selection, epsilon-bucketed
+  greedy filter, budget truncation, gather order, one ``np.add.at``
+  scatter per sweep) so a scalar re-statement of the same sweeps
+  reproduces its residue/visited/explored arrays bitwise — the A/B leg
   ``tests/test_push_kernels.py`` runs.
 * Kernels never mutate the snapshot; all state (visited masks, frontiers,
   residue arrays) is caller-owned or per-call scratch.
@@ -36,7 +34,7 @@ Contract
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Set, Tuple, TYPE_CHECKING
+from typing import Tuple, TYPE_CHECKING
 
 import numpy as np
 
@@ -372,61 +370,6 @@ def csr_push_drain(
 
 
 # ----------------------------------------------------------------------
-# PPR forward-push drain (plain CSR, no overlay)
-# ----------------------------------------------------------------------
-def csr_forward_push_drain(
-    offsets, targets, residue, reserve, alpha, epsilon, max_operations=None
-):
-    """Forward push (ACL06) to quiescence as whole-frontier sweeps.
-
-    ``residue`` / ``reserve`` are dense float64 arrays over compacted
-    indices, mutated in place. Each sweep pushes *every* vertex with
-    ``residue >= epsilon * d_out`` at once: reserve takes ``alpha * r``,
-    one gather + ``np.add.at`` scatters ``(1-alpha) * r / d_out`` along
-    the out-edges. Dangling residue becomes reserve (the walk halts).
-    Terminates within Lemma 1's ``1/(alpha*epsilon)`` edge accesses —
-    the bound is order-free, so it holds for sweeps too.
-
-    Returns ``(pushes, edge_accesses)`` in the shared counter units.
-    """
-    deg = (offsets[1:] - offsets[:-1]).astype(np.float64)
-    one_minus_alpha = 1.0 - alpha
-    pushes = 0
-    edge_accesses = 0
-    while True:
-        dangling = np.flatnonzero((residue > 0.0) & (deg == 0.0))
-        if len(dangling):
-            reserve[dangling] += residue[dangling]
-            residue[dangling] = 0.0
-        frontier = np.flatnonzero((deg > 0.0) & (residue >= epsilon * deg))
-        if len(frontier) == 0:
-            break
-        budget_stop = (
-            max_operations is not None
-            and pushes + len(frontier) >= max_operations
-        )
-        if budget_stop:
-            frontier = frontier[: max(max_operations - pushes, 0)]
-            if len(frontier) == 0:
-                break
-        pushes += len(frontier)
-        r_front = residue[frontier].copy()
-        reserve[frontier] += alpha * r_front
-        residue[frontier] = 0.0
-        counts = offsets[frontier + 1] - offsets[frontier]
-        nbrs = gather_rows(offsets, targets, frontier)
-        edge_accesses += len(nbrs)
-        np.add.at(
-            residue,
-            nbrs,
-            np.repeat(one_minus_alpha * r_front / counts, counts),
-        )
-        if budget_stop:
-            break
-    return pushes, edge_accesses
-
-
-# ----------------------------------------------------------------------
 # Bidirectional BFS
 # ----------------------------------------------------------------------
 def csr_bibfs(
@@ -508,110 +451,3 @@ def bibfs_loop(
 def _charge_rest(budget, delta: int) -> None:
     if budget is not None and delta:
         budget.charge(delta)
-
-
-# ----------------------------------------------------------------------
-# Reachable-set kernels (supportive-vertex construction)
-# ----------------------------------------------------------------------
-def csr_reachable_mask(csr: "CSRSnapshot", start_index: int, forward: bool = True):
-    """Boolean mask (compacted indexing) of the BFS closure of one vertex."""
-    offsets = csr.out_offsets if forward else csr.in_offsets
-    targets = csr.out_targets if forward else csr.in_targets
-    visited = np.zeros(csr.num_vertices, dtype=bool)
-    visited[start_index] = True
-    frontier = np.array([start_index], dtype=np.int64)
-    while len(frontier):
-        nbrs = gather_rows(offsets, targets, frontier)
-        fresh = nbrs[~visited[nbrs]]
-        visited[fresh] = True
-        frontier = np.unique(fresh)
-    return visited
-
-
-def csr_reachable_set(csr: "CSRSnapshot", start: int, forward: bool = True) -> Set[int]:
-    """The BFS closure of ``start`` (original ids), kernel-computed.
-
-    Drop-in for :func:`repro.graph.traversal.bfs_reachable` /
-    ``reverse_bfs_reachable`` on the frozen snapshot.
-    """
-    mask = csr_reachable_mask(csr, csr.index_of(start), forward)
-    return set(csr.vertex_ids[mask].tolist())
-
-
-def csr_multi_reachable_sets(
-    csr: "CSRSnapshot", starts: Iterable[int], forward: bool = True
-) -> Dict[int, Set[int]]:
-    """Batched closure construction for many sources on one snapshot.
-
-    Used by the fast-path pruner's supportive-set rebuild: one frozen
-    view, ``k`` vectorized sweeps, no dict adjacency walking.
-    """
-    return {x: csr_reachable_set(csr, x, forward) for x in starts}
-
-
-# ----------------------------------------------------------------------
-# Degree / conductance scans (community sweep)
-# ----------------------------------------------------------------------
-def csr_total_degrees(csr: "CSRSnapshot"):
-    """``d_out + d_in`` per compacted vertex, one vectorized subtraction."""
-    out_deg = csr.out_offsets[1:] - csr.out_offsets[:-1]
-    in_deg = csr.in_offsets[1:] - csr.in_offsets[:-1]
-    return out_deg + in_deg
-
-
-def csr_sweep_cut(
-    csr: "CSRSnapshot",
-    ppr: Dict[int, float],
-    max_size: int = 0,
-) -> Tuple[Set[int], float]:
-    """Vectorized Andersen–Chung–Lang sweep; twin of ``sweep_cut``.
-
-    The incremental boundary bookkeeping of the dict sweep becomes a
-    difference-array scan: a directed edge ``(u, v)`` is a boundary edge
-    of prefix ``k`` exactly while ``rank(u) <= k < max(rank(u), rank(v))``
-    (vertices outside the prefix rank ``+inf``), so the whole conductance
-    profile is two ``bincount`` passes and a ``cumsum``.
-    """
-    degrees = csr_total_degrees(csr)
-    index_of = csr.index_of
-    items = [
-        (v, value) for v, value in ppr.items() if value > 0 and csr.has_vertex(v)
-    ]
-    if not items:
-        return set(), 1.0
-    ids = np.array([v for v, _ in items], dtype=np.int64)
-    values = np.array([value for _, value in items], dtype=np.float64)
-    idx = np.array([index_of(int(v)) for v in ids], dtype=np.int64)
-    scores = values / np.maximum(degrees[idx], 1)
-    # Descending score, ties broken by descending vertex id — the exact
-    # order of the dict sweep's ``sorted(..., reverse=True)`` on
-    # ``(score, v)`` tuples.
-    order = np.lexsort((-ids, -scores))
-    if max_size > 0:
-        order = order[:max_size]
-    ranked_idx = idx[order]
-    ranked_ids = ids[order]
-    num_ranked = len(ranked_idx)
-
-    rank = np.full(csr.num_vertices, num_ranked + 1, dtype=np.int64)
-    rank[ranked_idx] = np.arange(1, num_ranked + 1, dtype=np.int64)
-
-    vol = np.cumsum(degrees[ranked_idx])
-    out_counts = csr.out_offsets[ranked_idx + 1] - csr.out_offsets[ranked_idx]
-    nbrs = gather_rows(csr.out_offsets, csr.out_targets, ranked_idx)
-    rank_u = np.repeat(np.arange(1, num_ranked + 1, dtype=np.int64), out_counts)
-    rank_v = rank[nbrs]
-    removed_at = np.minimum(np.maximum(rank_u, rank_v), num_ranked + 1)
-    adds = np.bincount(rank_u, minlength=num_ranked + 2)
-    rems = np.bincount(removed_at, minlength=num_ranked + 2)
-    boundary = np.cumsum((adds - rems)[1 : num_ranked + 1])
-
-    two_m = 2 * csr.num_edges
-    denom = np.minimum(vol, two_m - vol)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        phi = np.where(denom > 0, boundary / np.maximum(denom, 1), 1.0)
-    best = int(np.argmin(phi))
-    best_phi = float(phi[best])
-    if best_phi >= 1.0:
-        return set(), 1.0
-    return set(int(v) for v in ranked_ids[: best + 1]), best_phi

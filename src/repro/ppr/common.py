@@ -14,8 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Set
 
-import numpy as np
-
 
 @dataclass
 class PushConfig:
@@ -48,35 +46,6 @@ class PushState:
         state = cls()
         state.residue[source] = 1.0
         return state
-
-
-def state_to_arrays(state: PushState, snapshot):
-    """Densify a sparse :class:`PushState` over a snapshot's compacted ids.
-
-    Returns ``(residue, reserve)`` float64 arrays for the kernel drains.
-    """
-    n = snapshot.num_vertices
-    residue = np.zeros(n, dtype=np.float64)
-    reserve = np.zeros(n, dtype=np.float64)
-    for v, r in state.residue.items():
-        if r:
-            residue[snapshot.index_of(v)] = r
-    for v, r in state.reserve.items():
-        if r:
-            reserve[snapshot.index_of(v)] = r
-    return residue, reserve
-
-
-def state_from_arrays(state: PushState, snapshot, residue, reserve) -> None:
-    """Write dense drain results back into the sparse dicts, nonzero-only
-    (the scalar twin may keep explicit zeros; consumers treat a missing key
-    and a zero identically, and the A/B tests compare through that lens).
-    """
-    ids = snapshot.vertex_ids
-    nz = np.flatnonzero(residue)
-    state.residue = {int(ids[i]): float(residue[i]) for i in nz}
-    nz = np.flatnonzero(reserve)
-    state.reserve = {int(ids[i]): float(reserve[i]) for i in nz}
 
 
 class Worklist:

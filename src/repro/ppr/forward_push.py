@@ -18,9 +18,8 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.graph import kernels
 from repro.graph.digraph import DynamicDiGraph
-from repro.ppr.common import PushConfig, PushState, Worklist, state_from_arrays, state_to_arrays
+from repro.ppr.common import PushConfig, PushState, Worklist
 
 
 def forward_push(
@@ -35,13 +34,6 @@ def forward_push(
     Passing a previous ``state`` with a smaller ``config.epsilon`` resumes
     the computation (push is monotone in ``epsilon``), which is exactly how
     IFCA's shrinking threshold loop re-enters the search.
-
-    When a current-version CSR snapshot is already frozen, the drain runs
-    as whole-frontier sweeps through
-    :func:`repro.graph.kernels.csr_forward_push_drain` (push order differs
-    from the scalar worklist — both quiesce; the A/B tests pin the shared
-    properties). The scalar loop remains the authoritative twin and serves
-    graphs with no current snapshot (never frozen, or mid-churn).
     """
     if config is None:
         config = PushConfig()
@@ -50,29 +42,6 @@ def forward_push(
     if state is None:
         state = PushState.indicator(source)
     alpha, epsilon = config.alpha, config.epsilon
-
-    snapshot = graph.csr(build=False)
-    if snapshot is not None:
-        budget = (
-            None
-            if max_operations is None
-            else max_operations - state.push_operations
-        )
-        if budget is None or budget > 0:
-            residue, reserve = state_to_arrays(state, snapshot)
-            pushes, accesses = kernels.csr_forward_push_drain(
-                snapshot.out_offsets,
-                snapshot.out_targets,
-                residue,
-                reserve,
-                alpha,
-                epsilon,
-                budget,
-            )
-            state_from_arrays(state, snapshot, residue, reserve)
-            state.push_operations += pushes
-            state.edge_accesses += accesses
-        return state
 
     work = Worklist()
     for v, r in state.residue.items():

@@ -283,8 +283,7 @@ class ReachabilityService:
         self.engine_edge_budget = engine_edge_budget
         self._lock = RWLock()
         self._pruner = FastPathPruner(
-            self.graph, num_supportive=num_supportive, seed=seed,
-            csr_provider=lambda: self.graph.csr(build=False),
+            self.graph, num_supportive=num_supportive, seed=seed
         )
         self._cache = VersionedQueryCache(cache_capacity)
         self._stats = ServiceStats()
@@ -1078,7 +1077,6 @@ class ReachabilityService:
         counters["cache_stale_evictions"] = cache.stale_evictions
         counters["cache_unconfident_rejections"] = cache.unconfident_rejections
         counters["sample_rebuilds"] = self._pruner.sample_rebuilds
-        counters["kernel_sample_rebuilds"] = self._pruner.kernel_rebuilds
         counters["pruner_view_builds"] = self._pruner.view_builds
         dag = self._pruner.dag
         counters["dag_merges"] = dag.merge_count

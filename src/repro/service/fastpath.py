@@ -63,11 +63,10 @@ import random
 import threading
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Dict, List, NamedTuple, Optional, Set, Tuple
+from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.graph import kernels
 from repro.graph.dag import DynamicDAG
 from repro.graph.digraph import DynamicDiGraph
 from repro.graph.traversal import bfs_reachable, reverse_bfs_reachable
@@ -195,17 +194,10 @@ class FastPathPruner:
         graph: DynamicDiGraph,
         num_supportive: int = 4,
         seed: int = 0,
-        csr_provider: Optional[Callable[[], object]] = None,
     ) -> None:
         self.graph = graph
         self.dag = DynamicDAG(graph)
         self.num_supportive = num_supportive
-        #: Supplies the engine's frozen current-version CSR snapshot (or
-        #: ``None`` mid-churn); supportive-set rebuilds run on it via the
-        #: vectorized reachable-set kernel instead of re-walking dict
-        #: adjacency. The service wires this to ``graph.csr(build=False)``.
-        self._csr_provider = csr_provider
-        self.kernel_rebuilds = 0
         self._rng = random.Random(seed)
         self._samples = self._build_samples()
         self._rebuild_mutex = threading.Lock()
@@ -258,14 +250,8 @@ class FastPathPruner:
     # ------------------------------------------------------------------
     def _build_samples(self) -> _SampleSets:
         vertices = _choose_supportive(self.graph, self.num_supportive, self._rng)
-        snapshot = self._csr_provider() if self._csr_provider is not None else None
-        if snapshot is not None:
-            fwd = kernels.csr_multi_reachable_sets(snapshot, vertices, True)
-            bwd = kernels.csr_multi_reachable_sets(snapshot, vertices, False)
-            self.kernel_rebuilds += 1
-        else:
-            fwd = {x: bfs_reachable(self.graph, x) for x in vertices}
-            bwd = {x: reverse_bfs_reachable(self.graph, x) for x in vertices}
+        fwd = {x: bfs_reachable(self.graph, x) for x in vertices}
+        bwd = {x: reverse_bfs_reachable(self.graph, x) for x in vertices}
         return _SampleSets(vertices, fwd, bwd)
 
     def _extend_samples(self, u: int, v: int) -> None:
@@ -369,23 +355,20 @@ class FastPathPruner:
         """The array view current for this version and holder, or ``None``.
 
         Built here, lazily, by the first caller that finds none current
-        *and* finds the version's CSR snapshot already frozen (the
-        provider never freezes: a version nobody searched at width has
-        no snapshot and gets no view). After a holder swap at an
-        unchanged version only the masks are redone. Readers may call
-        this concurrently: one builds, the others get ``None`` for that
-        call and take the scalar :meth:`check`. Nothing invalidates a
-        view but the two comparisons below; a stale one is dropped when
-        its replacement is published.
+        *and* finds the version's CSR snapshot already frozen (this never
+        freezes: a version nobody searched at width has no snapshot and
+        gets no view). After a holder swap at an unchanged version only
+        the masks are redone. Readers may call this concurrently: one
+        builds, the others get ``None`` for that call and take the scalar
+        :meth:`check`. Nothing invalidates a view but the two comparisons
+        below; a stale one is dropped when its replacement is published.
         """
         view, holder, version = self._view, self._samples, self.graph.version
         if view is not None and view.version == version and view.holder is holder:
             return view
-        if self._csr_provider is None:
-            return None
         if len(holder.vertices) > _MASK_BITS:
             return None
-        csr = self._csr_provider()
+        csr = self.graph.csr(build=False)
         if csr is None or not self._view_mutex.acquire(blocking=False):
             return None
         try:

@@ -399,9 +399,7 @@ def _versions(n, edges, ops):
     from repro.service.fastpath import FastPathPruner
 
     graph = DynamicDiGraph(vertices=range(n), edges=edges)
-    pruner = FastPathPruner(
-        graph, num_supportive=2, csr_provider=lambda: graph.csr(build=False)
-    )
+    pruner = FastPathPruner(graph, num_supportive=2)
     yield graph, pruner
     for kind, u, v, pick in ops:
         live = sorted(graph.edges())

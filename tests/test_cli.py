@@ -2,6 +2,7 @@
 
 import argparse
 import ast
+import builtins
 import importlib.util
 import inspect
 import re
@@ -498,14 +499,14 @@ class TestKnobCensus:
         import repro.service.engine as engine
 
         with open(engine.__file__, encoding="utf-8") as handle:
-            assert sum(1 for _ in handle) <= 1184, self.RATCHET
+            assert sum(1 for _ in handle) <= 1182, self.RATCHET
 
     def test_src_lines(self):
         lines = sum(
             len(path.read_text(encoding="utf-8").splitlines())
             for path in (ROOT / "src").rglob("*.py")
         )
-        assert lines <= 19_480, self.RATCHET
+        assert lines <= 19_219, self.RATCHET
 
     def test_cli_flags(self):
         def flags(parser):
@@ -582,7 +583,7 @@ class TestKnobCensus:
     def test_serving_parameters(self):
         signatures = component_signatures(serving_census())
         total = sum(len(signature.parameters) for signature in signatures.values())
-        assert total <= 38, self.RATCHET
+        assert total <= 37, self.RATCHET
 
     def test_deleted_settings_stay_deleted(self):
         import dataclasses
@@ -656,6 +657,21 @@ class TestKnobCensus:
         # One scalar CSR BiBFS: the array hand-off runs the kernel loop.
         assert not hasattr(array_search, "array_frontier_bibfs")
         assert not hasattr(array_search, "_expand_overlay")
+        # No CSR twin of the forward-push drain, the sweep cut or the
+        # supportive-set closures: the dict walks are the only ones.
+        from repro.ppr import common
+        from repro.service.fastpath import FastPathPruner
+
+        for name in (
+            "csr_forward_push_drain", "csr_sweep_cut", "csr_total_degrees",
+            "csr_multi_reachable_sets", "csr_reachable_set",
+            "csr_reachable_mask",
+        ):
+            assert not hasattr(kernels, name), name
+        assert not hasattr(common, "state_to_arrays")
+        assert not hasattr(common, "state_from_arrays")
+        assert not hasattr(FastPathPruner(DynamicDiGraph()), "kernel_rebuilds")
+        assert "csr_provider" not in inspect.signature(FastPathPruner).parameters
 
     def test_deleted_knobs_stay_deleted(self):
         # Each name is split so that this file does not match itself.
@@ -730,6 +746,11 @@ class TestCensusBinder:
 
 _DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
+#: A bare name that is also a builtin comes back from
+#: :func:`_references` under this prefix (``builtins.reversed``).
+_BUILTIN = "builtins."
+_BUILTINS = frozenset(dir(builtins))
+
 
 def _module_name(path: Path, src: Path) -> str:
     parts = list(path.relative_to(src).with_suffix("").parts)
@@ -741,7 +762,10 @@ def _module_name(path: Path, src: Path) -> str:
 def _references(tree: ast.AST, module: str, package: bool) -> Tuple[Set[str], Set[str]]:
     """The names and modules some code refers to: loaded ``ast.Name``
     ids and ``ast.Attribute`` attributes, import aliases, and the modules
-    imports load. Annotations are types, not calls, and are skipped."""
+    imports load. Annotations are types, not calls, and are skipped. A
+    bare name that is also a builtin comes back as ``builtins.NAME``: it
+    means the builtin unless a top-level definition shadows it, and never
+    a method."""
     names: Set[str] = set()
     modules: Set[str] = set()
     stack = [tree]
@@ -757,7 +781,7 @@ def _references(tree: ast.AST, module: str, package: bool) -> Tuple[Set[str], Se
             stack.extend(d for d in node.args.kw_defaults if d is not None)
             continue
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            names.add(node.id)
+            names.add(_BUILTIN + node.id if node.id in _BUILTINS else node.id)
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             names.add(node.attr)
         elif isinstance(node, ast.Import):
@@ -791,7 +815,9 @@ def definition_census(src: Path, roots, seeds=()) -> Tuple[Set[str], Set[str]]:
     any ``__all__`` are re-exports, not callers. ``seeds`` (exemptions)
     are walked as entry points but count as reached only if something
     else refers to them. Matching is by name, so a name collision keeps a
-    definition alive; it never flags a reached one."""
+    definition alive; it never flags a reached one. A bare builtin name
+    (``reversed(...)``) reaches only a top-level definition of that name,
+    never a method."""
     modules: Dict[str, Tuple[ast.Module, bool]] = {}
     definitions: Dict[str, Tuple[str, ast.AST, Optional[str]]] = {}
     by_name: Dict[str, List[str]] = {}
@@ -872,9 +898,10 @@ def definition_census(src: Path, roots, seeds=()) -> Tuple[Set[str], Set[str]]:
             if name in seen:
                 continue
             seen.add(name)
-            for key in by_name.get(name, ()):
+            builtin = name.startswith(_BUILTIN)
+            for key in by_name.get(name.removeprefix(_BUILTIN), ()):
                 owner = definitions[key][2]
-                if owner is None or owner in reached:
+                if owner is None or (owner in reached and not builtin):
                     reach(key)
     return set(definitions), reached
 
@@ -1018,6 +1045,31 @@ class TestDefinitionCensusBinder:
         assert stale_exemptions(defined, reached, exempt) == [
             "pkg.tools:gone", "pkg.tools:used",
         ]
+
+    def test_a_builtin_name_reaches_no_method_of_that_name(self, tmp_path):
+        files = {
+            "src/pkg/tools.py": (
+                "class Thing:\n"
+                "    def reversed(self):\n        pass\n\n"
+                "    def sorted(self):\n        pass\n\n"
+                "def max(*args):\n    pass\n"
+            ),
+            "src/pkg/cli.py": (
+                "from pkg.tools import Thing\n\n"
+                "def main():\n"
+                "    Thing().sorted()\n"
+                "    return reversed([max()])\n"
+            ),
+        }
+        for name, text in files.items():
+            path = tmp_path / name
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(text, encoding="utf-8")
+        defined, reached = self.census(tmp_path)
+        # The builtin call leaves the method unreached; an attribute load
+        # reaches one, and a bare name still reaches a top-level shadow.
+        assert defined - reached == {"pkg.tools:Thing.reversed"}
+        assert {"pkg.tools:Thing.sorted", "pkg.tools:max"} <= reached
 
 
 

@@ -76,12 +76,7 @@ def test_check_many_is_check_over_arrays_or_refuses(edges, ops, supportive):
     graph = random_graph(8, 0, seed=0)
     for u, v in edges:
         graph.add_edge(u, v)
-    pruner = FastPathPruner(
-        graph,
-        num_supportive=supportive,
-        seed=1,
-        csr_provider=lambda: graph.csr(build=False),
-    )
+    pruner = FastPathPruner(graph, num_supportive=supportive, seed=1)
     probes = [(s, t) for s in range(-1, 13) for t in range(-1, 13)]
 
     def compare():
@@ -110,9 +105,8 @@ def test_check_many_is_check_over_arrays_or_refuses(edges, ops, supportive):
 @pytest.mark.parametrize("supportive", [9, 40])
 def test_check_many_with_wider_mask_words(supportive):
     graph = random_graph(60, 150, seed=5)
-    pruner = FastPathPruner(
-        graph, num_supportive=supportive, seed=2, csr_provider=graph.csr
-    )
+    pruner = FastPathPruner(graph, num_supportive=supportive, seed=2)
+    graph.csr()
     probes = [(s, t) for s in range(60) for t in range(0, 60, 3)]
     assert _check_many(pruner, probes) == [pruner.check(s, t) for s, t in probes]
     rules = Counter(hit[1] for hit in _check_many(pruner, probes) if hit)
@@ -121,12 +115,12 @@ def test_check_many_with_wider_mask_words(supportive):
 
 def test_no_view_beyond_one_mask_word_or_without_a_snapshot():
     graph = random_graph(80, 300, seed=3)
-    many = FastPathPruner(graph, num_supportive=65, seed=0, csr_provider=graph.csr)
+    many = FastPathPruner(graph, num_supportive=65, seed=0)
+    graph.csr()
     assert len(many._samples.vertices) == 65
     assert many.view() is None  # 65 sets do not fit one 64-bit word
-    unfrozen = FastPathPruner(random_graph(8, 12, seed=1), csr_provider=lambda: None)
+    unfrozen = FastPathPruner(random_graph(8, 12, seed=1))
     assert unfrozen.view() is None and unfrozen.view_builds == 0
-    assert FastPathPruner(random_graph(8, 12, seed=1)).view() is None
 
 
 # ----------------------------------------------------------------------

@@ -118,14 +118,7 @@ class TestDerivedGraphs:
         assert h.num_edges == 2
         assert g == DynamicDiGraph(edges=[(0, 1)])
 
-    def test_reversed(self):
-        g = DynamicDiGraph(edges=[(0, 1), (1, 2)])
-        r = g.reversed()
-        assert r.has_edge(1, 0)
-        assert r.has_edge(2, 1)
-        assert r.num_edges == 2
-
-    def test_copy_and_reversed_keep_the_order_of_an_add_edge_loop(self):
+    def test_copy_keeps_the_order_of_an_add_edge_loop(self):
         g = DynamicDiGraph(vertices=[9, 4], edges=[(4, 1), (1, 4), (4, 4)])
         g.add_edge(1, 2)
         g.add_edge(0, 4)
@@ -138,16 +131,6 @@ class TestDerivedGraphs:
             want.add_edge(u, v)
         want.restore_version(g.version)
         assert_same_build(g.copy(), want)
-        flipped = DynamicDiGraph()
-        for v in g.vertices():
-            flipped.add_vertex(v)
-        for u, v in g.edges():
-            flipped.add_edge(v, u)
-        assert_same_build(g.reversed(), flipped)
-
-    def test_reversed_twice_is_identity(self):
-        g = DynamicDiGraph(edges=[(0, 1), (2, 3), (3, 0)])
-        assert g.reversed().reversed() == g
 
     def test_subgraph(self):
         g = DynamicDiGraph(edges=[(0, 1), (1, 2), (2, 3)])

@@ -1,9 +1,8 @@
 """A/B equivalence and fallback tests for the vectorized CSR kernels.
 
-The dispatch layers (``core.bibfs``, ``baselines.bibfs``,
-``community.sweep``, ``service.fastpath``) rely on one contract: every
-kernel returns exactly the answer its dict twin returns on the same
-snapshot. These tests pit three implementations against each other — the
+The dispatch layers (``core.bibfs``, ``baselines.bibfs``) rely on one
+contract: every kernel returns exactly the answer its dict twin returns
+on the same snapshot. These tests pit three implementations against each other — the
 BFS oracle, the dict path, and the kernel path — across graph families,
 random query batches, a post-update re-freeze, and both push orders, then
 exercise the version-keyed CSR cache and the serving engine's per-epoch
@@ -20,12 +19,10 @@ from repro.core.params import ORDER_GREEDY, ORDER_LIFO, IFCAParams
 from repro.core.stats import QueryStats
 from repro.datasets.sbm import planted_partition_graph, two_block_sbm
 from repro.datasets.scale_free import preferential_attachment_graph
-from repro.graph import kernels
 from repro.graph.digraph import DynamicDiGraph
-from repro.graph.traversal import bfs_reachable, reverse_bfs_reachable
+from repro.graph.traversal import bfs_reachable
 from repro.workloads.queries import generate_queries
 
-from tests.oracles import power_iteration_ppr
 
 def _families():
     return [
@@ -160,77 +157,6 @@ class TestBiBFSEquivalence:
         assert not bibfs_is_reachable(g, 0, 7, use_kernels=True)
         assert not bibfs_is_reachable(g, 7, 0, use_kernels=True)
         assert not bibfs_is_reachable(g, 0, 99, use_kernels=True)
-
-
-class TestReachableSetKernels:
-    def test_closures_match_bfs(self):
-        g = preferential_attachment_graph(200, 3, seed=8, reciprocal=0.3)
-        snapshot = g.csr()
-        rng = random.Random(2)
-        probes = rng.sample(sorted(g.vertices()), 10)
-        for v in probes:
-            assert kernels.csr_reachable_set(snapshot, v, True) == bfs_reachable(g, v)
-            assert kernels.csr_reachable_set(snapshot, v, False) == (
-                reverse_bfs_reachable(g, v)
-            )
-
-    def test_multi_source_batch(self):
-        g = two_block_sbm(50, 5.0, seed=4)
-        snapshot = g.csr()
-        starts = [0, 17, 60]
-        sets = kernels.csr_multi_reachable_sets(snapshot, starts, forward=True)
-        assert set(sets) == set(starts)
-        for v in starts:
-            assert sets[v] == bfs_reachable(g, v)
-
-    def test_multi_source_empty_start_list(self):
-        g = two_block_sbm(20, 3.0, seed=1)
-        assert kernels.csr_multi_reachable_sets(g.csr(), []) == {}
-
-    def test_multi_source_sink_closure_is_itself(self):
-        g = DynamicDiGraph(edges=[(0, 1), (1, 2)])
-        snapshot = g.csr()
-        sets = kernels.csr_multi_reachable_sets(snapshot, [2], forward=True)
-        assert sets == {2: {2}}
-        back = kernels.csr_multi_reachable_sets(snapshot, [0], forward=False)
-        assert back == {0: {0}}
-
-    def test_multi_source_duplicate_starts_collapse(self):
-        g = two_block_sbm(30, 4.0, seed=7)
-        snapshot = g.csr()
-        sets = kernels.csr_multi_reachable_sets(
-            snapshot, [3, 3, 11, 3], forward=True
-        )
-        assert set(sets) == {3, 11}
-        assert sets[3] == bfs_reachable(g, 3)
-
-    @pytest.mark.parametrize("forward", [True, False])
-    def test_multi_source_equals_per_source(self, forward):
-        g = preferential_attachment_graph(120, 3, seed=5)
-        snapshot = g.csr()
-        rng = random.Random(6)
-        starts = rng.sample(sorted(g.vertices()), 8)
-        sets = kernels.csr_multi_reachable_sets(snapshot, starts, forward)
-        for v in starts:
-            assert sets[v] == kernels.csr_reachable_set(snapshot, v, forward)
-
-
-class TestSweepEquivalence:
-    def test_kernel_sweep_matches_dict_sweep(self):
-        from repro.community.sweep import sweep_cut
-
-        for seed in range(5):
-            g = two_block_sbm(40, 6.0, seed=seed)
-            ppr = power_iteration_ppr(g, seed % g.num_vertices, alpha=0.1)
-            sizes = (0, 5, 25)
-            # No snapshot is frozen yet, so these cuts take the dict walk.
-            assert g.csr(build=False) is None
-            dict_cuts = [sweep_cut(g, ppr, max_size=size) for size in sizes]
-            g.csr()
-            for max_size, dict_cut in zip(sizes, dict_cuts):
-                kern_cut = sweep_cut(g, ppr, max_size=max_size)
-                assert kern_cut[0] == dict_cut[0], (seed, max_size)
-                assert kern_cut[1] == pytest.approx(dict_cut[1]), (seed, max_size)
 
 
 class TestCSRCacheAndFallback:

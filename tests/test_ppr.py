@@ -85,15 +85,24 @@ class TestPowerIteration:
 
 class TestForwardPush:
     def test_mass_conservation(self, sbm_small):
-        state = forward_push(sbm_small, 0, PushConfig(alpha=0.2, epsilon=1e-4))
+        config = PushConfig(alpha=0.2, epsilon=1e-4)
+        state = forward_push(sbm_small, 0, config)
         total = sum(state.residue.values()) + sum(state.reserve.values())
         assert total == pytest.approx(1.0, abs=1e-9)
+        # Quiescence: no vertex is still pushable, and a dangling vertex
+        # holds no residue (it all became reserve).
+        for v, r in state.residue.items():
+            d = sbm_small.out_degree(v)
+            assert r == 0.0 or (d > 0 and r / d < config.epsilon)
 
     def test_reserve_underestimates_ppr(self, sbm_small):
         exact = power_iteration_ppr(sbm_small, 0, alpha=0.2)
         state = forward_push(sbm_small, 0, PushConfig(alpha=0.2, epsilon=1e-3))
         for v, reserve in state.reserve.items():
             assert reserve <= exact.get(v, 0.0) + 1e-9
+        # The total shortfall is bounded by the residual mass in flight.
+        shortfall = sum(exact.values()) - sum(state.reserve.values())
+        assert shortfall <= sum(state.residue.values()) + 1e-9
 
     def test_invariant_ppr_decomposition(self):
         """ppr_s(t) = reserve(t) + sum_v residue(v) * ppr_v(t)."""
@@ -134,6 +143,13 @@ class TestForwardPush:
         assert sum(resumed.reserve.values()) == pytest.approx(
             sum(fresh.reserve.values()), rel=0.05
         )
+        # Per vertex, the two agree to the algorithm's own epsilon scale.
+        keys = set(resumed.reserve) | set(fresh.reserve)
+        worst = max(
+            abs(resumed.reserve.get(v, 0.0) - fresh.reserve.get(v, 0.0))
+            for v in keys
+        )
+        assert worst < 100 * cfg2.epsilon
 
     def test_termination_bound(self, sbm_small):
         """Lemma 1: O(1/(alpha * epsilon)) edge accesses."""
@@ -146,10 +162,18 @@ class TestForwardPush:
             forward_push(sbm_small, 10**9)
 
     def test_max_operations_cap(self, sbm_small):
-        state = forward_push(
-            sbm_small, 0, PushConfig(epsilon=1e-9), max_operations=5
-        )
-        assert state.push_operations <= 5
+        config = PushConfig(epsilon=1e-6)
+        state = forward_push(sbm_small, 0, config, max_operations=5)
+        assert state.push_operations == 5
+        # The cap counts cumulative pushes: an equal cap resumes nothing.
+        state = forward_push(sbm_small, 0, config, state=state, max_operations=5)
+        assert state.push_operations == 5
+        # Lifting the cap resumes toward quiescence.
+        state = forward_push(sbm_small, 0, config, state=state)
+        assert state.push_operations > 5
+        for v, r in state.residue.items():
+            d = sbm_small.out_degree(v)
+            assert r == 0.0 or (d > 0 and r / d < config.epsilon)
 
     def test_self_loop_keeps_share(self):
         g = DynamicDiGraph(edges=[(0, 0), (0, 1)])

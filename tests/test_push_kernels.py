@@ -43,11 +43,7 @@ from repro.datasets.sbm import two_block_sbm
 from repro.datasets.scale_free import preferential_attachment_graph
 from repro.graph import kernels
 from repro.graph.digraph import DynamicDiGraph
-from repro.ppr.common import PushConfig
-from repro.ppr.forward_push import forward_push
 from repro.workloads.queries import generate_queries
-
-from tests.oracles import power_iteration_ppr
 
 pytestmark = pytest.mark.push_kernels
 
@@ -471,90 +467,6 @@ def test_unfrozen_graph_answers_on_dict_twin():
         assert not stats.used_push_kernel and not stats.used_kernel
         assert answer == bibfs_is_reachable(graph, s, t, use_kernels=False)
     assert graph.csr(build=False) is None
-
-
-# ----------------------------------------------------------------------
-# PPR push drains: kernel vs scalar residue equivalence
-# ----------------------------------------------------------------------
-def test_ppr_kernel_quiescence_and_mass():
-    graph = two_block_sbm(80, 5.0, seed=4)
-    config = PushConfig(alpha=0.15, epsilon=1e-5)
-    graph.csr()
-    state = forward_push(graph, 0, config)
-    # Quiescence: no vertex is still pushable.
-    for v, r in state.residue.items():
-        d = graph.out_degree(v)
-        assert d > 0 and r / d < config.epsilon
-    mass = sum(state.reserve.values()) + sum(state.residue.values())
-    assert mass == pytest.approx(1.0, abs=1e-9)
-
-
-def test_ppr_kernel_close_to_scalar():
-    # Push order differs (sweeps vs worklist), so reserves agree only up
-    # to the algorithm's own epsilon-scale tolerance — per-vertex, the
-    # leftover-residue invariant bounds the gap.
-    graph = preferential_attachment_graph(150, 3, seed=9, reciprocal=0.2)
-    config = PushConfig(alpha=0.1, epsilon=1e-6)
-    scalar = forward_push(graph, 0, config)
-    graph.csr()
-    kernel = forward_push(graph, 0, config)
-    keys = set(scalar.reserve) | set(kernel.reserve)
-    worst = max(
-        abs(scalar.reserve.get(v, 0.0) - kernel.reserve.get(v, 0.0))
-        for v in keys
-    )
-    assert worst < 100 * config.epsilon
-
-
-def test_ppr_kernel_invariant_vs_power_iteration():
-    graph = two_block_sbm(40, 4.0, seed=6)
-    config = PushConfig(alpha=0.2, epsilon=1e-8)
-    graph.csr()
-    state = forward_push(graph, 0, config)
-    exact = power_iteration_ppr(graph, 0, alpha=config.alpha)
-    for v in graph.vertices():
-        reserve = state.reserve.get(v, 0.0)
-        # Reserves underestimate the true PPR, and the total shortfall is
-        # bounded by the residual mass still in flight.
-        assert reserve <= exact.get(v, 0.0) + 1e-9
-    shortfall = sum(exact.values()) - sum(state.reserve.values())
-    assert shortfall <= sum(state.residue.values()) + 1e-9
-
-
-def test_ppr_kernel_resumable():
-    graph = two_block_sbm(60, 5.0, seed=8)
-    graph.csr()
-    coarse = PushConfig(alpha=0.1, epsilon=1e-3)
-    fine = PushConfig(alpha=0.1, epsilon=1e-6)
-    resumed = forward_push(graph, 0, coarse)
-    resumed = forward_push(graph, 0, fine, state=resumed)
-    fresh = forward_push(graph, 0, fine)
-    keys = set(resumed.reserve) | set(fresh.reserve)
-    worst = max(
-        abs(resumed.reserve.get(v, 0.0) - fresh.reserve.get(v, 0.0))
-        for v in keys
-    )
-    assert worst < 100 * fine.epsilon
-    # The resumed run keeps cumulative counters.
-    assert resumed.push_operations > 0
-    assert resumed.edge_accesses > 0
-
-
-def test_ppr_kernel_budget_resumes():
-    graph = two_block_sbm(60, 5.0, seed=8)
-    graph.csr()
-    config = PushConfig(alpha=0.1, epsilon=1e-6)
-    state = forward_push(graph, 0, config, max_operations=5)
-    assert state.push_operations >= 5  # sweeps may overshoot by < one sweep
-    first = state.push_operations
-    # Budget already consumed: an equal budget re-invocation is a no-op.
-    state = forward_push(graph, 0, config, state=state, max_operations=first)
-    assert state.push_operations == first
-    # Raising the budget resumes toward quiescence.
-    state = forward_push(graph, 0, config, state=state)
-    for v, r in state.residue.items():
-        d = graph.out_degree(v)
-        assert d > 0 and r / d < config.epsilon
 
 
 # ----------------------------------------------------------------------
